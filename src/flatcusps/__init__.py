@@ -3,9 +3,10 @@
 Construction and verification, entirely over the rationals: Bieberbach
 groups with holonomy and torsion oracles, holonomy-invariant quadratic
 forms, embeddings into rational Lorentz groups stabilizing a null
-direction, integralization by hyperbolic conjugation, congruence-prime
-certificates for torsion-free finite-index containment, and seeded
-density experiments.
+direction, integralization by hyperbolic conjugation (which scales every
+translation by the conjugator's integer scale, so it is carried out by
+re-embedding with scaled translations), congruence-prime certificates for
+torsion-free finite-index containment, and seeded density experiments.
 """
 
 from .bieberbach import (
@@ -33,6 +34,7 @@ from .density import (
 from .errors import (
     DimensionMismatch,
     HolonomyBound,
+    InvariantViolation,
     NotFormIsometry,
     NotNilpotent,
     NotPositiveDefinite,
@@ -92,6 +94,7 @@ __all__ = [
     "HolonomyBound",
     "HolonomyGroup",
     "IntPolynomial",
+    "InvariantViolation",
     "Lcg",
     "LorentzEmbedding",
     "LorentzModel",

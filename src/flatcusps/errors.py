@@ -44,3 +44,7 @@ class ValidationError(ValueError):
         self.path = path
         self.message = message
         super().__init__(f"{path}: {message}")
+
+
+class InvariantViolation(ValueError):
+    """An identity the construction guarantees failed to hold."""

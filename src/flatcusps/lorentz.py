@@ -5,24 +5,34 @@ Given a positive definite rational form ``B_K`` on n-space, the model form
 vectors ``v_inf = e_{n+1} + e_{n+2}`` and ``v_0 = e_{n+1} - e_{n+2}`` are
 B-null, and the first n coordinate vectors span their B-orthogonal
 complement. Translations embed into the unipotent stabilizer of ``v_inf``
-through the exponential of the B-skew rank-two map built from outer
-pairings, and B_K-isometries embed block-diagonally. The images generate a
-subgroup of ``O(B; Q)`` fixing ``v_inf``; conjugating by a rational
-hyperbolic element scales the unipotent parameters by a positive integer
-``c`` and, for a suitable smallest ``c``, lands every image in integer
+as the exponential of the B-skew rank-two map built from outer pairings;
+that map cubes to zero, so the exponential has a closed form which
+:func:`embed_translation` writes down directly. B_K-isometries embed
+block-diagonally. The images generate a subgroup of ``O(B; Q)`` fixing
+``v_inf``. Conjugating by the rational hyperbolic element that scales
+``v_inf`` by a positive integer ``c`` and fixes the complement scales every
+translation by ``c`` and leaves the linear factors alone, so
+:func:`integralize` performs that conjugation by re-embedding with scaled
+translations; for a suitable smallest ``c`` every image lands in integer
 matrices. Every identity used along the way is checkable in exact
-arithmetic, and :func:`verify_embedding` rechecks them all from scratch.
+arithmetic, and :func:`verify_embedding` rechecks them all from scratch on
+the finished matrices.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Optional, Sequence
 
 from .bieberbach import AffineMap, BieberbachGroup
-from .errors import DimensionMismatch, NotFormIsometry, NotPositiveDefinite
+from .errors import (
+    DimensionMismatch,
+    InvariantViolation,
+    NotFormIsometry,
+    NotPositiveDefinite,
+)
 from .exactlin import (
-    IntPolynomial,
     Matrix,
     SymmetricForm,
     Vector,
@@ -30,32 +40,22 @@ from .exactlin import (
     denominator_lcm,
     is_positive_definite,
     ldl_signature,
-    nilpotent_exp,
     unit_vector,
     vec,
 )
+from .selberg import prime_factors, unipotent_polynomial
 from .shapes import ShapeDescriptor
 
 
 class LorentzModel:
     """Signature (n+1, 1) model data attached to a base form.
 
-    Built by :func:`model_form`. Holds the model form ``B``, the null
-    vectors ``v_inf`` and ``v_0``, a basis of their B-orthogonal complement
-    (the translation directions), and the cached frame matrix used to
-    extend base-form isometries to the ambient space.
+    Built by :func:`model_form`. Holds the model form ``B`` and the null
+    vectors ``v_inf`` and ``v_0``; the first n coordinate vectors span
+    their B-orthogonal complement (the translation directions).
     """
 
-    __slots__ = (
-        "n",
-        "base_form",
-        "model_form",
-        "v_inf",
-        "v_0",
-        "vinf_basis",
-        "_frame",
-        "_frame_inverse",
-    )
+    __slots__ = ("n", "base_form", "model_form", "v_inf", "v_0")
 
     def __init__(
         self,
@@ -63,17 +63,12 @@ class LorentzModel:
         model: SymmetricForm,
         v_inf: Vector,
         v_0: Vector,
-        vinf_basis: Sequence[Vector],
     ):
         object.__setattr__(self, "n", base_form.dim)
         object.__setattr__(self, "base_form", base_form)
         object.__setattr__(self, "model_form", model)
         object.__setattr__(self, "v_inf", v_inf)
         object.__setattr__(self, "v_0", v_0)
-        object.__setattr__(self, "vinf_basis", tuple(vinf_basis))
-        frame = Matrix.from_columns(list(self.vinf_basis) + [v_0, v_inf])
-        object.__setattr__(self, "_frame", frame)
-        object.__setattr__(self, "_frame_inverse", frame.inverse())
 
     def __setattr__(self, name, value):
         raise AttributeError("LorentzModel is immutable")
@@ -83,33 +78,23 @@ class LorentzModel:
         return self.n + 2
 
     def lift(self, v: Sequence) -> Vector:
-        """Ambient vector with the given coordinates in the V_inf basis."""
+        """Ambient vector of a complement vector: ``v`` followed by two zeros."""
         w = vec(v)
         if len(w) != self.n:
             raise DimensionMismatch(
                 f"expected a vector of length {self.n}, got {len(w)}"
             )
-        out = [Fraction(0)] * self.ambient_dim
-        for coord, basis_vector in zip(w, self.vinf_basis):
-            if coord:
-                for i, x in enumerate(basis_vector):
-                    out[i] += coord * x
-        return tuple(out)
+        return w + (Fraction(0), Fraction(0))
 
     def __repr__(self) -> str:
         return f"<LorentzModel n={self.n}>"
 
 
-def model_form(
-    base: SymmetricForm, vinf_basis: Optional[Sequence[Sequence]] = None
-) -> LorentzModel:
+def model_form(base: SymmetricForm) -> LorentzModel:
     """Model data for a positive definite rational base form.
 
-    ``B = base (+) diag(1, -1)``; the default complement basis is the first
-    n coordinate vectors. A custom basis may be supplied: it must consist
-    of vectors B-orthogonal to both null vectors whose Gram matrix under B
-    equals the base form (an isometric identification of n-space with the
-    complement).
+    ``B = base (+) diag(1, -1)``, with ``v_inf``, ``v_0`` in the last two
+    coordinates and the first n coordinate vectors as the complement basis.
     """
     if not is_positive_definite(base):
         raise NotPositiveDefinite("base form must be positive definite")
@@ -122,24 +107,13 @@ def model_form(
         Fraction(1) if i == n else Fraction(-1) if i == n + 1 else Fraction(0)
         for i in range(n + 2)
     )
-    if vinf_basis is None:
-        basis = [unit_vector(n + 2, i) for i in range(n)]
-    else:
-        basis = [vec(b) for b in vinf_basis]
-        if len(basis) != n or any(len(b) != n + 2 for b in basis):
-            raise DimensionMismatch("complement basis must be n vectors of length n+2")
-        for b in basis:
-            if model.evaluate(b, v_inf) != 0 or model.evaluate(b, v_0) != 0:
-                raise ValueError("complement basis vector is not orthogonal to the null pair")
-        for i, bi in enumerate(basis):
-            for j, bj in enumerate(basis):
-                if model.evaluate(bi, bj) != base.matrix[i, j]:
-                    raise ValueError("complement basis is not isometric to the base form")
-    assert ldl_signature(model) == (n + 1, 1, 0)
-    assert model.evaluate(v_inf, v_inf) == 0
-    assert model.evaluate(v_0, v_0) == 0
-    assert model.evaluate(v_inf, v_0) != 0
-    return LorentzModel(base, model, v_inf, v_0, basis)
+    if ldl_signature(model) != (n + 1, 1, 0):
+        raise InvariantViolation("model form does not have signature (n+1, 1)")
+    if model.evaluate(v_inf, v_inf) != 0 or model.evaluate(v_0, v_0) != 0:
+        raise InvariantViolation("v_inf and v_0 are not both null")
+    if model.evaluate(v_inf, v_0) == 0:
+        raise InvariantViolation("v_inf and v_0 are orthogonal")
+    return LorentzModel(base, model, v_inf, v_0)
 
 
 def outer_pairing(x: Sequence, y: Sequence, form: SymmetricForm) -> Matrix:
@@ -155,7 +129,9 @@ def translation_log(v: Sequence, model: LorentzModel) -> Matrix:
     """B-skew generator whose exponential is the translation image.
 
     ``M = lift(v) (B v_inf)^T - v_inf (B lift(v))^T``; it kills ``v_inf``,
-    satisfies ``M^3 = 0``, and ``M^T B + B M = 0`` exactly.
+    satisfies ``M^3 = 0``, and ``M^T B + B M = 0`` exactly. The library
+    writes ``exp(M)`` in closed form (:func:`embed_translation`); this
+    matrix is kept as the reference it is checked against.
     """
     lifted = model.lift(v)
     return outer_pairing(lifted, model.v_inf, model.model_form) - outer_pairing(
@@ -163,28 +139,47 @@ def translation_log(v: Sequence, model: LorentzModel) -> Matrix:
     )
 
 
+def _translation_parts(v: Sequence, model: LorentzModel) -> tuple[Vector, Vector, Fraction]:
+    """``w = v``, ``k = B_K w`` and ``h = B_K(w, w) / 2``."""
+    w = model.lift(v)[: model.n]
+    k = model.base_form.matrix.matvec(w)
+    return w, k, sum(a * b for a, b in zip(w, k)) / 2
+
+
 def embed_translation(v: Sequence, model: LorentzModel) -> Matrix:
     """Unipotent image of a translation vector.
 
-    The exponential of :func:`translation_log`; it preserves the model
-    form, fixes ``v_inf``, and is additive in ``v``.
+    The exponential ``I + M + M^2/2`` of :func:`translation_log`, written
+    out: with ``w = v``, ``k = B_K w`` and ``h = B_K(w, w) / 2``, row
+    ``i < n`` is the identity row with ``w_i`` and ``-w_i`` in columns n and
+    n+1; rows n and n+1 both start with ``-k``; the corner two-by-two block
+    is ``[[1 - h, h], [-h, 1 + h]]``. It preserves the model form, fixes
+    ``v_inf``, and is additive in ``v``.
     """
-    return nilpotent_exp(translation_log(v, model))
+    w, k, h = _translation_parts(v, model)
+    n = model.n
+    rows = []
+    for i, x in enumerate(w):
+        row = [Fraction(0)] * n + [x, -x]
+        row[i] = Fraction(1)
+        rows.append(row)
+    minus_k = [-x for x in k]
+    rows.append(minus_k + [1 - h, h])
+    rows.append(minus_k + [-h, 1 + h])
+    return Matrix(rows)
 
 
 def linear_image(a: Matrix, model: LorentzModel) -> Matrix:
     """Extension of a base-form isometry acting trivially on the null plane.
 
-    Acts as ``a`` on the complement (through the model's basis) and as the
-    identity on the span of ``v_0`` and ``v_inf``. With the standard basis
-    this is just ``blockdiag(a, I_2)``. Raises ``NotFormIsometry`` when
-    ``a`` does not preserve the base form.
+    ``blockdiag(a, I_2)``: ``a`` on the complement, the identity on the
+    span of ``v_0`` and ``v_inf``. Raises ``NotFormIsometry`` when ``a``
+    does not preserve the base form.
     """
     base = model.base_form.matrix
     if a.transpose() * base * a != base:
         raise NotFormIsometry("linear part does not preserve the base form")
-    block = Matrix.block_diag(a, Matrix.identity(2))
-    return model._frame * block * model._frame_inverse
+    return Matrix.block_diag(a, Matrix.identity(2))
 
 
 def embed_affine(g: AffineMap, model: LorentzModel) -> Matrix:
@@ -237,90 +232,83 @@ def embed_group(group: BieberbachGroup, shape: ShapeDescriptor) -> LorentzEmbedd
 # ---------------------------------------------------------------------------
 
 
-def hyperbolic_conjugator(model: LorentzModel, c: int) -> Matrix:
-    """Form-preserving map acting as identity on the complement and scaling
-    ``v_inf`` by ``c`` (and ``v_0`` by ``1/c``)."""
-    if c < 1:
-        raise ValueError("the scale must be a positive integer")
-    p = Fraction(c * c + 1, 2 * c)
-    q = Fraction(c * c - 1, 2 * c)
-    block = Matrix([[p, q], [q, p]])
-    return Matrix.block_diag(Matrix.identity(model.n), block)
-
-
-def _prime_power_split(m: int) -> dict[int, int]:
-    """Prime factorization ``{p: exponent}`` of a positive integer."""
-    out: dict[int, int] = {}
-    f = 2
-    while f * f <= m:
-        while m % f == 0:
-            out[f] = out.get(f, 0) + 1
-            m //= f
-        f += 1 if f == 2 else 2
-    if m > 1:
-        out[m] = out.get(m, 0) + 1
-    return out
-
-
 def _smallest_integral_scale(embedding: LorentzEmbedding) -> int:
     """Exact smallest conjugation scale that clears all denominators.
 
-    The conjugated image of a generator ``(A, t)`` is ``T(c t) R(A)``,
-    whose entries away from the (integer) linear factor are either ``c``
-    times an entry of ``M R(A)`` or ``c^2`` times an entry of
-    ``(M^2/2) R(A)``; the two kinds occupy disjoint positions (``M`` lives
-    in the off-diagonal blocks, ``M^2`` in the corner two-by-two), so no
-    cancellation between them is possible and the smallest working ``c``
-    clears each kind separately: per prime ``p``, the valuation of ``c``
-    must reach the valuation of the linear denominators and half the
-    valuation of the quadratic ones, rounded up.
+    The conjugated image of a generator ``(A, t)`` is ``T(c t) R(A)``. Its
+    entries outside the (integral, unimodular) linear factor are ``c w_i``,
+    ``c (k^T A)_j`` and ``c^2 h``, which occupy disjoint positions, so no
+    cancellation between them is possible. Since ``A`` and ``A^{-1}`` are
+    integral, ``k^T A`` has the same denominators as ``k``. The smallest
+    working ``c`` is therefore a multiple of every denominator of ``w``
+    and ``k`` whose square is a multiple of every denominator of ``h``:
+    per prime ``p``, the valuation of ``c`` must reach the valuation of
+    the linear denominators and half the valuation of the quadratic ones,
+    rounded up.
     """
     model = embedding.model
     linear_values = []
     quadratic_values = []
     for g in embedding.group.generators:
-        rotation = linear_image(g.linear, model)
-        if not rotation.is_integral():
+        if not g.linear.is_integral():
             raise ValueError(
                 "a linear factor has fractional entries; hyperbolic conjugation "
                 "cannot integralize this embedding"
             )
-        log = translation_log(g.translation, model)
-        tail = Fraction(1, 2) * (log * log)
-        linear_values.extend(x for row in (log * rotation).entries for x in row)
-        quadratic_values.extend(x for row in (tail * rotation).entries for x in row)
-    linear_den = denominator_lcm(linear_values)
+        w, k, h = _translation_parts(g.translation, model)
+        linear_values.extend(w)
+        linear_values.extend(k)
+        quadratic_values.append(h)
     quadratic_den = denominator_lcm(quadratic_values)
-    exponents = _prime_power_split(linear_den)
-    for p, e in _prime_power_split(quadratic_den).items():
-        exponents[p] = max(exponents.get(p, 0), (e + 1) // 2)
-    scale = 1
-    for p, e in exponents.items():
-        scale *= p**e
-    return scale
+    root = 1  # smallest integer whose square is a multiple of quadratic_den
+    for p in prime_factors(quadratic_den):
+        e = 0
+        while quadratic_den % p == 0:
+            quadratic_den //= p
+            e += 1
+        root *= p ** ((e + 1) // 2)
+    return math.lcm(denominator_lcm(linear_values), root)
 
 
 def integralize(embedding: LorentzEmbedding) -> tuple[LorentzEmbedding, int]:
     """Conjugate an embedding into integer matrices.
 
     Finds the smallest positive integer ``c`` such that conjugating every
-    image by the hyperbolic element of scale ``c`` yields integer entries,
-    then performs the conjugation and checks the result. Group relations
-    are untouched (conjugation is an automorphism), the model form is
-    preserved exactly, and all verification checks survive. Returns the
-    conjugated embedding and ``c``; an already integral embedding comes
-    back unchanged with scale 1.
+    image by the hyperbolic element ``H_c`` of scale ``c`` yields integer
+    entries. ``H_c`` is the B-isometry that scales ``v_inf`` by ``c`` (and
+    ``v_0`` by ``1/c``) and fixes the complement, so it commutes with each
+    linear factor ``R(A)`` and scales each translation log by ``c``:
+    ``H_c T(t) R(A) H_c^{-1} = T(c t) R(A)``. The conjugation is therefore
+    performed by re-embedding every generator with its translation scaled
+    by ``c``. Group relations are untouched (conjugation is an
+    automorphism), the model form is preserved exactly, and all
+    verification checks survive. Returns the conjugated embedding and
+    ``c``; an already integral embedding comes back unchanged with scale 1.
+
+    Raises ``InvariantViolation`` when an image is not the embedding of its
+    generator, since rescaling would then not be a conjugation.
     """
     model = embedding.model
+    generators = embedding.group.generators
+    rotations = []
+    for g, image in zip(generators, embedding.images):
+        rotation = linear_image(g.linear, model)
+        if embed_translation(g.translation, model) * rotation != image:
+            raise InvariantViolation(
+                "an image is not the embedding of its generator; "
+                "rescaling translations would not be a conjugation"
+            )
+        rotations.append(rotation)
     c = _smallest_integral_scale(embedding)
-    if c == 1:
-        assert all(m.is_integral() for m in embedding.images)
-        return embedding, 1
-    conjugator = hyperbolic_conjugator(model, c)
-    inverse = conjugator.inverse()
-    conjugated = [conjugator * image * inverse for image in embedding.images]
-    assert all(m.is_integral() for m in conjugated)
-    return LorentzEmbedding(model, embedding.group, conjugated), c
+    if c > 1:
+        images = [
+            embed_translation([c * x for x in g.translation], model) * rotation
+            for g, rotation in zip(generators, rotations)
+        ]
+        embedding = LorentzEmbedding(model, embedding.group, images)
+    if not all(m.is_integral() for m in embedding.images):
+        raise InvariantViolation("integralized images have fractional entries")
+    return embedding, c
 
 
 # ---------------------------------------------------------------------------
@@ -386,10 +374,6 @@ class VerificationReport:
         return f"<VerificationReport {status} generators={len(self.per_generator)}>"
 
 
-def _unipotent_poly(n: int) -> IntPolynomial:
-    return IntPolynomial([-1, 1]) ** n
-
-
 def verify_embedding(embedding: LorentzEmbedding) -> VerificationReport:
     """Recompute every exact identity the construction promises.
 
@@ -404,7 +388,7 @@ def verify_embedding(embedding: LorentzEmbedding) -> VerificationReport:
     gram = model.model_form.matrix
     n = model.n
     ambient = model.ambient_dim
-    unipotent = _unipotent_poly(ambient)
+    unipotent = unipotent_polynomial(ambient)
     basis = [unit_vector(n, i) for i in range(n)]
     translation_cache: dict[tuple, Matrix] = {}
 
@@ -446,7 +430,7 @@ def verify_embedding(embedding: LorentzEmbedding) -> VerificationReport:
             if power.is_zero():
                 degree = k
                 break
-        log_cubes_to_zero = (log * log * log).is_zero()
+        log_cubes_to_zero = degree is not None and degree <= 3
 
         results.append(
             GeneratorChecks(

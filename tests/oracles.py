@@ -3,7 +3,8 @@
 These deliberately avoid the code paths they validate: torsion is decided
 by enumerating group elements and powering them, best rational
 approximations by scanning every denominator, and finite-order
-characteristic polynomials via sympy companion matrices.
+characteristic polynomials via sympy companion matrices, and
+integralization by explicit conjugation with the hyperbolic element.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from fractions import Fraction
 
 from flatcusps.bieberbach import BieberbachGroup, holonomy, translation_lattice
 from flatcusps.exactlin import Matrix
+from flatcusps.lorentz import LorentzModel
 
 
 def brute_force_is_torsion_free(group: BieberbachGroup, box: int = 2) -> bool:
@@ -112,3 +114,14 @@ def _companion_entry(poly, i, j):
     if j == deg - 1:
         return -coeffs[deg - i]
     return 1 if i == j + 1 else 0
+
+
+def hyperbolic_conjugator(model: LorentzModel, c: int) -> Matrix:
+    """Form-preserving map acting as identity on the complement and scaling
+    ``v_inf`` by ``c`` (and ``v_0`` by ``1/c``)."""
+    if c < 1:
+        raise ValueError("the scale must be a positive integer")
+    p = Fraction(c * c + 1, 2 * c)
+    q = Fraction(c * c - 1, 2 * c)
+    block = Matrix([[p, q], [q, p]])
+    return Matrix.block_diag(Matrix.identity(model.n), block)

@@ -1,17 +1,36 @@
+import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from flatcusps.bieberbach import AffineMap, BieberbachGroup, catalog, holonomy, theta_average
-from flatcusps.errors import DimensionMismatch, NotFormIsometry, NotPositiveDefinite
-from flatcusps.exactlin import Matrix, SymmetricForm, char_poly, ldl_signature
+import flatcusps
+from flatcusps.bieberbach import (
+    AffineMap,
+    BieberbachGroup,
+    catalog,
+    catalog_names,
+    holonomy,
+    theta_average,
+)
+from flatcusps.errors import (
+    DimensionMismatch,
+    InvariantViolation,
+    NotFormIsometry,
+    NotPositiveDefinite,
+)
+from flatcusps.exactlin import Matrix, SymmetricForm, char_poly, ldl_signature, nilpotent_exp
 from flatcusps.lorentz import (
     LorentzEmbedding,
     embed_affine,
     embed_group,
     embed_translation,
-    hyperbolic_conjugator,
     integralize,
     linear_image,
     model_form,
@@ -20,8 +39,31 @@ from flatcusps.lorentz import (
     verify_embedding,
 )
 from flatcusps.shapes import ShapeDescriptor
+from oracles import hyperbolic_conjugator
 
 HALF = F(1, 2)
+
+small_fractions = st.fractions(min_value=-4, max_value=4, max_denominator=5)
+positive_fractions = st.fractions(min_value=F(1, 5), max_value=4, max_denominator=5)
+
+# Integralization scales of every catalog group, for the holonomy averages
+# of the identity and of diag(2, ..., n+1).
+CATALOG_SCALES = {
+    "torus-1": (2, 1),
+    "torus-2": (2, 2),
+    "torus-3": (2, 2),
+    "torus-4": (2, 2),
+    "torus-5": (2, 2),
+    "torus-6": (2, 2),
+    "klein": (4, 2),
+    "half-turn": (4, 2),
+    "third-turn": (6, 3),
+    "quarter-turn": (8, 4),
+    "sixth-turn": (12, 6),
+    "hantzsche-wendt": (2, 4),
+    "first-amphicosm": (4, 2),
+    "second-amphicosm": (2, 2),
+}
 
 
 def random_vector(rng, n):
@@ -55,18 +97,11 @@ class TestModelForm:
         with pytest.raises(NotPositiveDefinite):
             model_form(SymmetricForm.diagonal([1, -1]))
 
-    def test_custom_basis_accepted_when_isometric(self):
-        base = SymmetricForm.identity(2)
-        swapped = [(0, 1, 0, 0), (1, 0, 0, 0)]
-        model = model_form(base, vinf_basis=swapped)
-        assert model.lift([1, 2]) == (F(2), F(1), F(0), F(0))
-
-    def test_custom_basis_rejected_when_not_isometric(self):
-        base = SymmetricForm.identity(2)
-        with pytest.raises(ValueError):
-            model_form(base, vinf_basis=[(2, 0, 0, 0), (0, 1, 0, 0)])
-        with pytest.raises(ValueError):
-            model_form(base, vinf_basis=[(1, 0, 1, 0), (0, 1, 0, 0)])
+    def test_lift_appends_null_coordinates(self):
+        model = model_form(SymmetricForm.identity(2))
+        assert model.lift([1, F(2, 3)]) == (F(1), F(2, 3), F(0), F(0))
+        with pytest.raises(DimensionMismatch):
+            model.lift([1, 2, 3])
 
 
 class TestOuterPairing:
@@ -108,6 +143,16 @@ class TestEmbedTranslation:
         model = model_form(SymmetricForm([[1]]))
         expected = Matrix([[1, 1, -1], [-1, HALF, HALF], [-1, -HALF, F(3, 2)]])
         assert embed_translation([1], model) == expected
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), n=st.integers(min_value=1, max_value=6))
+    def test_closed_form_matches_exponential(self, data, n):
+        square = st.lists(st.lists(small_fractions, min_size=n, max_size=n), min_size=n, max_size=n)
+        m = Matrix(data.draw(square))
+        shift = Matrix.diagonal(data.draw(st.lists(positive_fractions, min_size=n, max_size=n)))
+        model = model_form(SymmetricForm(m.transpose() * m + shift))
+        v = data.draw(st.lists(small_fractions, min_size=n, max_size=n))
+        assert embed_translation(v, model) == nilpotent_exp(translation_log(v, model))
 
     def test_preserves_form_and_fixes_vinf(self):
         rng = random.Random(4)
@@ -255,6 +300,14 @@ class TestIntegralize:
         assert scale == 2
         assert result.images[0] == Matrix([[1, 1, -1], [-2, 0, 1], [-2, -1, 2]])
 
+    def test_covector_denominator_sets_scale(self):
+        # w = 3 and h = 1 are integral, but k = B_K w = 2/3 is not.
+        group = BieberbachGroup([AffineMap([[1]], [3])])
+        embedding = embed_group(group, ShapeDescriptor(group, SymmetricForm([[F(2, 9)]])))
+        result, scale = integralize(embedding)
+        assert scale == 3
+        assert result.images[0] == Matrix([[1, 9, -9], [-2, -8, 9], [-2, -9, 10]])
+
     def test_klein_catalog_scale_two(self):
         group = catalog("klein")
         embedding = embed_group(group, ShapeDescriptor(group, SymmetricForm.diagonal([2, 3])))
@@ -272,15 +325,79 @@ class TestIntegralize:
             assert a.matvec(model.v_inf) == tuple(c * x for x in model.v_inf)
 
     def test_relations_preserved(self):
-        group = catalog("klein")
-        embedding = embed_group(group, ShapeDescriptor(group, SymmetricForm.diagonal([2, 3])))
-        result, scale = integralize(embedding)
-        conjugator = hyperbolic_conjugator(embedding.model, scale)
-        inverse = conjugator.inverse()
-        for a in range(len(embedding.images)):
-            for b in range(len(embedding.images)):
-                product = embedding.images[a] * embedding.images[b]
-                assert result.images[a] * result.images[b] == conjugator * product * inverse
+        # Rescaling translations must agree with conjugation by the
+        # hyperbolic element (an automorphism, so relations survive), at the
+        # smallest scale that clears denominators.
+        for name in catalog_names():
+            group = catalog(name)
+            theta = holonomy(group)
+            n = group.dim
+            bases = (SymmetricForm.identity(n), SymmetricForm.diagonal(range(2, n + 2)))
+            for base, expected in zip(bases, CATALOG_SCALES[name]):
+                shape = ShapeDescriptor(group, theta_average(base, theta))
+                embedding = embed_group(group, shape)
+                result, scale = integralize(embedding)
+                assert scale == expected, name
+
+                def conjugated(c):
+                    conjugator = hyperbolic_conjugator(embedding.model, c)
+                    inverse = conjugator.inverse()
+                    return [conjugator * image * inverse for image in embedding.images]
+
+                assert list(result.images) == conjugated(scale), name
+                for smaller in range(1, scale):
+                    assert not all(m.is_integral() for m in conjugated(smaller)), name
+
+    def test_inconsistent_images_rejected(self):
+        # Each image is in O(B; Q) and fixes v_inf, but not the image of its
+        # own generator, so rescaling translations would not be a conjugation.
+        group = catalog("torus-2")
+        embedding = embed_group(group, ShapeDescriptor(group, SymmetricForm.identity(2)))
+        swapped = LorentzEmbedding(embedding.model, group, embedding.images[::-1])
+        with pytest.raises(InvariantViolation):
+            integralize(swapped)
+        assert issubclass(InvariantViolation, ValueError)
+
+    def test_checks_survive_optimize_flag(self):
+        script = """
+import json
+from flatcusps import (
+    InvariantViolation, LorentzEmbedding, ShapeDescriptor, SymmetricForm, catalog,
+    embed_group, integralize, verify_embedding,
+)
+group = catalog("klein")
+embedding = embed_group(group, ShapeDescriptor(group, SymmetricForm.diagonal([2, 3])))
+integral, scale = integralize(embedding)
+swapped = LorentzEmbedding(embedding.model, group, embedding.images[::-1])
+try:
+    integralize(swapped)
+    rejected = False
+except InvariantViolation:
+    rejected = True
+print(json.dumps({
+    "debug": __debug__,
+    "scale": scale,
+    "integral": all(m.is_integral() for m in integral.images),
+    "overall": verify_embedding(integral).overall,
+    "rejected": rejected,
+}))
+"""
+        src = str(Path(flatcusps.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        done = subprocess.run(
+            [sys.executable, "-O", "-c", script],
+            env=dict(os.environ, PYTHONPATH=path),
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        assert json.loads(done.stdout) == {
+            "debug": False,
+            "scale": 2,
+            "integral": True,
+            "overall": True,
+            "rejected": True,
+        }
 
 
 class TestVerifyEmbedding:
@@ -307,6 +424,22 @@ class TestVerifyEmbedding:
         assert not report.overall
         assert not report.per_generator[0].form_preserved
         assert report.per_generator[1].form_preserved
+        # I + N with N the Jordan shift: its log N - N^2/2 does not cube to zero.
+        shift = Matrix([[1 if j == i + 1 else 0 for j in range(4)] for i in range(4)])
+        jordan = LorentzEmbedding(
+            embedding.model, group, [Matrix.identity(4) + shift, embedding.images[1]]
+        )
+        checks = verify_embedding(jordan).per_generator[0]
+        assert not checks.log_cubes_to_zero
+        assert checks.nilpotency_degree == 4
+        assert not verify_embedding(jordan).overall
+        # 2I is not unipotent: its "log" I/2 is not nilpotent at all.
+        doubled = LorentzEmbedding(
+            embedding.model, group, [Matrix.diagonal([2] * 4), embedding.images[1]]
+        )
+        checks = verify_embedding(doubled).per_generator[0]
+        assert not checks.log_cubes_to_zero
+        assert checks.nilpotency_degree is None
 
     def test_klein_equivariance(self):
         group = catalog("klein")
