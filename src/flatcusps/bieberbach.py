@@ -22,11 +22,13 @@ from typing import Optional, Sequence
 from .errors import (
     DimensionMismatch,
     HolonomyBound,
+    InvariantViolation,
     NotPositiveDefinite,
     RankDeficient,
     UnknownName,
 )
 from .exactlin import (
+    Frozen,
     Matrix,
     Scalar,
     SymmetricForm,
@@ -41,13 +43,15 @@ from .exactlin import (
     vec_is_zero,
 )
 
-#: Default ceiling for holonomy closures. Crystallographic point groups in
-#: dimensions up to six never exceed a few thousand elements; anything that
-#: blows past this bound is not a Bieberbach presentation.
+#: Default ceiling for holonomy closures. It bounds the work a presentation
+#: can demand; it is not a property of point groups. Genuine ones exceed it
+#: from dimension 4 on: the Weyl group W(F4), of order 1152, is a
+#: crystallographic point group in dimension 4 that this default rejects.
+#: Pass a larger ``max_order`` to :func:`holonomy` for such groups.
 DEFAULT_MAX_ORDER = 1024
 
 
-class AffineMap:
+class AffineMap(Frozen):
     """Invertible affine map ``x -> A x + t`` with rational coefficients."""
 
     __slots__ = ("linear", "translation")
@@ -63,11 +67,7 @@ class AffineMap:
             )
         if m.det() == 0:
             raise ValueError("linear part is singular")
-        object.__setattr__(self, "linear", m)
-        object.__setattr__(self, "translation", t)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("AffineMap is immutable")
+        super().__init__(m, t)
 
     @staticmethod
     def identity(dim: int) -> AffineMap:
@@ -128,7 +128,7 @@ def compose(a: AffineMap, b: AffineMap) -> AffineMap:
     )
 
 
-class BieberbachGroup:
+class BieberbachGroup(Frozen):
     """Candidate Bieberbach group given by affine generators.
 
     Construction only validates shape (consistent dimension, invertible
@@ -147,12 +147,7 @@ class BieberbachGroup:
         dim = gens[0].dim
         if any(g.dim != dim for g in gens):
             raise DimensionMismatch("generators have inconsistent dimensions")
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "generators", gens)
-        object.__setattr__(self, "name", name)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("BieberbachGroup is immutable")
+        super().__init__(dim, gens, name)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, BieberbachGroup):
@@ -167,7 +162,7 @@ class BieberbachGroup:
         return f"<BieberbachGroup{label} dim={self.dim} generators={len(self.generators)}>"
 
 
-class HolonomyGroup:
+class HolonomyGroup(Frozen):
     """Finite image of a group under projection to the linear parts.
 
     ``elements[k]`` is a point-group matrix and ``witnesses[k]`` is one
@@ -183,15 +178,9 @@ class HolonomyGroup:
         elements: Sequence[Matrix],
         witnesses: Sequence[AffineMap],
     ):
-        object.__setattr__(self, "group", group)
-        object.__setattr__(self, "elements", tuple(elements))
-        object.__setattr__(self, "witnesses", tuple(witnesses))
-        object.__setattr__(
-            self, "_index", {m: i for i, m in enumerate(self.elements)}
-        )
-
-    def __setattr__(self, name, value):
-        raise AttributeError("HolonomyGroup is immutable")
+        elements = tuple(elements)
+        index = {m: i for i, m in enumerate(elements)}
+        super().__init__(group, elements, tuple(witnesses), index)
 
     @property
     def dim(self) -> int:
@@ -277,7 +266,8 @@ def translation_lattice(
             product = compose(witness, gen)
             rep = theta.witness_for(product.linear)
             schreier = compose(product, rep.inverse())
-            assert schreier.is_translation()
+            if not schreier.is_translation():
+                raise InvariantViolation("a Schreier product is not a pure translation")
             vectors.append(schreier.translation)
     for gen in group.generators:
         vectors.append((gen ** theta.order).translation)
@@ -435,12 +425,12 @@ def catalog_names() -> list[str]:
 def catalog(name: str) -> BieberbachGroup:
     """Verified group from the built-in catalog.
 
-    Tori up to dimension six, the Klein bottle group, and six of the ten
-    three-dimensional flat-manifold groups (the four screw types, the
-    Hantzsche-Wendt group, and both amphicosms). Entries are re-verified on
-    every call: the holonomy must close, the translations must span, and
-    the torsion test must pass. ``UnknownName`` is raised for anything
-    else.
+    Tori up to dimension six, the Klein bottle group, and eight of the ten
+    three-dimensional flat-manifold groups (the 3-torus, the four screw
+    types, the Hantzsche-Wendt group, and both amphicosms). Entries are
+    re-verified on every call: the holonomy must close, the translations
+    must span, and the torsion test must pass. ``UnknownName`` is raised
+    for anything else.
     """
     if name not in _CATALOG:
         known = ", ".join(catalog_names())

@@ -14,7 +14,7 @@ import math
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
-from .errors import DimensionMismatch, NotNilpotent
+from .errors import DimensionMismatch, InvariantViolation, NotNilpotent
 
 #: Exact rationals. ``Fraction`` keeps gcd-reduced numerators and positive
 #: denominators, which is exactly the normal form required here.
@@ -30,9 +30,7 @@ def rat(value: Scalar) -> Fraction:
     """Coerce an int, Fraction, or string like ``"3/4"`` to an exact rational."""
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, str):
+    if isinstance(value, (int, str)):
         return Fraction(value)
     raise TypeError(f"cannot interpret {value!r} as an exact rational")
 
@@ -54,30 +52,41 @@ def vec_add(u: Sequence[Fraction], v: Sequence[Fraction]) -> Vector:
     return tuple(a + b for a, b in zip(u, v))
 
 
-def vec_sub(u: Sequence[Fraction], v: Sequence[Fraction]) -> Vector:
-    if len(u) != len(v):
-        raise DimensionMismatch(f"vector lengths {len(u)} and {len(v)} differ")
-    return tuple(a - b for a, b in zip(u, v))
-
-
-def vec_neg(u: Sequence[Fraction]) -> Vector:
-    return tuple(-a for a in u)
-
-
-def vec_scale(c: Scalar, u: Sequence[Fraction]) -> Vector:
-    f = rat(c)
-    return tuple(f * a for a in u)
-
-
 def vec_is_zero(u: Sequence[Fraction]) -> bool:
     return all(a == 0 for a in u)
 
 
-def vec_is_integral(u: Sequence[Fraction]) -> bool:
-    return all(a.denominator == 1 for a in u)
+class Frozen:
+    """Base of the immutable value types.
+
+    A subclass names its attributes in ``__slots__`` and passes their
+    values, in that order, to ``Frozen.__init__``, the one place they are
+    set. Afterwards assignment and deletion both raise ``AttributeError``.
+    ``@dataclass(frozen=True, slots=True)`` would give the same, but
+    importing ``dataclasses`` (and the ``inspect`` module it pulls in)
+    raised the package import from about 44 ms to 64 ms, a cost every
+    command-line run and every density set-up would pay.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, *values):
+        slots = type(self).__slots__
+        if len(values) != len(slots):
+            raise TypeError(
+                f"{type(self).__name__} takes {len(slots)} values, got {len(values)}"
+            )
+        for name, value in zip(slots, values):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
 
-class Matrix:
+class Matrix(Frozen):
     """Immutable matrix with exact rational entries.
 
     Entries are stored row-major as tuples of ``Fraction``; instances are
@@ -93,12 +102,7 @@ class Matrix:
         width = len(data[0])
         if any(len(row) != width for row in data):
             raise ValueError("matrix rows have unequal lengths")
-        object.__setattr__(self, "rows", len(data))
-        object.__setattr__(self, "cols", width)
-        object.__setattr__(self, "entries", data)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Matrix is immutable")
+        super().__init__(len(data), width, data)
 
     # -- constructors ------------------------------------------------------
 
@@ -150,9 +154,6 @@ class Matrix:
     def __getitem__(self, key: tuple[int, int]) -> Fraction:
         i, j = key
         return self.entries[i][j]
-
-    def row(self, i: int) -> Vector:
-        return self.entries[i]
 
     def column(self, j: int) -> Vector:
         return tuple(row[j] for row in self.entries)
@@ -246,11 +247,7 @@ class Matrix:
             return Matrix._raw(tuple(tuple(f * x for x in row) for row in self.entries))
         return NotImplemented
 
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            f = rat(other)
-            return Matrix._raw(tuple(tuple(f * x for x in row) for row in self.entries))
-        return NotImplemented
+    __rmul__ = __mul__
 
     def __pow__(self, exponent: int) -> Matrix:
         if not self.is_square():
@@ -335,7 +332,7 @@ class Matrix:
             )
 
 
-class SymmetricForm:
+class SymmetricForm(Frozen):
     """Symmetric bilinear form over the rationals, given by its Gram matrix."""
 
     __slots__ = ("dim", "matrix")
@@ -346,11 +343,7 @@ class SymmetricForm:
             raise DimensionMismatch("a symmetric form needs a square Gram matrix")
         if not m.is_symmetric():
             raise ValueError("Gram matrix is not symmetric")
-        object.__setattr__(self, "dim", m.rows)
-        object.__setattr__(self, "matrix", m)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("SymmetricForm is immutable")
+        super().__init__(m.rows, m)
 
     @staticmethod
     def identity(n: int) -> SymmetricForm:
@@ -386,12 +379,12 @@ class SymmetricForm:
         return f"SymmetricForm({self.matrix!r})"
 
 
-class IntPolynomial:
+class IntPolynomial(Frozen):
     """Univariate polynomial with exact rational coefficients, ascending order.
 
     Despite the name the coefficient type is ``Fraction``; the routines that
     promise integral output (characteristic polynomials of integer matrices,
-    cyclotomic products) assert integrality rather than assuming it.
+    cyclotomic products) check integrality rather than assuming it.
     """
 
     __slots__ = ("coeffs",)
@@ -400,10 +393,7 @@ class IntPolynomial:
         data = [rat(c) for c in coeffs]
         while data and data[-1] == 0:
             data.pop()
-        object.__setattr__(self, "coeffs", tuple(data))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("IntPolynomial is immutable")
+        super().__init__(tuple(data))
 
     @property
     def degree(self) -> int:
@@ -490,9 +480,6 @@ class IntPolynomial:
                 for j, b in enumerate(d):
                     rem[k + j] -= c * b
         return IntPolynomial(quot), IntPolynomial(rem)
-
-    def __floordiv__(self, divisor: IntPolynomial) -> IntPolynomial:
-        return divmod(self, divisor)[0]
 
     def __mod__(self, divisor: IntPolynomial) -> IntPolynomial:
         return divmod(self, divisor)[1]
@@ -650,7 +637,8 @@ def _char_poly_int(entries: Sequence[Sequence[int]]) -> list[int]:
             sum(entries[i][l] * aux[l][i] for l in range(n)) for i in range(n)
         )
         quotient, remainder = divmod(-trace, k)
-        assert remainder == 0
+        if remainder:
+            raise InvariantViolation(f"Faddeev-LeVerrier division by {k} is not exact")
         coeffs[n - k] = quotient
     return coeffs
 
@@ -658,24 +646,20 @@ def _char_poly_int(entries: Sequence[Sequence[int]]) -> list[int]:
 def char_poly(m: Matrix) -> IntPolynomial:
     """Characteristic polynomial ``det(tI - m)`` via Faddeev-LeVerrier.
 
-    The result is monic of degree ``dim``. For integral input the
-    coefficients are guaranteed integral; the integer path asserts the
-    exactness of every division rather than assuming it.
+    With ``d`` the lcm of the entry denominators, ``d m`` is integral, and
+    coefficient ``k`` of ``det(tI - m)`` is coefficient ``k`` of
+    ``det(tI - d m)`` divided by ``d^(n-k)``; so one integer pass serves
+    every input. The result is monic of degree ``dim`` and integral for
+    integral input; the integer pass checks the exactness of every
+    division rather than assuming it.
     """
     if not m.is_square():
         raise DimensionMismatch("characteristic polynomial of a non-square matrix")
     n = m.rows
-    if m.is_integral():
-        ints = [[x.numerator for x in row] for row in m.entries]
-        return IntPolynomial(_char_poly_int(ints))
-    coeffs = [_ZERO] * (n + 1)
-    coeffs[n] = _ONE
-    aux = Matrix.zeros(n, n)
-    ident = Matrix.identity(n)
-    for k in range(1, n + 1):
-        aux = m * aux + coeffs[n - k + 1] * ident
-        coeffs[n - k] = -Fraction(1, k) * (m * aux).trace()
-    return IntPolynomial(coeffs)
+    d = denominator_lcm(x for row in m.entries for x in row)
+    ints = [[x.numerator * (d // x.denominator) for x in row] for row in m.entries]
+    coeffs = _char_poly_int(ints)
+    return IntPolynomial([Fraction(a, d ** (n - k)) for k, a in enumerate(coeffs)])
 
 
 # ---------------------------------------------------------------------------
@@ -724,10 +708,6 @@ def null_space(m: Matrix) -> list[Vector]:
 def left_null_space(m: Matrix) -> list[Vector]:
     """Basis of ``{w : w^T m = 0}`` over the rationals."""
     return null_space(m.transpose())
-
-
-def rank(m: Matrix) -> int:
-    return len(_rref(m.entries)[1])
 
 
 # ---------------------------------------------------------------------------

@@ -33,6 +33,7 @@ from .errors import (
     NotPositiveDefinite,
 )
 from .exactlin import (
+    Frozen,
     Matrix,
     SymmetricForm,
     Vector,
@@ -47,7 +48,7 @@ from .selberg import prime_factors, unipotent_polynomial
 from .shapes import ShapeDescriptor
 
 
-class LorentzModel:
+class LorentzModel(Frozen):
     """Signature (n+1, 1) model data attached to a base form.
 
     Built by :func:`model_form`. Holds the model form ``B`` and the null
@@ -64,14 +65,7 @@ class LorentzModel:
         v_inf: Vector,
         v_0: Vector,
     ):
-        object.__setattr__(self, "n", base_form.dim)
-        object.__setattr__(self, "base_form", base_form)
-        object.__setattr__(self, "model_form", model)
-        object.__setattr__(self, "v_inf", v_inf)
-        object.__setattr__(self, "v_0", v_0)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("LorentzModel is immutable")
+        super().__init__(base_form.dim, base_form, model, v_inf, v_0)
 
     @property
     def ambient_dim(self) -> int:
@@ -192,7 +186,7 @@ def embed_affine(g: AffineMap, model: LorentzModel) -> Matrix:
     return embed_translation(g.translation, model) * rotation
 
 
-class LorentzEmbedding:
+class LorentzEmbedding(Frozen):
     """A group's generators together with their images in ``O(B; Q)``."""
 
     __slots__ = ("model", "group", "images")
@@ -202,12 +196,7 @@ class LorentzEmbedding:
     ):
         if len(images) != len(group.generators):
             raise DimensionMismatch("one image per generator is required")
-        object.__setattr__(self, "model", model)
-        object.__setattr__(self, "group", group)
-        object.__setattr__(self, "images", tuple(images))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("LorentzEmbedding is immutable")
+        super().__init__(model, group, tuple(images))
 
     def __repr__(self) -> str:
         return f"<LorentzEmbedding group={self.group.name or 'anonymous'} n={self.model.n}>"
@@ -316,7 +305,7 @@ def integralize(embedding: LorentzEmbedding) -> tuple[LorentzEmbedding, int]:
 # ---------------------------------------------------------------------------
 
 
-class GeneratorChecks:
+class GeneratorChecks(Frozen):
     """Outcome of the exact checks for a single generator image."""
 
     __slots__ = (
@@ -328,25 +317,6 @@ class GeneratorChecks:
         "nilpotency_degree",
     )
 
-    def __init__(
-        self,
-        form_preserved: bool,
-        fixes_vinf: bool,
-        unipotent_translation: Optional[bool],
-        equivariance: bool,
-        log_cubes_to_zero: bool,
-        nilpotency_degree: Optional[int],
-    ):
-        object.__setattr__(self, "form_preserved", form_preserved)
-        object.__setattr__(self, "fixes_vinf", fixes_vinf)
-        object.__setattr__(self, "unipotent_translation", unipotent_translation)
-        object.__setattr__(self, "equivariance", equivariance)
-        object.__setattr__(self, "log_cubes_to_zero", log_cubes_to_zero)
-        object.__setattr__(self, "nilpotency_degree", nilpotency_degree)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("GeneratorChecks is immutable")
-
     def passed(self) -> bool:
         return (
             self.form_preserved
@@ -357,17 +327,14 @@ class GeneratorChecks:
         )
 
 
-class VerificationReport:
+class VerificationReport(Frozen):
     """Per-generator exact checks plus their conjunction."""
 
     __slots__ = ("per_generator", "overall")
 
     def __init__(self, per_generator: Sequence[GeneratorChecks]):
-        object.__setattr__(self, "per_generator", tuple(per_generator))
-        object.__setattr__(self, "overall", all(c.passed() for c in per_generator))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("VerificationReport is immutable")
+        checks = tuple(per_generator)
+        super().__init__(checks, all(c.passed() for c in checks))
 
     def __repr__(self) -> str:
         status = "ok" if self.overall else "FAILED"

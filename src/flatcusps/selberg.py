@@ -21,8 +21,8 @@ import math
 from functools import lru_cache
 from typing import Iterable, Optional, Sequence
 
-from .errors import DimensionMismatch, UnipotentViolation
-from .exactlin import IntPolynomial, Matrix, char_poly, monomial
+from .errors import DimensionMismatch, InvariantViolation, UnipotentViolation
+from .exactlin import Frozen, IntPolynomial, Matrix, char_poly, monomial
 
 REASON_SMALL_CHARACTERISTIC = "small-characteristic"
 REASON_COEFFICIENT_DIVISOR = "coefficient-divisor"
@@ -93,9 +93,11 @@ def cyclotomic_polynomial(d: int) -> IntPolynomial:
     numerator = monomial(d) - IntPolynomial([1])
     for e in _divisors(d)[:-1]:
         quotient, remainder = divmod(numerator, cyclotomic_polynomial(e))
-        assert remainder.is_zero()
+        if not remainder.is_zero():
+            raise InvariantViolation(f"Phi_{e} does not divide t^{d} - 1 exactly")
         numerator = quotient
-    assert numerator.is_integral() and numerator.is_monic()
+    if not (numerator.is_integral() and numerator.is_monic()):
+        raise InvariantViolation(f"Phi_{d} is not a monic integer polynomial")
     return numerator
 
 
@@ -160,7 +162,7 @@ def torsion_polynomials(n: int) -> tuple[IntPolynomial, ...]:
 # ---------------------------------------------------------------------------
 
 
-class MatrixGroupInput:
+class MatrixGroupInput(Frozen):
     """A finitely generated rational matrix group with a unipotent subgroup.
 
     ``lambda_gens`` generate the ambient group, ``gamma_gens`` the unipotent
@@ -189,12 +191,7 @@ class MatrixGroupInput:
         for m in lams:
             if m.det() == 0:
                 raise ValueError("ambient generators must be invertible")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "lambda_gens", lams)
-        object.__setattr__(self, "gamma_gens", gams)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("MatrixGroupInput is immutable")
+        super().__init__(n, lams, gams)
 
     def denominators(self) -> list[int]:
         return sorted(
@@ -208,30 +205,17 @@ class MatrixGroupInput:
         )
 
 
-class ResidueEvidence:
+class ResidueEvidence(Frozen):
     """One torsion polynomial shown distinct from ``(t-1)^n`` modulo q."""
 
     __slots__ = ("polynomial", "polynomial_mod_q", "unipotent_mod_q")
-
-    def __init__(
-        self,
-        polynomial: IntPolynomial,
-        polynomial_mod_q: tuple[int, ...],
-        unipotent_mod_q: tuple[int, ...],
-    ):
-        object.__setattr__(self, "polynomial", polynomial)
-        object.__setattr__(self, "polynomial_mod_q", polynomial_mod_q)
-        object.__setattr__(self, "unipotent_mod_q", unipotent_mod_q)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ResidueEvidence is immutable")
 
     @property
     def distinct(self) -> bool:
         return self.polynomial_mod_q != self.unipotent_mod_q
 
 
-class SelbergCertificate:
+class SelbergCertificate(Frozen):
     """Choice of congruence prime together with the evidence justifying it."""
 
     __slots__ = ("n", "prime", "torsion_polys", "bad_primes", "residue_evidence")
@@ -244,14 +228,9 @@ class SelbergCertificate:
         bad_primes: dict[int, tuple[str, ...]],
         residue_evidence: Sequence[ResidueEvidence],
     ):
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "prime", prime)
-        object.__setattr__(self, "torsion_polys", tuple(torsion_polys))
-        object.__setattr__(self, "bad_primes", dict(bad_primes))
-        object.__setattr__(self, "residue_evidence", tuple(residue_evidence))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("SelbergCertificate is immutable")
+        super().__init__(
+            n, prime, tuple(torsion_polys), dict(bad_primes), tuple(residue_evidence)
+        )
 
     def __repr__(self) -> str:
         return f"<SelbergCertificate n={self.n} prime={self.prime}>"
@@ -291,7 +270,8 @@ def bad_primes(
     unipotent = unipotent_polynomial(n)
     for poly in polys:
         difference = poly - unipotent
-        assert not difference.is_zero() and difference.is_integral()
+        if difference.is_zero() or not difference.is_integral():
+            raise InvariantViolation(f"{poly} is not integral and distinct from {unipotent}")
         content = math.gcd(*(abs(c.numerator) for c in difference.coeffs))
         if content > 1:
             for p in prime_factors(content):
@@ -327,8 +307,10 @@ def good_prime(group_input: MatrixGroupInput) -> SelbergCertificate:
     evidence = [
         ResidueEvidence(p, p.reduce_mod(q), unipotent.reduce_mod(q)) for p in polys
     ]
-    assert all(e.distinct for e in evidence)
-    assert q > n and all(d % q != 0 for d in group_input.denominators())
+    if not all(e.distinct for e in evidence):
+        raise InvariantViolation(f"a torsion polynomial collapses modulo {q}")
+    if q <= n or any(d % q == 0 for d in group_input.denominators()):
+        raise InvariantViolation(f"prime {q} is small or divides a denominator")
     return SelbergCertificate(n, q, polys, bad, evidence)
 
 

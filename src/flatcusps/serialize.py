@@ -164,9 +164,10 @@ def parse_group(data: Any, path: str = "") -> BieberbachGroup:
             raise ValidationError(
                 f"{gpath}.translation", f"expected a vector of length {dim}"
             )
-        if linear.det() == 0:
-            raise ValidationError(f"{gpath}.linear", "linear part is singular")
-        generators.append(AffineMap(linear, translation))
+        try:
+            generators.append(AffineMap(linear, translation))
+        except ValueError as exc:
+            raise ValidationError(f"{gpath}.linear", str(exc)) from None
     return BieberbachGroup(generators, name=name)
 
 

@@ -18,14 +18,14 @@ from typing import Optional, Sequence, Union
 
 from .bieberbach import BieberbachGroup, HolonomyGroup, theta_average
 from .errors import DimensionMismatch, NotPositiveDefinite
-from .exactlin import SymmetricForm, is_positive_definite
+from .exactlin import Frozen, SymmetricForm, is_positive_definite
 
 #: Floating-point targets count as positive definite when every Cholesky
 #: pivot exceeds this tolerance.
 PD_TOLERANCE = 1e-9
 
 
-class RealForm:
+class RealForm(Frozen):
     """Symmetric matrix with double-precision entries; an inexact target."""
 
     __slots__ = ("dim", "entries")
@@ -42,15 +42,7 @@ class RealForm:
                 if gap > 1e-9 * scale:
                     raise ValueError(f"entries ({i},{j}) and ({j},{i}) are not symmetric")
                 data[j][i] = data[i][j]
-        object.__setattr__(self, "dim", n)
-        object.__setattr__(self, "entries", tuple(tuple(row) for row in data))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("RealForm is immutable")
-
-    @staticmethod
-    def from_form(form: SymmetricForm) -> RealForm:
-        return RealForm([[float(x) for x in row] for row in form.matrix.entries])
+        super().__init__(n, tuple(tuple(row) for row in data))
 
     def cholesky_pivots(self) -> Optional[list[float]]:
         """Diagonal pivots of a Cholesky pass, or None if a pivot is nonpositive."""
@@ -88,7 +80,7 @@ class RealForm:
         return f"RealForm({[list(r) for r in self.entries]!r})"
 
 
-class ShapeDescriptor:
+class ShapeDescriptor(Frozen):
     """A group together with an exact Gram matrix for a flat metric on it.
 
     Valid descriptors carry a positive definite form that is exactly
@@ -105,11 +97,7 @@ class ShapeDescriptor:
             raise DimensionMismatch(
                 f"form dimension {form.dim} does not match group dimension {group.dim}"
             )
-        object.__setattr__(self, "group", group)
-        object.__setattr__(self, "form", form)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ShapeDescriptor is immutable")
+        super().__init__(group, form)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ShapeDescriptor):

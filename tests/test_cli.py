@@ -201,11 +201,21 @@ class TestDensity:
         assert "strictly increasing" in capsys.readouterr().err
 
     def test_failed_pipeline_rows_exit_two(self, tmp_path, capsys):
-        # the torus-manifold leg needs unipotent images; the Klein bottle
-        # has a reflection, so every row fails and is recorded as such
-        out_csv = tmp_path / "klein.csv"
+        # an order-two linear part with entries 1/2 and 2 preserves the
+        # averaged form but has no integral conjugate by scaling, so
+        # integralization rejects every row and each is recorded as failed
+        data = {
+            "dim": 2,
+            "generators": [
+                {"linear": [["0", "1/2"], ["2", "0"]], "translation": ["0", "0"]},
+                {"linear": [["1", "0"], ["0", "1"]], "translation": ["1", "0"]},
+                {"linear": [["1", "0"], ["0", "1"]], "translation": ["0", "1"]},
+            ],
+        }
+        group_file = write_json(tmp_path / "fractional.json", data)
+        out_csv = tmp_path / "fractional.csv"
         code = main(
-            ["density", "-g", "klein", "--samples", "2", "--denoms", "10",
+            ["density", "-g", group_file, "--samples", "2", "--denoms", "10",
              "--seed", "8", "--pipeline", "--torus-manifold", "-o", str(out_csv)]
         )
         assert code == 2

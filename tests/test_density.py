@@ -1,6 +1,6 @@
 import pytest
 
-from flatcusps.bieberbach import catalog, holonomy
+from flatcusps.bieberbach import catalog, catalog_names, holonomy
 from flatcusps.density import (
     CSV_HEADER,
     DensityRow,
@@ -126,15 +126,19 @@ class TestRunExperiment:
         assert rows[0].pipeline_ok is None
         assert rows[0].selberg_prime == 7
 
-    def test_non_unipotent_images_fail_selberg_leg_gracefully(self):
-        group = catalog("klein")
+    @pytest.mark.parametrize("name", catalog_names())
+    def test_congruence_leg_every_catalog_group(self, name):
+        # the unipotent subgroup is the image of the translation lattice, so
+        # groups whose generators include rotations or reflections get a
+        # prime as well
+        group = catalog(name)
         config = ExperimentConfig(
             group, 1, [10], 8, run_pipeline=True, torus_manifold_mode=True
         )
         rows = run_experiment(config)
-        assert rows[0].pipeline_ok is False
-        assert rows[0].selberg_prime is None
-        assert "Unipotent" in rows[0].reason
+        assert rows[0].pipeline_ok is True
+        assert rows[0].selberg_prime is not None
+        assert rows[0].reason is None
 
     def test_explicit_target_count_checked(self):
         group = catalog("torus-2")

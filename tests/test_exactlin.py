@@ -1,12 +1,20 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import flatcusps
+from flatcusps.bieberbach import AffineMap, catalog, holonomy
+from flatcusps.density import ExperimentConfig
 from flatcusps.errors import DimensionMismatch, NotNilpotent
 from flatcusps.exactlin import (
+    Frozen,
     IntPolynomial,
     Matrix,
     SymmetricForm,
@@ -19,13 +27,17 @@ from flatcusps.exactlin import (
     nilpotent_exp,
     null_space,
 )
+from flatcusps.lorentz import embed_group, model_form, verify_embedding
+from flatcusps.selberg import MatrixGroupInput, good_prime
+from flatcusps.shapes import RealForm, ShapeDescriptor
 
 small_fractions = st.fractions(min_value=-4, max_value=4, max_denominator=4)
+wide_fractions = st.fractions(min_value=-4, max_value=4, max_denominator=10**6)
 
 
-def square_matrices(n):
+def square_matrices(n, elements=small_fractions):
     return st.lists(
-        st.lists(small_fractions, min_size=n, max_size=n), min_size=n, max_size=n
+        st.lists(elements, min_size=n, max_size=n), min_size=n, max_size=n
     ).map(Matrix)
 
 
@@ -173,9 +185,15 @@ class TestCharPoly:
         assert char_poly(s.inverse() * m * s) == char_poly(m)
 
     @settings(max_examples=25, deadline=None)
-    @given(m=square_matrices(3))
-    def test_matches_sympy(self, m):
+    @given(
+        data=st.data(),
+        n=st.integers(min_value=1, max_value=6),
+        elements=st.sampled_from([small_fractions, wide_fractions]),
+    )
+    def test_matches_sympy(self, data, n, elements):
         import sympy
+
+        m = data.draw(square_matrices(n, elements))
 
         sym = sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in row]
                             for row in m.entries])
@@ -247,3 +265,71 @@ class TestIntegerLattice:
     def test_solvability_complete_on_constructed_systems(self, a, x):
         b = [sum(r[j] * x[j] for j in range(2)) for r in a]
         assert has_integer_solution(a, b)
+
+
+def _klein_shape():
+    group = catalog("klein")
+    return ShapeDescriptor(group, SymmetricForm.diagonal([2, 3]))
+
+
+def _certificate():
+    return good_prime(MatrixGroupInput(2, [-Matrix.identity(2)]))
+
+
+# one instance of every immutable value type, by class name
+FROZEN_INSTANCES = {
+    "Matrix": lambda: Matrix.identity(2),
+    "SymmetricForm": lambda: SymmetricForm.identity(2),
+    "IntPolynomial": lambda: IntPolynomial([1, 1]),
+    "AffineMap": lambda: AffineMap.translation_by([1, 0]),
+    "BieberbachGroup": lambda: catalog("klein"),
+    "HolonomyGroup": lambda: holonomy(catalog("klein")),
+    "RealForm": lambda: RealForm([[1.0, 0.0], [0.0, 1.0]]),
+    "ShapeDescriptor": _klein_shape,
+    "LorentzModel": lambda: model_form(SymmetricForm.identity(2)),
+    "LorentzEmbedding": lambda: embed_group(catalog("klein"), _klein_shape()),
+    "GeneratorChecks": lambda: verify_embedding(
+        embed_group(catalog("klein"), _klein_shape())
+    ).per_generator[0],
+    "VerificationReport": lambda: verify_embedding(
+        embed_group(catalog("klein"), _klein_shape())
+    ),
+    "MatrixGroupInput": lambda: MatrixGroupInput(2, [-Matrix.identity(2)]),
+    "ResidueEvidence": lambda: _certificate().residue_evidence[0],
+    "SelbergCertificate": _certificate,
+    "ExperimentConfig": lambda: ExperimentConfig(catalog("klein"), 1, [10], 1),
+}
+
+
+class TestFrozen:
+    @pytest.mark.parametrize("name", sorted(FROZEN_INSTANCES))
+    def test_assignment_and_deletion_raise(self, name):
+        obj = FROZEN_INSTANCES[name]()
+        assert type(obj).__name__ == name and isinstance(obj, Frozen)
+        slot = type(obj).__slots__[0]
+        before = getattr(obj, slot)
+        with pytest.raises(AttributeError, match=f"{name} is immutable"):
+            setattr(obj, slot, None)
+        with pytest.raises(AttributeError, match=f"{name} is immutable"):
+            delattr(obj, slot)
+        with pytest.raises(TypeError):
+            Frozen.__init__(obj)
+        assert getattr(obj, slot) is before
+
+    def test_import_loads_neither_dataclasses_nor_inspect(self):
+        # both modules are slow to import, and every command pays the
+        # package import
+        script = (
+            "import sys, flatcusps; "
+            "print(sorted(m for m in ('dataclasses', 'inspect') if m in sys.modules))"
+        )
+        src = str(Path(flatcusps.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        done = subprocess.run(
+            [sys.executable, "-c", script],
+            env=dict(os.environ, PYTHONPATH=path),
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        assert done.stdout.strip() == "[]"

@@ -362,8 +362,8 @@ class TestIntegralize:
         script = """
 import json
 from flatcusps import (
-    InvariantViolation, LorentzEmbedding, ShapeDescriptor, SymmetricForm, catalog,
-    embed_group, integralize, verify_embedding,
+    ExperimentConfig, InvariantViolation, LorentzEmbedding, ShapeDescriptor,
+    SymmetricForm, catalog, embed_group, integralize, run_experiment, verify_embedding,
 )
 group = catalog("klein")
 embedding = embed_group(group, ShapeDescriptor(group, SymmetricForm.diagonal([2, 3])))
@@ -374,12 +374,16 @@ try:
     rejected = False
 except InvariantViolation:
     rejected = True
+[row] = run_experiment(
+    ExperimentConfig(group, 1, [10], 8, run_pipeline=True, torus_manifold_mode=True)
+)
 print(json.dumps({
     "debug": __debug__,
     "scale": scale,
     "integral": all(m.is_integral() for m in integral.images),
     "overall": verify_embedding(integral).overall,
     "rejected": rejected,
+    "density_row": [row.pipeline_ok, row.selberg_prime],
 }))
 """
         src = str(Path(flatcusps.__file__).resolve().parents[1])
@@ -397,6 +401,7 @@ print(json.dumps({
             "integral": True,
             "overall": True,
             "rejected": True,
+            "density_row": [True, 7],
         }
 
 
