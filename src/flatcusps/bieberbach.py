@@ -190,12 +190,6 @@ class HolonomyGroup(Frozen):
     def order(self) -> int:
         return len(self.elements)
 
-    def __len__(self) -> int:
-        return len(self.elements)
-
-    def __iter__(self):
-        return iter(self.elements)
-
     def __contains__(self, m: Matrix) -> bool:
         return m in self._index
 
@@ -253,24 +247,25 @@ def translation_lattice(
     """Basis of the translation subgroup, as the columns of an n x n matrix.
 
     The translation subgroup is the kernel of the projection onto the
-    holonomy. With the holonomy witnesses as a coset transversal it is
-    generated by the Schreier products ``s(h) g s(h A_g)^{-1}``, all of
-    which are pure translations; the holonomy-order powers of the
-    generators are pure translations as well and are folded in. Inputs
-    whose translations do not span raise ``RankDeficient``.
+    holonomy. With the holonomy witnesses as a coset transversal, Schreier's
+    lemma generates it by the products ``s(h) g s(h A_g)^{-1}`` over
+    transversal elements ``s(h) = (W, u)`` and generators ``g = (A, t)``.
+    With ``(R, r)`` the witness of ``W A``, each product is ``(W A R^{-1},
+    W t + u - r)``, the pure translation by ``W t + u - r`` because
+    ``R = W A``. Inputs whose translations do not span raise
+    ``RankDeficient``.
     """
     theta = theta if theta is not None else holonomy(group)
     vectors: list[Vector] = []
-    for h, witness in zip(theta.elements, theta.witnesses):
+    for witness in theta.witnesses:
+        w = witness.linear
         for gen in group.generators:
-            product = compose(witness, gen)
-            rep = theta.witness_for(product.linear)
-            schreier = compose(product, rep.inverse())
-            if not schreier.is_translation():
+            linear = w * gen.linear
+            rep = theta.witness_for(linear)
+            if rep.linear != linear:
                 raise InvariantViolation("a Schreier product is not a pure translation")
-            vectors.append(schreier.translation)
-    for gen in group.generators:
-        vectors.append((gen ** theta.order).translation)
+            shift = vec_add(w.matvec(gen.translation), witness.translation)
+            vectors.append(tuple(a - b for a, b in zip(shift, rep.translation)))
     basis = lattice_basis(vectors, group.dim)
     if len(basis) < group.dim:
         raise RankDeficient(
@@ -292,7 +287,7 @@ def is_torsion_free(
     coset contains torsion exactly when ``(I - h) x = t + l`` is solvable,
     i.e. when ``t`` lies in ``im(I - h) + L``. Killing the image with its
     left null space reduces this to integral solvability of a linear
-    system, decided by Smith-style diagonalization over the integers.
+    system, decided by lattice membership after a Hermite reduction.
     """
     theta = theta if theta is not None else holonomy(group)
     lattice = lattice if lattice is not None else translation_lattice(group, theta)
@@ -440,5 +435,5 @@ def catalog(name: str) -> BieberbachGroup:
     theta = holonomy(group)
     lattice = translation_lattice(group, theta)
     if not is_torsion_free(group, theta, lattice):
-        raise AssertionError(f"catalog entry {name!r} failed the torsion oracle")
+        raise InvariantViolation(f"catalog entry {name!r} failed the torsion oracle")
     return group

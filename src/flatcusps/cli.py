@@ -24,14 +24,10 @@ from .bieberbach import (
     translation_lattice,
 )
 from .errors import (
-    DimensionMismatch,
-    HolonomyBound,
+    InvariantViolation,
     NotFormIsometry,
     NotPositiveDefinite,
-    RankDeficient,
-    UnipotentViolation,
     UnknownName,
-    ValidationError,
 )
 from .lorentz import embed_group, integralize, verify_embedding
 from .selberg import good_prime, verify_certificate
@@ -53,18 +49,10 @@ EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_VERIFICATION = 2
 
-_VALIDATION_ERRORS = (
-    ValidationError,
-    UnknownName,
-    DimensionMismatch,
-    HolonomyBound,
-    RankDeficient,
-    UnipotentViolation,
-)
-_VERIFICATION_ERRORS = (NotPositiveDefinite, NotFormIsometry)
+_VERIFICATION_ERRORS = (NotPositiveDefinite, NotFormIsometry, InvariantViolation)
 
 
-class _CliError(Exception):
+class _CliError(ValueError):
     """Argument-level problem; reported as a validation failure."""
 
 
@@ -206,17 +194,14 @@ def _parse_denoms(raw: str) -> list[int]:
 
 def _cmd_density(args) -> int:
     group = _load_group(args.group)
-    try:
-        config = density_mod.ExperimentConfig(
-            group,
-            args.samples,
-            _parse_denoms(args.denoms),
-            args.seed,
-            run_pipeline=args.pipeline,
-            torus_manifold_mode=args.torus_manifold,
-        )
-    except ValueError as exc:
-        raise _CliError(str(exc)) from None
+    config = density_mod.ExperimentConfig(
+        group,
+        args.samples,
+        _parse_denoms(args.denoms),
+        args.seed,
+        run_pipeline=args.pipeline,
+        torus_manifold_mode=args.torus_manifold,
+    )
     rows = density_mod.run_experiment(config)
     Path(args.output).write_text(density_mod.rows_to_csv(rows), encoding="utf-8")
     if args.json_output:
@@ -295,15 +280,12 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.handler(args)
-    except _CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except _VALIDATION_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
     except _VERIFICATION_ERRORS as exc:
         print(f"verification failed: {exc}", file=sys.stderr)
         return EXIT_VERIFICATION
+    except (ValueError, UnknownName) as exc:  # every other library error
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
 
 
 if __name__ == "__main__":

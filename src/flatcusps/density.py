@@ -280,11 +280,9 @@ def run_experiment(
             reason: Optional[str] = None
             if needs_pipeline:
                 try:
-                    ok, prime, reason = _pipeline_legs(group, shape, lattice)
+                    pipeline_ok, prime, reason = _pipeline_legs(group, shape, lattice)
                 except ValueError as exc:  # every leg failure is a ValueError
-                    ok, prime, reason = False, None, f"{type(exc).__name__}: {exc}"
-                if config.run_pipeline:
-                    pipeline_ok = ok
+                    pipeline_ok, reason = False, f"{type(exc).__name__}: {exc}"
             rows.append(DensityRow(sample_id, bound, error, pipeline_ok, prime, reason))
     return rows
 

@@ -85,6 +85,17 @@ class Frozen:
     def __delattr__(self, name):
         raise AttributeError(f"{type(self).__name__} is immutable")
 
+    def __reduce__(self):
+        # copy and pickle would restore the slots through __setattr__
+        values = tuple(getattr(self, name) for name in type(self).__slots__)
+        return _restore, (type(self), values)
+
+
+def _restore(cls, values):
+    obj = object.__new__(cls)
+    Frozen.__init__(obj, *values)
+    return obj
+
 
 class Matrix(Frozen):
     """Immutable matrix with exact rational entries.
@@ -310,20 +321,12 @@ class Matrix(Frozen):
         if not self.is_square():
             raise DimensionMismatch("inverse of a non-square matrix")
         n = self.rows
-        aug = [list(row) + [_ONE if i == j else _ZERO for j in range(n)]
-               for i, row in enumerate(self.entries)]
-        for k in range(n):
-            pivot = next((i for i in range(k, n) if aug[i][k] != 0), None)
-            if pivot is None:
-                raise ValueError("matrix is singular")
-            aug[k], aug[pivot] = aug[pivot], aug[k]
-            inv = _ONE / aug[k][k]
-            aug[k] = [x * inv for x in aug[k]]
-            for i in range(n):
-                if i != k and aug[i][k]:
-                    f = aug[i][k]
-                    aug[i] = [x - f * y for x, y in zip(aug[i], aug[k])]
-        return Matrix([row[n:] for row in aug])
+        reduced, pivots = _rref(
+            [row + unit_vector(n, i) for i, row in enumerate(self.entries)]
+        )
+        if pivots[:n] != list(range(n)):
+            raise ValueError("matrix is singular")
+        return Matrix._raw(tuple(tuple(row[n:]) for row in reduced))
 
     def _same_shape(self, other: Matrix) -> None:
         if self.rows != other.rows or self.cols != other.cols:
@@ -412,12 +415,6 @@ class IntPolynomial(Frozen):
     def coefficient(self, k: int) -> Fraction:
         return self.coeffs[k] if 0 <= k < len(self.coeffs) else _ZERO
 
-    def evaluate(self, x: Scalar) -> Fraction:
-        value = _ZERO
-        for c in reversed(self.coeffs):
-            value = value * rat(x) + c
-        return value
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, IntPolynomial):
             return NotImplemented
@@ -426,20 +423,11 @@ class IntPolynomial(Frozen):
     def __hash__(self) -> int:
         return hash(("IntPolynomial", self.coeffs))
 
-    def __add__(self, other: IntPolynomial) -> IntPolynomial:
-        n = max(len(self.coeffs), len(other.coeffs))
-        return IntPolynomial(
-            [self.coefficient(k) + other.coefficient(k) for k in range(n)]
-        )
-
     def __sub__(self, other: IntPolynomial) -> IntPolynomial:
         n = max(len(self.coeffs), len(other.coeffs))
         return IntPolynomial(
             [self.coefficient(k) - other.coefficient(k) for k in range(n)]
         )
-
-    def __neg__(self) -> IntPolynomial:
-        return IntPolynomial([-c for c in self.coeffs])
 
     def __mul__(self, other):
         if isinstance(other, IntPolynomial):
@@ -770,56 +758,23 @@ def lattice_basis(vectors: Iterable[Sequence[Fraction]], dim: int) -> list[Vecto
 def has_integer_solution(a_rows: Sequence[Sequence[int]], b: Sequence[int]) -> bool:
     """Whether ``A x = b`` admits an integer solution, for integral A and b.
 
-    Diagonalizes A with unimodular row and column operations (row operations
-    mirrored on b, column operations being an invertible change of the
-    unknowns) and then checks divisibility on the diagonal.
+    That is, whether ``b`` lies in the lattice spanned by the columns of A.
+    A row-Hermite reduction of those columns is an echelon basis of the
+    lattice with positive leading entries, so ``b`` is a member exactly
+    when subtracting integer multiples of the basis rows, in order, clears
+    it: at each row the entries of ``b`` left of the leading entry must
+    already vanish and the leading entry must divide.
     """
-    a = [list(row) for row in a_rows]
-    rhs = [int(x) for x in b]
-    if len(a) != len(rhs):
+    rest = [int(x) for x in b]
+    if len(a_rows) != len(rest):
         raise DimensionMismatch("row count of A differs from length of b")
-    if not a:
-        return True
-    nrows, ncols = len(a), len(a[0])
-    t = 0
-    while t < min(nrows, ncols):
-        best = None
-        for i in range(t, nrows):
-            for j in range(t, ncols):
-                if a[i][j] != 0 and (best is None or abs(a[i][j]) < abs(a[best[0]][best[1]])):
-                    best = (i, j)
-        if best is None:
-            break
-        i0, j0 = best
-        a[t], a[i0] = a[i0], a[t]
-        rhs[t], rhs[i0] = rhs[i0], rhs[t]
-        for row in a:
-            row[t], row[j0] = row[j0], row[t]
-        clean = True
-        for i in range(t + 1, nrows):
-            if a[i][t]:
-                q = a[i][t] // a[t][t]
-                a[i] = [x - q * y for x, y in zip(a[i], a[t])]
-                rhs[i] -= q * rhs[t]
-                if a[i][t]:
-                    clean = False
-        for j in range(t + 1, ncols):
-            if a[t][j]:
-                q = a[t][j] // a[t][t]
-                for row in a:
-                    row[j] -= q * row[t]
-                if a[t][j]:
-                    clean = False
-        if clean:
-            t += 1
-    for i in range(nrows):
-        d = a[i][i] if i < ncols else 0
-        if i < t and d != 0:
-            if rhs[i] % d != 0:
-                return False
-        elif rhs[i] != 0:
+    for row in integer_row_hermite(list(zip(*a_rows))):
+        lead = next(c for c, x in enumerate(row) if x)
+        q, r = divmod(rest[lead], row[lead])
+        if r or any(rest[:lead]):
             return False
-    return True
+        rest = [x - q * y for x, y in zip(rest, row)]
+    return not any(rest)
 
 
 def denominator_lcm(values: Iterable[Fraction]) -> int:

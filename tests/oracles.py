@@ -3,13 +3,15 @@
 These deliberately avoid the code paths they validate: torsion is decided
 by enumerating group elements and powering them, best rational
 approximations by scanning every denominator, and finite-order
-characteristic polynomials via sympy companion matrices, and
-integralization by explicit conjugation with the hyperbolic element.
+characteristic polynomials via sympy companion matrices,
+integralization by explicit conjugation with the hyperbolic element, and
+integral solvability by Heger's determinantal criterion.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 
 from flatcusps.bieberbach import BieberbachGroup, holonomy, translation_lattice
@@ -125,3 +127,40 @@ def hyperbolic_conjugator(model: LorentzModel, c: int) -> Matrix:
     q = Fraction(c * c - 1, 2 * c)
     block = Matrix([[p, q], [q, p]])
     return Matrix.block_diag(Matrix.identity(model.n), block)
+
+
+def _leibniz_det(m) -> int:
+    total = 0
+    for perm in itertools.permutations(range(len(m))):
+        term = math.prod(m[i][p] for i, p in enumerate(perm))
+        inversions = sum(a > b for a, b in itertools.combinations(perm, 2))
+        total += -term if inversions % 2 else term
+    return total
+
+
+def _rank_and_minor_gcd(rows) -> tuple[int, int]:
+    """Rank r and the gcd of all r x r minors of an integer matrix."""
+    for r in range(min(len(rows), len(rows[0])), 0, -1):
+        g = math.gcd(
+            *(
+                _leibniz_det([[rows[i][j] for j in cs] for i in rs])
+                for rs in itertools.combinations(range(len(rows)), r)
+                for cs in itertools.combinations(range(len(rows[0])), r)
+            )
+        )
+        if g:
+            return r, g
+    return 0, 1
+
+
+def heger_has_integer_solution(a_rows, b) -> bool:
+    """Integral solvability of ``A x = b`` by Heger's criterion.
+
+    With r = rank A, the system is solvable over the integers exactly when
+    ``[A | b]`` also has rank r and the gcd of its r x r minors equals that
+    of A (Lazebnik, "On systems of linear Diophantine equations", Math.
+    Mag. 69 (1996)). Minors are Leibniz expansions, so no elimination is
+    shared with the library.
+    """
+    augmented = [list(row) + [x] for row, x in zip(a_rows, b)]
+    return _rank_and_minor_gcd(a_rows) == _rank_and_minor_gcd(augmented)

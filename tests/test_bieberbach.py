@@ -124,6 +124,20 @@ class TestTranslationLattice:
         with pytest.raises(RankDeficient):
             translation_lattice(group)
 
+    def test_generator_powers_lie_in_lattice(self):
+        # the Schreier products alone generate the lattice, so the pure
+        # translations g ** |holonomy| must already be lattice vectors
+        groups = [catalog(name) for name in catalog_names()]
+        groups += [conjugated for _, conjugated in conjugated_presentations()]
+        for group in groups:
+            theta = holonomy(group)
+            to_coordinates = translation_lattice(group, theta).inverse()
+            for gen in group.generators:
+                power = gen ** theta.order
+                assert power.is_translation()
+                coordinates = to_coordinates.matvec(power.translation)
+                assert all(x.denominator == 1 for x in coordinates)
+
 
 class TestTorsion:
     def test_klein_torsion_free(self):
@@ -285,31 +299,36 @@ class TestCatalog:
             assert is_torsion_free(group, theta, lattice)
 
 
+def conjugated_presentations():
+    """(catalog group, conjugate by a random rational affine map) pairs."""
+    rng = random.Random(11)
+    for name in ("klein", "half-turn", "hantzsche-wendt"):
+        group = catalog(name)
+        n = group.dim
+        for _ in range(3):
+            while True:
+                linear = Matrix(
+                    [
+                        [F(rng.randint(-2, 2), rng.randint(1, 2)) for _ in range(n)]
+                        for _ in range(n)
+                    ]
+                )
+                if linear.det() != 0:
+                    break
+            conjugator = AffineMap(
+                linear, [F(rng.randint(-2, 2), rng.randint(1, 3)) for _ in range(n)]
+            )
+            inverse = conjugator.inverse()
+            yield group, BieberbachGroup(
+                [compose(compose(conjugator, g), inverse) for g in group.generators]
+            )
+
+
 class TestConjugationInvariance:
     def test_holonomy_and_torsion_preserved(self):
-        rng = random.Random(11)
-        for name in ("klein", "half-turn", "hantzsche-wendt"):
-            group = catalog(name)
-            n = group.dim
-            for _ in range(3):
-                while True:
-                    linear = Matrix(
-                        [
-                            [F(rng.randint(-2, 2), rng.randint(1, 2)) for _ in range(n)]
-                            for _ in range(n)
-                        ]
-                    )
-                    if linear.det() != 0:
-                        break
-                conjugator = AffineMap(
-                    linear, [F(rng.randint(-2, 2), rng.randint(1, 3)) for _ in range(n)]
-                )
-                inverse = conjugator.inverse()
-                conjugated = BieberbachGroup(
-                    [compose(compose(conjugator, g), inverse) for g in group.generators]
-                )
-                assert holonomy(conjugated).order == holonomy(group).order
-                assert is_torsion_free(conjugated) == is_torsion_free(group)
+        for group, conjugated in conjugated_presentations():
+            assert holonomy(conjugated).order == holonomy(group).order
+            assert is_torsion_free(conjugated) == is_torsion_free(group)
 
 
 class TestBruteForceOracleAgreement:

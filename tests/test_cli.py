@@ -13,6 +13,20 @@ def write_json(path, payload):
     return str(path)
 
 
+def fractional_group_file(tmp_path):
+    # an order-two linear part with entries 1/2 and 2 preserves the averaged
+    # form but has no integral conjugate by scaling, so integralize rejects it
+    data = {
+        "dim": 2,
+        "generators": [
+            {"linear": [["0", "1/2"], ["2", "0"]], "translation": ["0", "0"]},
+            {"linear": [["1", "0"], ["0", "1"]], "translation": ["1", "0"]},
+            {"linear": [["1", "0"], ["0", "1"]], "translation": ["0", "1"]},
+        ],
+    }
+    return write_json(tmp_path / "fractional.json", data)
+
+
 @pytest.fixture
 def torus2_file(tmp_path):
     return write_json(tmp_path / "torus2.json", group_to_dict(catalog("torus-2")))
@@ -124,6 +138,19 @@ class TestEmbed:
         assert payload["embedding"]["scale"] == 2
         assert payload["report"]["overall"] is True
 
+    def test_integralize_failure_exits_one(self, capsys, tmp_path):
+        # integralize raises a plain ValueError here; main reports it as a
+        # validation failure rather than letting it escape
+        form_file = write_json(
+            tmp_path / "form.json", form_to_dict(SymmetricForm.diagonal([4, 1]))
+        )
+        code = main(
+            ["embed", "-g", fractional_group_file(tmp_path), "-f", form_file,
+             "--integralize"]
+        )
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error:")
+
     def test_non_invariant_form_exits_two(self, capsys, tmp_path):
         form_path = write_json(
             tmp_path / "skew.json",
@@ -200,23 +227,18 @@ class TestDensity:
         ) == 1
         assert "strictly increasing" in capsys.readouterr().err
 
-    def test_failed_pipeline_rows_exit_two(self, tmp_path, capsys):
-        # an order-two linear part with entries 1/2 and 2 preserves the
-        # averaged form but has no integral conjugate by scaling, so
-        # integralization rejects every row and each is recorded as failed
-        data = {
-            "dim": 2,
-            "generators": [
-                {"linear": [["0", "1/2"], ["2", "0"]], "translation": ["0", "0"]},
-                {"linear": [["1", "0"], ["0", "1"]], "translation": ["1", "0"]},
-                {"linear": [["1", "0"], ["0", "1"]], "translation": ["0", "1"]},
-            ],
-        }
-        group_file = write_json(tmp_path / "fractional.json", data)
+    @pytest.mark.parametrize(
+        "flags",
+        [["--pipeline", "--torus-manifold"], ["--torus-manifold"]],
+        ids=["pipeline-and-torus-manifold", "torus-manifold-only"],
+    )
+    def test_failed_pipeline_rows_exit_two(self, tmp_path, capsys, flags):
+        # integralize rejects every row of this group; --torus-manifold runs
+        # the pipeline with or without --pipeline, so both record failures
         out_csv = tmp_path / "fractional.csv"
         code = main(
-            ["density", "-g", group_file, "--samples", "2", "--denoms", "10",
-             "--seed", "8", "--pipeline", "--torus-manifold", "-o", str(out_csv)]
+            ["density", "-g", fractional_group_file(tmp_path), "--samples", "2",
+             "--denoms", "10", "--seed", "8", *flags, "-o", str(out_csv)]
         )
         assert code == 2
         lines = out_csv.read_text(encoding="utf-8").splitlines()

@@ -123,7 +123,8 @@ class TestRunExperiment:
         group = catalog("torus-2")
         config = ExperimentConfig(group, 1, [10], 8, torus_manifold_mode=True)
         rows = run_experiment(config)
-        assert rows[0].pipeline_ok is None
+        # the congruence leg runs the whole pipeline, so its status is kept
+        assert rows[0].pipeline_ok is True
         assert rows[0].selberg_prime == 7
 
     @pytest.mark.parametrize("name", catalog_names())

@@ -1,4 +1,6 @@
+import copy
 import os
+import pickle
 import random
 import subprocess
 import sys
@@ -30,6 +32,8 @@ from flatcusps.exactlin import (
 from flatcusps.lorentz import embed_group, model_form, verify_embedding
 from flatcusps.selberg import MatrixGroupInput, good_prime
 from flatcusps.shapes import RealForm, ShapeDescriptor
+
+from oracles import heger_has_integer_solution
 
 small_fractions = st.fractions(min_value=-4, max_value=4, max_denominator=4)
 wide_fractions = st.fractions(min_value=-4, max_value=4, max_denominator=10**6)
@@ -266,6 +270,27 @@ class TestIntegerLattice:
         b = [sum(r[j] * x[j] for j in range(2)) for r in a]
         assert has_integer_solution(a, b)
 
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_solvability_matches_heger_oracle(self, data):
+        rows = data.draw(st.integers(1, 4))
+        cols = data.draw(st.integers(1, 4))
+        a = data.draw(
+            st.lists(
+                st.lists(st.integers(-6, 6), min_size=cols, max_size=cols),
+                min_size=rows,
+                max_size=rows,
+            )
+        )
+        if data.draw(st.booleans()):
+            b = data.draw(st.lists(st.integers(-12, 12), min_size=rows, max_size=rows))
+        else:
+            # a member of the column lattice, perhaps nudged off it
+            x = data.draw(st.lists(st.integers(-5, 5), min_size=cols, max_size=cols))
+            b = [sum(r[j] * x[j] for j in range(cols)) for r in a]
+            b[data.draw(st.integers(0, rows - 1))] += data.draw(st.integers(-1, 1))
+        assert has_integer_solution(a, b) == heger_has_integer_solution(a, b)
+
 
 def _klein_shape():
     group = catalog("klein")
@@ -315,6 +340,16 @@ class TestFrozen:
         with pytest.raises(TypeError):
             Frozen.__init__(obj)
         assert getattr(obj, slot) is before
+
+    @pytest.mark.parametrize("name", sorted(FROZEN_INSTANCES))
+    def test_copy_and_pickle_round_trip(self, name):
+        obj = FROZEN_INSTANCES[name]()
+        pickled = pickle.dumps(obj)
+        for clone in (copy.copy(obj), copy.deepcopy(obj), pickle.loads(pickled)):
+            assert type(clone) is type(obj)
+            assert pickle.dumps(clone) == pickled
+            with pytest.raises(AttributeError, match=f"{name} is immutable"):
+                setattr(clone, type(obj).__slots__[0], None)
 
     def test_import_loads_neither_dataclasses_nor_inspect(self):
         # both modules are slow to import, and every command pays the
