@@ -516,6 +516,11 @@ def monomial(degree: int, coefficient: Scalar = 1) -> IntPolynomial:
     return IntPolynomial([0] * degree + [coefficient])
 
 
+def unipotent_polynomial(n: int) -> IntPolynomial:
+    """``(t - 1)^n``, the characteristic polynomial of unipotent elements."""
+    return IntPolynomial([-1, 1]) ** n
+
+
 # ---------------------------------------------------------------------------
 # Signatures of symmetric forms
 # ---------------------------------------------------------------------------

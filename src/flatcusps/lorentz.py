@@ -21,7 +21,6 @@ the finished matrices.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -41,10 +40,10 @@ from .exactlin import (
     denominator_lcm,
     is_positive_definite,
     ldl_signature,
+    unipotent_polynomial,
     unit_vector,
     vec,
 )
-from .selberg import prime_factors, unipotent_polynomial
 from .shapes import ShapeDescriptor
 
 
@@ -228,12 +227,12 @@ def _smallest_integral_scale(embedding: LorentzEmbedding) -> int:
     entries outside the (integral, unimodular) linear factor are ``c w_i``,
     ``c (k^T A)_j`` and ``c^2 h``, which occupy disjoint positions, so no
     cancellation between them is possible. Since ``A`` and ``A^{-1}`` are
-    integral, ``k^T A`` has the same denominators as ``k``. The smallest
-    working ``c`` is therefore a multiple of every denominator of ``w``
-    and ``k`` whose square is a multiple of every denominator of ``h``:
-    per prime ``p``, the valuation of ``c`` must reach the valuation of
-    the linear denominators and half the valuation of the quadratic ones,
-    rounded up.
+    integral, ``k^T A`` has the same denominators as ``k``. So ``c`` must
+    be a multiple of ``L``, the lcm of the denominators of every ``w`` and
+    ``k``. Once ``c w`` and ``c k`` are integral, ``c^2 h = (c w)^T (c k) / 2``
+    lies in ``Z/2``: the smallest scale is ``L`` when every ``L^2 h`` is an
+    integer, and ``2 L`` otherwise (an odd multiple of ``L`` leaves the
+    half, and ``(2 L)^2 h`` is four times a half-integer).
     """
     model = embedding.model
     linear_values = []
@@ -248,15 +247,10 @@ def _smallest_integral_scale(embedding: LorentzEmbedding) -> int:
         linear_values.extend(w)
         linear_values.extend(k)
         quadratic_values.append(h)
-    quadratic_den = denominator_lcm(quadratic_values)
-    root = 1  # smallest integer whose square is a multiple of quadratic_den
-    for p in prime_factors(quadratic_den):
-        e = 0
-        while quadratic_den % p == 0:
-            quadratic_den //= p
-            e += 1
-        root *= p ** ((e + 1) // 2)
-    return math.lcm(denominator_lcm(linear_values), root)
+    scale = denominator_lcm(linear_values)
+    if all((scale * scale * h).denominator == 1 for h in quadratic_values):
+        return scale
+    return 2 * scale
 
 
 def integralize(embedding: LorentzEmbedding) -> tuple[LorentzEmbedding, int]:

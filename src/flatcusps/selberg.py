@@ -19,10 +19,17 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 from .errors import DimensionMismatch, InvariantViolation, UnipotentViolation
-from .exactlin import Frozen, IntPolynomial, Matrix, char_poly, monomial
+from .exactlin import (
+    Frozen,
+    IntPolynomial,
+    Matrix,
+    char_poly,
+    monomial,
+    unipotent_polynomial,
+)
 
 REASON_SMALL_CHARACTERISTIC = "small-characteristic"
 REASON_COEFFICIENT_DIVISOR = "coefficient-divisor"
@@ -35,18 +42,7 @@ REASON_DENOMINATOR = "denominator"
 
 
 def is_prime(m: int) -> bool:
-    if m < 2:
-        return False
-    if m < 4:
-        return True
-    if m % 2 == 0:
-        return False
-    f = 3
-    while f * f <= m:
-        if m % f == 0:
-            return False
-        f += 2
-    return True
+    return m > 1 and prime_factors(m) == [m]
 
 
 def prime_factors(m: int) -> list[int]:
@@ -113,11 +109,6 @@ def _admissible_orders(n: int) -> tuple[int, ...]:
 def torsion_order_bound(n: int) -> int:
     """lcm of all possible orders of torsion elements of ``GL(n; Q)``."""
     return math.lcm(*_admissible_orders(n))
-
-
-def unipotent_polynomial(n: int) -> IntPolynomial:
-    """``(t - 1)^n``, the characteristic polynomial of unipotent elements."""
-    return IntPolynomial([-1, 1]) ** n
 
 
 def _factor_multisets(n: int, orders: Sequence[int], start: int = 0) -> Iterable[tuple[int, ...]]:
@@ -294,32 +285,23 @@ def good_prime(group_input: MatrixGroupInput) -> SelbergCertificate:
     n = group_input.n
     unipotent = unipotent_polynomial(n)
     for m in group_input.gamma_gens:
-        if char_poly(m) != unipotent:
+        poly = char_poly(m)
+        if poly != unipotent:
             raise UnipotentViolation(
-                f"generator has characteristic polynomial {char_poly(m)}, "
-                f"expected {unipotent}"
+                f"generator has characteristic polynomial {poly}, expected {unipotent}"
             )
     polys = torsion_polynomials(n)
     bad = bad_primes(group_input, polys)
     q = 2
     while q in bad or not is_prime(q):
         q += 1
-    evidence = [
-        ResidueEvidence(p, p.reduce_mod(q), unipotent.reduce_mod(q)) for p in polys
-    ]
+    unipotent_mod = unipotent.reduce_mod(q)
+    evidence = [ResidueEvidence(p, p.reduce_mod(q), unipotent_mod) for p in polys]
     if not all(e.distinct for e in evidence):
         raise InvariantViolation(f"a torsion polynomial collapses modulo {q}")
     if q <= n or any(d % q == 0 for d in group_input.denominators()):
         raise InvariantViolation(f"prime {q} is small or divides a denominator")
     return SelbergCertificate(n, q, polys, bad, evidence)
-
-
-def _reduced_char_poly(m: Matrix, q: int) -> Optional[tuple[int, ...]]:
-    """Characteristic polynomial modulo q, or None if q hits a denominator."""
-    try:
-        return char_poly(m).reduce_mod(q)
-    except ValueError:
-        return None
 
 
 def verify_certificate(
@@ -330,16 +312,22 @@ def verify_certificate(
     """Brute-force falsifier for a certificate.
 
     Enumerates all products of the ambient generators and their inverses
-    up to the given word length and reduces each modulo the certified
-    prime. Any nontrivial element whose reduction has characteristic
-    polynomial ``(t-1)^n`` must be non-torsion over the rationals; torsion
-    is decided exactly by raising to the lcm of all possible torsion
-    orders in ``GL(n; Q)``. Returns False on any counterexample (including
-    a prime that divides a generator denominator), True otherwise. A
-    verifier, not a prover: word_length bounds the search.
+    up to the given word length. For each nontrivial element the exact
+    characteristic polynomial is computed once: if it is ``(t-1)^n`` the
+    element is unipotent, hence of infinite order, and passes; otherwise
+    it must reduce modulo the certified prime (a prime dividing one of its
+    denominators is a counterexample), and a residue equal to that of
+    ``(t-1)^n`` is a counterexample when the element is torsion, decided
+    exactly by raising it to the lcm of all possible torsion orders in
+    ``GL(n; Q)``. Returns False on any counterexample (including a prime
+    that divides a generator denominator), True otherwise. A verifier, not
+    a prover: word_length bounds the search, and a negative one raises
+    ``ValueError``.
     """
+    if word_length < 0:
+        raise ValueError("word length must be non-negative")
     q = certificate.prime
-    if q < 2 or not is_prime(q):
+    if not is_prime(q):
         return False
     if any(d % q == 0 for d in group_input.denominators()):
         return False  # reduction modulo q is undefined on these generators
@@ -365,13 +353,13 @@ def verify_certificate(
     for element in seen:
         if element == identity:
             continue
-        reduced = _reduced_char_poly(element, q)
-        if reduced is None:
-            return False
-        if reduced != unipotent_mod:
-            continue
-        if char_poly(element) == unipotent:
+        poly = char_poly(element)
+        if poly == unipotent:
             continue  # genuinely unipotent, infinite order
-        if element ** order_bound == identity:
+        try:
+            reduced = poly.reduce_mod(q)
+        except ValueError:
+            return False  # q divides a denominator of the characteristic polynomial
+        if reduced == unipotent_mod and element ** order_bound == identity:
             return False  # nontrivial torsion collapsed onto the unipotent residue
     return True

@@ -35,6 +35,8 @@ class RealForm(Frozen):
         n = len(data)
         if n == 0 or any(len(row) != n for row in data):
             raise DimensionMismatch("a real form needs a square matrix")
+        if not all(math.isfinite(x) for row in data for x in row):
+            raise ValueError("entries must be finite numbers")
         for i in range(n):
             for j in range(i + 1, n):
                 gap = abs(data[i][j] - data[j][i])
@@ -44,25 +46,19 @@ class RealForm(Frozen):
                 data[j][i] = data[i][j]
         super().__init__(n, tuple(tuple(row) for row in data))
 
-    def cholesky_pivots(self) -> Optional[list[float]]:
-        """Diagonal pivots of a Cholesky pass, or None if a pivot is nonpositive."""
+    def is_positive_definite(self) -> bool:
+        """Whether every pivot of a Cholesky pass exceeds ``PD_TOLERANCE``."""
         n = self.dim
         a = [list(row) for row in self.entries]
-        pivots = []
         for k in range(n):
             d = a[k][k]
-            if d <= 0:
-                return None
-            pivots.append(d)
+            if d <= PD_TOLERANCE:
+                return False
             for i in range(k + 1, n):
                 f = a[i][k] / d
                 for j in range(k + 1, n):
                     a[i][j] -= f * a[k][j]
-        return pivots
-
-    def is_positive_definite(self, tolerance: float = PD_TOLERANCE) -> bool:
-        pivots = self.cholesky_pivots()
-        return pivots is not None and all(p > tolerance for p in pivots)
+        return True
 
     def to_exact(self) -> SymmetricForm:
         """Exact form with the same entries; doubles are dyadic rationals."""

@@ -113,6 +113,17 @@ class TestApproximate:
         payload = json.loads(capsys.readouterr().out)
         assert payload["form"] == [["1", "1/5"], ["1/5", "2"]]
 
+    @pytest.mark.parametrize("entry", ["Infinity", "NaN"])
+    def test_non_finite_target_exits_one(self, tmp_path, capsys, entry):
+        # json.loads accepts these bare names, so the file parses
+        target_path = tmp_path / "target.json"
+        target_path.write_text(
+            f'{{"dim": 2, "matrix": [[{entry}, 0], [0, 1]]}}', encoding="utf-8"
+        )
+        code = main(["approximate", "-g", "torus-2", "-t", str(target_path), "-d", "100"])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: target.matrix")
+
     def test_indefinite_target_exits_two(self, tmp_path, capsys):
         target_path = write_json(
             tmp_path / "target.json",
@@ -160,16 +171,21 @@ class TestEmbed:
         assert "verification failed" in capsys.readouterr().err
 
 
+def worked_example_files(tmp_path):
+    lam = write_json(
+        tmp_path / "lam.json",
+        {"n": 2, "generators": [[["1", "1"], ["0", "1"]], [["-1", "0"], ["0", "-1"]]]},
+    )
+    gam = write_json(
+        tmp_path / "gam.json",
+        {"n": 2, "generators": [[["1", "1"], ["0", "1"]]]},
+    )
+    return lam, gam
+
+
 class TestSelberg:
     def test_worked_example(self, tmp_path, capsys):
-        lam = write_json(
-            tmp_path / "lam.json",
-            {"n": 2, "generators": [[["1", "1"], ["0", "1"]], [["-1", "0"], ["0", "-1"]]]},
-        )
-        gam = write_json(
-            tmp_path / "gam.json",
-            {"n": 2, "generators": [[["1", "1"], ["0", "1"]]]},
-        )
+        lam, gam = worked_example_files(tmp_path)
         assert main(["selberg", "-l", lam, "-u", gam]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["prime"] == 5
@@ -178,6 +194,11 @@ class TestSelberg:
         assert main(["selberg", "-l", lam, "-u", gam, "--verify-words", "6"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["verified"] is True
+
+    def test_negative_word_length_exits_one(self, tmp_path, capsys):
+        lam, gam = worked_example_files(tmp_path)
+        assert main(["selberg", "-l", lam, "-u", gam, "--verify-words", "-3"]) == 1
+        assert "word length must be non-negative" in capsys.readouterr().err
 
     def test_non_unipotent_gamma_exits_one(self, tmp_path, capsys):
         lam = write_json(

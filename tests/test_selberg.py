@@ -35,6 +35,13 @@ class TestNumberTheory:
     def test_primes(self):
         assert [p for p in range(20) if is_prime(p)] == [2, 3, 5, 7, 11, 13, 17, 19]
 
+    def test_primes_match_sympy(self):
+        import sympy
+
+        assert [m for m in range(-5, 5001) if is_prime(m)] == [
+            m for m in range(-5, 5001) if sympy.isprime(m)
+        ]
+
     def test_phi(self):
         assert [euler_phi(d) for d in range(1, 13)] == [1, 1, 2, 2, 4, 2, 6, 4, 6, 4, 10, 4]
 
@@ -212,3 +219,18 @@ class TestVerifyCertificate:
             certificate.residue_evidence,
         )
         assert not verify_certificate(group_input, forced, word_length=2)
+
+    def test_negative_word_length_rejected(self):
+        group_input = worked_example()
+        certificate = good_prime(group_input)
+        with pytest.raises(ValueError, match="word length must be non-negative"):
+            verify_certificate(group_input, certificate, word_length=-1)
+
+    def test_prime_dividing_element_denominator_fails(self):
+        # the generator diag(3, 1) is integral, so q = 3 passes the generator
+        # check; its inverse diag(1/3, 1) has 3 in a denominator of its
+        # characteristic polynomial, which reduction modulo 3 cannot handle
+        group_input = MatrixGroupInput(2, [Matrix.diagonal([3, 1])])
+        polys = torsion_polynomials(2)
+        forced = SelbergCertificate(2, 3, polys, {}, ())
+        assert not verify_certificate(group_input, forced, word_length=1)

@@ -37,6 +37,11 @@ class TestRealForm:
         with pytest.raises(ValueError):
             RealForm([[1.0, 0.5], [0.25, 1.0]])
 
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_non_finite_entries_rejected(self, bad):
+        with pytest.raises(ValueError, match="entries must be finite numbers"):
+            RealForm([[bad, 0.0], [0.0, 1.0]])
+
     def test_pd_check(self):
         assert RealForm([[2.0, 1.0], [1.0, 2.0]]).is_positive_definite()
         assert not RealForm([[1.0, 2.0], [2.0, 1.0]]).is_positive_definite()
