@@ -5,7 +5,7 @@ groups with holonomy and torsion oracles, holonomy-invariant quadratic
 forms, embeddings into rational Lorentz groups stabilizing a null
 direction, integralization by hyperbolic conjugation (which scales every
 translation by the conjugator's integer scale, so it is carried out by
-re-embedding with scaled translations), congruence-prime certificates for
+re-assembling with scaled translations), congruence-prime certificates for
 torsion-free finite-index containment, and seeded density experiments.
 """
 
@@ -62,7 +62,6 @@ from .lorentz import (
     embed_translation,
     integralize,
     model_form,
-    outer_pairing,
     verify_embedding,
 )
 from .selberg import (
@@ -131,7 +130,6 @@ __all__ = [
     "ldl_signature",
     "model_form",
     "nilpotent_exp",
-    "outer_pairing",
     "rationalize",
     "rows_to_csv",
     "rows_to_json",

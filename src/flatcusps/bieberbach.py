@@ -81,9 +81,6 @@ class AffineMap(Frozen):
     def dim(self) -> int:
         return self.linear.rows
 
-    def apply(self, point: Sequence[Scalar]) -> Vector:
-        return vec_add(self.linear.matvec(point), self.translation)
-
     def inverse(self) -> AffineMap:
         inv = self.linear.inverse()
         return AffineMap(inv, tuple(-x for x in inv.matvec(self.translation)))
@@ -196,16 +193,6 @@ class HolonomyGroup(Frozen):
     def witness_for(self, m: Matrix) -> AffineMap:
         return self.witnesses[self._index[m]]
 
-    def element_order(self, m: Matrix) -> int:
-        """Multiplicative order of a point-group element."""
-        ident = Matrix.identity(self.dim)
-        power = m
-        for k in range(1, self.order + 1):
-            if power == ident:
-                return k
-            power = power * m
-        raise ValueError("element order exceeds the group order; not a member")
-
     def __repr__(self) -> str:
         return f"<HolonomyGroup order={self.order} dim={self.dim}>"
 
@@ -233,7 +220,7 @@ def holonomy(group: BieberbachGroup, max_order: int = DEFAULT_MAX_ORDER) -> Holo
                 if product not in seen:
                     if len(seen) >= max_order:
                         raise HolonomyBound(
-                            f"holonomy closure exceeds {max_order} elements"
+                            f"holonomy closure exceeds max_order={max_order} elements"
                         )
                     seen[product] = compose(witness, gen)
                     fresh.append(product)

@@ -291,11 +291,6 @@ class Matrix(Frozen):
             )
         )
 
-    def trace(self) -> Fraction:
-        if not self.is_square():
-            raise DimensionMismatch("trace of a non-square matrix")
-        return sum((self.entries[i][i] for i in range(self.rows)), _ZERO)
-
     def det(self) -> Fraction:
         if not self.is_square():
             raise DimensionMismatch("determinant of a non-square matrix")

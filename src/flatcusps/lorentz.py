@@ -4,19 +4,20 @@ Given a positive definite rational form ``B_K`` on n-space, the model form
 ``B = B_K (+) diag(1, -1)`` has signature ``(n+1, 1)`` on (n+2)-space; the
 vectors ``v_inf = e_{n+1} + e_{n+2}`` and ``v_0 = e_{n+1} - e_{n+2}`` are
 B-null, and the first n coordinate vectors span their B-orthogonal
-complement. Translations embed into the unipotent stabilizer of ``v_inf``
-as the exponential of the B-skew rank-two map built from outer pairings;
-that map cubes to zero, so the exponential has a closed form which
-:func:`embed_translation` writes down directly. B_K-isometries embed
-block-diagonally. The images generate a subgroup of ``O(B; Q)`` fixing
-``v_inf``. Conjugating by the rational hyperbolic element that scales
-``v_inf`` by a positive integer ``c`` and fixes the complement scales every
-translation by ``c`` and leaves the linear factors alone, so
-:func:`integralize` performs that conjugation by re-embedding with scaled
-translations; for a suitable smallest ``c`` every image lands in integer
-matrices. Every identity used along the way is checkable in exact
-arithmetic, and :func:`verify_embedding` rechecks them all from scratch on
-the finished matrices.
+complement. An affine isometry ``(A, t)`` of ``B_K`` embeds as
+``T(t) R(A)``: ``R(A) = blockdiag(A, I_2)``, and ``T(t)`` is the
+exponential of a B-skew rank-two map that cubes to zero. Every entry of
+the product has a closed form, which :func:`embed_affine` writes down with
+no matrix product. Conversely, every element of ``O(B)`` fixing ``v_inf``
+has this shape: its upper-left n-by-n block is ``A`` and rows ``< n`` of
+column n hold ``t``. Reading ``(A, t)`` off is an isomorphism from the
+stabilizer of ``v_inf`` onto ``Isom(R^n, B_K)``, so
+:func:`verify_embedding` checks the finished matrices by decoding them.
+Conjugating by the rational hyperbolic element that scales ``v_inf`` by a
+positive integer ``c`` and fixes the complement scales every translation
+by ``c`` and leaves the linear factors alone, so :func:`integralize`
+performs that conjugation by re-assembling with scaled translations; for a
+suitable smallest ``c`` every image lands in integer matrices.
 """
 
 from __future__ import annotations
@@ -41,7 +42,6 @@ from .exactlin import (
     is_positive_definite,
     ldl_signature,
     unipotent_polynomial,
-    unit_vector,
     vec,
 )
 from .shapes import ShapeDescriptor
@@ -109,29 +109,6 @@ def model_form(base: SymmetricForm) -> LorentzModel:
     return LorentzModel(base, model, v_inf, v_0)
 
 
-def outer_pairing(x: Sequence, y: Sequence, form: SymmetricForm) -> Matrix:
-    """Rank-one operator ``z -> B(z, y) x``, i.e. the matrix ``x (By)^T``."""
-    xv, yv = vec(x), vec(y)
-    if len(xv) != form.dim or len(yv) != form.dim:
-        raise DimensionMismatch("vector lengths do not match the form dimension")
-    by = form.matrix.matvec(yv)
-    return Matrix([[a * b for b in by] for a in xv])
-
-
-def translation_log(v: Sequence, model: LorentzModel) -> Matrix:
-    """B-skew generator whose exponential is the translation image.
-
-    ``M = lift(v) (B v_inf)^T - v_inf (B lift(v))^T``; it kills ``v_inf``,
-    satisfies ``M^3 = 0``, and ``M^T B + B M = 0`` exactly. The library
-    writes ``exp(M)`` in closed form (:func:`embed_translation`); this
-    matrix is kept as the reference it is checked against.
-    """
-    lifted = model.lift(v)
-    return outer_pairing(lifted, model.v_inf, model.model_form) - outer_pairing(
-        model.v_inf, lifted, model.model_form
-    )
-
-
 def _translation_parts(v: Sequence, model: LorentzModel) -> tuple[Vector, Vector, Fraction]:
     """``w = v``, ``k = B_K w`` and ``h = B_K(w, w) / 2``."""
     w = model.lift(v)[: model.n]
@@ -139,50 +116,50 @@ def _translation_parts(v: Sequence, model: LorentzModel) -> tuple[Vector, Vector
     return w, k, sum(a * b for a, b in zip(w, k)) / 2
 
 
-def embed_translation(v: Sequence, model: LorentzModel) -> Matrix:
-    """Unipotent image of a translation vector.
+def _assemble(a: Matrix, v: Sequence, model: LorentzModel) -> Matrix:
+    """The entries of ``T(v) R(a)``, written out with no matrix product.
 
-    The exponential ``I + M + M^2/2`` of :func:`translation_log`, written
-    out: with ``w = v``, ``k = B_K w`` and ``h = B_K(w, w) / 2``, row
-    ``i < n`` is the identity row with ``w_i`` and ``-w_i`` in columns n and
-    n+1; rows n and n+1 both start with ``-k``; the corner two-by-two block
-    is ``[[1 - h, h], [-h, 1 + h]]``. It preserves the model form, fixes
-    ``v_inf``, and is additive in ``v``.
+    With ``w = v``, ``k = B_K w`` and ``h = B_K(w, w) / 2``: row ``i < n``
+    is row i of ``a`` followed by ``w_i, -w_i``; rows n and n+1 both start
+    with ``-(k^T a)``; the corner two-by-two block is
+    ``[[1 - h, h], [-h, 1 + h]]``.
     """
     w, k, h = _translation_parts(v, model)
-    n = model.n
-    rows = []
-    for i, x in enumerate(w):
-        row = [Fraction(0)] * n + [x, -x]
-        row[i] = Fraction(1)
-        rows.append(row)
-    minus_k = [-x for x in k]
-    rows.append(minus_k + [1 - h, h])
-    rows.append(minus_k + [-h, 1 + h])
+    minus_ka = [-x for x in a.transpose().matvec(k)]
+    rows = [list(row) + [x, -x] for row, x in zip(a.entries, w)]
+    rows.append(minus_ka + [1 - h, h])
+    rows.append(minus_ka + [-h, 1 + h])
     return Matrix(rows)
 
 
-def linear_image(a: Matrix, model: LorentzModel) -> Matrix:
-    """Extension of a base-form isometry acting trivially on the null plane.
+def embed_translation(v: Sequence, model: LorentzModel) -> Matrix:
+    """Unipotent image ``T(v)`` of a translation vector.
 
-    ``blockdiag(a, I_2)``: ``a`` on the complement, the identity on the
-    span of ``v_0`` and ``v_inf``. Raises ``NotFormIsometry`` when ``a``
-    does not preserve the base form.
+    The closed form of :func:`embed_affine` at ``A = I``. It is the
+    exponential ``I + M + M^2/2`` of the B-skew map
+    ``M = lift(v) (B v_inf)^T - v_inf (B lift(v))^T``, which cubes to zero;
+    it preserves the model form, fixes ``v_inf``, and is additive in ``v``.
     """
-    base = model.base_form.matrix
-    if a.transpose() * base * a != base:
-        raise NotFormIsometry("linear part does not preserve the base form")
-    return Matrix.block_diag(a, Matrix.identity(2))
+    return _assemble(Matrix.identity(model.n), v, model)
 
 
 def embed_affine(g: AffineMap, model: LorentzModel) -> Matrix:
-    """Image of an affine isometry: unipotent factor times linear factor."""
+    """Image ``T(t) R(A)`` of an affine isometry ``(A, t)``.
+
+    ``R(A) = blockdiag(A, I_2)`` acts as ``A`` on the complement and
+    trivially on the null plane; the entries of the product are written
+    out directly. Raises ``NotFormIsometry`` when ``A`` does not preserve
+    the base form.
+    """
     if g.dim != model.n:
         raise DimensionMismatch(
             f"affine map dimension {g.dim} does not match model dimension {model.n}"
         )
-    rotation = linear_image(g.linear, model)
-    return embed_translation(g.translation, model) * rotation
+    a = g.linear
+    base = model.base_form.matrix
+    if a.transpose() * base * a != base:
+        raise NotFormIsometry("linear part does not preserve the base form")
+    return _assemble(a, g.translation, model)
 
 
 class LorentzEmbedding(Frozen):
@@ -262,31 +239,28 @@ def integralize(embedding: LorentzEmbedding) -> tuple[LorentzEmbedding, int]:
     ``v_0`` by ``1/c``) and fixes the complement, so it commutes with each
     linear factor ``R(A)`` and scales each translation log by ``c``:
     ``H_c T(t) R(A) H_c^{-1} = T(c t) R(A)``. The conjugation is therefore
-    performed by re-embedding every generator with its translation scaled
-    by ``c``. Group relations are untouched (conjugation is an
-    automorphism), the model form is preserved exactly, and all
-    verification checks survive. Returns the conjugated embedding and
-    ``c``; an already integral embedding comes back unchanged with scale 1.
+    performed by re-assembling every image with its translation scaled by
+    ``c``. Group relations are untouched (conjugation is an automorphism),
+    the model form is preserved exactly, and all verification checks
+    survive. Returns the conjugated embedding and ``c``; an already
+    integral embedding comes back unchanged with scale 1.
 
     Raises ``InvariantViolation`` when an image is not the embedding of its
     generator, since rescaling would then not be a conjugation.
     """
     model = embedding.model
     generators = embedding.group.generators
-    rotations = []
     for g, image in zip(generators, embedding.images):
-        rotation = linear_image(g.linear, model)
-        if embed_translation(g.translation, model) * rotation != image:
+        if embed_affine(g, model) != image:
             raise InvariantViolation(
                 "an image is not the embedding of its generator; "
                 "rescaling translations would not be a conjugation"
             )
-        rotations.append(rotation)
     c = _smallest_integral_scale(embedding)
     if c > 1:
         images = [
-            embed_translation([c * x for x in g.translation], model) * rotation
-            for g, rotation in zip(generators, rotations)
+            _assemble(g.linear, [c * x for x in g.translation], model)
+            for g in generators
         ]
         embedding = LorentzEmbedding(model, embedding.group, images)
     if not all(m.is_integral() for m in embedding.images):
@@ -336,31 +310,43 @@ class VerificationReport(Frozen):
 
 
 def verify_embedding(embedding: LorentzEmbedding) -> VerificationReport:
-    """Recompute every exact identity the construction promises.
+    """Recheck the finished matrices against the generators they encode.
 
     Per generator ``(A, t)`` with image ``E``: form preservation
     ``E^T B E = B``; ``E v_inf = v_inf``; for pure translations the
-    characteristic polynomial is ``(t-1)^(n+2)``; the semidirect
-    compatibility ``R(A) T(w) R(A)^{-1} = T(A w)`` on basis vectors; and
-    the log of the unipotent factor cubes to zero. Failures are recorded,
-    never raised.
+    characteristic polynomial is ``(t-1)^(n+2)``; equivariance, meaning
+    that ``E`` decodes to ``(A, c t)``, i.e. equals the closed form
+    ``T(c t) R(A)`` entry by entry, for one ``c > 0`` shared by all
+    generators; and the log of the unipotent factor ``E R(A)^{-1}`` cubes
+    to zero. The scale ``c`` is read off the first nonzero translation
+    coordinate, ``c = E[j, n] / t_j``, and is 1 when every translation is
+    zero: 1 for :func:`embed_group` output, the integralization scale after
+    :func:`integralize`.
+
+    Decoding is enough. An element of ``O(B)`` fixing ``v_inf`` is
+    ``T(w) R(A)`` with ``A`` a ``B_K``-isometry; its upper-left n-by-n block
+    is ``A`` and rows ``< n`` of column n hold ``w``. Reading off ``(A, w)``
+    is an isomorphism from the stabilizer of ``v_inf`` onto
+    ``Isom(R^n, B_K)``, so the semidirect-product rule and every group
+    relation hold for the images because they hold for the affine maps
+    they decode to, with no product to recompute. A shared positive ``c``
+    is conjugation by the hyperbolic element ``H_c``, a similarity of the
+    flat metric, which is exactly what the similarity classes of shapes
+    allow. Failures are recorded, never raised.
     """
     model = embedding.model
     gram = model.model_form.matrix
     n = model.n
     ambient = model.ambient_dim
     unipotent = unipotent_polynomial(ambient)
-    basis = [unit_vector(n, i) for i in range(n)]
-    translation_cache: dict[tuple, Matrix] = {}
-
-    def cached_translation(w) -> Matrix:
-        key = tuple(w)
-        if key not in translation_cache:
-            translation_cache[key] = embed_translation(key, model)
-        return translation_cache[key]
+    pairs = list(zip(embedding.group.generators, embedding.images))
+    scale = next(
+        (image[j, n] / x for g, image in pairs for j, x in enumerate(g.translation) if x),
+        Fraction(1),
+    )
 
     results = []
-    for g, image in zip(embedding.group.generators, embedding.images):
+    for g, image in pairs:
         form_preserved = image.transpose() * gram * image == gram
         fixes_vinf = image.matvec(model.v_inf) == model.v_inf
 
@@ -369,20 +355,12 @@ def verify_embedding(embedding: LorentzEmbedding) -> VerificationReport:
         else:
             unipotent_translation = None
 
-        try:
-            rotation = linear_image(g.linear, model)
-            rotation_inv = rotation.inverse()
-            equivariance = all(
-                rotation * cached_translation(w) * rotation_inv
-                == cached_translation(g.linear.matvec(w))
-                for w in basis
-            )
-            unipotent_factor = image * rotation_inv
-        except NotFormIsometry:
-            equivariance = False
-            unipotent_factor = image
+        equivariance = scale > 0 and image == _assemble(
+            g.linear, [scale * x for x in g.translation], model
+        )
 
-        shifted = unipotent_factor - Matrix.identity(ambient)
+        rotation_inv = Matrix.block_diag(g.linear.inverse(), Matrix.identity(2))
+        shifted = image * rotation_inv - Matrix.identity(ambient)
         log = shifted - Fraction(1, 2) * (shifted * shifted)
         degree = None
         power = Matrix.identity(ambient)

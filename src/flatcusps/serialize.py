@@ -45,14 +45,17 @@ def parse_number(value: Any, path: str) -> float:
     """Inexact entry: float, int, or exact ``p/q`` string."""
     if isinstance(value, bool):
         raise ValidationError(path, "expected a number, got a boolean")
-    if isinstance(value, (int, float)):
-        return float(value)
     if isinstance(value, str):
         try:
-            return float(Fraction(value))
+            value = Fraction(value)
         except (ValueError, ZeroDivisionError):
             raise ValidationError(path, f"not a number: {value!r}") from None
-    raise ValidationError(path, f"expected a number, got {type(value).__name__}")
+    elif not isinstance(value, (int, float)):
+        raise ValidationError(path, f"expected a number, got {type(value).__name__}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValidationError(path, "number is too large for a float") from None
 
 
 def _expect_list(value: Any, path: str) -> list:
@@ -212,21 +215,6 @@ def shape_to_dict(shape: ShapeDescriptor) -> dict:
     out = group_to_dict(shape.group)
     out["form"] = matrix_to_lists(shape.form.matrix)
     return out
-
-
-def parse_shape(data: Any, path: str = "shape") -> ShapeDescriptor:
-    obj = _expect_dict(data, path)
-    group = parse_group(obj, path)
-    if "form" not in obj:
-        raise ValidationError(f"{path}.form", "missing required field")
-    matrix = parse_matrix(obj["form"], f"{path}.form")
-    if not matrix.is_symmetric():
-        raise ValidationError(f"{path}.form", "matrix is not symmetric")
-    if matrix.rows != group.dim:
-        raise ValidationError(
-            f"{path}.form", f"form size {matrix.rows} does not match dim {group.dim}"
-        )
-    return ShapeDescriptor(group, SymmetricForm(matrix))
 
 
 # ---------------------------------------------------------------------------

@@ -4,8 +4,11 @@ These deliberately avoid the code paths they validate: torsion is decided
 by enumerating group elements and powering them, best rational
 approximations by scanning every denominator, and finite-order
 characteristic polynomials via sympy companion matrices,
-integralization by explicit conjugation with the hyperbolic element, and
-integral solvability by Heger's determinantal criterion.
+integralization by explicit conjugation with the hyperbolic element,
+integral solvability by Heger's determinantal criterion, and Lorentz
+images as the product of the translation factor, the exponential of a
+B-skew map built from outer pairings, and the block-diagonal linear
+factor. The API that only tests use lives here too.
 """
 
 from __future__ import annotations
@@ -14,9 +17,18 @@ import itertools
 import math
 from fractions import Fraction
 
-from flatcusps.bieberbach import BieberbachGroup, holonomy, translation_lattice
-from flatcusps.exactlin import Matrix
-from flatcusps.lorentz import LorentzModel
+from flatcusps.bieberbach import (
+    AffineMap,
+    BieberbachGroup,
+    HolonomyGroup,
+    holonomy,
+    translation_lattice,
+)
+from flatcusps.errors import DimensionMismatch, ValidationError
+from flatcusps.exactlin import Matrix, SymmetricForm, Vector, vec, vec_add
+from flatcusps.lorentz import LorentzModel, embed_translation
+from flatcusps.serialize import parse_group, parse_matrix
+from flatcusps.shapes import ShapeDescriptor
 
 
 def brute_force_is_torsion_free(group: BieberbachGroup, box: int = 2) -> bool:
@@ -35,7 +47,7 @@ def brute_force_is_torsion_free(group: BieberbachGroup, box: int = 2) -> bool:
     for h, witness in zip(theta.elements, theta.witnesses):
         if h == ident:
             continue
-        order = theta.element_order(h)
+        order = element_order(theta, h)
         norm = Matrix.identity(n)
         power = h
         for _ in range(order - 1):
@@ -116,6 +128,76 @@ def _companion_entry(poly, i, j):
     if j == deg - 1:
         return -coeffs[deg - i]
     return 1 if i == j + 1 else 0
+
+
+def element_order(theta: HolonomyGroup, m: Matrix) -> int:
+    """Multiplicative order of a point-group element."""
+    ident = Matrix.identity(theta.dim)
+    power = m
+    for k in range(1, theta.order + 1):
+        if power == ident:
+            return k
+        power = power * m
+    raise ValueError("element order exceeds the group order; not a member")
+
+
+def trace(m: Matrix):
+    """Sum of the diagonal entries of a square matrix."""
+    if not m.is_square():
+        raise DimensionMismatch("trace of a non-square matrix")
+    return sum(m[i, i] for i in range(m.rows))
+
+
+def apply(g: AffineMap, point) -> Vector:
+    """Image ``A x + t`` of a point under an affine map."""
+    return vec_add(g.linear.matvec(point), g.translation)
+
+
+def parse_shape(data, path: str = "shape") -> ShapeDescriptor:
+    """Decode a group object with an extra ``"form"`` field."""
+    group = parse_group(data, path)
+    if "form" not in data:
+        raise ValidationError(f"{path}.form", "missing required field")
+    matrix = parse_matrix(data["form"], f"{path}.form")
+    if not matrix.is_symmetric():
+        raise ValidationError(f"{path}.form", "matrix is not symmetric")
+    if matrix.rows != group.dim:
+        raise ValidationError(
+            f"{path}.form", f"form size {matrix.rows} does not match dim {group.dim}"
+        )
+    return ShapeDescriptor(group, SymmetricForm(matrix))
+
+
+def outer_pairing(x, y, form: SymmetricForm) -> Matrix:
+    """Rank-one operator ``z -> B(z, y) x``, i.e. the matrix ``x (By)^T``."""
+    xv, yv = vec(x), vec(y)
+    if len(xv) != form.dim or len(yv) != form.dim:
+        raise DimensionMismatch("vector lengths do not match the form dimension")
+    by = form.matrix.matvec(yv)
+    return Matrix([[a * b for b in by] for a in xv])
+
+
+def translation_log(v, model: LorentzModel) -> Matrix:
+    """B-skew generator whose exponential is the translation image.
+
+    ``M = lift(v) (B v_inf)^T - v_inf (B lift(v))^T``; it kills ``v_inf``,
+    satisfies ``M^3 = 0``, and ``M^T B + B M = 0`` exactly.
+    """
+    lifted = model.lift(v)
+    return outer_pairing(lifted, model.v_inf, model.model_form) - outer_pairing(
+        model.v_inf, lifted, model.model_form
+    )
+
+
+def linear_image(a: Matrix, model: LorentzModel) -> Matrix:
+    """``R(a) = blockdiag(a, I_2)``: ``a`` on the complement, the identity on
+    the span of ``v_0`` and ``v_inf``."""
+    return Matrix.block_diag(a, Matrix.identity(2))
+
+
+def product_embed_affine(g: AffineMap, model: LorentzModel) -> Matrix:
+    """Image of an affine map as the matrix product ``T(t) R(A)``."""
+    return embed_translation(g.translation, model) * linear_image(g.linear, model)
 
 
 def hyperbolic_conjugator(model: LorentzModel, c: int) -> Matrix:

@@ -32,8 +32,6 @@ from flatcusps.lorentz import (
     embed_group,
     embed_translation,
     integralize,
-    linear_image,
-    translation_log,
     verify_embedding,
 )
 from flatcusps.selberg import (
@@ -46,7 +44,12 @@ from flatcusps.selberg import (
 )
 from flatcusps.shapes import ShapeDescriptor, is_arithmetic_shape
 
-from oracles import brute_force_is_torsion_free, sympy_finite_order_char_polys
+from oracles import (
+    brute_force_is_torsion_free,
+    linear_image,
+    sympy_finite_order_char_polys,
+    translation_log,
+)
 
 HALF = F(1, 2)
 

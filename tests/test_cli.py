@@ -113,9 +113,18 @@ class TestApproximate:
         payload = json.loads(capsys.readouterr().out)
         assert payload["form"] == [["1", "1/5"], ["1/5", "2"]]
 
-    @pytest.mark.parametrize("entry", ["Infinity", "NaN"])
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            "Infinity",
+            "NaN",
+            pytest.param('"1e400"', id="1e400-string"),
+            pytest.param("1" + "0" * 400, id="401-digit-integer"),
+        ],
+    )
     def test_non_finite_target_exits_one(self, tmp_path, capsys, entry):
-        # json.loads accepts these bare names, so the file parses
+        # json.loads accepts these bare names, so the file parses; the last
+        # two are finite but too large for a float
         target_path = tmp_path / "target.json"
         target_path.write_text(
             f'{{"dim": 2, "matrix": [[{entry}, 0], [0, 1]]}}', encoding="utf-8"

@@ -33,7 +33,7 @@ from flatcusps.lorentz import embed_group, model_form, verify_embedding
 from flatcusps.selberg import MatrixGroupInput, good_prime
 from flatcusps.shapes import RealForm, ShapeDescriptor
 
-from oracles import heger_has_integer_solution
+from oracles import heger_has_integer_solution, trace
 
 small_fractions = st.fractions(min_value=-4, max_value=4, max_denominator=4)
 wide_fractions = st.fractions(min_value=-4, max_value=4, max_denominator=10**6)
@@ -73,7 +73,7 @@ class TestMatrix:
         assert m.transpose() == Matrix([[0, 2], [1, 3]])
         assert m**0 == Matrix.identity(2)
         assert m**2 == m * m
-        assert m.trace() == 3
+        assert trace(m) == 3
 
     def test_negative_power_uses_inverse(self):
         m = Matrix([[1, 1], [0, 1]])

@@ -1,3 +1,4 @@
+import functools
 import json
 import os
 import random
@@ -32,14 +33,17 @@ from flatcusps.lorentz import (
     embed_group,
     embed_translation,
     integralize,
-    linear_image,
     model_form,
-    outer_pairing,
-    translation_log,
     verify_embedding,
 )
 from flatcusps.shapes import ShapeDescriptor
-from oracles import hyperbolic_conjugator
+from oracles import (
+    hyperbolic_conjugator,
+    linear_image,
+    outer_pairing,
+    product_embed_affine,
+    translation_log,
+)
 
 HALF = F(1, 2)
 
@@ -68,6 +72,24 @@ CATALOG_SCALES = {
 
 def random_vector(rng, n):
     return [F(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(n)]
+
+
+@functools.lru_cache(maxsize=None)
+def catalog_with_holonomy(name):
+    group = catalog(name)
+    return group, holonomy(group)
+
+
+def scaled_embedding(name, factors):
+    """Images ``T(f t) R(A)`` of the generators ``(A, t)``, one factor each,
+    built as products at the holonomy average of the identity."""
+    group, theta = catalog_with_holonomy(name)
+    model = model_form(theta_average(SymmetricForm.identity(group.dim), theta))
+    images = [
+        product_embed_affine(AffineMap(g.linear, [f * x for x in g.translation]), model)
+        for g, f in zip(group.generators, factors)
+    ]
+    return LorentzEmbedding(model, group, images)
 
 
 class TestModelForm:
@@ -216,6 +238,19 @@ class TestEmbedAffine:
         model = model_form(SymmetricForm.identity(2))
         with pytest.raises(NotFormIsometry):
             embed_affine(AffineMap(Matrix.diagonal([1, 2]), [0, 0]), model)
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), name=st.sampled_from(catalog_names()))
+    def test_closed_form_matches_product(self, data, name):
+        group, theta = catalog_with_holonomy(name)
+        n = group.dim
+        square = st.lists(st.lists(small_fractions, min_size=n, max_size=n), min_size=n, max_size=n)
+        m = Matrix(data.draw(square))
+        shift = Matrix.diagonal(data.draw(st.lists(positive_fractions, min_size=n, max_size=n)))
+        model = model_form(theta_average(SymmetricForm(m.transpose() * m + shift), theta))
+        for a in theta.elements:
+            g = AffineMap(a, data.draw(st.lists(small_fractions, min_size=n, max_size=n)))
+            assert embed_affine(g, model) == product_embed_affine(g, model)
 
     def test_equivariance_identity(self):
         model = model_form(SymmetricForm.diagonal([2, 3]))
@@ -468,6 +503,40 @@ class TestVerifyEmbedding:
         assert report.overall
         degrees = [c.nilpotency_degree for c in report.per_generator]
         assert degrees[0] == 3 and degrees[1] == 3 and degrees[2] == 3
+
+    @pytest.mark.parametrize("name", ["torus-2", "klein", "hantzsche-wendt"])
+    def test_unequal_translation_scales_fail(self, name):
+        # Each image lies in O(B; Q) and fixes v_inf, but scaling successive
+        # translations by 1, 3, 5 is not a conjugation of the embedding.
+        count = len(catalog(name).generators)
+        report = verify_embedding(scaled_embedding(name, [1, 3, 5][:count]))
+        assert not report.overall
+        checks = report.per_generator
+        assert all(c.form_preserved and c.fixes_vinf for c in checks)
+        assert [c.equivariance for c in checks] == [True] + [False] * (count - 1)
+
+    def test_reversed_images_fail(self):
+        group = catalog("torus-2")
+        embedding = embed_group(group, ShapeDescriptor(group, SymmetricForm.identity(2)))
+        reversed_images = LorentzEmbedding(embedding.model, group, embedding.images[::-1])
+        report = verify_embedding(reversed_images)
+        assert not report.overall
+        assert not any(c.equivariance for c in report.per_generator)
+
+    @pytest.mark.parametrize("name", ["torus-2", "klein", "hantzsche-wendt"])
+    @pytest.mark.parametrize("scale", [0, -1])
+    def test_non_positive_uniform_scale_fails(self, name, scale):
+        count = len(catalog(name).generators)
+        report = verify_embedding(scaled_embedding(name, [scale] * count))
+        assert not report.overall
+        assert not any(c.equivariance for c in report.per_generator)
+
+    @pytest.mark.parametrize("name", ["torus-2", "klein", "hantzsche-wendt"])
+    @pytest.mark.parametrize("scale", [F(3, 2), 2])
+    def test_positive_uniform_scale_passes(self, name, scale):
+        # Conjugation by the hyperbolic element H_c: a similarity.
+        count = len(catalog(name).generators)
+        assert verify_embedding(scaled_embedding(name, [scale] * count)).overall
 
     def test_model_signature_always_lorentzian(self):
         for name in ("torus-3", "klein", "hantzsche-wendt", "sixth-turn"):

@@ -16,12 +16,13 @@ from flatcusps.serialize import (
     parse_group,
     parse_rational,
     parse_real_form,
-    parse_shape,
     report_to_dict,
     shape_to_dict,
 )
 from flatcusps.selberg import good_prime
 from flatcusps.shapes import ShapeDescriptor
+
+from oracles import parse_shape
 
 
 class TestRationals:
