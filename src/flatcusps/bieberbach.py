@@ -33,7 +33,6 @@ from .exactlin import (
     Scalar,
     SymmetricForm,
     Vector,
-    denominator_lcm,
     has_integer_solution,
     is_positive_definite,
     lattice_basis,
@@ -288,19 +287,11 @@ def is_torsion_free(
             # I - h invertible: the witness coset always contains a map
             # with a fixed point, hence torsion.
             return False
-        t = witness.translation
-        rows = []
-        rhs = []
-        for nu in constraints:
-            row = [
-                sum(a * b for a, b in zip(nu, lattice.column(j)))
-                for j in range(n)
-            ]
-            b = -sum(a * b for a, b in zip(nu, t))
-            den = denominator_lcm(list(row) + [b])
-            rows.append([int(x * den) for x in row])
-            rhs.append(int(b * den))
-        if has_integer_solution(rows, rhs):
+        # nu (L | -t) for each constraint nu; one shared denominator scales
+        # the equations and leaves their integer solutions alone
+        augmented = [row + (-x,) for row, x in zip(lattice.entries, witness.translation)]
+        system = (Matrix(constraints) * Matrix(augmented)).num
+        if has_integer_solution([row[:n] for row in system], [row[n] for row in system]):
             return False
     return True
 

@@ -1,10 +1,14 @@
 """Exact linear algebra over the rationals.
 
-The kernel everything else builds on: immutable matrices with
-``fractions.Fraction`` entries, symmetric bilinear forms, characteristic
-polynomials, nilpotent exponentials, and the integer lattice routines
-(Hermite reduction, integral solvability) needed for crystallographic
-computations. All arithmetic is exact; ``==`` always means mathematical
+The kernel everything else builds on: immutable matrices, symmetric
+bilinear forms, characteristic polynomials, nilpotent exponentials, and
+the integer lattice routines (Hermite reduction, integral solvability)
+needed for crystallographic computations. A :class:`Matrix` is integer
+rows over one positive denominator in canonical form, so its arithmetic
+is integer arithmetic plus one gcd reduction per result; determinants,
+inverses and null spaces use Bareiss's fraction-free elimination, and
+signatures the characteristic polynomial. ``Fraction`` appears only at
+the boundary. All arithmetic is exact; ``==`` always means mathematical
 equality and no operation introduces rounding.
 """
 
@@ -12,6 +16,9 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import lru_cache
+from itertools import chain
+from operator import add, mul, sub
 from typing import Iterable, Sequence, Union
 
 from .errors import DimensionMismatch, InvariantViolation, NotNilpotent
@@ -40,10 +47,6 @@ Vector = tuple[Fraction, ...]
 
 def vec(entries: Iterable[Scalar]) -> Vector:
     return tuple(rat(x) for x in entries)
-
-
-def unit_vector(dim: int, index: int) -> Vector:
-    return tuple(_ONE if j == index else _ZERO for j in range(dim))
 
 
 def vec_add(u: Sequence[Fraction], v: Sequence[Fraction]) -> Vector:
@@ -100,35 +103,52 @@ def _restore(cls, values):
 class Matrix(Frozen):
     """Immutable matrix with exact rational entries.
 
-    Entries are stored row-major as tuples of ``Fraction``; instances are
-    hashable and safe to share between threads.
+    Stored as integer rows ``num`` over one denominator ``den``: entry
+    ``(i, j)`` is ``num[i][j] / den``. The form is canonical, with
+    ``den > 0`` and ``gcd(den, every entry of num) = 1``, so equal
+    matrices have equal ``(num, den)`` and ``==`` and ``hash`` compare
+    that pair. Every operation works on the integers and reduces its
+    result once. ``entries`` (rows of ``Fraction``), ``m[i, j]``,
+    :meth:`column` and :meth:`matvec` are the ``Fraction`` views at the
+    boundary. Instances are hashable and safe to share between threads.
     """
 
-    __slots__ = ("rows", "cols", "entries")
+    __slots__ = ("rows", "cols", "num", "den")
 
     def __init__(self, entries: Sequence[Sequence[Scalar]]):
-        data = tuple(tuple(rat(x) for x in row) for row in entries)
+        data = tuple(tuple(x if type(x) is int else rat(x) for x in row) for row in entries)
         if not data or not data[0]:
             raise ValueError("matrix must have at least one row and one column")
         width = len(data[0])
         if any(len(row) != width for row in data):
             raise ValueError("matrix rows have unequal lengths")
-        super().__init__(len(data), width, data)
+        # Every entry is in lowest terms, so over the lcm of the denominators
+        # some numerator keeps each prime of it: the rows are already canonical.
+        den = math.lcm(*(x.denominator for row in data for x in row))
+        num = tuple(tuple(x.numerator * (den // x.denominator) for x in row) for row in data)
+        super().__init__(len(data), width, num, den)
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def _raw(cls, data: tuple) -> Matrix:
-        # Internal: entries already normalized tuples of Fractions.
+    def from_integer_rows(cls, num: tuple, den: int) -> Matrix:
+        """The matrix ``num / den``, for a nonempty tuple of equal-length
+        nonempty tuples of ints and a positive int, in canonical form."""
+        if den < 1 or not num or not num[0]:
+            raise ValueError("need a row, a column and a positive denominator")
+        if den != 1:
+            g = math.gcd(den, *chain.from_iterable(num))
+            if g != 1:
+                num = tuple(tuple(x // g for x in row) for row in num)
+                den //= g
         obj = object.__new__(cls)
-        object.__setattr__(obj, "rows", len(data))
-        object.__setattr__(obj, "cols", len(data[0]))
-        object.__setattr__(obj, "entries", data)
+        Frozen.__init__(obj, len(num), len(num[0]), num, den)
         return obj
 
     @staticmethod
     def identity(n: int) -> Matrix:
-        return Matrix([[1 if i == j else 0 for j in range(n)] for i in range(n)])
+        rows = tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
+        return Matrix.from_integer_rows(rows, 1)
 
     @staticmethod
     def zeros(rows: int, cols: int) -> Matrix:
@@ -143,31 +163,38 @@ class Matrix(Frozen):
 
     @staticmethod
     def from_columns(columns: Sequence[Sequence[Scalar]]) -> Matrix:
-        cols = [vec(c) for c in columns]
-        return Matrix([[cols[j][i] for j in range(len(cols))] for i in range(len(cols[0]))])
+        return Matrix(columns).transpose()
 
     @staticmethod
     def block_diag(*blocks: "Matrix") -> Matrix:
-        size = sum(b.rows for b in blocks)
         if any(not b.is_square() for b in blocks):
             raise DimensionMismatch("block_diag expects square blocks")
-        out = [[_ZERO] * size for _ in range(size)]
+        size = sum(b.rows for b in blocks)
+        den = math.lcm(*(b.den for b in blocks))
+        out = []
         offset = 0
         for b in blocks:
-            for i in range(b.rows):
-                for j in range(b.cols):
-                    out[offset + i][offset + j] = b.entries[i][j]
+            f = den // b.den
+            left, right = (0,) * offset, (0,) * (size - offset - b.cols)
+            out.extend(left + tuple(f * x for x in row) + right for row in b.num)
             offset += b.rows
-        return Matrix(out)
+        return Matrix.from_integer_rows(tuple(out), den)
 
     # -- basic access ------------------------------------------------------
 
+    @property
+    def entries(self) -> tuple[Vector, ...]:
+        """The rows as tuples of ``Fraction``."""
+        den = self.den
+        return tuple(tuple(Fraction(x, den) for x in row) for row in self.num)
+
     def __getitem__(self, key: tuple[int, int]) -> Fraction:
         i, j = key
-        return self.entries[i][j]
+        return Fraction(self.num[i][j], self.den)
 
     def column(self, j: int) -> Vector:
-        return tuple(row[j] for row in self.entries)
+        den = self.den
+        return tuple(Fraction(row[j], den) for row in self.num)
 
     def columns(self) -> list[Vector]:
         return [self.column(j) for j in range(self.cols)]
@@ -178,59 +205,56 @@ class Matrix(Frozen):
         return self.rows == self.cols
 
     def is_symmetric(self) -> bool:
-        return self.is_square() and all(
-            self.entries[i][j] == self.entries[j][i]
-            for i in range(self.rows)
-            for j in range(i + 1, self.cols)
-        )
+        return self.is_square() and self.num == tuple(zip(*self.num))
 
     def is_zero(self) -> bool:
-        return all(x == 0 for row in self.entries for x in row)
+        return not any(map(any, self.num))
 
     def is_identity(self) -> bool:
-        return self.is_square() and all(
-            self.entries[i][j] == (1 if i == j else 0)
-            for i in range(self.rows)
-            for j in range(self.cols)
+        return self.den == 1 and self.is_square() and all(
+            x == (1 if i == j else 0)
+            for i, row in enumerate(self.num)
+            for j, x in enumerate(row)
         )
 
     def is_integral(self) -> bool:
-        return all(x.denominator == 1 for row in self.entries for x in row)
+        return self.den == 1
 
     # -- arithmetic --------------------------------------------------------
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Matrix):
             return NotImplemented
-        return self.entries == other.entries
+        return self.den == other.den and self.num == other.num
 
     def __hash__(self) -> int:
-        return hash(self.entries)
+        return hash((self.num, self.den))
 
     def __repr__(self) -> str:
         rows = ", ".join("[" + ", ".join(str(x) for x in row) + "]" for row in self.entries)
         return f"Matrix([{rows}])"
 
-    def __add__(self, other: Matrix) -> Matrix:
-        self._same_shape(other)
-        return Matrix._raw(
-            tuple(
-                tuple(a + b for a, b in zip(r1, r2))
-                for r1, r2 in zip(self.entries, other.entries)
+    def _aligned(self, other: Matrix) -> tuple[tuple, tuple, int]:
+        # Both operands' integer rows over their common denominator.
+        if self.rows != other.rows or self.cols != other.cols:
+            raise DimensionMismatch(
+                f"shapes {self.rows}x{self.cols} and {other.rows}x{other.cols} differ"
             )
-        )
+        if self.den == other.den:
+            return self.num, other.num, self.den
+        den = math.lcm(self.den, other.den)
+        return _scaled(self.num, den // self.den), _scaled(other.num, den // other.den), den
+
+    def __add__(self, other: Matrix) -> Matrix:
+        a, b, den = self._aligned(other)
+        return Matrix.from_integer_rows(tuple(tuple(map(add, r, s)) for r, s in zip(a, b)), den)
 
     def __sub__(self, other: Matrix) -> Matrix:
-        self._same_shape(other)
-        return Matrix._raw(
-            tuple(
-                tuple(a - b for a, b in zip(r1, r2))
-                for r1, r2 in zip(self.entries, other.entries)
-            )
-        )
+        a, b, den = self._aligned(other)
+        return Matrix.from_integer_rows(tuple(tuple(map(sub, r, s)) for r, s in zip(a, b)), den)
 
     def __neg__(self) -> Matrix:
-        return Matrix._raw(tuple(tuple(-x for x in row) for row in self.entries))
+        return Matrix.from_integer_rows(_scaled(self.num, -1), self.den)
 
     def __mul__(self, other):
         if isinstance(other, Matrix):
@@ -238,24 +262,11 @@ class Matrix(Frozen):
                 raise DimensionMismatch(
                     f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
                 )
-            cols = other.columns()
-            out = []
-            for row in self.entries:
-                # skip zero terms: the matrices here are mostly sparse
-                support = [(j, a) for j, a in enumerate(row) if a]
-                out_row = []
-                for col in cols:
-                    total = _ZERO
-                    for j, a in support:
-                        b = col[j]
-                        if b:
-                            total = total + a * b
-                    out_row.append(total)
-                out.append(tuple(out_row))
-            return Matrix._raw(tuple(out))
+            return Matrix.from_integer_rows(_product(self.num, other.num), self.den * other.den)
         if isinstance(other, (int, Fraction)):
-            f = rat(other)
-            return Matrix._raw(tuple(tuple(f * x for x in row) for row in self.entries))
+            return Matrix.from_integer_rows(
+                _scaled(self.num, other.numerator), self.den * other.denominator
+            )
         return NotImplemented
 
     __rmul__ = __mul__
@@ -265,69 +276,97 @@ class Matrix(Frozen):
             raise DimensionMismatch("only square matrices have powers")
         if exponent < 0:
             return self.inverse() ** (-exponent)
-        result = Matrix.identity(self.rows)
-        base = self
+        result = Matrix.identity(self.rows).num
+        base = self.num
         k = exponent
         while k:
             if k & 1:
-                result = result * base
-            base = base * base
+                result = _product(result, base)
             k >>= 1
-        return result
+            if k:
+                base = _product(base, base)
+        return Matrix.from_integer_rows(result, self.den**exponent)
 
     def matvec(self, v: Sequence[Scalar]) -> Vector:
         if len(v) != self.cols:
             raise DimensionMismatch(
                 f"matrix has {self.cols} columns but vector has length {len(v)}"
             )
-        w = vec(v)
-        return tuple(sum(a * b for a, b in zip(row, w)) for row in self.entries)
+        w = Matrix([v])
+        den = self.den * w.den
+        return tuple(Fraction(sum(map(mul, row, w.num[0])), den) for row in self.num)
 
     def transpose(self) -> Matrix:
-        return Matrix._raw(
-            tuple(
-                tuple(self.entries[i][j] for i in range(self.rows))
-                for j in range(self.cols)
-            )
-        )
+        return Matrix.from_integer_rows(tuple(zip(*self.num)), self.den)
 
     def det(self) -> Fraction:
         if not self.is_square():
             raise DimensionMismatch("determinant of a non-square matrix")
-        a = [list(row) for row in self.entries]
-        n = self.rows
-        result = _ONE
-        for k in range(n):
-            pivot = next((i for i in range(k, n) if a[i][k] != 0), None)
-            if pivot is None:
-                return _ZERO
-            if pivot != k:
-                a[k], a[pivot] = a[pivot], a[k]
-                result = -result
-            result *= a[k][k]
-            inv = _ONE / a[k][k]
-            for i in range(k + 1, n):
-                if a[i][k]:
-                    f = a[i][k] * inv
-                    a[i] = [x - f * y for x, y in zip(a[i], a[k])]
-        return result
+        pivots, d, sign = _fraction_free_rref([list(row) for row in self.num])
+        if len(pivots) < self.rows:
+            return _ZERO
+        return Fraction(sign * d, self.den**self.rows)
 
     def inverse(self) -> Matrix:
         if not self.is_square():
             raise DimensionMismatch("inverse of a non-square matrix")
         n = self.rows
-        reduced, pivots = _rref(
-            [row + unit_vector(n, i) for i, row in enumerate(self.entries)]
-        )
+        augmented = [
+            list(row) + [1 if j == i else 0 for j in range(n)]
+            for i, row in enumerate(self.num)
+        ]
+        pivots, d, _ = _fraction_free_rref(augmented)
         if pivots[:n] != list(range(n)):
             raise ValueError("matrix is singular")
-        return Matrix._raw(tuple(tuple(row[n:]) for row in reduced))
+        # The right half is now d num^-1, and the inverse is den num^-1.
+        scale = self.den if d > 0 else -self.den
+        inverse = tuple(tuple(scale * x for x in row[n:]) for row in augmented)
+        return Matrix.from_integer_rows(inverse, abs(d))
 
-    def _same_shape(self, other: Matrix) -> None:
-        if self.rows != other.rows or self.cols != other.cols:
-            raise DimensionMismatch(
-                f"shapes {self.rows}x{self.cols} and {other.rows}x{other.cols} differ"
-            )
+
+def _scaled(num: tuple, f: int) -> tuple:
+    """Integer rows times an integer."""
+    return num if f == 1 else tuple(tuple(f * x for x in row) for row in num)
+
+
+def _product(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> tuple:
+    """Product of integer matrices given as rows."""
+    columns = tuple(zip(*b))
+    return tuple(tuple(sum(map(mul, row, col)) for col in columns) for row in a)
+
+
+def _fraction_free_rref(a: list[list[int]]) -> tuple[list[int], int, int]:
+    """Fraction-free Gauss-Jordan elimination of integer rows, in place.
+
+    Bareiss's update (Math. Comp. 22 (1968); Cohen, GTM 138, §2.2) on every
+    row keeps each entry a minor of the input, so each division by the
+    previous pivot is exact. Returns the pivot columns, the last pivot
+    ``d`` and the sign of the row swaps. The reduced row echelon form is
+    then the first rank rows divided by ``d``, and a square input of full
+    rank has determinant ``sign * d``.
+    """
+    nrows, ncols = len(a), len(a[0])
+    pivots: list[int] = []
+    prev = sign = 1
+    for c in range(ncols):
+        r = len(pivots)
+        if r == nrows:
+            break
+        pivot = next((i for i in range(r, nrows) if a[i][c]), None)
+        if pivot is None:
+            continue
+        if pivot != r:
+            a[r], a[pivot] = a[pivot], a[r]
+            sign = -sign
+        top = a[r]
+        d = top[c]
+        for i in range(nrows):
+            if i != r:
+                f = a[i][c]
+                a[i] = [(d * x - f * y) // prev for x, y in zip(a[i], top)]
+        pivots.append(c)
+        prev = d
+    return pivots, prev, sign
 
 
 class SymmetricForm(Frozen):
@@ -511,6 +550,7 @@ def monomial(degree: int, coefficient: Scalar = 1) -> IntPolynomial:
     return IntPolynomial([0] * degree + [coefficient])
 
 
+@lru_cache(maxsize=None)
 def unipotent_polynomial(n: int) -> IntPolynomial:
     """``(t - 1)^n``, the characteristic polynomial of unipotent elements."""
     return IntPolynomial([-1, 1]) ** n
@@ -524,54 +564,17 @@ def unipotent_polynomial(n: int) -> IntPolynomial:
 def ldl_signature(form: SymmetricForm) -> tuple[int, int, int]:
     """Inertia ``(positives, negatives, zeros)`` of a symmetric form.
 
-    Symmetric Gaussian elimination with full symmetric pivoting, entirely in
-    rational arithmetic. When every trailing diagonal entry vanishes but an
-    off-diagonal entry survives, a symmetric row-and-column addition creates
-    a nonzero pivot (valid in characteristic zero). Sylvester's law of
-    inertia makes the sign count independent of the pivot choices.
+    Read off the characteristic polynomial of ``num``, a positive multiple
+    of the Gram matrix. A real symmetric matrix has only real eigenvalues,
+    and for a polynomial with only real roots Descartes' rule of signs is
+    exact: the positive eigenvalues are the sign changes along the nonzero
+    coefficients, and the zero eigenvalues the vanishing low-order ones.
     """
-    n = form.dim
-    a = [list(row) for row in form.matrix.entries]
-    pos = neg = 0
-    for k in range(n):
-        pivot = next((i for i in range(k, n) if a[i][i] != 0), None)
-        if pivot is None:
-            off = next(
-                (
-                    (i, j)
-                    for i in range(k, n)
-                    for j in range(i + 1, n)
-                    if a[i][j] != 0
-                ),
-                None,
-            )
-            if off is None:
-                break  # trailing block is zero
-            i, j = off
-            for c in range(n):
-                a[i][c] += a[j][c]
-            for r in range(n):
-                a[r][i] += a[r][j]
-            pivot = i  # a[i][i] is now 2*a[i][j] != 0
-        if pivot != k:
-            a[k], a[pivot] = a[pivot], a[k]
-            for r in range(n):
-                a[r][k], a[r][pivot] = a[r][pivot], a[r][k]
-        d = a[k][k]
-        if d > 0:
-            pos += 1
-        else:
-            neg += 1
-        for i in range(k + 1, n):
-            f = a[i][k]
-            if f:
-                f = f / d
-                for j in range(k + 1, n):
-                    a[i][j] -= f * a[k][j]
-        for i in range(k + 1, n):
-            a[i][k] = _ZERO
-            a[k][i] = _ZERO
-    return pos, neg, n - pos - neg
+    coeffs = _char_poly_int(form.matrix.num)
+    zeros = next(k for k, c in enumerate(coeffs) if c)
+    signs = [c > 0 for c in coeffs if c]
+    positives = sum(a != b for a, b in zip(signs, signs[1:]))
+    return positives, form.dim - positives - zeros, zeros
 
 
 def is_positive_definite(form: SymmetricForm) -> bool:
@@ -604,91 +607,68 @@ def nilpotent_exp(m: Matrix) -> Matrix:
     raise NotNilpotent(f"matrix power {n} is nonzero")
 
 
-def _char_poly_int(entries: Sequence[Sequence[int]]) -> list[int]:
-    # Faddeev-LeVerrier over the integers; every division is exact.
-    n = len(entries)
-    coeffs = [0] * (n + 1)
-    coeffs[n] = 1
-    aux = [[0] * n for _ in range(n)]
+def _char_poly_int(a: Sequence[Sequence[int]]) -> list[int]:
+    # Faddeev-LeVerrier over the integers: with M_1 = I and c_n = 1, step k
+    # takes c_(n-k) = -tr(A M_k) / k and M_(k+1) = A M_k + c_(n-k) I. That is
+    # one product per step: A M_1 = A needs none, and the last step reads
+    # only the diagonal of A M_n. Every division is exact.
+    n = len(a)
+    coeffs = [0] * n + [1]
+    product = a
+    diagonal = [a[i][i] for i in range(n)]
     for k in range(1, n + 1):
-        c = coeffs[n - k + 1]
-        step = [
-            [
-                sum(entries[i][l] * aux[l][j] for l in range(n))
-                + (c if i == j else 0)
-                for j in range(n)
-            ]
-            for i in range(n)
-        ]
-        aux = step
-        trace = sum(
-            sum(entries[i][l] * aux[l][i] for l in range(n)) for i in range(n)
-        )
-        quotient, remainder = divmod(-trace, k)
+        quotient, remainder = divmod(-sum(diagonal), k)
         if remainder:
             raise InvariantViolation(f"Faddeev-LeVerrier division by {k} is not exact")
         coeffs[n - k] = quotient
+        if k == n:
+            break
+        columns = [list(col) for col in zip(*product)]  # of M_(k+1)
+        for i in range(n):
+            columns[i][i] += quotient
+        if k + 1 < n:
+            product = [[sum(map(mul, row, col)) for col in columns] for row in a]
+            diagonal = [product[i][i] for i in range(n)]
+        else:
+            diagonal = [sum(map(mul, row, col)) for row, col in zip(a, columns)]
     return coeffs
 
 
 def char_poly(m: Matrix) -> IntPolynomial:
     """Characteristic polynomial ``det(tI - m)`` via Faddeev-LeVerrier.
 
-    With ``d`` the lcm of the entry denominators, ``d m`` is integral, and
-    coefficient ``k`` of ``det(tI - m)`` is coefficient ``k`` of
-    ``det(tI - d m)`` divided by ``d^(n-k)``; so one integer pass serves
-    every input. The result is monic of degree ``dim`` and integral for
-    integral input; the integer pass checks the exactness of every
-    division rather than assuming it.
+    ``den m`` is the integer matrix ``num``, and coefficient ``k`` of
+    ``det(tI - m)`` is coefficient ``k`` of ``det(tI - num)`` divided by
+    ``den^(n-k)``; so one integer pass serves every input. The result is
+    monic of degree ``dim`` and integral for integral input; the integer
+    pass checks the exactness of every division rather than assuming it.
     """
     if not m.is_square():
         raise DimensionMismatch("characteristic polynomial of a non-square matrix")
-    n = m.rows
-    d = denominator_lcm(x for row in m.entries for x in row)
-    ints = [[x.numerator * (d // x.denominator) for x in row] for row in m.entries]
-    coeffs = _char_poly_int(ints)
-    return IntPolynomial([Fraction(a, d ** (n - k)) for k, a in enumerate(coeffs)])
+    n, den = m.rows, m.den
+    coeffs = _char_poly_int(m.num)
+    if den == 1:
+        return IntPolynomial(coeffs)
+    return IntPolynomial([Fraction(a, den ** (n - k)) for k, a in enumerate(coeffs)])
 
 
 # ---------------------------------------------------------------------------
-# Rational row reduction and null spaces
+# Null spaces
 # ---------------------------------------------------------------------------
-
-
-def _rref(entries: Sequence[Sequence[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
-    m = [list(row) for row in entries]
-    nrows = len(m)
-    ncols = len(m[0]) if m else 0
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        if r == nrows:
-            break
-        pivot = next((i for i in range(r, nrows) if m[i][c] != 0), None)
-        if pivot is None:
-            continue
-        m[r], m[pivot] = m[pivot], m[r]
-        inv = _ONE / m[r][c]
-        m[r] = [x * inv for x in m[r]]
-        for i in range(nrows):
-            if i != r and m[i][c]:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-    return m, pivots
 
 
 def null_space(m: Matrix) -> list[Vector]:
     """Basis of ``{v : m v = 0}`` over the rationals."""
-    reduced, pivots = _rref(m.entries)
-    free = [c for c in range(m.cols) if c not in pivots]
+    reduced = [list(row) for row in m.num]
+    pivots, d, _ = _fraction_free_rref(reduced)
     basis = []
-    for f in free:
+    for f in range(m.cols):
+        if f in pivots:
+            continue
         v = [_ZERO] * m.cols
         v[f] = _ONE
         for r, p in enumerate(pivots):
-            v[p] = -reduced[r][f]
+            v[p] = Fraction(-reduced[r][f], d)
         basis.append(tuple(v))
     return basis
 
@@ -749,10 +729,8 @@ def lattice_basis(vectors: Iterable[Sequence[Fraction]], dim: int) -> list[Vecto
         return []
     if any(len(v) != dim for v in nonzero):
         raise DimensionMismatch("lattice vectors have inconsistent lengths")
-    den = math.lcm(*[x.denominator for v in nonzero for x in v])
-    rows = [[int(x * den) for x in v] for v in nonzero]
-    reduced = integer_row_hermite(rows)
-    return [tuple(Fraction(x, den) for x in row) for row in reduced]
+    m = Matrix(nonzero)
+    return [tuple(Fraction(x, m.den) for x in row) for row in integer_row_hermite(m.num)]
 
 
 def has_integer_solution(a_rows: Sequence[Sequence[int]], b: Sequence[int]) -> bool:
@@ -776,10 +754,3 @@ def has_integer_solution(a_rows: Sequence[Sequence[int]], b: Sequence[int]) -> b
         rest = [x - q * y for x, y in zip(rest, row)]
     return not any(rest)
 
-
-def denominator_lcm(values: Iterable[Fraction]) -> int:
-    """Least common multiple of the denominators of the given rationals."""
-    result = 1
-    for v in values:
-        result = math.lcm(result, v.denominator)
-    return result

@@ -22,7 +22,9 @@ suitable smallest ``c`` every image lands in integer matrices.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
+from operator import mul
 from typing import Optional, Sequence
 
 from .bieberbach import AffineMap, BieberbachGroup
@@ -38,7 +40,6 @@ from .exactlin import (
     SymmetricForm,
     Vector,
     char_poly,
-    denominator_lcm,
     is_positive_definite,
     ldl_signature,
     unipotent_polynomial,
@@ -109,11 +110,15 @@ def model_form(base: SymmetricForm) -> LorentzModel:
     return LorentzModel(base, model, v_inf, v_0)
 
 
-def _translation_parts(v: Sequence, model: LorentzModel) -> tuple[Vector, Vector, Fraction]:
-    """``w = v``, ``k = B_K w`` and ``h = B_K(w, w) / 2``."""
-    w = model.lift(v)[: model.n]
-    k = model.base_form.matrix.matvec(w)
-    return w, k, sum(a * b for a, b in zip(w, k)) / 2
+def _translation_parts(v: Sequence, model: LorentzModel) -> tuple:
+    """``w = v``, ``k = B_K w`` and ``h = B_K(w, w) / 2``, each as integers
+    over a denominator: ``(w_num, w_den, k_num, k_den, h_num, h_den)``."""
+    w = Matrix([model.lift(v)[: model.n]])
+    w_num, w_den = w.num[0], w.den
+    base = model.base_form.matrix
+    k_num = [sum(map(mul, row, w_num)) for row in base.num]
+    k_den = base.den * w_den
+    return w_num, w_den, k_num, k_den, sum(map(mul, w_num, k_num)), 2 * w_den * k_den
 
 
 def _assemble(a: Matrix, v: Sequence, model: LorentzModel) -> Matrix:
@@ -122,14 +127,20 @@ def _assemble(a: Matrix, v: Sequence, model: LorentzModel) -> Matrix:
     With ``w = v``, ``k = B_K w`` and ``h = B_K(w, w) / 2``: row ``i < n``
     is row i of ``a`` followed by ``w_i, -w_i``; rows n and n+1 both start
     with ``-(k^T a)``; the corner two-by-two block is
-    ``[[1 - h, h], [-h, 1 + h]]``.
+    ``[[1 - h, h], [-h, 1 + h]]``. Every entry is written over one common
+    denominator.
     """
-    w, k, h = _translation_parts(v, model)
-    minus_ka = [-x for x in a.transpose().matvec(k)]
-    rows = [list(row) + [x, -x] for row, x in zip(a.entries, w)]
-    rows.append(minus_ka + [1 - h, h])
-    rows.append(minus_ka + [-h, 1 + h])
-    return Matrix(rows)
+    w_num, w_den, k_num, k_den, h_num, h_den = _translation_parts(v, model)
+    ka_num = [sum(map(mul, k_num, col)) for col in zip(*a.num)]
+    ka_den = k_den * a.den
+    den = math.lcm(a.den, w_den, ka_den, h_den)
+    fa, fw, fk = den // a.den, den // w_den, den // ka_den
+    h = h_num * (den // h_den)
+    rows = [tuple(fa * x for x in row) + (fw * x, -fw * x) for row, x in zip(a.num, w_num)]
+    minus_ka = tuple(-fk * x for x in ka_num)
+    rows.append(minus_ka + (den - h, h))
+    rows.append(minus_ka + (-h, den + h))
+    return Matrix.from_integer_rows(tuple(rows), den)
 
 
 def embed_translation(v: Sequence, model: LorentzModel) -> Matrix:
@@ -212,20 +223,18 @@ def _smallest_integral_scale(embedding: LorentzEmbedding) -> int:
     half, and ``(2 L)^2 h`` is four times a half-integer).
     """
     model = embedding.model
-    linear_values = []
-    quadratic_values = []
+    scale = 1
+    quadratic = []
     for g in embedding.group.generators:
         if not g.linear.is_integral():
             raise ValueError(
                 "a linear factor has fractional entries; hyperbolic conjugation "
                 "cannot integralize this embedding"
             )
-        w, k, h = _translation_parts(g.translation, model)
-        linear_values.extend(w)
-        linear_values.extend(k)
-        quadratic_values.append(h)
-    scale = denominator_lcm(linear_values)
-    if all((scale * scale * h).denominator == 1 for h in quadratic_values):
+        w_num, w_den, k_num, k_den, h_num, h_den = _translation_parts(g.translation, model)
+        scale = math.lcm(scale, w_den, k_den // math.gcd(k_den, *k_num))
+        quadratic.append((h_num, h_den))
+    if all(scale * scale * h_num % h_den == 0 for h_num, h_den in quadratic):
         return scale
     return 2 * scale
 

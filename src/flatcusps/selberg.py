@@ -35,6 +35,11 @@ REASON_SMALL_CHARACTERISTIC = "small-characteristic"
 REASON_COEFFICIENT_DIVISOR = "coefficient-divisor"
 REASON_DENOMINATOR = "denominator"
 
+#: Most elements :func:`verify_certificate` enumerates: the word ball grows
+#: exponentially with the word length (length 3 on the catalog groups'
+#: integral embeddings stays below 200 elements).
+MAX_WORD_BALL = 20_000
+
 
 # ---------------------------------------------------------------------------
 # Small number theory
@@ -185,15 +190,9 @@ class MatrixGroupInput(Frozen):
         super().__init__(n, lams, gams)
 
     def denominators(self) -> list[int]:
-        return sorted(
-            {
-                x.denominator
-                for m in self.lambda_gens + self.gamma_gens
-                for row in m.entries
-                for x in row
-                if x.denominator != 1
-            }
-        )
+        """Generator denominators other than 1, each the lcm of its entries'
+        denominators, so with the same primes."""
+        return sorted({m.den for m in self.lambda_gens + self.gamma_gens if m.den != 1})
 
 
 class ResidueEvidence(Frozen):
@@ -258,16 +257,24 @@ def bad_primes(
     for den in group_input.denominators():
         for p in prime_factors(den):
             add(p, REASON_DENOMINATOR)
+    for p in _coefficient_divisor_primes(n, tuple(polys)):
+        add(p, REASON_COEFFICIENT_DIVISOR)
+    return {p: tuple(sorted(rs)) for p, rs in sorted(reasons.items())}
+
+
+@lru_cache(maxsize=None)
+def _coefficient_divisor_primes(n: int, polys: tuple[IntPolynomial, ...]) -> tuple[int, ...]:
+    """Primes modulo which some listed polynomial equals ``(t-1)^n``."""
     unipotent = unipotent_polynomial(n)
+    primes: set[int] = set()
     for poly in polys:
         difference = poly - unipotent
         if difference.is_zero() or not difference.is_integral():
             raise InvariantViolation(f"{poly} is not integral and distinct from {unipotent}")
         content = math.gcd(*(abs(c.numerator) for c in difference.coeffs))
         if content > 1:
-            for p in prime_factors(content):
-                add(p, REASON_COEFFICIENT_DIVISOR)
-    return {p: tuple(sorted(rs)) for p, rs in sorted(reasons.items())}
+            primes.update(prime_factors(content))
+    return tuple(sorted(primes))
 
 
 def good_prime(group_input: MatrixGroupInput) -> SelbergCertificate:
@@ -321,7 +328,8 @@ def verify_certificate(
     exactly by raising it to the lcm of all possible torsion orders in
     ``GL(n; Q)``. Returns False on any counterexample (including a prime
     that divides a generator denominator), True otherwise. A verifier, not
-    a prover: word_length bounds the search, and a negative one raises
+    a prover: word_length bounds the search. A negative one, or one whose
+    ball would hold more than ``MAX_WORD_BALL`` elements, raises
     ``ValueError``.
     """
     if word_length < 0:
@@ -347,6 +355,11 @@ def verify_certificate(
             for g in generators:
                 element = w * g
                 if element not in seen:
+                    if len(seen) == MAX_WORD_BALL:
+                        raise ValueError(
+                            f"words of length {word_length} exceed "
+                            f"MAX_WORD_BALL = {MAX_WORD_BALL} elements"
+                        )
                     seen.add(element)
                     fresh.append(element)
         frontier = fresh

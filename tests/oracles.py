@@ -8,7 +8,8 @@ integralization by explicit conjugation with the hyperbolic element,
 integral solvability by Heger's determinantal criterion, and Lorentz
 images as the product of the translation factor, the exponential of a
 B-skew map built from outer pairings, and the block-diagonal linear
-factor. The API that only tests use lives here too.
+factor, and matrix arithmetic by the per-entry ``Fraction`` kernel that
+the integer one replaced. The API that only tests use lives here too.
 """
 
 from __future__ import annotations
@@ -246,3 +247,163 @@ def heger_has_integer_solution(a_rows, b) -> bool:
     """
     augmented = [list(row) + [x] for row, x in zip(a_rows, b)]
     return _rank_and_minor_gcd(a_rows) == _rank_and_minor_gcd(augmented)
+
+
+# ---------------------------------------------------------------------------
+# The per-entry Fraction matrix kernel: the reference for exactlin.Matrix,
+# which works on integer rows over one denominator. Matrices here are lists
+# of rows of Fraction; every result is one too.
+# ---------------------------------------------------------------------------
+
+_ZERO = Fraction(0)
+_ONE = Fraction(1)
+
+
+def ref_product(a, b):
+    return [[sum((x * y for x, y in zip(row, col)), _ZERO) for col in zip(*b)] for row in a]
+
+
+def ref_sum(a, b):
+    return [[x + y for x, y in zip(r, s)] for r, s in zip(a, b)]
+
+
+def ref_difference(a, b):
+    return [[x - y for x, y in zip(r, s)] for r, s in zip(a, b)]
+
+
+def ref_scaled(f, a):
+    return [[f * x for x in row] for row in a]
+
+
+def ref_transpose(a):
+    return [list(col) for col in zip(*a)]
+
+
+def ref_det(a) -> Fraction:
+    """Gaussian elimination with a Fraction pivot inverse."""
+    a = [list(row) for row in a]
+    n = len(a)
+    result = _ONE
+    for k in range(n):
+        pivot = next((i for i in range(k, n) if a[i][k] != 0), None)
+        if pivot is None:
+            return _ZERO
+        if pivot != k:
+            a[k], a[pivot] = a[pivot], a[k]
+            result = -result
+        result *= a[k][k]
+        inv = _ONE / a[k][k]
+        for i in range(k + 1, n):
+            if a[i][k]:
+                f = a[i][k] * inv
+                a[i] = [x - f * y for x, y in zip(a[i], a[k])]
+    return result
+
+
+def ref_rref(a):
+    """Reduced row echelon form and pivot columns, in Fractions."""
+    m = [list(row) for row in a]
+    nrows, ncols = len(m), len(m[0])
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        if r == nrows:
+            break
+        pivot = next((i for i in range(r, nrows) if m[i][c] != 0), None)
+        if pivot is None:
+            continue
+        m[r], m[pivot] = m[pivot], m[r]
+        inv = _ONE / m[r][c]
+        m[r] = [x * inv for x in m[r]]
+        for i in range(nrows):
+            if i != r and m[i][c]:
+                f = m[i][c]
+                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+    return m, pivots
+
+
+def ref_inverse(a):
+    """Inverse by row reduction of ``[a | I]``; None when ``a`` is singular."""
+    n = len(a)
+    reduced, pivots = ref_rref(
+        [list(row) + [_ONE if j == i else _ZERO for j in range(n)] for i, row in enumerate(a)]
+    )
+    if pivots[:n] != list(range(n)):
+        return None
+    return [row[n:] for row in reduced]
+
+
+def ref_null_space(a):
+    reduced, pivots = ref_rref(a)
+    ncols = len(a[0])
+    basis = []
+    for f in (c for c in range(ncols) if c not in pivots):
+        v = [_ZERO] * ncols
+        v[f] = _ONE
+        for r, p in enumerate(pivots):
+            v[p] = -reduced[r][f]
+        basis.append(tuple(v))
+    return basis
+
+
+def ref_char_poly(a) -> list[Fraction]:
+    """Ascending coefficients of ``det(tI - a)`` by Faddeev-LeVerrier in
+    Fractions: ``M_k = a M_(k-1) + c_(n-k+1) I`` and
+    ``c_(n-k) = -tr(a M_k) / k``, each product taken in full."""
+    n = len(a)
+    coeffs = [_ZERO] * n + [_ONE]
+    aux = [[_ZERO] * n for _ in range(n)]
+    for k in range(1, n + 1):
+        c = coeffs[n - k + 1]
+        aux = ref_sum(ref_product(a, aux), ref_scaled(c, ref_identity(n)))
+        trace_ = sum((row[i] for i, row in enumerate(ref_product(a, aux))), _ZERO)
+        coeffs[n - k] = -trace_ / k
+    return coeffs
+
+
+def ref_identity(n):
+    return [[_ONE if i == j else _ZERO for j in range(n)] for i in range(n)]
+
+
+def ref_ldl_signature(a) -> tuple[int, int, int]:
+    """Inertia of a symmetric matrix by symmetric Gaussian elimination in
+    Fractions, with a row-and-column addition when the trailing diagonal
+    vanishes."""
+    a = [list(row) for row in a]
+    n = len(a)
+    pos = neg = 0
+    for k in range(n):
+        pivot = next((i for i in range(k, n) if a[i][i] != 0), None)
+        if pivot is None:
+            off = next(
+                ((i, j) for i in range(k, n) for j in range(i + 1, n) if a[i][j] != 0), None
+            )
+            if off is None:
+                break
+            i, j = off
+            for c in range(n):
+                a[i][c] += a[j][c]
+            for r in range(n):
+                a[r][i] += a[r][j]
+            pivot = i
+        if pivot != k:
+            a[k], a[pivot] = a[pivot], a[k]
+            for r in range(n):
+                a[r][k], a[r][pivot] = a[r][pivot], a[r][k]
+        d = a[k][k]
+        if d > 0:
+            pos += 1
+        else:
+            neg += 1
+        for i in range(k + 1, n):
+            f = a[i][k]
+            if f:
+                f = f / d
+                for j in range(k + 1, n):
+                    a[i][j] -= f * a[k][j]
+        for i in range(k + 1, n):
+            a[i][k] = _ZERO
+            a[k][i] = _ZERO
+    return pos, neg, n - pos - neg

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from flatcusps import selberg
 from flatcusps.bieberbach import catalog
 from flatcusps.cli import main
 from flatcusps.serialize import form_to_dict, group_to_dict
@@ -208,6 +209,12 @@ class TestSelberg:
         lam, gam = worked_example_files(tmp_path)
         assert main(["selberg", "-l", lam, "-u", gam, "--verify-words", "-3"]) == 1
         assert "word length must be non-negative" in capsys.readouterr().err
+
+    def test_word_ball_over_the_cap_exits_one(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(selberg, "MAX_WORD_BALL", 7)
+        lam, gam = worked_example_files(tmp_path)
+        assert main(["selberg", "-l", lam, "-u", gam, "--verify-words", "2"]) == 1
+        assert "MAX_WORD_BALL = 7 elements" in capsys.readouterr().err
 
     def test_non_unipotent_gamma_exits_one(self, tmp_path, capsys):
         lam = write_json(

@@ -1,4 +1,5 @@
 import copy
+import math
 import os
 import pickle
 import random
@@ -33,7 +34,21 @@ from flatcusps.lorentz import embed_group, model_form, verify_embedding
 from flatcusps.selberg import MatrixGroupInput, good_prime
 from flatcusps.shapes import RealForm, ShapeDescriptor
 
-from oracles import heger_has_integer_solution, trace
+from oracles import (
+    heger_has_integer_solution,
+    ref_char_poly,
+    ref_det,
+    ref_difference,
+    ref_identity,
+    ref_inverse,
+    ref_ldl_signature,
+    ref_null_space,
+    ref_product,
+    ref_scaled,
+    ref_sum,
+    ref_transpose,
+    trace,
+)
 
 small_fractions = st.fractions(min_value=-4, max_value=4, max_denominator=4)
 wide_fractions = st.fractions(min_value=-4, max_value=4, max_denominator=10**6)
@@ -95,6 +110,136 @@ class TestMatrix:
         assert len(basis) == 2
         for v in basis:
             assert all(x == 0 for x in m.matvec(v))
+
+
+# entries of both kinds the kernel must handle: integers, and rationals
+# whose denominators reach 10^6, so that the shared denominator is huge
+KERNEL_ENTRIES = {
+    "integers": st.integers(min_value=-30, max_value=30),
+    "denominators": wide_fractions,
+}
+kernel_sizes = st.integers(min_value=1, max_value=8)
+
+
+def _rows(data, kind, rows, cols):
+    drawn = data.draw(
+        st.lists(
+            st.lists(KERNEL_ENTRIES[kind], min_size=cols, max_size=cols),
+            min_size=rows,
+            max_size=rows,
+        )
+    )
+    return [[F(x) for x in row] for row in drawn]
+
+
+def assert_canonical(m):
+    flat = [x for row in m.num for x in row]
+    assert type(m.den) is int and all(type(x) is int for x in flat)
+    assert m.den > 0 and math.gcd(m.den, *flat) == 1
+    assert len(m.num) == m.rows and all(len(row) == m.cols for row in m.num)
+
+
+def assert_matches(result, expected):
+    """Canonical, and equal to the Fraction oracle entry by entry."""
+    assert_canonical(result)
+    assert [list(row) for row in result.entries] == expected
+
+
+@pytest.mark.parametrize("kind", sorted(KERNEL_ENTRIES))
+class TestKernelAgainstFractionOracle:
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data(), shape=st.tuples(kernel_sizes, kernel_sizes, kernel_sizes))
+    def test_product(self, kind, data, shape):
+        r, k, c = shape
+        a, b = _rows(data, kind, r, k), _rows(data, kind, k, c)
+        assert_matches(Matrix(a) * Matrix(b), ref_product(a, b))
+
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data(), shape=st.tuples(kernel_sizes, kernel_sizes))
+    def test_sum_difference_scalar_transpose(self, kind, data, shape):
+        a, b = _rows(data, kind, *shape), _rows(data, kind, *shape)
+        scalar = F(data.draw(KERNEL_ENTRIES[kind]))
+        assert_matches(Matrix(a) + Matrix(b), ref_sum(a, b))
+        assert_matches(Matrix(a) - Matrix(b), ref_difference(a, b))
+        assert_matches(Matrix(a) * scalar, ref_scaled(scalar, a))
+        assert_matches(scalar * Matrix(a), ref_scaled(scalar, a))
+        assert_matches(-Matrix(a), ref_scaled(F(-1), a))
+        assert_matches(Matrix(a).transpose(), ref_transpose(a))
+
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data(), n=kernel_sizes)
+    def test_det_inverse_power(self, kind, data, n):
+        a = _rows(data, kind, n, n)
+        m = Matrix(a)
+        assert m.det() == ref_det(a)
+        expected = ref_inverse(a)
+        if expected is None:
+            with pytest.raises(ValueError, match="singular"):
+                m.inverse()
+        else:
+            assert_matches(m.inverse(), expected)
+            assert_matches(m**-1, expected)
+        power = ref_identity(n)
+        for k in range(4):
+            assert_matches(m**k, power)
+            power = ref_product(power, a)
+
+    @settings(max_examples=20, deadline=None)
+    @given(data=st.data(), n=kernel_sizes)
+    def test_char_poly(self, kind, data, n):
+        a = _rows(data, kind, n, n)
+        assert list(char_poly(Matrix(a)).coeffs) == ref_char_poly(a)
+
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data(), n=kernel_sizes)
+    def test_signature(self, kind, data, n):
+        a = _rows(data, kind, n, n)
+        symmetric = ref_sum(a, ref_transpose(a))
+        # zero out a random set of rows and columns for degenerate forms
+        for i in data.draw(st.sets(st.integers(0, n - 1))):
+            for j in range(n):
+                symmetric[i][j] = symmetric[j][i] = F(0)
+        assert ldl_signature(SymmetricForm(symmetric)) == ref_ldl_signature(symmetric)
+
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data(), shape=st.tuples(kernel_sizes, kernel_sizes))
+    def test_null_space(self, kind, data, shape):
+        a = _rows(data, kind, *shape)
+        # repeat a combination of rows, so the rank drops below the row count
+        a.append(ref_sum(a[:1], ref_scaled(F(2), a[-1:]))[0])
+        assert null_space(Matrix(a)) == ref_null_space(a)
+
+
+class TestCanonicalForm:
+    def test_equal_values_have_equal_pairs_and_hashes(self):
+        a, b = Matrix([["2/4"]]), Matrix([["1/2"]])
+        assert a == b and hash(a) == hash(b)
+        assert (a.num, a.den) == (((1,),), 2)
+        for zero in (Matrix([[F(1, 3)]]) - Matrix([[F(1, 3)]]), Matrix([[F(1, 3)]]) * 0):
+            assert (zero.num, zero.den) == (((0,),), 1)
+        with pytest.raises(AttributeError):
+            a.entries = ((F(1),),)
+
+    def test_integer_rows_are_reduced(self):
+        m = Matrix.from_integer_rows(((2, 4), (6, 8)), 6)
+        assert (m.num, m.den) == (((1, 2), (3, 4)), 3)
+        assert m.entries == ((F(1, 3), F(2, 3)), (F(1), F(4, 3)))
+        for num, den in ((((1,),), 0), (((1,),), -1), ((), 1), (((),), 1)):
+            with pytest.raises(ValueError):
+                Matrix.from_integer_rows(num, den)
+        with pytest.raises(ValueError):
+            Matrix.identity(0)
+
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data(), n=kernel_sizes, kind=st.sampled_from(sorted(KERNEL_ENTRIES)))
+    def test_product_with_inverse_is_the_identity(self, data, n, kind):
+        m = Matrix(_rows(data, kind, n, n))
+        if m.det() == 0:
+            return
+        identity = Matrix.identity(n)
+        for product in (m * m.inverse(), m.inverse() * m):
+            assert product == identity and hash(product) == hash(identity)
+            assert (product.num, product.den) == (identity.num, 1)
 
 
 class TestSignature:

@@ -2,6 +2,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from flatcusps import selberg
 from flatcusps.errors import UnipotentViolation
 from flatcusps.exactlin import IntPolynomial, Matrix, monomial
 from flatcusps.selberg import (
@@ -234,3 +235,13 @@ class TestVerifyCertificate:
         polys = torsion_polynomials(2)
         forced = SelbergCertificate(2, 3, polys, {}, ())
         assert not verify_certificate(group_input, forced, word_length=1)
+
+    def test_word_ball_is_capped(self, monkeypatch):
+        group_input = worked_example()
+        certificate = good_prime(group_input)
+        # the length-2 ball is I, -I, u, -u, u^-1, -u^-1, u^2 and u^-2
+        monkeypatch.setattr(selberg, "MAX_WORD_BALL", 8)
+        assert verify_certificate(group_input, certificate, word_length=2)
+        monkeypatch.setattr(selberg, "MAX_WORD_BALL", 7)
+        with pytest.raises(ValueError, match="MAX_WORD_BALL = 7 elements"):
+            verify_certificate(group_input, certificate, word_length=2)
