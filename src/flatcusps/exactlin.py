@@ -419,15 +419,18 @@ class SymmetricForm(Frozen):
 class IntPolynomial(Frozen):
     """Univariate polynomial with exact rational coefficients, ascending order.
 
-    Despite the name the coefficient type is ``Fraction``; the routines that
-    promise integral output (characteristic polynomials of integer matrices,
-    cyclotomic products) check integrality rather than assuming it.
+    Integral coefficients are stored as ``int`` (``Fraction(k, 1)`` becomes
+    ``k``) and the others as ``Fraction``, so the characteristic polynomial
+    of an integer matrix and every cyclotomic product is a tuple of ints.
+    ``==``, the hash and ``str`` are those of the mathematical coefficients
+    either way. The routines that promise integral output check integrality
+    rather than assuming it.
     """
 
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Iterable[Scalar]):
-        data = [rat(c) for c in coeffs]
+        data = [_integral_or_fraction(c) for c in coeffs]
         while data and data[-1] == 0:
             data.pop()
         super().__init__(tuple(data))
@@ -446,8 +449,8 @@ class IntPolynomial(Frozen):
     def is_integral(self) -> bool:
         return all(c.denominator == 1 for c in self.coeffs)
 
-    def coefficient(self, k: int) -> Fraction:
-        return self.coeffs[k] if 0 <= k < len(self.coeffs) else _ZERO
+    def coefficient(self, k: int) -> Union[int, Fraction]:
+        return self.coeffs[k] if 0 <= k < len(self.coeffs) else 0
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, IntPolynomial):
@@ -467,15 +470,14 @@ class IntPolynomial(Frozen):
         if isinstance(other, IntPolynomial):
             if self.is_zero() or other.is_zero():
                 return IntPolynomial([])
-            out = [_ZERO] * (len(self.coeffs) + len(other.coeffs) - 1)
+            out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
             for i, a in enumerate(self.coeffs):
                 if a:
                     for j, b in enumerate(other.coeffs):
                         out[i + j] += a * b
             return IntPolynomial(out)
         if isinstance(other, (int, Fraction)):
-            f = rat(other)
-            return IntPolynomial([f * c for c in self.coeffs])
+            return IntPolynomial([other * c for c in self.coeffs])
         return NotImplemented
 
     __rmul__ = __mul__
@@ -494,9 +496,9 @@ class IntPolynomial(Frozen):
         rem = list(self.coeffs)
         d = divisor.coeffs
         lead = d[-1]
-        quot = [_ZERO] * max(len(rem) - len(d) + 1, 0)
+        quot = [0] * max(len(rem) - len(d) + 1, 0)
         for k in range(len(rem) - len(d), -1, -1):
-            c = rem[k + len(d) - 1] / lead
+            c = _integral_or_fraction(Fraction(rem[k + len(d) - 1], lead))
             if c:
                 quot[k] = c
                 for j, b in enumerate(d):
@@ -544,6 +546,13 @@ class IntPolynomial(Frozen):
 
     def __repr__(self) -> str:
         return f"IntPolynomial([{', '.join(str(c) for c in self.coeffs)}])"
+
+
+def _integral_or_fraction(value: Scalar) -> Union[int, Fraction]:
+    if type(value) is int:
+        return value
+    value = rat(value)
+    return value.numerator if value.denominator == 1 else value
 
 
 def monomial(degree: int, coefficient: Scalar = 1) -> IntPolynomial:

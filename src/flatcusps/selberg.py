@@ -19,7 +19,8 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from typing import Iterable, Sequence
+from types import MappingProxyType
+from typing import Iterable, Mapping, Sequence
 
 from .errors import DimensionMismatch, InvariantViolation, UnipotentViolation
 from .exactlin import (
@@ -111,11 +112,6 @@ def _admissible_orders(n: int) -> tuple[int, ...]:
     return tuple(d for d in range(1, 2 * n * n + 2) if euler_phi(d) <= n)
 
 
-def torsion_order_bound(n: int) -> int:
-    """lcm of all possible orders of torsion elements of ``GL(n; Q)``."""
-    return math.lcm(*_admissible_orders(n))
-
-
 def _factor_multisets(n: int, orders: Sequence[int], start: int = 0) -> Iterable[tuple[int, ...]]:
     if n == 0:
         yield ()
@@ -129,6 +125,30 @@ def _factor_multisets(n: int, orders: Sequence[int], start: int = 0) -> Iterable
 
 
 @lru_cache(maxsize=None)
+def _torsion_orders(n: int) -> Mapping[IntPolynomial, int]:
+    """Each torsion polynomial of degree n with the lcm of its factors' orders.
+
+    A product of cyclotomic polynomials determines its factor multiset
+    (``Q[t]`` has unique factorization), so the lcm of the d with
+    ``Phi_d`` dividing it is well defined. A matrix with that
+    characteristic polynomial has finite order exactly when its power to
+    the lcm is the identity: every eigenvalue is then an lcm-th root of
+    unity, and a finite-order matrix is diagonalizable.
+    """
+    if n < 1:
+        raise ValueError("degree must be at least 1")
+    orders = {}
+    for multiset in _factor_multisets(n, _admissible_orders(n)):
+        if all(d == 1 for d in multiset):
+            continue
+        product = IntPolynomial([1])
+        for d in multiset:
+            product = product * cyclotomic_polynomial(d)
+        orders[product] = math.lcm(*multiset)
+    return MappingProxyType(orders)  # cached, so read-only
+
+
+@lru_cache(maxsize=None)
 def torsion_polynomials(n: int) -> tuple[IntPolynomial, ...]:
     """Degree-n characteristic polynomials of nontrivial torsion elements.
 
@@ -139,18 +159,7 @@ def torsion_polynomials(n: int) -> tuple[IntPolynomial, ...]:
     realized by a block-diagonal companion matrix. Duplicate-free, sorted
     by coefficient tuple.
     """
-    if n < 1:
-        raise ValueError("degree must be at least 1")
-    orders = _admissible_orders(n)
-    polys = set()
-    for multiset in _factor_multisets(n, orders):
-        if all(d == 1 for d in multiset):
-            continue
-        product = IntPolynomial([1])
-        for d in multiset:
-            product = product * cyclotomic_polynomial(d)
-        polys.add(product)
-    return tuple(sorted(polys, key=lambda p: p.coeffs))
+    return tuple(sorted(_torsion_orders(n), key=lambda p: p.coeffs))
 
 
 # ---------------------------------------------------------------------------
@@ -319,18 +328,29 @@ def verify_certificate(
     """Brute-force falsifier for a certificate.
 
     Enumerates all products of the ambient generators and their inverses
-    up to the given word length. For each nontrivial element the exact
-    characteristic polynomial is computed once: if it is ``(t-1)^n`` the
-    element is unipotent, hence of infinite order, and passes; otherwise
-    it must reduce modulo the certified prime (a prime dividing one of its
-    denominators is a counterexample), and a residue equal to that of
-    ``(t-1)^n`` is a counterexample when the element is torsion, decided
-    exactly by raising it to the lcm of all possible torsion orders in
-    ``GL(n; Q)``. Returns False on any counterexample (including a prime
-    that divides a generator denominator), True otherwise. A verifier, not
-    a prover: word_length bounds the search. A negative one, or one whose
-    ball would hold more than ``MAX_WORD_BALL`` elements, raises
-    ``ValueError``.
+    up to the given word length, breadth first over the distinct letters;
+    a word never appends the letter that cancels its last one, since that
+    product is already in the ball. Each nontrivial element E is then
+    judged by its characteristic polynomial ``det(tI - E)``:
+
+    - *Trace screen.* Its coefficient ``n-1`` is ``-tr E``. When q does not
+      divide ``den E``, the polynomial reduces modulo q, and a trace not
+      congruent to n makes that residue differ from the residue of
+      ``(t-1)^n``, so E passes without its polynomial being computed.
+    - *Exact polynomial.* Otherwise it is computed once. ``(t-1)^n`` means
+      E is unipotent, hence of infinite order, and passes; a prime q
+      dividing one of its denominators is a counterexample; a residue
+      unlike that of ``(t-1)^n`` passes.
+    - *Finite-order test.* A residue that collapses onto the unipotent one
+      is a counterexample when E has finite order. A polynomial outside
+      :func:`torsion_polynomials` means infinite order; otherwise E has
+      finite order exactly when its power to the lcm of the orders of the
+      polynomial's cyclotomic factors is the identity.
+
+    Returns False on any counterexample (including a prime that divides a
+    generator denominator), True otherwise. A verifier, not a prover:
+    word_length bounds the search. A negative one, or one whose ball would
+    hold more than ``MAX_WORD_BALL`` elements, raises ``ValueError``.
     """
     if word_length < 0:
         raise ValueError("word length must be non-negative")
@@ -342,17 +362,25 @@ def verify_certificate(
     n = group_input.n
     unipotent = unipotent_polynomial(n)
     unipotent_mod = unipotent.reduce_mod(q)
-    order_bound = torsion_order_bound(n)
+    torsion_orders = _torsion_orders(n)
     identity = Matrix.identity(n)
 
-    generators = list(group_input.lambda_gens)
-    generators += [m.inverse() for m in group_input.lambda_gens]
+    # Distinct letters (-I is its own inverse) and the index of each inverse.
+    inverse = {}
+    for m in group_input.lambda_gens:
+        m_inverse = m.inverse()
+        inverse[m], inverse[m_inverse] = m_inverse, m
+    letters = list(inverse)
+    cancel = [letters.index(inverse[g]) for g in letters]
+
     seen = {identity}
-    frontier = [identity]
+    frontier = [(identity, -1)]  # (element, index of the letter undoing its last)
     for _ in range(word_length):
         fresh = []
-        for w in frontier:
-            for g in generators:
+        for w, undo in frontier:
+            for i, g in enumerate(letters):
+                if i == undo:
+                    continue
                 element = w * g
                 if element not in seen:
                     if len(seen) == MAX_WORD_BALL:
@@ -361,11 +389,13 @@ def verify_certificate(
                             f"MAX_WORD_BALL = {MAX_WORD_BALL} elements"
                         )
                     seen.add(element)
-                    fresh.append(element)
+                    fresh.append((element, cancel[i]))
         frontier = fresh
+    seen.remove(identity)
     for element in seen:
-        if element == identity:
-            continue
+        den = element.den
+        if den % q and (sum(row[i] for i, row in enumerate(element.num)) - n * den) % q:
+            continue  # trace screen: the residue is not that of (t-1)^n
         poly = char_poly(element)
         if poly == unipotent:
             continue  # genuinely unipotent, infinite order
@@ -373,6 +403,9 @@ def verify_certificate(
             reduced = poly.reduce_mod(q)
         except ValueError:
             return False  # q divides a denominator of the characteristic polynomial
-        if reduced == unipotent_mod and element ** order_bound == identity:
+        if reduced != unipotent_mod:
+            continue
+        order = torsion_orders.get(poly)
+        if order is not None and element ** order == identity:
             return False  # nontrivial torsion collapsed onto the unipotent residue
     return True

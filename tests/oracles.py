@@ -8,8 +8,11 @@ integralization by explicit conjugation with the hyperbolic element,
 integral solvability by Heger's determinantal criterion, and Lorentz
 images as the product of the translation factor, the exponential of a
 B-skew map built from outer pairings, and the block-diagonal linear
-factor, and matrix arithmetic by the per-entry ``Fraction`` kernel that
-the integer one replaced. The API that only tests use lives here too.
+factor, matrix arithmetic by the per-entry ``Fraction`` kernel that
+the integer one replaced, and congruence certificates by the word-ball
+verifier that computes every element's characteristic polynomial and
+raises each collapsing one to the lcm of all torsion orders. The API
+that only tests use lives here too.
 """
 
 from __future__ import annotations
@@ -26,8 +29,23 @@ from flatcusps.bieberbach import (
     translation_lattice,
 )
 from flatcusps.errors import DimensionMismatch, ValidationError
-from flatcusps.exactlin import Matrix, SymmetricForm, Vector, vec, vec_add
+from flatcusps.exactlin import (
+    Matrix,
+    SymmetricForm,
+    Vector,
+    char_poly,
+    unipotent_polynomial,
+    vec,
+    vec_add,
+)
 from flatcusps.lorentz import LorentzModel, embed_translation
+from flatcusps.selberg import (
+    MAX_WORD_BALL,
+    MatrixGroupInput,
+    SelbergCertificate,
+    euler_phi,
+    is_prime,
+)
 from flatcusps.serialize import parse_group, parse_matrix
 from flatcusps.shapes import ShapeDescriptor
 
@@ -407,3 +425,77 @@ def ref_ldl_signature(a) -> tuple[int, int, int]:
             a[i][k] = _ZERO
             a[k][i] = _ZERO
     return pos, neg, n - pos - neg
+
+
+def torsion_order_bound(n: int) -> int:
+    """lcm of all possible orders of torsion elements of ``GL(n; Q)``: the
+    orders d of roots of unity of degree ``phi(d) <= n``, which
+    ``phi(d) >= sqrt(d/2)`` confines below ``2 n^2 + 2``."""
+    return math.lcm(*(d for d in range(1, 2 * n * n + 2) if euler_phi(d) <= n))
+
+
+def ref_verify_certificate(
+    group_input: MatrixGroupInput,
+    certificate: SelbergCertificate,
+    word_length: int = 6,
+) -> bool:
+    """Brute-force falsifier for a certificate.
+
+    Enumerates all products of the ambient generators and their inverses
+    up to the given word length. For each nontrivial element the exact
+    characteristic polynomial is computed once: if it is ``(t-1)^n`` the
+    element is unipotent, hence of infinite order, and passes; otherwise
+    it must reduce modulo the certified prime (a prime dividing one of its
+    denominators is a counterexample), and a residue equal to that of
+    ``(t-1)^n`` is a counterexample when the element is torsion, decided
+    exactly by raising it to the lcm of all possible torsion orders in
+    ``GL(n; Q)``. Returns False on any counterexample (including a prime
+    that divides a generator denominator), True otherwise. A verifier, not
+    a prover: word_length bounds the search. A negative one, or one whose
+    ball would hold more than ``MAX_WORD_BALL`` elements, raises
+    ``ValueError``.
+    """
+    if word_length < 0:
+        raise ValueError("word length must be non-negative")
+    q = certificate.prime
+    if not is_prime(q):
+        return False
+    if any(d % q == 0 for d in group_input.denominators()):
+        return False  # reduction modulo q is undefined on these generators
+    n = group_input.n
+    unipotent = unipotent_polynomial(n)
+    unipotent_mod = unipotent.reduce_mod(q)
+    order_bound = torsion_order_bound(n)
+    identity = Matrix.identity(n)
+
+    generators = list(group_input.lambda_gens)
+    generators += [m.inverse() for m in group_input.lambda_gens]
+    seen = {identity}
+    frontier = [identity]
+    for _ in range(word_length):
+        fresh = []
+        for w in frontier:
+            for g in generators:
+                element = w * g
+                if element not in seen:
+                    if len(seen) == MAX_WORD_BALL:
+                        raise ValueError(
+                            f"words of length {word_length} exceed "
+                            f"MAX_WORD_BALL = {MAX_WORD_BALL} elements"
+                        )
+                    seen.add(element)
+                    fresh.append(element)
+        frontier = fresh
+    for element in seen:
+        if element == identity:
+            continue
+        poly = char_poly(element)
+        if poly == unipotent:
+            continue  # genuinely unipotent, infinite order
+        try:
+            reduced = poly.reduce_mod(q)
+        except ValueError:
+            return False  # q divides a denominator of the characteristic polynomial
+        if reduced == unipotent_mod and element ** order_bound == identity:
+            return False  # nontrivial torsion collapsed onto the unipotent residue
+    return True

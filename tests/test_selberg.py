@@ -1,7 +1,16 @@
+import importlib.util
+import json
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import flatcusps
 from flatcusps import selberg
 from flatcusps.errors import UnipotentViolation
 from flatcusps.exactlin import IntPolynomial, Matrix, monomial
@@ -16,13 +25,13 @@ from flatcusps.selberg import (
     euler_phi,
     good_prime,
     is_prime,
-    torsion_order_bound,
+    prime_factors,
     torsion_polynomials,
     unipotent_polynomial,
     verify_certificate,
 )
 
-from oracles import sympy_finite_order_char_polys
+from oracles import ref_verify_certificate, sympy_finite_order_char_polys, torsion_order_bound
 
 UNIPOTENT_2 = Matrix([[1, 1], [0, 1]])
 NEG_IDENTITY_2 = -Matrix.identity(2)
@@ -245,3 +254,229 @@ class TestVerifyCertificate:
         monkeypatch.setattr(selberg, "MAX_WORD_BALL", 7)
         with pytest.raises(ValueError, match="MAX_WORD_BALL = 7 elements"):
             verify_certificate(group_input, certificate, word_length=2)
+
+
+def _forced(group_input, prime):
+    return SelbergCertificate(group_input.n, prime, torsion_polynomials(group_input.n), {}, ())
+
+
+@pytest.fixture(scope="module")
+def certify_words_inputs():
+    """The benchmark's certify-words inputs: two forms for each 2- and
+    3-dimensional catalog group and one for torus-4, integralized, with
+    ``-I`` among the ambient generators (``perfbench/workloads.py``, read,
+    never changed)."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    workload = workloads.CertifyWords()
+    workload.setup(flatcusps, 0)
+    return [group_input for _, group_input, _ in workload.traced]
+
+
+_denominators = st.sampled_from([1, 2, 3, 5, 7])
+_entries = st.builds(F, st.integers(min_value=-3, max_value=3), _denominators)
+
+
+@st.composite
+def _rational_groups(draw):
+    """A prime q and one or two invertible rational generators of size 1-3.
+
+    The generators are arbitrary matrices, and conjugates of signed
+    permutations (finite order), of companion matrices of torsion
+    polynomials that collapse modulo q where there are any (finite order
+    when the polynomial is squarefree), and of elementary unipotent
+    matrices (characteristic polynomial ``(t-1)^n``). When q divides a
+    generator denominator the next prime that divides none replaces it, so
+    q may divide a denominator of an inverse only.
+    """
+    n = draw(st.integers(min_value=1, max_value=3))
+    q = draw(st.sampled_from([2, 3, 5, 7, 11]))
+    invertible = st.lists(
+        st.lists(_entries, min_size=n, max_size=n), min_size=n, max_size=n
+    ).map(Matrix).filter(lambda m: m.det() != 0)
+    polys = torsion_polynomials(n)
+    collapsing = [p for p in polys if p.reduce_mod(q) == unipotent_polynomial(n).reduce_mod(q)]
+    generators = []
+    kinds = ["rational", "finite", "cyclotomic", "unipotent"]
+    for kind in draw(st.lists(st.sampled_from(kinds), min_size=1, max_size=2)):
+        g = draw(invertible)
+        if kind == "finite":
+            perm = draw(st.permutations(range(n)))
+            signs = draw(st.lists(st.sampled_from([1, -1]), min_size=n, max_size=n))
+            core = Matrix([[signs[i] if j == perm[i] else 0 for j in range(n)] for i in range(n)])
+            g = g * core * g.inverse()
+        elif kind == "cyclotomic":
+            c = draw(st.sampled_from(collapsing or polys)).coeffs
+            core = Matrix([[int(i == j + 1) - c[i] * (j == n - 1) for j in range(n)] for i in range(n)])
+            g = g * core * g.inverse()
+        elif kind == "unipotent":
+            i, j = sorted(draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2)))
+            core = Matrix([[int(r == c or (r, c) == (i, j)) for c in range(n)] for r in range(n)])
+            g = g * core * g.inverse()
+        generators.append(g)
+    group_input = MatrixGroupInput(n, generators)
+    while not (is_prime(q) and all(d % q for d in group_input.denominators())):
+        q += 1
+    return group_input, q
+
+
+class TestVerifierAgreesWithReference:
+    """The screened, non-backtracking verifier against the reference one,
+    which computes every element's characteristic polynomial and raises
+    each collapsing element to the lcm of all torsion orders."""
+
+    @pytest.mark.parametrize("forced", [None, 2, 3, 5, 7])
+    def test_certify_words_inputs(self, certify_words_inputs, forced):
+        assert len(certify_words_inputs) == 21
+        for group_input in certify_words_inputs:
+            certificate = good_prime(group_input)
+            if forced is not None:
+                certificate = _forced(group_input, forced)
+            for length in range(4):
+                expected = ref_verify_certificate(group_input, certificate, length)
+                assert verify_certificate(group_input, certificate, length) is expected
+
+    @settings(max_examples=200, deadline=None)
+    @given(drawn=_rational_groups(), length=st.integers(min_value=0, max_value=3))
+    def test_rational_generators(self, drawn, length):
+        group_input, prime = drawn
+        certificate = _forced(group_input, prime)
+        expected = ref_verify_certificate(group_input, certificate, length)
+        assert verify_certificate(group_input, certificate, length) is expected
+
+    def test_quarter_turn_collapses_mod_two(self):
+        # trace 0 = 2 (mod 2) passes the screen; t^2 + 1 = (t - 1)^2 (mod 2)
+        group_input = MatrixGroupInput(2, [Matrix([[0, -1], [1, 0]])])
+        for length in (1, 2):
+            certificate = _forced(group_input, 2)
+            assert ref_verify_certificate(group_input, certificate, length) is False
+            assert verify_certificate(group_input, certificate, length) is False
+
+    def test_negative_identity_is_screened_mod_three(self, monkeypatch):
+        # trace -2 differs from 2 modulo 3, so no polynomial is computed
+        group_input = MatrixGroupInput(2, [NEG_IDENTITY_2])
+        certificate = _forced(group_input, 3)
+        assert ref_verify_certificate(group_input, certificate, 2) is True
+
+        def refuse(m):
+            raise AssertionError("char_poly called on a screened element")
+
+        monkeypatch.setattr(selberg, "char_poly", refuse)
+        assert verify_certificate(group_input, certificate, 2) is True
+
+    def test_negative_identity_is_one_letter(self, monkeypatch):
+        # the letters are u, u^-1 and -I (its own inverse), and a word never
+        # appends the letter undoing its last: the length-2 ball of <u, -I>
+        # takes 3 + 3 * 2 products, where four letters and backtracking take
+        # 4 + 3 * 4
+        calls = []
+        product = Matrix.__mul__
+
+        def counted(a, b):
+            calls.append(1)
+            return product(a, b)
+
+        group_input = worked_example()
+        certificate = good_prime(group_input)
+        monkeypatch.setattr(Matrix, "__mul__", counted)
+        assert verify_certificate(group_input, certificate, word_length=2)
+        assert len(calls) == 3 + 3 * 2
+
+
+class TestFiniteOrderTest:
+    def test_torsion_orders_are_minimal(self):
+        # every root of p is an L-th root of unity, and for no proper divisor
+        # of L: p divides (t^L - 1)^n and no (t^(L/r) - 1)^n for r prime
+        one = IntPolynomial([1])
+        for n in (1, 2, 3, 4):
+            orders = selberg._torsion_orders(n)
+            assert sorted(orders, key=lambda p: p.coeffs) == list(torsion_polynomials(n))
+            for poly, lcm in orders.items():
+                assert ((monomial(lcm) - one) ** n % poly).is_zero()
+                for r in prime_factors(lcm):
+                    assert not ((monomial(lcm // r) - one) ** n % poly).is_zero()
+
+    def test_order_seven_element_in_dimension_eight_collapses(self, monkeypatch):
+        # Phi_7 (t - 1)^2 = (t - 1)^8 modulo 7: the element has order 7, and
+        # it is raised to 7 rather than to the 5,040 that bounds all orders
+        companion = Matrix([[int(i == j + 1) - int(j == 5) for j in range(6)] for i in range(6)])
+        element = Matrix.block_diag(companion, Matrix.identity(2))
+        group_input = MatrixGroupInput(8, [element])
+        certificate = _forced(group_input, 7)
+        assert ref_verify_certificate(group_input, certificate, 1) is False
+        exponents = []
+        power = Matrix.__pow__
+
+        def recorded(m, k):
+            exponents.append(k)
+            return power(m, k)
+
+        monkeypatch.setattr(Matrix, "__pow__", recorded)
+        assert verify_certificate(group_input, certificate, 1) is False
+        assert exponents == [7]
+
+    def test_infinite_order_collapse_takes_no_power(self, monkeypatch):
+        # t^2 - 7t + 1 = (t - 1)^2 modulo 5, and it is no cyclotomic product
+        group_input = MatrixGroupInput(2, [Matrix([[6, 1], [5, 1]])])
+        certificate = _forced(group_input, 5)
+        assert ref_verify_certificate(group_input, certificate, 3) is True
+
+        def refuse(m, k):
+            raise AssertionError("power taken of an element of infinite order")
+
+        monkeypatch.setattr(Matrix, "__pow__", refuse)
+        assert verify_certificate(group_input, certificate, 3) is True
+
+    def test_non_semisimple_cyclotomic_element_passes(self):
+        # (t + 1)^2 = (t - 1)^2 modulo 2 is a torsion polynomial, but the
+        # Jordan block squares to [[1, -2], [0, 1]], not the identity
+        group_input = MatrixGroupInput(2, [Matrix([[-1, 1], [0, -1]])])
+        certificate = _forced(group_input, 2)
+        assert ref_verify_certificate(group_input, certificate, 3) is True
+        assert verify_certificate(group_input, certificate, 3) is True
+
+
+def test_verifier_survives_optimized_mode():
+    # under python -O no assert runs: the verdicts must come from the code
+    script = """
+import json
+from flatcusps.exactlin import Matrix
+from flatcusps.selberg import (
+    MatrixGroupInput, SelbergCertificate, good_prime, torsion_polynomials,
+    verify_certificate,
+)
+
+def forced(group_input, q):
+    return SelbergCertificate(group_input.n, q, torsion_polynomials(group_input.n), {}, ())
+
+u, neg = Matrix([[1, 1], [0, 1]]), -Matrix.identity(2)
+worked = MatrixGroupInput(2, [u, neg], [u])
+quarter = MatrixGroupInput(2, [Matrix([[0, -1], [1, 0]])])
+print(json.dumps({
+    "debug": __debug__,
+    "certified": verify_certificate(worked, good_prime(worked), 6),
+    "worked_mod_2": verify_certificate(worked, forced(worked, 2), 6),
+    "quarter_turn_mod_2": verify_certificate(quarter, forced(quarter, 2), 2),
+    "negative_identity_mod_3": verify_certificate(
+        MatrixGroupInput(2, [neg]), forced(MatrixGroupInput(2, [neg]), 3), 2
+    ),
+}))
+"""
+    src = str(Path(flatcusps.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert json.loads(done.stdout) == {
+        "debug": False,
+        "certified": True,
+        "worked_mod_2": False,
+        "quarter_turn_mod_2": False,
+        "negative_identity_mod_3": True,
+    }
