@@ -36,10 +36,9 @@ from .exactlin import (
     has_integer_solution,
     is_positive_definite,
     lattice_basis,
-    left_null_space,
+    null_space,
     vec,
     vec_add,
-    vec_is_zero,
 )
 
 #: Default ceiling for holonomy closures. It bounds the work a presentation
@@ -88,7 +87,7 @@ class AffineMap(Frozen):
         return self.linear.is_identity()
 
     def is_identity(self) -> bool:
-        return self.is_translation() and vec_is_zero(self.translation)
+        return self.is_translation() and not any(self.translation)
 
     def __mul__(self, other: AffineMap) -> AffineMap:
         return compose(self, other)
@@ -100,14 +99,6 @@ class AffineMap(Frozen):
         for _ in range(exponent):
             result = compose(result, self)
         return result
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, AffineMap):
-            return NotImplemented
-        return self.linear == other.linear and self.translation == other.translation
-
-    def __hash__(self) -> int:
-        return hash((self.linear, self.translation))
 
     def __repr__(self) -> str:
         t = ", ".join(str(x) for x in self.translation)
@@ -145,6 +136,7 @@ class BieberbachGroup(Frozen):
             raise DimensionMismatch("generators have inconsistent dimensions")
         super().__init__(dim, gens, name)
 
+    # Own pair, so that equality and the hash ignore the name.
     def __eq__(self, other) -> bool:
         if not isinstance(other, BieberbachGroup):
             return NotImplemented
@@ -282,7 +274,7 @@ def is_torsion_free(
     for h, witness in zip(theta.elements, theta.witnesses):
         if h == ident:
             continue
-        constraints = left_null_space(ident - h)
+        constraints = null_space((ident - h).transpose())
         if not constraints:
             # I - h invertible: the witness coset always contains a map
             # with a fixed point, hence torsion.
@@ -320,8 +312,7 @@ def theta_average(form: SymmetricForm, theta: HolonomyGroup) -> SymmetricForm:
 # ---------------------------------------------------------------------------
 
 
-def _half() -> Fraction:
-    return Fraction(1, 2)
+_HALF = Fraction(1, 2)
 
 
 def _torus_generators(n: int) -> list[AffineMap]:
@@ -334,61 +325,46 @@ def _torus_generators(n: int) -> list[AffineMap]:
 def _klein_generators() -> list[AffineMap]:
     return [
         AffineMap(Matrix.identity(2), [0, 1]),
-        AffineMap(Matrix.diagonal([1, -1]), [_half(), 0]),
+        AffineMap(Matrix.diagonal([1, -1]), [_HALF, 0]),
     ]
 
 
-def _screw(axis_block: Sequence[Sequence[int]], shift: Fraction) -> AffineMap:
-    linear = Matrix(
-        [
-            [axis_block[0][0], axis_block[0][1], 0],
-            [axis_block[1][0], axis_block[1][1], 0],
-            [0, 0, 1],
-        ]
-    )
-    return AffineMap(linear, [0, 0, shift])
-
-
 def _turn_generators(block: Sequence[Sequence[int]], shift: Fraction) -> list[AffineMap]:
+    """A screw motion by ``block`` about the third axis, then two unit translations."""
     ident = Matrix.identity(3)
+    screw = Matrix([list(block[0]) + [0], list(block[1]) + [0], [0, 0, 1]])
     return [
-        _screw(block, shift),
+        AffineMap(screw, [0, 0, shift]),
         AffineMap(ident, [1, 0, 0]),
         AffineMap(ident, [0, 1, 0]),
     ]
 
 
 def _hantzsche_wendt_generators() -> list[AffineMap]:
-    h = _half()
     return [
-        AffineMap(Matrix.diagonal([1, -1, -1]), [h, h, 0]),
-        AffineMap(Matrix.diagonal([-1, 1, -1]), [0, h, h]),
+        AffineMap(Matrix.diagonal([1, -1, -1]), [_HALF, _HALF, 0]),
+        AffineMap(Matrix.diagonal([-1, 1, -1]), [0, _HALF, _HALF]),
     ]
 
 
 def _amphicosm_generators(second: bool) -> list[AffineMap]:
-    h = _half()
     ident = Matrix.identity(3)
-    glide = AffineMap(Matrix.diagonal([1, -1, 1]), [h, 0, h if second else 0])
+    glide = AffineMap(Matrix.diagonal([1, -1, 1]), [_HALF, 0, _HALF if second else 0])
     return [glide, AffineMap(ident, [0, 1, 0]), AffineMap(ident, [0, 0, 1])]
 
 
-def _catalog_builders() -> dict[str, tuple]:
-    entries: dict[str, tuple] = {}
-    for n in range(1, 7):
-        entries[f"torus-{n}"] = (_torus_generators, (n,))
-    entries["klein"] = (_klein_generators, ())
-    entries["half-turn"] = (_turn_generators, (((-1, 0), (0, -1)), _half()))
-    entries["third-turn"] = (_turn_generators, (((0, -1), (1, -1)), Fraction(1, 3)))
-    entries["quarter-turn"] = (_turn_generators, (((0, -1), (1, 0)), Fraction(1, 4)))
-    entries["sixth-turn"] = (_turn_generators, (((0, -1), (1, 1)), Fraction(1, 6)))
-    entries["hantzsche-wendt"] = (_hantzsche_wendt_generators, ())
-    entries["first-amphicosm"] = (_amphicosm_generators, (False,))
-    entries["second-amphicosm"] = (_amphicosm_generators, (True,))
-    return entries
-
-
-_CATALOG = _catalog_builders()
+#: Each catalog name with the function making its generators and that function's arguments.
+_CATALOG: dict[str, tuple] = {
+    **{f"torus-{n}": (_torus_generators, (n,)) for n in range(1, 7)},
+    "klein": (_klein_generators, ()),
+    "half-turn": (_turn_generators, (((-1, 0), (0, -1)), _HALF)),
+    "third-turn": (_turn_generators, (((0, -1), (1, -1)), Fraction(1, 3))),
+    "quarter-turn": (_turn_generators, (((0, -1), (1, 0)), Fraction(1, 4))),
+    "sixth-turn": (_turn_generators, (((0, -1), (1, 1)), Fraction(1, 6))),
+    "hantzsche-wendt": (_hantzsche_wendt_generators, ()),
+    "first-amphicosm": (_amphicosm_generators, (False,)),
+    "second-amphicosm": (_amphicosm_generators, (True,)),
+}
 
 
 def catalog_names() -> list[str]:

@@ -115,7 +115,7 @@ class ExperimentConfig(Frozen):
         )
 
 
-class DensityRow:
+class DensityRow(Frozen):
     """One (sample, bound) measurement.
 
     ``pipeline_ok`` and ``selberg_prime`` are None when the corresponding
@@ -134,12 +134,7 @@ class DensityRow:
         selberg_prime: Optional[int],
         reason: Optional[str] = None,
     ):
-        self.sample_id = sample_id
-        self.denom_bound = denom_bound
-        self.error = error
-        self.pipeline_ok = pipeline_ok
-        self.selberg_prime = selberg_prime
-        self.reason = reason
+        super().__init__(sample_id, denom_bound, error, pipeline_ok, selberg_prime, reason)
 
 
 def sample_targets(

@@ -18,7 +18,7 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain
-from operator import add, mul, sub
+from operator import add, attrgetter, mul, sub
 from typing import Iterable, Sequence, Union
 
 from .errors import DimensionMismatch, InvariantViolation, NotNilpotent
@@ -55,16 +55,16 @@ def vec_add(u: Sequence[Fraction], v: Sequence[Fraction]) -> Vector:
     return tuple(a + b for a, b in zip(u, v))
 
 
-def vec_is_zero(u: Sequence[Fraction]) -> bool:
-    return all(a == 0 for a in u)
-
-
 class Frozen:
     """Base of the immutable value types.
 
     A subclass names its attributes in ``__slots__`` and passes their
     values, in that order, to ``Frozen.__init__``, the one place they are
     set. Afterwards assignment and deletion both raise ``AttributeError``.
+    Equality is by value: two instances are equal when they have the same
+    type and equal slot values, and the hash is the hash of those values,
+    so a type holding a dict is unhashable. ``Matrix`` overrides the pair
+    for speed and ``BieberbachGroup`` to ignore its name.
     ``@dataclass(frozen=True, slots=True)`` would give the same, but
     importing ``dataclasses`` (and the ``inspect`` module it pulls in)
     raised the package import from about 44 ms to 64 ms, a cost every
@@ -87,6 +87,18 @@ class Frozen:
 
     def __delattr__(self, name):
         raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __init_subclass__(cls):
+        # what == and hash compare: the slot values (one bare value for one slot)
+        cls._key = staticmethod(attrgetter(*cls.__slots__))
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._key(self) == other._key(other)
+
+    def __hash__(self) -> int:
+        return hash(self._key(self))
 
     def __reduce__(self):
         # copy and pickle would restore the slots through __setattr__
@@ -222,6 +234,7 @@ class Matrix(Frozen):
 
     # -- arithmetic --------------------------------------------------------
 
+    # Own pair for speed: (num, den) alone decide, and word balls hash many matrices.
     def __eq__(self, other) -> bool:
         if not isinstance(other, Matrix):
             return NotImplemented
@@ -404,14 +417,6 @@ class SymmetricForm(Frozen):
     def is_integral(self) -> bool:
         return self.matrix.is_integral()
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, SymmetricForm):
-            return NotImplemented
-        return self.matrix == other.matrix
-
-    def __hash__(self) -> int:
-        return hash(("SymmetricForm", self.matrix))
-
     def __repr__(self) -> str:
         return f"SymmetricForm({self.matrix!r})"
 
@@ -451,14 +456,6 @@ class IntPolynomial(Frozen):
 
     def coefficient(self, k: int) -> Union[int, Fraction]:
         return self.coeffs[k] if 0 <= k < len(self.coeffs) else 0
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, IntPolynomial):
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def __hash__(self) -> int:
-        return hash(("IntPolynomial", self.coeffs))
 
     def __sub__(self, other: IntPolynomial) -> IntPolynomial:
         n = max(len(self.coeffs), len(other.coeffs))
@@ -682,11 +679,6 @@ def null_space(m: Matrix) -> list[Vector]:
     return basis
 
 
-def left_null_space(m: Matrix) -> list[Vector]:
-    """Basis of ``{w : w^T m = 0}`` over the rationals."""
-    return null_space(m.transpose())
-
-
 # ---------------------------------------------------------------------------
 # Integer lattices: Hermite reduction and integral solvability
 # ---------------------------------------------------------------------------
@@ -733,7 +725,7 @@ def lattice_basis(vectors: Iterable[Sequence[Fraction]], dim: int) -> list[Vecto
 
     Returns at most ``dim`` vectors; fewer means the span is rank deficient.
     """
-    nonzero = [vec(v) for v in vectors if not vec_is_zero(v)]
+    nonzero = [vec(v) for v in vectors if any(v)]
     if not nonzero:
         return []
     if any(len(v) != dim for v in nonzero):

@@ -40,7 +40,6 @@ from .exactlin import (
     SymmetricForm,
     Vector,
     char_poly,
-    is_positive_definite,
     ldl_signature,
     unipotent_polynomial,
     vec,
@@ -89,11 +88,13 @@ def model_form(base: SymmetricForm) -> LorentzModel:
 
     ``B = base (+) diag(1, -1)``, with ``v_inf``, ``v_0`` in the last two
     coordinates and the first n coordinate vectors as the complement basis.
+    The inertia of ``B`` is that of the base plus ``(1, 1, 0)``, so ``B``
+    has signature ``(n+1, 1)`` exactly when the base is positive definite.
     """
-    if not is_positive_definite(base):
-        raise NotPositiveDefinite("base form must be positive definite")
     n = base.dim
     model = base.direct_sum(SymmetricForm.diagonal([1, -1]))
+    if ldl_signature(model) != (n + 1, 1, 0):
+        raise NotPositiveDefinite("base form must be positive definite")
     v_inf = tuple(
         Fraction(1) if i >= n else Fraction(0) for i in range(n + 2)
     )
@@ -101,8 +102,6 @@ def model_form(base: SymmetricForm) -> LorentzModel:
         Fraction(1) if i == n else Fraction(-1) if i == n + 1 else Fraction(0)
         for i in range(n + 2)
     )
-    if ldl_signature(model) != (n + 1, 1, 0):
-        raise InvariantViolation("model form does not have signature (n+1, 1)")
     if model.evaluate(v_inf, v_inf) != 0 or model.evaluate(v_0, v_0) != 0:
         raise InvariantViolation("v_inf and v_0 are not both null")
     if model.evaluate(v_inf, v_0) == 0:
@@ -183,6 +182,11 @@ class LorentzEmbedding(Frozen):
     ):
         if len(images) != len(group.generators):
             raise DimensionMismatch("one image per generator is required")
+        if group.dim != model.n:
+            raise DimensionMismatch(f"a dimension-{group.dim} group in a dimension-{model.n} model")
+        size = model.ambient_dim
+        if any(m.rows != size or m.cols != size for m in images):
+            raise DimensionMismatch(f"images must be {size}x{size}")
         super().__init__(model, group, tuple(images))
 
     def __repr__(self) -> str:

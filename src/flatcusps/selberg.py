@@ -68,19 +68,11 @@ def prime_factors(m: int) -> list[int]:
     return out
 
 
-def primes_upto(bound: int) -> list[int]:
-    return [p for p in range(2, bound + 1) if is_prime(p)]
-
-
 def euler_phi(d: int) -> int:
     result = d
     for p in prime_factors(d):
         result = result // p * (p - 1)
     return result
-
-
-def _divisors(d: int) -> list[int]:
-    return [e for e in range(1, d + 1) if d % e == 0]
 
 
 @lru_cache(maxsize=None)
@@ -93,7 +85,7 @@ def cyclotomic_polynomial(d: int) -> IntPolynomial:
     if d < 1:
         raise ValueError("cyclotomic index must be positive")
     numerator = monomial(d) - IntPolynomial([1])
-    for e in _divisors(d)[:-1]:
+    for e in (e for e in range(1, d) if d % e == 0):
         quotient, remainder = divmod(numerator, cyclotomic_polynomial(e))
         if not remainder.is_zero():
             raise InvariantViolation(f"Phi_{e} does not divide t^{d} - 1 exactly")
@@ -261,7 +253,7 @@ def bad_primes(
     def add(p: int, reason: str) -> None:
         reasons.setdefault(p, set()).add(reason)
 
-    for p in primes_upto(n):
+    for p in filter(is_prime, range(2, n + 1)):
         add(p, REASON_SMALL_CHARACTERISTIC)
     for den in group_input.denominators():
         for p in prime_factors(den):
@@ -350,8 +342,13 @@ def verify_certificate(
     Returns False on any counterexample (including a prime that divides a
     generator denominator), True otherwise. A verifier, not a prover:
     word_length bounds the search. A negative one, or one whose ball would
-    hold more than ``MAX_WORD_BALL`` elements, raises ``ValueError``.
+    hold more than ``MAX_WORD_BALL`` elements, raises ``ValueError``; a
+    certificate of another degree than the group raises ``DimensionMismatch``.
     """
+    if certificate.n != group_input.n:
+        raise DimensionMismatch(
+            f"certificate of degree {certificate.n} for a group of degree {group_input.n}"
+        )
     if word_length < 0:
         raise ValueError("word length must be non-negative")
     q = certificate.prime

@@ -10,18 +10,14 @@ the offending field.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Any, Sequence
+from typing import Any, Callable, Sequence
 
 from .bieberbach import AffineMap, BieberbachGroup
 from .errors import ValidationError
-from .exactlin import IntPolynomial, Matrix, SymmetricForm
+from .exactlin import Matrix, SymmetricForm
 from .lorentz import GeneratorChecks, LorentzEmbedding, VerificationReport
 from .selberg import MatrixGroupInput, SelbergCertificate
 from .shapes import RealForm, ShapeDescriptor
-
-
-def format_rational(x: Fraction) -> str:
-    return str(x)
 
 
 def parse_rational(value: Any, path: str) -> Fraction:
@@ -77,11 +73,11 @@ def _expect_int(value: Any, path: str) -> int:
 
 
 def matrix_to_lists(m: Matrix) -> list[list[str]]:
-    return [[format_rational(x) for x in row] for row in m.entries]
+    return [[str(x) for x in row] for row in m.entries]
 
 
 def vector_to_list(v: Sequence[Fraction]) -> list[str]:
-    return [format_rational(x) for x in v]
+    return [str(x) for x in v]
 
 
 def parse_vector(data: Any, path: str) -> tuple[Fraction, ...]:
@@ -89,24 +85,13 @@ def parse_vector(data: Any, path: str) -> tuple[Fraction, ...]:
     return tuple(parse_rational(x, f"{path}[{i}]") for i, x in enumerate(items))
 
 
-def parse_matrix(data: Any, path: str) -> Matrix:
-    rows = _expect_list(data, path)
-    if not rows:
-        raise ValidationError(path, "matrix must not be empty")
-    parsed = [parse_vector(row, f"{path}[{i}]") for i, row in enumerate(rows)]
-    width = len(parsed[0])
-    for i, row in enumerate(parsed):
-        if len(row) != width:
-            raise ValidationError(f"{path}[{i}]", "matrix rows have unequal lengths")
-    return Matrix(parsed)
-
-
-def parse_real_matrix(data: Any, path: str) -> list[list[float]]:
+def parse_rows(data: Any, path: str, parse_entry: Callable[[Any, str], Any]) -> list[list]:
+    """A nonempty list of equal-length rows, each entry read by ``parse_entry``."""
     rows = _expect_list(data, path)
     if not rows:
         raise ValidationError(path, "matrix must not be empty")
     parsed = [
-        [parse_number(x, f"{path}[{i}][{j}]") for j, x in enumerate(_expect_list(row, f"{path}[{i}]"))]
+        [parse_entry(x, f"{path}[{i}][{j}]") for j, x in enumerate(_expect_list(row, f"{path}[{i}]"))]
         for i, row in enumerate(rows)
     ]
     width = len(parsed[0])
@@ -114,6 +99,10 @@ def parse_real_matrix(data: Any, path: str) -> list[list[float]]:
         if len(row) != width:
             raise ValidationError(f"{path}[{i}]", "matrix rows have unequal lengths")
     return parsed
+
+
+def parse_matrix(data: Any, path: str) -> Matrix:
+    return Matrix(parse_rows(data, path, parse_rational))
 
 
 # ---------------------------------------------------------------------------
@@ -198,7 +187,7 @@ def parse_real_form(data: Any, path: str = "target") -> RealForm:
     obj = _expect_dict(data, path)
     if "matrix" not in obj:
         raise ValidationError(f"{path}.matrix", "missing required field")
-    entries = parse_real_matrix(obj["matrix"], f"{path}.matrix")
+    entries = parse_rows(obj["matrix"], f"{path}.matrix", parse_number)
     if "dim" in obj:
         dim = _expect_int(obj["dim"], f"{path}.dim")
         if len(entries) != dim:
@@ -238,20 +227,13 @@ def embedding_to_dict(embedding: LorentzEmbedding, scale: int | None = None) -> 
     return out
 
 
-def checks_to_dict(checks: GeneratorChecks) -> dict:
-    return {
-        "form_preserved": checks.form_preserved,
-        "fixes_vinf": checks.fixes_vinf,
-        "unipotent_translation": checks.unipotent_translation,
-        "equivariance": checks.equivariance,
-        "log_cubes_to_zero": checks.log_cubes_to_zero,
-        "nilpotency_degree": checks.nilpotency_degree,
-    }
-
-
 def report_to_dict(report: VerificationReport) -> dict:
+    """Each generator's checks keyed by ``GeneratorChecks.__slots__``, in order."""
     return {
-        "generators": [checks_to_dict(c) for c in report.per_generator],
+        "generators": [
+            {name: getattr(c, name) for name in GeneratorChecks.__slots__}
+            for c in report.per_generator
+        ],
         "overall": report.overall,
     }
 
@@ -294,13 +276,6 @@ def build_matrix_group_input(
         raise ValidationError("lambda.generators", str(exc)) from None
 
 
-def polynomial_to_dict(poly: IntPolynomial) -> dict:
-    return {
-        "coefficients": [format_rational(c) for c in poly.coeffs],
-        "text": str(poly),
-    }
-
-
 def certificate_to_dict(certificate: SelbergCertificate) -> dict:
     return {
         "n": certificate.n,
@@ -308,7 +283,10 @@ def certificate_to_dict(certificate: SelbergCertificate) -> dict:
         "bad_primes": {
             str(p): list(reasons) for p, reasons in sorted(certificate.bad_primes.items())
         },
-        "torsion_polynomials": [polynomial_to_dict(p) for p in certificate.torsion_polys],
+        "torsion_polynomials": [
+            {"coefficients": [str(c) for c in p.coeffs], "text": str(p)}
+            for p in certificate.torsion_polys
+        ],
         "residue_evidence": [
             {
                 "polynomial": str(e.polynomial),

@@ -16,7 +16,7 @@ import math
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
-from .bieberbach import BieberbachGroup, HolonomyGroup, theta_average
+from .bieberbach import BieberbachGroup, HolonomyGroup, holonomy, theta_average
 from .errors import DimensionMismatch, NotPositiveDefinite
 from .exactlin import Frozen, SymmetricForm, is_positive_definite
 
@@ -64,14 +64,6 @@ class RealForm(Frozen):
         """Exact form with the same entries; doubles are dyadic rationals."""
         return SymmetricForm([[Fraction(x) for x in row] for row in self.entries])
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, RealForm):
-            return NotImplemented
-        return self.entries == other.entries
-
-    def __hash__(self) -> int:
-        return hash(self.entries)
-
     def __repr__(self) -> str:
         return f"RealForm({[list(r) for r in self.entries]!r})"
 
@@ -94,14 +86,6 @@ class ShapeDescriptor(Frozen):
                 f"form dimension {form.dim} does not match group dimension {group.dim}"
             )
         super().__init__(group, form)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, ShapeDescriptor):
-            return NotImplemented
-        return self.group == other.group and self.form == other.form
-
-    def __hash__(self) -> int:
-        return hash((self.group, self.form))
 
     def __repr__(self) -> str:
         return f"ShapeDescriptor({self.group!r}, {self.form!r})"
@@ -207,8 +191,6 @@ def is_arithmetic_shape(shape: ShapeDescriptor, theta: Optional[HolonomyGroup] =
     the conditions under which the stabilized orthogonal affine group is
     rationally defined and contains the group as an arithmetic subgroup.
     """
-    from .bieberbach import holonomy
-
     if not is_positive_definite(shape.form):
         return False
     theta = theta if theta is not None else holonomy(shape.group)

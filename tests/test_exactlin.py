@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 import flatcusps
 from flatcusps.bieberbach import AffineMap, catalog, holonomy
-from flatcusps.density import ExperimentConfig
+from flatcusps.density import DensityRow, ExperimentConfig
 from flatcusps.errors import DimensionMismatch, NotNilpotent
 from flatcusps.exactlin import (
     Frozen,
@@ -468,7 +468,25 @@ FROZEN_INSTANCES = {
     "ResidueEvidence": lambda: _certificate().residue_evidence[0],
     "SelbergCertificate": _certificate,
     "ExperimentConfig": lambda: ExperimentConfig(catalog("klein"), 1, [10], 1),
+    "DensityRow": lambda: DensityRow(0, 10, 0.25, True, 5),
 }
+
+# types holding a dict, which are unhashable like a frozen dataclass with one
+UNHASHABLE = {"HolonomyGroup", "SelbergCertificate"}
+
+# slots the two own equalities ignore: a matrix's shape follows from its
+# rows, and one group has many names
+IGNORED_SLOTS = {"Matrix": {"rows", "cols"}, "BieberbachGroup": {"name"}}
+
+
+def _frozen_types():
+    found, todo = set(), [Frozen]
+    while todo:
+        for sub in todo.pop().__subclasses__():
+            if sub.__module__.startswith("flatcusps.") and sub not in found:
+                found.add(sub)
+                todo.append(sub)
+    return found
 
 
 class TestFrozen:
@@ -495,6 +513,53 @@ class TestFrozen:
             assert pickle.dumps(clone) == pickled
             with pytest.raises(AttributeError, match=f"{name} is immutable"):
                 setattr(clone, type(obj).__slots__[0], None)
+
+    @pytest.mark.parametrize("name", sorted(FROZEN_INSTANCES))
+    def test_independent_builds_compare_equal(self, name):
+        a, b = FROZEN_INSTANCES[name](), FROZEN_INSTANCES[name]()
+        assert a is not b
+        assert a == b and not a != b
+
+    @pytest.mark.parametrize("name", sorted(FROZEN_INSTANCES))
+    def test_independent_builds_hash_equal(self, name):
+        a, b = FROZEN_INSTANCES[name](), FROZEN_INSTANCES[name]()
+        if name in UNHASHABLE:
+            with pytest.raises(TypeError, match="unhashable type: 'dict'"):
+                hash(a)
+        else:
+            assert hash(a) == hash(b)
+            assert len({a, b}) == 1
+
+    @pytest.mark.parametrize("name", sorted(FROZEN_INSTANCES))
+    def test_changed_slot_compares_unequal(self, name):
+        obj = FROZEN_INSTANCES[name]()
+        restore, (cls, values) = obj.__reduce__()
+        for i, slot in enumerate(cls.__slots__):
+            changed = restore(cls, values[:i] + (object(),) + values[i + 1 :])
+            if slot in IGNORED_SLOTS.get(name, ()):
+                assert changed == obj, slot
+            else:
+                assert changed != obj and not changed == obj, slot
+
+    def test_other_types_never_compare_equal(self):
+        matrix = Matrix.identity(2)
+        assert matrix != SymmetricForm(matrix)
+        assert SymmetricForm(matrix) != (2, matrix)
+        assert IntPolynomial([1, 1]) != (1, 1)
+
+    def test_pipeline_outputs_compare_by_value(self):
+        embedding = embed_group(catalog("klein"), _klein_shape())
+        assert verify_embedding(embedding) == verify_embedding(embedding)
+        group_input = MatrixGroupInput(2, [-Matrix.identity(2)])
+        assert good_prime(group_input) == good_prime(group_input)
+
+    def test_only_matrix_and_bieberbach_group_own_equality(self):
+        types = _frozen_types()
+        assert {t.__name__ for t in types} == set(FROZEN_INSTANCES)
+        own = {
+            t.__name__ for t in types if "__eq__" in vars(t) or "__hash__" in vars(t)
+        }
+        assert own == {"Matrix", "BieberbachGroup"}
 
     def test_import_loads_neither_dataclasses_nor_inspect(self):
         # both modules are slow to import, and every command pays the

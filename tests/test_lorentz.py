@@ -116,8 +116,10 @@ class TestModelForm:
         assert b.evaluate(model.v_inf, model.v_0) == 2
 
     def test_rejects_indefinite_base(self):
-        with pytest.raises(NotPositiveDefinite):
-            model_form(SymmetricForm.diagonal([1, -1]))
+        # indefinite, degenerate, and negative definite bases
+        for entries in ([1, -1], [1, 0], [-1, -1]):
+            with pytest.raises(NotPositiveDefinite, match="base form must be positive definite"):
+                model_form(SymmetricForm.diagonal(entries))
 
     def test_lift_appends_null_coordinates(self):
         model = model_form(SymmetricForm.identity(2))
@@ -480,6 +482,19 @@ class TestVerifyEmbedding:
         checks = verify_embedding(doubled).per_generator[0]
         assert not checks.log_cubes_to_zero
         assert checks.nilpotency_degree is None
+
+    def test_mismatched_dimensions_rejected(self):
+        # a 3x3 image in a 4x4 model used to reach verify_embedding, which
+        # then raised on its first product instead of recording a failure
+        group = catalog("torus-2")
+        embedding = embed_group(group, ShapeDescriptor(group, SymmetricForm.identity(2)))
+        for wrong in (Matrix.identity(3), Matrix.zeros(4, 3), Matrix.identity(5)):
+            with pytest.raises(DimensionMismatch, match="images must be 4x4"):
+                LorentzEmbedding(embedding.model, group, [wrong, embedding.images[1]])
+        # a group of another dimension made it raise on its first translation
+        torus3 = catalog("torus-3")
+        with pytest.raises(DimensionMismatch, match="dimension-3 group in a dimension-2 model"):
+            LorentzEmbedding(embedding.model, torus3, embedding.images + embedding.images[:1])
 
     def test_klein_equivariance(self):
         group = catalog("klein")

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import flatcusps
 from flatcusps import selberg
-from flatcusps.errors import UnipotentViolation
+from flatcusps.errors import DimensionMismatch, UnipotentViolation
 from flatcusps.exactlin import IntPolynomial, Matrix, monomial
 from flatcusps.selberg import (
     MatrixGroupInput,
@@ -235,6 +235,15 @@ class TestVerifyCertificate:
         certificate = good_prime(group_input)
         with pytest.raises(ValueError, match="word length must be non-negative"):
             verify_certificate(group_input, certificate, word_length=-1)
+
+    def test_certificate_of_another_degree_rejected(self):
+        # prime 5 certifies <-I_2>; in degree 4, 5 is still above n, but the
+        # torsion polynomials it was checked against are those of degree 2
+        small = good_prime(MatrixGroupInput(2, [NEG_IDENTITY_2]))
+        assert small.prime == 5
+        group_input = MatrixGroupInput(4, [-Matrix.identity(4)])
+        with pytest.raises(DimensionMismatch, match="degree 2 for a group of degree 4"):
+            verify_certificate(group_input, small, word_length=1)
 
     def test_prime_dividing_element_denominator_fails(self):
         # the generator diag(3, 1) is integral, so q = 3 passes the generator
