@@ -46,7 +46,6 @@ from .errors import (
 from .exactlin import (
     IntPolynomial,
     Matrix,
-    Rational,
     SymmetricForm,
     char_poly,
     is_positive_definite,
@@ -61,7 +60,6 @@ from .lorentz import (
     embed_group,
     embed_translation,
     integralize,
-    model_form,
     verify_embedding,
 )
 from .selberg import (
@@ -103,7 +101,6 @@ __all__ = [
     "NotNilpotent",
     "NotPositiveDefinite",
     "RankDeficient",
-    "Rational",
     "RealForm",
     "SelbergCertificate",
     "ShapeDescriptor",
@@ -128,7 +125,6 @@ __all__ = [
     "is_positive_definite",
     "is_torsion_free",
     "ldl_signature",
-    "model_form",
     "nilpotent_exp",
     "rationalize",
     "rows_to_csv",

@@ -17,7 +17,7 @@ lattice, and torsion oracles each time it is built.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .errors import (
     DimensionMismatch,
@@ -153,22 +153,17 @@ class BieberbachGroup(Frozen):
 class HolonomyGroup(Frozen):
     """Finite image of a group under projection to the linear parts.
 
-    ``elements[k]`` is a point-group matrix and ``witnesses[k]`` is one
-    affine element of the source group projecting onto it; ``elements[0]``
-    is the identity with the identity witness.
+    Built from its witnesses: ``witnesses[k]`` is one affine element of the
+    source group and ``elements[k]`` is its linear part, the point-group
+    matrix it witnesses, so the two cannot be mispaired. :func:`holonomy`
+    puts the identity witness first.
     """
 
-    __slots__ = ("group", "elements", "witnesses", "_index")
+    __slots__ = ("group", "witnesses", "elements")
 
-    def __init__(
-        self,
-        group: BieberbachGroup,
-        elements: Sequence[Matrix],
-        witnesses: Sequence[AffineMap],
-    ):
-        elements = tuple(elements)
-        index = {m: i for i, m in enumerate(elements)}
-        super().__init__(group, elements, tuple(witnesses), index)
+    def __init__(self, group: BieberbachGroup, witnesses: Iterable[AffineMap]):
+        witnesses = tuple(witnesses)
+        super().__init__(group, witnesses, tuple(w.linear for w in witnesses))
 
     @property
     def dim(self) -> int:
@@ -177,12 +172,6 @@ class HolonomyGroup(Frozen):
     @property
     def order(self) -> int:
         return len(self.elements)
-
-    def __contains__(self, m: Matrix) -> bool:
-        return m in self._index
-
-    def witness_for(self, m: Matrix) -> AffineMap:
-        return self.witnesses[self._index[m]]
 
     def __repr__(self) -> str:
         return f"<HolonomyGroup order={self.order} dim={self.dim}>"
@@ -216,7 +205,7 @@ def holonomy(group: BieberbachGroup, max_order: int = DEFAULT_MAX_ORDER) -> Holo
                     seen[product] = compose(witness, gen)
                     fresh.append(product)
         frontier = fresh
-    return HolonomyGroup(group, tuple(seen.keys()), tuple(seen.values()))
+    return HolonomyGroup(group, seen.values())
 
 
 def translation_lattice(
@@ -234,14 +223,14 @@ def translation_lattice(
     ``RankDeficient``.
     """
     theta = theta if theta is not None else holonomy(group)
+    witness_for = {w.linear: w for w in theta.witnesses}
     vectors: list[Vector] = []
     for witness in theta.witnesses:
         w = witness.linear
         for gen in group.generators:
-            linear = w * gen.linear
-            rep = theta.witness_for(linear)
-            if rep.linear != linear:
-                raise InvariantViolation("a Schreier product is not a pure translation")
+            rep = witness_for.get(w * gen.linear)
+            if rep is None:
+                raise InvariantViolation("the holonomy lacks a witness-generator product")
             shift = vec_add(w.matvec(gen.translation), witness.translation)
             vectors.append(tuple(a - b for a, b in zip(shift, rep.translation)))
     basis = lattice_basis(vectors, group.dim)

@@ -42,6 +42,7 @@ from .serialize import (
     parse_real_form,
     report_to_dict,
     shape_to_dict,
+    vector_to_list,
 )
 from .shapes import ShapeDescriptor, rationalize
 
@@ -70,6 +71,13 @@ def _load_json(path: str):
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise _CliError(f"{path}: malformed JSON: {exc}") from None
+
+
+def _write_text(path: str, text: str) -> None:
+    try:
+        Path(path).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise _CliError(f"cannot write {path}: {exc}") from None
 
 
 def _load_group(source: str) -> BieberbachGroup:
@@ -105,8 +113,7 @@ def _cmd_catalog(args) -> int:
     print(f"dim: {group.dim}")
     print("generators:")
     for i, g in enumerate(group.generators):
-        linear = [[str(x) for x in row] for row in g.linear.entries]
-        translation = [str(x) for x in g.translation]
+        linear, translation = matrix_to_lists(g.linear), vector_to_list(g.translation)
         print(f"  [{i}] linear={linear} translation={translation}")
     print(f"holonomy order: {theta.order}")
     print(f"lattice basis (columns): {matrix_to_lists(lattice)}")
@@ -203,11 +210,9 @@ def _cmd_density(args) -> int:
         torus_manifold_mode=args.torus_manifold,
     )
     rows = density_mod.run_experiment(config)
-    Path(args.output).write_text(density_mod.rows_to_csv(rows), encoding="utf-8")
+    _write_text(args.output, density_mod.rows_to_csv(rows))
     if args.json_output:
-        Path(args.json_output).write_text(
-            json.dumps(density_mod.rows_to_json(rows), indent=2), encoding="utf-8"
-        )
+        _write_text(args.json_output, json.dumps(density_mod.rows_to_json(rows), indent=2))
     failures = [r for r in rows if r.pipeline_ok is False]
     print(f"wrote {len(rows)} rows to {args.output}")
     if failures:

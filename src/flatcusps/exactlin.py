@@ -23,10 +23,6 @@ from typing import Iterable, Sequence, Union
 
 from .errors import DimensionMismatch, InvariantViolation, NotNilpotent
 
-#: Exact rationals. ``Fraction`` keeps gcd-reduced numerators and positive
-#: denominators, which is exactly the normal form required here.
-Rational = Fraction
-
 Scalar = Union[int, str, Fraction]
 
 _ZERO = Fraction(0)
@@ -62,9 +58,9 @@ class Frozen:
     values, in that order, to ``Frozen.__init__``, the one place they are
     set. Afterwards assignment and deletion both raise ``AttributeError``.
     Equality is by value: two instances are equal when they have the same
-    type and equal slot values, and the hash is the hash of those values,
-    so a type holding a dict is unhashable. ``Matrix`` overrides the pair
-    for speed and ``BieberbachGroup`` to ignore its name.
+    type and equal slot values, and the hash is the hash of those values.
+    ``Matrix`` overrides the pair for speed and ``BieberbachGroup`` to
+    ignore its name.
     ``@dataclass(frozen=True, slots=True)`` would give the same, but
     importing ``dataclasses`` (and the ``inspect`` module it pulls in)
     raised the package import from about 44 ms to 64 ms, a cost every

@@ -38,7 +38,6 @@ from .exactlin import (
     Frozen,
     Matrix,
     SymmetricForm,
-    Vector,
     char_poly,
     ldl_signature,
     unipotent_polynomial,
@@ -48,71 +47,50 @@ from .shapes import ShapeDescriptor
 
 
 class LorentzModel(Frozen):
-    """Signature (n+1, 1) model data attached to a base form.
+    """Signature (n+1, 1) model data attached to a positive definite base form.
 
-    Built by :func:`model_form`. Holds the model form ``B`` and the null
-    vectors ``v_inf`` and ``v_0``; the first n coordinate vectors span
-    their B-orthogonal complement (the translation directions).
+    ``B = base (+) diag(1, -1)``, with the null vectors ``v_inf`` and
+    ``v_0`` in the last two coordinates; the first n coordinate vectors
+    span their B-orthogonal complement (the translation directions). The
+    inertia of ``B`` is that of the base plus ``(1, 1, 0)``, so ``B`` has
+    signature ``(n+1, 1)`` exactly when the base is positive definite.
     """
 
     __slots__ = ("n", "base_form", "model_form", "v_inf", "v_0")
 
-    def __init__(
-        self,
-        base_form: SymmetricForm,
-        model: SymmetricForm,
-        v_inf: Vector,
-        v_0: Vector,
-    ):
-        super().__init__(base_form.dim, base_form, model, v_inf, v_0)
+    def __init__(self, base: SymmetricForm):
+        n = base.dim
+        model = base.direct_sum(SymmetricForm.diagonal([1, -1]))
+        if ldl_signature(model) != (n + 1, 1, 0):
+            raise NotPositiveDefinite("base form must be positive definite")
+        v_inf = tuple(
+            Fraction(1) if i >= n else Fraction(0) for i in range(n + 2)
+        )
+        v_0 = tuple(
+            Fraction(1) if i == n else Fraction(-1) if i == n + 1 else Fraction(0)
+            for i in range(n + 2)
+        )
+        if model.evaluate(v_inf, v_inf) != 0 or model.evaluate(v_0, v_0) != 0:
+            raise InvariantViolation("v_inf and v_0 are not both null")
+        if model.evaluate(v_inf, v_0) == 0:
+            raise InvariantViolation("v_inf and v_0 are orthogonal")
+        super().__init__(n, base, model, v_inf, v_0)
 
     @property
     def ambient_dim(self) -> int:
         return self.n + 2
 
-    def lift(self, v: Sequence) -> Vector:
-        """Ambient vector of a complement vector: ``v`` followed by two zeros."""
-        w = vec(v)
-        if len(w) != self.n:
-            raise DimensionMismatch(
-                f"expected a vector of length {self.n}, got {len(w)}"
-            )
-        return w + (Fraction(0), Fraction(0))
-
     def __repr__(self) -> str:
         return f"<LorentzModel n={self.n}>"
-
-
-def model_form(base: SymmetricForm) -> LorentzModel:
-    """Model data for a positive definite rational base form.
-
-    ``B = base (+) diag(1, -1)``, with ``v_inf``, ``v_0`` in the last two
-    coordinates and the first n coordinate vectors as the complement basis.
-    The inertia of ``B`` is that of the base plus ``(1, 1, 0)``, so ``B``
-    has signature ``(n+1, 1)`` exactly when the base is positive definite.
-    """
-    n = base.dim
-    model = base.direct_sum(SymmetricForm.diagonal([1, -1]))
-    if ldl_signature(model) != (n + 1, 1, 0):
-        raise NotPositiveDefinite("base form must be positive definite")
-    v_inf = tuple(
-        Fraction(1) if i >= n else Fraction(0) for i in range(n + 2)
-    )
-    v_0 = tuple(
-        Fraction(1) if i == n else Fraction(-1) if i == n + 1 else Fraction(0)
-        for i in range(n + 2)
-    )
-    if model.evaluate(v_inf, v_inf) != 0 or model.evaluate(v_0, v_0) != 0:
-        raise InvariantViolation("v_inf and v_0 are not both null")
-    if model.evaluate(v_inf, v_0) == 0:
-        raise InvariantViolation("v_inf and v_0 are orthogonal")
-    return LorentzModel(base, model, v_inf, v_0)
 
 
 def _translation_parts(v: Sequence, model: LorentzModel) -> tuple:
     """``w = v``, ``k = B_K w`` and ``h = B_K(w, w) / 2``, each as integers
     over a denominator: ``(w_num, w_den, k_num, k_den, h_num, h_den)``."""
-    w = Matrix([model.lift(v)[: model.n]])
+    v = vec(v)
+    if len(v) != model.n:
+        raise DimensionMismatch(f"expected a vector of length {model.n}, got {len(v)}")
+    w = Matrix([v])
     w_num, w_den = w.num[0], w.den
     base = model.base_form.matrix
     k_num = [sum(map(mul, row, w_num)) for row in base.num]
@@ -147,8 +125,9 @@ def embed_translation(v: Sequence, model: LorentzModel) -> Matrix:
 
     The closed form of :func:`embed_affine` at ``A = I``. It is the
     exponential ``I + M + M^2/2`` of the B-skew map
-    ``M = lift(v) (B v_inf)^T - v_inf (B lift(v))^T``, which cubes to zero;
-    it preserves the model form, fixes ``v_inf``, and is additive in ``v``.
+    ``M = u (B v_inf)^T - v_inf (B u)^T``, with ``u`` the vector ``v``
+    followed by two zeros; ``M`` cubes to zero, and ``T(v)`` preserves the
+    model form, fixes ``v_inf``, and is additive in ``v``.
     """
     return _assemble(Matrix.identity(model.n), v, model)
 
@@ -202,7 +181,7 @@ def embed_group(group: BieberbachGroup, shape: ShapeDescriptor) -> LorentzEmbedd
     """
     if shape.group != group:
         raise DimensionMismatch("shape was built for a different group")
-    model = model_form(shape.form)
+    model = LorentzModel(shape.form)
     images = [embed_affine(g, model) for g in group.generators]
     return LorentzEmbedding(model, group, images)
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 from types import MappingProxyType
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence, Union
 
 from .errors import DimensionMismatch, InvariantViolation, UnipotentViolation
 from .exactlin import (
@@ -207,7 +207,12 @@ class ResidueEvidence(Frozen):
 
 
 class SelbergCertificate(Frozen):
-    """Choice of congruence prime together with the evidence justifying it."""
+    """Choice of congruence prime together with the evidence justifying it.
+
+    ``bad_primes`` maps each excluded prime to its reasons; it is given as a
+    mapping or as its ``(prime, reasons)`` pairs and kept as the tuple of
+    those pairs sorted by prime, so a certificate hashes by value.
+    """
 
     __slots__ = ("n", "prime", "torsion_polys", "bad_primes", "residue_evidence")
 
@@ -216,12 +221,11 @@ class SelbergCertificate(Frozen):
         n: int,
         prime: int,
         torsion_polys: Sequence[IntPolynomial],
-        bad_primes: dict[int, tuple[str, ...]],
+        bad_primes: Union[Mapping[int, Sequence[str]], Iterable[tuple[int, Sequence[str]]]],
         residue_evidence: Sequence[ResidueEvidence],
     ):
-        super().__init__(
-            n, prime, tuple(torsion_polys), dict(bad_primes), tuple(residue_evidence)
-        )
+        pairs = tuple(sorted((p, tuple(reasons)) for p, reasons in dict(bad_primes).items()))
+        super().__init__(n, prime, tuple(torsion_polys), pairs, tuple(residue_evidence))
 
     def __repr__(self) -> str:
         return f"<SelbergCertificate n={self.n} prime={self.prime}>"

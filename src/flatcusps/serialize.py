@@ -280,9 +280,7 @@ def certificate_to_dict(certificate: SelbergCertificate) -> dict:
     return {
         "n": certificate.n,
         "prime": certificate.prime,
-        "bad_primes": {
-            str(p): list(reasons) for p, reasons in sorted(certificate.bad_primes.items())
-        },
+        "bad_primes": {str(p): list(reasons) for p, reasons in certificate.bad_primes},
         "torsion_polynomials": [
             {"coefficients": [str(c) for c in p.coeffs], "text": str(p)}
             for p in certificate.torsion_polys

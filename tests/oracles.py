@@ -196,13 +196,21 @@ def outer_pairing(x, y, form: SymmetricForm) -> Matrix:
     return Matrix([[a * b for b in by] for a in xv])
 
 
+def lift(model: LorentzModel, v) -> Vector:
+    """Ambient vector of a complement vector: ``v`` followed by two zeros."""
+    w = vec(v)
+    if len(w) != model.n:
+        raise DimensionMismatch(f"expected a vector of length {model.n}, got {len(w)}")
+    return w + (Fraction(0), Fraction(0))
+
+
 def translation_log(v, model: LorentzModel) -> Matrix:
     """B-skew generator whose exponential is the translation image.
 
     ``M = lift(v) (B v_inf)^T - v_inf (B lift(v))^T``; it kills ``v_inf``,
     satisfies ``M^3 = 0``, and ``M^T B + B M = 0`` exactly.
     """
-    lifted = model.lift(v)
+    lifted = lift(model, v)
     return outer_pairing(lifted, model.v_inf, model.model_form) - outer_pairing(
         model.v_inf, lifted, model.model_form
     )

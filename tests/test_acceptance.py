@@ -245,7 +245,7 @@ def test_criterion_5_selberg_worked_example():
         group_input = MatrixGroupInput(2, [unipotent, -Matrix.identity(2)], [unipotent])
         certificate = good_prime(group_input)
         assert certificate.prime == 5
-        assert set(certificate.bad_primes) == {2, 3}
+        assert set(dict(certificate.bad_primes)) == {2, 3}
         assert verify_certificate(group_input, certificate, word_length=6) is True
         forced = SelbergCertificate(
             2, 2, certificate.torsion_polys, certificate.bad_primes,

@@ -6,6 +6,7 @@ import pytest
 from flatcusps.bieberbach import (
     AffineMap,
     BieberbachGroup,
+    HolonomyGroup,
     catalog,
     catalog_names,
     compose,
@@ -77,8 +78,8 @@ class TestHolonomy:
     def test_klein_order_two(self):
         theta = holonomy(klein_group())
         assert theta.order == 2
-        assert Matrix.diagonal([1, -1]) in theta
-        witness = theta.witness_for(Matrix.diagonal([1, -1]))
+        assert Matrix.diagonal([1, -1]) in theta.elements
+        witness = theta.witnesses[theta.elements.index(Matrix.diagonal([1, -1]))]
         assert witness.linear == Matrix.diagonal([1, -1])
 
     def test_infinite_linear_part_hits_bound(self):
@@ -96,6 +97,21 @@ class TestHolonomy:
         theta = holonomy(catalog("sixth-turn"))
         orders = sorted(element_order(theta, h) for h in theta.elements)
         assert orders == [1, 2, 3, 3, 6, 6]
+
+    @pytest.mark.parametrize("name", catalog_names())
+    def test_elements_follow_reordered_witnesses(self, name):
+        # elements are derived from the witnesses, so a reordering cannot
+        # mispair them and every downstream answer stays the same
+        group = catalog(name)
+        witnesses = holonomy(group).witnesses
+        theta = HolonomyGroup(group, reversed(witnesses))
+        assert theta.elements == tuple(w.linear for w in reversed(witnesses))
+        assert theta.elements == tuple(w.linear for w in theta.witnesses)
+        basis, reference = translation_lattice(group, theta), translation_lattice(group)
+        # the same lattice: each basis is an integral combination of the other
+        assert (reference.inverse() * basis).is_integral()
+        assert (basis.inverse() * reference).is_integral()
+        assert is_torsion_free(group, theta, reference) is True
 
 
 class TestTranslationLattice:

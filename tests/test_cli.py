@@ -281,6 +281,20 @@ class TestDensity:
         lines = out_csv.read_text(encoding="utf-8").splitlines()
         assert all(line.endswith(",false,") for line in lines[1:])
 
+    @pytest.mark.parametrize("flag", ["-o", "--json"])
+    def test_unwritable_output_exits_one(self, tmp_path, capsys, flag):
+        unwritable = tmp_path / "missing-dir" / "out"
+        args = ["density", "-g", "torus-2", "--samples", "1", "--denoms", "10", "--seed", "8"]
+        if flag == "-o":
+            args += ["-o", str(unwritable)]
+        else:
+            args += ["-o", str(tmp_path / "rows.csv"), "--json", str(unwritable)]
+        assert main(args) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: cannot write {unwritable}: ")
+        assert "Traceback" not in captured.err
+        assert not unwritable.parent.exists()
+
 
 class TestUsageErrors:
     def test_unknown_subcommand(self, capsys):

@@ -30,8 +30,8 @@ from flatcusps.exactlin import (
     nilpotent_exp,
     null_space,
 )
-from flatcusps.lorentz import embed_group, model_form, verify_embedding
-from flatcusps.selberg import MatrixGroupInput, good_prime
+from flatcusps.lorentz import LorentzModel, embed_group, verify_embedding
+from flatcusps.selberg import MatrixGroupInput, SelbergCertificate, good_prime
 from flatcusps.shapes import RealForm, ShapeDescriptor
 
 from oracles import (
@@ -456,7 +456,7 @@ FROZEN_INSTANCES = {
     "HolonomyGroup": lambda: holonomy(catalog("klein")),
     "RealForm": lambda: RealForm([[1.0, 0.0], [0.0, 1.0]]),
     "ShapeDescriptor": _klein_shape,
-    "LorentzModel": lambda: model_form(SymmetricForm.identity(2)),
+    "LorentzModel": lambda: LorentzModel(SymmetricForm.identity(2)),
     "LorentzEmbedding": lambda: embed_group(catalog("klein"), _klein_shape()),
     "GeneratorChecks": lambda: verify_embedding(
         embed_group(catalog("klein"), _klein_shape())
@@ -470,9 +470,6 @@ FROZEN_INSTANCES = {
     "ExperimentConfig": lambda: ExperimentConfig(catalog("klein"), 1, [10], 1),
     "DensityRow": lambda: DensityRow(0, 10, 0.25, True, 5),
 }
-
-# types holding a dict, which are unhashable like a frozen dataclass with one
-UNHASHABLE = {"HolonomyGroup", "SelbergCertificate"}
 
 # slots the two own equalities ignore: a matrix's shape follows from its
 # rows, and one group has many names
@@ -523,12 +520,8 @@ class TestFrozen:
     @pytest.mark.parametrize("name", sorted(FROZEN_INSTANCES))
     def test_independent_builds_hash_equal(self, name):
         a, b = FROZEN_INSTANCES[name](), FROZEN_INSTANCES[name]()
-        if name in UNHASHABLE:
-            with pytest.raises(TypeError, match="unhashable type: 'dict'"):
-                hash(a)
-        else:
-            assert hash(a) == hash(b)
-            assert len({a, b}) == 1
+        assert hash(a) == hash(b)
+        assert len({a, b}) == 1
 
     @pytest.mark.parametrize("name", sorted(FROZEN_INSTANCES))
     def test_changed_slot_compares_unequal(self, name):
@@ -552,6 +545,11 @@ class TestFrozen:
         assert verify_embedding(embedding) == verify_embedding(embedding)
         group_input = MatrixGroupInput(2, [-Matrix.identity(2)])
         assert good_prime(group_input) == good_prime(group_input)
+        assert hash(good_prime(group_input)) == hash(good_prime(group_input))
+        bad = good_prime(group_input).bad_primes
+        assert isinstance(bad, tuple) and bad
+        assert [p for p, _ in bad] == sorted(p for p, _ in bad)
+        assert SelbergCertificate(2, 5, (), dict(reversed(bad)), ()).bad_primes == bad
 
     def test_only_matrix_and_bieberbach_group_own_equality(self):
         types = _frozen_types()

@@ -29,16 +29,17 @@ from flatcusps.errors import (
 from flatcusps.exactlin import Matrix, SymmetricForm, char_poly, ldl_signature, nilpotent_exp
 from flatcusps.lorentz import (
     LorentzEmbedding,
+    LorentzModel,
     embed_affine,
     embed_group,
     embed_translation,
     integralize,
-    model_form,
     verify_embedding,
 )
 from flatcusps.shapes import ShapeDescriptor
 from oracles import (
     hyperbolic_conjugator,
+    lift,
     linear_image,
     outer_pairing,
     product_embed_affine,
@@ -84,7 +85,7 @@ def scaled_embedding(name, factors):
     """Images ``T(f t) R(A)`` of the generators ``(A, t)``, one factor each,
     built as products at the holonomy average of the identity."""
     group, theta = catalog_with_holonomy(name)
-    model = model_form(theta_average(SymmetricForm.identity(group.dim), theta))
+    model = LorentzModel(theta_average(SymmetricForm.identity(group.dim), theta))
     images = [
         product_embed_affine(AffineMap(g.linear, [f * x for x in g.translation]), model)
         for g, f in zip(group.generators, factors)
@@ -94,22 +95,22 @@ def scaled_embedding(name, factors):
 
 class TestModelForm:
     def test_identity_base(self):
-        model = model_form(SymmetricForm.identity(2))
+        model = LorentzModel(SymmetricForm.identity(2))
         assert model.model_form == SymmetricForm.diagonal([1, 1, 1, -1])
         assert model.v_inf == (F(0), F(0), F(1), F(1))
         assert model.v_0 == (F(0), F(0), F(1), F(-1))
 
     def test_smallest_case(self):
-        model = model_form(SymmetricForm([[1]]))
+        model = LorentzModel(SymmetricForm([[1]]))
         assert model.model_form == SymmetricForm.diagonal([1, 1, -1])
 
     def test_diagonal_base_signature(self):
-        model = model_form(SymmetricForm.diagonal([2, 3]))
+        model = LorentzModel(SymmetricForm.diagonal([2, 3]))
         assert model.model_form == SymmetricForm.diagonal([2, 3, 1, -1])
         assert ldl_signature(model.model_form) == (3, 1, 0)
 
     def test_null_vectors(self):
-        model = model_form(SymmetricForm([[2, 1], [1, 3]]))
+        model = LorentzModel(SymmetricForm([[2, 1], [1, 3]]))
         b = model.model_form
         assert b.evaluate(model.v_inf, model.v_inf) == 0
         assert b.evaluate(model.v_0, model.v_0) == 0
@@ -119,13 +120,13 @@ class TestModelForm:
         # indefinite, degenerate, and negative definite bases
         for entries in ([1, -1], [1, 0], [-1, -1]):
             with pytest.raises(NotPositiveDefinite, match="base form must be positive definite"):
-                model_form(SymmetricForm.diagonal(entries))
+                LorentzModel(SymmetricForm.diagonal(entries))
 
     def test_lift_appends_null_coordinates(self):
-        model = model_form(SymmetricForm.identity(2))
-        assert model.lift([1, F(2, 3)]) == (F(1), F(2, 3), F(0), F(0))
+        model = LorentzModel(SymmetricForm.identity(2))
+        assert lift(model, [1, F(2, 3)]) == (F(1), F(2, 3), F(0), F(0))
         with pytest.raises(DimensionMismatch):
-            model.lift([1, 2, 3])
+            lift(model, [1, 2, 3])
 
 
 class TestOuterPairing:
@@ -160,11 +161,11 @@ class TestOuterPairing:
 
 class TestEmbedTranslation:
     def test_zero_vector(self):
-        model = model_form(SymmetricForm.identity(2))
+        model = LorentzModel(SymmetricForm.identity(2))
         assert embed_translation([0, 0], model) == Matrix.identity(4)
 
     def test_one_dimensional_example(self):
-        model = model_form(SymmetricForm([[1]]))
+        model = LorentzModel(SymmetricForm([[1]]))
         expected = Matrix([[1, 1, -1], [-1, HALF, HALF], [-1, -HALF, F(3, 2)]])
         assert embed_translation([1], model) == expected
 
@@ -174,13 +175,13 @@ class TestEmbedTranslation:
         square = st.lists(st.lists(small_fractions, min_size=n, max_size=n), min_size=n, max_size=n)
         m = Matrix(data.draw(square))
         shift = Matrix.diagonal(data.draw(st.lists(positive_fractions, min_size=n, max_size=n)))
-        model = model_form(SymmetricForm(m.transpose() * m + shift))
+        model = LorentzModel(SymmetricForm(m.transpose() * m + shift))
         v = data.draw(st.lists(small_fractions, min_size=n, max_size=n))
         assert embed_translation(v, model) == nilpotent_exp(translation_log(v, model))
 
     def test_preserves_form_and_fixes_vinf(self):
         rng = random.Random(4)
-        model = model_form(SymmetricForm([[2, 1], [1, 3]]))
+        model = LorentzModel(SymmetricForm([[2, 1], [1, 3]]))
         gram = model.model_form.matrix
         for _ in range(20):
             e = embed_translation(random_vector(rng, 2), model)
@@ -189,7 +190,7 @@ class TestEmbedTranslation:
 
     def test_additive_and_inverse(self):
         rng = random.Random(5)
-        model = model_form(SymmetricForm.diagonal([2, 3]))
+        model = LorentzModel(SymmetricForm.diagonal([2, 3]))
         for _ in range(20):
             v = random_vector(rng, 2)
             w = random_vector(rng, 2)
@@ -198,7 +199,7 @@ class TestEmbedTranslation:
             assert embed_translation(v, model).inverse() == embed_translation([-a for a in v], model)
 
     def test_log_nilpotency_pattern(self):
-        model = model_form(SymmetricForm.identity(2))
+        model = LorentzModel(SymmetricForm.identity(2))
         zero_log = translation_log([0, 0], model)
         assert zero_log.is_zero()
         log = translation_log([F(1, 3), 2], model)
@@ -206,7 +207,7 @@ class TestEmbedTranslation:
         assert (log * log * log).is_zero()
 
     def test_null_cone_preserved_but_v0_moves(self):
-        model = model_form(SymmetricForm.identity(2))
+        model = LorentzModel(SymmetricForm.identity(2))
         e = embed_translation([1, 0], model)
         image_v0 = e.matvec(model.v_0)
         assert image_v0 != model.v_0
@@ -215,11 +216,11 @@ class TestEmbedTranslation:
 
 class TestEmbedAffine:
     def test_identity_map(self):
-        model = model_form(SymmetricForm.identity(2))
+        model = LorentzModel(SymmetricForm.identity(2))
         assert embed_affine(AffineMap.identity(2), model) == Matrix.identity(4)
 
     def test_klein_generator_factorization(self):
-        model = model_form(SymmetricForm.diagonal([2, 3]))
+        model = LorentzModel(SymmetricForm.diagonal([2, 3]))
         g = AffineMap(Matrix.diagonal([1, -1]), [HALF, 0])
         manual = embed_translation([HALF, 0], model) * Matrix.block_diag(
             Matrix.diagonal([1, -1]), Matrix.identity(2)
@@ -231,13 +232,13 @@ class TestEmbedAffine:
         assert image.matvec(model.v_inf) == model.v_inf
 
     def test_pure_rotation_is_block_diagonal(self):
-        model = model_form(SymmetricForm.identity(2))
+        model = LorentzModel(SymmetricForm.identity(2))
         rotation = Matrix([[0, -1], [1, 0]])
         image = embed_affine(AffineMap(rotation, [0, 0]), model)
         assert image == Matrix.block_diag(rotation, Matrix.identity(2))
 
     def test_non_isometry_rejected(self):
-        model = model_form(SymmetricForm.identity(2))
+        model = LorentzModel(SymmetricForm.identity(2))
         with pytest.raises(NotFormIsometry):
             embed_affine(AffineMap(Matrix.diagonal([1, 2]), [0, 0]), model)
 
@@ -249,13 +250,13 @@ class TestEmbedAffine:
         square = st.lists(st.lists(small_fractions, min_size=n, max_size=n), min_size=n, max_size=n)
         m = Matrix(data.draw(square))
         shift = Matrix.diagonal(data.draw(st.lists(positive_fractions, min_size=n, max_size=n)))
-        model = model_form(theta_average(SymmetricForm(m.transpose() * m + shift), theta))
+        model = LorentzModel(theta_average(SymmetricForm(m.transpose() * m + shift), theta))
         for a in theta.elements:
             g = AffineMap(a, data.draw(st.lists(small_fractions, min_size=n, max_size=n)))
             assert embed_affine(g, model) == product_embed_affine(g, model)
 
     def test_equivariance_identity(self):
-        model = model_form(SymmetricForm.diagonal([2, 3]))
+        model = LorentzModel(SymmetricForm.diagonal([2, 3]))
         a = Matrix.diagonal([1, -1])
         r = linear_image(a, model)
         rng = random.Random(6)
@@ -354,7 +355,7 @@ class TestIntegralize:
         assert verify_embedding(result).overall
 
     def test_conjugator_preserves_form(self):
-        model = model_form(SymmetricForm.diagonal([2, 3]))
+        model = LorentzModel(SymmetricForm.diagonal([2, 3]))
         gram = model.model_form.matrix
         for c in (1, 2, 3, 5):
             a = hyperbolic_conjugator(model, c)

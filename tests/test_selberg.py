@@ -161,7 +161,7 @@ class TestGoodPrime:
     def test_worked_example(self):
         certificate = good_prime(worked_example())
         assert certificate.prime == 5
-        assert set(certificate.bad_primes) == {2, 3}
+        assert set(dict(certificate.bad_primes)) == {2, 3}
         # (t+1)^2 = t^2+2t+1 vs (t-1)^2 = t^2+3t+1 mod 5
         neg_poly = IntPolynomial([1, 2, 1])
         evidence = {e.polynomial: e for e in certificate.residue_evidence}
