@@ -400,12 +400,13 @@ class SymmetricForm(Frozen):
         return SymmetricForm(Matrix.diagonal(values))
 
     def evaluate(self, x: Sequence[Scalar], y: Sequence[Scalar]) -> Fraction:
-        """Value of the form on a pair of vectors."""
-        xv, yv = vec(x), vec(y)
-        if len(xv) != self.dim or len(yv) != self.dim:
+        """Value of the form on a pair of vectors, computed on integer
+        numerators over one denominator."""
+        if len(x) != self.dim or len(y) != self.dim:
             raise DimensionMismatch("vector length does not match the form dimension")
-        my = self.matrix.matvec(yv)
-        return sum((a * b for a, b in zip(xv, my)), _ZERO)
+        xs, ys, m = Matrix([x]), Matrix([y]), self.matrix
+        total = sum(a * sum(map(mul, row, ys.num[0])) for a, row in zip(xs.num[0], m.num))
+        return Fraction(total, xs.den * ys.den * m.den)
 
     def direct_sum(self, other: SymmetricForm) -> SymmetricForm:
         return SymmetricForm(Matrix.block_diag(self.matrix, other.matrix))

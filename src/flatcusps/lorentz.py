@@ -13,6 +13,10 @@ has this shape: its upper-left n-by-n block is ``A`` and rows ``< n`` of
 column n hold ``t``. Reading ``(A, t)`` off is an isomorphism from the
 stabilizer of ``v_inf`` onto ``Isom(R^n, B_K)``, so
 :func:`verify_embedding` checks the finished matrices by decoding them.
+A successful decode derives the other four checks (form preservation,
+``v_inf`` fixed, unipotence of translations, a log that cubes to zero)
+from closed forms and the n-by-n identity ``A^T B_K A = B_K``; a failed
+decode runs them in full on the (n+2)-by-(n+2) matrices.
 Conjugating by the rational hyperbolic element that scales ``v_inf`` by a
 positive integer ``c`` and fixes the complement scales every translation
 by ``c`` and leaves the linear factors alone, so :func:`integralize`
@@ -46,6 +50,10 @@ from .exactlin import (
 from .shapes import ShapeDescriptor
 
 
+# The hyperbolic plane spanned by the last two coordinates.
+_PLANE = SymmetricForm.diagonal([1, -1])
+
+
 class LorentzModel(Frozen):
     """Signature (n+1, 1) model data attached to a positive definite base form.
 
@@ -60,21 +68,19 @@ class LorentzModel(Frozen):
 
     def __init__(self, base: SymmetricForm):
         n = base.dim
-        model = base.direct_sum(SymmetricForm.diagonal([1, -1]))
-        if ldl_signature(model) != (n + 1, 1, 0):
+        if ldl_signature(base) != (n, 0, 0):
             raise NotPositiveDefinite("base form must be positive definite")
-        v_inf = tuple(
-            Fraction(1) if i >= n else Fraction(0) for i in range(n + 2)
-        )
-        v_0 = tuple(
-            Fraction(1) if i == n else Fraction(-1) if i == n + 1 else Fraction(0)
-            for i in range(n + 2)
-        )
-        if model.evaluate(v_inf, v_inf) != 0 or model.evaluate(v_0, v_0) != 0:
+        # v_inf and v_0 vanish off the plane, so their values under B are
+        # those of (1, 1) and (1, -1) under the plane's diag(1, -1).
+        inf_2, zero_2 = (1, 1), (1, -1)
+        if _PLANE.evaluate(inf_2, inf_2) != 0 or _PLANE.evaluate(zero_2, zero_2) != 0:
             raise InvariantViolation("v_inf and v_0 are not both null")
-        if model.evaluate(v_inf, v_0) == 0:
+        if _PLANE.evaluate(inf_2, zero_2) == 0:
             raise InvariantViolation("v_inf and v_0 are orthogonal")
-        super().__init__(n, base, model, v_inf, v_0)
+        origin = (Fraction(0),) * n
+        v_inf = origin + tuple(map(Fraction, inf_2))
+        v_0 = origin + tuple(map(Fraction, zero_2))
+        super().__init__(n, base, base.direct_sum(_PLANE), v_inf, v_0)
 
     @property
     def ambient_dim(self) -> int:
@@ -304,16 +310,33 @@ class VerificationReport(Frozen):
 def verify_embedding(embedding: LorentzEmbedding) -> VerificationReport:
     """Recheck the finished matrices against the generators they encode.
 
-    Per generator ``(A, t)`` with image ``E``: form preservation
-    ``E^T B E = B``; ``E v_inf = v_inf``; for pure translations the
-    characteristic polynomial is ``(t-1)^(n+2)``; equivariance, meaning
-    that ``E`` decodes to ``(A, c t)``, i.e. equals the closed form
+    Per generator ``(A, t)`` with image ``E`` there are five checks: form
+    preservation ``E^T B E = B``; ``E v_inf = v_inf``; for pure
+    translations, characteristic polynomial ``(t-1)^(n+2)``; equivariance,
+    meaning that ``E`` decodes to ``(A, c t)``, i.e. equals the closed form
     ``T(c t) R(A)`` entry by entry, for one ``c > 0`` shared by all
     generators; and the log of the unipotent factor ``E R(A)^{-1}`` cubes
     to zero. The scale ``c`` is read off the first nonzero translation
     coordinate, ``c = E[j, n] / t_j``, and is 1 when every translation is
     zero: 1 for :func:`embed_group` output, the integralization scale after
     :func:`integralize`.
+
+    The decode is tested first. When it holds, the other four checks
+    follow from closed forms, with no (n+2)-sized product:
+
+    - ``T(w)`` preserves ``B`` for every ``w``, and ``R(A)`` does exactly
+      when ``A`` preserves ``B_K``, so ``E^T B E = B`` is the n-by-n
+      identity ``A^T B_K A = B_K``;
+    - ``T(w)`` and ``R(A)`` both fix ``v_inf``;
+    - a translation image is ``T(c t)``, unipotent;
+    - ``E R(A)^{-1} = T(c t)`` is the exponential ``I + M + M^2/2`` of the
+      B-skew map ``M`` of :func:`embed_translation`, so the log is ``M``
+      itself. ``M^3 = 0``, and ``M^2`` is ``-B_K(c t, c t)`` times a nonzero
+      rank-one map, so the nilpotency degree is 3 when ``t != 0`` and 1
+      when ``t = 0``.
+
+    When the decode fails, all five checks run in full on the
+    (n+2)-by-(n+2) matrices, so a failure report says which of them fail.
 
     Decoding is enough. An element of ``O(B)`` fixing ``v_inf`` is
     ``T(w) R(A)`` with ``A`` a ``B_K``-isometry; its upper-left n-by-n block
@@ -327,10 +350,8 @@ def verify_embedding(embedding: LorentzEmbedding) -> VerificationReport:
     allow. Failures are recorded, never raised.
     """
     model = embedding.model
-    gram = model.model_form.matrix
+    base = model.base_form.matrix
     n = model.n
-    ambient = model.ambient_dim
-    unipotent = unipotent_polynomial(ambient)
     pairs = list(zip(embedding.group.generators, embedding.images))
     scale = next(
         (image[j, n] / x for g, image in pairs for j, x in enumerate(g.translation) if x),
@@ -339,38 +360,49 @@ def verify_embedding(embedding: LorentzEmbedding) -> VerificationReport:
 
     results = []
     for g, image in pairs:
-        form_preserved = image.transpose() * gram * image == gram
-        fixes_vinf = image.matvec(model.v_inf) == model.v_inf
-
-        if g.is_translation():
-            unipotent_translation: Optional[bool] = char_poly(image) == unipotent
-        else:
-            unipotent_translation = None
-
-        equivariance = scale > 0 and image == _assemble(
-            g.linear, [scale * x for x in g.translation], model
-        )
-
-        rotation_inv = Matrix.block_diag(g.linear.inverse(), Matrix.identity(2))
-        shifted = image * rotation_inv - Matrix.identity(ambient)
-        log = shifted - Fraction(1, 2) * (shifted * shifted)
-        degree = None
-        power = Matrix.identity(ambient)
-        for k in range(1, ambient + 1):
-            power = power * log
-            if power.is_zero():
-                degree = k
-                break
-        log_cubes_to_zero = degree is not None and degree <= 3
-
-        results.append(
-            GeneratorChecks(
-                form_preserved,
-                fixes_vinf,
-                unipotent_translation,
-                equivariance,
-                log_cubes_to_zero,
-                degree,
+        a = g.linear
+        if scale > 0 and image == _assemble(a, [scale * x for x in g.translation], model):
+            checks = GeneratorChecks(
+                a.transpose() * base * a == base,
+                True,
+                True if g.is_translation() else None,
+                True,
+                True,
+                3 if any(g.translation) else 1,
             )
-        )
+        else:
+            checks = _full_checks(g, image, model)
+        results.append(checks)
     return VerificationReport(results)
+
+
+def _full_checks(g: AffineMap, image: Matrix, model: LorentzModel) -> GeneratorChecks:
+    """Every check of :func:`verify_embedding` on an image that does not
+    decode to its generator, computed on the (n+2)-by-(n+2) matrices."""
+    gram = model.model_form.matrix
+    ambient = model.ambient_dim
+    form_preserved = image.transpose() * gram * image == gram
+    fixes_vinf = image.matvec(model.v_inf) == model.v_inf
+    if g.is_translation():
+        unipotent_translation: Optional[bool] = char_poly(image) == unipotent_polynomial(ambient)
+    else:
+        unipotent_translation = None
+
+    rotation_inv = Matrix.block_diag(g.linear.inverse(), Matrix.identity(2))
+    shifted = image * rotation_inv - Matrix.identity(ambient)
+    log = shifted - Fraction(1, 2) * (shifted * shifted)
+    degree = None
+    power = Matrix.identity(ambient)
+    for k in range(1, ambient + 1):
+        power = power * log
+        if power.is_zero():
+            degree = k
+            break
+    return GeneratorChecks(
+        form_preserved,
+        fixes_vinf,
+        unipotent_translation,
+        False,
+        degree is not None and degree <= 3,
+        degree,
+    )

@@ -326,7 +326,8 @@ def verify_certificate(
     Enumerates all products of the ambient generators and their inverses
     up to the given word length, breadth first over the distinct letters;
     a word never appends the letter that cancels its last one, since that
-    product is already in the ball. Each nontrivial element E is then
+    product is already in the ball, and appending ``-I`` negates the word
+    instead of multiplying. Each nontrivial element E is then
     judged by its characteristic polynomial ``det(tI - E)``:
 
     - *Trace screen.* Its coefficient ``n-1`` is ``-tr E``. When q does not
@@ -373,6 +374,8 @@ def verify_certificate(
         inverse[m], inverse[m_inverse] = m_inverse, m
     letters = list(inverse)
     cancel = [letters.index(inverse[g]) for g in letters]
+    negative_identity = Matrix.diagonal([-1] * n)
+    negates = [g == negative_identity for g in letters]
 
     seen = {identity}
     frontier = [(identity, -1)]  # (element, index of the letter undoing its last)
@@ -382,7 +385,7 @@ def verify_certificate(
             for i, g in enumerate(letters):
                 if i == undo:
                     continue
-                element = w * g
+                element = -w if negates[i] else w * g
                 if element not in seen:
                     if len(seen) == MAX_WORD_BALL:
                         raise ValueError(

@@ -5,6 +5,7 @@ by enumerating group elements and powering them, best rational
 approximations by scanning every denominator, and finite-order
 characteristic polynomials via sympy companion matrices,
 integralization by explicit conjugation with the hyperbolic element,
+embedding checks by the full (n+2)-sized identities with no closed form,
 integral solvability by Heger's determinantal criterion, and Lorentz
 images as the product of the translation factor, the exponential of a
 B-skew map built from outer pairings, and the block-diagonal linear
@@ -34,11 +35,18 @@ from flatcusps.exactlin import (
     SymmetricForm,
     Vector,
     char_poly,
+    nilpotent_exp,
     unipotent_polynomial,
     vec,
     vec_add,
 )
-from flatcusps.lorentz import LorentzModel, embed_translation
+from flatcusps.lorentz import (
+    GeneratorChecks,
+    LorentzEmbedding,
+    LorentzModel,
+    VerificationReport,
+    embed_translation,
+)
 from flatcusps.selberg import (
     MAX_WORD_BALL,
     MatrixGroupInput,
@@ -225,6 +233,64 @@ def linear_image(a: Matrix, model: LorentzModel) -> Matrix:
 def product_embed_affine(g: AffineMap, model: LorentzModel) -> Matrix:
     """Image of an affine map as the matrix product ``T(t) R(A)``."""
     return embed_translation(g.translation, model) * linear_image(g.linear, model)
+
+
+def ref_verify_embedding(embedding: LorentzEmbedding) -> VerificationReport:
+    """Every check of ``verify_embedding`` computed in full on the
+    (n+2)-by-(n+2) matrices, with no closed form: ``E^T B E = B``,
+    ``E v_inf = v_inf``, the characteristic polynomial of translation
+    images, ``E == exp(M(c t)) R(A)`` for the scale ``c`` read off the first
+    nonzero translation, and the nilpotency degree of the log of
+    ``E R(A)^{-1}``."""
+    model = embedding.model
+    gram = model.model_form.matrix
+    n = model.n
+    ambient = model.ambient_dim
+    unipotent = unipotent_polynomial(ambient)
+    pairs = list(zip(embedding.group.generators, embedding.images))
+    scale = next(
+        (image[j, n] / x for g, image in pairs for j, x in enumerate(g.translation) if x),
+        Fraction(1),
+    )
+
+    results = []
+    for g, image in pairs:
+        form_preserved = image.transpose() * gram * image == gram
+        fixes_vinf = image.matvec(model.v_inf) == model.v_inf
+
+        if g.is_translation():
+            unipotent_translation = char_poly(image) == unipotent
+        else:
+            unipotent_translation = None
+
+        scaled = translation_log([scale * x for x in g.translation], model)
+        equivariance = scale > 0 and image == nilpotent_exp(scaled) * linear_image(
+            g.linear, model
+        )
+
+        rotation_inv = Matrix.block_diag(g.linear.inverse(), Matrix.identity(2))
+        shifted = image * rotation_inv - Matrix.identity(ambient)
+        log = shifted - Fraction(1, 2) * (shifted * shifted)
+        degree = None
+        power = Matrix.identity(ambient)
+        for k in range(1, ambient + 1):
+            power = power * log
+            if power.is_zero():
+                degree = k
+                break
+        log_cubes_to_zero = degree is not None and degree <= 3
+
+        results.append(
+            GeneratorChecks(
+                form_preserved,
+                fixes_vinf,
+                unipotent_translation,
+                equivariance,
+                log_cubes_to_zero,
+                degree,
+            )
+        )
+    return VerificationReport(results)
 
 
 def hyperbolic_conjugator(model: LorentzModel, c: int) -> Matrix:

@@ -1,4 +1,5 @@
 import functools
+import itertools
 import json
 import os
 import random
@@ -36,6 +37,7 @@ from flatcusps.lorentz import (
     integralize,
     verify_embedding,
 )
+from flatcusps.serialize import report_to_dict
 from flatcusps.shapes import ShapeDescriptor
 from oracles import (
     hyperbolic_conjugator,
@@ -43,6 +45,7 @@ from oracles import (
     linear_image,
     outer_pairing,
     product_embed_affine,
+    ref_verify_embedding,
     translation_log,
 )
 
@@ -399,10 +402,22 @@ class TestIntegralize:
     def test_checks_survive_optimize_flag(self):
         script = """
 import json
+from fractions import Fraction
 from flatcusps import (
-    ExperimentConfig, InvariantViolation, LorentzEmbedding, ShapeDescriptor,
-    SymmetricForm, catalog, embed_group, integralize, run_experiment, verify_embedding,
+    AffineMap, ExperimentConfig, InvariantViolation, LorentzEmbedding, Matrix,
+    ShapeDescriptor, SymmetricForm, catalog, embed_affine, embed_group, integralize,
+    run_experiment, verify_embedding,
 )
+from flatcusps.lorentz import GeneratorChecks
+
+def failures(embedding):
+    # the overall verdict and, per generator, the checks that read False
+    report = verify_embedding(embedding)
+    return [report.overall] + [
+        [name for name in GeneratorChecks.__slots__ if getattr(c, name) is False]
+        for c in report.per_generator
+    ]
+
 group = catalog("klein")
 embedding = embed_group(group, ShapeDescriptor(group, SymmetricForm.diagonal([2, 3])))
 integral, scale = integralize(embedding)
@@ -415,6 +430,18 @@ except InvariantViolation:
 [row] = run_experiment(
     ExperimentConfig(group, 1, [10], 8, run_pipeline=True, torus_manifold_mode=True)
 )
+scaled = LorentzEmbedding(embedding.model, group, [
+    embed_affine(AffineMap(g.linear, [f * x for x in g.translation]), embedding.model)
+    for g, f in zip(group.generators, [1, 3, 5])
+])
+
+torus = catalog("torus-2")
+plain = embed_group(torus, ShapeDescriptor(torus, SymmetricForm.identity(2)))
+rows = [list(r) for r in plain.images[0].entries]
+rows[0][1] += Fraction(1, 7)
+corrupted = LorentzEmbedding(plain.model, torus, [Matrix(rows), plain.images[1]])
+shift = Matrix([[1 if j == i + 1 else 0 for j in range(4)] for i in range(4)])
+jordan = LorentzEmbedding(plain.model, torus, [Matrix.identity(4) + shift, plain.images[1]])
 print(json.dumps({
     "debug": __debug__,
     "scale": scale,
@@ -422,6 +449,9 @@ print(json.dumps({
     "overall": verify_embedding(integral).overall,
     "rejected": rejected,
     "density_row": [row.pipeline_ok, row.selberg_prime],
+    "corrupted": failures(corrupted),
+    "jordan": failures(jordan),
+    "scaled": failures(scaled),
 }))
 """
         src = str(Path(flatcusps.__file__).resolve().parents[1])
@@ -440,6 +470,14 @@ print(json.dumps({
             "overall": True,
             "rejected": True,
             "density_row": [True, 7],
+            "corrupted": [False, ["form_preserved", "equivariance"], []],
+            # the Jordan image's column n reads scale 0, so no image decodes
+            "jordan": [
+                False,
+                ["form_preserved", "fixes_vinf", "equivariance", "log_cubes_to_zero"],
+                ["equivariance"],
+            ],
+            "scaled": [False, [], ["equivariance"]],
         }
 
 
@@ -562,3 +600,118 @@ class TestVerifyEmbedding:
             embedding = embed_group(group, shape)
             n = group.dim
             assert ldl_signature(embedding.model.model_form) == (n + 1, 1, 0)
+
+
+def assert_matches_oracle(embedding):
+    """``verify_embedding`` equals the full-check oracle, as a value and as
+    serialized JSON, and returns the report."""
+    report = verify_embedding(embedding)
+    expected = ref_verify_embedding(embedding)
+    assert report == expected
+    assert json.dumps(report_to_dict(report)) == json.dumps(report_to_dict(expected))
+    return report
+
+
+def with_images(embedding, images):
+    return LorentzEmbedding(embedding.model, embedding.group, images)
+
+
+def random_base(data, theta):
+    n = theta.group.dim
+    square = st.lists(st.lists(small_fractions, min_size=n, max_size=n), min_size=n, max_size=n)
+    m = Matrix(data.draw(square))
+    shift = Matrix.diagonal(data.draw(st.lists(positive_fractions, min_size=n, max_size=n)))
+    return theta_average(SymmetricForm(m.transpose() * m + shift), theta)
+
+
+class TestVerifyAgainstOracle:
+    """The decode-first verifier against the full (n+2)-sized checks, on
+    images that decode and on every way of failing to."""
+
+    @pytest.mark.parametrize("name", catalog_names())
+    def test_catalog_embeddings(self, name):
+        group, theta = catalog_with_holonomy(name)
+        n = group.dim
+        for base in (SymmetricForm.identity(n), SymmetricForm.diagonal(range(2, n + 2))):
+            embedding = embed_group(group, ShapeDescriptor(group, theta_average(base, theta)))
+            for e in (embedding, integralize(embedding)[0]):
+                assert assert_matches_oracle(e).overall
+                assert_matches_oracle(with_images(e, e.images[::-1]))
+                assert_matches_oracle(with_images(e, [m.transpose() for m in e.images]))
+
+    @pytest.mark.parametrize("name", catalog_names())
+    @pytest.mark.parametrize("scaling", [0, -1, F(3, 2), 2, (1, 3, 5)], ids=str)
+    def test_scaled_embeddings(self, name, scaling):
+        count = len(catalog(name).generators)
+        cycle = itertools.cycle(scaling if isinstance(scaling, tuple) else [scaling])
+        report = assert_matches_oracle(scaled_embedding(name, list(itertools.islice(cycle, count))))
+        # a shared positive scale is a conjugation; 1, 3, 5 is one only for one generator
+        assert report.overall == (scaling in (F(3, 2), 2) or scaling == (1, 3, 5) and count == 1)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        data=st.data(),
+        name=st.sampled_from(catalog_names()),
+        variant=st.sampled_from(
+            [
+                "assembled",
+                "integral",
+                "extended",
+                "reversed",
+                "transposed",
+                "corrupted",
+                "scaled",
+                "random",
+            ]
+        ),
+    )
+    def test_agrees_with_oracle(self, data, name, variant):
+        group, theta = catalog_with_holonomy(name)
+        embedding = embed_group(group, ShapeDescriptor(group, random_base(data, theta)))
+        model, images = embedding.model, list(embedding.images)
+        n, count, size = group.dim, len(images), model.ambient_dim
+        if variant == "integral":
+            images = list(integralize(embedding)[0].images)
+        elif variant == "extended":
+            # zero translations (nilpotency degree 1) and a linear part that
+            # need not preserve the base form, each decoding to its generator
+            square = st.lists(st.lists(small_fractions, min_size=n, max_size=n), min_size=n, max_size=n)
+            linear = data.draw(square.map(Matrix).filter(lambda m: m.det() != 0))
+            translation = data.draw(st.lists(small_fractions, min_size=n, max_size=n))
+            extra = [AffineMap(a, [0] * n) for a in theta.elements]
+            extra.append(AffineMap(linear, translation))
+            group = BieberbachGroup(group.generators + tuple(extra))
+            images = [product_embed_affine(g, model) for g in group.generators]
+        elif variant == "reversed":
+            images.reverse()
+        elif variant == "transposed":
+            images = [m.transpose() for m in images]
+        elif variant == "corrupted":
+            k = data.draw(st.integers(0, count - 1))
+            i, j = data.draw(st.tuples(st.integers(0, size - 1), st.integers(0, size - 1)))
+            rows = [list(row) for row in images[k].entries]
+            rows[i][j] += data.draw(small_fractions.filter(bool))
+            images[k] = Matrix(rows)
+        elif variant == "scaled":
+            factors = data.draw(
+                st.one_of(
+                    st.lists(small_fractions, min_size=count, max_size=count),
+                    small_fractions.map(lambda f: [f] * count),
+                )
+            )
+            images = [
+                product_embed_affine(AffineMap(g.linear, [f * x for x in g.translation]), model)
+                for g, f in zip(group.generators, factors)
+            ]
+        elif variant == "random":
+            square = st.lists(
+                st.lists(small_fractions, min_size=size, max_size=size),
+                min_size=size,
+                max_size=size,
+            )
+            images = [Matrix(data.draw(square)) for _ in range(count)]
+        report = assert_matches_oracle(LorentzEmbedding(model, group, images))
+        if variant in ("assembled", "integral"):
+            assert report.overall
+        if variant in ("corrupted", "random"):
+            assert not report.overall

@@ -378,19 +378,28 @@ class TestVerifierAgreesWithReference:
     def test_negative_identity_is_one_letter(self, monkeypatch):
         # the letters are u, u^-1 and -I (its own inverse), and a word never
         # appends the letter undoing its last: the length-2 ball of <u, -I>
-        # takes 3 + 3 * 2 products, where four letters and backtracking take
-        # 4 + 3 * 4
+        # takes 3 + 3 * 2 steps, where four letters and backtracking take
+        # 4 + 3 * 4. Appending -I negates the word: of the 9 steps, the 3
+        # that append -I (once from I, once after u and once after u^-1)
+        # are negations and the other 6 are products.
         calls = []
-        product = Matrix.__mul__
+        product, negation = Matrix.__mul__, Matrix.__neg__
 
-        def counted(a, b):
-            calls.append(1)
+        def counted_product(a, b):
+            calls.append("product")
             return product(a, b)
+
+        def counted_negation(a):
+            calls.append("negation")
+            return negation(a)
 
         group_input = worked_example()
         certificate = good_prime(group_input)
-        monkeypatch.setattr(Matrix, "__mul__", counted)
+        monkeypatch.setattr(Matrix, "__mul__", counted_product)
+        monkeypatch.setattr(Matrix, "__neg__", counted_negation)
         assert verify_certificate(group_input, certificate, word_length=2)
+        assert calls.count("product") == 6
+        assert calls.count("negation") == 3
         assert len(calls) == 3 + 3 * 2
 
 
