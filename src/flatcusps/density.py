@@ -4,8 +4,9 @@ For a fixed group, targets are drawn as ``A^T A + eps*I`` with entries of
 ``A`` uniform in [-1, 1] and ``eps = 1e-3``, then averaged over the
 holonomy. Each target is approximated by arithmetic shapes at a ladder of
 denominator bounds; optionally every approximant is pushed through the
-whole realization pipeline (embed, verify exactly, integralize, re-verify)
-and, in torus-manifold mode, through the congruence-prime construction.
+whole realization pipeline (embed; integralize, which checks each image
+exactly by decoding it; verify the integral images) and, in torus-manifold
+mode, through the congruence-prime construction.
 There the ambient group is generated by the integralized generator images
 together with ``-I`` as a designated finite-order test element, and the
 unipotent subgroup is the image of the translation lattice: one unipotent
@@ -206,11 +207,10 @@ def _pipeline_legs(
     shape: ShapeDescriptor,
     lattice: Optional[Matrix],
 ) -> tuple[bool, Optional[int], Optional[str]]:
-    """Embed, verify, integralize and re-verify; with a lattice, add the prime."""
-    embedding = embed_group(group, shape)
-    if not verify_embedding(embedding).overall:
-        return False, None, "embedding verification failed"
-    integral, scale = integralize(embedding)
+    """Embed, integralize and verify; with a lattice, add the prime.
+
+    :func:`integralize` checks the rational images: it decodes each one."""
+    integral, scale = integralize(embed_group(group, shape))
     if not verify_embedding(integral).overall:
         return False, None, "re-verification after integralization failed"
     prime = None

@@ -549,8 +549,8 @@ def _integral_or_fraction(value: Scalar) -> Union[int, Fraction]:
     return value.numerator if value.denominator == 1 else value
 
 
-def monomial(degree: int, coefficient: Scalar = 1) -> IntPolynomial:
-    return IntPolynomial([0] * degree + [coefficient])
+def monomial(degree: int) -> IntPolynomial:
+    return IntPolynomial([0] * degree + [1])
 
 
 @lru_cache(maxsize=None)

@@ -45,7 +45,6 @@ from .exactlin import (
     char_poly,
     ldl_signature,
     unipotent_polynomial,
-    vec,
 )
 from .shapes import ShapeDescriptor
 
@@ -93,7 +92,6 @@ class LorentzModel(Frozen):
 def _translation_parts(v: Sequence, model: LorentzModel) -> tuple:
     """``w = v``, ``k = B_K w`` and ``h = B_K(w, w) / 2``, each as integers
     over a denominator: ``(w_num, w_den, k_num, k_den, h_num, h_den)``."""
-    v = vec(v)
     if len(v) != model.n:
         raise DimensionMismatch(f"expected a vector of length {model.n}, got {len(v)}")
     w = Matrix([v])
@@ -197,37 +195,6 @@ def embed_group(group: BieberbachGroup, shape: ShapeDescriptor) -> LorentzEmbedd
 # ---------------------------------------------------------------------------
 
 
-def _smallest_integral_scale(embedding: LorentzEmbedding) -> int:
-    """Exact smallest conjugation scale that clears all denominators.
-
-    The conjugated image of a generator ``(A, t)`` is ``T(c t) R(A)``. Its
-    entries outside the (integral, unimodular) linear factor are ``c w_i``,
-    ``c (k^T A)_j`` and ``c^2 h``, which occupy disjoint positions, so no
-    cancellation between them is possible. Since ``A`` and ``A^{-1}`` are
-    integral, ``k^T A`` has the same denominators as ``k``. So ``c`` must
-    be a multiple of ``L``, the lcm of the denominators of every ``w`` and
-    ``k``. Once ``c w`` and ``c k`` are integral, ``c^2 h = (c w)^T (c k) / 2``
-    lies in ``Z/2``: the smallest scale is ``L`` when every ``L^2 h`` is an
-    integer, and ``2 L`` otherwise (an odd multiple of ``L`` leaves the
-    half, and ``(2 L)^2 h`` is four times a half-integer).
-    """
-    model = embedding.model
-    scale = 1
-    quadratic = []
-    for g in embedding.group.generators:
-        if not g.linear.is_integral():
-            raise ValueError(
-                "a linear factor has fractional entries; hyperbolic conjugation "
-                "cannot integralize this embedding"
-            )
-        w_num, w_den, k_num, k_den, h_num, h_den = _translation_parts(g.translation, model)
-        scale = math.lcm(scale, w_den, k_den // math.gcd(k_den, *k_num))
-        quadratic.append((h_num, h_den))
-    if all(scale * scale * h_num % h_den == 0 for h_num, h_den in quadratic):
-        return scale
-    return 2 * scale
-
-
 def integralize(embedding: LorentzEmbedding) -> tuple[LorentzEmbedding, int]:
     """Conjugate an embedding into integer matrices.
 
@@ -243,18 +210,44 @@ def integralize(embedding: LorentzEmbedding) -> tuple[LorentzEmbedding, int]:
     survive. Returns the conjugated embedding and ``c``; an already
     integral embedding comes back unchanged with scale 1.
 
+    Once an image is checked to be its generator's ``T(t) R(A)`` and ``A``
+    to be integral (and so unimodular, being a ``B_K``-isometry of
+    determinant ``±1``), ``c`` is read off the image itself. The entries of ``T(c t) R(A)``
+    outside ``A`` are ``c w_i`` (rows ``< n`` of column n),
+    ``-c (k^T A)_j`` (row n, columns ``< n``) and ``c^2 h`` in the corner,
+    which occupy disjoint positions, so no cancellation between them is
+    possible. Since ``A`` and ``A^{-1}`` are integral, ``k^T A`` has the
+    same denominators as ``k``. So ``c`` must be a multiple of ``L``, the
+    lcm of the denominators of every ``w`` and ``k^T A``. Once ``c w`` and
+    ``c k`` are integral, ``c^2 h = (c w)^T (c k) / 2`` lies in ``Z/2``:
+    the smallest scale is ``L`` when every ``L^2 h`` is an integer, and
+    ``2 L`` otherwise (an odd multiple of ``L`` leaves the half, and
+    ``(2 L)^2 h`` is four times a half-integer).
+
     Raises ``InvariantViolation`` when an image is not the embedding of its
-    generator, since rescaling would then not be a conjugation.
+    generator, since rescaling would then not be a conjugation, and
+    ``ValueError`` when a linear factor has fractional entries.
     """
     model = embedding.model
+    n = model.n
     generators = embedding.group.generators
-    for g, image in zip(generators, embedding.images):
+    images = embedding.images
+    c = 1
+    for g, image in zip(generators, images):
         if embed_affine(g, model) != image:
             raise InvariantViolation(
                 "an image is not the embedding of its generator; "
                 "rescaling translations would not be a conjugation"
             )
-    c = _smallest_integral_scale(embedding)
+        if not g.linear.is_integral():
+            raise ValueError(
+                "a linear factor has fractional entries; hyperbolic conjugation "
+                "cannot integralize this embedding"
+            )
+        num, den = image.num, image.den
+        c = math.lcm(c, *(den // math.gcd(den, num[i][n], num[n][i]) for i in range(n)))
+    if any(c * c * image.num[n][n + 1] % image.den for image in images):
+        c *= 2
     if c > 1:
         images = [
             _assemble(g.linear, [c * x for x in g.translation], model)

@@ -380,6 +380,8 @@ def verify_certificate(
     seen = {identity}
     frontier = [(identity, -1)]  # (element, index of the letter undoing its last)
     for _ in range(word_length):
+        if not frontier:
+            break  # the ball has stopped growing: the group is finite
         fresh = []
         for w, undo in frontier:
             for i, g in enumerate(letters):

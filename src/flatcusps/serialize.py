@@ -9,6 +9,7 @@ the offending field.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from typing import Any, Callable, Sequence
 
@@ -20,16 +21,35 @@ from .selberg import MatrixGroupInput, SelbergCertificate
 from .shapes import RealForm, ShapeDescriptor
 
 
+#: Largest decimal exponent a numeral string may carry. ``Fraction("1e9999999")``
+#: builds ``10**9999999``, so the exponent is bounded before the string is
+#: parsed; 4300 is CPython's own limit on the digits of a numeral.
+MAX_EXPONENT = 4300
+
+_EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z")
+
+
+def _parse_fraction(value: str, path: str, kind: str) -> Fraction:
+    exponent = _EXPONENT.search(value)
+    try:
+        too_large = exponent is not None and abs(int(exponent[1])) > MAX_EXPONENT
+    except ValueError:  # an exponent longer than CPython's numeral limit
+        too_large = True
+    if too_large:
+        raise ValidationError(path, f"decimal exponent exceeds {MAX_EXPONENT} in size")
+    try:
+        return Fraction(value)
+    except (ValueError, ZeroDivisionError):
+        raise ValidationError(path, f"not a {kind}: {value!r}") from None
+
+
 def parse_rational(value: Any, path: str) -> Fraction:
     if isinstance(value, bool):
         raise ValidationError(path, "expected a rational, got a boolean")
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
-        try:
-            return Fraction(value)
-        except (ValueError, ZeroDivisionError):
-            raise ValidationError(path, f"not a rational: {value!r}") from None
+        return _parse_fraction(value, path, "rational")
     if isinstance(value, float):
         raise ValidationError(
             path, "decimal input is not accepted here; use a \"p/q\" string"
@@ -42,10 +62,7 @@ def parse_number(value: Any, path: str) -> float:
     if isinstance(value, bool):
         raise ValidationError(path, "expected a number, got a boolean")
     if isinstance(value, str):
-        try:
-            value = Fraction(value)
-        except (ValueError, ZeroDivisionError):
-            raise ValidationError(path, f"not a number: {value!r}") from None
+        value = _parse_fraction(value, path, "number")
     elif not isinstance(value, (int, float)):
         raise ValidationError(path, f"expected a number, got {type(value).__name__}")
     try:

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import flatcusps
 from flatcusps import selberg
 from flatcusps.bieberbach import catalog
 from flatcusps.cli import main
@@ -26,6 +31,20 @@ def fractional_group_file(tmp_path):
         ],
     }
     return write_json(tmp_path / "fractional.json", data)
+
+
+def run_cli(args, timeout=60):
+    """Run ``flatcusps.cli`` in a fresh interpreter; a hang fails the test
+    through ``subprocess.TimeoutExpired`` instead of stalling the suite."""
+    src = str(Path(flatcusps.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "flatcusps.cli", *args],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+        timeout=timeout,
+    )
 
 
 @pytest.fixture
@@ -134,6 +153,16 @@ class TestApproximate:
         assert code == 1
         assert capsys.readouterr().err.startswith("error: target.matrix")
 
+    def test_huge_exponent_exits_one_promptly(self, tmp_path):
+        # Fraction("1e999999999") would build 10**999999999 before failing
+        target_path = write_json(
+            tmp_path / "target.json",
+            {"dim": 2, "matrix": [["1e999999999", 0], [0, 1]]},
+        )
+        done = run_cli(["approximate", "-g", "torus-2", "-t", target_path, "-d", "100"])
+        assert done.returncode == 1
+        assert done.stderr.startswith("error: target.matrix[0][0]: decimal exponent exceeds 4300")
+
     def test_indefinite_target_exits_two(self, tmp_path, capsys):
         target_path = write_json(
             tmp_path / "target.json",
@@ -204,6 +233,17 @@ class TestSelberg:
         assert main(["selberg", "-l", lam, "-u", gam, "--verify-words", "6"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["verified"] is True
+
+    def test_finite_group_huge_word_length_stops(self, tmp_path):
+        # <-I> saturates after one step; every later pass of the word ball
+        # would find an empty frontier, 10**12 times
+        lam = write_json(
+            tmp_path / "lam.json", {"n": 2, "generators": [[["-1", "0"], ["0", "-1"]]]}
+        )
+        gam = write_json(tmp_path / "gam.json", {"n": 2, "generators": []})
+        done = run_cli(["selberg", "-l", lam, "-u", gam, "--verify-words", str(10**12)])
+        assert done.returncode == 0, done.stderr
+        assert json.loads(done.stdout)["verified"] is True
 
     def test_negative_word_length_exits_one(self, tmp_path, capsys):
         lam, gam = worked_example_files(tmp_path)

@@ -1,5 +1,6 @@
 import pytest
 
+from flatcusps import lorentz
 from flatcusps.bieberbach import catalog, catalog_names, holonomy
 from flatcusps.density import (
     CSV_HEADER,
@@ -126,6 +127,24 @@ class TestRunExperiment:
         # the congruence leg runs the whole pipeline, so its status is kept
         assert rows[0].pipeline_ok is True
         assert rows[0].selberg_prime == 7
+
+    def test_each_image_is_decoded_once_per_row(self, monkeypatch):
+        # per row: embed 2, integralize's check 2 and rescale 2, the
+        # integral verification 2, the lattice translations 2; every
+        # _assemble needs one _translation_parts and nothing else does
+        calls = {"_assemble": 0, "_translation_parts": 0}
+        for name in calls:
+            original = getattr(lorentz, name)
+
+            def counted(*args, _name=name, _original=original):
+                calls[_name] += 1
+                return _original(*args)
+
+            monkeypatch.setattr(lorentz, name, counted)
+        config = ExperimentConfig(catalog("torus-2"), 1, [10], 8, torus_manifold_mode=True)
+        [row] = run_experiment(config)
+        assert row.pipeline_ok is True
+        assert calls == {"_assemble": 10, "_translation_parts": 10}
 
     @pytest.mark.parametrize("name", catalog_names())
     def test_congruence_leg_every_catalog_group(self, name):

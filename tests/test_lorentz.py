@@ -37,6 +37,7 @@ from flatcusps.lorentz import (
     integralize,
     verify_embedding,
 )
+from flatcusps.selberg import prime_factors
 from flatcusps.serialize import report_to_dict
 from flatcusps.shapes import ShapeDescriptor
 from oracles import (
@@ -388,6 +389,29 @@ class TestIntegralize:
                 assert list(result.images) == conjugated(scale), name
                 for smaller in range(1, scale):
                     assert not all(m.is_integral() for m in conjugated(smaller)), name
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), name=st.sampled_from(catalog_names()))
+    def test_scale_is_minimal(self, data, name):
+        # The scales that clear every denominator are exactly the multiples
+        # of the smallest one. So an integral result at c that turns
+        # fractional at c/p, for each prime p of c, proves c minimal.
+        group, theta = catalog_with_holonomy(name)
+        n = group.dim
+        square = st.lists(st.lists(small_fractions, min_size=n, max_size=n), min_size=n, max_size=n)
+        m = Matrix(data.draw(square))
+        shift = Matrix.diagonal(data.draw(st.lists(positive_fractions, min_size=n, max_size=n)))
+        form = theta_average(SymmetricForm(m.transpose() * m + shift), theta)
+        embedding = embed_group(group, ShapeDescriptor(group, form))
+        integral, c = integralize(embedding)
+        assert all(image.is_integral() for image in integral.images)
+        model = embedding.model
+        for p in prime_factors(c):
+            smaller = [
+                embed_affine(AffineMap(g.linear, [c // p * x for x in g.translation]), model)
+                for g in group.generators
+            ]
+            assert not all(image.is_integral() for image in smaller), (c, p)
 
     def test_inconsistent_images_rejected(self):
         # Each image is in O(B; Q) and fixes v_inf, but not the image of its

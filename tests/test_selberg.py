@@ -254,6 +254,27 @@ class TestVerifyCertificate:
         forced = SelbergCertificate(2, 3, polys, {}, ())
         assert not verify_certificate(group_input, forced, word_length=1)
 
+    def test_finite_group_stops_when_the_ball_stops_growing(self):
+        # <-I> saturates after one step; a loop that kept making empty
+        # frontier passes would take about a second per 10**7 of length
+        script = """
+from flatcusps.exactlin import Matrix
+from flatcusps.selberg import MatrixGroupInput, good_prime, verify_certificate
+group_input = MatrixGroupInput(2, [-Matrix.identity(2)])
+print(verify_certificate(group_input, good_prime(group_input), 10**12))
+"""
+        src = str(Path(flatcusps.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        done = subprocess.run(
+            [sys.executable, "-c", script],
+            env=dict(os.environ, PYTHONPATH=path),
+            capture_output=True,
+            text=True,
+            check=True,
+            timeout=60,
+        )
+        assert done.stdout.strip() == "True"
+
     def test_word_ball_is_capped(self, monkeypatch):
         group_input = worked_example()
         certificate = good_prime(group_input)

@@ -14,6 +14,7 @@ from flatcusps.serialize import (
     group_to_dict,
     parse_form,
     parse_group,
+    parse_number,
     parse_rational,
     parse_real_form,
     report_to_dict,
@@ -41,6 +42,21 @@ class TestRationals:
             parse_rational("abc", "x")
         with pytest.raises(ValidationError):
             parse_rational(True, "x")
+
+    @pytest.mark.parametrize("parse", [parse_rational, parse_number])
+    @pytest.mark.parametrize("text", ["1e4301", "-2.5E-4301", "1e999999999", "1e" + "9" * 5000])
+    def test_exponent_beyond_the_bound_rejected(self, parse, text):
+        # Fraction would build 10**|exponent| first, which for a long
+        # exponent runs for minutes
+        with pytest.raises(ValidationError, match="decimal exponent exceeds 4300") as info:
+            parse(text, "target.matrix[0][0]")
+        assert info.value.path == "target.matrix[0][0]"
+
+    def test_exponent_at_the_bound_accepted(self):
+        assert parse_rational("1e4300", "x") == 10**4300
+        assert parse_rational(" 2.5E-4300 ", "x") == F(5, 2 * 10**4300)
+        assert parse_number("1e-4300", "x") == 0.0
+        assert parse_number("1_0e1_0", "x") == 1e11
 
 
 class TestGroupRoundtrip:
