@@ -8,15 +8,23 @@ from coset-transversal (Schreier) products, so any finite generating set of
 a genuine Bieberbach group recovers the full lattice, including minimal
 two-generator presentations such as the Hantzsche-Wendt group.
 
+The three are pure functions of the immutable group value, so each is
+memoized (a bounded ``functools.lru_cache``) and a group that equals an
+earlier one reuses its results. The holonomy cache keeps only the witnesses,
+so every :class:`HolonomyGroup` is built around the caller's own group and
+carries its name.
+
 A small catalog of verified low-dimensional flat-manifold groups is
 included. Catalog entries are standard crystallographic presentations but
-are never taken on faith: every entry is re-checked against the holonomy,
-lattice, and torsion oracles each time it is built.
+are never taken on faith: every entry is checked against the holonomy,
+lattice, and torsion oracles each time it is built, the first time in full
+and afterwards through the memoized results for the same group value.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterable, Optional, Sequence
 
 from .errors import (
@@ -47,6 +55,10 @@ from .exactlin import (
 #: crystallographic point group in dimension 4 that this default rejects.
 #: Pass a larger ``max_order`` to :func:`holonomy` for such groups.
 DEFAULT_MAX_ORDER = 1024
+
+#: Entries each memoized group computation keeps; a fixed size bounds the
+#: memory a long-lived process spends on many distinct groups.
+_CACHE_SIZE = 128
 
 
 class AffineMap(Frozen):
@@ -184,10 +196,17 @@ def holonomy(group: BieberbachGroup, max_order: int = DEFAULT_MAX_ORDER) -> Holo
     matrix keeps a witness obtained by composing generator witnesses, so
     witnesses really are elements of the group. A closure with more than
     ``max_order`` elements raises ``HolonomyBound``; such input is not
-    accepted as a Bieberbach presentation.
+    accepted as a Bieberbach presentation. The witnesses are memoized on
+    ``(group, max_order)``, and the result is built around ``group``.
     """
     if max_order < 1:
         raise ValueError("max_order must be at least 1")
+    return HolonomyGroup(group, _holonomy_witnesses(group, max_order))
+
+
+@lru_cache(maxsize=_CACHE_SIZE)
+def _holonomy_witnesses(group: BieberbachGroup, max_order: int) -> tuple[AffineMap, ...]:
+    """The witnesses of :func:`holonomy`, identity first; names play no part."""
     ident = Matrix.identity(group.dim)
     seen: dict[Matrix, AffineMap] = {ident: AffineMap.identity(group.dim)}
     frontier = [ident]
@@ -205,9 +224,10 @@ def holonomy(group: BieberbachGroup, max_order: int = DEFAULT_MAX_ORDER) -> Holo
                     seen[product] = compose(witness, gen)
                     fresh.append(product)
         frontier = fresh
-    return HolonomyGroup(group, seen.values())
+    return tuple(seen.values())
 
 
+@lru_cache(maxsize=_CACHE_SIZE)
 def translation_lattice(
     group: BieberbachGroup, theta: Optional[HolonomyGroup] = None
 ) -> Matrix:
@@ -241,6 +261,7 @@ def translation_lattice(
     return Matrix.from_columns(basis)
 
 
+@lru_cache(maxsize=_CACHE_SIZE)
 def is_torsion_free(
     group: BieberbachGroup,
     theta: Optional[HolonomyGroup] = None,
@@ -365,10 +386,11 @@ def catalog(name: str) -> BieberbachGroup:
 
     Tori up to dimension six, the Klein bottle group, and eight of the ten
     three-dimensional flat-manifold groups (the 3-torus, the four screw
-    types, the Hantzsche-Wendt group, and both amphicosms). Entries are
-    re-verified on every call: the holonomy must close, the translations
-    must span, and the torsion test must pass. ``UnknownName`` is raised
-    for anything else.
+    types, the Hantzsche-Wendt group, and both amphicosms). Every call
+    builds the entry and checks it: the holonomy must close, the
+    translations must span, and the torsion test must pass. The checks are
+    memoized by group value, so only the first call for a name runs them in
+    full. ``UnknownName`` is raised for anything else.
     """
     if name not in _CATALOG:
         known = ", ".join(catalog_names())

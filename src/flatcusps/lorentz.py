@@ -44,6 +44,7 @@ from .exactlin import (
     SymmetricForm,
     char_poly,
     ldl_signature,
+    rat,
     unipotent_polynomial,
 )
 from .shapes import ShapeDescriptor
@@ -94,8 +95,9 @@ def _translation_parts(v: Sequence, model: LorentzModel) -> tuple:
     over a denominator: ``(w_num, w_den, k_num, k_den, h_num, h_den)``."""
     if len(v) != model.n:
         raise DimensionMismatch(f"expected a vector of length {model.n}, got {len(v)}")
-    w = Matrix([v])
-    w_num, w_den = w.num[0], w.den
+    w = [x if type(x) is int else rat(x) for x in v]
+    w_den = math.lcm(*(x.denominator for x in w))
+    w_num = tuple(x.numerator * (w_den // x.denominator) for x in w)
     base = model.base_form.matrix
     k_num = [sum(map(mul, row, w_num)) for row in base.num]
     k_den = base.den * w_den

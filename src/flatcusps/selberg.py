@@ -154,6 +154,15 @@ def torsion_polynomials(n: int) -> tuple[IntPolynomial, ...]:
     return tuple(sorted(_torsion_orders(n), key=lambda p: p.coeffs))
 
 
+@lru_cache(maxsize=128)
+def _residue_evidence(n: int, q: int) -> tuple[ResidueEvidence, ...]:
+    """Each torsion polynomial of degree n beside ``(t-1)^n``, both modulo q."""
+    unipotent_mod = unipotent_polynomial(n).reduce_mod(q)
+    return tuple(
+        ResidueEvidence(p, p.reduce_mod(q), unipotent_mod) for p in torsion_polynomials(n)
+    )
+
+
 # ---------------------------------------------------------------------------
 # Inputs and certificates
 # ---------------------------------------------------------------------------
@@ -307,8 +316,7 @@ def good_prime(group_input: MatrixGroupInput) -> SelbergCertificate:
     q = 2
     while q in bad or not is_prime(q):
         q += 1
-    unipotent_mod = unipotent.reduce_mod(q)
-    evidence = [ResidueEvidence(p, p.reduce_mod(q), unipotent_mod) for p in polys]
+    evidence = _residue_evidence(n, q)
     if not all(e.distinct for e in evidence):
         raise InvariantViolation(f"a torsion polynomial collapses modulo {q}")
     if q <= n or any(d % q == 0 for d in group_input.denominators()):

@@ -26,6 +26,10 @@ from .shapes import RealForm, ShapeDescriptor
 #: parsed; 4300 is CPython's own limit on the digits of a numeral.
 MAX_EXPONENT = 4300
 
+# An exact rational is accepted only if its numerator and denominator have
+# at most MAX_EXPONENT digits, so that it prints within CPython's limit.
+_DIGIT_BOUND = 10**MAX_EXPONENT
+
 _EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z")
 
 
@@ -47,14 +51,20 @@ def parse_rational(value: Any, path: str) -> Fraction:
     if isinstance(value, bool):
         raise ValidationError(path, "expected a rational, got a boolean")
     if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, str):
-        return _parse_fraction(value, path, "rational")
-    if isinstance(value, float):
+        result = Fraction(value)
+    elif isinstance(value, str):
+        result = _parse_fraction(value, path, "rational")
+    elif isinstance(value, float):
         raise ValidationError(
             path, "decimal input is not accepted here; use a \"p/q\" string"
         )
-    raise ValidationError(path, f"expected a rational, got {type(value).__name__}")
+    else:
+        raise ValidationError(path, f"expected a rational, got {type(value).__name__}")
+    if abs(result.numerator) >= _DIGIT_BOUND or result.denominator >= _DIGIT_BOUND:
+        raise ValidationError(
+            path, f"numerator or denominator has more than {MAX_EXPONENT} digits"
+        )
+    return result
 
 
 def parse_number(value: Any, path: str) -> float:

@@ -2,29 +2,33 @@
 
 The benchmark traces functions by ``(module, attribute)`` and its workloads
 call the package through ``fc.<name>``; a rename or move in ``src/`` would
-otherwise only show when the benchmark runs. Both files are read, never
-changed.
+otherwise only show when the benchmark runs. Its set-up also relies on
+``run.clear_caches`` emptying every cache in the package. The benchmark's
+files are read, never changed.
 """
 
+import importlib
 import importlib.util
+import pkgutil
 import re
 from pathlib import Path
 
 import pytest
 
 import flatcusps
+from flatcusps import Matrix, MatrixGroupInput, catalog, good_prime
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-def load_spans():
-    spec = importlib.util.spec_from_file_location("perfbench_spans", PERFBENCH / "spans.py")
+def load_perfbench(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
-@pytest.mark.parametrize("entry", load_spans().TRACED, ids=lambda entry: entry[0])
+@pytest.mark.parametrize("entry", load_perfbench("spans").TRACED, ids=lambda entry: entry[0])
 def test_traced_functions_resolve(entry):
     _, module, attr = entry
     target = getattr(flatcusps, module)
@@ -38,3 +42,33 @@ def test_workload_names_resolve():
     names = sorted(set(re.findall(r"\bfc\.([A-Za-z_]\w*)", text)))
     assert names
     assert [name for name in names if not hasattr(flatcusps, name)] == []
+
+
+def package_caches():
+    """Every functools cache at module level in every flatcusps module."""
+    caches = {}
+    for info in pkgutil.iter_modules(flatcusps.__path__):
+        module = importlib.import_module(f"flatcusps.{info.name}")
+        for attr, value in vars(module).items():
+            if callable(getattr(value, "cache_info", None)):
+                caches[f"{info.name}.{attr}"] = value
+    return caches
+
+
+def test_clear_caches_empties_every_package_cache():
+    # set-up in the benchmark must pay for filling each cache anew
+    catalog("hantzsche-wendt")
+    good_prime(MatrixGroupInput(2, [-Matrix.identity(2)]))
+    caches = package_caches()
+    filled = {
+        "bieberbach._holonomy_witnesses",
+        "bieberbach.translation_lattice",
+        "bieberbach.is_torsion_free",
+        "selberg.torsion_polynomials",
+        "selberg._residue_evidence",
+    }
+    assert filled <= caches.keys()
+    assert all(caches[name].cache_info().currsize > 0 for name in filled)
+    load_perfbench("run").clear_caches(flatcusps)
+    left = {name: c.cache_info().currsize for name, c in caches.items()}
+    assert {name: size for name, size in left.items() if size} == {}

@@ -3,6 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from flatcusps import bieberbach
 from flatcusps.bieberbach import (
     AffineMap,
     BieberbachGroup,
@@ -18,11 +19,13 @@ from flatcusps.bieberbach import (
 from flatcusps.errors import (
     DimensionMismatch,
     HolonomyBound,
+    InvariantViolation,
     NotPositiveDefinite,
     RankDeficient,
     UnknownName,
 )
 from flatcusps.exactlin import Matrix, SymmetricForm, is_positive_definite
+from flatcusps.shapes import rationalize
 
 from oracles import apply, brute_force_is_torsion_free, element_order
 
@@ -36,6 +39,17 @@ def klein_group():
             AffineMap(Matrix.diagonal([1, -1]), [HALF, 0]),
         ],
         name="klein",
+    )
+
+
+def reflection_group():
+    """The lattice Z^2 with a reflection through the origin: it has torsion."""
+    return BieberbachGroup(
+        [
+            AffineMap.translation_by([1, 0]),
+            AffineMap.translation_by([0, 1]),
+            AffineMap(Matrix.diagonal([1, -1]), [0, 0]),
+        ]
     )
 
 
@@ -160,14 +174,7 @@ class TestTorsion:
         assert is_torsion_free(klein_group())
 
     def test_reflection_at_origin(self):
-        group = BieberbachGroup(
-            [
-                AffineMap.translation_by([1, 0]),
-                AffineMap.translation_by([0, 1]),
-                AffineMap(Matrix.diagonal([1, -1]), [0, 0]),
-            ]
-        )
-        assert not is_torsion_free(group)
+        assert not is_torsion_free(reflection_group())
 
     def test_torus(self):
         assert is_torsion_free(catalog("torus-3"))
@@ -363,3 +370,84 @@ class TestBruteForceOracleAgreement:
         )
         assert not is_torsion_free(group)
         assert not brute_force_is_torsion_free(group)
+
+
+def clear_group_caches():
+    for cached in (bieberbach._holonomy_witnesses, translation_lattice, is_torsion_free):
+        cached.cache_clear()
+        assert cached.cache_info().currsize == 0
+
+
+class TestMemoization:
+    def test_equal_groups_keep_their_own_names(self):
+        first = BieberbachGroup(klein_group().generators, name="first")
+        second = BieberbachGroup(klein_group().generators, name="second")
+        assert first == second
+        theta_first, theta_second = holonomy(first), holonomy(second)
+        # one closure, shared, around each caller's own group
+        assert theta_second.witnesses is theta_first.witnesses
+        assert theta_first.group is first and theta_first.group.name == "first"
+        assert theta_second.group is second and theta_second.group.name == "second"
+        for theta, name in ((theta_first, "first"), (theta_second, "second")):
+            shape = rationalize(SymmetricForm.diagonal([2, 3]), theta, 10)
+            assert shape.group.name == name
+
+    def test_smaller_cap_after_success_still_raises(self):
+        group = catalog("sixth-turn")
+        assert holonomy(group).order == 6
+        with pytest.raises(HolonomyBound, match="max_order=5"):
+            holonomy(group, max_order=5)
+        with pytest.raises(ValueError, match="at least 1"):
+            holonomy(group, max_order=0)
+        assert holonomy(group, max_order=6).order == 6
+        with pytest.raises(HolonomyBound):
+            holonomy(group, max_order=5)
+
+    def test_mismatched_theta_or_lattice_is_computed_on(self):
+        # the answers the unmemoized functions give for these arguments
+        group = klein_group()
+        assert translation_lattice(group) == Matrix.identity(2)
+        assert is_torsion_free(group)
+        # the reflection's witness without its half shift is not in the group
+        wrong_theta = HolonomyGroup(
+            group, [AffineMap.identity(2), AffineMap(Matrix.diagonal([1, -1]), [0, 0])]
+        )
+        assert translation_lattice(group, wrong_theta) == Matrix.diagonal([HALF, 1])
+        assert not is_torsion_free(group, wrong_theta)
+        assert not is_torsion_free(group, lattice=Matrix.diagonal([HALF, 1]))
+        trivial = holonomy(catalog("torus-2"))
+        assert not is_torsion_free(reflection_group())
+        assert is_torsion_free(reflection_group(), trivial, Matrix.identity(2))
+        assert translation_lattice(group) == Matrix.identity(2)
+        assert is_torsion_free(group)
+
+    def test_recomputation_after_cache_clear_is_equal(self):
+        def results():
+            out = []
+            for name in catalog_names():
+                group = catalog(name)
+                theta = holonomy(group)
+                lattice = translation_lattice(group, theta)
+                out.append((theta, lattice, is_torsion_free(group, theta, lattice)))
+            return out
+
+        clear_group_caches()
+        before = results()
+        clear_group_caches()
+        after = results()
+        assert after == before
+        for (theta, lattice, _), (theta_again, lattice_again, _) in zip(before, after):
+            assert theta_again.witnesses is not theta.witnesses
+            assert lattice_again is not lattice
+
+    def test_catalog_still_rejects_torsion_after_good_entries(self, monkeypatch):
+        for name in catalog_names():
+            catalog(name)
+        torsion = reflection_group()
+        assert not is_torsion_free(torsion)  # a cached verdict of torsion
+        monkeypatch.setitem(bieberbach._CATALOG, "klein", (lambda: torsion.generators, ()))
+        for _ in range(2):
+            with pytest.raises(InvariantViolation, match="'klein' failed the torsion oracle"):
+                catalog("klein")
+        monkeypatch.undo()
+        assert catalog("klein") == klein_group()

@@ -122,6 +122,14 @@ class TestAverage:
         payload = json.loads(capsys.readouterr().out)
         assert payload["matrix"] == [["2", "0"], ["0", "3"]]
 
+    def test_unprintable_entry_exits_one(self, tmp_path):
+        # 10**4300 has one digit more than CPython prints; the error names the field
+        form_path = write_json(tmp_path / "form.json", {"matrix": [["1e4300"]]})
+        done = run_cli(["average", "-g", "torus-1", "-f", form_path])
+        assert done.returncode == 1
+        assert done.stderr.startswith("error: form.matrix[0][0]: ")
+        assert "4300 digits" in done.stderr
+
 
 class TestApproximate:
     def test_decimal_target(self, tmp_path, capsys):

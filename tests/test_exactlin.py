@@ -29,9 +29,16 @@ from flatcusps.exactlin import (
     ldl_signature,
     nilpotent_exp,
     null_space,
+    unipotent_polynomial,
 )
 from flatcusps.lorentz import LorentzModel, embed_group, verify_embedding
-from flatcusps.selberg import MatrixGroupInput, SelbergCertificate, good_prime
+from flatcusps.selberg import (
+    MatrixGroupInput,
+    ResidueEvidence,
+    SelbergCertificate,
+    good_prime,
+    torsion_polynomials,
+)
 from flatcusps.shapes import RealForm, ShapeDescriptor
 
 from oracles import (
@@ -463,6 +470,12 @@ def _certificate():
     return good_prime(MatrixGroupInput(2, [-Matrix.identity(2)]))
 
 
+def _residue_evidence():
+    # built directly: good_prime shares one evidence tuple per (degree, prime)
+    poly = torsion_polynomials(2)[0]
+    return ResidueEvidence(poly, poly.reduce_mod(3), unipotent_polynomial(2).reduce_mod(3))
+
+
 # one instance of every immutable value type, by class name
 FROZEN_INSTANCES = {
     "Matrix": lambda: Matrix.identity(2),
@@ -482,7 +495,7 @@ FROZEN_INSTANCES = {
         embed_group(catalog("klein"), _klein_shape())
     ),
     "MatrixGroupInput": lambda: MatrixGroupInput(2, [-Matrix.identity(2)]),
-    "ResidueEvidence": lambda: _certificate().residue_evidence[0],
+    "ResidueEvidence": _residue_evidence,
     "SelbergCertificate": _certificate,
     "ExperimentConfig": lambda: ExperimentConfig(catalog("klein"), 1, [10], 1),
     "DensityRow": lambda: DensityRow(0, 10, 0.25, True, 5),

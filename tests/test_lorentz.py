@@ -173,6 +173,14 @@ class TestEmbedTranslation:
         expected = Matrix([[1, 1, -1], [-1, HALF, HALF], [-1, -HALF, F(3, 2)]])
         assert embed_translation([1], model) == expected
 
+    def test_entry_types_give_one_image(self):
+        model = LorentzModel(SymmetricForm([[2, 1], [1, 3]]))
+        image = embed_translation([F(3, 4), F(-2, 3)], model)
+        assert embed_translation(["3/4", "-2/3"], model) == image
+        assert embed_translation([3, 0], model) == embed_translation([F(3), F(0)], model)
+        with pytest.raises(TypeError):
+            embed_translation([0.75, 0], model)
+
     @settings(max_examples=60, deadline=None)
     @given(data=st.data(), n=st.integers(min_value=1, max_value=6))
     def test_closed_form_matches_exponential(self, data, n):

@@ -190,6 +190,27 @@ class TestGoodPrime:
         with pytest.raises(UnipotentViolation):
             good_prime(bad_input)
 
+    def test_shared_evidence_keeps_certificates_equal(self):
+        first = good_prime(worked_example())
+        selberg._residue_evidence.cache_clear()
+        second = good_prime(worked_example())
+        third = good_prime(worked_example())
+        # the evidence for one (degree, prime) is built once and shared
+        assert third.residue_evidence is second.residue_evidence
+        assert first.residue_evidence is not second.residue_evidence
+        assert first == second == third
+        assert hash(first) == hash(second) == hash(third)
+        built = tuple(
+            selberg.ResidueEvidence(p, p.reduce_mod(5), unipotent_polynomial(2).reduce_mod(5))
+            for p in torsion_polynomials(2)
+        )
+        assert first.residue_evidence == built
+
+    def test_unipotent_check_runs_on_every_call(self):
+        assert good_prime(worked_example()).prime == 5
+        with pytest.raises(UnipotentViolation):
+            good_prime(MatrixGroupInput(2, [UNIPOTENT_2], [NEG_IDENTITY_2]))
+
     def test_every_gamma_reduces_to_unipotent_residue(self):
         certificate = good_prime(worked_example())
         q = certificate.prime

@@ -53,10 +53,26 @@ class TestRationals:
         assert info.value.path == "target.matrix[0][0]"
 
     def test_exponent_at_the_bound_accepted(self):
-        assert parse_rational("1e4300", "x") == 10**4300
-        assert parse_rational(" 2.5E-4300 ", "x") == F(5, 2 * 10**4300)
+        assert parse_rational("0.001e4300", "x") == 10**4297
+        assert parse_rational(" 2.5E-4299 ", "x") == F(5, 2 * 10**4299)
         assert parse_number("1e-4300", "x") == 0.0
         assert parse_number("1_0e1_0", "x") == 1e11
+
+    @pytest.mark.parametrize("text", ["1e4300", "-1e4300", "1e-4300", "3E-4300"])
+    def test_digits_beyond_the_print_limit_rejected(self, text):
+        # 10**4300 has 4,301 digits, one more than CPython converts to a string
+        with pytest.raises(ValidationError, match="more than 4300 digits") as info:
+            parse_rational(text, "form.matrix[0][0]")
+        assert info.value.path == "form.matrix[0][0]"
+
+    def test_digits_at_the_print_limit_accepted(self):
+        value = parse_rational("1e4299", "x")
+        assert value == 10**4299
+        assert len(str(value)) == 4300
+        assert parse_rational("-" + "9" * 4300, "x") == -(10**4300 - 1)
+        assert parse_rational(10**4300 - 1, "x") == 10**4300 - 1
+        with pytest.raises(ValidationError, match="more than 4300 digits"):
+            parse_rational(10**4300, "x")
 
 
 class TestGroupRoundtrip:
