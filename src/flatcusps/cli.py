@@ -113,10 +113,11 @@ def _cmd_catalog(args) -> int:
     print(f"dim: {group.dim}")
     print("generators:")
     for i, g in enumerate(group.generators):
-        linear, translation = matrix_to_lists(g.linear), vector_to_list(g.translation)
+        linear = matrix_to_lists(g.linear, f"generators[{i}].linear")
+        translation = vector_to_list(g.translation, f"generators[{i}].translation")
         print(f"  [{i}] linear={linear} translation={translation}")
     print(f"holonomy order: {theta.order}")
-    print(f"lattice basis (columns): {matrix_to_lists(lattice)}")
+    print(f"lattice basis (columns): {matrix_to_lists(lattice, 'lattice')}")
     print(f"torsion-free: {'true' if torsion_free else 'false'}")
     return EXIT_OK if torsion_free else EXIT_VERIFICATION
 
@@ -131,7 +132,7 @@ def _cmd_verify_group(args) -> int:
             "name": group.name,
             "dim": group.dim,
             "holonomy_order": theta.order,
-            "lattice": matrix_to_lists(lattice),
+            "lattice": matrix_to_lists(lattice, "lattice"),
             "torsion_free": torsion_free,
         }
     )

@@ -399,15 +399,6 @@ class SymmetricForm(Frozen):
     def diagonal(values: Sequence[Scalar]) -> SymmetricForm:
         return SymmetricForm(Matrix.diagonal(values))
 
-    def evaluate(self, x: Sequence[Scalar], y: Sequence[Scalar]) -> Fraction:
-        """Value of the form on a pair of vectors, computed on integer
-        numerators over one denominator."""
-        if len(x) != self.dim or len(y) != self.dim:
-            raise DimensionMismatch("vector length does not match the form dimension")
-        xs, ys, m = Matrix([x]), Matrix([y]), self.matrix
-        total = sum(a * sum(map(mul, row, ys.num[0])) for a, row in zip(xs.num[0], m.num))
-        return Fraction(total, xs.den * ys.den * m.den)
-
     def direct_sum(self, other: SymmetricForm) -> SymmetricForm:
         return SymmetricForm(Matrix.block_diag(self.matrix, other.matrix))
 
@@ -581,8 +572,7 @@ def ldl_signature(form: SymmetricForm) -> tuple[int, int, int]:
 
 
 def is_positive_definite(form: SymmetricForm) -> bool:
-    pos, neg, zero = ldl_signature(form)
-    return pos == form.dim and neg == 0 and zero == 0
+    return ldl_signature(form) == (form.dim, 0, 0)
 
 
 # ---------------------------------------------------------------------------

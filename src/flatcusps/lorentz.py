@@ -43,7 +43,7 @@ from .exactlin import (
     Matrix,
     SymmetricForm,
     char_poly,
-    ldl_signature,
+    is_positive_definite,
     rat,
     unipotent_polynomial,
 )
@@ -67,20 +67,13 @@ class LorentzModel(Frozen):
     __slots__ = ("n", "base_form", "model_form", "v_inf", "v_0")
 
     def __init__(self, base: SymmetricForm):
-        n = base.dim
-        if ldl_signature(base) != (n, 0, 0):
+        if not is_positive_definite(base):
             raise NotPositiveDefinite("base form must be positive definite")
-        # v_inf and v_0 vanish off the plane, so their values under B are
-        # those of (1, 1) and (1, -1) under the plane's diag(1, -1).
-        inf_2, zero_2 = (1, 1), (1, -1)
-        if _PLANE.evaluate(inf_2, inf_2) != 0 or _PLANE.evaluate(zero_2, zero_2) != 0:
-            raise InvariantViolation("v_inf and v_0 are not both null")
-        if _PLANE.evaluate(inf_2, zero_2) == 0:
-            raise InvariantViolation("v_inf and v_0 are orthogonal")
-        origin = (Fraction(0),) * n
-        v_inf = origin + tuple(map(Fraction, inf_2))
-        v_0 = origin + tuple(map(Fraction, zero_2))
-        super().__init__(n, base, base.direct_sum(_PLANE), v_inf, v_0)
+        # (1, 1) and (1, -1) are null under diag(1, -1), with pairing 2
+        origin = (Fraction(0),) * base.dim
+        v_inf = origin + (Fraction(1), Fraction(1))
+        v_0 = origin + (Fraction(1), Fraction(-1))
+        super().__init__(base.dim, base, base.direct_sum(_PLANE), v_inf, v_0)
 
     @property
     def ambient_dim(self) -> int:

@@ -245,21 +245,17 @@ class SelbergCertificate(Frozen):
 # ---------------------------------------------------------------------------
 
 
-def bad_primes(
-    group_input: MatrixGroupInput, polys: Sequence[IntPolynomial]
-) -> dict[int, tuple[str, ...]]:
+def bad_primes(group_input: MatrixGroupInput) -> dict[int, tuple[str, ...]]:
     """Primes that must be excluded, each with its reasons.
 
     Three sources: primes at most ``n`` (small residue characteristic),
     primes dividing a generator denominator (invertible in the coefficient
     ring, so unusable for reduction), and primes ``p`` with
-    ``p_j = (t-1)^n (mod p)`` for some listed polynomial. The last set is
-    computed exactly: ``p`` collapses ``p_j`` onto the unipotent polynomial
+    ``p_j = (t-1)^n (mod p)`` for some torsion polynomial of degree n. The
+    last set is computed exactly: ``p`` collapses ``p_j`` onto ``(t-1)^n``
     precisely when ``p`` divides every coefficient of the difference, so
     the candidates are the prime factors of the gcd of those coefficients.
     """
-    if not polys:
-        raise ValueError("at least one torsion polynomial is required")
     n = group_input.n
     reasons: dict[int, set[str]] = {}
 
@@ -271,17 +267,17 @@ def bad_primes(
     for den in group_input.denominators():
         for p in prime_factors(den):
             add(p, REASON_DENOMINATOR)
-    for p in _coefficient_divisor_primes(n, tuple(polys)):
+    for p in _coefficient_divisor_primes(n):
         add(p, REASON_COEFFICIENT_DIVISOR)
     return {p: tuple(sorted(rs)) for p, rs in sorted(reasons.items())}
 
 
 @lru_cache(maxsize=None)
-def _coefficient_divisor_primes(n: int, polys: tuple[IntPolynomial, ...]) -> tuple[int, ...]:
-    """Primes modulo which some listed polynomial equals ``(t-1)^n``."""
+def _coefficient_divisor_primes(n: int) -> tuple[int, ...]:
+    """Primes modulo which some degree-n torsion polynomial equals ``(t-1)^n``."""
     unipotent = unipotent_polynomial(n)
     primes: set[int] = set()
-    for poly in polys:
+    for poly in torsion_polynomials(n):
         difference = poly - unipotent
         if difference.is_zero() or not difference.is_integral():
             raise InvariantViolation(f"{poly} is not integral and distinct from {unipotent}")
@@ -311,8 +307,7 @@ def good_prime(group_input: MatrixGroupInput) -> SelbergCertificate:
             raise UnipotentViolation(
                 f"generator has characteristic polynomial {poly}, expected {unipotent}"
             )
-    polys = torsion_polynomials(n)
-    bad = bad_primes(group_input, polys)
+    bad = bad_primes(group_input)
     q = 2
     while q in bad or not is_prime(q):
         q += 1
@@ -321,7 +316,7 @@ def good_prime(group_input: MatrixGroupInput) -> SelbergCertificate:
         raise InvariantViolation(f"a torsion polynomial collapses modulo {q}")
     if q <= n or any(d % q == 0 for d in group_input.denominators()):
         raise InvariantViolation(f"prime {q} is small or divides a denominator")
-    return SelbergCertificate(n, q, polys, bad, evidence)
+    return SelbergCertificate(n, q, torsion_polynomials(n), bad, evidence)
 
 
 def verify_certificate(

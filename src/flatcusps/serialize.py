@@ -29,6 +29,7 @@ MAX_EXPONENT = 4300
 # An exact rational is accepted only if its numerator and denominator have
 # at most MAX_EXPONENT digits, so that it prints within CPython's limit.
 _DIGIT_BOUND = 10**MAX_EXPONENT
+_TOO_MANY_DIGITS = f"numerator or denominator has more than {MAX_EXPONENT} digits"
 
 _EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z")
 
@@ -61,9 +62,7 @@ def parse_rational(value: Any, path: str) -> Fraction:
     else:
         raise ValidationError(path, f"expected a rational, got {type(value).__name__}")
     if abs(result.numerator) >= _DIGIT_BOUND or result.denominator >= _DIGIT_BOUND:
-        raise ValidationError(
-            path, f"numerator or denominator has more than {MAX_EXPONENT} digits"
-        )
+        raise ValidationError(path, _TOO_MANY_DIGITS)
     return result
 
 
@@ -99,12 +98,16 @@ def _expect_int(value: Any, path: str) -> int:
     return value
 
 
-def matrix_to_lists(m: Matrix) -> list[list[str]]:
-    return [[str(x) for x in row] for row in m.entries]
+def vector_to_list(v: Sequence[Fraction], path: str) -> list[str]:
+    """Exact rationals as text, for the output field ``path``."""
+    try:
+        return [str(x) for x in v]
+    except ValueError:  # CPython's limit on the digits of an integer string
+        raise ValidationError(path, _TOO_MANY_DIGITS) from None
 
 
-def vector_to_list(v: Sequence[Fraction]) -> list[str]:
-    return [str(x) for x in v]
+def matrix_to_lists(m: Matrix, path: str) -> list[list[str]]:
+    return [vector_to_list(row, path) for row in m.entries]
 
 
 def parse_vector(data: Any, path: str) -> tuple[Fraction, ...]:
@@ -137,16 +140,17 @@ def parse_matrix(data: Any, path: str) -> Matrix:
 # ---------------------------------------------------------------------------
 
 
-def group_to_dict(group: BieberbachGroup) -> dict:
+def group_to_dict(group: BieberbachGroup, path: str = "group") -> dict:
+    prefix = f"{path}.generators"
     return {
         "dim": group.dim,
         "name": group.name,
         "generators": [
             {
-                "linear": matrix_to_lists(g.linear),
-                "translation": vector_to_list(g.translation),
+                "linear": matrix_to_lists(g.linear, f"{prefix}[{i}].linear"),
+                "translation": vector_to_list(g.translation, f"{prefix}[{i}].translation"),
             }
-            for g in group.generators
+            for i, g in enumerate(group.generators)
         ],
     }
 
@@ -191,36 +195,33 @@ def parse_group(data: Any, path: str = "") -> BieberbachGroup:
 
 
 def form_to_dict(form: SymmetricForm) -> dict:
-    return {"dim": form.dim, "matrix": matrix_to_lists(form.matrix)}
+    return {"dim": form.dim, "matrix": matrix_to_lists(form.matrix, "form.matrix")}
 
 
-def parse_form(data: Any, path: str = "form") -> SymmetricForm:
+def _matrix_field(data: Any, path: str, parse_entry: Callable[[Any, str], Any]) -> list[list]:
+    """The rows of an object's ``"matrix"``, checked against its optional ``"dim"``."""
     obj = _expect_dict(data, path)
     if "matrix" not in obj:
         raise ValidationError(f"{path}.matrix", "missing required field")
-    matrix = parse_matrix(obj["matrix"], f"{path}.matrix")
+    rows = parse_rows(obj["matrix"], f"{path}.matrix", parse_entry)
     if "dim" in obj:
         dim = _expect_int(obj["dim"], f"{path}.dim")
-        if matrix.rows != dim:
+        if len(rows) != dim:
             raise ValidationError(
-                f"{path}.matrix", f"matrix size {matrix.rows} does not match dim {dim}"
+                f"{path}.matrix", f"matrix size {len(rows)} does not match dim {dim}"
             )
+    return rows
+
+
+def parse_form(data: Any, path: str = "form") -> SymmetricForm:
+    matrix = Matrix(_matrix_field(data, path, parse_rational))
     if not matrix.is_symmetric():
         raise ValidationError(f"{path}.matrix", "matrix is not symmetric")
     return SymmetricForm(matrix)
 
 
 def parse_real_form(data: Any, path: str = "target") -> RealForm:
-    obj = _expect_dict(data, path)
-    if "matrix" not in obj:
-        raise ValidationError(f"{path}.matrix", "missing required field")
-    entries = parse_rows(obj["matrix"], f"{path}.matrix", parse_number)
-    if "dim" in obj:
-        dim = _expect_int(obj["dim"], f"{path}.dim")
-        if len(entries) != dim:
-            raise ValidationError(
-                f"{path}.matrix", f"matrix size {len(entries)} does not match dim {dim}"
-            )
+    entries = _matrix_field(data, path, parse_number)
     try:
         return RealForm(entries)
     except ValueError as exc:
@@ -228,8 +229,8 @@ def parse_real_form(data: Any, path: str = "target") -> RealForm:
 
 
 def shape_to_dict(shape: ShapeDescriptor) -> dict:
-    out = group_to_dict(shape.group)
-    out["form"] = matrix_to_lists(shape.form.matrix)
+    out = group_to_dict(shape.group, "shape")
+    out["form"] = matrix_to_lists(shape.form.matrix, "shape.form")
     return out
 
 
@@ -242,14 +243,18 @@ def embedding_to_dict(embedding: LorentzEmbedding, scale: int | None = None) -> 
     model = embedding.model
     out = {
         "dim": model.n,
-        "base_form": matrix_to_lists(model.base_form.matrix),
-        "model_form": matrix_to_lists(model.model_form.matrix),
-        "v_inf": vector_to_list(model.v_inf),
-        "v_0": vector_to_list(model.v_0),
-        "group": group_to_dict(embedding.group),
-        "images": [matrix_to_lists(m) for m in embedding.images],
+        "base_form": matrix_to_lists(model.base_form.matrix, "embedding.base_form"),
+        "model_form": matrix_to_lists(model.model_form.matrix, "embedding.model_form"),
+        "v_inf": vector_to_list(model.v_inf, "embedding.v_inf"),
+        "v_0": vector_to_list(model.v_0, "embedding.v_0"),
+        "group": group_to_dict(embedding.group, "embedding.group"),
+        "images": [
+            matrix_to_lists(m, f"embedding.images[{i}]") for i, m in enumerate(embedding.images)
+        ],
     }
     if scale is not None:
+        if scale >= _DIGIT_BOUND:  # JSON prints it as a bare integer
+            raise ValidationError("embedding.scale", _TOO_MANY_DIGITS)
         out["scale"] = scale
     return out
 

@@ -7,7 +7,8 @@ is exactly what :func:`is_arithmetic_shape` tests. Arbitrary
 (floating-point) target metrics are pulled into this cone by
 :func:`rationalize`: average over the holonomy, round each entry to the
 best rational approximation with bounded denominator, then average again
-to restore exact invariance.
+to restore exact invariance. Doubles are dyadic rationals, so whether a
+floating-point target is positive definite is decided exactly, on its value.
 """
 
 from __future__ import annotations
@@ -19,11 +20,6 @@ from typing import Optional, Sequence, Union
 from .bieberbach import BieberbachGroup, HolonomyGroup, holonomy, theta_average
 from .errors import DimensionMismatch, NotPositiveDefinite
 from .exactlin import Frozen, SymmetricForm, is_positive_definite
-
-#: Floating-point targets count as positive definite when every Cholesky
-#: pivot exceeds this tolerance.
-PD_TOLERANCE = 1e-9
-
 
 class RealForm(Frozen):
     """Symmetric matrix with double-precision entries; an inexact target."""
@@ -45,20 +41,6 @@ class RealForm(Frozen):
                     raise ValueError(f"entries ({i},{j}) and ({j},{i}) are not symmetric")
                 data[j][i] = data[i][j]
         super().__init__(n, tuple(tuple(row) for row in data))
-
-    def is_positive_definite(self) -> bool:
-        """Whether every pivot of a Cholesky pass exceeds ``PD_TOLERANCE``."""
-        n = self.dim
-        a = [list(row) for row in self.entries]
-        for k in range(n):
-            d = a[k][k]
-            if d <= PD_TOLERANCE:
-                return False
-            for i in range(k + 1, n):
-                f = a[i][k] / d
-                for j in range(k + 1, n):
-                    a[i][j] -= f * a[k][j]
-        return True
 
     def to_exact(self) -> SymmetricForm:
         """Exact form with the same entries; doubles are dyadic rationals."""
@@ -115,21 +97,13 @@ def rationalize(
     rational with denominator at most ``denom_bound``, and the rounded
     matrix is averaged again so invariance holds exactly. Before the final
     average each entry is within ``1/denom_bound`` of the averaged target.
-    ``NotPositiveDefinite`` is raised when rounding destroys definiteness;
-    callers should retry with a larger bound.
+    ``NotPositiveDefinite`` is raised when the target is not positive
+    definite, or when rounding destroys definiteness; callers should then
+    retry with a larger bound.
     """
     if denom_bound < 1:
         raise ValueError("denominator bound must be at least 1")
-    if isinstance(target, RealForm):
-        if not target.is_positive_definite():
-            raise NotPositiveDefinite("target is not numerically positive definite")
-        exact = target.to_exact()
-    else:
-        exact = target
-    if exact.dim != theta.dim:
-        raise DimensionMismatch(
-            f"target dimension {exact.dim} does not match group dimension {theta.dim}"
-        )
+    exact = target.to_exact() if isinstance(target, RealForm) else target
     averaged = theta_average(exact, theta)
     rounded = SymmetricForm(
         [
@@ -142,15 +116,14 @@ def rationalize(
 
 
 def _entries_as_floats(form: Union[SymmetricForm, RealForm]) -> tuple[int, list[list[float]]]:
-    if isinstance(form, SymmetricForm):
-        if not is_positive_definite(form):
-            raise NotPositiveDefinite("form is not positive definite")
-        return form.dim, [[float(x) for x in row] for row in form.matrix.entries]
+    """Entries of a positive definite form as doubles, a ``RealForm``'s bit for bit."""
     if isinstance(form, RealForm):
-        if not form.is_positive_definite():
-            raise NotPositiveDefinite("form is not numerically positive definite")
-        return form.dim, [list(row) for row in form.entries]
-    raise TypeError(f"expected SymmetricForm or RealForm, got {type(form).__name__}")
+        form = form.to_exact()
+    elif not isinstance(form, SymmetricForm):
+        raise TypeError(f"expected SymmetricForm or RealForm, got {type(form).__name__}")
+    if not is_positive_definite(form):
+        raise NotPositiveDefinite("form is not positive definite")
+    return form.dim, [[float(x) for x in row] for row in form.matrix.entries]
 
 
 def _frobenius(entries: Sequence[Sequence[float]]) -> float:

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from fractions import Fraction
 
 from flatcusps.bieberbach import (
@@ -193,6 +194,14 @@ def parse_shape(data, path: str = "shape") -> ShapeDescriptor:
             f"{path}.form", f"form size {matrix.rows} does not match dim {group.dim}"
         )
     return ShapeDescriptor(group, SymmetricForm(matrix))
+
+
+def evaluate(form: SymmetricForm, x, y) -> Fraction:
+    """Value ``x^T B y`` of a form on a pair of vectors."""
+    xv, yv = vec(x), vec(y)
+    if len(xv) != form.dim or len(yv) != form.dim:
+        raise DimensionMismatch("vector lengths do not match the form dimension")
+    return sum(map(operator.mul, xv, form.matrix.matvec(yv)), Fraction(0))
 
 
 def outer_pairing(x, y, form: SymmetricForm) -> Matrix:

@@ -131,6 +131,19 @@ class TestAverage:
         assert "4300 digits" in done.stderr
 
 
+    def test_unprintable_average_exits_one(self, tmp_path):
+        # each input entry prints, but the holonomy average divides by 3 and 6
+        tiny = "1.25e-4300"
+        form_path = write_json(
+            tmp_path / "form.json",
+            {"matrix": [[tiny, "0", "0"], ["0", tiny, "0"], ["0", "0", "1"]]},
+        )
+        done = run_cli(["average", "-g", "third-turn", "-f", form_path])
+        assert done.returncode == 1
+        assert done.stderr.startswith("error: form.matrix: ")
+        assert "more than 4300 digits" in done.stderr
+
+
 class TestApproximate:
     def test_decimal_target(self, tmp_path, capsys):
         target_path = write_json(
@@ -195,6 +208,17 @@ class TestEmbed:
         payload = json.loads(capsys.readouterr().out)
         assert payload["embedding"]["scale"] == 2
         assert payload["report"]["overall"] is True
+
+    def test_unprintable_scale_exits_one(self, tmp_path):
+        # the scale 2 D E clears the denominators of t = 1/D and B_K t = 1/(D E)
+        big_d, big_e = 10**4299 + 1, 10**4299 + 3
+        group = {"dim": 1, "generators": [{"linear": [["1"]], "translation": [f"1/{big_d}"]}]}
+        group_path = write_json(tmp_path / "group.json", group)
+        form_path = write_json(tmp_path / "form.json", {"matrix": [[f"1/{big_e}"]]})
+        done = run_cli(["embed", "-g", group_path, "-f", form_path, "--integralize"])
+        assert done.returncode == 1
+        assert done.stderr.startswith("error: embedding.scale: ")
+        assert "more than 4300 digits" in done.stderr
 
     def test_integralize_failure_exits_one(self, capsys, tmp_path):
         # integralize raises a plain ValueError here; main reports it as a

@@ -209,23 +209,6 @@ class TestKernelAgainstFractionOracle:
         assert ldl_signature(SymmetricForm(symmetric)) == ref_ldl_signature(symmetric)
 
     @settings(max_examples=30, deadline=None)
-    @given(data=st.data(), n=kernel_sizes)
-    def test_form_evaluate(self, kind, data, n):
-        a = _rows(data, kind, n, n)
-        symmetric = ref_sum(a, ref_transpose(a))
-        form = SymmetricForm(symmetric)
-        x, y = _rows(data, kind, 2, n)
-        expected = ref_product([x], ref_product(symmetric, ref_transpose([y])))
-        # integral entries passed as int, the rest as Fraction
-        mixed = [int(v) if v.denominator == 1 else v for v in x]
-        value = form.evaluate(mixed, y)
-        assert type(value) is F and value == expected[0][0]
-        with pytest.raises(DimensionMismatch):
-            form.evaluate(x + [F(0)], y)
-        with pytest.raises(DimensionMismatch):
-            form.evaluate(x, y[1:])
-
-    @settings(max_examples=30, deadline=None)
     @given(data=st.data(), shape=st.tuples(kernel_sizes, kernel_sizes))
     def test_null_space(self, kind, data, shape):
         a = _rows(data, kind, *shape)

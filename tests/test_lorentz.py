@@ -41,6 +41,7 @@ from flatcusps.selberg import prime_factors
 from flatcusps.serialize import report_to_dict
 from flatcusps.shapes import ShapeDescriptor
 from oracles import (
+    evaluate,
     hyperbolic_conjugator,
     lift,
     linear_image,
@@ -116,9 +117,21 @@ class TestModelForm:
     def test_null_vectors(self):
         model = LorentzModel(SymmetricForm([[2, 1], [1, 3]]))
         b = model.model_form
-        assert b.evaluate(model.v_inf, model.v_inf) == 0
-        assert b.evaluate(model.v_0, model.v_0) == 0
-        assert b.evaluate(model.v_inf, model.v_0) == 2
+        assert evaluate(b, model.v_inf, model.v_inf) == 0
+        assert evaluate(b, model.v_0, model.v_0) == 0
+        assert evaluate(b, model.v_inf, model.v_0) == 2
+
+    @pytest.mark.parametrize("name", catalog_names())
+    def test_null_vectors_on_catalog(self, name):
+        # the full (n+2)-dimensional model form at two invariant base forms
+        group, theta = catalog_with_holonomy(name)
+        n = group.dim
+        for base in (SymmetricForm.identity(n), SymmetricForm.diagonal(range(2, n + 2))):
+            model = LorentzModel(theta_average(base, theta))
+            b = model.model_form
+            assert evaluate(b, model.v_inf, model.v_inf) == 0
+            assert evaluate(b, model.v_0, model.v_0) == 0
+            assert evaluate(b, model.v_inf, model.v_0) != 0
 
     def test_rejects_indefinite_base(self):
         # indefinite, degenerate, and negative definite bases
@@ -155,7 +168,7 @@ class TestOuterPairing:
             y = random_vector(rng, 3)
             z = random_vector(rng, 3)
             applied = outer_pairing(x, y, form).matvec(z)
-            expected = tuple(form.evaluate(z, y) * xi for xi in map(F, x))
+            expected = tuple(evaluate(form, z, y) * xi for xi in map(F, x))
             assert applied == expected
 
     def test_dimension_mismatch(self):
@@ -223,7 +236,7 @@ class TestEmbedTranslation:
         e = embed_translation([1, 0], model)
         image_v0 = e.matvec(model.v_0)
         assert image_v0 != model.v_0
-        assert model.model_form.evaluate(image_v0, image_v0) == 0
+        assert evaluate(model.model_form, image_v0, image_v0) == 0
 
 
 class TestEmbedAffine:

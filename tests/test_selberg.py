@@ -130,7 +130,7 @@ class TestTorsionPolynomials:
 
 class TestBadPrimes:
     def test_worked_degree_two(self):
-        bad = bad_primes(worked_example(), torsion_polynomials(2))
+        bad = bad_primes(worked_example())
         assert set(bad) == {2, 3}
         assert REASON_SMALL_CHARACTERISTIC in bad[2]
         assert REASON_COEFFICIENT_DIVISOR in bad[2]
@@ -138,12 +138,12 @@ class TestBadPrimes:
 
     def test_denominator_reason(self):
         group_input = MatrixGroupInput(2, [Matrix([[1, F(1, 5)], [0, 1]])], [])
-        bad = bad_primes(group_input, torsion_polynomials(2))
+        bad = bad_primes(group_input)
         assert bad[5] == (REASON_DENOMINATOR,)
 
     def test_degree_one(self):
         group_input = MatrixGroupInput(1, [Matrix([[2]])], [])
-        bad = bad_primes(group_input, torsion_polynomials(1))
+        bad = bad_primes(group_input)
         assert set(bad) == {2}
         # no primes <= 1 exist; 2 comes from (t+1) - (t-1) = 2
         assert bad[2] == (REASON_COEFFICIENT_DIVISOR,)
@@ -151,8 +151,8 @@ class TestBadPrimes:
     def test_monotone_in_generators(self):
         base = MatrixGroupInput(2, [UNIPOTENT_2], [])
         enlarged = MatrixGroupInput(2, [UNIPOTENT_2, Matrix([[F(1, 7), 0], [0, 7]])], [])
-        small = set(bad_primes(base, torsion_polynomials(2)))
-        large = set(bad_primes(enlarged, torsion_polynomials(2)))
+        small = set(bad_primes(base))
+        large = set(bad_primes(enlarged))
         assert small <= large
         assert 7 in large
 

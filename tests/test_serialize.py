@@ -2,7 +2,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from flatcusps.bieberbach import catalog
+from flatcusps.bieberbach import AffineMap, BieberbachGroup, catalog, holonomy, theta_average
 from flatcusps.errors import ValidationError
 from flatcusps.exactlin import SymmetricForm
 from flatcusps.lorentz import embed_group, integralize, verify_embedding
@@ -166,3 +166,40 @@ class TestEmbeddingAndCertificates:
         gam = {"n": 3, "generators": []}
         with pytest.raises(ValidationError):
             build_matrix_group_input(lam, gam)
+
+
+# Coprime odd numbers of 4,300 digits each: every input entry built from
+# them prints, but products of the two do not.
+BIG_D = 10**4299 + 1
+BIG_E = 10**4299 + 3
+
+
+class TestOutputDigitLimit:
+    """Exact results of accepted input can outgrow what CPython prints; the
+    error names the output field instead."""
+
+    def test_averaged_form(self):
+        # the third-turn average divides 1/(8 10**4299) by 3 and 6
+        tiny = F(1, 8 * 10**4299)
+        form = SymmetricForm.diagonal([tiny, tiny, 1])
+        averaged = theta_average(form, holonomy(catalog("third-turn")))
+        with pytest.raises(ValidationError, match="more than 4300 digits") as info:
+            form_to_dict(averaged)
+        assert info.value.path == "form.matrix"
+
+    def test_group_translation(self):
+        group = BieberbachGroup([AffineMap.translation_by([F(1, BIG_D * BIG_E)])])
+        with pytest.raises(ValidationError, match="more than 4300 digits") as info:
+            shape_to_dict(ShapeDescriptor(group, SymmetricForm.identity(1)))
+        assert info.value.path == "shape.generators[0].translation"
+
+    def test_integralization_scale(self):
+        # c = 2 D E clears the denominators of t = 1/D and B_K t = 1/(D E),
+        # while every image entry stays within the limit
+        group = BieberbachGroup([AffineMap.translation_by([F(1, BIG_D)])])
+        shape = ShapeDescriptor(group, SymmetricForm([[F(1, BIG_E)]]))
+        integral, scale = integralize(embed_group(group, shape))
+        assert scale == 2 * BIG_D * BIG_E
+        with pytest.raises(ValidationError, match="more than 4300 digits") as info:
+            embedding_to_dict(integral, scale)
+        assert info.value.path == "embedding.scale"

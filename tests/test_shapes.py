@@ -42,15 +42,48 @@ class TestRealForm:
         with pytest.raises(ValueError, match="entries must be finite numbers"):
             RealForm([[bad, 0.0], [0.0, 1.0]])
 
-    def test_pd_check(self):
-        assert RealForm([[2.0, 1.0], [1.0, 2.0]]).is_positive_definite()
-        assert not RealForm([[1.0, 2.0], [2.0, 1.0]]).is_positive_definite()
-        assert not RealForm([[1e-12, 0.0], [0.0, 1.0]]).is_positive_definite()
-
     def test_exact_roundtrip_is_dyadic(self):
         form = RealForm([[0.5, 0.25], [0.25, 0.75]])
         exact = form.to_exact()
         assert exact.matrix == Matrix([[HALF, F(1, 4)], [F(1, 4), F(3, 4)]])
+
+
+class TestExactDefinitenessGate:
+    """A decimal target is positive definite exactly when its dyadic value is."""
+
+    def test_definite_target_accepted(self):
+        theta = holonomy(catalog("torus-2"))
+        target = RealForm([[2.0, 1.0], [1.0, 2.0]])
+        assert rationalize(target, theta, 10).form == SymmetricForm([[2, 1], [1, 2]])
+        assert shape_distance(target, target) == 0.0
+
+    @pytest.mark.parametrize(
+        "entries",
+        [[[1.0, 2.0], [2.0, 1.0]], [[1.0, 1.0], [1.0, 1.0]]],
+        ids=["indefinite", "singular"],
+    )
+    def test_non_definite_target_rejected(self, entries):
+        theta = holonomy(catalog("torus-2"))
+        target = RealForm(entries)
+        with pytest.raises(NotPositiveDefinite):
+            rationalize(target, theta, 1000)
+        with pytest.raises(NotPositiveDefinite):
+            shape_distance(target, SymmetricForm.identity(2))
+
+    def test_wrong_size_target_rejected(self):
+        theta = holonomy(catalog("torus-2"))
+        with pytest.raises(DimensionMismatch):
+            rationalize(RealForm([[1.0, 2.0, 0.0], [2.0, 1.0, 0.0], [0.0, 0.0, 1.0]]), theta, 10)
+
+    def test_tiny_pivot_decided_exactly(self):
+        # the exact form is positive definite, however small its pivot
+        theta = holonomy(catalog("torus-2"))
+        target = RealForm([[1e-12, 0.0], [0.0, 1.0]])
+        with pytest.raises(NotPositiveDefinite):
+            rationalize(target, theta, 10)  # rounding sends 1e-12 to 0
+        shape = rationalize(target, theta, 10**13)
+        assert shape.form == SymmetricForm.diagonal([F(1, 10**12), 1])
+        assert shape_distance(target, shape.form) < 1e-12
 
 
 class TestBestRationalApprox:
