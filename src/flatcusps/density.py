@@ -138,16 +138,11 @@ class DensityRow(Frozen):
         super().__init__(sample_id, denom_bound, error, pipeline_ok, selberg_prime, reason)
 
 
-def sample_targets(
-    group: BieberbachGroup,
-    count: int,
-    seed: int,
-    theta: Optional[HolonomyGroup] = None,
-) -> list[RealForm]:
+def sample_targets(group: BieberbachGroup, count: int, seed: int) -> list[RealForm]:
     """Deterministic positive definite, holonomy-averaged target metrics."""
     if count < 1:
         raise ValueError("count must be at least 1")
-    theta = theta if theta is not None else holonomy(group)
+    theta = holonomy(group)
     n = group.dim
     rng = Lcg(seed)
     targets = []
@@ -257,7 +252,7 @@ def run_experiment(
     group = config.group
     theta = holonomy(group)
     if targets is None:
-        targets = sample_targets(group, config.sample_count, config.seed, theta)
+        targets = sample_targets(group, config.sample_count, config.seed)
     else:
         targets = list(targets)
         if len(targets) != config.sample_count:

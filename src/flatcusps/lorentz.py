@@ -185,6 +185,17 @@ def embed_group(group: BieberbachGroup, shape: ShapeDescriptor) -> LorentzEmbedd
     return LorentzEmbedding(model, group, images)
 
 
+def _shared_scale(embedding: LorentzEmbedding) -> Fraction:
+    """The scale ``c = E[j, n] / t_j`` at the first nonzero translation
+    coordinate of a generator, or 1 when every translation is zero."""
+    n = embedding.model.n
+    for g, image in zip(embedding.group.generators, embedding.images):
+        for j, x in enumerate(g.translation):
+            if x:
+                return Fraction(image.num[j][n] * x.denominator, image.den * x.numerator)
+    return Fraction(1)
+
+
 # ---------------------------------------------------------------------------
 # Integralization by hyperbolic conjugation
 # ---------------------------------------------------------------------------
@@ -205,31 +216,36 @@ def integralize(embedding: LorentzEmbedding) -> tuple[LorentzEmbedding, int]:
     survive. Returns the conjugated embedding and ``c``; an already
     integral embedding comes back unchanged with scale 1.
 
-    Once an image is checked to be its generator's ``T(t) R(A)`` and ``A``
-    to be integral (and so unimodular, being a ``B_K``-isometry of
-    determinant ``±1``), ``c`` is read off the image itself. The entries of ``T(c t) R(A)``
-    outside ``A`` are ``c w_i`` (rows ``< n`` of column n),
-    ``-c (k^T A)_j`` (row n, columns ``< n``) and ``c^2 h`` in the corner,
-    which occupy disjoint positions, so no cancellation between them is
-    possible. Since ``A`` and ``A^{-1}`` are integral, ``k^T A`` has the
-    same denominators as ``k``. So ``c`` must be a multiple of ``L``, the
-    lcm of the denominators of every ``w`` and ``k^T A``. Once ``c w`` and
-    ``c k`` are integral, ``c^2 h = (c w)^T (c k) / 2`` lies in ``Z/2``:
-    the smallest scale is ``L`` when every ``L^2 h`` is an integer, and
-    ``2 L`` otherwise (an odd multiple of ``L`` leaves the half, and
-    ``(2 L)^2 h`` is four times a half-integer).
+    Images are decoded as :func:`verify_embedding` decodes them, at the
+    shared scale ``c0 = E[j, n] / t_j``: each must be ``T(c0 t) R(A)`` for
+    its generator ``(A, t)``, with one ``c0 > 0`` for all of them, and the
+    result is re-assembled at ``c c0 t``. Write ``w`` for ``c0 t``. Once
+    ``A`` is checked to be integral (and so unimodular, being a
+    ``B_K``-isometry of determinant ``±1``), ``c`` is read off the image
+    itself. The entries of ``T(c w) R(A)`` outside ``A`` are ``c w_i``
+    (rows ``< n`` of column n), ``-c (k^T A)_j`` (row n, columns ``< n``)
+    and ``c^2 h`` in the corner, which occupy disjoint positions, so no
+    cancellation between them is possible. Since ``A`` and ``A^{-1}`` are
+    integral, ``k^T A`` has the same denominators as ``k``. So ``c`` must
+    be a multiple of ``L``, the lcm of the denominators of every ``w`` and
+    ``k^T A``. Once ``c w`` and ``c k`` are integral, ``c^2 h`` lies in
+    ``Z/2``, being ``(c w)^T (c k) / 2``: the smallest scale is ``L`` when
+    every ``L^2 h`` is an integer, and ``2 L`` otherwise (an odd multiple
+    of ``L`` leaves the half, and ``(2 L)^2 h`` is four times a half).
 
-    Raises ``InvariantViolation`` when an image is not the embedding of its
-    generator, since rescaling would then not be a conjugation, and
-    ``ValueError`` when a linear factor has fractional entries.
+    Raises ``NotFormIsometry`` when an ``A`` does not preserve ``B_K``,
+    ``InvariantViolation`` when an image does not decode (rescaling would
+    then not be a conjugation) and ``ValueError`` when an ``A`` is fractional.
     """
     model = embedding.model
     n = model.n
     generators = embedding.group.generators
     images = embedding.images
+    scale = _shared_scale(embedding)
     c = 1
     for g, image in zip(generators, images):
-        if embed_affine(g, model) != image:
+        decoded = g if scale == 1 else AffineMap(g.linear, [scale * x for x in g.translation])
+        if embed_affine(decoded, model) != image or scale <= 0:
             raise InvariantViolation(
                 "an image is not the embedding of its generator; "
                 "rescaling translations would not be a conjugation"
@@ -244,10 +260,8 @@ def integralize(embedding: LorentzEmbedding) -> tuple[LorentzEmbedding, int]:
     if any(c * c * image.num[n][n + 1] % image.den for image in images):
         c *= 2
     if c > 1:
-        images = [
-            _assemble(g.linear, [c * x for x in g.translation], model)
-            for g in generators
-        ]
+        scale *= c
+        images = [_assemble(g.linear, [scale * x for x in g.translation], model) for g in generators]
         embedding = LorentzEmbedding(model, embedding.group, images)
     if not all(m.is_integral() for m in embedding.images):
         raise InvariantViolation("integralized images have fractional entries")
@@ -339,15 +353,9 @@ def verify_embedding(embedding: LorentzEmbedding) -> VerificationReport:
     """
     model = embedding.model
     base = model.base_form.matrix
-    n = model.n
-    pairs = list(zip(embedding.group.generators, embedding.images))
-    scale = next(
-        (image[j, n] / x for g, image in pairs for j, x in enumerate(g.translation) if x),
-        Fraction(1),
-    )
-
+    scale = _shared_scale(embedding)
     results = []
-    for g, image in pairs:
+    for g, image in zip(embedding.group.generators, embedding.images):
         a = g.linear
         if scale > 0 and image == _assemble(a, [scale * x for x in g.translation], model):
             checks = GeneratorChecks(

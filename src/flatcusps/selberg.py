@@ -8,7 +8,9 @@ characteristic), primes dividing a generator denominator (not invertible
 in the coefficient ring), and primes modulo which some degree-n torsion
 characteristic polynomial collapses onto ``(t-1)^n``. Torsion
 characteristic polynomials are exactly the degree-n products of cyclotomic
-polynomials other than ``(t-1)^n`` itself, a finite enumerable set.
+polynomials other than ``(t-1)^n`` itself, a finite enumerable set, and
+the primes modulo which one of them collapses are exactly the primes up
+to ``n + 1``.
 
 The certificate produced here records the prime, the polynomial list, the
 bad primes with reasons, and the residue evidence; an independent
@@ -250,41 +252,24 @@ def bad_primes(group_input: MatrixGroupInput) -> dict[int, tuple[str, ...]]:
 
     Three sources: primes at most ``n`` (small residue characteristic),
     primes dividing a generator denominator (invertible in the coefficient
-    ring, so unusable for reduction), and primes ``p`` with
-    ``p_j = (t-1)^n (mod p)`` for some torsion polynomial of degree n. The
-    last set is computed exactly: ``p`` collapses ``p_j`` onto ``(t-1)^n``
-    precisely when ``p`` divides every coefficient of the difference, so
-    the candidates are the prime factors of the gcd of those coefficients.
+    ring, so unusable for reduction), and the primes at most ``n + 1``,
+    modulo which some degree-n torsion polynomial collapses onto
+    ``(t-1)^n``. Modulo p, ``Phi_{p^k m} = Phi_m^{phi(p^k)}`` for p not
+    dividing m and ``Phi_m(1) != 0`` for m > 1, so a product of cyclotomic
+    polynomials is ``(t-1)^n`` exactly when every factor has p-power order.
+    A torsion polynomial has a factor of order > 1, so if it collapses,
+    that factor is some ``Phi_{p^k}`` with k >= 1, of degree at least
+    ``p - 1``, and ``p <= n + 1``. Conversely, ``Phi_p Phi_1^{n-p+1}``
+    collapses for every prime ``p <= n + 1``.
     """
     n = group_input.n
-    reasons: dict[int, set[str]] = {}
-
-    def add(p: int, reason: str) -> None:
-        reasons.setdefault(p, set()).add(reason)
-
+    reasons = {p: {REASON_COEFFICIENT_DIVISOR} for p in filter(is_prime, range(2, n + 2))}
     for p in filter(is_prime, range(2, n + 1)):
-        add(p, REASON_SMALL_CHARACTERISTIC)
+        reasons[p].add(REASON_SMALL_CHARACTERISTIC)
     for den in group_input.denominators():
         for p in prime_factors(den):
-            add(p, REASON_DENOMINATOR)
-    for p in _coefficient_divisor_primes(n):
-        add(p, REASON_COEFFICIENT_DIVISOR)
+            reasons.setdefault(p, set()).add(REASON_DENOMINATOR)
     return {p: tuple(sorted(rs)) for p, rs in sorted(reasons.items())}
-
-
-@lru_cache(maxsize=None)
-def _coefficient_divisor_primes(n: int) -> tuple[int, ...]:
-    """Primes modulo which some degree-n torsion polynomial equals ``(t-1)^n``."""
-    unipotent = unipotent_polynomial(n)
-    primes: set[int] = set()
-    for poly in torsion_polynomials(n):
-        difference = poly - unipotent
-        if difference.is_zero() or not difference.is_integral():
-            raise InvariantViolation(f"{poly} is not integral and distinct from {unipotent}")
-        content = math.gcd(*(abs(c.numerator) for c in difference.coeffs))
-        if content > 1:
-            primes.update(prime_factors(content))
-    return tuple(sorted(primes))
 
 
 def good_prime(group_input: MatrixGroupInput) -> SelbergCertificate:

@@ -116,7 +116,7 @@ def parse_vector(data: Any, path: str) -> tuple[Fraction, ...]:
 
 
 def parse_rows(data: Any, path: str, parse_entry: Callable[[Any, str], Any]) -> list[list]:
-    """A nonempty list of equal-length rows, each entry read by ``parse_entry``."""
+    """A nonempty list of nonempty equal-length rows, each entry read by ``parse_entry``."""
     rows = _expect_list(data, path)
     if not rows:
         raise ValidationError(path, "matrix must not be empty")
@@ -125,6 +125,8 @@ def parse_rows(data: Any, path: str, parse_entry: Callable[[Any, str], Any]) -> 
         for i, row in enumerate(rows)
     ]
     width = len(parsed[0])
+    if not width:
+        raise ValidationError(f"{path}[0]", "matrix rows must not be empty")
     for i, row in enumerate(parsed):
         if len(row) != width:
             raise ValidationError(f"{path}[{i}]", "matrix rows have unequal lengths")

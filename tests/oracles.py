@@ -12,8 +12,10 @@ B-skew map built from outer pairings, and the block-diagonal linear
 factor, matrix arithmetic by the per-entry ``Fraction`` kernel that
 the integer one replaced, and congruence certificates by the word-ball
 verifier that computes every element's characteristic polynomial and
-raises each collapsing one to the lcm of all torsion orders. The API
-that only tests use lives here too.
+raises each collapsing one to the lcm of all torsion orders, and the
+primes that collapse a torsion polynomial onto ``(t-1)^n`` by a gcd
+search over every torsion polynomial. The API that only tests use lives
+here too.
 """
 
 from __future__ import annotations
@@ -54,6 +56,8 @@ from flatcusps.selberg import (
     SelbergCertificate,
     euler_phi,
     is_prime,
+    prime_factors,
+    torsion_polynomials,
 )
 from flatcusps.serialize import parse_group, parse_matrix
 from flatcusps.shapes import ShapeDescriptor
@@ -515,6 +519,21 @@ def torsion_order_bound(n: int) -> int:
     orders d of roots of unity of degree ``phi(d) <= n``, which
     ``phi(d) >= sqrt(d/2)`` confines below ``2 n^2 + 2``."""
     return math.lcm(*(d for d in range(1, 2 * n * n + 2) if euler_phi(d) <= n))
+
+
+def ref_coefficient_divisor_primes(n: int) -> tuple[int, ...]:
+    """Primes modulo which some degree-n torsion polynomial equals
+    ``(t-1)^n``, found by search: the prime factors of the gcd of the
+    coefficients of each polynomial's difference from ``(t-1)^n``."""
+    unipotent = unipotent_polynomial(n)
+    primes: set[int] = set()
+    for poly in torsion_polynomials(n):
+        difference = poly - unipotent
+        assert difference.is_integral() and not difference.is_zero(), poly
+        content = math.gcd(*(c.numerator for c in difference.coeffs))
+        if content > 1:
+            primes.update(prime_factors(content))
+    return tuple(sorted(primes))
 
 
 def ref_verify_certificate(

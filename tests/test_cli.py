@@ -242,6 +242,28 @@ class TestEmbed:
         assert "verification failed" in capsys.readouterr().err
 
 
+class TestEmptyRows:
+    # a matrix whose first row is empty is rejected at that row's path
+    def test_form(self, tmp_path, capsys):
+        form = write_json(tmp_path / "form.json", {"matrix": [[]]})
+        assert main(["average", "-g", "torus-1", "-f", form]) == 1
+        assert "error: form.matrix[0]: " in capsys.readouterr().err
+
+    def test_selberg_generator(self, tmp_path, capsys):
+        lam = write_json(tmp_path / "lam.json", {"n": 1, "generators": [[[]]]})
+        gam = write_json(tmp_path / "gam.json", {"n": 1, "generators": []})
+        assert main(["selberg", "-l", lam, "-u", gam]) == 1
+        assert "error: lambda.generators[0][0]: " in capsys.readouterr().err
+
+    def test_group_linear(self, tmp_path, capsys):
+        group = write_json(
+            tmp_path / "group.json",
+            {"dim": 1, "generators": [{"linear": [[]], "translation": ["1"]}]},
+        )
+        assert main(["verify-group", "-g", group]) == 1
+        assert "error: group.generators[0].linear[0]: " in capsys.readouterr().err
+
+
 def worked_example_files(tmp_path):
     lam = write_json(
         tmp_path / "lam.json",

@@ -411,6 +411,39 @@ class TestIntegralize:
                 for smaller in range(1, scale):
                     assert not all(m.is_integral() for m in conjugated(smaller)), name
 
+    def test_integral_embedding_is_a_fixed_point(self):
+        # an integral embedding at scale c decodes at the shared scale c, so
+        # it comes back unchanged with scale 1
+        for name in catalog_names():
+            group, theta = catalog_with_holonomy(name)
+            n = group.dim
+            for base in (SymmetricForm.identity(n), SymmetricForm.diagonal(range(2, n + 2))):
+                embedding = embed_group(group, ShapeDescriptor(group, theta_average(base, theta)))
+                integral, _ = integralize(embedding)
+                again, scale = integralize(integral)
+                assert again is integral and scale == 1, name
+
+    @pytest.mark.parametrize("name", catalog_names())
+    def test_uniformly_scaled_embedding(self, name):
+        # T(3t/2) R(A) is a conjugate of the plain embedding, so integralize
+        # conjugates it further by H_c for the scale c it returns
+        group = catalog(name)
+        embedding = scaled_embedding(name, [F(3, 2)] * len(group.generators))
+        result, scale = integralize(embedding)
+        conjugator = hyperbolic_conjugator(embedding.model, scale)
+        inverse = conjugator.inverse()
+        assert list(result.images) == [conjugator * m * inverse for m in embedding.images]
+        assert all(m.is_integral() for m in result.images)
+        assert verify_embedding(result).overall
+
+    def test_negative_shared_scale_rejected(self):
+        # T(-t) R(A) decodes at the shared scale -1, which verify_embedding
+        # rejects, so integralize rejects it too
+        embedding = scaled_embedding("klein", [-1, -1, -1])
+        assert not verify_embedding(embedding).overall
+        with pytest.raises(InvariantViolation):
+            integralize(embedding)
+
     @settings(max_examples=60, deadline=None)
     @given(data=st.data(), name=st.sampled_from(catalog_names()))
     def test_scale_is_minimal(self, data, name):
@@ -450,8 +483,8 @@ import json
 from fractions import Fraction
 from flatcusps import (
     AffineMap, ExperimentConfig, InvariantViolation, LorentzEmbedding, Matrix,
-    ShapeDescriptor, SymmetricForm, catalog, embed_affine, embed_group, integralize,
-    run_experiment, verify_embedding,
+    ShapeDescriptor, SymmetricForm, catalog, embed_affine, embed_group, holonomy, integralize,
+    run_experiment, theta_average, verify_embedding,
 )
 from flatcusps.lorentz import GeneratorChecks
 
@@ -472,6 +505,10 @@ try:
     rejected = False
 except InvariantViolation:
     rejected = True
+# an integral embedding at scale 4 decodes at that shared scale
+form = theta_average(SymmetricForm([[3, 1], [1, 2]]), holonomy(group))
+four, first = integralize(embed_group(group, ShapeDescriptor(group, form)))
+again, second = integralize(four)
 [row] = run_experiment(
     ExperimentConfig(group, 1, [10], 8, run_pipeline=True, torus_manifold_mode=True)
 )
@@ -493,6 +530,7 @@ print(json.dumps({
     "integral": all(m.is_integral() for m in integral.images),
     "overall": verify_embedding(integral).overall,
     "rejected": rejected,
+    "refixed": [first, second, again is four, verify_embedding(four).overall],
     "density_row": [row.pipeline_ok, row.selberg_prime],
     "corrupted": failures(corrupted),
     "jordan": failures(jordan),
@@ -514,6 +552,7 @@ print(json.dumps({
             "integral": True,
             "overall": True,
             "rejected": True,
+            "refixed": [4, 1, True, True],
             "density_row": [True, 7],
             "corrupted": [False, ["form_preserved", "equivariance"], []],
             # the Jordan image's column n reads scale 0, so no image decodes

@@ -31,7 +31,12 @@ from flatcusps.selberg import (
     verify_certificate,
 )
 
-from oracles import ref_verify_certificate, sympy_finite_order_char_polys, torsion_order_bound
+from oracles import (
+    ref_coefficient_divisor_primes,
+    ref_verify_certificate,
+    sympy_finite_order_char_polys,
+    torsion_order_bound,
+)
 
 UNIPOTENT_2 = Matrix([[1, 1], [0, 1]])
 NEG_IDENTITY_2 = -Matrix.identity(2)
@@ -145,8 +150,27 @@ class TestBadPrimes:
         group_input = MatrixGroupInput(1, [Matrix([[2]])], [])
         bad = bad_primes(group_input)
         assert set(bad) == {2}
-        # no primes <= 1 exist; 2 comes from (t+1) - (t-1) = 2
+        # no primes <= 1 exist; t + 1 = t - 1 modulo 2 = n + 1
         assert bad[2] == (REASON_COEFFICIENT_DIVISOR,)
+
+    def test_degree_four_adds_five(self):
+        bad = bad_primes(MatrixGroupInput(4, [-Matrix.identity(4)]))
+        assert set(bad) == {2, 3, 5}
+        assert bad[5] == (REASON_COEFFICIENT_DIVISOR,)
+
+    def test_degree_six_adds_seven(self):
+        bad = bad_primes(MatrixGroupInput(6, [-Matrix.identity(6)]))
+        assert set(bad) == {2, 3, 5, 7}
+        assert bad[5] == (REASON_COEFFICIENT_DIVISOR, REASON_SMALL_CHARACTERISTIC)
+        assert bad[7] == (REASON_COEFFICIENT_DIVISOR,)
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_coefficient_divisors_match_search(self, n):
+        # the closed form (primes <= n + 1) against the gcd search over
+        # every torsion polynomial of degree n
+        bad = bad_primes(MatrixGroupInput(n, [-Matrix.identity(n)]))
+        closed = tuple(p for p, reasons in bad.items() if REASON_COEFFICIENT_DIVISOR in reasons)
+        assert closed == ref_coefficient_divisor_primes(n)
 
     def test_monotone_in_generators(self):
         base = MatrixGroupInput(2, [UNIPOTENT_2], [])

@@ -127,6 +127,12 @@ class TestFormsAndShapes:
         with pytest.raises(ValidationError):
             parse_real_form({"matrix": [[1.0, 0.3], [0.1, 1.0]]})
 
+    @pytest.mark.parametrize("parse", [parse_form, parse_real_form])
+    def test_empty_first_row_names_the_row(self, parse):
+        with pytest.raises(ValidationError) as info:
+            parse({"matrix": [[], []]}, "form")
+        assert info.value.path == "form.matrix[0]"
+
 
 class TestEmbeddingAndCertificates:
     def test_embedding_dict_contents(self):
