@@ -341,7 +341,7 @@ def _scaled(num: tuple, f: int) -> tuple:
 def _product(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> tuple:
     """Product of integer matrices given as rows."""
     columns = tuple(zip(*b))
-    return tuple(tuple(sum(map(mul, row, col)) for col in columns) for row in a)
+    return tuple([tuple([sum(map(mul, row, col)) for col in columns]) for row in a])
 
 
 def _fraction_free_rref(a: list[list[int]]) -> tuple[list[int], int, int]:
@@ -643,6 +643,22 @@ def char_poly(m: Matrix) -> IntPolynomial:
     if den == 1:
         return IntPolynomial(coeffs)
     return IntPolynomial([Fraction(a, den ** (n - k)) for k, a in enumerate(coeffs)])
+
+
+def is_unipotent(m: Matrix) -> bool:
+    """Whether ``char_poly(m)`` is ``(t - 1)^n``, i.e. ``(m - I)^n = 0``: the
+    integer rows ``den (m - I)`` are squared until zero or exponent n."""
+    if not m.is_square():
+        raise DimensionMismatch("unipotence of a non-square matrix")
+    n, den = m.rows, m.den
+    power = [[x - den * (i == j) for j, x in enumerate(row)] for i, row in enumerate(m.num)]
+    exponent = 1
+    while any(map(any, power)):
+        if exponent >= n:
+            return False
+        power = _product(power, power)
+        exponent *= 2
+    return True
 
 
 # ---------------------------------------------------------------------------

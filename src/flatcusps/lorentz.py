@@ -42,10 +42,9 @@ from .exactlin import (
     Frozen,
     Matrix,
     SymmetricForm,
-    char_poly,
     is_positive_definite,
+    is_unipotent,
     rat,
-    unipotent_polynomial,
 )
 from .shapes import ShapeDescriptor
 
@@ -380,7 +379,7 @@ def _full_checks(g: AffineMap, image: Matrix, model: LorentzModel) -> GeneratorC
     form_preserved = image.transpose() * gram * image == gram
     fixes_vinf = image.matvec(model.v_inf) == model.v_inf
     if g.is_translation():
-        unipotent_translation: Optional[bool] = char_poly(image) == unipotent_polynomial(ambient)
+        unipotent_translation: Optional[bool] = is_unipotent(image)
     else:
         unipotent_translation = None
 

@@ -30,6 +30,7 @@ from .exactlin import (
     IntPolynomial,
     Matrix,
     char_poly,
+    is_unipotent,
     monomial,
     unipotent_polynomial,
 )
@@ -285,12 +286,11 @@ def good_prime(group_input: MatrixGroupInput) -> SelbergCertificate:
     and contains the unipotent subgroup.
     """
     n = group_input.n
-    unipotent = unipotent_polynomial(n)
     for m in group_input.gamma_gens:
-        poly = char_poly(m)
-        if poly != unipotent:
+        if not is_unipotent(m):
             raise UnipotentViolation(
-                f"generator has characteristic polynomial {poly}, expected {unipotent}"
+                f"generator has characteristic polynomial {char_poly(m)}, "
+                f"expected {unipotent_polynomial(n)}"
             )
     bad = bad_primes(group_input)
     q = 2
@@ -312,20 +312,21 @@ def verify_certificate(
     """Brute-force falsifier for a certificate.
 
     Enumerates all products of the ambient generators and their inverses
-    up to the given word length, breadth first over the distinct letters;
-    a word never appends the letter that cancels its last one, since that
-    product is already in the ball, and appending ``-I`` negates the word
-    instead of multiplying. Each nontrivial element E is then
-    judged by its characteristic polynomial ``det(tI - E)``:
+    up to the given word length L, breadth first over the distinct letters
+    other than ``-I``; a word never appends the letter that cancels its
+    last one, since that product is already in the ball. ``-I`` is central
+    and its own inverse, so it adds only the negations of the words of
+    length below L. Each nontrivial element E is then judged by its
+    characteristic polynomial ``det(tI - E)``:
 
     - *Trace screen.* Its coefficient ``n-1`` is ``-tr E``. When q does not
       divide ``den E``, the polynomial reduces modulo q, and a trace not
       congruent to n makes that residue differ from the residue of
       ``(t-1)^n``, so E passes without its polynomial being computed.
-    - *Exact polynomial.* Otherwise it is computed once. ``(t-1)^n`` means
-      E is unipotent, hence of infinite order, and passes; a prime q
-      dividing one of its denominators is a counterexample; a residue
-      unlike that of ``(t-1)^n`` passes.
+    - *Exact polynomial.* Otherwise, unless E is unipotent (``E - I`` is
+      nilpotent, see :func:`is_unipotent`) and so of infinite order, it is
+      computed once. A prime q dividing one of its denominators is a
+      counterexample; a residue unlike that of ``(t-1)^n`` passes.
     - *Finite-order test.* A residue that collapses onto the unipotent one
       is a counterexample when E has finite order. A polynomial outside
       :func:`torsion_polynomials` means infinite order; otherwise E has
@@ -350,39 +351,43 @@ def verify_certificate(
     if any(d % q == 0 for d in group_input.denominators()):
         return False  # reduction modulo q is undefined on these generators
     n = group_input.n
-    unipotent = unipotent_polynomial(n)
-    unipotent_mod = unipotent.reduce_mod(q)
+    unipotent_mod = unipotent_polynomial(n).reduce_mod(q)
     torsion_orders = _torsion_orders(n)
     identity = Matrix.identity(n)
 
-    # Distinct letters (-I is its own inverse) and the index of each inverse.
+    # Distinct letters other than -I and the index of each inverse.
     inverse = {}
     for m in group_input.lambda_gens:
         m_inverse = m.inverse()
         inverse[m], inverse[m_inverse] = m_inverse, m
+    negates = inverse.pop(Matrix.diagonal([-1] * n), None) is not None
     letters = list(inverse)
     cancel = [letters.index(inverse[g]) for g in letters]
-    negative_identity = Matrix.diagonal([-1] * n)
-    negates = [g == negative_identity for g in letters]
 
-    seen = {identity}
-    frontier = [(identity, -1)]  # (element, index of the letter undoing its last)
-    for _ in range(word_length):
+    def admit(element: Matrix) -> None:
+        seen.add(element)
+        if len(seen) > MAX_WORD_BALL:
+            raise ValueError(
+                f"words of length {word_length} exceed MAX_WORD_BALL = {MAX_WORD_BALL} elements"
+            )
+
+    words = {identity}  # products of the letters, the only dedup of the search
+    seen = {identity}  # the ball: the words and, with -I, their negations
+    frontier = [(identity, -1)]  # (word, index of the letter undoing its last)
+    for length in range(word_length):
         if not frontier:
             break  # the ball has stopped growing: the group is finite
         fresh = []
         for w, undo in frontier:
+            if negates:
+                admit(-w)
             for i, g in enumerate(letters):
                 if i == undo:
                     continue
-                element = -w if negates[i] else w * g
-                if element not in seen:
-                    if len(seen) == MAX_WORD_BALL:
-                        raise ValueError(
-                            f"words of length {word_length} exceed "
-                            f"MAX_WORD_BALL = {MAX_WORD_BALL} elements"
-                        )
-                    seen.add(element)
+                element = w * g if length else g  # words of length one are letters
+                if element not in words:
+                    words.add(element)
+                    admit(element)
                     fresh.append((element, cancel[i]))
         frontier = fresh
     seen.remove(identity)
@@ -390,9 +395,9 @@ def verify_certificate(
         den = element.den
         if den % q and (sum(row[i] for i, row in enumerate(element.num)) - n * den) % q:
             continue  # trace screen: the residue is not that of (t-1)^n
+        if is_unipotent(element):
+            continue  # infinite order
         poly = char_poly(element)
-        if poly == unipotent:
-            continue  # genuinely unipotent, infinite order
         try:
             reduced = poly.reduce_mod(q)
         except ValueError:

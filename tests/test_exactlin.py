@@ -25,6 +25,7 @@ from flatcusps.exactlin import (
     has_integer_solution,
     integer_row_hermite,
     is_positive_definite,
+    is_unipotent,
     lattice_basis,
     ldl_signature,
     nilpotent_exp,
@@ -357,6 +358,46 @@ class TestCharPoly:
         expected = sympy.Poly(sym.charpoly(t).as_expr(), t).all_coeffs()
         ours = list(reversed([F(str(c)) for c in expected]))
         assert char_poly(m) == IntPolynomial(ours)
+
+
+class TestIsUnipotent:
+    def test_examples(self):
+        assert is_unipotent(Matrix.identity(1))
+        assert not is_unipotent(Matrix([[F(1, 2)]]))
+        assert is_unipotent(Matrix([[1, 1], [0, 1]]))
+        assert not is_unipotent(-Matrix.identity(2))
+        # (m - I)^4 = 0 but (m - I)^2 != 0 at size 5: a second squaring decides
+        shift = Matrix([[int(j == i + 1) for j in range(5)] for i in range(5)])
+        assert is_unipotent(Matrix.identity(5) + shift)
+        assert not is_unipotent(Matrix.identity(5) + shift + shift.transpose())
+
+    def test_non_square(self):
+        with pytest.raises(DimensionMismatch):
+            is_unipotent(Matrix([[1, 0]]))
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        data=st.data(),
+        n=st.integers(min_value=1, max_value=6),
+        kind=st.sampled_from(["conjugate", "perturbed", "arbitrary"]),
+    )
+    def test_agrees_with_char_poly(self, data, n, kind):
+        # conjugates of upper unitriangular matrices are unipotent; one
+        # changed entry mostly breaks that, and arbitrary matrices rarely have it
+        if kind == "arbitrary":
+            m = data.draw(square_matrices(n))
+        else:
+            upper = [[data.draw(small_fractions) if j > i else int(i == j) for j in range(n)]
+                     for i in range(n)]
+            s = _random_invertible(random.Random(data.draw(st.integers(0, 10**6))), n)
+            m = s.inverse() * Matrix(upper) * s
+            if kind == "perturbed":
+                i, j = data.draw(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)))
+                delta = data.draw(small_fractions.filter(bool))
+                rows = [list(row) for row in m.entries]
+                rows[i][j] += delta
+                m = Matrix(rows)
+        assert is_unipotent(m) == (char_poly(m) == unipotent_polynomial(n))
 
 
 class TestPolynomial:

@@ -1,5 +1,6 @@
 import importlib.util
 import json
+import math
 import os
 import subprocess
 import sys
@@ -362,7 +363,10 @@ def _rational_groups(draw):
     permutations (finite order), of companion matrices of torsion
     polynomials that collapse modulo q where there are any (finite order
     when the polynomial is squarefree), and of elementary unipotent
-    matrices (characteristic polynomial ``(t-1)^n``). When q divides a
+    matrices (characteristic polynomial ``(t-1)^n``); or ``-I`` itself, or
+    a conjugate of a signed n-cycle whose signs multiply to -1, so that
+    its n-th power is ``-I``. These two put ``-I`` among the letters or in
+    the ball, where a word may equal a negated one. When q divides a
     generator denominator the next prime that divides none replaces it, so
     q may divide a denominator of an inverse only.
     """
@@ -374,7 +378,7 @@ def _rational_groups(draw):
     polys = torsion_polynomials(n)
     collapsing = [p for p in polys if p.reduce_mod(q) == unipotent_polynomial(n).reduce_mod(q)]
     generators = []
-    kinds = ["rational", "finite", "cyclotomic", "unipotent"]
+    kinds = ["rational", "finite", "cyclotomic", "unipotent", "negative", "negative-root"]
     for kind in draw(st.lists(st.sampled_from(kinds), min_size=1, max_size=2)):
         g = draw(invertible)
         if kind == "finite":
@@ -389,6 +393,13 @@ def _rational_groups(draw):
         elif kind == "unipotent":
             i, j = sorted(draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2)))
             core = Matrix([[int(r == c or (r, c) == (i, j)) for c in range(n)] for r in range(n)])
+            g = g * core * g.inverse()
+        elif kind == "negative":
+            g = Matrix.diagonal([-1] * n)
+        elif kind == "negative-root":
+            signs = draw(st.lists(st.sampled_from([1, -1]), min_size=n - 1, max_size=n - 1))
+            signs.append(-math.prod(signs))
+            core = Matrix([[signs[i] if j == (i + 1) % n else 0 for j in range(n)] for i in range(n)])
             g = g * core * g.inverse()
         generators.append(g)
     group_input = MatrixGroupInput(n, generators)
@@ -442,12 +453,12 @@ class TestVerifierAgreesWithReference:
         assert verify_certificate(group_input, certificate, 2) is True
 
     def test_negative_identity_is_one_letter(self, monkeypatch):
-        # the letters are u, u^-1 and -I (its own inverse), and a word never
-        # appends the letter undoing its last: the length-2 ball of <u, -I>
-        # takes 3 + 3 * 2 steps, where four letters and backtracking take
-        # 4 + 3 * 4. Appending -I negates the word: of the 9 steps, the 3
-        # that append -I (once from I, once after u and once after u^-1)
-        # are negations and the other 6 are products.
+        # -I is central and its own inverse, so the words run over u and
+        # u^-1 alone and -I only negates the words shorter than 2: I, u and
+        # u^-1 give the 3 negations -I, -u and -u^-1. The words of length
+        # one are the letters themselves, with no product, and a word never
+        # appends the letter undoing its last, so u u and u^-1 u^-1 are the
+        # only 2 products (four letters with backtracking take 4 + 3 * 4).
         calls = []
         product, negation = Matrix.__mul__, Matrix.__neg__
 
@@ -464,9 +475,9 @@ class TestVerifierAgreesWithReference:
         monkeypatch.setattr(Matrix, "__mul__", counted_product)
         monkeypatch.setattr(Matrix, "__neg__", counted_negation)
         assert verify_certificate(group_input, certificate, word_length=2)
-        assert calls.count("product") == 6
+        assert calls.count("product") == 2
         assert calls.count("negation") == 3
-        assert len(calls) == 3 + 3 * 2
+        assert len(calls) == 2 + 3
 
 
 class TestFiniteOrderTest:
@@ -526,6 +537,7 @@ def test_verifier_survives_optimized_mode():
     # under python -O no assert runs: the verdicts must come from the code
     script = """
 import json
+import math
 from flatcusps.exactlin import Matrix
 from flatcusps.selberg import (
     MatrixGroupInput, SelbergCertificate, good_prime, torsion_polynomials,
