@@ -23,6 +23,7 @@ and afterwards through the memoized results for the same group value.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Optional, Sequence
@@ -41,6 +42,7 @@ from .exactlin import (
     Scalar,
     SymmetricForm,
     Vector,
+    congruent_rows,
     has_integer_solution,
     is_positive_definite,
     lattice_basis,
@@ -303,7 +305,10 @@ def theta_average(form: SymmetricForm, theta: HolonomyGroup) -> SymmetricForm:
 
     The result is symmetric, positive definite, and exactly invariant under
     every element of the holonomy, because right multiplication permutes
-    the summands.
+    the summands. The sum is taken on integer rows over ``L^2 den F``,
+    with ``L`` the lcm of the elements' denominators: ``g`` contributes
+    ``(L / den g)^2 g.num^T F.num g.num``, the identity ``L^2 F.num`` with
+    no product, and the total is reduced once.
     """
     if form.dim != theta.dim:
         raise DimensionMismatch(
@@ -311,10 +316,17 @@ def theta_average(form: SymmetricForm, theta: HolonomyGroup) -> SymmetricForm:
         )
     if not is_positive_definite(form):
         raise NotPositiveDefinite("theta average requires a positive definite form")
-    total = Matrix.zeros(form.dim, form.dim)
+    f = form.matrix
+    lcm = math.lcm(*(g.den for g in theta.elements))
+    total = [[0] * form.dim for _ in range(form.dim)]
     for g in theta.elements:
-        total = total + g.transpose() * form.matrix * g
-    return SymmetricForm(Fraction(1, theta.order) * total)
+        rows = f.num if g.is_identity() else congruent_rows(g, f)
+        weight = (lcm // g.den) ** 2
+        for acc, row in zip(total, rows):
+            for j, x in enumerate(row):
+                acc[j] += weight * x
+    den = theta.order * lcm * lcm * f.den
+    return SymmetricForm(Matrix.from_integer_rows(tuple(map(tuple, total)), den))
 
 
 # ---------------------------------------------------------------------------

@@ -36,7 +36,7 @@ from .bieberbach import (
     translation_lattice,
 )
 from .errors import NotPositiveDefinite
-from .exactlin import Frozen, Matrix
+from .exactlin import Frozen, Matrix, SymmetricForm
 from .lorentz import (
     LorentzEmbedding,
     embed_group,
@@ -176,10 +176,12 @@ def sample_targets(group: BieberbachGroup, count: int, seed: int) -> list[RealFo
 
 
 def _rationalize_with_retry(
-    target: RealForm, theta: HolonomyGroup, bound: int
+    target: SymmetricForm, theta: HolonomyGroup, bound: int
 ) -> ShapeDescriptor:
     """Approximate, enlarging the bound tenfold while rounding kills definiteness.
 
+    The target is already the exact holonomy average, which
+    :func:`rationalize` takes as its own average and rounds directly.
     The retry ladder is deterministic, so two rows whose ladders stop at
     the same effective bound get identical shapes. Errors need not fall as
     the nominal bound grows: a larger bound never rounds an entry worse,
@@ -263,7 +265,7 @@ def run_experiment(
     for sample_id, target in enumerate(targets):
         reference = theta_average(target.to_exact(), theta)
         for bound in config.denom_bounds:
-            shape = _rationalize_with_retry(target, theta, bound)
+            shape = _rationalize_with_retry(reference, theta, bound)
             error = shape_distance(shape.form, reference)
             pipeline_ok: Optional[bool] = None
             prime: Optional[int] = None

@@ -7,9 +7,11 @@ needed for crystallographic computations. A :class:`Matrix` is integer
 rows over one positive denominator in canonical form, so its arithmetic
 is integer arithmetic plus one gcd reduction per result; determinants,
 inverses and null spaces use Bareiss's fraction-free elimination, and
-signatures the characteristic polynomial. ``Fraction`` appears only at
-the boundary. All arithmetic is exact; ``==`` always means mathematical
-equality and no operation introduces rounding.
+signatures the characteristic polynomial. An isometry identity
+``A^T G A = G`` is decided by :func:`preserves_form` on the integer rows
+with no reduction at all. ``Fraction`` appears only at the boundary. All
+arithmetic is exact; ``==`` always means mathematical equality and no
+operation introduces rounding.
 """
 
 from __future__ import annotations
@@ -342,6 +344,28 @@ def _product(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> tuple:
     """Product of integer matrices given as rows."""
     columns = tuple(zip(*b))
     return tuple([tuple([sum(map(mul, row, col)) for col in columns]) for row in a])
+
+
+def congruent_rows(a: Matrix, gram: Matrix) -> tuple:
+    """Integer rows of ``a.num^T gram.num a.num``: ``a^T gram a`` times
+    ``a.den^2 gram.den``, with no gcd and no intermediate :class:`Matrix`."""
+    if not (a.is_square() and gram.is_square() and a.rows == gram.rows):
+        raise DimensionMismatch(
+            f"cannot transform a {gram.rows}x{gram.cols} Gram matrix by a {a.rows}x{a.cols} matrix"
+        )
+    return _product(tuple(zip(*a.num)), _product(gram.num, a.num))
+
+
+def preserves_form(a: Matrix, gram: Matrix) -> bool:
+    """Whether ``a^T gram a == gram``, decided on integer rows.
+
+    With ``a = A / d`` and ``gram = G / e`` the identity is
+    ``A^T G A == d^2 G``; the identity matrix needs no product.
+    ``DimensionMismatch`` is raised unless both are square of one size.
+    """
+    if a.is_identity() and gram.is_square() and gram.rows == a.rows:
+        return True
+    return congruent_rows(a, gram) == _scaled(gram.num, a.den * a.den)
 
 
 def _fraction_free_rref(a: list[list[int]]) -> tuple[list[int], int, int]:

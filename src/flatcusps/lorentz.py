@@ -44,6 +44,7 @@ from .exactlin import (
     SymmetricForm,
     is_positive_definite,
     is_unipotent,
+    preserves_form,
     rat,
 )
 from .shapes import ShapeDescriptor
@@ -143,8 +144,7 @@ def embed_affine(g: AffineMap, model: LorentzModel) -> Matrix:
             f"affine map dimension {g.dim} does not match model dimension {model.n}"
         )
     a = g.linear
-    base = model.base_form.matrix
-    if a.transpose() * base * a != base:
+    if not preserves_form(a, model.base_form.matrix):
         raise NotFormIsometry("linear part does not preserve the base form")
     return _assemble(a, g.translation, model)
 
@@ -327,7 +327,8 @@ def verify_embedding(embedding: LorentzEmbedding) -> VerificationReport:
 
     - ``T(w)`` preserves ``B`` for every ``w``, and ``R(A)`` does exactly
       when ``A`` preserves ``B_K``, so ``E^T B E = B`` is the n-by-n
-      identity ``A^T B_K A = B_K``;
+      identity ``A^T B_K A = B_K``, decided by
+      :func:`preserves_form` on integer rows;
     - ``T(w)`` and ``R(A)`` both fix ``v_inf``;
     - a translation image is ``T(c t)``, unipotent;
     - ``E R(A)^{-1} = T(c t)`` is the exponential ``I + M + M^2/2`` of the
@@ -358,7 +359,7 @@ def verify_embedding(embedding: LorentzEmbedding) -> VerificationReport:
         a = g.linear
         if scale > 0 and image == _assemble(a, [scale * x for x in g.translation], model):
             checks = GeneratorChecks(
-                a.transpose() * base * a == base,
+                preserves_form(a, base),
                 True,
                 True if g.is_translation() else None,
                 True,
@@ -376,7 +377,7 @@ def _full_checks(g: AffineMap, image: Matrix, model: LorentzModel) -> GeneratorC
     decode to its generator, computed on the (n+2)-by-(n+2) matrices."""
     gram = model.model_form.matrix
     ambient = model.ambient_dim
-    form_preserved = image.transpose() * gram * image == gram
+    form_preserved = preserves_form(image, gram)
     fixes_vinf = image.matvec(model.v_inf) == model.v_inf
     if g.is_translation():
         unipotent_translation: Optional[bool] = is_unipotent(image)

@@ -19,7 +19,7 @@ from typing import Optional, Sequence, Union
 
 from .bieberbach import BieberbachGroup, HolonomyGroup, holonomy, theta_average
 from .errors import DimensionMismatch, NotPositiveDefinite
-from .exactlin import Frozen, SymmetricForm, is_positive_definite
+from .exactlin import Frozen, SymmetricForm, is_positive_definite, preserves_form
 
 class RealForm(Frozen):
     """Symmetric matrix with double-precision entries; an inexact target."""
@@ -97,6 +97,8 @@ def rationalize(
     rational with denominator at most ``denom_bound``, and the rounded
     matrix is averaged again so invariance holds exactly. Before the final
     average each entry is within ``1/denom_bound`` of the averaged target.
+    A target that is already exactly invariant, such as the output of
+    :func:`theta_average`, is its own average and is rounded as it is.
     ``NotPositiveDefinite`` is raised when the target is not positive
     definite, or when rounding destroys definiteness; callers should then
     retry with a larger bound.
@@ -104,7 +106,16 @@ def rationalize(
     if denom_bound < 1:
         raise ValueError("denominator bound must be at least 1")
     exact = target.to_exact() if isinstance(target, RealForm) else target
-    averaged = theta_average(exact, theta)
+    # theta_average also raises for a target of the wrong size or one that
+    # is not positive definite
+    if (
+        exact.dim == theta.dim
+        and all(preserves_form(g, exact.matrix) for g in theta.elements)
+        and is_positive_definite(exact)
+    ):
+        averaged = exact
+    else:
+        averaged = theta_average(exact, theta)
     rounded = SymmetricForm(
         [
             [best_rational_approx(x, denom_bound) for x in row]
@@ -123,7 +134,9 @@ def _entries_as_floats(form: Union[SymmetricForm, RealForm]) -> tuple[int, list[
         raise TypeError(f"expected SymmetricForm or RealForm, got {type(form).__name__}")
     if not is_positive_definite(form):
         raise NotPositiveDefinite("form is not positive definite")
-    return form.dim, [[float(x) for x in row] for row in form.matrix.entries]
+    # int / int is correctly rounded, so x / den is float(Fraction(x, den))
+    den = form.matrix.den
+    return form.dim, [[x / den for x in row] for row in form.matrix.num]
 
 
 def _frobenius(entries: Sequence[Sequence[float]]) -> float:
@@ -167,5 +180,4 @@ def is_arithmetic_shape(shape: ShapeDescriptor, theta: Optional[HolonomyGroup] =
     if not is_positive_definite(shape.form):
         return False
     theta = theta if theta is not None else holonomy(shape.group)
-    gram = shape.form.matrix
-    return all(g.transpose() * gram * g == gram for g in theta.elements)
+    return all(preserves_form(g, shape.form.matrix) for g in theta.elements)

@@ -384,6 +384,14 @@ def ref_transpose(a):
     return [list(col) for col in zip(*a)]
 
 
+def ref_theta_average(form, elements):
+    """``(1/|theta|) sum_g g^T F g``, one Fraction product at a time."""
+    total = [[_ZERO] * len(form) for _ in form]
+    for g in elements:
+        total = ref_sum(total, ref_product(ref_product(ref_transpose(g), form), g))
+    return ref_scaled(Fraction(1, len(elements)), total)
+
+
 def ref_det(a) -> Fraction:
     """Gaussian elimination with a Fraction pivot inverse."""
     a = [list(row) for row in a]

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction as F
 
@@ -27,7 +28,7 @@ from flatcusps.errors import (
 from flatcusps.exactlin import Matrix, SymmetricForm, is_positive_definite
 from flatcusps.shapes import rationalize
 
-from oracles import apply, brute_force_is_torsion_free, element_order
+from oracles import apply, brute_force_is_torsion_free, element_order, ref_theta_average
 
 HALF = F(1, 2)
 
@@ -49,6 +50,17 @@ def reflection_group():
             AffineMap.translation_by([1, 0]),
             AffineMap.translation_by([0, 1]),
             AffineMap(Matrix.diagonal([1, -1]), [0, 0]),
+        ]
+    )
+
+
+def fractional_quarter_turn():
+    """The quarter-turn manifold in a basis where its rotation has entries 1/2 and 2."""
+    return BieberbachGroup(
+        [
+            AffineMap.translation_by([HALF, HALF, 0]),
+            AffineMap.translation_by([0, 1, 0]),
+            AffineMap(Matrix([[0, -HALF, 0], [2, 0, 0], [0, 0, 1]]), [0, 0, F(1, 4)]),
         ]
     )
 
@@ -276,6 +288,29 @@ class TestThetaAverage:
                     assert g.transpose() * gram * g == gram
                 assert theta_average(averaged, theta) == averaged
                 assert is_positive_definite(averaged)
+
+    @pytest.mark.parametrize("name", catalog_names() + ["fractional-quarter-turn"])
+    def test_matches_fraction_average(self, name):
+        # the integer sum over lcm(den g)^2 against a Fraction sum; only the
+        # quarter-turn written in a non-lattice basis has elements with den > 1
+        group = fractional_quarter_turn() if name == "fractional-quarter-turn" else catalog(name)
+        theta = holonomy(group)
+        if name == "fractional-quarter-turn":
+            assert theta.order == 4 and max(g.den for g in theta.elements) == 2
+        rng = random.Random(11)
+        n = group.dim
+        elements = [[list(row) for row in g.entries] for g in theta.elements]
+        for _ in range(5):
+            raw = Matrix(
+                [[F(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(n)] for _ in range(n)]
+            )
+            form = SymmetricForm(raw.transpose() * raw + Matrix.identity(n))
+            averaged = theta_average(form, theta).matrix
+            expected = ref_theta_average([list(row) for row in form.matrix.entries], elements)
+            assert [list(row) for row in averaged.entries] == expected
+            assert math.gcd(averaged.den, *(x for row in averaged.num for x in row)) == 1
+        with pytest.raises(NotPositiveDefinite):
+            theta_average(SymmetricForm.diagonal([1] * (n - 1) + [-1]), theta)
 
     def test_rejects_indefinite(self):
         theta = holonomy(klein_group())

@@ -1,6 +1,6 @@
 import pytest
 
-from flatcusps import lorentz
+from flatcusps import density, lorentz, shapes
 from flatcusps.bieberbach import catalog, catalog_names, holonomy
 from flatcusps.density import (
     CSV_HEADER,
@@ -146,6 +146,38 @@ class TestRunExperiment:
         [row] = run_experiment(config)
         assert row.pipeline_ok is True
         assert calls == {"_assemble": 10, "_translation_parts": 10}
+
+    @pytest.mark.parametrize("name", ["torus-2", "klein", "sixth-turn"])
+    def test_each_target_is_averaged_once_per_ladder(self, name, monkeypatch):
+        # every rung rounds the exact reference average, so it averages only
+        # its rounded form: 1 + k averages for k bounds, one exact conversion
+        # per target, and one rationalize and one shape_distance per row
+        # under the names the benchmark traces
+        calls = {}
+
+        def count(owner, attr):
+            original = getattr(owner, attr)
+            calls[attr] = 0
+
+            def counted(*args):
+                calls[attr] += 1
+                return original(*args)
+
+            monkeypatch.setattr(owner, attr, counted)
+
+        for owner, attr in [
+            (density, "theta_average"),
+            (shapes, "theta_average"),
+            (density, "rationalize"),
+            (density, "shape_distance"),
+            (RealForm, "to_exact"),
+        ]:
+            count(owner, attr)
+        bounds = [10, 100, 1000, 10**4, 10**5, 10**6]
+        config = ExperimentConfig(catalog(name), 1, bounds, 8, torus_manifold_mode=True)
+        assert all(row.pipeline_ok is True for row in run_experiment(config))
+        k = len(bounds)
+        assert calls == {"theta_average": 1 + k, "rationalize": k, "shape_distance": k, "to_exact": 1}
 
     @pytest.mark.parametrize("name", catalog_names())
     def test_congruence_leg_every_catalog_group(self, name):

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import flatcusps
-from flatcusps.bieberbach import AffineMap, catalog, holonomy
+from flatcusps.bieberbach import AffineMap, catalog, catalog_names, holonomy, theta_average
 from flatcusps.density import DensityRow, ExperimentConfig
 from flatcusps.errors import DimensionMismatch, NotNilpotent
 from flatcusps.exactlin import (
@@ -30,6 +30,7 @@ from flatcusps.exactlin import (
     ldl_signature,
     nilpotent_exp,
     null_space,
+    preserves_form,
     unipotent_polynomial,
 )
 from flatcusps.lorentz import LorentzModel, embed_group, verify_embedding
@@ -398,6 +399,92 @@ class TestIsUnipotent:
                 rows[i][j] += delta
                 m = Matrix(rows)
         assert is_unipotent(m) == (char_poly(m) == unipotent_polynomial(n))
+
+
+# Holonomies with an element other than I, from dimension 2 on.
+_HOLONOMIES = [t for t in (holonomy(catalog(name)) for name in catalog_names()) if t.order > 1]
+
+
+def _isometry(data, n):
+    """An isometry of size n and the Gram matrix it preserves.
+
+    A catalog holonomy element of dimension d <= n keeps its averaged form;
+    beside it a signed permutation keeps the identity of size n - d; a
+    rational change of basis S then moves the pair to ``S^-1 A S`` and
+    ``S^T G S``.
+    """
+    fits = [t for t in _HOLONOMIES if t.dim <= n]
+    blocks, forms = [], []
+    if fits:
+        theta = data.draw(st.sampled_from(fits))
+        blocks.append(data.draw(st.sampled_from(theta.elements)))
+        b = data.draw(st.lists(st.lists(st.integers(-2, 2), min_size=theta.dim,
+                                        max_size=theta.dim), min_size=theta.dim,
+                               max_size=theta.dim))
+        spd = (Matrix(b).transpose() * Matrix(b) + Matrix.identity(theta.dim)).num
+        forms.append(theta_average(SymmetricForm(spd), theta).matrix)
+    rest = n - sum(block.rows for block in blocks)
+    if rest:
+        order = data.draw(st.permutations(range(rest)))
+        signs = data.draw(st.lists(st.sampled_from([1, -1]), min_size=rest, max_size=rest))
+        blocks.append(Matrix([[signs[i] * (j == order[i]) for j in range(rest)]
+                              for i in range(rest)]))
+        forms.append(Matrix.identity(rest))
+    s = _random_invertible(random.Random(data.draw(st.integers(0, 10**6))), n)
+    a = s.inverse() * Matrix.block_diag(*blocks) * s
+    return a, s.transpose() * Matrix.block_diag(*forms) * s
+
+
+class TestPreservesForm:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        data=st.data(),
+        n=kernel_sizes,
+        kind=st.sampled_from(["rational", "isometry", "perturbed"]),
+    )
+    def test_matches_fraction_identity(self, data, n, kind):
+        if kind == "rational":
+            a = data.draw(square_matrices(n))
+            if a.den == 1:
+                a = a + Matrix.diagonal([F(1, 2)] * n)
+            assert a.den > 1
+            b = data.draw(square_matrices(n, wide_fractions))
+            gram = b + b.transpose()
+        else:
+            a, gram = _isometry(data, n)
+            if kind == "perturbed":
+                i, j = data.draw(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)))
+                rows = [list(row) for row in a.entries]
+                rows[i][j] += data.draw(small_fractions.filter(bool))
+                a = Matrix(rows)
+        ar, gr = [list(row) for row in a.entries], [list(row) for row in gram.entries]
+        expected = ref_product(ref_product(ref_transpose(ar), gr), ar) == gr
+        assert preserves_form(a, gram) == expected
+        if kind == "isometry":
+            assert expected
+
+    def test_identity_and_examples(self):
+        gram = Matrix([[2, 1], [1, 2]])
+        assert preserves_form(Matrix.identity(2), gram)
+        assert preserves_form(Matrix([[0, 1], [1, 0]]), gram)
+        assert preserves_form(-Matrix.identity(2), gram)
+        assert not preserves_form(Matrix([[1, 0], [0, -1]]), gram)
+        assert not preserves_form(Matrix.identity(2) * F(1, 2), gram)
+
+    @pytest.mark.parametrize(
+        "a, gram",
+        [
+            (Matrix.identity(2), Matrix.identity(3)),
+            (Matrix([[1, 0], [0, -1]]), Matrix.identity(3)),
+            (Matrix.identity(3), Matrix.identity(2)),
+            (Matrix([[1, 0]]), Matrix.identity(2)),
+            (Matrix.identity(2), Matrix([[1, 0, 0], [0, 1, 0]])),
+        ],
+        ids=["identity-smaller", "reflection-smaller", "larger", "non-square-a", "non-square-gram"],
+    )
+    def test_shape_mismatch_raises(self, a, gram):
+        with pytest.raises(DimensionMismatch):
+            preserves_form(a, gram)
 
 
 class TestPolynomial:

@@ -9,9 +9,11 @@ from hypothesis import strategies as st
 from flatcusps.bieberbach import AffineMap, BieberbachGroup, catalog, holonomy, theta_average
 from flatcusps.errors import DimensionMismatch, NotPositiveDefinite
 from flatcusps.exactlin import Matrix, SymmetricForm
+from flatcusps.density import sample_targets
 from flatcusps.shapes import (
     RealForm,
     ShapeDescriptor,
+    _entries_as_floats,
     best_rational_approx,
     is_arithmetic_shape,
     rationalize,
@@ -234,6 +236,71 @@ class TestShapeDistance:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
             shape_distance(SymmetricForm.identity(2), SymmetricForm.identity(3))
+
+
+def _bits(rows):
+    return [[x.hex() for x in row] for row in rows]
+
+
+def _assert_fraction_bits(form):
+    dim, floats = _entries_as_floats(form)
+    assert dim == form.dim
+    assert _bits(floats) == _bits([[float(x) for x in row] for row in form.matrix.entries])
+
+
+# (2^53 - 1) 2^971 is the largest double; (2^54 - 1) 2^970 is halfway to 2^1024
+_NEAR_MAX = (2**54 - 1) * 2**970
+
+
+class TestFloatView:
+    """The doubles are read as ``x / den`` off the integer rows.
+
+    ``int / int`` is correctly rounded, so every one is
+    ``float(Fraction(x, den))`` bit for bit, however large ``den`` or ``x``.
+    """
+
+    def test_seed_8_targets(self):
+        group = catalog("torus-2")
+        theta = holonomy(group)
+        for target in sample_targets(group, 10, 8):
+            exact = target.to_exact()
+            _assert_fraction_bits(exact)
+            assert _bits(_entries_as_floats(target)[1]) == _bits(target.entries)
+            for bound in (10**3, 10**6):
+                _assert_fraction_bits(rationalize(exact, theta, bound).form)
+
+    @pytest.mark.parametrize(
+        "diagonal",
+        [
+            [F(_NEAR_MAX - 1), F(1, 3)],
+            [F(_NEAR_MAX - 1, 3**40), F(2**1023 + 1, 7**30)],
+            [F(2, 3 * 2**1074), F(1, 3 * 2**1074), F(5, 2**53 + 1)],
+            [F(2**1023 - 1, 2**60 + 1), F(1, 2**53 + 1), F(3, 2**70 - 1)],
+        ],
+        ids=["near-max", "near-max-over-huge-den", "subnormal", "den-above-2^53"],
+    )
+    def test_extreme_entries(self, diagonal):
+        n = len(diagonal)
+        off = min(diagonal) / (2 * n)
+        _assert_fraction_bits(
+            SymmetricForm([[d if i == j else off for j in range(n)] for i, d in enumerate(diagonal)])
+        )
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        data=st.data(),
+        n=st.integers(min_value=1, max_value=4),
+    )
+    def test_wide_denominators_and_magnitudes(self, data, n):
+        diagonal = [
+            F(data.draw(st.integers(1, 2**64)), data.draw(st.integers(1, 2**120)))
+            * F(2) ** data.draw(st.integers(-1130, 900))
+            for _ in range(n)
+        ]
+        off = min(diagonal) / (2 * n) / data.draw(st.integers(1, 2**60))
+        _assert_fraction_bits(
+            SymmetricForm([[d if i == j else off for j in range(n)] for i, d in enumerate(diagonal)])
+        )
 
 
 class TestIsArithmeticShape:
