@@ -4,9 +4,10 @@ For a finitely generated subgroup of ``GL(n; Q)`` containing a unipotent
 subgroup, reduction modulo a well-chosen prime ``q`` produces a torsion
 free, finite index congruence subgroup containing the unipotent part. The
 prime must avoid three finite bad sets: primes up to ``n`` (small
-characteristic), primes dividing a generator denominator (not invertible
-in the coefficient ring), and primes modulo which some degree-n torsion
-characteristic polynomial collapses onto ``(t-1)^n``. Torsion
+characteristic), primes dividing a denominator of a generator or of an
+ambient generator's inverse (not invertible in the coefficient ring), and
+primes modulo which some degree-n torsion characteristic polynomial
+collapses onto ``(t-1)^n``. Torsion
 characteristic polynomials are exactly the degree-n products of cyclotomic
 polynomials other than ``(t-1)^n`` itself, a finite enumerable set, and
 the primes modulo which one of them collapses are exactly the primes up
@@ -178,9 +179,13 @@ class MatrixGroupInput(Frozen):
     subgroup (each is required to have characteristic polynomial
     ``(t-1)^n``; this is checked by :func:`good_prime`, not at
     construction, so that violations surface as ``UnipotentViolation``).
+    ``determinants`` holds the determinant of each ambient generator, in
+    order; a zero one raises ``ValueError``. Its numerators carry the
+    primes of the inverses' denominators that the generators' own
+    denominators do not (see :func:`bad_primes`).
     """
 
-    __slots__ = ("n", "lambda_gens", "gamma_gens")
+    __slots__ = ("n", "lambda_gens", "gamma_gens", "determinants")
 
     def __init__(
         self,
@@ -197,10 +202,10 @@ class MatrixGroupInput(Frozen):
         for m in lams + gams:
             if not (m.is_square() and m.rows == n):
                 raise DimensionMismatch(f"generators must be {n}x{n}")
-        for m in lams:
-            if m.det() == 0:
-                raise ValueError("ambient generators must be invertible")
-        super().__init__(n, lams, gams)
+        determinants = tuple(m.det() for m in lams)
+        if 0 in determinants:
+            raise ValueError("ambient generators must be invertible")
+        super().__init__(n, lams, gams, determinants)
 
     def denominators(self) -> list[int]:
         """Generator denominators other than 1, each the lcm of its entries'
@@ -252,8 +257,9 @@ def bad_primes(group_input: MatrixGroupInput) -> dict[int, tuple[str, ...]]:
     """Primes that must be excluded, each with its reasons.
 
     Three sources: primes at most ``n`` (small residue characteristic),
-    primes dividing a generator denominator (invertible in the coefficient
-    ring, so unusable for reduction), and the primes at most ``n + 1``,
+    primes dividing a denominator of a generator or of the inverse of an
+    ambient generator (invertible in the coefficient ring, so unusable for
+    reduction), and the primes at most ``n + 1``,
     modulo which some degree-n torsion polynomial collapses onto
     ``(t-1)^n``. Modulo p, ``Phi_{p^k m} = Phi_m^{phi(p^k)}`` for p not
     dividing m and ``Phi_m(1) != 0`` for m > 1, so a product of cyclotomic
@@ -262,12 +268,19 @@ def bad_primes(group_input: MatrixGroupInput) -> dict[int, tuple[str, ...]]:
     that factor is some ``Phi_{p^k}`` with k >= 1, of degree at least
     ``p - 1``, and ``p <= n + 1``. Conversely, ``Phi_p Phi_1^{n-p+1}``
     collapses for every prime ``p <= n + 1``.
+
+    The ``denominator`` primes are those of each generator denominator and
+    of the numerator of each ambient generator's determinant: for p not
+    dividing ``den m``, ``m^-1 = adj(m) / det m`` has p in a denominator
+    exactly when p divides the numerator of ``det m``. Determinants ``±1``
+    add no prime.
     """
     n = group_input.n
     reasons = {p: {REASON_COEFFICIENT_DIVISOR} for p in filter(is_prime, range(2, n + 2))}
     for p in filter(is_prime, range(2, n + 1)):
         reasons[p].add(REASON_SMALL_CHARACTERISTIC)
-    for den in group_input.denominators():
+    numerators = {abs(d.numerator) for d in group_input.determinants}
+    for den in numerators.union(group_input.denominators()):
         for p in prime_factors(den):
             reasons.setdefault(p, set()).add(REASON_DENOMINATOR)
     return {p: tuple(sorted(rs)) for p, rs in sorted(reasons.items())}
@@ -299,7 +312,8 @@ def good_prime(group_input: MatrixGroupInput) -> SelbergCertificate:
     evidence = _residue_evidence(n, q)
     if not all(e.distinct for e in evidence):
         raise InvariantViolation(f"a torsion polynomial collapses modulo {q}")
-    if q <= n or any(d % q == 0 for d in group_input.denominators()):
+    numerators = (d.numerator for d in group_input.determinants)
+    if q <= n or any(d % q == 0 for d in (*group_input.denominators(), *numerators)):
         raise InvariantViolation(f"prime {q} is small or divides a denominator")
     return SelbergCertificate(n, q, torsion_polynomials(n), bad, evidence)
 
@@ -320,18 +334,23 @@ def verify_certificate(
     characteristic polynomial ``det(tI - E)``:
 
     - *Trace screen.* Its coefficient ``n-1`` is ``-tr E``. When q does not
-      divide ``den E``, the polynomial reduces modulo q, and a trace not
-      congruent to n makes that residue differ from the residue of
-      ``(t-1)^n``, so E passes without its polynomial being computed.
-    - *Exact polynomial.* Otherwise, unless E is unipotent (``E - I`` is
-      nilpotent, see :func:`is_unipotent`) and so of infinite order, it is
-      computed once. A prime q dividing one of its denominators is a
-      counterexample; a residue unlike that of ``(t-1)^n`` passes.
+      divide ``den E``, the polynomial reduces modulo q, and E passes
+      without its polynomial being computed in two cases. A trace not
+      congruent to n makes the residue differ from that of ``(t-1)^n``. A
+      trace of exactly n means infinite order: a rational matrix of finite
+      order is diagonalizable with roots of unity as eigenvalues, n of
+      them sum to n only when all are 1, so E would be I, which is not in
+      the ball. This screens out every unipotent element whose denominator
+      q does not divide.
+    - *Exact polynomial.* Every other element gets its polynomial, once. A
+      prime q dividing one of its denominators is a counterexample; a
+      residue unlike that of ``(t-1)^n`` passes.
     - *Finite-order test.* A residue that collapses onto the unipotent one
       is a counterexample when E has finite order. A polynomial outside
-      :func:`torsion_polynomials` means infinite order; otherwise E has
-      finite order exactly when its power to the lcm of the orders of the
-      polynomial's cyclotomic factors is the identity.
+      :func:`torsion_polynomials`, ``(t-1)^n`` among them, means infinite
+      order; otherwise E has finite order exactly when its power to the
+      lcm of the orders of the polynomial's cyclotomic factors is the
+      identity.
 
     Returns False on any counterexample (including a prime that divides a
     generator denominator), True otherwise. A verifier, not a prover:
@@ -393,10 +412,9 @@ def verify_certificate(
     seen.remove(identity)
     for element in seen:
         den = element.den
-        if den % q and (sum(row[i] for i, row in enumerate(element.num)) - n * den) % q:
-            continue  # trace screen: the residue is not that of (t-1)^n
-        if is_unipotent(element):
-            continue  # infinite order
+        gap = sum(row[i] for i, row in enumerate(element.num)) - n * den  # den (tr E - n)
+        if den % q and (gap % q or not gap):
+            continue  # trace screen: a residue unlike (t-1)^n, or infinite order
         poly = char_poly(element)
         try:
             reduced = poly.reduce_mod(q)

@@ -8,13 +8,13 @@ from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import flatcusps
 from flatcusps import selberg
 from flatcusps.errors import DimensionMismatch, UnipotentViolation
-from flatcusps.exactlin import IntPolynomial, Matrix, monomial
+from flatcusps.exactlin import IntPolynomial, Matrix, char_poly, monomial
 from flatcusps.selberg import (
     MatrixGroupInput,
     REASON_COEFFICIENT_DIVISOR,
@@ -151,8 +151,9 @@ class TestBadPrimes:
         group_input = MatrixGroupInput(1, [Matrix([[2]])], [])
         bad = bad_primes(group_input)
         assert set(bad) == {2}
-        # no primes <= 1 exist; t + 1 = t - 1 modulo 2 = n + 1
-        assert bad[2] == (REASON_COEFFICIENT_DIVISOR,)
+        # no primes <= 1 exist; t + 1 = t - 1 modulo 2 = n + 1, and the
+        # inverse [[1/2]] has denominator 2
+        assert bad[2] == (REASON_COEFFICIENT_DIVISOR, REASON_DENOMINATOR)
 
     def test_degree_four_adds_five(self):
         bad = bad_primes(MatrixGroupInput(4, [-Matrix.identity(4)]))
@@ -240,8 +241,6 @@ class TestGoodPrime:
         certificate = good_prime(worked_example())
         q = certificate.prime
         expected = unipotent_polynomial(2).reduce_mod(q)
-        from flatcusps.exactlin import char_poly
-
         for m in worked_example().gamma_gens:
             assert char_poly(m).reduce_mod(q) == expected
 
@@ -353,10 +352,28 @@ def certify_words_inputs():
 
 _denominators = st.sampled_from([1, 2, 3, 5, 7])
 _entries = st.builds(F, st.integers(min_value=-3, max_value=3), _denominators)
+_integers = st.integers(min_value=-3, max_value=3)
+
+
+def _invertible(n, entries=_entries):
+    return st.lists(
+        st.lists(entries, min_size=n, max_size=n), min_size=n, max_size=n
+    ).map(Matrix).filter(lambda m: m.det() != 0)
+
+
+def _signed_permutation(perm, signs):
+    """The matrix sending basis vector ``perm[i]`` to ``signs[i]`` times basis vector i."""
+    n = len(perm)
+    return Matrix([[signs[i] if j == perm[i] else 0 for j in range(n)] for i in range(n)])
+
+
+def _companion(poly):
+    c, n = poly.coeffs, poly.degree
+    return Matrix([[int(i == j + 1) - c[i] * (j == n - 1) for j in range(n)] for i in range(n)])
 
 
 @st.composite
-def _rational_groups(draw):
+def _rational_groups(draw, entries=_entries):
     """A prime q and one or two invertible rational generators of size 1-3.
 
     The generators are arbitrary matrices, and conjugates of signed
@@ -368,13 +385,13 @@ def _rational_groups(draw):
     its n-th power is ``-I``. These two put ``-I`` among the letters or in
     the ball, where a word may equal a negated one. When q divides a
     generator denominator the next prime that divides none replaces it, so
-    q may divide a denominator of an inverse only.
+    q may divide a denominator of an inverse only. Integer ``entries``
+    make the arbitrary generators and the conjugating matrices integral,
+    mostly of determinant other than ±1, whose inverses have denominators.
     """
     n = draw(st.integers(min_value=1, max_value=3))
     q = draw(st.sampled_from([2, 3, 5, 7, 11]))
-    invertible = st.lists(
-        st.lists(_entries, min_size=n, max_size=n), min_size=n, max_size=n
-    ).map(Matrix).filter(lambda m: m.det() != 0)
+    invertible = _invertible(n, entries)
     polys = torsion_polynomials(n)
     collapsing = [p for p in polys if p.reduce_mod(q) == unipotent_polynomial(n).reduce_mod(q)]
     generators = []
@@ -384,11 +401,9 @@ def _rational_groups(draw):
         if kind == "finite":
             perm = draw(st.permutations(range(n)))
             signs = draw(st.lists(st.sampled_from([1, -1]), min_size=n, max_size=n))
-            core = Matrix([[signs[i] if j == perm[i] else 0 for j in range(n)] for i in range(n)])
-            g = g * core * g.inverse()
+            g = g * _signed_permutation(perm, signs) * g.inverse()
         elif kind == "cyclotomic":
-            c = draw(st.sampled_from(collapsing or polys)).coeffs
-            core = Matrix([[int(i == j + 1) - c[i] * (j == n - 1) for j in range(n)] for i in range(n)])
+            core = _companion(draw(st.sampled_from(collapsing or polys)))
             g = g * core * g.inverse()
         elif kind == "unipotent":
             i, j = sorted(draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2)))
@@ -399,7 +414,7 @@ def _rational_groups(draw):
         elif kind == "negative-root":
             signs = draw(st.lists(st.sampled_from([1, -1]), min_size=n - 1, max_size=n - 1))
             signs.append(-math.prod(signs))
-            core = Matrix([[signs[i] if j == (i + 1) % n else 0 for j in range(n)] for i in range(n)])
+            core = _signed_permutation([(i + 1) % n for i in range(n)], signs)
             g = g * core * g.inverse()
         generators.append(g)
     group_input = MatrixGroupInput(n, generators)
@@ -478,6 +493,81 @@ class TestVerifierAgreesWithReference:
         assert calls.count("product") == 2
         assert calls.count("negation") == 3
         assert len(calls) == 2 + 3
+
+
+class TestCertifiedPrimeVerifies:
+    def test_inverse_denominator_is_avoided(self):
+        # diag(5, 1) is integral, but its inverse diag(1/5, 1) is not
+        group_input = MatrixGroupInput(2, [Matrix.diagonal([5, 1])])
+        certificate = good_prime(group_input)
+        assert certificate.prime == 7
+        assert dict(certificate.bad_primes)[5] == (REASON_DENOMINATOR,)
+        for length in (1, 2, 3):
+            assert verify_certificate(group_input, certificate, length) is True
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        drawn=st.one_of(_rational_groups(), _rational_groups(_integers)),
+        length=st.integers(min_value=0, max_value=2),
+    )
+    @example(drawn=(MatrixGroupInput(2, [Matrix.diagonal([5, 1])]), 7), length=1)
+    def test_good_prime_passes_its_verifier(self, drawn, length):
+        group_input, _ = drawn
+        assert verify_certificate(group_input, good_prime(group_input), length) is True
+
+
+def _squarefree_torsion_polynomials(n):
+    """Those whose companion matrix has finite order (is diagonalizable)."""
+    orders = selberg._torsion_orders(n)
+    return [p for p in torsion_polynomials(n) if _companion(p) ** orders[p] == Matrix.identity(n)]
+
+
+@st.composite
+def _finite_order_elements(draw):
+    """A power of a conjugated signed permutation, of a conjugated companion
+    matrix of a squarefree torsion polynomial, or of a conjugated signed
+    n-cycle whose n-th power is ``-I``; size 1-4."""
+    n = draw(st.integers(min_value=1, max_value=4))
+    signs = draw(st.lists(st.sampled_from([1, -1]), min_size=n, max_size=n))
+    kind = draw(st.sampled_from(["finite", "cyclotomic", "negative-root"]))
+    if kind == "finite":
+        core = _signed_permutation(draw(st.permutations(range(n))), signs)
+    elif kind == "cyclotomic":
+        core = _companion(draw(st.sampled_from(_squarefree_torsion_polynomials(n))))
+    else:
+        signs[-1] = -math.prod(signs[:-1])
+        core = _signed_permutation([(i + 1) % n for i in range(n)], signs)
+    g = draw(_invertible(n))
+    return g * core ** draw(st.integers(min_value=0, max_value=12)) * g.inverse()
+
+
+class TestTraceScreen:
+    @settings(max_examples=200, deadline=None)
+    @given(element=_finite_order_elements())
+    def test_finite_order_trace_n_only_at_identity(self, element):
+        n = element.rows
+        assert element ** torsion_order_bound(n) == Matrix.identity(n)
+        trace = sum(element[i, i] for i in range(n))
+        assert (trace == n) is element.is_identity()
+
+    def test_certify_words_polynomials_only_off_trace_n(self, certify_words_inputs, monkeypatch):
+        # the 21 inputs at their own certificates and the workload's word
+        # length: every unipotent element passes on its trace
+        certificates = [good_prime(group_input) for group_input in certify_words_inputs]
+        judged = []
+
+        def recorded(m):
+            judged.append(sum(m[i, i] for i in range(m.rows)) - m.rows)
+            return char_poly(m)
+
+        def refuse(m):
+            raise AssertionError("is_unipotent called by the verifier")
+
+        monkeypatch.setattr(selberg, "char_poly", recorded)
+        monkeypatch.setattr(selberg, "is_unipotent", refuse)
+        for group_input, certificate in zip(certify_words_inputs, certificates):
+            assert verify_certificate(group_input, certificate, 3) is True
+        assert judged and 0 not in judged
 
 
 class TestFiniteOrderTest:
