@@ -4,8 +4,8 @@ Construction and verification, entirely over the rationals: Bieberbach
 groups with holonomy and torsion oracles, holonomy-invariant quadratic
 forms, embeddings into rational Lorentz groups stabilizing a null
 direction, integralization by hyperbolic conjugation (which scales every
-translation by the conjugator's integer scale, so it is carried out by
-re-assembling with scaled translations), congruence-prime certificates for
+translation by the conjugator's integer scale, so it is a closed form on
+each image's integer rows), congruence-prime certificates for
 torsion-free finite-index containment, and seeded density experiments.
 """
 

@@ -206,7 +206,8 @@ def _pipeline_legs(
 ) -> tuple[bool, Optional[int], Optional[str]]:
     """Embed, integralize and verify; with a lattice, add the prime.
 
-    :func:`integralize` checks the rational images: it decodes each one."""
+    :func:`integralize` checks the rational images: it decodes each one.
+    Decoding the integral images checks its closed-form rescaling."""
     integral, scale = integralize(embed_group(group, shape))
     if not verify_embedding(integral).overall:
         return False, None, "re-verification after integralization failed"

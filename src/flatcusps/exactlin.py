@@ -5,13 +5,13 @@ bilinear forms, characteristic polynomials, nilpotent exponentials, and
 the integer lattice routines (Hermite reduction, integral solvability)
 needed for crystallographic computations. A :class:`Matrix` is integer
 rows over one positive denominator in canonical form, so its arithmetic
-is integer arithmetic plus one gcd reduction per result; determinants,
-inverses and null spaces use Bareiss's fraction-free elimination, and
-signatures the characteristic polynomial. An isometry identity
-``A^T G A = G`` is decided by :func:`preserves_form` on the integer rows
-with no reduction at all. ``Fraction`` appears only at the boundary. All
-arithmetic is exact; ``==`` always means mathematical equality and no
-operation introduces rounding.
+is integer arithmetic plus one gcd reduction per result; determinants
+use Bareiss's fraction-free forward elimination, inverses and null spaces
+its Gauss-Jordan form, and signatures the characteristic polynomial. An
+isometry identity ``A^T G A = G`` is decided by :func:`preserves_form` on
+the integer rows with no reduction at all. ``Fraction`` appears only at
+the boundary. All arithmetic is exact; ``==`` always means mathematical
+equality and no operation introduces rounding.
 """
 
 from __future__ import annotations
@@ -311,12 +311,33 @@ class Matrix(Frozen):
         return Matrix.from_integer_rows(tuple(zip(*self.num)), self.den)
 
     def det(self) -> Fraction:
+        """Forward-only Bareiss elimination on the integer rows.
+
+        Each step moves the first row with a nonzero leading entry to the
+        top, clears the column below it and drops both, so only the trailing
+        block is kept. Every entry stays a minor of ``num`` and each
+        division by the previous pivot is exact (Math. Comp. 22 (1968)), so
+        the last pivot is ``det num`` up to the sign of the row moves.
+        """
         if not self.is_square():
             raise DimensionMismatch("determinant of a non-square matrix")
-        pivots, d, sign = _fraction_free_rref([list(row) for row in self.num])
-        if len(pivots) < self.rows:
-            return _ZERO
-        return Fraction(sign * d, self.den**self.rows)
+        rows = self.num
+        prev = sign = 1
+        while rows:
+            k = next((i for i, row in enumerate(rows) if row[0]), None)
+            if k is None:
+                return _ZERO
+            if k & 1:  # moving row k above rows 0..k-1 is k transpositions
+                sign = -sign
+            top = rows[k]
+            d, tail = top[0], top[1:]
+            rows = [
+                [(d * x - row[0] * y) // prev for x, y in zip(row[1:], tail)]
+                for i, row in enumerate(rows)
+                if i != k
+            ]
+            prev = d
+        return Fraction(sign * prev, self.den**self.rows)
 
     def inverse(self) -> Matrix:
         if not self.is_square():
@@ -326,7 +347,7 @@ class Matrix(Frozen):
             list(row) + [1 if j == i else 0 for j in range(n)]
             for i, row in enumerate(self.num)
         ]
-        pivots, d, _ = _fraction_free_rref(augmented)
+        pivots, d = _fraction_free_rref(augmented)
         if pivots[:n] != list(range(n)):
             raise ValueError("matrix is singular")
         # The right half is now d num^-1, and the inverse is den num^-1.
@@ -368,19 +389,19 @@ def preserves_form(a: Matrix, gram: Matrix) -> bool:
     return congruent_rows(a, gram) == _scaled(gram.num, a.den * a.den)
 
 
-def _fraction_free_rref(a: list[list[int]]) -> tuple[list[int], int, int]:
+def _fraction_free_rref(a: list[list[int]]) -> tuple[list[int], int]:
     """Fraction-free Gauss-Jordan elimination of integer rows, in place.
 
     Bareiss's update (Math. Comp. 22 (1968); Cohen, GTM 138, §2.2) on every
     row keeps each entry a minor of the input, so each division by the
-    previous pivot is exact. Returns the pivot columns, the last pivot
-    ``d`` and the sign of the row swaps. The reduced row echelon form is
-    then the first rank rows divided by ``d``, and a square input of full
-    rank has determinant ``sign * d``.
+    previous pivot is exact. Returns the pivot columns and the last pivot
+    ``d``; the reduced row echelon form is then the first rank rows divided
+    by ``d``. :meth:`Matrix.det` needs only the forward half of this
+    elimination and does it on its own.
     """
     nrows, ncols = len(a), len(a[0])
     pivots: list[int] = []
-    prev = sign = 1
+    prev = 1
     for c in range(ncols):
         r = len(pivots)
         if r == nrows:
@@ -390,7 +411,6 @@ def _fraction_free_rref(a: list[list[int]]) -> tuple[list[int], int, int]:
             continue
         if pivot != r:
             a[r], a[pivot] = a[pivot], a[r]
-            sign = -sign
         top = a[r]
         d = top[c]
         for i in range(nrows):
@@ -399,7 +419,7 @@ def _fraction_free_rref(a: list[list[int]]) -> tuple[list[int], int, int]:
                 a[i] = [(d * x - f * y) // prev for x, y in zip(a[i], top)]
         pivots.append(c)
         prev = d
-    return pivots, prev, sign
+    return pivots, prev
 
 
 class SymmetricForm(Frozen):
@@ -693,7 +713,7 @@ def is_unipotent(m: Matrix) -> bool:
 def null_space(m: Matrix) -> list[Vector]:
     """Basis of ``{v : m v = 0}`` over the rationals."""
     reduced = [list(row) for row in m.num]
-    pivots, d, _ = _fraction_free_rref(reduced)
+    pivots, d = _fraction_free_rref(reduced)
     basis = []
     for f in range(m.cols):
         if f in pivots:

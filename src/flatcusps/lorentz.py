@@ -19,9 +19,12 @@ from closed forms and the n-by-n identity ``A^T B_K A = B_K``; a failed
 decode runs them in full on the (n+2)-by-(n+2) matrices.
 Conjugating by the rational hyperbolic element that scales ``v_inf`` by a
 positive integer ``c`` and fixes the complement scales every translation
-by ``c`` and leaves the linear factors alone, so :func:`integralize`
-performs that conjugation by re-assembling with scaled translations; for a
-suitable smallest ``c`` every image lands in integer matrices.
+by ``c`` and leaves the linear factors alone. On the entries of
+``T(w) R(A)`` that is a closed form: ``w`` and ``k^T A`` are multiplied by
+``c`` and the corner ``h`` by ``c^2``. So :func:`integralize` rescales the
+integer rows of each checked image, and for a suitable smallest ``c`` every
+image lands in integer matrices. :func:`verify_embedding` decodes the
+result against the generators, an independent check of that rescaling.
 """
 
 from __future__ import annotations
@@ -200,6 +203,22 @@ def _shared_scale(embedding: LorentzEmbedding) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
+def _conjugate(image: Matrix, n: int, c: int) -> Matrix:
+    """``H_c E H_c^{-1}`` for an image ``E = T(w) R(A)``, on its integer rows.
+
+    The conjugate is ``T(c w) R(A)``: the entries of :func:`_assemble` at
+    ``c w``. ``A`` stays; ``w`` in rows ``< n`` of columns n and n+1 and
+    ``-(k^T A)`` in rows n and n+1 of columns ``< n`` are multiplied by
+    ``c``; the corner ``h = E[n, n+1]`` becomes ``c^2 h``.
+    """
+    num, den = image.num, image.den
+    h = c * c * num[n][n + 1]
+    rows = [row[:n] + (c * row[n], c * row[n + 1]) for row in num[:n]]
+    rows.append(tuple(c * x for x in num[n][:n]) + (den - h, h))
+    rows.append(tuple(c * x for x in num[n + 1][:n]) + (-h, den + h))
+    return Matrix.from_integer_rows(tuple(rows), den)
+
+
 def integralize(embedding: LorentzEmbedding) -> tuple[LorentzEmbedding, int]:
     """Conjugate an embedding into integer matrices.
 
@@ -209,16 +228,19 @@ def integralize(embedding: LorentzEmbedding) -> tuple[LorentzEmbedding, int]:
     ``v_0`` by ``1/c``) and fixes the complement, so it commutes with each
     linear factor ``R(A)`` and scales each translation log by ``c``:
     ``H_c T(t) R(A) H_c^{-1} = T(c t) R(A)``. The conjugation is therefore
-    performed by re-assembling every image with its translation scaled by
-    ``c``. Group relations are untouched (conjugation is an automorphism),
-    the model form is preserved exactly, and all verification checks
-    survive. Returns the conjugated embedding and ``c``; an already
+    a closed form on the integer rows of each image (:func:`_conjugate`):
+    ``w`` and ``k^T A`` are multiplied by ``c`` and the corner ``h`` by
+    ``c^2``, with no re-assembly from the generators. Group relations are
+    untouched (conjugation is an automorphism), the model form is
+    preserved exactly, and all verification checks survive; decoding the
+    result with :func:`verify_embedding` checks the rescaling
+    independently. Returns the conjugated embedding and ``c``; an already
     integral embedding comes back unchanged with scale 1.
 
     Images are decoded as :func:`verify_embedding` decodes them, at the
     shared scale ``c0 = E[j, n] / t_j``: each must be ``T(c0 t) R(A)`` for
     its generator ``(A, t)``, with one ``c0 > 0`` for all of them, and the
-    result is re-assembled at ``c c0 t``. Write ``w`` for ``c0 t``. Once
+    result is ``T(c c0 t) R(A)``. Write ``w`` for ``c0 t``. Once
     ``A`` is checked to be integral (and so unimodular, being a
     ``B_K``-isometry of determinant ``±1``), ``c`` is read off the image
     itself. The entries of ``T(c w) R(A)`` outside ``A`` are ``c w_i``
@@ -259,8 +281,7 @@ def integralize(embedding: LorentzEmbedding) -> tuple[LorentzEmbedding, int]:
     if any(c * c * image.num[n][n + 1] % image.den for image in images):
         c *= 2
     if c > 1:
-        scale *= c
-        images = [_assemble(g.linear, [scale * x for x in g.translation], model) for g in generators]
+        images = [_conjugate(image, n, c) for image in images]
         embedding = LorentzEmbedding(model, embedding.group, images)
     if not all(m.is_integral() for m in embedding.images):
         raise InvariantViolation("integralized images have fractional entries")

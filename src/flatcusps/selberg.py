@@ -51,22 +51,70 @@ MAX_WORD_BALL = 20_000
 # ---------------------------------------------------------------------------
 
 
+#: Largest trial divisor of :func:`prime_factors`; every integer below its
+#: square is factored completely.
+_TRIAL_BOUND = 10**6
+
+#: Miller-Rabin to the first 13 prime bases is exact below this bound
+#: (Sorenson and Webster, "Strong pseudoprimes to twelve prime bases",
+#: Math. Comp. 86 (2017)).
+_MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MILLER_RABIN_LIMIT = 3_317_044_064_679_887_385_961_981
+
+
 def is_prime(m: int) -> bool:
     return m > 1 and prime_factors(m) == [m]
 
 
+def _strong_probable_prime(m: int) -> bool:
+    """Whether odd ``m > 41`` passes Miller-Rabin to every base of
+    ``_MILLER_RABIN_BASES``; below ``_MILLER_RABIN_LIMIT`` that is primality."""
+    d, s = m - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MILLER_RABIN_BASES:
+        x = pow(a, d, m)
+        if x == 1 or x == m - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % m
+            if x == m - 1:
+                break
+        else:
+            return False
+    return True
+
+
 def prime_factors(m: int) -> list[int]:
-    """Distinct prime factors of a positive integer, ascending."""
+    """Distinct prime factors of a positive integer, ascending.
+
+    Trial division runs up to ``_TRIAL_BOUND``, so the work is bounded
+    whatever the input. A cofactor left above the square of the last
+    divisor tried has no factor up to the bound; deterministic Miller-Rabin
+    decides whether it is prime. ``ValueError`` names the bound when that
+    cofactor is composite, or too large for the test to be exact.
+    """
     if m < 1:
         raise ValueError("expected a positive integer")
     out = []
     f = 2
-    while f * f <= m:
+    while f * f <= m and f <= _TRIAL_BOUND:
         if m % f == 0:
             out.append(f)
             while m % f == 0:
                 m //= f
         f += 1 if f == 2 else 2
+    if f * f <= m:
+        if m >= _MILLER_RABIN_LIMIT:
+            raise ValueError(
+                f"cannot factor {m}: it has no prime factor up to {_TRIAL_BOUND} "
+                f"and is too large to test for primality exactly"
+            )
+        if not _strong_probable_prime(m):
+            raise ValueError(
+                f"cannot factor {m}: it is composite with no prime factor up to {_TRIAL_BOUND}"
+            )
     if m > 1:
         out.append(m)
     return out

@@ -19,7 +19,7 @@ from typing import Optional, Sequence, Union
 
 from .bieberbach import BieberbachGroup, HolonomyGroup, holonomy, theta_average
 from .errors import DimensionMismatch, NotPositiveDefinite
-from .exactlin import Frozen, SymmetricForm, is_positive_definite, preserves_form
+from .exactlin import Frozen, Matrix, SymmetricForm, is_positive_definite, preserves_form
 
 class RealForm(Frozen):
     """Symmetric matrix with double-precision entries; an inexact target."""
@@ -73,16 +73,51 @@ class ShapeDescriptor(Frozen):
         return f"ShapeDescriptor({self.group!r}, {self.form!r})"
 
 
+def _limit_denominator(num: int, den: int, bound: int) -> tuple[int, int]:
+    """The pair ``(p, q)`` of ``Fraction(num, den).limit_denominator(bound)``.
+
+    ``den`` is positive and ``bound`` at least 1. The same walk as the
+    standard library's, on ints only: reduce ``num / den``, follow its
+    continued-fraction convergents while the denominator stays within the
+    bound, then choose between the last convergent ``p1 / q1`` and the
+    semiconvergent ``(p0 + k p1) / (q0 + k q1)``. They lie on either side
+    of ``num / den``, ``1 / (q1 q)`` apart with ``q`` the semiconvergent's
+    denominator, and the convergent is ``d / (q1 den)`` from ``num / den``,
+    with ``d`` the last remainder; so the convergent is at least as close
+    exactly when ``2 d q <= den``, and it wins ties. Without the gcd an unreduced pair
+    would run the expansion out before the bound and divide by zero.
+    """
+    g = math.gcd(num, den)
+    num, den = num // g, den // g
+    if den <= bound:
+        return num, den
+    p0, q0, p1, q1 = 0, 1, 1, 0
+    n, d = num, den
+    while True:
+        a = n // d
+        q2 = q0 + a * q1
+        if q2 > bound:
+            break
+        p0, q0, p1, q1 = p1, q1, p0 + a * p1, q2
+        n, d = d, n - a * d
+    k = (bound - q0) // q1
+    q = q0 + k * q1
+    if 2 * d * q <= den:
+        return p1, q1
+    return p0 + k * p1, q
+
+
 def best_rational_approx(value: Fraction, max_denominator: int) -> Fraction:
     """Closest rational with denominator at most ``max_denominator``.
 
-    ``Fraction.limit_denominator`` walks the continued-fraction convergents
-    and semiconvergents, which gives the optimal approximation for the
-    bound; the test suite cross-checks this against brute force.
+    Equal to ``value.limit_denominator(max_denominator)``, ties included:
+    the continued-fraction walk of :func:`_limit_denominator`, which gives
+    the optimal approximation for the bound; the test suite cross-checks
+    it against the standard library and against brute force.
     """
     if max_denominator < 1:
         raise ValueError("denominator bound must be at least 1")
-    return value.limit_denominator(max_denominator)
+    return Fraction(*_limit_denominator(value.numerator, value.denominator, max_denominator))
 
 
 def rationalize(
@@ -116,12 +151,16 @@ def rationalize(
         averaged = exact
     else:
         averaged = theta_average(exact, theta)
-    rounded = SymmetricForm(
-        [
-            [best_rational_approx(x, denom_bound) for x in row]
-            for row in averaged.matrix.entries
-        ]
-    )
+    # round the upper triangle on the integer rows and mirror it
+    m = averaged.matrix
+    n, num, den = m.rows, m.num, m.den
+    pairs = [[(0, 1)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            pairs[i][j] = pairs[j][i] = _limit_denominator(num[i][j], den, denom_bound)
+    lcm = math.lcm(*(q for row in pairs for _, q in row))
+    rows = tuple(tuple(p * (lcm // q) for p, q in row) for row in pairs)
+    rounded = SymmetricForm(Matrix.from_integer_rows(rows, lcm))
     invariant = theta_average(rounded, theta)
     return ShapeDescriptor(theta.group, invariant)
 

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -320,6 +321,33 @@ class TestSelberg:
             {"n": 2, "generators": [[["-1", "0"], ["0", "-1"]]]},
         )
         assert main(["selberg", "-l", lam, "-u", gam]) == 1
+
+
+class TestSelbergLargeEntries:
+    # a determinant numerator with a large prime factor, and one that
+    # trial division up to the bound cannot factor
+    def files(self, tmp_path, entry):
+        lam = write_json(
+            tmp_path / "lam.json", {"n": 2, "generators": [[[str(entry), "0"], ["0", "1"]]]}
+        )
+        gam = write_json(tmp_path / "gam.json", {"n": 2, "generators": []})
+        return lam, gam
+
+    @pytest.mark.parametrize("p", [100000000000031, 100000000000000000039])
+    def test_large_prime_is_fast(self, tmp_path, capsys, p):
+        lam, gam = self.files(tmp_path, p)
+        start = time.perf_counter()
+        assert main(["selberg", "-l", lam, "-u", gam]) == 0
+        assert time.perf_counter() - start < 1
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["prime"] == 5 and payload["bad_primes"][str(p)] == ["denominator"]
+
+    def test_unfactorable_entry_exits_one(self, tmp_path):
+        lam, gam = self.files(tmp_path, 1000003 * 1000033)
+        done = run_cli(["selberg", "-l", lam, "-u", gam])
+        assert done.returncode == 1
+        assert "no prime factor up to 1000000" in done.stderr
+        assert "Traceback" not in done.stderr and not done.stdout
 
 
 class TestDensity:

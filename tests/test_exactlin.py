@@ -1,4 +1,5 @@
 import copy
+import itertools
 import math
 import os
 import pickle
@@ -217,6 +218,39 @@ class TestKernelAgainstFractionOracle:
         # repeat a combination of rows, so the rank drops below the row count
         a.append(ref_sum(a[:1], ref_scaled(F(2), a[-1:]))[0])
         assert null_space(Matrix(a)) == ref_null_space(a)
+
+
+class TestForwardDeterminant:
+    """``Matrix.det`` eliminates forward only; the Fraction oracle pivots on
+    its own. Rows with leading zeros force row moves, and rows that combine
+    earlier ones make the matrix singular."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), n=st.integers(min_value=1, max_value=8))
+    def test_singular_and_swapped(self, data, n):
+        rows = []
+        for _ in range(n):
+            if rows and data.draw(st.booleans()):
+                weights = data.draw(
+                    st.lists(small_fractions, min_size=len(rows), max_size=len(rows))
+                )
+                rows.append([sum(w * row[j] for w, row in zip(weights, rows)) for j in range(n)])
+            else:
+                zeros = data.draw(st.integers(min_value=0, max_value=n - 1))
+                tail = data.draw(st.lists(small_fractions, min_size=n - zeros, max_size=n - zeros))
+                rows.append([F(0)] * zeros + tail)
+        a = [rows[i] for i in data.draw(st.permutations(range(n)))]
+        assert Matrix(a).det() == ref_det(a)
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_weighted_permutations(self, n):
+        # det = sign(perm) * product of the weights, whichever rows move
+        weights = [F(k + 2, 2 * k + 1) for k in range(n)]
+        for perm in itertools.permutations(range(n)):
+            a = [[weights[i] if j == perm[i] else F(0) for j in range(n)] for i in range(n)]
+            expected = ref_det(a)
+            assert abs(expected) == math.prod(weights)
+            assert Matrix(a).det() == expected, perm
 
 
 class TestCanonicalForm:

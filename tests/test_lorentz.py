@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import flatcusps
+from flatcusps import lorentz
 from flatcusps.bieberbach import (
     AffineMap,
     BieberbachGroup,
@@ -435,6 +436,26 @@ class TestIntegralize:
         assert list(result.images) == [conjugator * m * inverse for m in embedding.images]
         assert all(m.is_integral() for m in result.images)
         assert verify_embedding(result).overall
+
+    @pytest.mark.parametrize("index, name", list(enumerate(catalog_names())))
+    def test_closed_form_matches_assembly(self, index, name):
+        # the rescaled integer rows are the images assembled at c c0 t, for
+        # the plain embedding (c0 = 1) and uniformly rescaled ones
+        group, theta = catalog_with_holonomy(name)
+        n = group.dim
+        generators = [(g.linear, g.translation) for g in group.generators]
+        for base in (SymmetricForm.identity(n), SymmetricForm.diagonal(range(2, n + 2))):
+            model = LorentzModel(theta_average(base, theta))
+            for c0 in (1, F(3, 2), (1, 3, 5)[index % 3]):
+                images = [
+                    product_embed_affine(AffineMap(a, [c0 * x for x in t]), model)
+                    for a, t in generators
+                ]
+                result, c = integralize(LorentzEmbedding(model, group, images))
+                assert list(result.images) == [
+                    lorentz._assemble(a, [c * c0 * x for x in t], model) for a, t in generators
+                ], (name, c0)
+                assert all(m.is_integral() for m in result.images)
 
     def test_negative_shared_scale_rejected(self):
         # T(-t) R(A) decodes at the shared scale -1, which verify_embedding

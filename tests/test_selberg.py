@@ -2,8 +2,10 @@ import importlib.util
 import json
 import math
 import os
+import random
 import subprocess
 import sys
+import time
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -65,6 +67,57 @@ class TestNumberTheory:
         assert torsion_order_bound(1) == 2
         assert torsion_order_bound(2) == 12
         assert torsion_order_bound(3) == 12
+
+
+# primes of 15 and 21 digits, above the square of the trial-division bound
+PRIME_15 = 100000000000031
+PRIME_21 = 100000000000000000039
+
+
+class TestBoundedFactoring:
+    def test_matches_sympy(self):
+        import sympy
+
+        rng = random.Random(5)
+        # below the square of the trial bound every integer factors completely
+        for m in [*range(1, 3000), *(rng.randint(1, 10**12) for _ in range(200))]:
+            assert prime_factors(m) == sorted(sympy.primefactors(m)), m
+
+    @pytest.mark.parametrize("p", [PRIME_15, PRIME_21])
+    def test_large_prime_is_fast(self, p):
+        group_input = MatrixGroupInput(2, [Matrix.diagonal([p, 1])])
+        for call, expected in (
+            (lambda: prime_factors(p), [p]),
+            (lambda: prime_factors(12 * p), [2, 3, p]),
+            (lambda: bad_primes(group_input)[p], (REASON_DENOMINATOR,)),
+        ):
+            start = time.perf_counter()
+            assert call() == expected
+            assert time.perf_counter() - start < 1
+
+    @pytest.mark.parametrize(
+        "m, reason",
+        [
+            (1000003 * 1000033, "composite"),  # both factors above the bound
+            (318665857834031151167461, "composite"),  # passes bases 2 to 37
+            (2**89 - 1, "too large"),  # a prime beyond the exact Miller-Rabin range
+        ],
+    )
+    def test_undecided_cofactor_raises_naming_the_bound(self, m, reason):
+        bound = selberg._TRIAL_BOUND
+        with pytest.raises(ValueError, match=f"no prime factor up to {bound}"):
+            prime_factors(m)
+        with pytest.raises(ValueError, match=reason):
+            prime_factors(2 * m)
+
+    def test_miller_rabin_matches_sympy_above_the_bound(self):
+        import sympy
+
+        for m in range(selberg._TRIAL_BOUND**2 + 1, selberg._TRIAL_BOUND**2 + 4001, 2):
+            assert selberg._strong_probable_prime(m) == sympy.isprime(m), m
+        # the smallest strong pseudoprimes to the first 9 and 12 prime bases
+        for m in (3825123056546413051, 318665857834031151167461):
+            assert not selberg._strong_probable_prime(m)
 
 
 class TestCyclotomic:

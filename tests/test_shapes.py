@@ -105,6 +105,95 @@ class TestBestRationalApprox:
         assert abs(x - ours) == best_error
 
 
+def farey_midpoints(bound, low=-2, high=2):
+    """Midpoints of consecutive fractions in ``[low, high]`` with denominator
+    at most ``bound``: targets equally close to two candidates."""
+    farey = sorted(
+        {F(p, q) for q in range(1, bound + 1) for p in range(low * q, high * q + 1)}
+    )
+    return [(a + b) / 2 for a, b in zip(farey, farey[1:])]
+
+
+class TestBestRationalApproxIsLimitDenominator:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        x=st.fractions(min_value=-10**6, max_value=10**6, max_denominator=10**9),
+        bound=st.one_of(st.integers(1, 20), st.integers(1, 10**7)),
+    )
+    def test_matches(self, x, bound):
+        assert best_rational_approx(x, bound) == x.limit_denominator(bound)
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), bound=st.integers(1, 50))
+    def test_midpoint_between_two_candidates(self, data, bound):
+        small = st.fractions(min_value=-5, max_value=5, max_denominator=bound)
+        x = (data.draw(small) + data.draw(small)) / 2
+        assert best_rational_approx(x, bound) == x.limit_denominator(bound)
+
+    @pytest.mark.parametrize("bound", range(1, 13))
+    def test_exact_ties(self, bound):
+        # equally close to both neighbours; the convergent wins, as in
+        # limit_denominator
+        for x in farey_midpoints(bound):
+            assert best_rational_approx(x, bound) == x.limit_denominator(bound), x
+            assert best_rational_approx(-x, bound) == (-x).limit_denominator(bound), x
+
+    def test_bound_one(self):
+        for x in (F(1, 2), F(-1, 2), F(3, 2), F(-5, 2), F(1, 3), F(-2, 3), F(7)):
+            assert best_rational_approx(x, 1) == x.limit_denominator(1), x
+        assert best_rational_approx(F(1, 2), 1) == 0
+        assert best_rational_approx(F(-1, 2), 1) == -1
+
+    def test_denominator_within_bound_is_returned(self):
+        for x in (F(-7, 9), F(5, 9), F(0), F(-3)):
+            assert best_rational_approx(x, 9) == x
+
+
+def reference_rationalize(form, theta, bound):
+    """Round every entry of an invariant form with ``limit_denominator``
+    and average again, one ``Fraction`` at a time."""
+    rounded = [[x.limit_denominator(bound) for x in row] for row in form.matrix.entries]
+    return theta_average(SymmetricForm(rounded), theta)
+
+
+class TestRationalizeOnIntegerRows:
+    # entries over a shared denominator that are not in lowest terms there
+    def test_unreduced_entries(self):
+        theta = holonomy(catalog("torus-2"))
+        form = SymmetricForm([[F(1, 2), F(1, 3)], [F(1, 3), F(5, 7)]])
+        assert form.matrix.den == 42 and form.matrix.num[0][0] == 21
+        for bound in (1, 2, 3, 10, 41, 42):
+            try:
+                expected = reference_rationalize(form, theta, bound)
+            except NotPositiveDefinite:
+                with pytest.raises(NotPositiveDefinite):
+                    rationalize(form, theta, bound)
+            else:
+                assert rationalize(form, theta, bound).form == expected, bound
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        data=st.data(),
+        name=st.sampled_from(["torus-3", "klein", "third-turn", "sixth-turn", "hantzsche-wendt"]),
+        bound=st.sampled_from([1, 2, 6, 10, 1000, 10**6]),
+    )
+    def test_matches_entrywise_limit_denominator(self, data, name, bound):
+        group = catalog(name)
+        theta = holonomy(group)
+        n = group.dim
+        entries = st.fractions(min_value=-2, max_value=2, max_denominator=12)
+        rows = st.lists(st.lists(entries, min_size=n, max_size=n), min_size=n, max_size=n)
+        a = Matrix(data.draw(rows))
+        form = theta_average(SymmetricForm(a.transpose() * a + Matrix.identity(n)), theta)
+        try:
+            expected = reference_rationalize(form, theta, bound)
+        except NotPositiveDefinite:
+            with pytest.raises(NotPositiveDefinite):
+                rationalize(form, theta, bound)
+        else:
+            assert rationalize(form, theta, bound).form == expected
+
+
 class TestRationalize:
     def test_rational_target_reproduced(self):
         theta = holonomy(catalog("torus-2"))
