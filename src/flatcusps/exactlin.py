@@ -460,8 +460,9 @@ class IntPolynomial(Frozen):
     ``k``) and the others as ``Fraction``, so the characteristic polynomial
     of an integer matrix and every cyclotomic product is a tuple of ints.
     ``==``, the hash and ``str`` are those of the mathematical coefficients
-    either way. The routines that promise integral output check integrality
-    rather than assuming it.
+    either way. The operations are only those the certificates use: the
+    degree, the zero, monic and integrality tests, the product of two
+    polynomials, reduction modulo a prime, ``==``/hash and ``str``/``repr``.
     """
 
     __slots__ = ("coeffs",)
@@ -486,56 +487,15 @@ class IntPolynomial(Frozen):
     def is_integral(self) -> bool:
         return all(c.denominator == 1 for c in self.coeffs)
 
-    def coefficient(self, k: int) -> Union[int, Fraction]:
-        return self.coeffs[k] if 0 <= k < len(self.coeffs) else 0
-
-    def __sub__(self, other: IntPolynomial) -> IntPolynomial:
-        n = max(len(self.coeffs), len(other.coeffs))
-        return IntPolynomial(
-            [self.coefficient(k) - other.coefficient(k) for k in range(n)]
-        )
-
-    def __mul__(self, other):
-        if isinstance(other, IntPolynomial):
-            if self.is_zero() or other.is_zero():
-                return IntPolynomial([])
-            out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-            for i, a in enumerate(self.coeffs):
-                if a:
-                    for j, b in enumerate(other.coeffs):
-                        out[i + j] += a * b
-            return IntPolynomial(out)
-        if isinstance(other, (int, Fraction)):
-            return IntPolynomial([other * c for c in self.coeffs])
-        return NotImplemented
-
-    __rmul__ = __mul__
-
-    def __pow__(self, exponent: int) -> IntPolynomial:
-        if exponent < 0:
-            raise ValueError("negative polynomial powers are not defined")
-        result = IntPolynomial([1])
-        for _ in range(exponent):
-            result = result * self
-        return result
-
-    def __divmod__(self, divisor: IntPolynomial) -> tuple[IntPolynomial, IntPolynomial]:
-        if divisor.is_zero():
-            raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        d = divisor.coeffs
-        lead = d[-1]
-        quot = [0] * max(len(rem) - len(d) + 1, 0)
-        for k in range(len(rem) - len(d), -1, -1):
-            c = _integral_or_fraction(Fraction(rem[k + len(d) - 1], lead))
-            if c:
-                quot[k] = c
-                for j, b in enumerate(d):
-                    rem[k + j] -= c * b
-        return IntPolynomial(quot), IntPolynomial(rem)
-
-    def __mod__(self, divisor: IntPolynomial) -> IntPolynomial:
-        return divmod(self, divisor)[1]
+    def __mul__(self, other: IntPolynomial) -> IntPolynomial:
+        if self.is_zero() or other.is_zero():
+            return IntPolynomial([])
+        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
+        for i, a in enumerate(self.coeffs):
+            if a:
+                for j, b in enumerate(other.coeffs):
+                    out[i + j] += a * b
+        return IntPolynomial(out)
 
     def reduce_mod(self, p: int) -> tuple[int, ...]:
         """Coefficients modulo a prime, as ints in ``[0, p)``.
@@ -584,14 +544,11 @@ def _integral_or_fraction(value: Scalar) -> Union[int, Fraction]:
     return value.numerator if value.denominator == 1 else value
 
 
-def monomial(degree: int) -> IntPolynomial:
-    return IntPolynomial([0] * degree + [1])
-
-
 @lru_cache(maxsize=None)
 def unipotent_polynomial(n: int) -> IntPolynomial:
-    """``(t - 1)^n``, the characteristic polynomial of unipotent elements."""
-    return IntPolynomial([-1, 1]) ** n
+    """``(t - 1)^n``, the characteristic polynomial of unipotent elements,
+    written as its binomial coefficients ``(-1)^(n-k) C(n, k)``."""
+    return IntPolynomial([(-1) ** (n - k) * math.comb(n, k) for k in range(n + 1)])
 
 
 # ---------------------------------------------------------------------------

@@ -32,7 +32,6 @@ from .exactlin import (
     Matrix,
     char_poly,
     is_unipotent,
-    monomial,
     unipotent_polynomial,
 )
 
@@ -44,6 +43,10 @@ REASON_DENOMINATOR = "denominator"
 #: exponentially with the word length (length 3 on the catalog groups'
 #: integral embeddings stays below 200 elements).
 MAX_WORD_BALL = 20_000
+
+#: Largest degree a :class:`MatrixGroupInput` accepts: its torsion polynomials
+#: grow about 2.5-fold every two degrees (7,133 at n = 16, 30,531 at n = 20).
+MAX_DEGREE = 16
 
 
 # ---------------------------------------------------------------------------
@@ -86,14 +89,27 @@ def _strong_probable_prime(m: int) -> bool:
     return True
 
 
+def _cube_root(m: int) -> int:
+    """``floor(m ** (1/3))`` for ``m >= 1``, by integer Newton steps from above."""
+    x = 1 << -(-m.bit_length() // 3)
+    while True:
+        y = (2 * x + m // (x * x)) // 3
+        if y >= x:
+            return x
+        x = y
+
+
 def prime_factors(m: int) -> list[int]:
     """Distinct prime factors of a positive integer, ascending.
 
     Trial division runs up to ``_TRIAL_BOUND``, so the work is bounded
     whatever the input. A cofactor left above the square of the last
     divisor tried has no factor up to the bound; deterministic Miller-Rabin
-    decides whether it is prime. ``ValueError`` names the bound when that
-    cofactor is composite, or too large for the test to be exact.
+    decides whether it is prime. Below ``_MILLER_RABIN_LIMIT`` it has at most
+    four prime factors, so a composite prime power is a square or a cube
+    (``p^4 = (p^2)^2``), and its exact root is factored instead. Otherwise
+    ``ValueError`` names the bound: the cofactor is composite, or too large
+    for the test to be exact.
     """
     if m < 1:
         raise ValueError("expected a positive integer")
@@ -112,6 +128,9 @@ def prime_factors(m: int) -> list[int]:
                 f"and is too large to test for primality exactly"
             )
         if not _strong_probable_prime(m):
+            for k, root in ((2, math.isqrt(m)), (3, _cube_root(m))):
+                if root**k == m:
+                    return out + prime_factors(root)  # out holds primes below root's
             raise ValueError(
                 f"cannot factor {m}: it is composite with no prime factor up to {_TRIAL_BOUND}"
             )
@@ -129,22 +148,31 @@ def euler_phi(d: int) -> int:
 
 @lru_cache(maxsize=None)
 def cyclotomic_polynomial(d: int) -> IntPolynomial:
-    """The d-th cyclotomic polynomial, computed by exact division.
+    """The d-th cyclotomic polynomial, by integer long division.
 
-    ``t^d - 1`` divided by the cyclotomic polynomials of the proper
-    divisors of ``d``; the quotient is monic with integer coefficients.
+    The coefficients of ``t^d - 1`` are divided in place by each ``Phi_e``,
+    e a proper divisor of d, top term first; each quotient coefficient is
+    left in the slot of the term it cleared. Every ``Phi_e`` is monic and
+    integral, so no step leaves the integers. A remainder, or a quotient
+    that is not monic, raises ``InvariantViolation``.
     """
     if d < 1:
         raise ValueError("cyclotomic index must be positive")
-    numerator = monomial(d) - IntPolynomial([1])
+    coeffs = [-1] + [0] * (d - 1) + [1]
     for e in (e for e in range(1, d) if d % e == 0):
-        quotient, remainder = divmod(numerator, cyclotomic_polynomial(e))
-        if not remainder.is_zero():
+        divisor = cyclotomic_polynomial(e).coeffs
+        m = len(divisor) - 1
+        for top in range(len(coeffs) - 1, m - 1, -1):
+            c = coeffs[top]
+            if c:
+                for j in range(m):
+                    coeffs[top - m + j] -= c * divisor[j]
+        if any(coeffs[:m]):
             raise InvariantViolation(f"Phi_{e} does not divide t^{d} - 1 exactly")
-        numerator = quotient
-    if not (numerator.is_integral() and numerator.is_monic()):
-        raise InvariantViolation(f"Phi_{d} is not a monic integer polynomial")
-    return numerator
+        del coeffs[:m]
+    if coeffs[-1] != 1:
+        raise InvariantViolation(f"Phi_{d} is not monic")
+    return IntPolynomial(coeffs)
 
 
 @lru_cache(maxsize=None)
@@ -245,6 +273,8 @@ class MatrixGroupInput(Frozen):
         gams = tuple(gamma_gens)
         if n < 1:
             raise ValueError("degree must be at least 1")
+        if n > MAX_DEGREE:
+            raise ValueError(f"degree {n} exceeds MAX_DEGREE = {MAX_DEGREE}")
         if not lams:
             raise ValueError("at least one ambient generator is required")
         for m in lams + gams:

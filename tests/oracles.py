@@ -154,6 +154,17 @@ def sympy_finite_order_char_polys(n: int) -> set[tuple[int, ...]]:
     return out
 
 
+def sympy_divides(poly, exponent: int, power: int) -> bool:
+    """Whether ``poly`` (an ``IntPolynomial``) divides ``(t^exponent - 1)^power``,
+    decided by sympy's polynomial division over the rationals."""
+    import sympy
+
+    t = sympy.Symbol("t")
+    divisor = sympy.Poly(list(reversed(poly.coeffs)), t, domain="QQ")
+    dividend = sympy.Poly((t**exponent - 1) ** power, t, domain="QQ")
+    return dividend.rem(divisor).is_zero
+
+
 def _companion_entry(poly, i, j):
     deg = poly.degree()
     coeffs = poly.all_coeffs()  # descending, monic
@@ -533,12 +544,13 @@ def ref_coefficient_divisor_primes(n: int) -> tuple[int, ...]:
     """Primes modulo which some degree-n torsion polynomial equals
     ``(t-1)^n``, found by search: the prime factors of the gcd of the
     coefficients of each polynomial's difference from ``(t-1)^n``."""
-    unipotent = unipotent_polynomial(n)
+    unipotent = unipotent_polynomial(n).coeffs
     primes: set[int] = set()
     for poly in torsion_polynomials(n):
-        difference = poly - unipotent
-        assert difference.is_integral() and not difference.is_zero(), poly
-        content = math.gcd(*(c.numerator for c in difference.coeffs))
+        # both have degree n, so the coefficient tuples line up
+        difference = [a - b for a, b in zip(poly.coeffs, unipotent, strict=True)]
+        assert all(type(c) is int for c in difference) and any(difference), poly
+        content = math.gcd(*difference)
         if content > 1:
             primes.update(prime_factors(content))
     return tuple(sorted(primes))

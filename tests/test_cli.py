@@ -350,6 +350,30 @@ class TestSelbergLargeEntries:
         assert "Traceback" not in done.stderr and not done.stdout
 
 
+    def test_prime_power_determinant(self, tmp_path, capsys):
+        # det 1000003^2 leaves a perfect-square cofactor above the trial bound
+        p = 1000003
+        lam = write_json(tmp_path / "lam.json", {"n": 2, "generators": [[[p, 0], [0, p]]]})
+        gam = write_json(tmp_path / "gam.json", {"n": 2, "generators": []})
+        assert main(["selberg", "-l", lam, "-u", gam]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["bad_primes"][str(p)] == ["denominator"]
+
+
+class TestSelbergDegreeBound:
+    def test_degree_above_the_bound_exits_one(self, tmp_path, capsys):
+        n = selberg.MAX_DEGREE + 1
+        identity = [[int(i == j) for j in range(n)] for i in range(n)]
+        lam = write_json(tmp_path / "lam.json", {"n": n, "generators": [identity]})
+        gam = write_json(tmp_path / "gam.json", {"n": n, "generators": []})
+        start = time.perf_counter()
+        assert main(["selberg", "-l", lam, "-u", gam]) == 1
+        assert time.perf_counter() - start < 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: lambda.generators: degree 17 exceeds MAX_DEGREE = 16\n"
+        assert not captured.out
+
+
 class TestDensity:
     def test_end_to_end(self, tmp_path, capsys):
         out_csv = tmp_path / "rows.csv"

@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from flatcusps import density, lorentz, shapes
@@ -22,6 +24,20 @@ GOLDEN_TARGET_SEED0 = [
     [0.7570037644335889, 0.6303831120388543],
     [0.6303831120388543, 0.6746084638459193],
 ]
+
+
+# A second output anchor beside the seed-8 torus-2 CSV: a group with
+# holonomy of order six, rounded and certified at every bound up to 10^6
+SIXTH_TURN_SHA256 = "61a47b60738c71a289900d45359eafc3d868bec72e001383ad3820bbfb28babe"
+
+
+def test_sixth_turn_anchor():
+    bounds = [10**k for k in range(1, 7)]
+    config = ExperimentConfig(catalog("sixth-turn"), 20, bounds, 8, torus_manifold_mode=True)
+    rows = run_experiment(config)
+    assert len(rows) == 120
+    assert all(row.pipeline_ok and row.selberg_prime == 7 for row in rows)
+    assert hashlib.sha256(rows_to_csv(rows).encode()).hexdigest() == SIXTH_TURN_SHA256
 
 
 class TestLcg:

@@ -28,7 +28,14 @@ from flatcusps.errors import (
     NotFormIsometry,
     NotPositiveDefinite,
 )
-from flatcusps.exactlin import Matrix, SymmetricForm, char_poly, ldl_signature, nilpotent_exp
+from flatcusps.exactlin import (
+    Matrix,
+    SymmetricForm,
+    char_poly,
+    ldl_signature,
+    nilpotent_exp,
+    unipotent_polynomial,
+)
 from flatcusps.lorentz import (
     LorentzEmbedding,
     LorentzModel,
@@ -294,12 +301,10 @@ class TestEmbedAffine:
 
 class TestEmbedGroup:
     def test_torus2_identity_shape(self):
-        from flatcusps.exactlin import IntPolynomial
-
         group = catalog("torus-2")
         embedding = embed_group(group, ShapeDescriptor(group, SymmetricForm.identity(2)))
         assert len(embedding.images) == 2
-        unipotent = IntPolynomial([-1, 1]) ** 4
+        unipotent = unipotent_polynomial(4)
         for image in embedding.images:
             assert image.matvec(embedding.model.v_inf) == embedding.model.v_inf
             assert char_poly(image) == unipotent

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 import flatcusps
 from flatcusps import selberg
 from flatcusps.errors import DimensionMismatch, UnipotentViolation
-from flatcusps.exactlin import IntPolynomial, Matrix, char_poly, monomial
+from flatcusps.exactlin import IntPolynomial, Matrix, char_poly
 from flatcusps.selberg import (
     MatrixGroupInput,
     REASON_COEFFICIENT_DIVISOR,
@@ -37,6 +37,7 @@ from flatcusps.selberg import (
 from oracles import (
     ref_coefficient_divisor_primes,
     ref_verify_certificate,
+    sympy_divides,
     sympy_finite_order_char_polys,
     torsion_order_bound,
 )
@@ -110,6 +111,35 @@ class TestBoundedFactoring:
         with pytest.raises(ValueError, match=reason):
             prime_factors(2 * m)
 
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_prime_power_above_the_bound(self, k):
+        # Miller-Rabin calls p^k composite; its exact square or cube root is factored
+        start = time.perf_counter()
+        assert prime_factors(1000003**k) == [1000003]
+        assert time.perf_counter() - start < 1
+
+    def test_prime_power_beside_small_primes(self):
+        assert prime_factors(8 * 1000003**2) == [2, 1000003]
+
+    def test_square_times_prime_still_raises(self):
+        with pytest.raises(ValueError, match="composite with no prime factor up to 1000000"):
+            prime_factors(1000003**2 * 1000033)
+
+    def test_scalar_determinant_above_the_bound(self):
+        group_input = MatrixGroupInput(2, [Matrix.diagonal([1000003, 1000003])])
+        assert bad_primes(group_input) == {
+            2: (REASON_COEFFICIENT_DIVISOR, REASON_SMALL_CHARACTERISTIC),
+            3: (REASON_COEFFICIENT_DIVISOR,),
+            1000003: (REASON_DENOMINATOR,),
+        }
+
+    def test_cube_root(self):
+        rng = random.Random(3)
+        for r in [1, 2, 3, 10, 1000003, *(rng.randint(1, 10**9) for _ in range(300))]:
+            for m, root in ((r**3 - 1, r - 1), (r**3, r), (r**3 + 1, r)):
+                if m:
+                    assert selberg._cube_root(m) == root, m
+
     def test_miller_rabin_matches_sympy_above_the_bound(self):
         import sympy
 
@@ -135,13 +165,13 @@ class TestCyclotomic:
             for e in range(1, d + 1):
                 if d % e == 0:
                     product = product * cyclotomic_polynomial(e)
-            assert product == monomial(d) - IntPolynomial([1])
+            assert product == IntPolynomial([-1] + [0] * (d - 1) + [1])
 
     def test_matches_sympy(self):
         import sympy
 
         t = sympy.Symbol("t")
-        for d in range(1, 30):
+        for d in range(1, 211):  # Phi_105 is the first with a coefficient outside {-1, 0, 1}
             expected = [int(c) for c in reversed(sympy.Poly(sympy.cyclotomic_poly(d, t), t).all_coeffs())]
             assert cyclotomic_polynomial(d) == IntPolynomial(expected)
 
@@ -175,9 +205,8 @@ class TestTorsionPolynomials:
     def test_all_roots_on_unit_circle(self):
         # every polynomial divides (t^N - 1)^n for N the lcm of admissible orders
         for n in (1, 2, 3):
-            big = (monomial(torsion_order_bound(n)) - IntPolynomial([1])) ** n
             for poly in torsion_polynomials(n):
-                assert (big % poly).is_zero()
+                assert sympy_divides(poly, torsion_order_bound(n), n)
 
     def test_rational_canonical_form_oracle(self):
         for n in (1, 2, 3):
@@ -185,6 +214,17 @@ class TestTorsionPolynomials:
             oracle.discard(tuple(int(c) for c in unipotent_polynomial(n).coeffs))
             ours = {tuple(int(c) for c in p.coeffs) for p in torsion_polynomials(n)}
             assert ours == oracle
+
+
+class TestDegreeBound:
+    def test_largest_degree_constructs(self):
+        n = selberg.MAX_DEGREE
+        assert n == 16 and MatrixGroupInput(n, [-Matrix.identity(n)]).n == n
+
+    def test_degree_above_the_bound_raises(self):
+        n = selberg.MAX_DEGREE + 1
+        with pytest.raises(ValueError, match="degree 17 exceeds MAX_DEGREE = 16"):
+            MatrixGroupInput(n, [Matrix.identity(n)])
 
 
 class TestBadPrimes:
@@ -627,14 +667,13 @@ class TestFiniteOrderTest:
     def test_torsion_orders_are_minimal(self):
         # every root of p is an L-th root of unity, and for no proper divisor
         # of L: p divides (t^L - 1)^n and no (t^(L/r) - 1)^n for r prime
-        one = IntPolynomial([1])
         for n in (1, 2, 3, 4):
             orders = selberg._torsion_orders(n)
             assert sorted(orders, key=lambda p: p.coeffs) == list(torsion_polynomials(n))
             for poly, lcm in orders.items():
-                assert ((monomial(lcm) - one) ** n % poly).is_zero()
+                assert sympy_divides(poly, lcm, n)
                 for r in prime_factors(lcm):
-                    assert not ((monomial(lcm // r) - one) ** n % poly).is_zero()
+                    assert not sympy_divides(poly, lcm // r, n)
 
     def test_order_seven_element_in_dimension_eight_collapses(self, monkeypatch):
         # Phi_7 (t - 1)^2 = (t - 1)^8 modulo 7: the element has order 7, and
