@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -90,7 +91,7 @@ def _load_group(source: str) -> BieberbachGroup:
 
 
 def _print_json(obj) -> None:
-    print(json.dumps(obj, indent=2))
+    print(json.dumps(obj, indent=2), flush=True)  # a closed pipe raises inside main
 
 
 # ---------------------------------------------------------------------------
@@ -286,6 +287,9 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.handler(args)
+    except BrokenPipeError:  # the reader left: the rest goes to devnull, as signal's docs advise
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_VALIDATION
     except _VERIFICATION_ERRORS as exc:
         print(f"verification failed: {exc}", file=sys.stderr)
         return EXIT_VERIFICATION

@@ -461,8 +461,8 @@ class IntPolynomial(Frozen):
     of an integer matrix and every cyclotomic product is a tuple of ints.
     ``==``, the hash and ``str`` are those of the mathematical coefficients
     either way. The operations are only those the certificates use: the
-    degree, the zero, monic and integrality tests, the product of two
-    polynomials, reduction modulo a prime, ``==``/hash and ``str``/``repr``.
+    degree, the zero test, the product of two polynomials, reduction
+    modulo a prime, ``==``/hash and ``str``/``repr``.
     """
 
     __slots__ = ("coeffs",)
@@ -480,12 +480,6 @@ class IntPolynomial(Frozen):
 
     def is_zero(self) -> bool:
         return not self.coeffs
-
-    def is_monic(self) -> bool:
-        return bool(self.coeffs) and self.coeffs[-1] == 1
-
-    def is_integral(self) -> bool:
-        return all(c.denominator == 1 for c in self.coeffs)
 
     def __mul__(self, other: IntPolynomial) -> IntPolynomial:
         if self.is_zero() or other.is_zero():

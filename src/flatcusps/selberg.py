@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
+from operator import mul
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence, Union
 
@@ -408,7 +409,7 @@ def verify_certificate(
     other than ``-I``; a word never appends the letter that cancels its
     last one, since that product is already in the ball. ``-I`` is central
     and its own inverse, so it adds only the negations of the words of
-    length below L. Each nontrivial element E is then judged by its
+    length below L. Each element E is then judged by its
     characteristic polynomial ``det(tI - E)``:
 
     - *Trace screen.* Its coefficient ``n-1`` is ``-tr E``. When q does not
@@ -417,9 +418,15 @@ def verify_certificate(
       congruent to n makes the residue differ from that of ``(t-1)^n``. A
       trace of exactly n means infinite order: a rational matrix of finite
       order is diagonalizable with roots of unity as eigenvalues, n of
-      them sum to n only when all are 1, so E would be I, which is not in
-      the ball. This screens out every unipotent element whose denominator
-      q does not divide.
+      them sum to n only when all are 1, so E would be I, which is no
+      counterexample. This screens out every unipotent element whose
+      denominator q does not divide.
+    - *Outer shell.* For L >= 2 the words of length L stay unformed: each
+      word w and letter g are screened on ``D tr(wg) = sum W_ik G_ki``, with
+      ``D = den w den g``. When q does not divide D, ``D (tr - n)`` is a unit
+      times ``den(wg) (tr - n)`` modulo q, so the verdict is the reduced one;
+      an uncleared pair is formed and judged. This path is taken only when
+      the ball so far plus one element per pair fits in ``MAX_WORD_BALL``.
     - *Exact polynomial.* Every other element gets its polynomial, once. A
       prime q dividing one of its denominators is a counterexample; a
       residue unlike that of ``(t-1)^n`` passes.
@@ -468,16 +475,33 @@ def verify_certificate(
                 f"words of length {word_length} exceed MAX_WORD_BALL = {MAX_WORD_BALL} elements"
             )
 
+    def judge(element: Matrix) -> bool:  # False on a counterexample
+        den = element.den
+        gap = sum(row[i] for i, row in enumerate(element.num)) - n * den  # den (tr E - n)
+        if den % q and (gap % q or not gap):
+            return True  # trace screen: a residue unlike (t-1)^n, or infinite order
+        poly = char_poly(element)
+        try:
+            reduced = poly.reduce_mod(q)
+        except ValueError:
+            return False  # q divides a denominator of the characteristic polynomial
+        order = torsion_orders.get(poly)  # None: infinite order
+        return reduced != unipotent_mod or order is None or element ** order != identity
+
     words = {identity}  # products of the letters, the only dedup of the search
     seen = {identity}  # the ball: the words and, with -I, their negations
     frontier = [(identity, -1)]  # (word, index of the letter undoing its last)
     for length in range(word_length):
         if not frontier:
             break  # the ball has stopped growing: the group is finite
+        if negates:
+            for w, _ in frontier:
+                admit(-w)
+        bound = len(seen) + len(frontier) * len(letters)  # as if every shell pair were new
+        if 0 < length == word_length - 1 and bound <= MAX_WORD_BALL:
+            break  # the ball fits: its outer shell is judged below, unformed
         fresh = []
         for w, undo in frontier:
-            if negates:
-                admit(-w)
             for i, g in enumerate(letters):
                 if i == undo:
                     continue
@@ -487,20 +511,17 @@ def verify_certificate(
                     admit(element)
                     fresh.append((element, cancel[i]))
         frontier = fresh
-    seen.remove(identity)
-    for element in seen:
-        den = element.den
-        gap = sum(row[i] for i, row in enumerate(element.num)) - n * den  # den (tr E - n)
-        if den % q and (gap % q or not gap):
-            continue  # trace screen: a residue unlike (t-1)^n, or infinite order
-        poly = char_poly(element)
-        try:
-            reduced = poly.reduce_mod(q)
-        except ValueError:
-            return False  # q divides a denominator of the characteristic polynomial
-        if reduced != unipotent_mod:
-            continue
-        order = torsion_orders.get(poly)
-        if order is not None and element ** order == identity:
-            return False  # nontrivial torsion collapsed onto the unipotent residue
+    else:
+        frontier = []  # every level is formed: no shell is left
+    if not all(map(judge, seen)):
+        return False
+    columns = [(g, sum(zip(*g.num), ())) for g in letters]  # G flattened column-major
+    extend = [columns[:i] + columns[i + 1 :] for i in range(len(letters))]  # all but undo
+    for w, undo in frontier:  # the shell: D tr(wg) = sum W_ik G_ki, D = den w den g
+        flat = sum(w.num, ())
+        for g, column in extend[undo]:
+            den = w.den * g.den
+            gap = sum(map(mul, flat, column)) - n * den  # D (tr wg - n), screened as in judge
+            if not (den % q and (gap % q or not gap)) and not judge(w * g):
+                return False  # an uncleared pair, formed and judged in full
     return True

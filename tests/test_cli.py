@@ -83,6 +83,28 @@ class TestVerifyGroup:
         assert payload["holonomy_order"] == 4
         assert payload["torsion_free"] is True
 
+    def test_closed_stdout_exits_one_without_traceback(self, tmp_path, capsys, monkeypatch):
+        # a reader that stops early (`| head -c 20`): the write raises
+        # BrokenPipeError, and the descriptor behind stdout is pointed at
+        # devnull, so the flush at exit has nowhere to fail
+        with open(tmp_path / "stdout", "wb") as behind:
+
+            class ClosedPipe:
+                def write(self, text):
+                    raise BrokenPipeError(32, "Broken pipe")
+
+                def flush(self):
+                    pass
+
+                def fileno(self):
+                    return behind.fileno()
+
+            monkeypatch.setattr(sys, "stdout", ClosedPipe())
+            assert main(["verify-group", "-g", "hantzsche-wendt"]) == 1
+            os.write(behind.fileno(), b"after the pipe closed")
+        assert (tmp_path / "stdout").read_bytes() == b""
+        assert capsys.readouterr().err == ""
+
     def test_group_with_torsion_exits_two(self, tmp_path, capsys):
         data = {
             "dim": 2,

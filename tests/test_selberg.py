@@ -200,7 +200,7 @@ class TestTorsionPolynomials:
             polys = torsion_polynomials(n)
             assert len(set(polys)) == len(polys)
             assert list(polys) == sorted(polys, key=lambda p: p.coeffs)
-            assert all(p.is_monic() and p.degree == n for p in polys)
+            assert all(p.coeffs[-1] == 1 and p.degree == n for p in polys)
 
     def test_all_roots_on_unit_circle(self):
         # every polynomial divides (t^N - 1)^n for N the lcm of admissible orders
@@ -429,18 +429,65 @@ def _forced(group_input, prime):
 
 
 @pytest.fixture(scope="module")
-def certify_words_inputs():
-    """The benchmark's certify-words inputs: two forms for each 2- and
-    3-dimensional catalog group and one for torus-4, integralized, with
-    ``-I`` among the ambient generators (``perfbench/workloads.py``, read,
-    never changed)."""
+def certify_words_items():
+    """The benchmark's certify-words items ``(name, input, certificate)``:
+    two forms for each 2- and 3-dimensional catalog group and one for
+    torus-4, integralized, with ``-I`` among the ambient generators
+    (``perfbench/workloads.py``, read, never changed)."""
     path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
     spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
     workloads = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(workloads)
     workload = workloads.CertifyWords()
     workload.setup(flatcusps, 0)
-    return [group_input for _, group_input, _ in workload.traced]
+    return list(workload.traced)
+
+
+@pytest.fixture(scope="module")
+def certify_words_inputs(certify_words_items):
+    return [group_input for _, group_input, _ in certify_words_items]
+
+
+def _word_levels(group_input, length):
+    """The distinct generators and inverses other than ``-I``, and the words
+    in them by the length at which each first appears: a plain search with
+    backtracking, apart from the verifier's."""
+    n = group_input.n
+    letters = {m for g in group_input.lambda_gens for m in (g, g.inverse())}
+    letters.discard(-Matrix.identity(n))
+    levels = [{Matrix.identity(n)}]
+    known = set(levels[0])
+    for _ in range(length):
+        levels.append({w * g for w in levels[-1] for g in letters} - known)
+        known |= levels[-1]
+    return letters, levels
+
+
+def _cleared(w, g, q):
+    """The trace screen on ``D (tr wg - n)`` with the unreduced ``D``."""
+    n = w.rows
+    den = w.den * g.den
+    gap = (sum((w * g)[i, i] for i in range(n)) - n) * den
+    assert gap.denominator == 1
+    return den % q != 0 and (gap % q != 0 or gap == 0)
+
+
+def _counted(monkeypatch):
+    """Record the operands of every matrix product and negation."""
+    products, negations = [], []
+    product, negation = Matrix.__mul__, Matrix.__neg__
+
+    def counted_product(a, b):
+        products.append((a, b))
+        return product(a, b)
+
+    def counted_negation(a):
+        negations.append(a)
+        return negation(a)
+
+    monkeypatch.setattr(Matrix, "__mul__", counted_product)
+    monkeypatch.setattr(Matrix, "__neg__", counted_negation)
+    return products, negations
 
 
 _denominators = st.sampled_from([1, 2, 3, 5, 7])
@@ -565,27 +612,148 @@ class TestVerifierAgreesWithReference:
         # u^-1 alone and -I only negates the words shorter than 2: I, u and
         # u^-1 give the 3 negations -I, -u and -u^-1. The words of length
         # one are the letters themselves, with no product, and a word never
-        # appends the letter undoing its last, so u u and u^-1 u^-1 are the
-        # only 2 products (four letters with backtracking take 4 + 3 * 4).
-        calls = []
-        product, negation = Matrix.__mul__, Matrix.__neg__
-
-        def counted_product(a, b):
-            calls.append("product")
-            return product(a, b)
-
-        def counted_negation(a):
-            calls.append("negation")
-            return negation(a)
-
+        # appends the letter undoing its last. The words of length 2 are
+        # the outer shell, left unformed: u u and u^-1 u^-1 have trace
+        # exactly 2, so the trace pairing clears both, and no product is
+        # formed (four letters with backtracking take 4 + 3 * 4).
         group_input = worked_example()
         certificate = good_prime(group_input)
-        monkeypatch.setattr(Matrix, "__mul__", counted_product)
-        monkeypatch.setattr(Matrix, "__neg__", counted_negation)
+        products, negations = _counted(monkeypatch)
         assert verify_certificate(group_input, certificate, word_length=2)
-        assert calls.count("product") == 2
-        assert calls.count("negation") == 3
-        assert len(calls) == 2 + 3
+        assert len(products) == 0
+        assert len(negations) == 3
+
+    @pytest.mark.parametrize("forced", [None, 3])
+    def test_products_are_level_one_and_uncleared_shell_pairs(
+        self, certify_words_inputs, forced, monkeypatch
+    ):
+        # at length 3 the verifier forms the words of length 2, k (k - 1)
+        # products for k letters, and of the shell only the pairs that the
+        # trace screen does not clear, less the one pair of each shell word
+        # that appends the letter undoing its last and so gives a letter.
+        # Only inputs that pass are counted, since a counterexample stops
+        # the search. At the certified primes the screen clears every shell
+        # pair; modulo 3 it does not on third-turn and sixth-turn.
+        cases = []
+        for group_input in certify_words_inputs:
+            certificate = good_prime(group_input)
+            if forced is not None:
+                certificate = _forced(group_input, forced)
+            if verify_certificate(group_input, certificate, 3):
+                q = certificate.prime
+                letters, levels = _word_levels(group_input, 2)
+                inverse = {g: g.inverse() for g in letters}
+                uncleared = {w: {g for g in letters if not _cleared(w, g, q)} for w in levels[2]}
+                back = {w: {g for g in letters if w * g in letters} for w in levels[2]}
+                shell = {w: (uncleared[w], back[w]) for w in levels[2]}
+                cases.append((group_input, certificate, inverse, shell))
+        assert len(cases) >= 4
+        uncleared_in_all = sum(len(u) for *_, shell in cases for u, _ in shell.values())
+        assert (uncleared_in_all > 0) is (forced is not None)
+        products, _ = _counted(monkeypatch)
+        for group_input, certificate, inverse, shell in cases:
+            products.clear()
+            assert verify_certificate(group_input, certificate, 3) is True
+            level_one = [(a, b) for a, b in products if a in inverse]
+            k = len(inverse)
+            assert len(set(level_one)) == len(level_one) == k * (k - 1)
+            assert all(b != inverse[a] for a, b in level_one)
+            formed = [(a, b) for a, b in products if a in shell]
+            assert len(level_one) + len(formed) == len(products)
+            for w, (uncleared, back) in shell.items():
+                appended = [b for a, b in formed if a == w]
+                skipped = uncleared - set(appended)
+                assert len(set(appended)) == len(appended) and set(appended) <= uncleared
+                assert len(skipped) <= 1 and skipped <= back
+                assert skipped or back - uncleared  # the skipped letter, when cleared
+
+
+class TestOuterShell:
+    """Edge cases of the outer shell, each against the reference verifier."""
+
+    def agree(self, group_input, primes, lengths):
+        for q in primes:
+            certificate = _forced(group_input, q)
+            for length in lengths:
+                expected = ref_verify_certificate(group_input, certificate, length)
+                assert verify_certificate(group_input, certificate, length) is expected
+
+    def test_q_divides_the_unreduced_denominator_only(self):
+        # a^-1 b = diag(1/3, 3) is a word of length 2 and (a^-1 b) c =
+        # diag(1, 6): 3 divides D = 3 but not the reduced denominator. A
+        # letter whose denominator q divides is itself a counterexample (q
+        # then divides the numerator of its inverse's determinant, so its
+        # polynomial's constant term has q in its denominator), and the
+        # letters are judged before the shell
+        a, b, c = Matrix.diagonal([3, 1]), Matrix.diagonal([1, 3]), Matrix.diagonal([3, 2])
+        w = a.inverse() * b
+        assert w.den * c.den % 3 == 0 and (w * c).den % 3 != 0
+        group_input = MatrixGroupInput(2, [a, b, c])
+        letters, levels = _word_levels(group_input, 2)
+        assert w in levels[2] and c in letters
+        self.agree(group_input, [3], [2, 3])
+        assert verify_certificate(group_input, _forced(group_input, 3), 3) is False
+
+    def test_unreduced_denominator_prime_to_q(self):
+        # D = den w den g exceeds den(wg) on some shell pairs, and the
+        # screen on D (tr - n) gives the verdict of the reduced element
+        a, b = Matrix([[2, 0], [0, F(1, 2)]]), Matrix([[1, F(1, 2)], [0, 1]])
+        group_input = MatrixGroupInput(2, [a, b])
+        letters, levels = _word_levels(group_input, 2)
+        assert any((w * g).den < w.den * g.den for w in levels[2] for g in letters)
+        self.agree(group_input, [3, 5, 7, 11], [2, 3])
+
+    def test_shell_of_duplicates(self, certify_words_items):
+        # commuting translations: the 8 words of length 2 and 3 letters each
+        # (4 less the one undoing the last) make 24 shell pairs but 12 new
+        # elements, and the other 12 pairs repeat them
+        inputs = [group_input for name, group_input, _ in certify_words_items if name == "torus-2"]
+        assert len(inputs) == 2
+        for group_input in inputs:
+            letters, levels = _word_levels(group_input, 3)
+            assert (len(levels[2]), len(letters), len(levels[3])) == (8, 4, 12)
+            self.agree(group_input, [good_prime(group_input).prime, 2, 3, 5], [3])
+
+    def test_negation_of_a_frontier_word_is_a_shell_product(self):
+        # r has order 6 and r^3 = -I: at length 2 the frontier words r and
+        # r^-1 have negations r^-2 and r^2, both shell products; r^2 has
+        # order 3 and collapses modulo 3
+        r = Matrix([[1, -1], [1, 0]])
+        group_input = MatrixGroupInput(2, [r, NEG_IDENTITY_2])
+        assert -r == r.inverse() * r.inverse()
+        self.agree(group_input, [2, 3, 5, 7], [2, 3])
+        assert verify_certificate(group_input, _forced(group_input, 3), 2) is False
+
+    def test_counterexample_only_in_the_shell(self):
+        # every word of length at most 2 in u and l has trace 1, 2 or 3,
+        # odd or exactly 2, so it passes modulo 2; u l^-1 u is the quarter
+        # turn, whose t^2 + 1 collapses onto (t - 1)^2
+        u, l = Matrix([[1, 1], [0, 1]]), Matrix([[1, 0], [1, 1]])
+        assert u * l.inverse() * u == Matrix([[0, 1], [-1, 0]])
+        group_input = MatrixGroupInput(2, [u, l])
+        self.agree(group_input, [2], [2, 3])
+        certificate = _forced(group_input, 2)
+        assert verify_certificate(group_input, certificate, 2) is True
+        assert verify_certificate(group_input, certificate, 3) is False
+
+    def test_cap_is_exact_across_the_shell_bound(self, certify_words_items, monkeypatch):
+        # torus-2 at length 3: the shell bound counts every pair as new, so
+        # it exceeds the distinct ball, and the cap still counts only that
+        group_input = next(g for name, g, _ in certify_words_items if name == "torus-2")
+        certificate = good_prime(group_input)
+        letters, levels = _word_levels(group_input, 3)
+        inner = set().union(*levels[:3])
+        inner |= {-w for w in inner}
+        distinct = len(inner | levels[3])
+        bound = len(inner) + len(levels[2]) * len(letters)
+        assert distinct < bound
+        for cap in (distinct, bound):
+            monkeypatch.setattr(selberg, "MAX_WORD_BALL", cap)
+            assert verify_certificate(group_input, certificate, 3) is True
+        monkeypatch.setattr(selberg, "MAX_WORD_BALL", distinct - 1)
+        message = f"words of length 3 exceed MAX_WORD_BALL = {distinct - 1} elements"
+        with pytest.raises(ValueError, match=message):
+            verify_certificate(group_input, certificate, 3)
 
 
 class TestCertifiedPrimeVerifies:
