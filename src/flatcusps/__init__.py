@@ -73,7 +73,6 @@ from .selberg import (
 from .shapes import (
     RealForm,
     ShapeDescriptor,
-    best_rational_approx,
     is_arithmetic_shape,
     rationalize,
     shape_distance,
@@ -110,7 +109,6 @@ __all__ = [
     "ValidationError",
     "VerificationReport",
     "bad_primes",
-    "best_rational_approx",
     "catalog",
     "catalog_names",
     "char_poly",

@@ -35,7 +35,7 @@ from .bieberbach import (
     theta_average,
     translation_lattice,
 )
-from .errors import NotPositiveDefinite
+from .errors import InvariantViolation, NotPositiveDefinite
 from .exactlin import Frozen, Matrix, SymmetricForm
 from .lorentz import (
     LorentzEmbedding,
@@ -203,18 +203,18 @@ def _pipeline_legs(
     group: BieberbachGroup,
     shape: ShapeDescriptor,
     lattice: Optional[Matrix],
-) -> tuple[bool, Optional[int], Optional[str]]:
-    """Embed, integralize and verify; with a lattice, add the prime.
+) -> Optional[int]:
+    """Embed, integralize and verify; with a lattice, return the prime.
 
     :func:`integralize` checks the rational images: it decodes each one.
-    Decoding the integral images checks its closed-form rescaling."""
+    Decoding the integral images checks its closed-form rescaling; a
+    failure raises ``InvariantViolation``, like every other leg's."""
     integral, scale = integralize(embed_group(group, shape))
     if not verify_embedding(integral).overall:
-        return False, None, "re-verification after integralization failed"
-    prime = None
-    if lattice is not None:
-        prime = _congruence_prime(integral, lattice, scale)
-    return True, prime, None
+        raise InvariantViolation("re-verification after integralization failed")
+    if lattice is None:
+        return None
+    return _congruence_prime(integral, lattice, scale)
 
 
 def _congruence_prime(embedding: LorentzEmbedding, lattice: Matrix, scale: int) -> int:
@@ -273,7 +273,8 @@ def run_experiment(
             reason: Optional[str] = None
             if needs_pipeline:
                 try:
-                    pipeline_ok, prime, reason = _pipeline_legs(group, shape, lattice)
+                    prime = _pipeline_legs(group, shape, lattice)
+                    pipeline_ok = True
                 except ValueError as exc:  # every leg failure is a ValueError
                     pipeline_ok, reason = False, f"{type(exc).__name__}: {exc}"
             rows.append(DensityRow(sample_id, bound, error, pipeline_ok, prime, reason))

@@ -4,14 +4,13 @@ For a finitely generated subgroup of ``GL(n; Q)`` containing a unipotent
 subgroup, reduction modulo a well-chosen prime ``q`` produces a torsion
 free, finite index congruence subgroup containing the unipotent part. The
 prime must avoid three finite bad sets: primes up to ``n`` (small
-characteristic), primes dividing a denominator of a generator or of an
-ambient generator's inverse (not invertible in the coefficient ring), and
-primes modulo which some degree-n torsion characteristic polynomial
-collapses onto ``(t-1)^n``. Torsion
-characteristic polynomials are exactly the degree-n products of cyclotomic
-polynomials other than ``(t-1)^n`` itself, a finite enumerable set, and
-the primes modulo which one of them collapses are exactly the primes up
-to ``n + 1``.
+characteristic), the primes of :meth:`MatrixGroupInput.denominators`
+(reduction is undefined on a generator or an inverse), and primes modulo
+which some degree-n torsion characteristic polynomial collapses onto
+``(t-1)^n``. Torsion characteristic polynomials are exactly the degree-n
+products of cyclotomic polynomials other than ``(t-1)^n`` itself, a
+finite enumerable set, and the primes modulo which one of them collapses
+are exactly the primes up to ``n + 1``.
 
 The certificate produced here records the prime, the polynomial list, the
 bad primes with reasons, and the residue evidence; an independent
@@ -176,7 +175,6 @@ def cyclotomic_polynomial(d: int) -> IntPolynomial:
     return IntPolynomial(coeffs)
 
 
-@lru_cache(maxsize=None)
 def _admissible_orders(n: int) -> tuple[int, ...]:
     """Orders d of roots of unity with degree ``phi(d) <= n``.
 
@@ -257,9 +255,7 @@ class MatrixGroupInput(Frozen):
     ``(t-1)^n``; this is checked by :func:`good_prime`, not at
     construction, so that violations surface as ``UnipotentViolation``).
     ``determinants`` holds the determinant of each ambient generator, in
-    order; a zero one raises ``ValueError``. Its numerators carry the
-    primes of the inverses' denominators that the generators' own
-    denominators do not (see :func:`bad_primes`).
+    order; a zero one raises ``ValueError``.
     """
 
     __slots__ = ("n", "lambda_gens", "gamma_gens", "determinants")
@@ -287,9 +283,19 @@ class MatrixGroupInput(Frozen):
         super().__init__(n, lams, gams, determinants)
 
     def denominators(self) -> list[int]:
-        """Generator denominators other than 1, each the lcm of its entries'
-        denominators, so with the same primes."""
-        return sorted({m.den for m in self.lambda_gens + self.gamma_gens if m.den != 1})
+        """The integers whose primes are not units for this group, ascending.
+
+        Each generator's ``den`` (the lcm of its entries' denominators, so
+        with the same primes) and the numerator of each ambient generator's
+        determinant, leaving out 1. Reduction modulo q is defined on every
+        generator and every inverse exactly when q divides none of them:
+        for q not dividing ``den m``, ``m^-1 = adj(m) / det m`` has q in a
+        denominator exactly when q divides the numerator of ``det m``.
+        """
+        dens = {m.den for m in self.lambda_gens + self.gamma_gens}
+        dens.update(abs(d.numerator) for d in self.determinants)
+        dens.discard(1)
+        return sorted(dens)
 
 
 class ResidueEvidence(Frozen):
@@ -336,9 +342,9 @@ def bad_primes(group_input: MatrixGroupInput) -> dict[int, tuple[str, ...]]:
     """Primes that must be excluded, each with its reasons.
 
     Three sources: primes at most ``n`` (small residue characteristic),
-    primes dividing a denominator of a generator or of the inverse of an
-    ambient generator (invertible in the coefficient ring, so unusable for
-    reduction), and the primes at most ``n + 1``,
+    the primes of :meth:`MatrixGroupInput.denominators` (not units, so
+    reduction is undefined on a generator or an inverse), and the primes
+    at most ``n + 1``,
     modulo which some degree-n torsion polynomial collapses onto
     ``(t-1)^n``. Modulo p, ``Phi_{p^k m} = Phi_m^{phi(p^k)}`` for p not
     dividing m and ``Phi_m(1) != 0`` for m > 1, so a product of cyclotomic
@@ -347,19 +353,12 @@ def bad_primes(group_input: MatrixGroupInput) -> dict[int, tuple[str, ...]]:
     that factor is some ``Phi_{p^k}`` with k >= 1, of degree at least
     ``p - 1``, and ``p <= n + 1``. Conversely, ``Phi_p Phi_1^{n-p+1}``
     collapses for every prime ``p <= n + 1``.
-
-    The ``denominator`` primes are those of each generator denominator and
-    of the numerator of each ambient generator's determinant: for p not
-    dividing ``den m``, ``m^-1 = adj(m) / det m`` has p in a denominator
-    exactly when p divides the numerator of ``det m``. Determinants ``±1``
-    add no prime.
     """
     n = group_input.n
     reasons = {p: {REASON_COEFFICIENT_DIVISOR} for p in filter(is_prime, range(2, n + 2))}
     for p in filter(is_prime, range(2, n + 1)):
         reasons[p].add(REASON_SMALL_CHARACTERISTIC)
-    numerators = {abs(d.numerator) for d in group_input.determinants}
-    for den in numerators.union(group_input.denominators()):
+    for den in group_input.denominators():
         for p in prime_factors(den):
             reasons.setdefault(p, set()).add(REASON_DENOMINATOR)
     return {p: tuple(sorted(rs)) for p, rs in sorted(reasons.items())}
@@ -391,8 +390,7 @@ def good_prime(group_input: MatrixGroupInput) -> SelbergCertificate:
     evidence = _residue_evidence(n, q)
     if not all(e.distinct for e in evidence):
         raise InvariantViolation(f"a torsion polynomial collapses modulo {q}")
-    numerators = (d.numerator for d in group_input.determinants)
-    if q <= n or any(d % q == 0 for d in (*group_input.denominators(), *numerators)):
+    if q <= n or any(d % q == 0 for d in group_input.denominators()):
         raise InvariantViolation(f"prime {q} is small or divides a denominator")
     return SelbergCertificate(n, q, torsion_polynomials(n), bad, evidence)
 
@@ -437,8 +435,10 @@ def verify_certificate(
       lcm of the orders of the polynomial's cyclotomic factors is the
       identity.
 
-    Returns False on any counterexample (including a prime that divides a
-    generator denominator), True otherwise. A verifier, not a prover:
+    Returns False, before enumerating, when q is not a unit for the group
+    (it divides an integer of :meth:`MatrixGroupInput.denominators`, so
+    reduction is undefined on a generator or an inverse); otherwise False on
+    any counterexample, True when there is none. A verifier, not a prover:
     word_length bounds the search. A negative one, or one whose ball would
     hold more than ``MAX_WORD_BALL`` elements, raises ``ValueError``; a
     certificate of another degree than the group raises ``DimensionMismatch``.
@@ -453,7 +453,7 @@ def verify_certificate(
     if not is_prime(q):
         return False
     if any(d % q == 0 for d in group_input.denominators()):
-        return False  # reduction modulo q is undefined on these generators
+        return False  # reduction modulo q is undefined on a generator or an inverse
     n = group_input.n
     unipotent_mod = unipotent_polynomial(n).reduce_mod(q)
     torsion_orders = _torsion_orders(n)
@@ -475,11 +475,13 @@ def verify_certificate(
                 f"words of length {word_length} exceed MAX_WORD_BALL = {MAX_WORD_BALL} elements"
             )
 
+    def cleared(den: int, gap: int):  # the trace screen on gap = den (tr - n)
+        return den % q and (gap % q or not gap)  # a residue unlike (t-1)^n, or infinite order
+
     def judge(element: Matrix) -> bool:  # False on a counterexample
         den = element.den
-        gap = sum(row[i] for i, row in enumerate(element.num)) - n * den  # den (tr E - n)
-        if den % q and (gap % q or not gap):
-            return True  # trace screen: a residue unlike (t-1)^n, or infinite order
+        if cleared(den, sum(row[i] for i, row in enumerate(element.num)) - n * den):
+            return True
         poly = char_poly(element)
         try:
             reduced = poly.reduce_mod(q)
@@ -521,7 +523,6 @@ def verify_certificate(
         flat = sum(w.num, ())
         for g, column in extend[undo]:
             den = w.den * g.den
-            gap = sum(map(mul, flat, column)) - n * den  # D (tr wg - n), screened as in judge
-            if not (den % q and (gap % q or not gap)) and not judge(w * g):
+            if not cleared(den, sum(map(mul, flat, column)) - n * den) and not judge(w * g):
                 return False  # an uncleared pair, formed and judged in full
     return True

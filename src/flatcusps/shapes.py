@@ -107,19 +107,6 @@ def _limit_denominator(num: int, den: int, bound: int) -> tuple[int, int]:
     return p0 + k * p1, q
 
 
-def best_rational_approx(value: Fraction, max_denominator: int) -> Fraction:
-    """Closest rational with denominator at most ``max_denominator``.
-
-    Equal to ``value.limit_denominator(max_denominator)``, ties included:
-    the continued-fraction walk of :func:`_limit_denominator`, which gives
-    the optimal approximation for the bound; the test suite cross-checks
-    it against the standard library and against brute force.
-    """
-    if max_denominator < 1:
-        raise ValueError("denominator bound must be at least 1")
-    return Fraction(*_limit_denominator(value.numerator, value.denominator, max_denominator))
-
-
 def rationalize(
     target: Union[RealForm, SymmetricForm],
     theta: HolonomyGroup,
@@ -132,22 +119,20 @@ def rationalize(
     rational with denominator at most ``denom_bound``, and the rounded
     matrix is averaged again so invariance holds exactly. Before the final
     average each entry is within ``1/denom_bound`` of the averaged target.
-    A target that is already exactly invariant, such as the output of
+    A target that is already an arithmetic shape for the group
+    (:func:`is_arithmetic_shape`), such as the output of
     :func:`theta_average`, is its own average and is rounded as it is.
-    ``NotPositiveDefinite`` is raised when the target is not positive
-    definite, or when rounding destroys definiteness; callers should then
-    retry with a larger bound.
+    ``DimensionMismatch`` is raised for a target of the wrong size, and
+    ``NotPositiveDefinite`` when the target is not positive definite, or
+    when rounding destroys definiteness; callers should then retry with a
+    larger bound.
     """
     if denom_bound < 1:
         raise ValueError("denominator bound must be at least 1")
     exact = target.to_exact() if isinstance(target, RealForm) else target
-    # theta_average also raises for a target of the wrong size or one that
-    # is not positive definite
-    if (
-        exact.dim == theta.dim
-        and all(preserves_form(g, exact.matrix) for g in theta.elements)
-        and is_positive_definite(exact)
-    ):
+    # ShapeDescriptor raises for a target of the wrong size, theta_average
+    # for one that is not positive definite
+    if is_arithmetic_shape(ShapeDescriptor(theta.group, exact), theta):
         averaged = exact
     else:
         averaged = theta_average(exact, theta)

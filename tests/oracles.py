@@ -25,6 +25,7 @@ import math
 import operator
 from fractions import Fraction
 
+from flatcusps import lorentz
 from flatcusps.bieberbach import (
     AffineMap,
     BieberbachGroup,
@@ -571,8 +572,9 @@ def ref_verify_certificate(
     denominators is a counterexample), and a residue equal to that of
     ``(t-1)^n`` is a counterexample when the element is torsion, decided
     exactly by raising it to the lcm of all possible torsion orders in
-    ``GL(n; Q)``. Returns False on any counterexample (including a prime
-    that divides a generator denominator), True otherwise. A verifier, not
+    ``GL(n; Q)``. Returns False when q divides an integer of
+    ``denominators()`` (reduction modulo q is then undefined on a generator
+    or an inverse) and on any counterexample, True otherwise. A verifier, not
     a prover: word_length bounds the search. A negative one, or one whose
     ball would hold more than ``MAX_WORD_BALL`` elements, raises
     ``ValueError``.
@@ -583,7 +585,7 @@ def ref_verify_certificate(
     if not is_prime(q):
         return False
     if any(d % q == 0 for d in group_input.denominators()):
-        return False  # reduction modulo q is undefined on these generators
+        return False  # reduction modulo q is undefined on a generator or an inverse
     n = group_input.n
     unipotent = unipotent_polynomial(n)
     unipotent_mod = unipotent.reduce_mod(q)
@@ -621,3 +623,15 @@ def ref_verify_certificate(
         if reduced == unipotent_mod and element ** order_bound == identity:
             return False  # nontrivial torsion collapsed onto the unipotent residue
     return True
+
+
+def bump_conjugate(monkeypatch) -> None:
+    """Make ``lorentz._conjugate`` add 1 to entry (0, 0) of every image it
+    rescales: the images stay integral but no longer decode."""
+    conjugate = lorentz._conjugate
+
+    def bumped(image: Matrix, n: int, c: int) -> Matrix:
+        m = conjugate(image, n, c)
+        return m + Matrix([[int(i == j == 0) for j in range(m.cols)] for i in range(m.rows)])
+
+    monkeypatch.setattr(lorentz, "_conjugate", bumped)

@@ -14,6 +14,8 @@ from flatcusps.cli import main
 from flatcusps.serialize import form_to_dict, group_to_dict
 from flatcusps.exactlin import SymmetricForm
 
+from oracles import bump_conjugate
+
 
 def write_json(path, payload):
     path.write_text(json.dumps(payload), encoding="utf-8")
@@ -448,6 +450,19 @@ class TestDensity:
         assert code == 2
         lines = out_csv.read_text(encoding="utf-8").splitlines()
         assert all(line.endswith(",false,") for line in lines[1:])
+
+    def test_failed_reverification_exits_two(self, tmp_path, capsys, monkeypatch):
+        bump_conjugate(monkeypatch)
+        out_csv, out_json = tmp_path / "rows.csv", tmp_path / "rows.json"
+        code = main(
+            ["density", "-g", "torus-2", "--samples", "2", "--denoms", "10",
+             "--seed", "8", "--pipeline", "-o", str(out_csv), "--json", str(out_json)]
+        )
+        assert code == 2
+        assert capsys.readouterr().err == "2 rows failed pipeline verification\n"
+        payload = json.loads(out_json.read_text(encoding="utf-8"))
+        assert [row["pipeline_ok"] for row in payload] == [False, False]
+        assert all(row["reason"].startswith("InvariantViolation:") for row in payload)
 
     @pytest.mark.parametrize("flag", ["-o", "--json"])
     def test_unwritable_output_exits_one(self, tmp_path, capsys, flag):

@@ -17,6 +17,8 @@ from flatcusps.density import (
 from flatcusps.exactlin import is_positive_definite
 from flatcusps.shapes import RealForm
 
+from oracles import bump_conjugate
+
 # First outputs of the fixed-constant generator; any change to the
 # constants or the bit extraction is a reproducibility break.
 GOLDEN_U64 = [1442695040888963407, 1876011003808476466, 11166244414315200793]
@@ -209,6 +211,19 @@ class TestRunExperiment:
         assert rows[0].pipeline_ok is True
         assert rows[0].selberg_prime is not None
         assert rows[0].reason is None
+
+    @pytest.mark.parametrize("torus_manifold", [False, True])
+    def test_failed_reverification_is_an_invariant_violation(self, monkeypatch, torus_manifold):
+        # integralize's rescaling shifted by an integer: the images stay
+        # integral, but decoding them no longer gives the generators back
+        bump_conjugate(monkeypatch)
+        config = ExperimentConfig(
+            catalog("torus-2"), 1, [10], 8, run_pipeline=True, torus_manifold_mode=torus_manifold
+        )
+        [row] = run_experiment(config)
+        assert row.pipeline_ok is False and row.selberg_prime is None
+        assert row.reason == "InvariantViolation: re-verification after integralization failed"
+        assert rows_to_json([row])[0]["reason"].startswith("InvariantViolation:")
 
     def test_explicit_target_count_checked(self):
         group = catalog("torus-2")

@@ -384,13 +384,24 @@ class TestVerifyCertificate:
             verify_certificate(group_input, small, word_length=1)
 
     def test_prime_dividing_element_denominator_fails(self):
-        # the generator diag(3, 1) is integral, so q = 3 passes the generator
-        # check; its inverse diag(1/3, 1) has 3 in a denominator of its
-        # characteristic polynomial, which reduction modulo 3 cannot handle
+        # the generator diag(3, 1) is integral, but its inverse diag(1/3, 1)
+        # is not: 3 divides the numerator of the generator's determinant
         group_input = MatrixGroupInput(2, [Matrix.diagonal([3, 1])])
         polys = torsion_polynomials(2)
         forced = SelbergCertificate(2, 3, polys, {}, ())
         assert not verify_certificate(group_input, forced, word_length=1)
+
+    @pytest.mark.parametrize("length", range(4))
+    def test_verdict_does_not_depend_on_the_presentation(self, length, monkeypatch):
+        # <diag(5, 1)> = <diag(1/5, 1)>: 5 is in a denominator of one
+        # generator or of its inverse, so reduction modulo 5 is undefined on
+        # both presentations, and each is refused before any product
+        products, negations = _counted(monkeypatch)
+        for m in (Matrix.diagonal([5, 1]), Matrix.diagonal([F(1, 5), 1])):
+            group_input = MatrixGroupInput(2, [m])
+            assert group_input.denominators() == [5]
+            assert verify_certificate(group_input, _forced(group_input, 5), length) is False
+        assert products == negations == []
 
     def test_finite_group_stops_when_the_ball_stops_growing(self):
         # <-I> saturates after one step; a loop that kept making empty
@@ -523,9 +534,10 @@ def _rational_groups(draw, entries=_entries):
     matrices (characteristic polynomial ``(t-1)^n``); or ``-I`` itself, or
     a conjugate of a signed n-cycle whose signs multiply to -1, so that
     its n-th power is ``-I``. These two put ``-I`` among the letters or in
-    the ball, where a word may equal a negated one. When q divides a
-    generator denominator the next prime that divides none replaces it, so
-    q may divide a denominator of an inverse only. Integer ``entries``
+    the ball, where a word may equal a negated one. When q divides an
+    integer of ``denominators()``, a generator denominator or the numerator
+    of a generator's determinant, the next prime that divides none replaces
+    it, so q is a unit in every generator and inverse. Integer ``entries``
     make the arbitrary generators and the conjugating matrices integral,
     mostly of determinant other than ±1, whose inverses have denominators.
     """
@@ -586,6 +598,19 @@ class TestVerifierAgreesWithReference:
         certificate = _forced(group_input, prime)
         expected = ref_verify_certificate(group_input, certificate, length)
         assert verify_certificate(group_input, certificate, length) is expected
+
+    @settings(max_examples=100, deadline=None)
+    @given(drawn=_rational_groups(), data=st.data(), length=st.integers(min_value=0, max_value=2))
+    def test_inverting_a_generator_keeps_the_verdict(self, drawn, data, length):
+        # the same group, presented with one ambient generator inverted
+        group_input, _ = drawn
+        generators = list(group_input.lambda_gens)
+        i = data.draw(st.integers(min_value=0, max_value=len(generators) - 1))
+        generators[i] = generators[i].inverse()
+        inverted = MatrixGroupInput(group_input.n, generators, group_input.gamma_gens)
+        for q in (2, 3, 5, 7):
+            verdict = verify_certificate(group_input, _forced(group_input, q), length)
+            assert verify_certificate(inverted, _forced(inverted, q), length) is verdict
 
     def test_quarter_turn_collapses_mod_two(self):
         # trace 0 = 2 (mod 2) passes the screen; t^2 + 1 = (t - 1)^2 (mod 2)
@@ -680,11 +705,10 @@ class TestOuterShell:
 
     def test_q_divides_the_unreduced_denominator_only(self):
         # a^-1 b = diag(1/3, 3) is a word of length 2 and (a^-1 b) c =
-        # diag(1, 6): 3 divides D = 3 but not the reduced denominator. A
-        # letter whose denominator q divides is itself a counterexample (q
-        # then divides the numerator of its inverse's determinant, so its
-        # polynomial's constant term has q in its denominator), and the
-        # letters are judged before the shell
+        # diag(1, 6): 3 divides D = 3 but not the reduced denominator. No
+        # such pair reaches the shell: q divides D only when it divides a
+        # letter's denominator, so a generator's denominator or determinant
+        # numerator, and then the certificate is refused before enumerating
         a, b, c = Matrix.diagonal([3, 1]), Matrix.diagonal([1, 3]), Matrix.diagonal([3, 2])
         w = a.inverse() * b
         assert w.den * c.den % 3 == 0 and (w * c).den % 3 != 0

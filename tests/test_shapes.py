@@ -14,7 +14,7 @@ from flatcusps.shapes import (
     RealForm,
     ShapeDescriptor,
     _entries_as_floats,
-    best_rational_approx,
+    _limit_denominator,
     is_arithmetic_shape,
     rationalize,
     shape_distance,
@@ -74,7 +74,8 @@ class TestExactDefinitenessGate:
 
     def test_wrong_size_target_rejected(self):
         theta = holonomy(catalog("torus-2"))
-        with pytest.raises(DimensionMismatch):
+        message = "form dimension 3 does not match group dimension 2"
+        with pytest.raises(DimensionMismatch, match=message):
             rationalize(RealForm([[1.0, 2.0, 0.0], [2.0, 1.0, 0.0], [0.0, 0.0, 1.0]]), theta, 10)
 
     def test_tiny_pivot_decided_exactly(self):
@@ -88,10 +89,15 @@ class TestExactDefinitenessGate:
         assert shape_distance(target, shape.form) < 1e-12
 
 
+def limited(x, bound):
+    """:func:`_limit_denominator` on a fraction, as a fraction."""
+    return F(*_limit_denominator(x.numerator, x.denominator, bound))
+
+
 class TestBestRationalApprox:
     def test_one_over_pi(self):
         x = F(1 / math.pi)
-        assert best_rational_approx(x, 1000) == F(113, 355)
+        assert limited(x, 1000) == F(113, 355)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -99,7 +105,7 @@ class TestBestRationalApprox:
         bound=st.integers(min_value=1, max_value=120),
     )
     def test_matches_brute_force(self, x, bound):
-        ours = best_rational_approx(x, bound)
+        ours = limited(x, bound)
         assert ours.denominator <= bound
         _, best_error = brute_best_rational(x, bound)
         assert abs(x - ours) == best_error
@@ -121,32 +127,32 @@ class TestBestRationalApproxIsLimitDenominator:
         bound=st.one_of(st.integers(1, 20), st.integers(1, 10**7)),
     )
     def test_matches(self, x, bound):
-        assert best_rational_approx(x, bound) == x.limit_denominator(bound)
+        assert limited(x, bound) == x.limit_denominator(bound)
 
     @settings(max_examples=100, deadline=None)
     @given(data=st.data(), bound=st.integers(1, 50))
     def test_midpoint_between_two_candidates(self, data, bound):
         small = st.fractions(min_value=-5, max_value=5, max_denominator=bound)
         x = (data.draw(small) + data.draw(small)) / 2
-        assert best_rational_approx(x, bound) == x.limit_denominator(bound)
+        assert limited(x, bound) == x.limit_denominator(bound)
 
     @pytest.mark.parametrize("bound", range(1, 13))
     def test_exact_ties(self, bound):
         # equally close to both neighbours; the convergent wins, as in
         # limit_denominator
         for x in farey_midpoints(bound):
-            assert best_rational_approx(x, bound) == x.limit_denominator(bound), x
-            assert best_rational_approx(-x, bound) == (-x).limit_denominator(bound), x
+            assert limited(x, bound) == x.limit_denominator(bound), x
+            assert limited(-x, bound) == (-x).limit_denominator(bound), x
 
     def test_bound_one(self):
         for x in (F(1, 2), F(-1, 2), F(3, 2), F(-5, 2), F(1, 3), F(-2, 3), F(7)):
-            assert best_rational_approx(x, 1) == x.limit_denominator(1), x
-        assert best_rational_approx(F(1, 2), 1) == 0
-        assert best_rational_approx(F(-1, 2), 1) == -1
+            assert limited(x, 1) == x.limit_denominator(1), x
+        assert limited(F(1, 2), 1) == 0
+        assert limited(F(-1, 2), 1) == -1
 
     def test_denominator_within_bound_is_returned(self):
         for x in (F(-7, 9), F(5, 9), F(0), F(-3)):
-            assert best_rational_approx(x, 9) == x
+            assert limited(x, 9) == x
 
 
 def reference_rationalize(form, theta, bound):
