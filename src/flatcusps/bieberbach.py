@@ -26,6 +26,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
+from operator import mul
 from typing import Iterable, Optional, Sequence
 
 from .errors import (
@@ -44,11 +45,10 @@ from .exactlin import (
     Vector,
     congruent_rows,
     has_integer_solution,
+    integer_row_hermite,
     is_positive_definite,
-    lattice_basis,
     null_space,
-    vec,
-    vec_add,
+    rat,
 )
 
 #: Default ceiling for holonomy closures. It bounds the work a presentation
@@ -64,13 +64,22 @@ _CACHE_SIZE = 128
 
 
 class AffineMap(Frozen):
-    """Invertible affine map ``x -> A x + t`` with rational coefficients."""
+    """Invertible affine map ``x -> A x + t`` with rational coefficients.
 
-    __slots__ = ("linear", "translation")
+    Stored as the linear part ``linear`` (a :class:`Matrix`) and the
+    translation's integer numerators ``num`` over one denominator ``den``:
+    ``t_i = num[i] / den``. The form is canonical, as for ``Matrix``, with
+    ``den > 0`` and ``gcd(den, *num) = 1``, so equal maps have equal
+    ``(linear, num, den)`` and ``==`` and ``hash`` compare those. Composition
+    and inversion work on the integers and reduce their result once.
+    ``translation`` (a tuple of ``Fraction``) is the view at the boundary.
+    """
+
+    __slots__ = ("linear", "num", "den")
 
     def __init__(self, linear, translation: Sequence[Scalar]):
         m = linear if isinstance(linear, Matrix) else Matrix(linear)
-        t = vec(translation)
+        t = [x if type(x) is int else rat(x) for x in translation]
         if not m.is_square():
             raise DimensionMismatch("linear part must be square")
         if len(t) != m.rows:
@@ -79,11 +88,14 @@ class AffineMap(Frozen):
             )
         if m.det() == 0:
             raise ValueError("linear part is singular")
-        super().__init__(m, t)
+        # each entry is in lowest terms, so the numerators over the lcm of
+        # the denominators are already canonical
+        den = math.lcm(*(x.denominator for x in t))
+        super().__init__(m, tuple(x.numerator * (den // x.denominator) for x in t), den)
 
     @staticmethod
     def identity(dim: int) -> AffineMap:
-        return AffineMap(Matrix.identity(dim), [0] * dim)
+        return _affine(Matrix.identity(dim), (0,) * dim, 1)
 
     @staticmethod
     def translation_by(t: Sequence[Scalar]) -> AffineMap:
@@ -93,15 +105,24 @@ class AffineMap(Frozen):
     def dim(self) -> int:
         return self.linear.rows
 
+    @property
+    def translation(self) -> Vector:
+        """The translation as a tuple of ``Fraction``."""
+        den = self.den
+        return tuple(Fraction(x, den) for x in self.num)
+
     def inverse(self) -> AffineMap:
+        """``(A^-1, -A^-1 t)``: with ``A^-1 = Q / q``, the translation is
+        ``-Q num`` over ``q den``."""
         inv = self.linear.inverse()
-        return AffineMap(inv, tuple(-x for x in inv.matvec(self.translation)))
+        shift = tuple(-sum(map(mul, row, self.num)) for row in inv.num)
+        return _affine(inv, shift, inv.den * self.den)
 
     def is_translation(self) -> bool:
         return self.linear.is_identity()
 
     def is_identity(self) -> bool:
-        return self.is_translation() and not any(self.translation)
+        return self.is_translation() and not any(self.num)
 
     def __mul__(self, other: AffineMap) -> AffineMap:
         return compose(self, other)
@@ -119,14 +140,34 @@ class AffineMap(Frozen):
         return f"AffineMap({self.linear!r}, [{t}])"
 
 
+def _affine(linear: Matrix, num: tuple, den: int) -> AffineMap:
+    """The map ``(linear, num / den)`` in canonical form, for an invertible
+    ``linear``, a tuple of ints and a positive int; nothing else is checked."""
+    g = math.gcd(den, *num)
+    if g != 1:
+        num = tuple(x // g for x in num)
+        den //= g
+    obj = object.__new__(AffineMap)
+    Frozen.__init__(obj, linear, num, den)
+    return obj
+
+
 def compose(a: AffineMap, b: AffineMap) -> AffineMap:
-    """Composition ``a o b``, i.e. ``(A_a A_b, A_a t_b + t_a)``."""
+    """Composition ``a o b``, i.e. ``(A_a A_b, A_a t_b + t_a)``.
+
+    With ``A_a = P / p``, ``t_b = u / e`` and ``t_a = v / f`` the
+    translation is ``P u / (p e) + v / f``, formed over ``lcm(p e, f)``.
+    The linear part is invertible as a product of invertible matrices.
+    """
     if a.dim != b.dim:
         raise DimensionMismatch(f"dimensions {a.dim} and {b.dim} differ")
-    return AffineMap(
-        a.linear * b.linear,
-        vec_add(a.linear.matvec(b.translation), a.translation),
+    p = a.linear.den * b.den
+    den = math.lcm(p, a.den)
+    fp, fa = den // p, den // a.den
+    shift = tuple(
+        fp * sum(map(mul, row, b.num)) + fa * x for row, x in zip(a.linear.num, a.num)
     )
+    return _affine(a.linear * b.linear, shift, den)
 
 
 class BieberbachGroup(Frozen):
@@ -241,26 +282,43 @@ def translation_lattice(
     transversal elements ``s(h) = (W, u)`` and generators ``g = (A, t)``.
     With ``(R, r)`` the witness of ``W A``, each product is ``(W A R^{-1},
     W t + u - r)``, the pure translation by ``W t + u - r`` because
-    ``R = W A``. Inputs whose translations do not span raise
-    ``RankDeficient``.
+    ``R = W A``. The vectors are integer rows over one shared denominator,
+    and their Hermite reduction is the basis. Inputs whose translations do
+    not span raise ``RankDeficient``.
     """
     theta = theta if theta is not None else holonomy(group)
-    witness_for = {w.linear: w for w in theta.witnesses}
-    vectors: list[Vector] = []
-    for witness in theta.witnesses:
+    witnesses = theta.witnesses
+    generators = group.generators
+    witness_for = {w.linear: w for w in witnesses}
+    # every vector over one denominator: W t over W.den t.den, u and r over
+    # their own (r is a witness too)
+    den = math.lcm(
+        *(w.den for w in witnesses),
+        *(w.linear.den * g.den for w in witnesses for g in generators),
+    )
+    rows = []
+    for witness in witnesses:
         w = witness.linear
-        for gen in group.generators:
+        u = [den // witness.den * x for x in witness.num]
+        for gen in generators:
             rep = witness_for.get(w * gen.linear)
             if rep is None:
                 raise InvariantViolation("the holonomy lacks a witness-generator product")
-            shift = vec_add(w.matvec(gen.translation), witness.translation)
-            vectors.append(tuple(a - b for a, b in zip(shift, rep.translation)))
-    basis = lattice_basis(vectors, group.dim)
+            fw, fr = den // (w.den * gen.den), den // rep.den
+            row = tuple(
+                fw * sum(map(mul, a, gen.num)) + x - fr * r
+                for a, x, r in zip(w.num, u, rep.num)
+            )
+            if any(row):
+                rows.append(row)
+    # Hermite reduction commutes with scaling by a positive integer and the
+    # basis Matrix takes the one gcd, so the rows are not reduced first
+    basis = integer_row_hermite(rows)
     if len(basis) < group.dim:
         raise RankDeficient(
             f"translations span rank {len(basis)} < {group.dim}; input rejected"
         )
-    return Matrix.from_columns(basis)
+    return Matrix.from_integer_rows(tuple(zip(*basis)), den)
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
@@ -291,10 +349,14 @@ def is_torsion_free(
             # I - h invertible: the witness coset always contains a map
             # with a fixed point, hence torsion.
             return False
-        # nu (L | -t) for each constraint nu; one shared denominator scales
-        # the equations and leaves their integer solutions alone
-        augmented = [row + (-x,) for row, x in zip(lattice.entries, witness.translation)]
-        system = (Matrix(constraints) * Matrix(augmented)).num
+        # nu (L | -t) for each constraint nu, on integer rows over one
+        # denominator; scaling the equations leaves their integer solutions alone
+        d = math.lcm(lattice.den, witness.den)
+        fl, ft = d // lattice.den, d // witness.den
+        augmented = tuple(
+            tuple(fl * x for x in row) + (-ft * x,) for row, x in zip(lattice.num, witness.num)
+        )
+        system = (Matrix(constraints) * Matrix.from_integer_rows(augmented, 1)).num
         if has_integer_solution([row[:n] for row in system], [row[n] for row in system]):
             return False
     return True

@@ -45,7 +45,7 @@ from .lorentz import (
     verify_embedding,
 )
 from .selberg import MatrixGroupInput, good_prime
-from .shapes import RealForm, ShapeDescriptor, rationalize, shape_distance
+from .shapes import RealForm, ShapeDescriptor, _float_sum, rationalize, shape_distance
 
 LCG_MULTIPLIER = 6364136223846793005
 LCG_INCREMENT = 1442695040888963407
@@ -151,7 +151,7 @@ def sample_targets(group: BieberbachGroup, count: int, seed: int) -> list[RealFo
         gram = [[0.0] * n for _ in range(n)]
         for i in range(n):
             for j in range(i, n):
-                value = sum(a[k][i] * a[k][j] for k in range(n))
+                value = _float_sum(a[k][i] * a[k][j] for k in range(n))
                 if i == j:
                     value += 1e-3
                 gram[i][j] = value
@@ -163,7 +163,7 @@ def sample_targets(group: BieberbachGroup, count: int, seed: int) -> list[RealFo
                 for j in range(i, n):
                     total = 0.0
                     for ge in floats:
-                        total += sum(
+                        total += _float_sum(
                             ge[k][i] * gram[k][l] * ge[l][j]
                             for k in range(n)
                             for l in range(n)

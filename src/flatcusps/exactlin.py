@@ -20,7 +20,7 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain
-from operator import add, attrgetter, mul, sub
+from operator import add, attrgetter, mul, neg, sub
 from typing import Iterable, Sequence, Union
 
 from .errors import DimensionMismatch, InvariantViolation, NotNilpotent
@@ -41,16 +41,6 @@ def rat(value: Scalar) -> Fraction:
 
 
 Vector = tuple[Fraction, ...]
-
-
-def vec(entries: Iterable[Scalar]) -> Vector:
-    return tuple(rat(x) for x in entries)
-
-
-def vec_add(u: Sequence[Fraction], v: Sequence[Fraction]) -> Vector:
-    if len(u) != len(v):
-        raise DimensionMismatch(f"vector lengths {len(u)} and {len(v)} differ")
-    return tuple(a + b for a, b in zip(u, v))
 
 
 class Frozen:
@@ -265,7 +255,11 @@ class Matrix(Frozen):
         return Matrix.from_integer_rows(tuple(tuple(map(sub, r, s)) for r, s in zip(a, b)), den)
 
     def __neg__(self) -> Matrix:
-        return Matrix.from_integer_rows(_scaled(self.num, -1), self.den)
+        # negated canonical rows are canonical: no gcd to take
+        obj = object.__new__(Matrix)
+        num = tuple(tuple(map(neg, row)) for row in self.num)
+        Frozen.__init__(obj, self.rows, self.cols, num, self.den)
+        return obj
 
     def __mul__(self, other):
         if isinstance(other, Matrix):
@@ -716,20 +710,6 @@ def integer_row_hermite(rows: Sequence[Sequence[int]]) -> list[list[int]]:
                 m[r] = [-x for x in m[r]]
             r += 1
     return m[:r]
-
-
-def lattice_basis(vectors: Iterable[Sequence[Fraction]], dim: int) -> list[Vector]:
-    """Basis of the lattice spanned over the integers by rational vectors.
-
-    Returns at most ``dim`` vectors; fewer means the span is rank deficient.
-    """
-    nonzero = [vec(v) for v in vectors if any(v)]
-    if not nonzero:
-        return []
-    if any(len(v) != dim for v in nonzero):
-        raise DimensionMismatch("lattice vectors have inconsistent lengths")
-    m = Matrix(nonzero)
-    return [tuple(Fraction(x, m.den) for x in row) for row in integer_row_hermite(m.num)]
 
 
 def has_integer_solution(a_rows: Sequence[Sequence[int]], b: Sequence[int]) -> bool:

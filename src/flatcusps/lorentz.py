@@ -48,7 +48,6 @@ from .exactlin import (
     is_positive_definite,
     is_unipotent,
     preserves_form,
-    rat,
 )
 from .shapes import ShapeDescriptor
 
@@ -86,30 +85,26 @@ class LorentzModel(Frozen):
         return f"<LorentzModel n={self.n}>"
 
 
-def _translation_parts(v: Sequence, model: LorentzModel) -> tuple:
-    """``w = v``, ``k = B_K w`` and ``h = B_K(w, w) / 2``, each as integers
-    over a denominator: ``(w_num, w_den, k_num, k_den, h_num, h_den)``."""
-    if len(v) != model.n:
-        raise DimensionMismatch(f"expected a vector of length {model.n}, got {len(v)}")
-    w = [x if type(x) is int else rat(x) for x in v]
-    w_den = math.lcm(*(x.denominator for x in w))
-    w_num = tuple(x.numerator * (w_den // x.denominator) for x in w)
+def _translation_parts(w_num: Sequence[int], w_den: int, model: LorentzModel) -> tuple:
+    """``k = B_K w`` and ``h = B_K(w, w) / 2`` for ``w = w_num / w_den``, each
+    as integers over a denominator: ``(k_num, k_den, h_num, h_den)``."""
     base = model.base_form.matrix
     k_num = [sum(map(mul, row, w_num)) for row in base.num]
     k_den = base.den * w_den
-    return w_num, w_den, k_num, k_den, sum(map(mul, w_num, k_num)), 2 * w_den * k_den
+    return k_num, k_den, sum(map(mul, w_num, k_num)), 2 * w_den * k_den
 
 
-def _assemble(a: Matrix, v: Sequence, model: LorentzModel) -> Matrix:
-    """The entries of ``T(v) R(a)``, written out with no matrix product.
+def _assemble(a: Matrix, w_num: Sequence[int], w_den: int, model: LorentzModel) -> Matrix:
+    """The entries of ``T(w) R(a)`` for ``w = w_num / w_den``, written out
+    with no matrix product.
 
-    With ``w = v``, ``k = B_K w`` and ``h = B_K(w, w) / 2``: row ``i < n``
-    is row i of ``a`` followed by ``w_i, -w_i``; rows n and n+1 both start
-    with ``-(k^T a)``; the corner two-by-two block is
-    ``[[1 - h, h], [-h, 1 + h]]``. Every entry is written over one common
-    denominator.
+    With ``k = B_K w`` and ``h = B_K(w, w) / 2``: row ``i < n`` is row i of
+    ``a`` followed by ``w_i, -w_i``; rows n and n+1 both start with
+    ``-(k^T a)``; the corner two-by-two block is ``[[1 - h, h], [-h, 1 + h]]``.
+    Every entry is written over one common denominator, and ``w_num / w_den``
+    need not be in lowest terms.
     """
-    w_num, w_den, k_num, k_den, h_num, h_den = _translation_parts(v, model)
+    k_num, k_den, h_num, h_den = _translation_parts(w_num, w_den, model)
     ka_num = [sum(map(mul, k_num, col)) for col in zip(*a.num)]
     ka_den = k_den * a.den
     den = math.lcm(a.den, w_den, ka_den, h_den)
@@ -131,7 +126,10 @@ def embed_translation(v: Sequence, model: LorentzModel) -> Matrix:
     followed by two zeros; ``M`` cubes to zero, and ``T(v)`` preserves the
     model form, fixes ``v_inf``, and is additive in ``v``.
     """
-    return _assemble(Matrix.identity(model.n), v, model)
+    if len(v) != model.n:
+        raise DimensionMismatch(f"expected a vector of length {model.n}, got {len(v)}")
+    w = Matrix([v])
+    return _assemble(Matrix.identity(model.n), w.num[0], w.den, model)
 
 
 def embed_affine(g: AffineMap, model: LorentzModel) -> Matrix:
@@ -149,7 +147,7 @@ def embed_affine(g: AffineMap, model: LorentzModel) -> Matrix:
     a = g.linear
     if not preserves_form(a, model.base_form.matrix):
         raise NotFormIsometry("linear part does not preserve the base form")
-    return _assemble(a, g.translation, model)
+    return _assemble(a, g.num, g.den, model)
 
 
 class LorentzEmbedding(Frozen):
@@ -187,15 +185,28 @@ def embed_group(group: BieberbachGroup, shape: ShapeDescriptor) -> LorentzEmbedd
     return LorentzEmbedding(model, group, images)
 
 
-def _shared_scale(embedding: LorentzEmbedding) -> Fraction:
+def _shared_scale(embedding: LorentzEmbedding) -> tuple[int, int]:
     """The scale ``c = E[j, n] / t_j`` at the first nonzero translation
-    coordinate of a generator, or 1 when every translation is zero."""
+    coordinate of a generator, or 1 when every translation is zero, as
+    integers ``(c_num, c_den)`` with ``c_den > 0``, not reduced."""
     n = embedding.model.n
     for g, image in zip(embedding.group.generators, embedding.images):
-        for j, x in enumerate(g.translation):
+        for j, x in enumerate(g.num):
             if x:
-                return Fraction(image.num[j][n] * x.denominator, image.den * x.numerator)
-    return Fraction(1)
+                # t_j = x / g.den and E[j, n] = image.num[j][n] / image.den
+                c_num, c_den = image.num[j][n] * g.den, image.den * x
+                return (c_num, c_den) if x > 0 else (-c_num, -c_den)
+    return 1, 1
+
+
+def _decoded(g: AffineMap, scale: tuple[int, int], model: LorentzModel) -> Matrix:
+    """``T(c t) R(A)``, the image a generator ``(A, t)`` decodes from at the
+    scale ``c = c_num / c_den``: the numerators of ``t`` times ``c_num`` over
+    ``c_den`` times its denominator, with no ``Fraction``."""
+    c_num, c_den = scale
+    if c_num == c_den:
+        return _assemble(g.linear, g.num, g.den, model)
+    return _assemble(g.linear, [c_num * x for x in g.num], c_den * g.den, model)
 
 
 # ---------------------------------------------------------------------------
@@ -260,13 +271,15 @@ def integralize(embedding: LorentzEmbedding) -> tuple[LorentzEmbedding, int]:
     """
     model = embedding.model
     n = model.n
+    base = model.base_form.matrix
     generators = embedding.group.generators
     images = embedding.images
     scale = _shared_scale(embedding)
     c = 1
     for g, image in zip(generators, images):
-        decoded = g if scale == 1 else AffineMap(g.linear, [scale * x for x in g.translation])
-        if embed_affine(decoded, model) != image or scale <= 0:
+        if not preserves_form(g.linear, base):
+            raise NotFormIsometry("linear part does not preserve the base form")
+        if scale[0] <= 0 or _decoded(g, scale, model) != image:
             raise InvariantViolation(
                 "an image is not the embedding of its generator; "
                 "rescaling translations would not be a conjugation"
@@ -377,15 +390,14 @@ def verify_embedding(embedding: LorentzEmbedding) -> VerificationReport:
     scale = _shared_scale(embedding)
     results = []
     for g, image in zip(embedding.group.generators, embedding.images):
-        a = g.linear
-        if scale > 0 and image == _assemble(a, [scale * x for x in g.translation], model):
+        if scale[0] > 0 and image == _decoded(g, scale, model):
             checks = GeneratorChecks(
-                preserves_form(a, base),
+                preserves_form(g.linear, base),
                 True,
                 True if g.is_translation() else None,
                 True,
                 True,
-                3 if any(g.translation) else 1,
+                3 if any(g.num) else 1,
             )
         else:
             checks = _full_checks(g, image, model)

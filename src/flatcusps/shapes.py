@@ -15,7 +15,9 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from functools import reduce
+from operator import add
+from typing import Iterable, Optional, Sequence, Union
 
 from .bieberbach import BieberbachGroup, HolonomyGroup, holonomy, theta_average
 from .errors import DimensionMismatch, NotPositiveDefinite
@@ -163,8 +165,14 @@ def _entries_as_floats(form: Union[SymmetricForm, RealForm]) -> tuple[int, list[
     return form.dim, [[x / den for x in row] for row in form.matrix.num]
 
 
+def _float_sum(values: Iterable[float]) -> float:
+    """Left-to-right sum of doubles. ``sum`` compensates its rounding from
+    Python 3.12 on, which moves the last digits of distances and targets."""
+    return reduce(add, values, 0.0)
+
+
 def _frobenius(entries: Sequence[Sequence[float]]) -> float:
-    return math.sqrt(sum(x * x for row in entries for x in row))
+    return math.sqrt(_float_sum(x * x for row in entries for x in row))
 
 
 def shape_distance(
@@ -185,7 +193,7 @@ def shape_distance(
     na = _frobenius(ea)
     nb = _frobenius(eb)
     return math.sqrt(
-        sum(
+        _float_sum(
             (x / na - y / nb) ** 2
             for row_a, row_b in zip(ea, eb)
             for x, y in zip(row_a, row_b)

@@ -14,8 +14,10 @@ the integer one replaced, and congruence certificates by the word-ball
 verifier that computes every element's characteristic polynomial and
 raises each collapsing one to the lcm of all torsion orders, and the
 primes that collapse a torsion polynomial onto ``(t-1)^n`` by a gcd
-search over every torsion polynomial. The API that only tests use lives
-here too.
+search over every torsion polynomial, and translation lattices by
+Schreier's construction one ``Fraction`` at a time. The API that only
+tests use lives here too, such as the ``Fraction`` vector helpers and
+the lattice basis of rational vectors.
 """
 
 from __future__ import annotations
@@ -33,16 +35,16 @@ from flatcusps.bieberbach import (
     holonomy,
     translation_lattice,
 )
-from flatcusps.errors import DimensionMismatch, ValidationError
+from flatcusps.errors import DimensionMismatch, InvariantViolation, RankDeficient, ValidationError
 from flatcusps.exactlin import (
     Matrix,
     SymmetricForm,
     Vector,
     char_poly,
+    integer_row_hermite,
     nilpotent_exp,
+    rat,
     unipotent_polynomial,
-    vec,
-    vec_add,
 )
 from flatcusps.lorentz import (
     GeneratorChecks,
@@ -62,6 +64,52 @@ from flatcusps.selberg import (
 )
 from flatcusps.serialize import parse_group, parse_matrix
 from flatcusps.shapes import ShapeDescriptor
+
+
+def vec(entries) -> Vector:
+    """A vector of ints, ``Fraction``s or strings as a tuple of ``Fraction``."""
+    return tuple(rat(x) for x in entries)
+
+
+def vec_add(u, v) -> Vector:
+    if len(u) != len(v):
+        raise DimensionMismatch(f"vector lengths {len(u)} and {len(v)} differ")
+    return tuple(a + b for a, b in zip(u, v))
+
+
+def lattice_basis(vectors, dim: int) -> list[Vector]:
+    """Basis of the lattice spanned over the integers by rational vectors.
+
+    Returns at most ``dim`` vectors; fewer means the span is rank deficient.
+    """
+    nonzero = [vec(v) for v in vectors if any(v)]
+    if not nonzero:
+        return []
+    if any(len(v) != dim for v in nonzero):
+        raise DimensionMismatch("lattice vectors have inconsistent lengths")
+    m = Matrix(nonzero)
+    return [tuple(Fraction(x, m.den) for x in row) for row in integer_row_hermite(m.num)]
+
+
+def ref_translation_lattice(group: BieberbachGroup, theta: HolonomyGroup) -> Matrix:
+    """Schreier's construction in ``Fraction``s: the vectors ``W t + u - r``
+    for each witness ``(W, u)``, generator ``(A, t)`` and witness ``(R, r)``
+    of ``W A``, formed one ``Fraction`` at a time from the ``translation``
+    views, then their lattice basis as columns."""
+    witness_for = {w.linear: w for w in theta.witnesses}
+    vectors = []
+    for witness in theta.witnesses:
+        w = witness.linear
+        for gen in group.generators:
+            rep = witness_for.get(w * gen.linear)
+            if rep is None:
+                raise InvariantViolation("the holonomy lacks a witness-generator product")
+            shift = vec_add(w.matvec(gen.translation), witness.translation)
+            vectors.append(tuple(a - b for a, b in zip(shift, rep.translation)))
+    basis = lattice_basis(vectors, group.dim)
+    if len(basis) < group.dim:
+        raise RankDeficient(f"translations span rank {len(basis)} < {group.dim}")
+    return Matrix.from_columns(basis)
 
 
 def brute_force_is_torsion_free(group: BieberbachGroup, box: int = 2) -> bool:

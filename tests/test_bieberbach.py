@@ -1,8 +1,12 @@
+import copy
 import math
+import pickle
 import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flatcusps import bieberbach
 from flatcusps.bieberbach import (
@@ -24,11 +28,22 @@ from flatcusps.errors import (
     NotPositiveDefinite,
     RankDeficient,
     UnknownName,
+    ValidationError,
 )
 from flatcusps.exactlin import Matrix, SymmetricForm, is_positive_definite
 from flatcusps.shapes import rationalize
 
-from oracles import apply, brute_force_is_torsion_free, element_order, ref_theta_average
+from flatcusps.serialize import group_to_dict, parse_group
+
+from oracles import (
+    apply,
+    brute_force_is_torsion_free,
+    element_order,
+    ref_inverse,
+    ref_product,
+    ref_theta_average,
+    ref_translation_lattice,
+)
 
 HALF = F(1, 2)
 
@@ -93,6 +108,130 @@ class TestAffineMap:
         assert apply(a, [0, 1]) == (HALF, F(-1))
         assert (a**2).translation == (F(1), F(0))
         assert (a**-1) == a.inverse()
+
+
+# linear parts with small denominators; shifts whose denominators reach 10^12
+linear_entries = st.fractions(min_value=-3, max_value=3, max_denominator=6)
+shift_entries = st.fractions(min_value=-10**6, max_value=10**6, max_denominator=10**12)
+
+
+nonzero_entries = linear_entries.filter(bool)
+
+
+def invertible_linear(data, n):
+    """Rows of ``P L U``: a permutation, a unit lower and an invertible upper
+    triangular matrix, each drawn."""
+    def entry(i, j):
+        if i == j:
+            return data.draw(nonzero_entries)
+        return data.draw(linear_entries) if i < j else F(0)
+
+    lower = [[entry(j, i) if j < i else F(i == j) for j in range(n)] for i in range(n)]
+    upper = [[entry(i, j) for j in range(n)] for i in range(n)]
+    order = data.draw(st.permutations(range(n)))
+    product = ref_product(lower, upper)
+    return [product[i] for i in order]
+
+
+def affine_maps(data, n):
+    """A drawn map together with its linear rows and translation as ``Fraction``s."""
+    rows = invertible_linear(data, n)
+    shift = data.draw(st.lists(shift_entries, min_size=n, max_size=n))
+    return AffineMap(Matrix(rows), shift), rows, shift
+
+
+def ref_apply(rows, shift, point):
+    """``A x + t`` one ``Fraction`` at a time."""
+    return [sum((a * x for a, x in zip(row, point)), F(0)) + t for row, t in zip(rows, shift)]
+
+
+def assert_canonical_map(g, rows, shift):
+    """Integer numerators over a positive denominator with no common factor,
+    equal to the ``Fraction`` data entry by entry."""
+    assert type(g.den) is int and all(type(x) is int for x in g.num)
+    assert g.den > 0 and math.gcd(g.den, *g.num) == 1
+    assert [list(r) for r in g.linear.entries] == [[F(x) for x in r] for r in rows]
+    assert list(g.translation) == [F(x) for x in shift]
+
+
+dims = st.integers(min_value=1, max_value=4)
+
+
+class TestAffineMapRows:
+    """The integer-row storage against ``Fraction`` references."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), n=dims)
+    def test_every_map_is_canonical(self, data, n):
+        g, rows, shift = affine_maps(data, n)
+        assert_canonical_map(g, rows, shift)
+        # the same map from ints, strings and unreduced data
+        identity = [[int(i == j) for j in range(n)] for i in range(n)]
+        assert_canonical_map(AffineMap(rows, [str(x) for x in shift]), rows, shift)
+        assert_canonical_map(AffineMap.translation_by(shift), identity, shift)
+        assert_canonical_map(AffineMap.identity(n), identity, [0] * n)
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), n=dims)
+    def test_equality_and_hash_follow_the_fractions(self, data, n):
+        g, rows, shift = affine_maps(data, n)
+        same = AffineMap([[str(x) for x in row] for row in rows], [str(x) for x in shift])
+        assert same == g and hash(same) == hash(g)
+        # a change of one translation entry or one linear entry is seen
+        i = data.draw(st.integers(min_value=0, max_value=n - 1))
+        bump = data.draw(st.sampled_from([F(1), F(1, 10**12), -F(1, 3)]))
+        moved = AffineMap(rows, [x + bump * (k == i) for k, x in enumerate(shift)])
+        assert (moved == g) is False and moved != g
+        other, other_rows, other_shift = affine_maps(data, n)
+        expected = other_rows == rows and [F(x) for x in other_shift] == [F(x) for x in shift]
+        assert (other == g) == expected
+        if expected:
+            assert hash(other) == hash(g)
+        assert len({g, same, moved}) == 2
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), n=dims)
+    def test_compose_and_inverse_match_fractions(self, data, n):
+        a, a_rows, a_shift = affine_maps(data, n)
+        b, b_rows, b_shift = affine_maps(data, n)
+        ab = compose(a, b)
+        expected_rows = ref_product(a_rows, b_rows)
+        assert_canonical_map(ab, expected_rows, ref_apply(a_rows, a_shift, b_shift))
+        assert ab.linear.det() != 0
+        inverse_rows = ref_inverse(a_rows)
+        assert_canonical_map(
+            a.inverse(), inverse_rows, [-x for x in ref_apply(inverse_rows, [0] * n, a_shift)]
+        )
+        assert compose(a, a.inverse()).is_identity() and compose(a.inverse(), a).is_identity()
+        assert a * b == ab and a**-2 == compose(a.inverse(), a.inverse())
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data(), n=dims)
+    def test_copy_and_pickle_round_trip(self, data, n):
+        g, rows, shift = affine_maps(data, n)
+        for twin in (copy.copy(g), copy.deepcopy(g), pickle.loads(pickle.dumps(g))):
+            assert twin == g and hash(twin) == hash(g)
+            assert (twin.linear, twin.num, twin.den) == (g.linear, g.num, g.den)
+            assert_canonical_map(twin, rows, shift)
+            with pytest.raises(AttributeError):
+                twin.den = 1
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data(), n=st.integers(min_value=2, max_value=4))
+    def test_singular_linear_part_refused(self, data, n):
+        # the last row is a rational combination of the others
+        rows = invertible_linear(data, n)[: n - 1]
+        weights = data.draw(st.lists(linear_entries, min_size=n - 1, max_size=n - 1))
+        rows.append([sum((w * row[j] for w, row in zip(weights, rows)), F(0)) for j in range(n)])
+        shift = data.draw(st.lists(shift_entries, min_size=n, max_size=n))
+        assert Matrix(rows).det() == 0
+        for linear in (Matrix(rows), rows, [[str(x) for x in row] for row in rows]):
+            with pytest.raises(ValueError, match="singular"):
+                AffineMap(linear, shift)
+        data_in = group_to_dict(BieberbachGroup([AffineMap.identity(n)]))
+        data_in["generators"][0]["linear"] = [[str(x) for x in row] for row in rows]
+        with pytest.raises(ValidationError, match="singular"):
+            parse_group(data_in)
 
 
 class TestHolonomy:
@@ -181,6 +320,41 @@ class TestTranslationLattice:
                 assert all(x.denominator == 1 for x in coordinates)
 
 
+class TestTranslationLatticeOracle:
+    """The integer Schreier rows against the ``Fraction`` construction."""
+
+    @pytest.mark.parametrize("name", catalog_names())
+    def test_catalog(self, name):
+        group = catalog(name)
+        lattice = translation_lattice(group)
+        expected = ref_translation_lattice(group, holonomy(group))
+        assert (lattice.num, lattice.den) == (expected.num, expected.den)
+
+    def test_rational_conjugates(self):
+        for _, conjugated in conjugated_presentations():
+            lattice = translation_lattice(conjugated)
+            expected = ref_translation_lattice(conjugated, holonomy(conjugated))
+            assert (lattice.num, lattice.den) == (expected.num, expected.den)
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        data=st.data(),
+        name=st.sampled_from(["klein", "half-turn", "sixth-turn", "hantzsche-wendt"]),
+    )
+    def test_large_denominator_conjugates(self, data, name):
+        group = catalog(name)
+        n = group.dim
+        conjugator = AffineMap(
+            invertible_linear(data, n), data.draw(st.lists(shift_entries, min_size=n, max_size=n))
+        )
+        inverse = conjugator.inverse()
+        conjugated = BieberbachGroup([conjugator * g * inverse for g in group.generators])
+        lattice = translation_lattice(conjugated)
+        expected = ref_translation_lattice(conjugated, holonomy(conjugated))
+        assert (lattice.num, lattice.den) == (expected.num, expected.den)
+        assert is_torsion_free(conjugated)
+
+
 class TestTorsion:
     def test_klein_torsion_free(self):
         assert is_torsion_free(klein_group())
@@ -240,6 +414,21 @@ class TestFractionalLattice:
                 AffineMap(swap, [HALF, HALF]),
             ]
         )
+        assert not is_torsion_free(group)
+        assert not brute_force_is_torsion_free(group)
+
+    def test_lattice_finer_than_the_witness_translation(self):
+        # over the lattice Z x Z/2 the reflection's witness (1, 0) has
+        # denominator 1 and the lattice 2, so the two are brought over one
+        # denominator; the reflection times T(-1, 0) fixes the first axis
+        group = BieberbachGroup(
+            [
+                AffineMap.translation_by([1, 0]),
+                AffineMap.translation_by([0, HALF]),
+                AffineMap(Matrix.diagonal([1, -1]), [1, 0]),
+            ]
+        )
+        assert translation_lattice(group) == Matrix([[1, 0], [0, HALF]])
         assert not is_torsion_free(group)
         assert not brute_force_is_torsion_free(group)
 
@@ -387,6 +576,26 @@ class TestConjugationInvariance:
         for group, conjugated in conjugated_presentations():
             assert holonomy(conjugated).order == holonomy(group).order
             assert is_torsion_free(conjugated) == is_torsion_free(group)
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data(), which=st.sampled_from(["klein", "reflection", "shifted reflection"]))
+    def test_torsion_survives_rational_conjugation(self, data, which):
+        # a conjugate's lattice and witnesses get unrelated denominators,
+        # so the torsion test must bring them over one denominator right
+        shifted = BieberbachGroup(
+            [
+                AffineMap.translation_by([1, 0]),
+                AffineMap.translation_by([0, 1]),
+                AffineMap(Matrix.diagonal([1, -1]), [1, 0]),
+            ]
+        )
+        group = {"klein": klein_group(), "reflection": reflection_group()}.get(which, shifted)
+        conjugator = AffineMap(
+            invertible_linear(data, 2), data.draw(st.lists(shift_entries, min_size=2, max_size=2))
+        )
+        inverse = conjugator.inverse()
+        conjugated = BieberbachGroup([conjugator * g * inverse for g in group.generators])
+        assert is_torsion_free(conjugated) == (which == "klein")
 
 
 class TestBruteForceOracleAgreement:

@@ -27,7 +27,6 @@ from flatcusps.exactlin import (
     integer_row_hermite,
     is_positive_definite,
     is_unipotent,
-    lattice_basis,
     ldl_signature,
     nilpotent_exp,
     null_space,
@@ -46,6 +45,7 @@ from flatcusps.shapes import RealForm, ShapeDescriptor
 
 from oracles import (
     heger_has_integer_solution,
+    lattice_basis,
     ref_char_poly,
     ref_det,
     ref_difference,
@@ -175,6 +175,18 @@ class TestKernelAgainstFractionOracle:
         assert_matches(scalar * Matrix(a), ref_scaled(scalar, a))
         assert_matches(-Matrix(a), ref_scaled(F(-1), a))
         assert_matches(Matrix(a).transpose(), ref_transpose(a))
+
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data(), shape=st.tuples(kernel_sizes, kernel_sizes, kernel_sizes))
+    def test_negation(self, kind, data, shape):
+        # negation builds its rows directly, so check it on the canonical
+        # results of other operations too, and that it undoes itself
+        r, k, c = shape
+        a, b = _rows(data, kind, r, k), _rows(data, kind, k, c)
+        for m, expected in ((Matrix(a), a), (Matrix(a) * Matrix(b), ref_product(a, b))):
+            negated = -m
+            assert_matches(negated, ref_scaled(F(-1), expected))
+            assert -negated == m and hash(-negated) == hash(m)
 
     @settings(max_examples=30, deadline=None)
     @given(data=st.data(), n=kernel_sizes)

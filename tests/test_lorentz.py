@@ -339,6 +339,15 @@ class TestEmbedGroup:
 
 
 class TestIntegralize:
+    def test_linear_part_off_the_form_refused(self):
+        # the images decode as products, but diag(1, -1) does not preserve
+        # the base form, so no embedding of the group has these images
+        group = catalog("klein")
+        model = LorentzModel(SymmetricForm([[2, 1], [1, 3]]))
+        images = [product_embed_affine(g, model) for g in group.generators]
+        with pytest.raises(NotFormIsometry):
+            integralize(LorentzEmbedding(model, group, images))
+
     def test_already_integral_unchanged(self):
         # with base 2I the quadratic tail B(v,v)/2 is already integral
         group = catalog("torus-2")
@@ -457,8 +466,11 @@ class TestIntegralize:
                     for a, t in generators
                 ]
                 result, c = integralize(LorentzEmbedding(model, group, images))
+                # c c0 t as one integer row over its denominator
+                scaled = [Matrix([[c * c0 * x for x in t]]) for _, t in generators]
                 assert list(result.images) == [
-                    lorentz._assemble(a, [c * c0 * x for x in t], model) for a, t in generators
+                    lorentz._assemble(a, w.num[0], w.den, model)
+                    for (a, _), w in zip(generators, scaled)
                 ], (name, c0)
                 assert all(m.is_integral() for m in result.images)
 
@@ -737,6 +749,26 @@ def random_base(data, theta):
 class TestVerifyAgainstOracle:
     """The decode-first verifier against the full (n+2)-sized checks, on
     images that decode and on every way of failing to."""
+
+    @pytest.mark.parametrize("name", catalog_names())
+    def test_negative_and_fine_translations(self, name):
+        # Conjugating by y -> s - y keeps every linear part and turns t into
+        # s - A s - t: the first nonzero coordinate may be negative and s
+        # brings a large denominator, so the shared scale is read off a
+        # negative numerator over a large denominator.
+        group, theta = catalog_with_holonomy(name)
+        n = group.dim
+        flip = AffineMap(Matrix.diagonal([-1] * n), [F(k + 1, 10**9 + 7) for k in range(n)])
+        conjugated = BieberbachGroup([flip * g * flip.inverse() for g in group.generators])
+        assert any(x < 0 for g in conjugated.generators for x in g.translation[:1])
+        shape = ShapeDescriptor(conjugated, theta_average(SymmetricForm.identity(n), theta))
+        embedding = embed_group(conjugated, shape)
+        assert assert_matches_oracle(embedding).overall
+        result, scale = integralize(embedding)
+        assert assert_matches_oracle(result).overall
+        conjugator = hyperbolic_conjugator(embedding.model, scale)
+        inverse = conjugator.inverse()
+        assert list(result.images) == [conjugator * m * inverse for m in embedding.images]
 
     @pytest.mark.parametrize("name", catalog_names())
     def test_catalog_embeddings(self, name):

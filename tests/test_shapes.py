@@ -332,6 +332,30 @@ class TestShapeDistance:
         with pytest.raises(DimensionMismatch):
             shape_distance(SymmetricForm.identity(2), SymmetricForm.identity(3))
 
+    def test_sums_left_to_right(self):
+        # Python 3.12's sum() compensates rounding; on this pair that moves
+        # the last digit, which the density CSV would then show. The
+        # distance must be the left-to-right one on every Python.
+        a = RealForm([[1.211, 0.676], [0.676, 1.008]])
+        b = RealForm([[0.387, -0.571], [-0.571, 1.288]])
+
+        def left_to_right(values):
+            total = 0.0
+            for x in values:
+                total += x
+            return total
+
+        def reference(total):
+            ea, eb = _entries_as_floats(a)[1], _entries_as_floats(b)[1]
+            na = math.sqrt(total([x * x for row in ea for x in row]))
+            nb = math.sqrt(total([x * x for row in eb for x in row]))
+            pairs = [(x, y) for ra, rb in zip(ea, eb) for x, y in zip(ra, rb)]
+            return math.sqrt(total([(x / na - y / nb) ** 2 for x, y in pairs]))
+
+        # the pair tells the two summations apart
+        assert reference(math.fsum) != reference(left_to_right)
+        assert shape_distance(a, b) == reference(left_to_right) == 1.1452906513463617
+
 
 def _bits(rows):
     return [[x.hex() for x in row] for row in rows]
