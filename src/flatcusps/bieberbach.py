@@ -2,11 +2,12 @@
 
 A crystallographic group is handled through three derived objects: its
 holonomy (the finite closure of the generators' linear parts, each element
-carrying a witness word), its translation lattice, and an exact fixed-point
-criterion deciding torsion-freeness. The translation lattice is generated
-from coset-transversal (Schreier) products, so any finite generating set of
-a genuine Bieberbach group recovers the full lattice, including minimal
-two-generator presentations such as the Hantzsche-Wendt group.
+carrying a witness word), its translation lattice, and an exact torsion
+test by the norm of each cyclic subgroup of the holonomy. The translation
+lattice is generated from coset-transversal (Schreier) products, so any
+finite generating set of a genuine Bieberbach group recovers the full
+lattice, including minimal two-generator presentations such as the
+Hantzsche-Wendt group.
 
 The three are pure functions of the immutable group value, so each is
 memoized (a bounded ``functools.lru_cache``) and a group that equals an
@@ -47,7 +48,6 @@ from .exactlin import (
     has_integer_solution,
     integer_row_hermite,
     is_positive_definite,
-    null_space,
     rat,
 )
 
@@ -327,36 +327,43 @@ def is_torsion_free(
     theta: Optional[HolonomyGroup] = None,
     lattice: Optional[Matrix] = None,
 ) -> bool:
-    """Exact torsion test via the fixed-point criterion.
+    """Exact torsion test by the norm of each cyclic subgroup of the holonomy.
 
-    An element ``(h, u)`` of finite order has a fixed point, and conversely.
-    The coset of a nontrivial holonomy element ``h`` with witness ``(h, t)``
-    consists of the maps ``(h, t + l)`` over lattice vectors ``l``, so the
-    coset contains torsion exactly when ``(I - h) x = t + l`` is solvable,
-    i.e. when ``t`` lies in ``im(I - h) + L``. Killing the image with its
-    left null space reduces this to integral solvability of a linear
-    system, decided by lattice membership after a Hermite reduction.
+    If ``h`` has order ``m``, the m-th power of ``(h, s)`` is the translation
+    by ``N s`` with ``N = I + h + ... + h^(m-1)``, so ``(h, s)`` has finite
+    order exactly when ``N s = 0`` (Charlap, *Bieberbach Groups and Flat
+    Manifolds*, 1986). The coset of a nontrivial holonomy element ``h`` with
+    witness ``(h, t)`` consists of the maps ``(h, t + l)`` over lattice
+    vectors ``l``, so it contains torsion exactly when ``N t`` lies in the
+    lattice ``N L``: integral solvability of ``N L x = -N t``, decided on the
+    integer rows of ``N (L | -t)``. This is the fixed-point criterion, as
+    ``N (I - h) = 0`` and ``Q^n = ker(I - h) + im(I - h)`` is direct, so
+    ``N s = 0`` exactly when ``s`` lies in ``im(I - h)``; an invertible
+    ``I - h`` gives ``N = 0`` and torsion in every coset. An element not
+    back at the identity within ``|theta|`` powers has no finite order in
+    ``theta``, and ``InvariantViolation`` is raised.
     """
     theta = theta if theta is not None else holonomy(group)
     lattice = lattice if lattice is not None else translation_lattice(group, theta)
     n = group.dim
-    ident = Matrix.identity(n)
     for h, witness in zip(theta.elements, theta.witnesses):
-        if h == ident:
+        if h.is_identity():
             continue
-        constraints = null_space((ident - h).transpose())
-        if not constraints:
-            # I - h invertible: the witness coset always contains a map
-            # with a fixed point, hence torsion.
-            return False
-        # nu (L | -t) for each constraint nu, on integer rows over one
-        # denominator; scaling the equations leaves their integer solutions alone
+        norm, power = Matrix.identity(n), h
+        for _ in range(theta.order):
+            if power.is_identity():
+                break
+            norm, power = norm + power, power * h
+        else:
+            raise InvariantViolation("a holonomy element has no finite order in theta")
+        # N (L | -t) on integer rows over one denominator; scaling the
+        # equations leaves their integer solutions alone
         d = math.lcm(lattice.den, witness.den)
         fl, ft = d // lattice.den, d // witness.den
         augmented = tuple(
             tuple(fl * x for x in row) + (-ft * x,) for row, x in zip(lattice.num, witness.num)
         )
-        system = (Matrix(constraints) * Matrix.from_integer_rows(augmented, 1)).num
+        system = (norm * Matrix.from_integer_rows(augmented, 1)).num
         if has_integer_solution([row[:n] for row in system], [row[n] for row in system]):
             return False
     return True

@@ -6,12 +6,12 @@ the integer lattice routines (Hermite reduction, integral solvability)
 needed for crystallographic computations. A :class:`Matrix` is integer
 rows over one positive denominator in canonical form, so its arithmetic
 is integer arithmetic plus one gcd reduction per result; determinants
-use Bareiss's fraction-free forward elimination, inverses and null spaces
-its Gauss-Jordan form, and signatures the characteristic polynomial. An
-isometry identity ``A^T G A = G`` is decided by :func:`preserves_form` on
-the integer rows with no reduction at all. ``Fraction`` appears only at
-the boundary. All arithmetic is exact; ``==`` always means mathematical
-equality and no operation introduces rounding.
+use Bareiss's fraction-free forward elimination, inverses its Gauss-Jordan
+form, and signatures the characteristic polynomial. An isometry identity
+``A^T G A = G`` is decided by :func:`preserves_form` on the integer rows
+with no reduction at all. ``Fraction`` appears only at the boundary. All
+arithmetic is exact; ``==`` always means mathematical equality and no
+operation introduces rounding.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ from .errors import DimensionMismatch, InvariantViolation, NotNilpotent
 Scalar = Union[int, str, Fraction]
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 def rat(value: Scalar) -> Fraction:
@@ -334,6 +333,13 @@ class Matrix(Frozen):
         return Fraction(sign * prev, self.den**self.rows)
 
     def inverse(self) -> Matrix:
+        """Fraction-free Gauss-Jordan elimination of ``[num | I]``.
+
+        Bareiss's update (Math. Comp. 22 (1968); Cohen, GTM 138, §2.2) on
+        every row keeps each entry a minor of the input, so each division
+        by the previous pivot is exact. Column ``c`` takes its pivot from
+        rows ``c`` on, and a column with none means ``num`` is singular.
+        """
         if not self.is_square():
             raise DimensionMismatch("inverse of a non-square matrix")
         n = self.rows
@@ -341,9 +347,18 @@ class Matrix(Frozen):
             list(row) + [1 if j == i else 0 for j in range(n)]
             for i, row in enumerate(self.num)
         ]
-        pivots, d = _fraction_free_rref(augmented)
-        if pivots[:n] != list(range(n)):
-            raise ValueError("matrix is singular")
+        d = 1
+        for c in range(n):
+            pivot = next((i for i in range(c, n) if augmented[i][c]), None)
+            if pivot is None:
+                raise ValueError("matrix is singular")
+            augmented[c], augmented[pivot] = augmented[pivot], augmented[c]
+            top, prev = augmented[c], d
+            d = top[c]
+            for i in range(n):
+                if i != c:
+                    f = augmented[i][c]
+                    augmented[i] = [(d * x - f * y) // prev for x, y in zip(augmented[i], top)]
         # The right half is now d num^-1, and the inverse is den num^-1.
         scale = self.den if d > 0 else -self.den
         inverse = tuple(tuple(scale * x for x in row[n:]) for row in augmented)
@@ -381,39 +396,6 @@ def preserves_form(a: Matrix, gram: Matrix) -> bool:
     if a.is_identity() and gram.is_square() and gram.rows == a.rows:
         return True
     return congruent_rows(a, gram) == _scaled(gram.num, a.den * a.den)
-
-
-def _fraction_free_rref(a: list[list[int]]) -> tuple[list[int], int]:
-    """Fraction-free Gauss-Jordan elimination of integer rows, in place.
-
-    Bareiss's update (Math. Comp. 22 (1968); Cohen, GTM 138, §2.2) on every
-    row keeps each entry a minor of the input, so each division by the
-    previous pivot is exact. Returns the pivot columns and the last pivot
-    ``d``; the reduced row echelon form is then the first rank rows divided
-    by ``d``. :meth:`Matrix.det` needs only the forward half of this
-    elimination and does it on its own.
-    """
-    nrows, ncols = len(a), len(a[0])
-    pivots: list[int] = []
-    prev = 1
-    for c in range(ncols):
-        r = len(pivots)
-        if r == nrows:
-            break
-        pivot = next((i for i in range(r, nrows) if a[i][c]), None)
-        if pivot is None:
-            continue
-        if pivot != r:
-            a[r], a[pivot] = a[pivot], a[r]
-        top = a[r]
-        d = top[c]
-        for i in range(nrows):
-            if i != r:
-                f = a[i][c]
-                a[i] = [(d * x - f * y) // prev for x, y in zip(a[i], top)]
-        pivots.append(c)
-        prev = d
-    return pivots, prev
 
 
 class SymmetricForm(Frozen):
@@ -648,27 +630,6 @@ def is_unipotent(m: Matrix) -> bool:
         power = _product(power, power)
         exponent *= 2
     return True
-
-
-# ---------------------------------------------------------------------------
-# Null spaces
-# ---------------------------------------------------------------------------
-
-
-def null_space(m: Matrix) -> list[Vector]:
-    """Basis of ``{v : m v = 0}`` over the rationals."""
-    reduced = [list(row) for row in m.num]
-    pivots, d = _fraction_free_rref(reduced)
-    basis = []
-    for f in range(m.cols):
-        if f in pivots:
-            continue
-        v = [_ZERO] * m.cols
-        v[f] = _ONE
-        for r, p in enumerate(pivots):
-            v[p] = Fraction(-reduced[r][f], d)
-        basis.append(tuple(v))
-    return basis
 
 
 # ---------------------------------------------------------------------------

@@ -407,26 +407,26 @@ def verify_certificate(
     other than ``-I``; a word never appends the letter that cancels its
     last one, since that product is already in the ball. ``-I`` is central
     and its own inverse, so it adds only the negations of the words of
-    length below L. Each element E is then judged by its
-    characteristic polynomial ``det(tI - E)``:
+    length below L. q is refused up front unless it is a unit in every
+    generator and inverse, so it is prime to every denominator the verifier
+    meets: that of each ball element, of each shell product ``D`` below and
+    of each characteristic polynomial. Each element E is then judged by its
+    characteristic polynomial ``det(tI - E)`` modulo q:
 
-    - *Trace screen.* Its coefficient ``n-1`` is ``-tr E``. When q does not
-      divide ``den E``, the polynomial reduces modulo q, and E passes
+    - *Trace screen.* Its coefficient ``n-1`` is ``-tr E``, and E passes
       without its polynomial being computed in two cases. A trace not
       congruent to n makes the residue differ from that of ``(t-1)^n``. A
       trace of exactly n means infinite order: a rational matrix of finite
       order is diagonalizable with roots of unity as eigenvalues, n of
       them sum to n only when all are 1, so E would be I, which is no
-      counterexample. This screens out every unipotent element whose
-      denominator q does not divide.
+      counterexample. This screens out every unipotent element.
     - *Outer shell.* For L >= 2 the words of length L stay unformed: each
       word w and letter g are screened on ``D tr(wg) = sum W_ik G_ki``, with
-      ``D = den w den g``. When q does not divide D, ``D (tr - n)`` is a unit
-      times ``den(wg) (tr - n)`` modulo q, so the verdict is the reduced one;
+      ``D = den w den g``. ``D (tr - n)`` is a unit times
+      ``den(wg) (tr - n)`` modulo q, so the verdict is the reduced one;
       an uncleared pair is formed and judged. This path is taken only when
       the ball so far plus one element per pair fits in ``MAX_WORD_BALL``.
-    - *Exact polynomial.* Every other element gets its polynomial, once. A
-      prime q dividing one of its denominators is a counterexample; a
+    - *Exact polynomial.* Every other element gets its polynomial, once; a
       residue unlike that of ``(t-1)^n`` passes.
     - *Finite-order test.* A residue that collapses onto the unipotent one
       is a counterexample when E has finite order. A polynomial outside
@@ -475,20 +475,15 @@ def verify_certificate(
                 f"words of length {word_length} exceed MAX_WORD_BALL = {MAX_WORD_BALL} elements"
             )
 
-    def cleared(den: int, gap: int):  # the trace screen on gap = den (tr - n)
-        return den % q and (gap % q or not gap)  # a residue unlike (t-1)^n, or infinite order
+    def cleared(gap: int):  # the trace screen on gap = den (tr - n)
+        return gap % q or not gap  # a residue unlike (t-1)^n, or infinite order
 
     def judge(element: Matrix) -> bool:  # False on a counterexample
-        den = element.den
-        if cleared(den, sum(row[i] for i, row in enumerate(element.num)) - n * den):
+        if cleared(sum(row[i] for i, row in enumerate(element.num)) - n * element.den):
             return True
         poly = char_poly(element)
-        try:
-            reduced = poly.reduce_mod(q)
-        except ValueError:
-            return False  # q divides a denominator of the characteristic polynomial
         order = torsion_orders.get(poly)  # None: infinite order
-        return reduced != unipotent_mod or order is None or element ** order != identity
+        return poly.reduce_mod(q) != unipotent_mod or order is None or element ** order != identity
 
     words = {identity}  # products of the letters, the only dedup of the search
     seen = {identity}  # the ball: the words and, with -I, their negations
@@ -523,6 +518,6 @@ def verify_certificate(
         flat = sum(w.num, ())
         for g, column in extend[undo]:
             den = w.den * g.den
-            if not cleared(den, sum(map(mul, flat, column)) - n * den) and not judge(w * g):
+            if not cleared(sum(map(mul, flat, column)) - n * den) and not judge(w * g):
                 return False  # an uncleared pair, formed and judged in full
     return True

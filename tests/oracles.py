@@ -144,6 +144,41 @@ def brute_force_is_torsion_free(group: BieberbachGroup, box: int = 2) -> bool:
     return True
 
 
+def ref_is_torsion_free(
+    group: BieberbachGroup, theta: HolonomyGroup = None, lattice: Matrix = None
+) -> bool:
+    """The fixed-point criterion, in ``Fraction``s.
+
+    An element ``(h, u)`` of finite order has a fixed point, and conversely,
+    so the coset of a nontrivial ``h`` with witness ``(h, t)`` holds torsion
+    exactly when ``t`` lies in ``im(I - h) + L``. Each vector ``nu`` of the
+    left null space of ``I - h`` kills the image, leaving the equations
+    ``nu (L x + t) = 0``, whose integral solvability Heger's criterion
+    decides; an invertible ``I - h`` means torsion in every coset.
+    """
+    theta = theta if theta is not None else holonomy(group)
+    lattice = lattice if lattice is not None else translation_lattice(group, theta)
+    n = group.dim
+    basis = lattice.columns()
+    for h, witness in zip(theta.elements, theta.witnesses):
+        if h.is_identity():
+            continue
+        transposed = ref_transpose(ref_difference(ref_identity(n), [list(r) for r in h.entries]))
+        constraints = ref_null_space(transposed)
+        if not constraints:
+            return False
+        a_rows, b = [], []
+        for nu in constraints:
+            row = [sum(x * y for x, y in zip(nu, col)) for col in basis]
+            rhs = -sum(x * y for x, y in zip(nu, witness.translation))
+            scale = math.lcm(*(x.denominator for x in row + [rhs]))
+            a_rows.append([int(x * scale) for x in row])
+            b.append(int(rhs * scale))
+        if heger_has_integer_solution(a_rows, b):
+            return False
+    return True
+
+
 def brute_best_rational(x: Fraction, max_denominator: int) -> tuple[Fraction, Fraction]:
     """Scan all denominators up to the bound; return (best, error)."""
     best = None

@@ -40,6 +40,7 @@ from oracles import (
     brute_force_is_torsion_free,
     element_order,
     ref_inverse,
+    ref_is_torsion_free,
     ref_product,
     ref_theta_average,
     ref_translation_lattice,
@@ -614,6 +615,68 @@ class TestBruteForceOracleAgreement:
         )
         assert not is_torsion_free(group)
         assert not brute_force_is_torsion_free(group)
+
+
+# integer 2 x 2 turns of orders 3, 4 and 6
+TURN_BLOCKS = ([[0, -1], [1, -1]], [[0, -1], [1, 0]], [[0, -1], [1, 1]])
+
+
+def random_crystallographic_group(data, max_dim=3):
+    """Unit translations and one or two drawn generators: a signed
+    permutation, times a turn block on the first two axes half the time,
+    with a translation in (1/k)Z^n for k <= 6; then, half the time, the
+    group conjugated by a rational affine map. Returns the group and
+    whether it was conjugated. Mixed turns and permutations may generate an
+    infinite holonomy."""
+    n = data.draw(st.integers(min_value=1, max_value=max_dim))
+    generators = [AffineMap.translation_by([int(i == j) for j in range(n)]) for i in range(n)]
+    for _ in range(data.draw(st.integers(min_value=1, max_value=2))):
+        perm = data.draw(st.permutations(range(n)))
+        signs = data.draw(st.lists(st.sampled_from([1, -1]), min_size=n, max_size=n))
+        linear = Matrix([[signs[i] if j == perm[i] else 0 for j in range(n)] for i in range(n)])
+        if n >= 2 and data.draw(st.booleans()):
+            turn = Matrix(data.draw(st.sampled_from(TURN_BLOCKS)))
+            linear = (Matrix.block_diag(turn, Matrix.identity(n - 2)) if n > 2 else turn) * linear
+        k = data.draw(st.integers(min_value=1, max_value=6))
+        shift = data.draw(st.lists(st.integers(min_value=0, max_value=k - 1), min_size=n, max_size=n))
+        generators.append(AffineMap(linear, [F(x, k) for x in shift]))
+    group = BieberbachGroup(generators)
+    if not data.draw(st.booleans()):
+        return group, False
+    conjugator = AffineMap(
+        invertible_linear(data, n), data.draw(st.lists(shift_entries, min_size=n, max_size=n))
+    )
+    inverse = conjugator.inverse()
+    return BieberbachGroup([conjugator * g * inverse for g in generators]), True
+
+
+class TestNormCriterion:
+    """``is_torsion_free`` decides each coset by the norm of its cyclic
+    subgroup; the oracles decide it by fixed points and by enumeration."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_agrees_with_fixed_point_oracle(self, data):
+        group, conjugated = random_crystallographic_group(data)
+        try:
+            theta = holonomy(group, max_order=48)  # the largest point group in dimension 3
+        except HolonomyBound:
+            return
+        verdict = is_torsion_free(group, theta)
+        assert verdict == ref_is_torsion_free(group, theta)
+        # the brute force only searches lattice offsets in a box: a finer
+        # lattice or a conjugate can hide torsion outside it
+        if group.dim <= 2 and not conjugated and all(g.den <= 2 for g in group.generators):
+            assert verdict == brute_force_is_torsion_free(group)
+
+    def test_element_of_infinite_order_raises(self):
+        # a shear has the fixed points (x, 0) but no finite order
+        shear = AffineMap(Matrix([[1, 1], [0, 1]]), [0, 0])
+        group = BieberbachGroup([shear])
+        theta = HolonomyGroup(group, [AffineMap.identity(2), shear])
+        assert not ref_is_torsion_free(group, theta, Matrix.identity(2))
+        with pytest.raises(InvariantViolation, match="no finite order"):
+            is_torsion_free(group, theta, Matrix.identity(2))
 
 
 def clear_group_caches():

@@ -9,10 +9,12 @@ import pytest
 
 import flatcusps
 from flatcusps import selberg
-from flatcusps.bieberbach import catalog
+from flatcusps.bieberbach import AffineMap, BieberbachGroup, catalog
 from flatcusps.cli import main
+from flatcusps.lorentz import embed_group, integralize, verify_embedding
 from flatcusps.serialize import form_to_dict, group_to_dict
-from flatcusps.exactlin import SymmetricForm
+from flatcusps.exactlin import Matrix, SymmetricForm
+from flatcusps.shapes import ShapeDescriptor
 
 from oracles import bump_conjugate
 
@@ -489,3 +491,130 @@ class TestUsageErrors:
     def test_unknown_group_spec(self, capsys):
         assert main(["verify-group", "-g", "not-a-thing"]) == 1
         assert "neither a catalog name nor an existing file" in capsys.readouterr().err
+
+
+# One well-formed piece of each input file; the cases below break one field.
+IDENTITY_2 = [["1", "0"], ["0", "1"]]
+GENERATOR = {"linear": IDENTITY_2, "translation": ["1", "0"]}
+
+
+def _group(**fields):
+    return {"dim": 2, "generators": [GENERATOR], **fields}
+
+
+def _generator(**fields):
+    entry = {**GENERATOR, **fields}
+    return _group(generators=[{k: v for k, v in entry.items() if v is not None}])
+
+
+# (case, input file kind, payload, the start of the one stderr line)
+MALFORMED_INPUTS = [
+    ("group-not-an-object", "group", [], "group: expected an object, got list"),
+    ("dim-not-an-integer", "group", _group(dim="2"), "group.dim: expected an integer, got str"),
+    ("dim-not-positive", "group", _group(dim=0), "group.dim: dimension must be positive"),
+    ("name-not-a-string", "group", _group(name=5), "group.name: name must be a string"),
+    ("generators-missing", "group", {"dim": 2}, "group.generators: missing required field"),
+    ("generators-not-a-list", "group", _group(generators={}), "group.generators: expected a list"),
+    ("generators-empty", "group", _group(generators=[]), "group.generators: at least one generator"),
+    ("generator-not-an-object", "group", _group(generators=[5]), "group.generators[0]: expected an object"),
+    ("linear-missing", "group", _generator(linear=None), "group.generators[0].linear: missing required"),
+    ("translation-missing", "group", _generator(translation=None),
+     "group.generators[0].translation: missing required"),
+    ("linear-empty", "group", _generator(linear=[]), "group.generators[0].linear: matrix must not be empty"),
+    ("linear-unequal-rows", "group", _generator(linear=[["1", "0"], ["1"]]),
+     "group.generators[0].linear[1]: matrix rows have unequal lengths"),
+    ("translation-wrong-size", "group", _generator(translation=["1"]),
+     "group.generators[0].translation: expected a vector of length 2"),
+    ("rational-boolean", "group", _generator(translation=[True, "0"]),
+     "group.generators[0].translation[0]: expected a rational, got a boolean"),
+    ("rational-null", "group", _generator(translation=[None, "0"]),
+     "group.generators[0].translation[0]: expected a rational, got NoneType"),
+    ("form-matrix-missing", "form", {"dim": 2}, "form.matrix: missing required field"),
+    ("form-dim-disagrees", "form", {"dim": 3, "matrix": IDENTITY_2},
+     "form.matrix: matrix size 2 does not match dim 3"),
+    ("number-boolean", "target", {"matrix": [[True, 0], [0, 1]]},
+     "target.matrix[0][0]: expected a number, got a boolean"),
+    ("number-null", "target", {"matrix": [[None, 0], [0, 1]]},
+     "target.matrix[0][0]: expected a number, got NoneType"),
+    ("lambda-n-missing", "lambda", {"generators": []}, "lambda.n: missing required field"),
+    ("lambda-generators-missing", "lambda", {"n": 2}, "lambda.generators: missing required field"),
+    ("lambda-generator-wrong-size", "lambda", {"n": 2, "generators": [[["1"]]]},
+     "lambda.generators[0]: expected an 2x2 matrix"),
+]
+
+
+def _arguments(kind, path, tmp_path):
+    if kind == "group":
+        return ["verify-group", "-g", path]
+    if kind == "form":
+        return ["average", "-g", "torus-2", "-f", path]
+    if kind == "target":
+        return ["approximate", "-g", "torus-2", "-t", path, "-d", "10"]
+    gamma = write_json(tmp_path / "gamma.json", {"n": 2, "generators": [[["1", "1"], ["0", "1"]]]})
+    return ["selberg", "-l", path, "-u", gamma]
+
+
+def _density(denoms, tmp_path):
+    return ["density", "-g", "torus-2", "--samples", "1", "--denoms", denoms,
+            "--seed", "8", "-o", str(tmp_path / "rows.csv")]
+
+
+# (case, arguments built from tmp_path, the start of the one stderr line)
+BAD_ARGUMENTS = [
+    ("form-unreadable", lambda tmp: ["average", "-g", "torus-2", "-f", str(tmp / "missing.json")],
+     "cannot read "),
+    ("catalog-show-without-a-name", lambda tmp: ["catalog", "show"], "catalog show requires a name"),
+    ("denoms-not-integers", lambda tmp: _density("10,x", tmp),
+     "--denoms must be comma-separated integers"),
+    ("denoms-without-a-bound", lambda tmp: _density(",", tmp), "--denoms must list at least one bound"),
+]
+
+
+class TestInputErrors:
+    """Every rejected input exits 1 with one ``error: ...`` line on stderr
+    and no traceback; malformed files name the offending field's path."""
+
+    @staticmethod
+    def assert_one_error_line(capsys, code, start):
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err.startswith(f"error: {start}")
+        assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
+        assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize(
+        "kind, payload, start", [case[1:] for case in MALFORMED_INPUTS],
+        ids=[case[0] for case in MALFORMED_INPUTS],
+    )
+    def test_malformed_file(self, tmp_path, capsys, kind, payload, start):
+        path = write_json(tmp_path / f"{kind}.json", payload)
+        self.assert_one_error_line(capsys, main(_arguments(kind, path, tmp_path)), start)
+
+    @pytest.mark.parametrize(
+        "arguments, start", [case[1:] for case in BAD_ARGUMENTS], ids=[case[0] for case in BAD_ARGUMENTS]
+    )
+    def test_bad_arguments(self, tmp_path, capsys, arguments, start):
+        self.assert_one_error_line(capsys, main(arguments(tmp_path)), start)
+
+
+class TestZeroTranslations:
+    """With every translation zero there is no coordinate to read a scale
+    from, and the shared scale is 1."""
+
+    def test_embed_integralize_report(self, tmp_path, capsys):
+        group = write_json(
+            tmp_path / "group.json",
+            {"dim": 2, "generators": [{"linear": [["1", "0"], ["0", "-1"]], "translation": ["0", "0"]}]},
+        )
+        form = write_json(tmp_path / "form.json", form_to_dict(SymmetricForm.identity(2)))
+        assert main(["embed", "-g", group, "-f", form, "--integralize", "--report"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["embedding"]["scale"] == 1
+        assert payload["report"]["overall"] is True
+
+    def test_library(self):
+        group = BieberbachGroup([AffineMap(Matrix.diagonal([1, -1]), [0, 0])])
+        embedding = embed_group(group, ShapeDescriptor(group, SymmetricForm.identity(2)))
+        assert verify_embedding(embedding).overall
+        integral, scale = integralize(embedding)
+        assert scale == 1 and integral == embedding
