@@ -180,7 +180,7 @@ class BieberbachGroup(Frozen):
     :func:`is_torsion_free`; inputs failing them are rejected loudly there.
     """
 
-    __slots__ = ("dim", "generators", "name")
+    __slots__ = ("dim", "generators", "name", "_hash")
 
     def __init__(self, generators: Sequence[AffineMap], name: Optional[str] = None):
         gens = tuple(generators)
@@ -189,16 +189,16 @@ class BieberbachGroup(Frozen):
         dim = gens[0].dim
         if any(g.dim != dim for g in gens):
             raise DimensionMismatch("generators have inconsistent dimensions")
-        super().__init__(dim, gens, name)
+        super().__init__(dim, gens, name, hash((dim, gens)))
 
-    # Own pair, so that equality and the hash ignore the name.
+    # Own pair, so that equality and the hash ignore the name; the hash is cached.
     def __eq__(self, other) -> bool:
         if not isinstance(other, BieberbachGroup):
             return NotImplemented
         return self.dim == other.dim and self.generators == other.generators
 
     def __hash__(self) -> int:
-        return hash((self.dim, self.generators))
+        return self._hash
 
     def __repr__(self) -> str:
         label = f" {self.name!r}" if self.name else ""
@@ -334,14 +334,14 @@ def is_torsion_free(
     order exactly when ``N s = 0`` (Charlap, *Bieberbach Groups and Flat
     Manifolds*, 1986). The coset of a nontrivial holonomy element ``h`` with
     witness ``(h, t)`` consists of the maps ``(h, t + l)`` over lattice
-    vectors ``l``, so it contains torsion exactly when ``N t`` lies in the
-    lattice ``N L``: integral solvability of ``N L x = -N t``, decided on the
-    integer rows of ``N (L | -t)``. This is the fixed-point criterion, as
-    ``N (I - h) = 0`` and ``Q^n = ker(I - h) + im(I - h)`` is direct, so
-    ``N s = 0`` exactly when ``s`` lies in ``im(I - h)``; an invertible
-    ``I - h`` gives ``N = 0`` and torsion in every coset. An element not
-    back at the identity within ``|theta|`` powers has no finite order in
-    ``theta``, and ``InvariantViolation`` is raised.
+    vectors ``l``, so it contains torsion exactly when ``N t ∈ N L`` (a
+    lattice is symmetric under ``x -> -x``), decided on the integer rows of
+    ``N (L | t)``. This is the fixed-point criterion, as ``N (I - h) = 0``
+    and ``Q^n = ker(I - h) + im(I - h)`` is direct, so ``N s = 0`` exactly
+    when ``s`` lies in ``im(I - h)``; an invertible ``I - h`` gives ``N = 0``
+    and torsion in every coset. An element not back at the identity within
+    ``|theta|`` powers has no finite order in ``theta``, and
+    ``InvariantViolation`` is raised.
     """
     theta = theta if theta is not None else holonomy(group)
     lattice = lattice if lattice is not None else translation_lattice(group, theta)
@@ -356,12 +356,12 @@ def is_torsion_free(
             norm, power = norm + power, power * h
         else:
             raise InvariantViolation("a holonomy element has no finite order in theta")
-        # N (L | -t) on integer rows over one denominator; scaling the
+        # N (L | t) on integer rows over one denominator; scaling the
         # equations leaves their integer solutions alone
         d = math.lcm(lattice.den, witness.den)
         fl, ft = d // lattice.den, d // witness.den
         augmented = tuple(
-            tuple(fl * x for x in row) + (-ft * x,) for row, x in zip(lattice.num, witness.num)
+            tuple(fl * x for x in row) + (ft * x,) for row, x in zip(lattice.num, witness.num)
         )
         system = (norm * Matrix.from_integer_rows(augmented, 1)).num
         if has_integer_solution([row[:n] for row in system], [row[n] for row in system]):

@@ -39,8 +39,8 @@ from .errors import InvariantViolation, NotPositiveDefinite
 from .exactlin import Frozen, Matrix, SymmetricForm
 from .lorentz import (
     LorentzEmbedding,
+    _translation_image,
     embed_group,
-    embed_translation,
     integralize,
     verify_embedding,
 )
@@ -233,8 +233,8 @@ def _congruence_prime(embedding: LorentzEmbedding, lattice: Matrix, scale: int) 
     size = model.ambient_dim
     test_element = -Matrix.identity(size)
     unipotent = [
-        embed_translation([scale * x for x in column], model)
-        for column in lattice.columns()
+        _translation_image([scale * x for x in column], lattice.den, model)
+        for column in zip(*lattice.num)
     ]
     group_input = MatrixGroupInput(
         size, list(embedding.images) + [test_element], unipotent

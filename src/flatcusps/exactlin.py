@@ -46,8 +46,8 @@ class Frozen:
     """Base of the immutable value types.
 
     A subclass names its attributes in ``__slots__`` and passes their
-    values, in that order, to ``Frozen.__init__``, the one place they are
-    set. Afterwards assignment and deletion both raise ``AttributeError``.
+    values, in that order, to ``Frozen.__init__`` (``Matrix`` sets its own
+    directly). Afterwards assignment and deletion both raise ``AttributeError``.
     Equality is by value: two instances are equal when they have the same
     type and equal slot values, and the hash is the hash of those values.
     ``Matrix`` overrides the pair for speed and ``BieberbachGroup`` to
@@ -140,14 +140,11 @@ class Matrix(Frozen):
             if g != 1:
                 num = tuple(tuple(x // g for x in row) for row in num)
                 den //= g
-        obj = object.__new__(cls)
-        Frozen.__init__(obj, len(num), len(num[0]), num, den)
-        return obj
+        return _matrix(num, den)
 
     @staticmethod
     def identity(n: int) -> Matrix:
-        rows = tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
-        return Matrix.from_integer_rows(rows, 1)
+        return Matrix.from_integer_rows(_identity_rows(n), 1)
 
     @staticmethod
     def zeros(rows: int, cols: int) -> Matrix:
@@ -210,11 +207,7 @@ class Matrix(Frozen):
         return not any(map(any, self.num))
 
     def is_identity(self) -> bool:
-        return self.den == 1 and self.is_square() and all(
-            x == (1 if i == j else 0)
-            for i, row in enumerate(self.num)
-            for j, x in enumerate(row)
-        )
+        return self.den == 1 and self.num == _identity_rows(self.rows)
 
     def is_integral(self) -> bool:
         return self.den == 1
@@ -255,10 +248,7 @@ class Matrix(Frozen):
 
     def __neg__(self) -> Matrix:
         # negated canonical rows are canonical: no gcd to take
-        obj = object.__new__(Matrix)
-        num = tuple(tuple(map(neg, row)) for row in self.num)
-        Frozen.__init__(obj, self.rows, self.cols, num, self.den)
-        return obj
+        return _matrix(tuple(tuple(map(neg, row)) for row in self.num), self.den)
 
     def __mul__(self, other):
         if isinstance(other, Matrix):
@@ -363,6 +353,24 @@ class Matrix(Frozen):
         scale = self.den if d > 0 else -self.den
         inverse = tuple(tuple(scale * x for x in row[n:]) for row in augmented)
         return Matrix.from_integer_rows(inverse, abs(d))
+
+
+_set_rows, _set_cols, _set_num, _set_den = (Matrix.__dict__[s].__set__ for s in Matrix.__slots__)
+
+
+def _matrix(num: tuple, den: int) -> Matrix:
+    """Canonical integer rows ``num`` over ``den``, the slots set directly."""
+    obj = object.__new__(Matrix)
+    _set_rows(obj, len(num))
+    _set_cols(obj, len(num[0]))
+    _set_num(obj, num)
+    _set_den(obj, den)
+    return obj
+
+
+@lru_cache(maxsize=None)
+def _identity_rows(n: int) -> tuple:
+    return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
 
 
 def _scaled(num: tuple, f: int) -> tuple:

@@ -13,6 +13,8 @@ has this shape: its upper-left n-by-n block is ``A`` and rows ``< n`` of
 column n hold ``t``. Reading ``(A, t)`` off is an isomorphism from the
 stabilizer of ``v_inf`` onto ``Isom(R^n, B_K)``, so
 :func:`verify_embedding` checks the finished matrices by decoding them.
+A decode compares each entry of an image's integer rows with the closed
+form, cross-multiplied by the two denominators, and builds no matrix.
 A successful decode derives the other four checks (form preservation,
 ``v_inf`` fixed, unipotence of translations, a log that cubes to zero)
 from closed forms and the n-by-n identity ``A^T B_K A = B_K``; a failed
@@ -129,7 +131,12 @@ def embed_translation(v: Sequence, model: LorentzModel) -> Matrix:
     if len(v) != model.n:
         raise DimensionMismatch(f"expected a vector of length {model.n}, got {len(v)}")
     w = Matrix([v])
-    return _assemble(Matrix.identity(model.n), w.num[0], w.den, model)
+    return _translation_image(w.num[0], w.den, model)
+
+
+def _translation_image(w_num: Sequence[int], w_den: int, model: LorentzModel) -> Matrix:
+    """``T(w)`` for ``w = w_num / w_den``, not necessarily in lowest terms."""
+    return _assemble(Matrix.identity(model.n), w_num, w_den, model)
 
 
 def embed_affine(g: AffineMap, model: LorentzModel) -> Matrix:
@@ -199,14 +206,32 @@ def _shared_scale(embedding: LorentzEmbedding) -> tuple[int, int]:
     return 1, 1
 
 
-def _decoded(g: AffineMap, scale: tuple[int, int], model: LorentzModel) -> Matrix:
-    """``T(c t) R(A)``, the image a generator ``(A, t)`` decodes from at the
-    scale ``c = c_num / c_den``: the numerators of ``t`` times ``c_num`` over
-    ``c_den`` times its denominator, with no ``Fraction``."""
+def _decodes(image: Matrix, g: AffineMap, scale: tuple[int, int], model: LorentzModel) -> bool:
+    """Whether ``image`` is ``T(w) R(A)`` for the generator ``(A, t)`` and
+    ``w = c t`` at ``c = c_num / c_den``: each entry is compared with the
+    closed form of :func:`_assemble`, cross-multiplied by the two
+    denominators, and no matrix is built. ``w`` is ``c_num`` times the
+    numerators of ``t`` over ``c_den`` times their denominator, not reduced.
+    A canonical image whose upper-left block is ``A`` has ``den A`` dividing
+    its denominator, so that block is one tuple comparison per row."""
+    n, num, den, a = model.n, image.num, image.den, g.linear
     c_num, c_den = scale
-    if c_num == c_den:
-        return _assemble(g.linear, g.num, g.den, model)
-    return _assemble(g.linear, [c_num * x for x in g.num], c_den * g.den, model)
+    w_num, w_den = [c_num * x for x in g.num], c_den * g.den
+    k_num, k_den, h_num, h_den = _translation_parts(w_num, w_den, model)
+    top, bottom = num[n], num[n + 1]
+    h = top[n + 1]  # the corner is [[1 - h, h], [-h, 1 + h]]
+    if (top[n], bottom[n], bottom[n + 1]) != (den - h, -h, den + h) or h * h_den != h_num * den:
+        return False
+    # rows < n end in w, -w; rows n and n+1 start with -(k^T A); the block is A
+    if top[:n] != bottom[:n] or den % a.den:
+        return False
+    if any(row[n] * w_den != x * den or row[n + 1] != -row[n] for row, x in zip(num, w_num)):
+        return False
+    ka_den = k_den * a.den
+    if any(x * ka_den != -sum(map(mul, k_num, col)) * den for x, col in zip(top, zip(*a.num))):
+        return False
+    f = den // a.den
+    return all(row[:n] == tuple(f * x for x in row_a) for row, row_a in zip(num, a.num))
 
 
 # ---------------------------------------------------------------------------
@@ -279,7 +304,7 @@ def integralize(embedding: LorentzEmbedding) -> tuple[LorentzEmbedding, int]:
     for g, image in zip(generators, images):
         if not preserves_form(g.linear, base):
             raise NotFormIsometry("linear part does not preserve the base form")
-        if scale[0] <= 0 or _decoded(g, scale, model) != image:
+        if scale[0] <= 0 or not _decodes(image, g, scale, model):
             raise InvariantViolation(
                 "an image is not the embedding of its generator; "
                 "rescaling translations would not be a conjugation"
@@ -356,8 +381,10 @@ def verify_embedding(embedding: LorentzEmbedding) -> VerificationReport:
     zero: 1 for :func:`embed_group` output, the integralization scale after
     :func:`integralize`.
 
-    The decode is tested first. When it holds, the other four checks
-    follow from closed forms, with no (n+2)-sized product:
+    The decode is tested first, in place: each entry of the image is
+    compared with the closed form of ``T(c t) R(A)``, cross-multiplied by
+    the two denominators, with no matrix assembled. When it holds, the
+    other four checks follow from closed forms, with no (n+2)-sized product:
 
     - ``T(w)`` preserves ``B`` for every ``w``, and ``R(A)`` does exactly
       when ``A`` preserves ``B_K``, so ``E^T B E = B`` is the n-by-n
@@ -390,7 +417,7 @@ def verify_embedding(embedding: LorentzEmbedding) -> VerificationReport:
     scale = _shared_scale(embedding)
     results = []
     for g, image in zip(embedding.group.generators, embedding.images):
-        if scale[0] > 0 and image == _decoded(g, scale, model):
+        if scale[0] > 0 and _decodes(image, g, scale, model):
             checks = GeneratorChecks(
                 preserves_form(g.linear, base),
                 True,

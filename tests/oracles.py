@@ -22,6 +22,7 @@ the lattice basis of rational vectors.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
@@ -343,6 +344,14 @@ def product_embed_affine(g: AffineMap, model: LorentzModel) -> Matrix:
     return embed_translation(g.translation, model) * linear_image(g.linear, model)
 
 
+def ref_decodes(image: Matrix, g: AffineMap, scale, model: LorentzModel) -> bool:
+    """Whether ``image`` is the product ``T(c t) R(A)`` for the generator
+    ``(A, t)`` at the scale ``c = c_num / c_den``, built as a matrix and
+    compared whole."""
+    c = Fraction(*scale)
+    return image == product_embed_affine(AffineMap(g.linear, [c * x for x in g.translation]), model)
+
+
 def ref_verify_embedding(embedding: LorentzEmbedding) -> VerificationReport:
     """Every check of ``verify_embedding`` computed in full on the
     (n+2)-by-(n+2) matrices, with no closed form: ``E^T B E = B``,
@@ -351,54 +360,52 @@ def ref_verify_embedding(embedding: LorentzEmbedding) -> VerificationReport:
     nonzero translation, and the nilpotency degree of the log of
     ``E R(A)^{-1}``."""
     model = embedding.model
-    gram = model.model_form.matrix
     n = model.n
-    ambient = model.ambient_dim
-    unipotent = unipotent_polynomial(ambient)
     pairs = list(zip(embedding.group.generators, embedding.images))
     scale = next(
         (image[j, n] / x for g, image in pairs for j, x in enumerate(g.translation) if x),
         Fraction(1),
     )
+    return VerificationReport([_ref_checks(g, image, scale, model) for g, image in pairs])
 
-    results = []
-    for g, image in pairs:
-        form_preserved = image.transpose() * gram * image == gram
-        fixes_vinf = image.matvec(model.v_inf) == model.v_inf
 
-        if g.is_translation():
-            unipotent_translation = char_poly(image) == unipotent
-        else:
-            unipotent_translation = None
+@functools.lru_cache(maxsize=1024)
+def _ref_checks(g: AffineMap, image: Matrix, scale: Fraction, model: LorentzModel) -> GeneratorChecks:
+    # one generator's checks; cached, since tests that change one image of
+    # many re-check the others unchanged
+    gram = model.model_form.matrix
+    ambient = model.ambient_dim
+    form_preserved = image.transpose() * gram * image == gram
+    fixes_vinf = image.matvec(model.v_inf) == model.v_inf
 
-        scaled = translation_log([scale * x for x in g.translation], model)
-        equivariance = scale > 0 and image == nilpotent_exp(scaled) * linear_image(
-            g.linear, model
-        )
+    if g.is_translation():
+        unipotent_translation = char_poly(image) == unipotent_polynomial(ambient)
+    else:
+        unipotent_translation = None
 
-        rotation_inv = Matrix.block_diag(g.linear.inverse(), Matrix.identity(2))
-        shifted = image * rotation_inv - Matrix.identity(ambient)
-        log = shifted - Fraction(1, 2) * (shifted * shifted)
-        degree = None
-        power = Matrix.identity(ambient)
-        for k in range(1, ambient + 1):
-            power = power * log
-            if power.is_zero():
-                degree = k
-                break
-        log_cubes_to_zero = degree is not None and degree <= 3
+    scaled = translation_log([scale * x for x in g.translation], model)
+    equivariance = scale > 0 and image == nilpotent_exp(scaled) * linear_image(g.linear, model)
 
-        results.append(
-            GeneratorChecks(
-                form_preserved,
-                fixes_vinf,
-                unipotent_translation,
-                equivariance,
-                log_cubes_to_zero,
-                degree,
-            )
-        )
-    return VerificationReport(results)
+    rotation_inv = Matrix.block_diag(g.linear.inverse(), Matrix.identity(2))
+    shifted = image * rotation_inv - Matrix.identity(ambient)
+    log = shifted - Fraction(1, 2) * (shifted * shifted)
+    degree = None
+    power = Matrix.identity(ambient)
+    for k in range(1, ambient + 1):
+        power = power * log
+        if power.is_zero():
+            degree = k
+            break
+    log_cubes_to_zero = degree is not None and degree <= 3
+
+    return GeneratorChecks(
+        form_preserved,
+        fixes_vinf,
+        unipotent_translation,
+        equivariance,
+        log_cubes_to_zero,
+        degree,
+    )
 
 
 def hyperbolic_conjugator(model: LorentzModel, c: int) -> Matrix:

@@ -669,6 +669,22 @@ class TestNormCriterion:
         if group.dim <= 2 and not conjugated and all(g.den <= 2 for g in group.generators):
             assert verdict == brute_force_is_torsion_free(group)
 
+    @pytest.mark.parametrize("name", catalog_names())
+    def test_catalog_agrees_with_fixed_point_oracle(self, name):
+        # the catalog group, and the group enlarged by the linear part of a
+        # generator with nontrivial holonomy, which fixes the origin
+        group = catalog(name)
+        variants = [group] + [
+            BieberbachGroup(group.generators + (AffineMap(g.linear, [0] * group.dim),))
+            for g in group.generators
+            if not g.is_translation()
+        ]
+        for variant in variants:
+            theta = holonomy(variant)
+            verdict = is_torsion_free(variant, theta)
+            assert verdict == ref_is_torsion_free(variant, theta)
+            assert verdict == (variant is group)
+
     def test_element_of_infinite_order_raises(self):
         # a shear has the fixed points (x, 0) but no finite order
         shear = AffineMap(Matrix([[1, 1], [0, 1]]), [0, 0])
@@ -698,6 +714,16 @@ class TestMemoization:
         for theta, name in ((theta_first, "first"), (theta_second, "second")):
             shape = rationalize(SymmetricForm.diagonal([2, 3]), theta, 10)
             assert shape.group.name == name
+
+    def test_hash_is_name_blind_and_survives_copy_and_pickle(self):
+        first = BieberbachGroup(klein_group().generators, name="first")
+        second = BieberbachGroup(klein_group().generators, name="second")
+        assert hash(first) == hash(second) == hash(BieberbachGroup(first.generators))
+        assert hash(first) == hash((first.dim, first.generators))
+        for clone in (copy.copy(first), copy.deepcopy(first), pickle.loads(pickle.dumps(first))):
+            assert clone == first and hash(clone) == hash(first)
+            assert clone.name == "first"
+            assert {clone: 1}[second] == 1
 
     def test_smaller_cap_after_success_still_raises(self):
         group = catalog("sixth-turn")

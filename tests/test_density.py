@@ -148,11 +148,12 @@ class TestRunExperiment:
         assert rows[0].selberg_prime == 7
 
     def test_each_image_is_decoded_once_per_row(self, monkeypatch):
-        # per row: embed 2, integralize's check 2, the integral
-        # verification 2, the lattice translations 2; integralize rescales
-        # the checked images on their integer rows, with no _assemble, and
-        # every _assemble needs one _translation_parts and nothing else does
-        calls = {"_assemble": 0, "_translation_parts": 0}
+        # per row: _assemble builds the 2 embedded images and the 2 lattice
+        # unipotents; integralize decodes each rational image once and the
+        # integral verification each integral one once, in place, with no
+        # _assemble; every _assemble and every _decodes needs one
+        # _translation_parts, and nothing else does
+        calls = {"_assemble": 0, "_decodes": 0, "_translation_parts": 0}
         for name in calls:
             original = getattr(lorentz, name)
 
@@ -164,7 +165,7 @@ class TestRunExperiment:
         config = ExperimentConfig(catalog("torus-2"), 1, [10], 8, torus_manifold_mode=True)
         [row] = run_experiment(config)
         assert row.pipeline_ok is True
-        assert calls == {"_assemble": 8, "_translation_parts": 8}
+        assert calls == {"_assemble": 4, "_decodes": 4, "_translation_parts": 8}
 
     @pytest.mark.parametrize("name", ["torus-2", "klein", "sixth-turn"])
     def test_each_target_is_averaged_once_per_ladder(self, name, monkeypatch):

@@ -287,6 +287,64 @@ class TestCanonicalForm:
             assert (product.num, product.den) == (identity.num, 1)
 
 
+class TestKernelPrimitives:
+    """``is_identity`` and ``from_integer_rows`` against the entrywise
+    definition and the ``Fraction`` constructor."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        data=st.data(),
+        rows=st.integers(1, 5),
+        cols=st.integers(1, 5),
+        den=st.sampled_from([1, 1, 2, 3]),
+    )
+    def test_is_identity_is_entrywise(self, data, rows, cols, den):
+        # identity-shaped integer rows with a few entries changed, over a
+        # denominator that may make a num that looks like the identity
+        num = [[int(i == j) for j in range(cols)] for i in range(rows)]
+        cells = st.tuples(st.integers(0, rows - 1), st.integers(0, cols - 1), st.integers(-2, 2))
+        for i, j, x in data.draw(st.lists(cells, max_size=2)):
+            num[i][j] = x
+        m = Matrix.from_integer_rows(tuple(map(tuple, num)), den)
+        expected = rows == cols and all(
+            m[i, j] == (i == j) for i in range(rows) for j in range(cols)
+        )
+        assert m.is_identity() == expected
+        assert m.is_identity() == (rows == cols and m == Matrix(ref_identity(rows)))
+
+    def test_is_identity_edge_cases(self):
+        for n in range(1, 7):
+            assert Matrix.identity(n).is_identity()
+            assert Matrix.identity(n) == Matrix([[int(i == j) for j in range(n)] for i in range(n)])
+            # the identity's rows over 2 and 3 are 1/2 I and 1/3 I
+            for den in (2, 3):
+                assert not Matrix.from_integer_rows(Matrix.identity(n).num, den).is_identity()
+        assert not Matrix.from_integer_rows(((1, 0, 0), (0, 1, 0)), 1).is_identity()
+        assert not Matrix.from_integer_rows(((1, 0), (0, 1), (0, 0)), 1).is_identity()
+        assert Matrix.from_integer_rows(((2, 0), (0, 2)), 2).is_identity()
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        data=st.data(),
+        rows=st.integers(1, 4),
+        cols=st.integers(1, 4),
+        den=st.integers(1, 12),
+    )
+    def test_integer_rows_match_the_fraction_constructor(self, data, rows, cols, den):
+        row = st.lists(st.integers(-12, 12), min_size=cols, max_size=cols).map(tuple)
+        num = tuple(data.draw(st.lists(row, min_size=rows, max_size=rows)))
+        m = Matrix.from_integer_rows(num, den)
+        ref = Matrix([[F(x, den) for x in r] for r in num])
+        assert (m.rows, m.cols, m.num, m.den) == (ref.rows, ref.cols, ref.num, ref.den)
+        assert m == ref and hash(m) == hash(ref)
+        assert pickle.dumps(m) == pickle.dumps(ref)
+        for clone in (copy.copy(m), copy.deepcopy(m), pickle.loads(pickle.dumps(m))):
+            assert type(clone) is Matrix
+            assert clone == ref and hash(clone) == hash(ref)
+        with pytest.raises(AttributeError, match="Matrix is immutable"):
+            m.den = 1
+
+
 class TestSignature:
     def test_diagonal_examples(self):
         assert ldl_signature(SymmetricForm.diagonal([1, 1, -1])) == (2, 1, 0)
@@ -643,8 +701,8 @@ FROZEN_INSTANCES = {
 }
 
 # slots the two own equalities ignore: a matrix's shape follows from its
-# rows, and one group has many names
-IGNORED_SLOTS = {"Matrix": {"rows", "cols"}, "BieberbachGroup": {"name"}}
+# rows, one group has many names, and a group's hash is cached
+IGNORED_SLOTS = {"Matrix": {"rows", "cols"}, "BieberbachGroup": {"name", "_hash"}}
 
 
 def _frozen_types():

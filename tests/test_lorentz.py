@@ -55,6 +55,7 @@ from oracles import (
     linear_image,
     outer_pairing,
     product_embed_affine,
+    ref_decodes,
     ref_verify_embedding,
     translation_log,
 )
@@ -857,3 +858,94 @@ class TestVerifyAgainstOracle:
             assert report.overall
         if variant in ("corrupted", "random"):
             assert not report.overall
+
+
+class TestDecodeInPlace:
+    """The entrywise, cross-multiplied decode against the assembled
+    product, and every image with one entry moved by one step."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        data=st.data(),
+        name=st.sampled_from(catalog_names()),
+        c0=st.sampled_from([1, F(3, 2), 3]),
+    )
+    def test_agrees_with_product(self, data, name, c0):
+        # every image against every generator, at the shared scale and at
+        # one more, before and after integralization
+        group, theta = catalog_with_holonomy(name)
+        model = LorentzModel(random_base(data, theta))
+        images = [
+            product_embed_affine(AffineMap(g.linear, [c0 * x for x in g.translation]), model)
+            for g in group.generators
+        ]
+        embedding = LorentzEmbedding(model, group, images)
+        for e in (embedding, integralize(embedding)[0]):
+            c_num, c_den = lorentz._shared_scale(e)
+            for scale in ((c_num, c_den), (c_num + c_den, c_den)):
+                for k, g in enumerate(group.generators):
+                    for j, image in enumerate(e.images):
+                        decodes = lorentz._decodes(image, g, scale, model)
+                        assert decodes == ref_decodes(image, g, scale, model)
+                        if j == k and scale[0] == c_num:
+                            assert decodes
+
+    @pytest.mark.parametrize("name", catalog_names())
+    def test_every_shifted_entry_fails(self, name):
+        # each of the (n+2)^2 entries of each image moved by +-1/den, on the
+        # rational and on the integral images
+        group, theta = catalog_with_holonomy(name)
+        shape = ShapeDescriptor(group, theta_average(SymmetricForm.identity(group.dim), theta))
+        embedding = embed_group(group, shape)
+        size = embedding.model.ambient_dim
+        for e in (embedding, integralize(embedding)[0]):
+            for k, image in enumerate(e.images):
+                for i, j, step in itertools.product(range(size), range(size), (1, -1)):
+                    rows = [list(row) for row in image.num]
+                    rows[i][j] += step
+                    shifted = Matrix.from_integer_rows(tuple(map(tuple, rows)), image.den)
+                    mutated = with_images(e, e.images[:k] + (shifted,) + e.images[k + 1 :])
+                    report = assert_matches_oracle(mutated)
+                    assert not report.overall, (k, i, j, step)
+                    with pytest.raises(InvariantViolation):
+                        integralize(mutated)
+
+    @pytest.mark.parametrize("name", catalog_names())
+    def test_shifted_corner_fails(self, name):
+        # h moved by +-1/den in all four corner entries at once keeps the
+        # corner's shape, so only the value of h itself tells it apart
+        group, theta = catalog_with_holonomy(name)
+        shape = ShapeDescriptor(group, theta_average(SymmetricForm.identity(group.dim), theta))
+        embedding = embed_group(group, shape)
+        n = group.dim
+        for e in (embedding, integralize(embedding)[0]):
+            for k, image in enumerate(e.images):
+                for step in (1, -1):
+                    rows = [list(row) for row in image.num]
+                    for i, j, sign in ((n, n, -1), (n, n + 1, 1), (n + 1, n, -1), (n + 1, n + 1, 1)):
+                        rows[i][j] += sign * step
+                    shifted = Matrix.from_integer_rows(tuple(map(tuple, rows)), image.den)
+                    mutated = with_images(e, e.images[:k] + (shifted,) + e.images[k + 1 :])
+                    assert not assert_matches_oracle(mutated).overall
+                    with pytest.raises(InvariantViolation):
+                        integralize(mutated)
+
+    @pytest.mark.parametrize(
+        "linear, rows, den",
+        [
+            # the blocks are den // den(A) times A's rows, over a den that
+            # den(A) does not divide: not A, though every other entry fits
+            ([[HALF]], [[0, 0, 0], [0, 1, 0], [0, 0, 1]], 1),
+            ([[0, -HALF], [2, 0]], [[0, -1, 0, 0], [4, 0, 0, 0], [0, 0, 3, 0], [0, 0, 0, 3]], 3),
+        ],
+    )
+    def test_block_denominator_must_divide(self, linear, rows, den):
+        g = AffineMap(linear, [0] * len(linear))
+        model = LorentzModel(SymmetricForm.identity(len(linear)))
+        image = Matrix.from_integer_rows(tuple(map(tuple, rows)), den)
+        assert image.den == den
+        assert not lorentz._decodes(image, g, (1, 1), model)
+        assert not ref_decodes(image, g, (1, 1), model)
+        assert lorentz._decodes(product_embed_affine(g, model), g, (1, 1), model)
+        embedding = LorentzEmbedding(model, BieberbachGroup([g]), [image])
+        assert not assert_matches_oracle(embedding).overall
