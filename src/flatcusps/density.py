@@ -6,14 +6,12 @@ holonomy. Each target is approximated by arithmetic shapes at a ladder of
 denominator bounds; optionally every approximant is pushed through the
 whole realization pipeline (embed; integralize, which checks each image
 exactly by decoding it; verify the integral images) and, in torus-manifold
-mode, through the congruence-prime construction.
-There the ambient group is generated by the integralized generator images
-together with ``-I`` as a designated finite-order test element, and the
-unipotent subgroup is the image of the translation lattice: one unipotent
-generator per lattice basis vector, translated by that vector times the
-integralization scale. For a torus the lattice translations are the
-generators themselves; for any other Bieberbach group the generators with
-nontrivial holonomy are not unipotent, so they are left out of it.
+mode, certified with a congruence prime. The certificate is for the
+ambient group of the integral images and ``-I``, a designated finite-order
+test element, with the image of the translation lattice as its unipotent
+subgroup. Every generator of that input is integral of determinant ±1, so
+the certificate is the same on every row of an ambient degree: it is
+decided once per degree, from ``-I`` alone (see :func:`_pipeline_legs`).
 
 Reproducibility is the point: randomness comes from a 64-bit linear
 congruential generator with fixed constants (Knuth's MMIX multiplier
@@ -26,6 +24,7 @@ invariant shape.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Optional, Sequence
 
 from .bieberbach import (
@@ -37,14 +36,8 @@ from .bieberbach import (
 )
 from .errors import InvariantViolation, NotPositiveDefinite
 from .exactlin import Frozen, Matrix, SymmetricForm
-from .lorentz import (
-    LorentzEmbedding,
-    _translation_image,
-    embed_group,
-    integralize,
-    verify_embedding,
-)
-from .selberg import MatrixGroupInput, good_prime
+from .lorentz import embed_group, integralize, verify_embedding
+from .selberg import MatrixGroupInput, SelbergCertificate, good_prime
 from .shapes import RealForm, ShapeDescriptor, _float_sum, rationalize, shape_distance
 
 LCG_MULTIPLIER = 6364136223846793005
@@ -145,6 +138,7 @@ def sample_targets(group: BieberbachGroup, count: int, seed: int) -> list[RealFo
     theta = holonomy(group)
     n = group.dim
     rng = Lcg(seed)
+    floats = [[[x / g.den for x in row] for row in g.num] for g in theta.elements]
     targets = []
     for _ in range(count):
         a = [[rng.uniform_symmetric() for _ in range(n)] for _ in range(n)]
@@ -157,7 +151,6 @@ def sample_targets(group: BieberbachGroup, count: int, seed: int) -> list[RealFo
                 gram[i][j] = value
                 gram[j][i] = value
         if theta.order > 1:
-            floats = [[[float(x) for x in row] for row in g.entries] for g in theta.elements]
             averaged = [[0.0] * n for _ in range(n)]
             for i in range(n):
                 for j in range(i, n):
@@ -199,47 +192,38 @@ def _rationalize_with_retry(
             effective *= RETRY_FACTOR
 
 
-def _pipeline_legs(
-    group: BieberbachGroup,
-    shape: ShapeDescriptor,
-    lattice: Optional[Matrix],
-) -> Optional[int]:
-    """Embed, integralize and verify; with a lattice, return the prime.
+def _pipeline_legs(group: BieberbachGroup, shape: ShapeDescriptor, certify: bool) -> Optional[int]:
+    """Embed, integralize and verify; when asked to certify, return the prime.
 
     :func:`integralize` checks the rational images: it decodes each one.
     Decoding the integral images checks its closed-form rescaling; a
-    failure raises ``InvariantViolation``, like every other leg's."""
-    integral, scale = integralize(embed_group(group, shape))
+    failure raises ``InvariantViolation``, like every other leg's.
+
+    The row's congruence input has the integral images and ``-I`` as
+    ambient generators and, for each lattice basis vector ``l``, ``T(c l)``
+    at the integralization scale ``c`` as unipotent ones. None of them
+    has a non-unit, so :func:`good_prime`, which reads an input only
+    through its degree, the unipotence of its unipotent generators and its
+    non-units, certifies it as it does :func:`_degree_certificate`'s input:
+
+    - :func:`integralize` checks that the images are integral;
+    - :func:`verify_embedding` decides ``A^T B_K A = B_K``, so each image
+      ``E`` preserves ``B``, which is nondegenerate, and ``det E = ±1``;
+    - ``-I`` has determinant ±1;
+    - each ``T(c l)`` is unipotent by its closed form, and integral as the
+      image of a lattice element.
+    """
+    integral, _ = integralize(embed_group(group, shape))
     if not verify_embedding(integral).overall:
         raise InvariantViolation("re-verification after integralization failed")
-    if lattice is None:
-        return None
-    return _congruence_prime(integral, lattice, scale)
+    return _degree_certificate(integral.model.ambient_dim).prime if certify else None
 
 
-def _congruence_prime(embedding: LorentzEmbedding, lattice: Matrix, scale: int) -> int:
-    """Congruence prime for the integralized images.
-
-    The ambient group is the image group enlarged by ``-I`` (always a
-    form-preserving element of finite order, so the certificate has real
-    torsion to separate). The unipotent subgroup is the image of the
-    translation lattice: integralization conjugates the image ``T(l)`` of
-    a lattice vector ``l`` to ``T(scale * l)``, so each column of
-    ``lattice`` contributes that integral unipotent matrix. Images of
-    generators with nontrivial holonomy are not unipotent and are not
-    among them.
-    """
-    model = embedding.model
-    size = model.ambient_dim
-    test_element = -Matrix.identity(size)
-    unipotent = [
-        _translation_image([scale * x for x in column], lattice.den, model)
-        for column in zip(*lattice.num)
-    ]
-    group_input = MatrixGroupInput(
-        size, list(embedding.images) + [test_element], unipotent
-    )
-    return good_prime(group_input).prime
+@lru_cache(maxsize=None)
+def _degree_certificate(size: int) -> SelbergCertificate:
+    """The certificate of ``-I`` in degree ``size``, with no unipotent
+    generator. A degree above ``MAX_DEGREE`` raises, and is not cached."""
+    return good_prime(MatrixGroupInput(size, [-Matrix.identity(size)]))
 
 
 def run_experiment(
@@ -261,7 +245,8 @@ def run_experiment(
         if len(targets) != config.sample_count:
             raise ValueError("explicit target count does not match sample_count")
     needs_pipeline = config.run_pipeline or config.torus_manifold_mode
-    lattice = translation_lattice(group, theta) if config.torus_manifold_mode else None
+    if config.torus_manifold_mode:
+        translation_lattice(group, theta)  # translations that do not span raise here
     rows = []
     for sample_id, target in enumerate(targets):
         reference = theta_average(target.to_exact(), theta)
@@ -273,7 +258,7 @@ def run_experiment(
             reason: Optional[str] = None
             if needs_pipeline:
                 try:
-                    prime = _pipeline_legs(group, shape, lattice)
+                    prime = _pipeline_legs(group, shape, config.torus_manifold_mode)
                     pipeline_ok = True
                 except ValueError as exc:  # every leg failure is a ValueError
                     pipeline_ok, reason = False, f"{type(exc).__name__}: {exc}"

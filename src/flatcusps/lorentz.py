@@ -131,12 +131,7 @@ def embed_translation(v: Sequence, model: LorentzModel) -> Matrix:
     if len(v) != model.n:
         raise DimensionMismatch(f"expected a vector of length {model.n}, got {len(v)}")
     w = Matrix([v])
-    return _translation_image(w.num[0], w.den, model)
-
-
-def _translation_image(w_num: Sequence[int], w_den: int, model: LorentzModel) -> Matrix:
-    """``T(w)`` for ``w = w_num / w_den``, not necessarily in lowest terms."""
-    return _assemble(Matrix.identity(model.n), w_num, w_den, model)
+    return _assemble(Matrix.identity(model.n), w.num[0], w.den, model)
 
 
 def embed_affine(g: AffineMap, model: LorentzModel) -> Matrix:

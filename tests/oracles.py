@@ -14,10 +14,13 @@ the integer one replaced, and congruence certificates by the word-ball
 verifier that computes every element's characteristic polynomial and
 raises each collapsing one to the lcm of all torsion orders, and the
 primes that collapse a torsion polynomial onto ``(t-1)^n`` by a gcd
-search over every torsion polynomial, and translation lattices by
-Schreier's construction one ``Fraction`` at a time. The API that only
-tests use lives here too, such as the ``Fraction`` vector helpers and
-the lattice basis of rational vectors.
+search over every torsion polynomial, translation lattices by
+Schreier's construction one ``Fraction`` at a time, a density row's
+congruence certificate from its whole input, with the lattice
+unipotents, and seeded targets with a float holonomy converted from
+``Fraction`` entries. The API that only tests use lives here too, such
+as the ``Fraction`` vector helpers and the lattice basis of rational
+vectors.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ import operator
 from fractions import Fraction
 
 from flatcusps import lorentz
+from flatcusps.density import Lcg
 from flatcusps.bieberbach import (
     AffineMap,
     BieberbachGroup,
@@ -59,12 +63,13 @@ from flatcusps.selberg import (
     MatrixGroupInput,
     SelbergCertificate,
     euler_phi,
+    good_prime,
     is_prime,
     prime_factors,
     torsion_polynomials,
 )
 from flatcusps.serialize import parse_group, parse_matrix
-from flatcusps.shapes import ShapeDescriptor
+from flatcusps.shapes import RealForm, ShapeDescriptor, _float_sum
 
 
 def vec(entries) -> Vector:
@@ -113,19 +118,28 @@ def ref_translation_lattice(group: BieberbachGroup, theta: HolonomyGroup) -> Mat
     return Matrix.from_columns(basis)
 
 
-def brute_force_is_torsion_free(group: BieberbachGroup, box: int = 2) -> bool:
-    """Enumerate elements (h, t + B l) with |l_i| <= box and check orders.
+def brute_force_is_torsion_free(group: BieberbachGroup) -> bool:
+    """Enumerate the elements ``(h, t + L x)`` of a proven box and check orders.
 
     An element over a nontrivial holonomy element h of order k is torsion
     exactly when (h, u)^k is the identity, i.e. when (I + h + ... +
-    h^(k-1)) u = 0. Finds any torsion element whose lattice offset lies in
-    the search box.
+    h^(k-1)) u = 0. The box meets every coset that holds torsion. A
+    torsion element ``(h, u)`` fixes the barycentre p of the orbit of the
+    origin, so ``u = (I - h) p``; conjugating it by the lattice translation
+    ``T(m)`` gives ``(h, u + (I - h) m)``, torsion in the same coset, which
+    fixes ``p + m``. So some torsion element of the coset with witness
+    ``(h, t)`` fixes a point ``L y`` with ``y`` in ``[0, 1)^n``, and its
+    translation is ``t + L x`` with ``x = M y - L^-1 t``, where
+    ``M = L^-1 (I - h) L`` is integral because ``h L = L``. Each ``x_i`` then
+    lies between the sums of the negative and of the positive entries of
+    row i of M, less ``(L^-1 t)_i``; the box is every integer point there.
     """
     theta = holonomy(group)
     lattice = translation_lattice(group, theta)
     n = group.dim
     ident = Matrix.identity(n)
     columns = lattice.columns()
+    to_lattice = lattice.inverse()
     for h, witness in zip(theta.elements, theta.witnesses):
         if h == ident:
             continue
@@ -135,7 +149,18 @@ def brute_force_is_torsion_free(group: BieberbachGroup, box: int = 2) -> bool:
         for _ in range(order - 1):
             norm = norm + power
             power = power * h
-        for offsets in itertools.product(range(-box, box + 1), repeat=n):
+        m = to_lattice * (ident - h) * lattice
+        if not m.is_integral():
+            raise InvariantViolation("the holonomy does not preserve the lattice")
+        shift = to_lattice.matvec(witness.translation)
+        ranges = [
+            range(
+                math.ceil(sum(x for x in row if x < 0) - s),
+                math.floor(sum(x for x in row if x > 0) - s) + 1,
+            )
+            for row, s in zip(m.entries, shift)
+        ]
+        for offsets in itertools.product(*ranges):
             u = list(witness.translation)
             for coeff, col in zip(offsets, columns):
                 for i in range(n):
@@ -713,6 +738,56 @@ def ref_verify_certificate(
         if reduced == unipotent_mod and element ** order_bound == identity:
             return False  # nontrivial torsion collapsed onto the unipotent residue
     return True
+
+
+def ref_congruence_certificate(
+    integral: LorentzEmbedding, lattice: Matrix, scale: int
+) -> SelbergCertificate:
+    """A density row's certificate from its whole congruence input: the
+    integral images and ``-I`` as ambient generators, and ``T(scale l)`` for
+    each column ``l`` of the translation lattice as unipotent ones."""
+    model = integral.model
+    size = model.ambient_dim
+    unipotent = [embed_translation([scale * x for x in l], model) for l in lattice.columns()]
+    return good_prime(
+        MatrixGroupInput(size, list(integral.images) + [-Matrix.identity(size)], unipotent)
+    )
+
+
+def ref_sample_targets(group: BieberbachGroup, count: int, seed: int) -> list[RealForm]:
+    """Seeded targets with the float holonomy rebuilt from ``Fraction``
+    entries for every target."""
+    theta = holonomy(group)
+    n = group.dim
+    rng = Lcg(seed)
+    targets = []
+    for _ in range(count):
+        a = [[rng.uniform_symmetric() for _ in range(n)] for _ in range(n)]
+        gram = [[0.0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                value = _float_sum(a[k][i] * a[k][j] for k in range(n))
+                if i == j:
+                    value += 1e-3
+                gram[i][j] = value
+                gram[j][i] = value
+        if theta.order > 1:
+            floats = [[[float(x) for x in row] for row in g.entries] for g in theta.elements]
+            averaged = [[0.0] * n for _ in range(n)]
+            for i in range(n):
+                for j in range(i, n):
+                    total = 0.0
+                    for ge in floats:
+                        total += _float_sum(
+                            ge[k][i] * gram[k][l] * ge[l][j]
+                            for k in range(n)
+                            for l in range(n)
+                        )
+                    averaged[i][j] = total / theta.order
+                    averaged[j][i] = averaged[i][j]
+            gram = averaged
+        targets.append(RealForm(gram))
+    return targets
 
 
 def bump_conjugate(monkeypatch) -> None:

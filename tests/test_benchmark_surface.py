@@ -16,7 +16,14 @@ from pathlib import Path
 import pytest
 
 import flatcusps
-from flatcusps import Matrix, MatrixGroupInput, catalog, good_prime
+from flatcusps import (
+    ExperimentConfig,
+    Matrix,
+    MatrixGroupInput,
+    catalog,
+    good_prime,
+    run_experiment,
+)
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -59,8 +66,10 @@ def test_clear_caches_empties_every_package_cache():
     # set-up in the benchmark must pay for filling each cache anew
     catalog("hantzsche-wendt")
     good_prime(MatrixGroupInput(2, [-Matrix.identity(2)]))
+    run_experiment(ExperimentConfig(catalog("torus-2"), 1, [10], 8, torus_manifold_mode=True))
     caches = package_caches()
     filled = {
+        "density._degree_certificate",
         "bieberbach._holonomy_witnesses",
         "bieberbach.translation_lattice",
         "bieberbach.is_torsion_free",

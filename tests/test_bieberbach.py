@@ -617,6 +617,34 @@ class TestBruteForceOracleAgreement:
         assert not brute_force_is_torsion_free(group)
 
 
+    @pytest.mark.parametrize(
+        "generators",
+        [
+            # over the lattice (1/5)Z x Z a torsion element has translation
+            # (0, y), four basis steps from the witness's (4/5, 3/5)
+            [
+                AffineMap.translation_by([1, 0]),
+                AffineMap.translation_by([0, 1]),
+                AffineMap(Matrix.diagonal([1, -1]), [F(4, 5), F(3, 5)]),
+            ],
+            # -swap over the lattice with basis (1/6, -1), (0, 1/6)
+            [
+                AffineMap.translation_by([1, 0]),
+                AffineMap.translation_by([0, 1]),
+                AffineMap(-Matrix([[0, 1], [1, 0]]), [F(1, 3), F(5, 6)]),
+                AffineMap.translation_by([F(5, 6), 0]),
+            ],
+        ],
+        ids=["reflection-over-fifths", "swap-over-sixths"],
+    )
+    def test_torsion_far_from_the_witness(self, generators):
+        # the box is sized from the lattice and the witness, not fixed
+        group = BieberbachGroup(generators)
+        assert not is_torsion_free(group)
+        assert not ref_is_torsion_free(group)
+        assert not brute_force_is_torsion_free(group)
+
+
 # integer 2 x 2 turns of orders 3, 4 and 6
 TURN_BLOCKS = ([[0, -1], [1, -1]], [[0, -1], [1, 0]], [[0, -1], [1, 1]])
 

@@ -453,6 +453,22 @@ class TestDensity:
         lines = out_csv.read_text(encoding="utf-8").splitlines()
         assert all(line.endswith(",false,") for line in lines[1:])
 
+    def test_translations_that_do_not_span_exit_one(self, tmp_path):
+        # --torus-manifold builds the translation lattice before any row, so
+        # a group with one translation in dimension 2 fails the whole run
+        data = {
+            "dim": 2,
+            "generators": [{"linear": [["1", "0"], ["0", "1"]], "translation": ["1", "0"]}],
+        }
+        out_csv = tmp_path / "rows.csv"
+        result = run_cli(
+            ["density", "-g", write_json(tmp_path / "line.json", data), "--samples", "2",
+             "--denoms", "10", "--seed", "8", "--torus-manifold", "-o", str(out_csv)]
+        )
+        assert result.returncode == 1
+        assert result.stderr == "error: translations span rank 1 < 2; input rejected\n"
+        assert not out_csv.exists()
+
     def test_failed_reverification_exits_two(self, tmp_path, capsys, monkeypatch):
         bump_conjugate(monkeypatch)
         out_csv, out_json = tmp_path / "rows.csv", tmp_path / "rows.json"

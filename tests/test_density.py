@@ -2,8 +2,14 @@ import hashlib
 
 import pytest
 
-from flatcusps import density, lorentz, shapes
-from flatcusps.bieberbach import catalog, catalog_names, holonomy
+from flatcusps import density, lorentz, selberg, shapes
+from flatcusps.bieberbach import (
+    catalog,
+    catalog_names,
+    holonomy,
+    theta_average,
+    translation_lattice,
+)
 from flatcusps.density import (
     CSV_HEADER,
     DensityRow,
@@ -15,9 +21,11 @@ from flatcusps.density import (
     sample_targets,
 )
 from flatcusps.exactlin import is_positive_definite
+from flatcusps.lorentz import embed_group, integralize
+from flatcusps.serialize import certificate_to_dict
 from flatcusps.shapes import RealForm
 
-from oracles import bump_conjugate
+from oracles import bump_conjugate, ref_congruence_certificate, ref_sample_targets
 
 # First outputs of the fixed-constant generator; any change to the
 # constants or the bit extraction is a reproducibility break.
@@ -63,6 +71,19 @@ class TestSampleTargets:
     def test_golden_first_sample(self):
         target = sample_targets(catalog("torus-2"), 1, 0)[0]
         assert [list(row) for row in target.entries] == GOLDEN_TARGET_SEED0
+
+    @pytest.mark.parametrize(
+        "name", [name for name in catalog_names() if holonomy(catalog(name)).order > 1]
+    )
+    def test_float_holonomy_matches_fraction_conversion(self, name):
+        # the float holonomy is converted once per call from integer rows;
+        # x / den on ints is correctly rounded, as float(Fraction) is
+        group = catalog(name)
+
+        def hexes(targets):
+            return [x.hex() for target in targets for row in target.entries for x in row]
+
+        assert hexes(sample_targets(group, 3, 8)) == hexes(ref_sample_targets(group, 3, 8))
 
     def test_positive_definite_and_invariant(self):
         group = catalog("klein")
@@ -148,11 +169,11 @@ class TestRunExperiment:
         assert rows[0].selberg_prime == 7
 
     def test_each_image_is_decoded_once_per_row(self, monkeypatch):
-        # per row: _assemble builds the 2 embedded images and the 2 lattice
-        # unipotents; integralize decodes each rational image once and the
-        # integral verification each integral one once, in place, with no
-        # _assemble; every _assemble and every _decodes needs one
-        # _translation_parts, and nothing else does
+        # per row: _assemble builds the 2 embedded images; integralize
+        # decodes each rational image once and the integral verification
+        # each integral one once, in place, with no _assemble; the
+        # congruence leg builds no unipotent; every _assemble and every
+        # _decodes needs one _translation_parts, and nothing else does
         calls = {"_assemble": 0, "_decodes": 0, "_translation_parts": 0}
         for name in calls:
             original = getattr(lorentz, name)
@@ -165,7 +186,7 @@ class TestRunExperiment:
         config = ExperimentConfig(catalog("torus-2"), 1, [10], 8, torus_manifold_mode=True)
         [row] = run_experiment(config)
         assert row.pipeline_ok is True
-        assert calls == {"_assemble": 4, "_decodes": 4, "_translation_parts": 8}
+        assert calls == {"_assemble": 2, "_decodes": 4, "_translation_parts": 6}
 
     @pytest.mark.parametrize("name", ["torus-2", "klein", "sixth-turn"])
     def test_each_target_is_averaged_once_per_ladder(self, name, monkeypatch):
@@ -231,6 +252,67 @@ class TestRunExperiment:
         config = ExperimentConfig(group, 2, [10], 8)
         with pytest.raises(ValueError):
             run_experiment(config, targets=[RealForm([[1.0, 0.0], [0.0, 1.0]])])
+
+
+BOUNDS = [10**k for k in range(1, 7)]
+
+
+def row_embeddings(group, count, seed):
+    """Each torus-manifold row's integral embedding and scale, built as
+    ``run_experiment`` builds them."""
+    theta = holonomy(group)
+    for target in sample_targets(group, count, seed):
+        reference = theta_average(target.to_exact(), theta)
+        for bound in BOUNDS:
+            shape = density._rationalize_with_retry(reference, theta, bound)
+            yield integralize(embed_group(group, shape))
+
+
+class TestDegreeCertificate:
+    """A row's congruence input, with its images and lattice unipotents,
+    has the certificate of ``-I`` alone in the row's ambient degree."""
+
+    @pytest.mark.parametrize(
+        "name, count",
+        [("torus-2", 100), ("sixth-turn", 20)]
+        + [(name, 2) for name in catalog_names() if name not in ("torus-2", "sixth-turn")],
+    )
+    def test_equals_every_row_certificate(self, name, count):
+        # every seed-8 acceptance row, every sixth-turn anchor row, and two
+        # targets of each other catalog group
+        group = catalog(name)
+        lattice = translation_lattice(group)
+        expected = certificate_to_dict(density._degree_certificate(group.dim + 2))
+        rows = 0
+        for integral, scale in row_embeddings(group, count, 8):
+            assert certificate_to_dict(ref_congruence_certificate(integral, lattice, scale)) == expected
+            rows += 1
+        assert rows == count * len(BOUNDS)
+
+    def test_decided_once_per_degree(self, monkeypatch):
+        calls = {"good_prime": 0, "MatrixGroupInput": 0}
+        for name in calls:
+            original = getattr(density, name)
+
+            def counted(*args, _name=name, _original=original):
+                calls[_name] += 1
+                return _original(*args)
+
+            monkeypatch.setattr(density, name, counted)
+        density._degree_certificate.cache_clear()
+        config = ExperimentConfig(catalog("torus-2"), 2, [10], 8, torus_manifold_mode=True)
+        assert [row.selberg_prime for row in run_experiment(config)] == [7, 7]
+        assert calls == {"good_prime": 1, "MatrixGroupInput": 1}
+
+    def test_degree_above_max_fails_every_row(self, monkeypatch):
+        # the degree bound fails each row as the per-row input did, and a
+        # failure is not cached
+        monkeypatch.setattr(selberg, "MAX_DEGREE", 3)
+        density._degree_certificate.cache_clear()
+        config = ExperimentConfig(catalog("torus-2"), 2, [10, 100], 8, torus_manifold_mode=True)
+        rows = run_experiment(config)
+        reason = "ValueError: degree 4 exceeds MAX_DEGREE = 3"
+        assert [(r.pipeline_ok, r.selberg_prime, r.reason) for r in rows] == [(False, None, reason)] * 4
 
 
 class TestCsvAndJson:
