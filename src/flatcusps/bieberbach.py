@@ -377,7 +377,8 @@ def theta_average(form: SymmetricForm, theta: HolonomyGroup) -> SymmetricForm:
     the summands. The sum is taken on integer rows over ``L^2 den F``,
     with ``L`` the lcm of the elements' denominators: ``g`` contributes
     ``(L / den g)^2 g.num^T F.num g.num``, the identity ``L^2 F.num`` with
-    no product, and the total is reduced once.
+    no product, and the total is reduced once. Over a trivial holonomy the
+    average is the form itself, which is returned as it is.
     """
     if form.dim != theta.dim:
         raise DimensionMismatch(
@@ -385,6 +386,8 @@ def theta_average(form: SymmetricForm, theta: HolonomyGroup) -> SymmetricForm:
         )
     if not is_positive_definite(form):
         raise NotPositiveDefinite("theta average requires a positive definite form")
+    if theta.order == 1:
+        return form
     f = form.matrix
     lcm = math.lcm(*(g.den for g in theta.elements))
     total = [[0] * form.dim for _ in range(form.dim)]

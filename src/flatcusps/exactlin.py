@@ -550,7 +550,17 @@ def ldl_signature(form: SymmetricForm) -> tuple[int, int, int]:
     return positives, form.dim - positives - zeros, zeros
 
 
+@lru_cache(maxsize=256)
 def is_positive_definite(form: SymmetricForm) -> bool:
+    """Whether the inertia of ``form`` is ``(dim, 0, 0)``.
+
+    Memoized by value: a ``SymmetricForm`` is immutable and its Gram
+    matrix canonical, so equal forms hash alike and a hit is exact. A
+    density row tests the same forms again and again (the target's
+    average, the rounded form, the shape, the model's base), and each is
+    decided once; :func:`ldl_signature` itself is not memoized, so its
+    calls count real decisions.
+    """
     return ldl_signature(form) == (form.dim, 0, 0)
 
 

@@ -66,18 +66,30 @@ class LorentzModel(Frozen):
     span their B-orthogonal complement (the translation directions). The
     inertia of ``B`` is that of the base plus ``(1, 1, 0)``, so ``B`` has
     signature ``(n+1, 1)`` exactly when the base is positive definite.
+    Only ``n`` and the base form are stored: ``model_form``, ``v_inf`` and
+    ``v_0`` are derived from them on read, since the embedding, its decode
+    and integralization use only the base form.
     """
 
-    __slots__ = ("n", "base_form", "model_form", "v_inf", "v_0")
+    __slots__ = ("n", "base_form")
 
     def __init__(self, base: SymmetricForm):
         if not is_positive_definite(base):
             raise NotPositiveDefinite("base form must be positive definite")
+        super().__init__(base.dim, base)
+
+    @property
+    def model_form(self) -> SymmetricForm:
+        return self.base_form.direct_sum(_PLANE)
+
+    @property
+    def v_inf(self) -> tuple:
         # (1, 1) and (1, -1) are null under diag(1, -1), with pairing 2
-        origin = (Fraction(0),) * base.dim
-        v_inf = origin + (Fraction(1), Fraction(1))
-        v_0 = origin + (Fraction(1), Fraction(-1))
-        super().__init__(base.dim, base, base.direct_sum(_PLANE), v_inf, v_0)
+        return (Fraction(0),) * self.n + (Fraction(1), Fraction(1))
+
+    @property
+    def v_0(self) -> tuple:
+        return (Fraction(0),) * self.n + (Fraction(1), Fraction(-1))
 
     @property
     def ambient_dim(self) -> int:

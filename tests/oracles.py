@@ -118,22 +118,10 @@ def ref_translation_lattice(group: BieberbachGroup, theta: HolonomyGroup) -> Mat
     return Matrix.from_columns(basis)
 
 
-def brute_force_is_torsion_free(group: BieberbachGroup) -> bool:
-    """Enumerate the elements ``(h, t + L x)`` of a proven box and check orders.
-
-    An element over a nontrivial holonomy element h of order k is torsion
-    exactly when (h, u)^k is the identity, i.e. when (I + h + ... +
-    h^(k-1)) u = 0. The box meets every coset that holds torsion. A
-    torsion element ``(h, u)`` fixes the barycentre p of the orbit of the
-    origin, so ``u = (I - h) p``; conjugating it by the lattice translation
-    ``T(m)`` gives ``(h, u + (I - h) m)``, torsion in the same coset, which
-    fixes ``p + m``. So some torsion element of the coset with witness
-    ``(h, t)`` fixes a point ``L y`` with ``y`` in ``[0, 1)^n``, and its
-    translation is ``t + L x`` with ``x = M y - L^-1 t``, where
-    ``M = L^-1 (I - h) L`` is integral because ``h L = L``. Each ``x_i`` then
-    lies between the sums of the negative and of the positive entries of
-    row i of M, less ``(L^-1 t)_i``; the box is every integer point there.
-    """
+def _torsion_boxes(group: BieberbachGroup):
+    """For each nontrivial holonomy element: its norm, its witness
+    translation, the lattice basis and the box of lattice offsets that
+    :func:`brute_force_is_torsion_free` enumerates."""
     theta = holonomy(group)
     lattice = translation_lattice(group, theta)
     n = group.dim
@@ -160,8 +148,34 @@ def brute_force_is_torsion_free(group: BieberbachGroup) -> bool:
             )
             for row, s in zip(m.entries, shift)
         ]
+        yield norm, witness.translation, columns, ranges
+
+
+def brute_force_box_size(group: BieberbachGroup) -> int:
+    """The number of elements :func:`brute_force_is_torsion_free` may enumerate."""
+    return sum(math.prod(map(len, ranges)) for _, _, _, ranges in _torsion_boxes(group))
+
+
+def brute_force_is_torsion_free(group: BieberbachGroup) -> bool:
+    """Enumerate the elements ``(h, t + L x)`` of a proven box and check orders.
+
+    An element over a nontrivial holonomy element h of order k is torsion
+    exactly when (h, u)^k is the identity, i.e. when (I + h + ... +
+    h^(k-1)) u = 0. The box meets every coset that holds torsion. A
+    torsion element ``(h, u)`` fixes the barycentre p of the orbit of the
+    origin, so ``u = (I - h) p``; conjugating it by the lattice translation
+    ``T(m)`` gives ``(h, u + (I - h) m)``, torsion in the same coset, which
+    fixes ``p + m``. So some torsion element of the coset with witness
+    ``(h, t)`` fixes a point ``L y`` with ``y`` in ``[0, 1)^n``, and its
+    translation is ``t + L x`` with ``x = M y - L^-1 t``, where
+    ``M = L^-1 (I - h) L`` is integral because ``h L = L``. Each ``x_i`` then
+    lies between the sums of the negative and of the positive entries of
+    row i of M, less ``(L^-1 t)_i``; the box is every integer point there.
+    """
+    n = group.dim
+    for norm, translation, columns, ranges in _torsion_boxes(group):
         for offsets in itertools.product(*ranges):
-            u = list(witness.translation)
+            u = list(translation)
             for coeff, col in zip(offsets, columns):
                 for i in range(n):
                     u[i] += coeff * col[i]

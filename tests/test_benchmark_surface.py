@@ -70,6 +70,7 @@ def test_clear_caches_empties_every_package_cache():
     caches = package_caches()
     filled = {
         "density._degree_certificate",
+        "exactlin.is_positive_definite",
         "bieberbach._holonomy_witnesses",
         "bieberbach.translation_lattice",
         "bieberbach.is_torsion_free",

@@ -2,7 +2,7 @@ import hashlib
 
 import pytest
 
-from flatcusps import density, lorentz, selberg, shapes
+from flatcusps import density, exactlin, lorentz, selberg, shapes
 from flatcusps.bieberbach import (
     catalog,
     catalog_names,
@@ -219,6 +219,29 @@ class TestRunExperiment:
         assert all(row.pipeline_ok is True for row in run_experiment(config))
         k = len(bounds)
         assert calls == {"theta_average": 1 + k, "rationalize": k, "shape_distance": k, "to_exact": 1}
+
+    @pytest.mark.parametrize("name", ["torus-2", "klein", "sixth-turn"])
+    def test_each_form_is_decided_once_per_ladder(self, name, monkeypatch):
+        # definiteness is memoized by value, so a ladder decides the target
+        # (its own average here) and each rung's rounded form; a rung whose
+        # second average moves the rounded form decides the shape too.
+        # Over a trivial holonomy the shape is the rounded form: 1 + k.
+        calls = []
+        original = exactlin.ldl_signature
+
+        def counted(form):
+            calls.append(form)
+            return original(form)
+
+        monkeypatch.setattr(exactlin, "ldl_signature", counted)
+        is_positive_definite.cache_clear()
+        bounds = [10, 100, 1000, 10**4, 10**5, 10**6]
+        config = ExperimentConfig(catalog(name), 1, bounds, 8, torus_manifold_mode=True)
+        assert all(row.pipeline_ok is True for row in run_experiment(config))
+        k = len(bounds)
+        assert len(calls) == len(set(calls)) <= 1 + 2 * k
+        if name == "torus-2":
+            assert len(calls) == 1 + k
 
     @pytest.mark.parametrize("name", catalog_names())
     def test_congruence_leg_every_catalog_group(self, name):

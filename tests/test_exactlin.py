@@ -365,6 +365,37 @@ class TestSignature:
         assert not is_positive_definite(SymmetricForm.diagonal([1, -1]))
         assert not is_positive_definite(SymmetricForm([[1, 1], [1, 1]]))
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        data=st.data(),
+        n=st.integers(min_value=1, max_value=5),
+        kind=st.sampled_from(["definite", "semidefinite", "indefinite"]),
+    )
+    def test_positive_definite_is_memoized_by_value(self, data, n, kind):
+        a = data.draw(square_matrices(n))
+        if kind == "indefinite":
+            gram = a + a.transpose()
+        else:
+            # a^T a is semidefinite; a zeroed row makes it singular
+            if kind == "semidefinite":
+                a = Matrix([[0] * n] + [list(row) for row in a.entries[1:]])
+            gram = a.transpose() * a
+            if kind == "definite":
+                gram = gram + Matrix.identity(n)
+        form = SymmetricForm(gram.entries)
+        expected = ref_ldl_signature(gram.entries) == (n, 0, 0)
+        assert is_positive_definite(form) is expected
+        # a second call, and an equal form built from scaled integer rows,
+        # are both answered from the cache
+        f = data.draw(st.integers(min_value=2, max_value=9))
+        rows = tuple(tuple(f * x for x in row) for row in form.matrix.num)
+        rebuilt = SymmetricForm(Matrix.from_integer_rows(rows, f * form.matrix.den))
+        assert rebuilt == form and rebuilt.matrix.num is not form.matrix.num
+        hits = is_positive_definite.cache_info().hits
+        assert is_positive_definite(form) is expected
+        assert is_positive_definite(rebuilt) is expected
+        assert is_positive_definite.cache_info().hits == hits + 2
+
     @settings(max_examples=40, deadline=None)
     @given(data=st.data(), n=st.integers(min_value=1, max_value=4))
     def test_sylvester_invariance(self, data, n):

@@ -1,7 +1,9 @@
+import copy
 import functools
 import itertools
 import json
 import os
+import pickle
 import random
 import subprocess
 import sys
@@ -46,7 +48,7 @@ from flatcusps.lorentz import (
     verify_embedding,
 )
 from flatcusps.selberg import prime_factors
-from flatcusps.serialize import report_to_dict
+from flatcusps.serialize import embedding_to_dict, report_to_dict
 from flatcusps.shapes import ShapeDescriptor
 from oracles import (
     evaluate,
@@ -141,6 +143,36 @@ class TestModelForm:
             assert evaluate(b, model.v_inf, model.v_inf) == 0
             assert evaluate(b, model.v_0, model.v_0) == 0
             assert evaluate(b, model.v_inf, model.v_0) != 0
+
+    @pytest.mark.parametrize("name", catalog_names())
+    def test_derived_data_match_explicit_constructions(self, name):
+        # only n and the base form are stored; the rest is derived on read
+        group, theta = catalog_with_holonomy(name)
+        n = group.dim
+        base = theta_average(SymmetricForm.diagonal(range(2, n + 2)), theta)
+        model = LorentzModel(base)
+        assert LorentzModel.__slots__ == ("n", "base_form")
+        assert (model.n, model.base_form, model.ambient_dim) == (n, base, n + 2)
+        gram = Matrix.block_diag(base.matrix, Matrix.diagonal([1, -1]))
+        assert model.model_form == SymmetricForm(gram)
+        assert model.v_inf == (F(0),) * n + (F(1), F(1))
+        assert model.v_0 == (F(0),) * n + (F(1), F(-1))
+        payload = embedding_to_dict(embed_group(group, ShapeDescriptor(group, base)))
+        assert list(payload) == ["dim", "base_form", "model_form", "v_inf", "v_0", "group", "images"]
+        assert payload["model_form"] == [[str(x) for x in row] for row in gram.entries]
+        assert payload["v_inf"] == ["0"] * n + ["1", "1"]
+        assert payload["v_0"] == ["0"] * n + ["1", "-1"]
+
+    def test_copy_pickle_and_equality(self):
+        base = SymmetricForm([[2, 1], [1, 3]])
+        model = LorentzModel(base)
+        rebuilt = LorentzModel(SymmetricForm(Matrix.from_integer_rows(((4, 2), (2, 6)), 2)))
+        clones = (copy.copy(model), copy.deepcopy(model), pickle.loads(pickle.dumps(model)))
+        for clone in clones + (rebuilt,):
+            assert clone == model and hash(clone) == hash(model)
+            assert clone.model_form == model.model_form
+            assert (clone.v_inf, clone.v_0) == (model.v_inf, model.v_0)
+        assert LorentzModel(SymmetricForm([[2, 1], [1, 4]])) != model
 
     def test_rejects_indefinite_base(self):
         # indefinite, degenerate, and negative definite bases
