@@ -252,12 +252,14 @@ def _holonomy_witnesses(group: BieberbachGroup, max_order: int) -> tuple[AffineM
     """The witnesses of :func:`holonomy`, identity first; names play no part."""
     ident = Matrix.identity(group.dim)
     seen: dict[Matrix, AffineMap] = {ident: AffineMap.identity(group.dim)}
+    # a translation maps every h to itself: skipping it keeps the witnesses and their order
+    moving = [gen for gen in group.generators if not gen.linear.is_identity()]
     frontier = [ident]
     while frontier:
         fresh = []
         for h in frontier:
             witness = seen[h]
-            for gen in group.generators:
+            for gen in moving:
                 product = h * gen.linear
                 if product not in seen:
                     if len(seen) >= max_order:

@@ -254,11 +254,11 @@ class MatrixGroupInput(Frozen):
     subgroup (each is required to have characteristic polynomial
     ``(t-1)^n``; this is checked by :func:`good_prime`, not at
     construction, so that violations surface as ``UnipotentViolation``).
-    ``determinants`` holds the determinant of each ambient generator, in
-    order; a zero one raises ``ValueError``.
+    ``inverses`` holds the inverse of each ambient generator, in order; a
+    singular one raises ``ValueError``.
     """
 
-    __slots__ = ("n", "lambda_gens", "gamma_gens", "determinants")
+    __slots__ = ("n", "lambda_gens", "gamma_gens", "inverses")
 
     def __init__(
         self,
@@ -277,23 +277,21 @@ class MatrixGroupInput(Frozen):
         for m in lams + gams:
             if not (m.is_square() and m.rows == n):
                 raise DimensionMismatch(f"generators must be {n}x{n}")
-        determinants = tuple(m.det() for m in lams)
-        if 0 in determinants:
-            raise ValueError("ambient generators must be invertible")
-        super().__init__(n, lams, gams, determinants)
+        try:
+            inverses = tuple(m.inverse() for m in lams)
+        except ValueError:
+            raise ValueError("ambient generators must be invertible") from None
+        super().__init__(n, lams, gams, inverses)
 
     def denominators(self) -> list[int]:
         """The integers whose primes are not units for this group, ascending.
 
-        Each generator's ``den`` (the lcm of its entries' denominators, so
-        with the same primes) and the numerator of each ambient generator's
-        determinant, leaving out 1. Reduction modulo q is defined on every
-        generator and every inverse exactly when q divides none of them:
-        for q not dividing ``den m``, ``m^-1 = adj(m) / det m`` has q in a
-        denominator exactly when q divides the numerator of ``det m``.
+        The ``den`` of each generator and of each stored inverse (the lcm of
+        its entries' denominators, so with the same primes), leaving out 1.
+        Reduction modulo q is defined on every generator and every inverse
+        exactly when q divides none of them.
         """
-        dens = {m.den for m in self.lambda_gens + self.gamma_gens}
-        dens.update(abs(d.numerator) for d in self.determinants)
+        dens = {m.den for m in self.lambda_gens + self.gamma_gens + self.inverses}
         dens.discard(1)
         return sorted(dens)
 
@@ -342,11 +340,10 @@ def bad_primes(group_input: MatrixGroupInput) -> dict[int, tuple[str, ...]]:
     """Primes that must be excluded, each with its reasons.
 
     Three sources: primes at most ``n`` (small residue characteristic),
-    the primes of :meth:`MatrixGroupInput.denominators` (not units, so
-    reduction is undefined on a generator or an inverse), and the primes
-    at most ``n + 1``,
-    modulo which some degree-n torsion polynomial collapses onto
-    ``(t-1)^n``. Modulo p, ``Phi_{p^k m} = Phi_m^{phi(p^k)}`` for p not
+    the primes of :meth:`MatrixGroupInput.denominators`, those of a
+    generator's or a stored inverse's entries (not units, so reduction is
+    undefined there), and the primes at most ``n + 1``, modulo which some
+    degree-n torsion polynomial collapses onto ``(t-1)^n``. Modulo p, ``Phi_{p^k m} = Phi_m^{phi(p^k)}`` for p not
     dividing m and ``Phi_m(1) != 0`` for m > 1, so a product of cyclotomic
     polynomials is ``(t-1)^n`` exactly when every factor has p-power order.
     A torsion polynomial has a factor of order > 1, so if it collapses,
@@ -402,12 +399,12 @@ def verify_certificate(
 ) -> bool:
     """Brute-force falsifier for a certificate.
 
-    Enumerates all products of the ambient generators and their inverses
-    up to the given word length L, breadth first over the distinct letters
-    other than ``-I``; a word never appends the letter that cancels its
-    last one, since that product is already in the ball. ``-I`` is central
-    and its own inverse, so it adds only the negations of the words of
-    length below L. q is refused up front unless it is a unit in every
+    Enumerates all products of the ambient generators and their stored
+    inverses (none is computed here) up to the given word length L, breadth
+    first over the distinct letters other than ``-I``; a word never appends
+    the letter that cancels its last one, since that product is already in
+    the ball. ``-I`` is central and its own inverse, so it adds only the
+    negations of the words of length below L. q is refused up front unless it is a unit in every
     generator and inverse, so it is prime to every denominator the verifier
     meets: that of each ball element, of each shell product ``D`` below and
     of each characteristic polynomial. Each element E is then judged by its
@@ -461,8 +458,7 @@ def verify_certificate(
 
     # Distinct letters other than -I and the index of each inverse.
     inverse = {}
-    for m in group_input.lambda_gens:
-        m_inverse = m.inverse()
+    for m, m_inverse in zip(group_input.lambda_gens, group_input.inverses):
         inverse[m], inverse[m_inverse] = m_inverse, m
     negates = inverse.pop(Matrix.diagonal([-1] * n), None) is not None
     letters = list(inverse)

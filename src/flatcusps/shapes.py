@@ -3,7 +3,7 @@
 A shape is an exact, holonomy-invariant, positive definite Gram matrix on
 the ambient space of a fixed group; such a form makes the group an
 arithmetic subgroup of a rationally defined orthogonal affine group, which
-is exactly what :func:`is_arithmetic_shape` tests. Arbitrary
+is exactly what :func:`is_arithmetic_shape` tests on the generators. Arbitrary
 (floating-point) target metrics are pulled into this cone by
 :func:`rationalize`: average over the holonomy, round each entry to the
 best rational approximation with bounded denominator, then average again
@@ -17,9 +17,9 @@ import math
 from fractions import Fraction
 from functools import reduce
 from operator import add
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Sequence, Union
 
-from .bieberbach import BieberbachGroup, HolonomyGroup, holonomy, theta_average
+from .bieberbach import BieberbachGroup, HolonomyGroup, theta_average
 from .errors import DimensionMismatch, NotPositiveDefinite
 from .exactlin import Frozen, Matrix, SymmetricForm, is_positive_definite, preserves_form
 
@@ -122,8 +122,8 @@ def rationalize(
     matrix is averaged again so invariance holds exactly. Before the final
     average each entry is within ``1/denom_bound`` of the averaged target.
     A target that is already an arithmetic shape for the group
-    (:func:`is_arithmetic_shape`), such as the output of
-    :func:`theta_average`, is its own average and is rounded as it is.
+    (:func:`is_arithmetic_shape`, decided on the generators), such as the
+    output of :func:`theta_average`, is its own average and is rounded as it is.
     ``DimensionMismatch`` is raised for a target of the wrong size, and
     ``NotPositiveDefinite`` when the target is not positive definite, or
     when rounding destroys definiteness; callers should then retry with a
@@ -134,7 +134,7 @@ def rationalize(
     exact = target.to_exact() if isinstance(target, RealForm) else target
     # ShapeDescriptor raises for a target of the wrong size, theta_average
     # for one that is not positive definite
-    if is_arithmetic_shape(ShapeDescriptor(theta.group, exact), theta):
+    if is_arithmetic_shape(ShapeDescriptor(theta.group, exact)):
         averaged = exact
     else:
         averaged = theta_average(exact, theta)
@@ -201,15 +201,17 @@ def shape_distance(
     )
 
 
-def is_arithmetic_shape(shape: ShapeDescriptor, theta: Optional[HolonomyGroup] = None) -> bool:
+def is_arithmetic_shape(shape: ShapeDescriptor) -> bool:
     """Whether the descriptor's form defines an arithmetic structure.
 
     True exactly when the form is rational (always, by the type), positive
-    definite, and exactly invariant under the group's holonomy. These are
-    the conditions under which the stabilized orthogonal affine group is
-    rationally defined and contains the group as an arithmetic subgroup.
+    definite, and exactly invariant under the group's holonomy: then the
+    stabilized orthogonal affine group is rationally defined and contains
+    the group as an arithmetic subgroup. The generators' linear parts
+    generate the holonomy, so invariance is decided on them, and the
+    holonomy is not computed: linear parts of infinite order that preserve
+    the form pass here, and only :func:`holonomy` rejects them.
     """
     if not is_positive_definite(shape.form):
         return False
-    theta = theta if theta is not None else holonomy(shape.group)
-    return all(preserves_form(g, shape.form.matrix) for g in theta.elements)
+    return all(preserves_form(g.linear, shape.form.matrix) for g in shape.group.generators)

@@ -17,10 +17,12 @@ primes that collapse a torsion polynomial onto ``(t-1)^n`` by a gcd
 search over every torsion polynomial, translation lattices by
 Schreier's construction one ``Fraction`` at a time, a density row's
 congruence certificate from its whole input, with the lattice
-unipotents, and seeded targets with a float holonomy converted from
-``Fraction`` entries. The API that only tests use lives here too, such
-as the ``Fraction`` vector helpers and the lattice basis of rational
-vectors.
+unipotents, seeded targets with a float holonomy converted from
+``Fraction`` entries, holonomy witnesses by a closure over every
+generator, translations included, and arithmetic shapes by checking every
+holonomy element in ``Fraction`` products. The API that only tests use
+lives here too, such as the ``Fraction`` vector helpers, the lattice basis
+of rational vectors and the ``ghw-n`` groups.
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ from flatcusps.bieberbach import (
     AffineMap,
     BieberbachGroup,
     HolonomyGroup,
+    compose,
     holonomy,
     translation_lattice,
 )
@@ -701,9 +704,10 @@ def ref_verify_certificate(
     denominators is a counterexample), and a residue equal to that of
     ``(t-1)^n`` is a counterexample when the element is torsion, decided
     exactly by raising it to the lcm of all possible torsion orders in
-    ``GL(n; Q)``. Returns False when q divides an integer of
-    ``denominators()`` (reduction modulo q is then undefined on a generator
-    or an inverse) and on any counterexample, True otherwise. A verifier, not
+    ``GL(n; Q)``. The inverses come from ``ref_inverse``. Returns False when
+    q divides the denominator of an entry of a generator or an inverse
+    (reduction modulo q is then undefined there) and on any counterexample,
+    True otherwise. A verifier, not
     a prover: word_length bounds the search. A negative one, or one whose
     ball would hold more than ``MAX_WORD_BALL`` elements, raises
     ``ValueError``.
@@ -713,7 +717,9 @@ def ref_verify_certificate(
     q = certificate.prime
     if not is_prime(q):
         return False
-    if any(d % q == 0 for d in group_input.denominators()):
+    inverses = [Matrix(ref_inverse(m.entries)) for m in group_input.lambda_gens]
+    known = [*group_input.lambda_gens, *group_input.gamma_gens, *inverses]
+    if any(x.denominator % q == 0 for m in known for row in m.entries for x in row):
         return False  # reduction modulo q is undefined on a generator or an inverse
     n = group_input.n
     unipotent = unipotent_polynomial(n)
@@ -721,8 +727,7 @@ def ref_verify_certificate(
     order_bound = torsion_order_bound(n)
     identity = Matrix.identity(n)
 
-    generators = list(group_input.lambda_gens)
-    generators += [m.inverse() for m in group_input.lambda_gens]
+    generators = list(group_input.lambda_gens) + inverses
     seen = {identity}
     frontier = [identity]
     for _ in range(word_length):
@@ -802,6 +807,53 @@ def ref_sample_targets(group: BieberbachGroup, count: int, seed: int) -> list[Re
             gram = averaged
         targets.append(RealForm(gram))
     return targets
+
+
+def ref_holonomy_witnesses(group: BieberbachGroup) -> tuple[AffineMap, ...]:
+    """Holonomy witnesses, identity first, by a breadth-first closure that
+    multiplies every frontier element by every generator, translations
+    included."""
+    ident = Matrix.identity(group.dim)
+    seen = {ident: AffineMap.identity(group.dim)}
+    frontier = [ident]
+    while frontier:
+        fresh = []
+        for h in frontier:
+            for gen in group.generators:
+                product = h * gen.linear
+                if product not in seen:
+                    seen[product] = compose(seen[h], gen)
+                    fresh.append(product)
+        frontier = fresh
+    return tuple(seen.values())
+
+
+def ref_is_arithmetic_shape(shape: ShapeDescriptor, theta: HolonomyGroup) -> bool:
+    """Definiteness by ``ref_ldl_signature`` and ``g^T F g == F`` in
+    ``Fraction`` products for every element g of theta."""
+    form = [list(row) for row in shape.form.matrix.entries]
+    if ref_ldl_signature(form) != (len(form), 0, 0):
+        return False
+    for g in theta.elements:
+        rows = [list(row) for row in g.entries]
+        if ref_product(ref_product(ref_transpose(rows), form), rows) != form:
+            return False
+    return True
+
+
+def ghw(n: int) -> BieberbachGroup:
+    """The group ``ghw-n``, with holonomy of order ``2^(n-1)``: the n-1
+    generators ``(diag(-1, ..., +1 at i, ..., -1), (e_i + e_(i+1))/2)`` and
+    the n unit translations."""
+    generators = [
+        AffineMap(
+            Matrix.diagonal([1 if j == i else -1 for j in range(n)]),
+            [Fraction(1, 2) if j in (i, i + 1) else 0 for j in range(n)],
+        )
+        for i in range(n - 1)
+    ]
+    generators += [AffineMap.translation_by([int(j == i) for j in range(n)]) for i in range(n)]
+    return BieberbachGroup(generators, name=f"ghw-{n}")
 
 
 def bump_conjugate(monkeypatch) -> None:

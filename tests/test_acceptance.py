@@ -136,7 +136,7 @@ def test_criterion_1_exact_embedding_suite():
             shapes = arithmetic_shapes(group, theta)
             assert len({s.form for s in shapes}) == 3
             for shape in shapes:
-                assert is_arithmetic_shape(shape, theta)
+                assert is_arithmetic_shape(shape)
                 embedding = embed_group(group, shape)
                 model = embedding.model
                 gram = model.model_form.matrix

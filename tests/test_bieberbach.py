@@ -40,6 +40,8 @@ from oracles import (
     brute_force_box_size,
     brute_force_is_torsion_free,
     element_order,
+    ghw,
+    ref_holonomy_witnesses,
     ref_inverse,
     ref_is_torsion_free,
     ref_product,
@@ -585,6 +587,41 @@ def conjugated_presentations():
             yield group, BieberbachGroup(
                 [compose(compose(conjugator, g), inverse) for g in group.generators]
             )
+
+
+class TestHolonomyWitnessesOracle:
+    """The closure over the generators whose linear part is not I against
+    the closure over every generator: the same witnesses, in the same order."""
+
+    @pytest.mark.parametrize("name", catalog_names())
+    def test_catalog(self, name):
+        group = catalog(name)
+        assert holonomy(group).witnesses == ref_holonomy_witnesses(group)
+
+    def test_rational_conjugates(self):
+        for _, conjugated in conjugated_presentations():
+            assert holonomy(conjugated).witnesses == ref_holonomy_witnesses(conjugated)
+
+    @pytest.mark.parametrize("n", range(3, 8))
+    def test_ghw(self, n):
+        group = ghw(n)
+        witnesses = holonomy(group).witnesses
+        assert len(witnesses) == 2 ** (n - 1)
+        assert witnesses == ref_holonomy_witnesses(group)
+
+    def test_translations_do_not_move_the_closure(self, monkeypatch):
+        group = ghw(5)
+        right_factors = []
+        product = Matrix.__mul__
+
+        def recorded(a, b):
+            right_factors.append(b)
+            return product(a, b)
+
+        bieberbach._holonomy_witnesses.cache_clear()
+        monkeypatch.setattr(Matrix, "__mul__", recorded)
+        assert holonomy(group).order == 16
+        assert right_factors and not any(m.is_identity() for m in right_factors)
 
 
 class TestConjugationInvariance:

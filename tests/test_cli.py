@@ -349,8 +349,21 @@ class TestSelberg:
         assert main(["selberg", "-l", lam, "-u", gam]) == 1
 
 
+class TestSelbergSingularGenerator:
+    def test_singular_ambient_generator_exits_one(self, tmp_path):
+        lam = write_json(
+            tmp_path / "lam.json",
+            {"n": 2, "generators": [[["1", "1"], ["0", "1"]], [["1", "2"], ["2", "4"]]]},
+        )
+        gam = write_json(tmp_path / "gam.json", {"n": 2, "generators": []})
+        done = run_cli(["selberg", "-l", lam, "-u", gam])
+        assert done.returncode == 1
+        assert done.stderr == "error: lambda.generators: ambient generators must be invertible\n"
+        assert not done.stdout
+
+
 class TestSelbergLargeEntries:
-    # a determinant numerator with a large prime factor, and one that
+    # an inverse denominator with a large prime factor, and one that
     # trial division up to the bound cannot factor
     def files(self, tmp_path, entry):
         lam = write_json(
@@ -377,9 +390,10 @@ class TestSelbergLargeEntries:
 
 
     def test_prime_power_determinant(self, tmp_path, capsys):
-        # det 1000003^2 leaves a perfect-square cofactor above the trial bound
+        # the inverse's denominator 1000003^2 leaves a perfect-square
+        # cofactor above the trial bound
         p = 1000003
-        lam = write_json(tmp_path / "lam.json", {"n": 2, "generators": [[[p, 0], [0, p]]]})
+        lam = write_json(tmp_path / "lam.json", {"n": 2, "generators": [[[p * p, 0], [0, 1]]]})
         gam = write_json(tmp_path / "gam.json", {"n": 2, "generators": []})
         assert main(["selberg", "-l", lam, "-u", gam]) == 0
         payload = json.loads(capsys.readouterr().out)

@@ -243,6 +243,26 @@ class TestRunExperiment:
         if name == "torus-2":
             assert len(calls) == 1 + k
 
+    @pytest.mark.parametrize("name", ["klein", "sixth-turn"])
+    def test_invariance_is_decided_on_the_generators_per_rung(self, name, monkeypatch):
+        # each rung asks whether its target is already an arithmetic shape;
+        # that takes one preserves_form per generator, not one per element
+        # of theta (6 on sixth-turn, which has 3 generators)
+        calls = []
+        original = shapes.preserves_form
+
+        def counted(a, gram):
+            calls.append(a)
+            return original(a, gram)
+
+        monkeypatch.setattr(shapes, "preserves_form", counted)
+        group = catalog(name)
+        bounds = [10, 100, 1000, 10**4, 10**5, 10**6]
+        config = ExperimentConfig(group, 1, bounds, 8, torus_manifold_mode=True)
+        assert all(row.pipeline_ok is True for row in run_experiment(config))
+        assert len(calls) == len(bounds) * len(group.generators)
+        assert calls == [g.linear for g in group.generators] * len(bounds)
+
     @pytest.mark.parametrize("name", catalog_names())
     def test_congruence_leg_every_catalog_group(self, name):
         # the unipotent subgroup is the image of the translation lattice, so

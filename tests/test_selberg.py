@@ -36,6 +36,7 @@ from flatcusps.selberg import (
 
 from oracles import (
     ref_coefficient_divisor_primes,
+    ref_det,
     ref_verify_certificate,
     sympy_divides,
     sympy_finite_order_char_polys,
@@ -384,8 +385,8 @@ class TestVerifyCertificate:
             verify_certificate(group_input, small, word_length=1)
 
     def test_prime_dividing_element_denominator_fails(self):
-        # the generator diag(3, 1) is integral, but its inverse diag(1/3, 1)
-        # is not: 3 divides the numerator of the generator's determinant
+        # the generator diag(3, 1) is integral, but its stored inverse
+        # diag(1/3, 1) is not
         group_input = MatrixGroupInput(2, [Matrix.diagonal([3, 1])])
         polys = torsion_polynomials(2)
         forced = SelbergCertificate(2, 3, polys, {}, ())
@@ -778,6 +779,63 @@ class TestOuterShell:
         message = f"words of length 3 exceed MAX_WORD_BALL = {distinct - 1} elements"
         with pytest.raises(ValueError, match=message):
             verify_certificate(group_input, certificate, 3)
+
+
+def _primes(integers):
+    return set().union(*(prime_factors(d) for d in integers))
+
+
+class TestCongruenceInput:
+    """The input keeps each ambient generator's inverse; its non-units are
+    the denominators of the generators and of those inverses."""
+
+    def test_inverses_are_stored_in_order(self):
+        group_input = worked_example()
+        assert group_input.inverses == tuple(m.inverse() for m in group_input.lambda_gens)
+
+    @pytest.mark.parametrize(
+        "diagonal, expected",
+        [([2, 2], [2]), ([5, 1], [5]), ([F(1, 5), 1], [5]), ([F(2, 3), 1], [2, 3])],
+    )
+    def test_denominators_of_generators_and_inverses(self, diagonal, expected):
+        # 2 I has the inverse I / 2, so its integer is 2 where the numerator
+        # of its determinant was 4: the same primes
+        assert MatrixGroupInput(2, [Matrix.diagonal(diagonal)]).denominators() == expected
+
+    @pytest.mark.parametrize("position", [0, 1])
+    def test_singular_ambient_generator_rejected(self, position):
+        generators = [UNIPOTENT_2]
+        generators.insert(position, Matrix([[1, 2], [2, 4]]))
+        with pytest.raises(ValueError, match="^ambient generators must be invertible$"):
+            MatrixGroupInput(2, generators)
+
+    def test_verifier_inverts_nothing(self, certify_words_inputs, monkeypatch):
+        calls = []
+        inverse = Matrix.inverse
+
+        def counted(m):
+            calls.append(m)
+            return inverse(m)
+
+        certificates = [good_prime(group_input) for group_input in certify_words_inputs]
+        monkeypatch.setattr(Matrix, "inverse", counted)
+        for group_input, certificate in zip(certify_words_inputs, certificates):
+            assert verify_certificate(group_input, certificate, 3) is True
+        assert calls == []
+        group_input = certify_words_inputs[0]
+        MatrixGroupInput(group_input.n, group_input.lambda_gens, group_input.gamma_gens)
+        assert calls == list(group_input.lambda_gens)
+
+    @settings(max_examples=200, deadline=None)
+    @given(drawn=st.one_of(_rational_groups(), _rational_groups(_integers)))
+    def test_primes_match_generator_denominators_and_determinants(self, drawn):
+        # for q prime to den m, m^-1 = adj(m) / det m has q in a denominator
+        # exactly when q divides the numerator of det m, so the primes, and
+        # with them bad_primes, are those of the determinant criterion
+        group_input, _ = drawn
+        expected = {m.den for m in group_input.lambda_gens + group_input.gamma_gens}
+        expected.update(abs(ref_det(m.entries).numerator) for m in group_input.lambda_gens)
+        assert _primes(group_input.denominators()) == _primes(expected)
 
 
 class TestCertifiedPrimeVerifies:

@@ -1,13 +1,21 @@
 import math
 import random
+import time
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flatcusps.bieberbach import AffineMap, BieberbachGroup, catalog, holonomy, theta_average
-from flatcusps.errors import DimensionMismatch, NotPositiveDefinite
+from flatcusps.bieberbach import (
+    AffineMap,
+    BieberbachGroup,
+    catalog,
+    catalog_names,
+    holonomy,
+    theta_average,
+)
+from flatcusps.errors import DimensionMismatch, HolonomyBound, NotPositiveDefinite
 from flatcusps.exactlin import Matrix, SymmetricForm
 from flatcusps.density import sample_targets
 from flatcusps.shapes import (
@@ -20,7 +28,7 @@ from flatcusps.shapes import (
     shape_distance,
 )
 
-from oracles import brute_best_rational
+from oracles import brute_best_rational, ref_is_arithmetic_shape
 
 HALF = F(1, 2)
 
@@ -437,7 +445,7 @@ class TestIsArithmeticShape:
                     for i in range(n)
                 ]
                 shape = rationalize(RealForm(gram), theta, 1000)
-                assert is_arithmetic_shape(shape, theta)
+                assert is_arithmetic_shape(shape)
 
     def test_swap_holonomy_rejects_asymmetric_diagonal(self):
         group = swapped_klein()
@@ -454,3 +462,40 @@ class TestIsArithmeticShape:
         group = catalog("torus-2")
         shape = ShapeDescriptor(group, SymmetricForm.diagonal([1, -1]))
         assert not is_arithmetic_shape(shape)
+
+    @pytest.mark.parametrize("name", catalog_names())
+    def test_agrees_with_oracle_on_catalog(self, name):
+        # a form no holonomy of order above 1 preserves, and its average
+        group = catalog(name)
+        theta = holonomy(group)
+        n = group.dim
+        raw = SymmetricForm(
+            [[i + 1 + 2 * n if i == j else F(1, i + j + 2) for j in range(n)] for i in range(n)]
+        )
+        for form in (raw, theta_average(raw, theta), SymmetricForm.identity(n)):
+            shape = ShapeDescriptor(group, form)
+            assert is_arithmetic_shape(shape) is ref_is_arithmetic_shape(shape, theta)
+        assert is_arithmetic_shape(ShapeDescriptor(group, raw)) is (theta.order == 1)
+
+    def test_agrees_with_oracle_on_swapped_klein(self):
+        group = swapped_klein()
+        theta = holonomy(group)
+        raw = SymmetricForm.diagonal([1, 2])
+        for form in (raw, theta_average(raw, theta), SymmetricForm.diagonal([1, -1])):
+            shape = ShapeDescriptor(group, form)
+            assert is_arithmetic_shape(shape) is ref_is_arithmetic_shape(shape, theta)
+
+    def test_infinite_order_rotation_is_decided_without_the_holonomy(self):
+        # the rotation by the angle with cosine 3/5 preserves the identity
+        # form but has infinite order: the shape test, which reads only the
+        # generators, passes it, and holonomy() rejects the group quickly,
+        # so every caller that needs theta rejects it first
+        rotation = AffineMap(Matrix([[F(3, 5), F(-4, 5)], [F(4, 5), F(3, 5)]]), [0, 0])
+        group = BieberbachGroup(
+            [rotation, AffineMap.translation_by([1, 0]), AffineMap.translation_by([0, 1])]
+        )
+        assert is_arithmetic_shape(ShapeDescriptor(group, SymmetricForm.identity(2)))
+        start = time.perf_counter()
+        with pytest.raises(HolonomyBound):
+            holonomy(group)
+        assert time.perf_counter() - start < 2
