@@ -71,7 +71,6 @@ from .selberg import (
     verify_certificate,
 )
 from .shapes import (
-    RealForm,
     ShapeDescriptor,
     is_arithmetic_shape,
     rationalize,
@@ -100,7 +99,6 @@ __all__ = [
     "NotNilpotent",
     "NotPositiveDefinite",
     "RankDeficient",
-    "RealForm",
     "SelbergCertificate",
     "ShapeDescriptor",
     "SymmetricForm",

@@ -284,7 +284,9 @@ def translation_lattice(
     transversal elements ``s(h) = (W, u)`` and generators ``g = (A, t)``.
     With ``(R, r)`` the witness of ``W A``, each product is ``(W A R^{-1},
     W t + u - r)``, the pure translation by ``W t + u - r`` because
-    ``R = W A``. The vectors are integer rows over one shared denominator,
+    ``R = W A``. A generator whose linear part is I has the witness itself
+    as ``(R, r)``, so its vector is ``W t``, found with no product and no
+    look-up. The vectors are integer rows over one shared denominator,
     and their Hermite reduction is the basis. Inputs whose translations do
     not span raise ``RankDeficient``.
     """
@@ -303,7 +305,8 @@ def translation_lattice(
         w = witness.linear
         u = [den // witness.den * x for x in witness.num]
         for gen in generators:
-            rep = witness_for.get(w * gen.linear)
+            # W I = W: a translation's representative is the witness itself
+            rep = witness if gen.linear.is_identity() else witness_for.get(w * gen.linear)
             if rep is None:
                 raise InvariantViolation("the holonomy lacks a witness-generator product")
             fw, fr = den // (w.den * gen.den), den // rep.den

@@ -38,7 +38,7 @@ from .errors import InvariantViolation, NotPositiveDefinite
 from .exactlin import Frozen, Matrix, SymmetricForm
 from .lorentz import embed_group, integralize, verify_embedding
 from .selberg import MatrixGroupInput, SelbergCertificate, good_prime
-from .shapes import RealForm, ShapeDescriptor, _float_sum, rationalize, shape_distance
+from .shapes import ShapeDescriptor, _dyadic_form, _float_sum, rationalize, shape_distance
 
 LCG_MULTIPLIER = 6364136223846793005
 LCG_INCREMENT = 1442695040888963407
@@ -131,8 +131,9 @@ class DensityRow(Frozen):
         super().__init__(sample_id, denom_bound, error, pipeline_ok, selberg_prime, reason)
 
 
-def sample_targets(group: BieberbachGroup, count: int, seed: int) -> list[RealForm]:
-    """Deterministic positive definite, holonomy-averaged target metrics."""
+def sample_targets(group: BieberbachGroup, count: int, seed: int) -> list[SymmetricForm]:
+    """Deterministic positive definite target metrics, drawn and averaged
+    over the holonomy in doubles: each is the exact form of its doubles."""
     if count < 1:
         raise ValueError("count must be at least 1")
     theta = holonomy(group)
@@ -164,7 +165,7 @@ def sample_targets(group: BieberbachGroup, count: int, seed: int) -> list[RealFo
                     averaged[i][j] = total / theta.order
                     averaged[j][i] = averaged[i][j]
             gram = averaged
-        targets.append(RealForm(gram))
+        targets.append(_dyadic_form(gram))
     return targets
 
 
@@ -227,14 +228,16 @@ def _degree_certificate(size: int) -> SelbergCertificate:
 
 
 def run_experiment(
-    config: ExperimentConfig, targets: Optional[Sequence[RealForm]] = None
+    config: ExperimentConfig, targets: Optional[Sequence[SymmetricForm]] = None
 ) -> list[DensityRow]:
     """All (sample, bound) rows for a configuration, in deterministic order.
 
     ``targets`` overrides the seeded sampler (used by tests to inject
-    exactly representable targets); by default targets are drawn from the
-    configured seed. Construction failures in the optional pipeline legs
-    are recorded per row, never raised.
+    exact targets); by default targets are drawn from the configured seed.
+    Each target is averaged over the holonomy exactly, once, and every row
+    of its ladder rounds that average and records its distance to it.
+    Construction failures in the optional pipeline legs are recorded per
+    row, never raised.
     """
     group = config.group
     theta = holonomy(group)
@@ -249,7 +252,7 @@ def run_experiment(
         translation_lattice(group, theta)  # translations that do not span raise here
     rows = []
     for sample_id, target in enumerate(targets):
-        reference = theta_average(target.to_exact(), theta)
+        reference = theta_average(target, theta)
         for bound in config.denom_bounds:
             shape = _rationalize_with_retry(reference, theta, bound)
             error = shape_distance(shape.form, reference)

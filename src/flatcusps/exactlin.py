@@ -147,19 +147,11 @@ class Matrix(Frozen):
         return Matrix.from_integer_rows(_identity_rows(n), 1)
 
     @staticmethod
-    def zeros(rows: int, cols: int) -> Matrix:
-        return Matrix([[0] * cols for _ in range(rows)])
-
-    @staticmethod
     def diagonal(values: Sequence[Scalar]) -> Matrix:
         n = len(values)
         return Matrix(
             [[values[i] if i == j else 0 for j in range(n)] for i in range(n)]
         )
-
-    @staticmethod
-    def from_columns(columns: Sequence[Sequence[Scalar]]) -> Matrix:
-        return Matrix(columns).transpose()
 
     @staticmethod
     def block_diag(*blocks: "Matrix") -> Matrix:

@@ -2,13 +2,14 @@
 certificates.
 
 Rationals travel as strings like ``"3/4"`` (plain integers also accepted)
-so files stay exact; decimal numbers are accepted only where the data is
-inherently inexact (approximation targets). Parse errors carry the path of
-the offending field.
+so files stay exact; decimal numbers are accepted only in approximation
+targets, which are read as the exact values of their doubles. Parse errors
+carry the path of the offending field.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from fractions import Fraction
 from typing import Any, Callable, Sequence
@@ -18,7 +19,7 @@ from .errors import ValidationError
 from .exactlin import Matrix, SymmetricForm
 from .lorentz import GeneratorChecks, LorentzEmbedding, VerificationReport
 from .selberg import MatrixGroupInput, SelbergCertificate
-from .shapes import RealForm, ShapeDescriptor
+from .shapes import ShapeDescriptor, _dyadic_form
 
 
 #: Largest decimal exponent a numeral string may carry. ``Fraction("1e9999999")``
@@ -222,12 +223,23 @@ def parse_form(data: Any, path: str = "form") -> SymmetricForm:
     return SymmetricForm(matrix)
 
 
-def parse_real_form(data: Any, path: str = "target") -> RealForm:
+def parse_real_form(data: Any, path: str = "target") -> SymmetricForm:
+    """A decimal target, read as the exact form of its doubles."""
     entries = _matrix_field(data, path, parse_number)
-    try:
-        return RealForm(entries)
-    except ValueError as exc:
-        raise ValidationError(f"{path}.matrix", str(exc)) from None
+    n = len(entries)
+    if any(len(row) != n for row in entries):
+        raise ValidationError(f"{path}.matrix", "a real form needs a square matrix")
+    if not all(math.isfinite(x) for row in entries for x in row):
+        raise ValidationError(f"{path}.matrix", "entries must be finite numbers")
+    for i in range(n):
+        for j in range(i + 1, n):
+            gap = abs(entries[i][j] - entries[j][i])
+            if gap > 1e-9 * max(1.0, abs(entries[i][j])):
+                raise ValidationError(
+                    f"{path}.matrix", f"entries ({i},{j}) and ({j},{i}) are not symmetric"
+                )
+            entries[j][i] = entries[i][j]
+    return _dyadic_form(entries)
 
 
 def shape_to_dict(shape: ShapeDescriptor) -> dict:

@@ -3,53 +3,33 @@
 A shape is an exact, holonomy-invariant, positive definite Gram matrix on
 the ambient space of a fixed group; such a form makes the group an
 arithmetic subgroup of a rationally defined orthogonal affine group, which
-is exactly what :func:`is_arithmetic_shape` tests on the generators. Arbitrary
-(floating-point) target metrics are pulled into this cone by
-:func:`rationalize`: average over the holonomy, round each entry to the
-best rational approximation with bounded denominator, then average again
-to restore exact invariance. Doubles are dyadic rationals, so whether a
-floating-point target is positive definite is decided exactly, on its value.
+is exactly what :func:`is_arithmetic_shape` tests on the generators. A
+target metric is exact too: the form of its doubles, which are dyadic
+rationals. :func:`rationalize` pulls it into this cone: average over the
+holonomy, round each entry to the best rational approximation with
+bounded denominator, then average again to restore exact invariance.
+Only :func:`shape_distance` turns entries into doubles.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from functools import reduce
 from operator import add
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Sequence
 
 from .bieberbach import BieberbachGroup, HolonomyGroup, theta_average
 from .errors import DimensionMismatch, NotPositiveDefinite
 from .exactlin import Frozen, Matrix, SymmetricForm, is_positive_definite, preserves_form
 
-class RealForm(Frozen):
-    """Symmetric matrix with double-precision entries; an inexact target."""
 
-    __slots__ = ("dim", "entries")
-
-    def __init__(self, entries: Sequence[Sequence[float]]):
-        data = [[float(x) for x in row] for row in entries]
-        n = len(data)
-        if n == 0 or any(len(row) != n for row in data):
-            raise DimensionMismatch("a real form needs a square matrix")
-        if not all(math.isfinite(x) for row in data for x in row):
-            raise ValueError("entries must be finite numbers")
-        for i in range(n):
-            for j in range(i + 1, n):
-                gap = abs(data[i][j] - data[j][i])
-                scale = max(1.0, abs(data[i][j]))
-                if gap > 1e-9 * scale:
-                    raise ValueError(f"entries ({i},{j}) and ({j},{i}) are not symmetric")
-                data[j][i] = data[i][j]
-        super().__init__(n, tuple(tuple(row) for row in data))
-
-    def to_exact(self) -> SymmetricForm:
-        """Exact form with the same entries; doubles are dyadic rationals."""
-        return SymmetricForm([[Fraction(x) for x in row] for row in self.entries])
-
-    def __repr__(self) -> str:
-        return f"RealForm({[list(r) for r in self.entries]!r})"
+def _dyadic_form(rows: Sequence[Sequence[float]]) -> SymmetricForm:
+    """The exact form of symmetric rows of finite doubles. Each double is a
+    dyadic rational, so the largest denominator is the rows' common one."""
+    ratios = [[x.as_integer_ratio() for x in row] for row in rows]
+    den = max(q for row in ratios for _, q in row)
+    num = tuple(tuple(p * (den // q) for p, q in row) for row in ratios)
+    return SymmetricForm(Matrix.from_integer_rows(num, den))
 
 
 class ShapeDescriptor(Frozen):
@@ -110,17 +90,15 @@ def _limit_denominator(num: int, den: int, bound: int) -> tuple[int, int]:
 
 
 def rationalize(
-    target: Union[RealForm, SymmetricForm],
-    theta: HolonomyGroup,
-    denom_bound: int,
+    target: SymmetricForm, theta: HolonomyGroup, denom_bound: int
 ) -> ShapeDescriptor:
     """Arithmetic shape approximating a target metric.
 
-    The target is averaged over the holonomy (exactly; double entries are
-    dyadic rationals), each entry of the average is rounded to the best
-    rational with denominator at most ``denom_bound``, and the rounded
-    matrix is averaged again so invariance holds exactly. Before the final
-    average each entry is within ``1/denom_bound`` of the averaged target.
+    The exact target is averaged over the holonomy, each entry of the
+    average is rounded to the best rational with denominator at most
+    ``denom_bound``, and the rounded matrix is averaged again so
+    invariance holds exactly. Before the final average each entry is within
+    ``1/denom_bound`` of the averaged target.
     A target that is already an arithmetic shape for the group
     (:func:`is_arithmetic_shape`, decided on the generators), such as the
     output of :func:`theta_average`, is its own average and is rounded as it is.
@@ -131,13 +109,12 @@ def rationalize(
     """
     if denom_bound < 1:
         raise ValueError("denominator bound must be at least 1")
-    exact = target.to_exact() if isinstance(target, RealForm) else target
     # ShapeDescriptor raises for a target of the wrong size, theta_average
     # for one that is not positive definite
-    if is_arithmetic_shape(ShapeDescriptor(theta.group, exact)):
-        averaged = exact
+    if is_arithmetic_shape(ShapeDescriptor(theta.group, target)):
+        averaged = target
     else:
-        averaged = theta_average(exact, theta)
+        averaged = theta_average(target, theta)
     # round the upper triangle on the integer rows and mirror it
     m = averaged.matrix
     n, num, den = m.rows, m.num, m.den
@@ -152,12 +129,8 @@ def rationalize(
     return ShapeDescriptor(theta.group, invariant)
 
 
-def _entries_as_floats(form: Union[SymmetricForm, RealForm]) -> tuple[int, list[list[float]]]:
-    """Entries of a positive definite form as doubles, a ``RealForm``'s bit for bit."""
-    if isinstance(form, RealForm):
-        form = form.to_exact()
-    elif not isinstance(form, SymmetricForm):
-        raise TypeError(f"expected SymmetricForm or RealForm, got {type(form).__name__}")
+def _entries_as_floats(form: SymmetricForm) -> tuple[int, list[list[float]]]:
+    """Entries of a positive definite form as doubles, a dyadic target's bit for bit."""
     if not is_positive_definite(form):
         raise NotPositiveDefinite("form is not positive definite")
     # int / int is correctly rounded, so x / den is float(Fraction(x, den))
@@ -175,16 +148,15 @@ def _frobenius(entries: Sequence[Sequence[float]]) -> float:
     return math.sqrt(_float_sum(x * x for row in entries for x in row))
 
 
-def shape_distance(
-    a: Union[SymmetricForm, RealForm], b: Union[SymmetricForm, RealForm]
-) -> float:
+def shape_distance(a: SymmetricForm, b: SymmetricForm) -> float:
     """Scale-free Frobenius distance between two positive definite forms.
 
-    Each matrix is scaled to unit Frobenius norm first, so the distance is
-    zero exactly when the forms are positive scalar multiples of each
-    other. This compares ambient Gram matrices; it does not quotient by
-    the affine normalizer of any group, so it is an upper bound for any
-    distance between similarity classes.
+    This is where a form's entries become doubles, each the double nearest
+    its exact value. Each matrix is scaled to unit Frobenius norm first, so
+    the distance is zero exactly when the forms are positive scalar
+    multiples of each other. This compares ambient Gram matrices; it does
+    not quotient by the affine normalizer of any group, so it is an upper
+    bound for any distance between similarity classes.
     """
     dim_a, ea = _entries_as_floats(a)
     dim_b, eb = _entries_as_floats(b)

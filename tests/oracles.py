@@ -18,11 +18,12 @@ search over every torsion polynomial, translation lattices by
 Schreier's construction one ``Fraction`` at a time, a density row's
 congruence certificate from its whole input, with the lattice
 unipotents, seeded targets with a float holonomy converted from
-``Fraction`` entries, holonomy witnesses by a closure over every
-generator, translations included, and arithmetic shapes by checking every
-holonomy element in ``Fraction`` products. The API that only tests use
-lives here too, such as the ``Fraction`` vector helpers, the lattice basis
-of rational vectors and the ``ghw-n`` groups.
+``Fraction`` entries and made exact through ``Fraction``, holonomy
+witnesses by a closure over every generator, translations included, and
+arithmetic shapes by checking every holonomy element in ``Fraction``
+products. The API that only tests use lives here too, such as the
+``Fraction`` vector helpers, the lattice basis of rational vectors, the
+zero matrix, a matrix from its columns and the ``ghw-n`` groups.
 """
 
 from __future__ import annotations
@@ -72,7 +73,16 @@ from flatcusps.selberg import (
     torsion_polynomials,
 )
 from flatcusps.serialize import parse_group, parse_matrix
-from flatcusps.shapes import RealForm, ShapeDescriptor, _float_sum
+from flatcusps.shapes import ShapeDescriptor, _float_sum
+
+
+def zeros(rows: int, cols: int) -> Matrix:
+    return Matrix([[0] * cols for _ in range(rows)])
+
+
+def from_columns(columns) -> Matrix:
+    """The matrix whose columns are the given vectors."""
+    return Matrix(columns).transpose()
 
 
 def vec(entries) -> Vector:
@@ -118,7 +128,7 @@ def ref_translation_lattice(group: BieberbachGroup, theta: HolonomyGroup) -> Mat
     basis = lattice_basis(vectors, group.dim)
     if len(basis) < group.dim:
         raise RankDeficient(f"translations span rank {len(basis)} < {group.dim}")
-    return Matrix.from_columns(basis)
+    return from_columns(basis)
 
 
 def _torsion_boxes(group: BieberbachGroup):
@@ -773,9 +783,10 @@ def ref_congruence_certificate(
     )
 
 
-def ref_sample_targets(group: BieberbachGroup, count: int, seed: int) -> list[RealForm]:
+def ref_sample_targets(group: BieberbachGroup, count: int, seed: int) -> list[SymmetricForm]:
     """Seeded targets with the float holonomy rebuilt from ``Fraction``
-    entries for every target."""
+    entries for every target, each the exact form of its doubles built
+    one ``Fraction`` at a time."""
     theta = holonomy(group)
     n = group.dim
     rng = Lcg(seed)
@@ -805,7 +816,7 @@ def ref_sample_targets(group: BieberbachGroup, count: int, seed: int) -> list[Re
                     averaged[i][j] = total / theta.order
                     averaged[j][i] = averaged[i][j]
             gram = averaged
-        targets.append(RealForm(gram))
+        targets.append(SymmetricForm([[Fraction(x) for x in row] for row in gram]))
     return targets
 
 

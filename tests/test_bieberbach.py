@@ -623,6 +623,31 @@ class TestHolonomyWitnessesOracle:
         assert holonomy(group).order == 16
         assert right_factors and not any(m.is_identity() for m in right_factors)
 
+    @pytest.mark.parametrize(
+        "group", [catalog(name) for name in catalog_names()] + [ghw(5), ghw(7)],
+        ids=lambda group: group.name,
+    )
+    def test_translations_do_not_move_the_lattice(self, group, monkeypatch):
+        # a generator whose linear part is I has its witness as representative:
+        # the lattice forms one product per witness and moving generator
+        theta = holonomy(group)
+        right_factors = []
+        product = Matrix.__mul__
+
+        def recorded(a, b):
+            right_factors.append(b)
+            return product(a, b)
+
+        bieberbach.translation_lattice.cache_clear()
+        monkeypatch.setattr(Matrix, "__mul__", recorded)
+        lattice = translation_lattice(group, theta)
+        monkeypatch.undo()
+        moving = sum(not g.linear.is_identity() for g in group.generators)
+        assert sum(m.is_identity() for m in right_factors) == 0
+        assert len(right_factors) == moving * len(theta.witnesses)
+        expected = ref_translation_lattice(group, theta)
+        assert (lattice.num, lattice.den) == (expected.num, expected.den)
+
 
 class TestConjugationInvariance:
     def test_holonomy_and_torsion_preserved(self):

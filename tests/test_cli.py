@@ -1,4 +1,6 @@
+import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -9,8 +11,9 @@ import pytest
 
 import flatcusps
 from flatcusps import selberg
-from flatcusps.bieberbach import AffineMap, BieberbachGroup, catalog
+from flatcusps.bieberbach import AffineMap, BieberbachGroup, catalog, catalog_names
 from flatcusps.cli import main
+from flatcusps.density import Lcg
 from flatcusps.lorentz import embed_group, integralize, verify_embedding
 from flatcusps.serialize import form_to_dict, group_to_dict
 from flatcusps.exactlin import Matrix, SymmetricForm
@@ -217,6 +220,68 @@ class TestApproximate:
             {"dim": 2, "matrix": [[1.0, 2.0], [2.0, 1.0]]},
         )
         assert main(["approximate", "-g", "torus-2", "-t", target_path, "-d", "100"]) == 2
+
+
+# An output anchor for `approximate`, beside the density ones: exit code,
+# stdout and stderr of every run below, hashed in order
+APPROXIMATE_SHA256 = "b0eeb9fc54036456f3bb739f2ba88bddfb17fd0582940b511bca81abf4ca1b98"
+APPROXIMATE_BOUNDS = ("1", "10", "1000", "1000000")
+MALFORMED_TARGETS = {
+    "infinity": '{"dim": 2, "matrix": [[Infinity, 0], [0, 1]]}',
+    "nan": '{"dim": 2, "matrix": [[1, NaN], [NaN, 1]]}',
+    "1e400-string": '{"dim": 2, "matrix": [["1e400", 0], [0, 1]]}',
+    "asymmetric": '{"dim": 2, "matrix": [[1.0, 0.5], [0.25, 1.0]]}',
+    "non-square": '{"matrix": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]}',
+    # within the symmetry tolerance: the upper triangle is mirrored
+    "nearly-symmetric": '{"dim": 2, "matrix": [[2.0, 0.5], [0.5000000000001, 1.0]]}',
+    "wrong-size": '{"dim": 3, "matrix": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]}',
+    "indefinite": '{"dim": 2, "matrix": [[1.0, 2.0], [2.0, 1.0]]}',
+}
+
+
+def seeded_decimal_target(dim, rng):
+    """``A^T A + I/2`` with the entries of ``A`` drawn from ``rng``, in six
+    decimals: positive definite, and not invariant under a nontrivial holonomy.
+    ``math.fsum`` is correctly rounded, so the decimals are the same on every
+    Python; ``sum`` compensates its rounding from 3.12 on."""
+    a = [[rng.uniform_symmetric() for _ in range(dim)] for _ in range(dim)]
+    return [
+        [round(math.fsum(a[k][i] * a[k][j] for k in range(dim)) + (0.5 if i == j else 0.0), 6)
+         for j in range(dim)]
+        for i in range(dim)
+    ]
+
+
+def approximate_runs():
+    """(group, target JSON text, bound) for every anchored run: each catalog
+    group with a seeded decimal target, which ``rationalize`` must average,
+    and the identity, at each bound; then the malformed targets on torus-2."""
+    rng = Lcg(29)
+    for name in catalog_names():
+        dim = catalog(name).dim
+        identity = [[float(i == j) for j in range(dim)] for i in range(dim)]
+        for matrix in (seeded_decimal_target(dim, rng), identity):
+            text = json.dumps({"dim": dim, "matrix": matrix})
+            for bound in APPROXIMATE_BOUNDS:
+                yield name, text, bound
+    for text in MALFORMED_TARGETS.values():
+        yield "torus-2", text, "10"
+
+
+def test_approximate_anchor(tmp_path, capsys):
+    target = tmp_path / "target.json"
+    digest = hashlib.sha256()
+    codes = []
+    for name, text, bound in approximate_runs():
+        target.write_text(text, encoding="utf-8")
+        code = main(["approximate", "-g", name, "-t", str(target), "-d", bound])
+        out, err = capsys.readouterr()
+        codes.append(code)
+        digest.update(f"{code}\n{out}\n{err}\n".encode())
+    malformed = codes[-len(MALFORMED_TARGETS):]
+    assert malformed == [1, 1, 1, 1, 1, 0, 1, 2]
+    assert 2 in codes[: -len(MALFORMED_TARGETS)]  # rounding at bound 1 kills definiteness
+    assert digest.hexdigest() == APPROXIMATE_SHA256
 
 
 class TestEmbed:

@@ -1,4 +1,5 @@
 import hashlib
+from fractions import Fraction as F
 
 import pytest
 
@@ -20,10 +21,9 @@ from flatcusps.density import (
     run_experiment,
     sample_targets,
 )
-from flatcusps.exactlin import is_positive_definite
+from flatcusps.exactlin import SymmetricForm, is_positive_definite
 from flatcusps.lorentz import embed_group, integralize
 from flatcusps.serialize import certificate_to_dict
-from flatcusps.shapes import RealForm
 
 from oracles import bump_conjugate, ref_congruence_certificate, ref_sample_targets
 
@@ -70,7 +70,8 @@ class TestSampleTargets:
 
     def test_golden_first_sample(self):
         target = sample_targets(catalog("torus-2"), 1, 0)[0]
-        assert [list(row) for row in target.entries] == GOLDEN_TARGET_SEED0
+        golden = [[F(x) for x in row] for row in GOLDEN_TARGET_SEED0]
+        assert [list(row) for row in target.matrix.entries] == golden
 
     @pytest.mark.parametrize(
         "name", [name for name in catalog_names() if holonomy(catalog(name)).order > 1]
@@ -80,19 +81,19 @@ class TestSampleTargets:
         # x / den on ints is correctly rounded, as float(Fraction) is
         group = catalog(name)
 
-        def hexes(targets):
-            return [x.hex() for target in targets for row in target.entries for x in row]
+        def entries(targets):
+            return [x for target in targets for row in target.matrix.entries for x in row]
 
-        assert hexes(sample_targets(group, 3, 8)) == hexes(ref_sample_targets(group, 3, 8))
+        assert entries(sample_targets(group, 3, 8)) == entries(ref_sample_targets(group, 3, 8))
 
     def test_positive_definite_and_invariant(self):
         group = catalog("klein")
         theta = holonomy(group)
         for target in sample_targets(group, 10, 4):
-            assert is_positive_definite(target.to_exact())
+            assert is_positive_definite(target)
             # numerically averaged: off-diagonal entries collapse to zero
             # exactly for the sign-flip holonomy
-            assert target.entries[0][1] == 0.0
+            assert target.matrix[0, 1] == 0
 
 
 class TestExperimentConfig:
@@ -138,7 +139,7 @@ class TestRunExperiment:
     def test_exact_target_gives_zero_error_everywhere(self):
         group = catalog("torus-2")
         config = ExperimentConfig(group, 1, [10, 100], 8)
-        target = RealForm([[2.0, 0.5], [0.5, 1.0]])
+        target = SymmetricForm([[2, F(1, 2)], [F(1, 2), 1]])
         rows = run_experiment(config, targets=[target])
         assert [r.error for r in rows] == [0.0, 0.0]
 
@@ -191,9 +192,8 @@ class TestRunExperiment:
     @pytest.mark.parametrize("name", ["torus-2", "klein", "sixth-turn"])
     def test_each_target_is_averaged_once_per_ladder(self, name, monkeypatch):
         # every rung rounds the exact reference average, so it averages only
-        # its rounded form: 1 + k averages for k bounds, one exact conversion
-        # per target, and one rationalize and one shape_distance per row
-        # under the names the benchmark traces
+        # its rounded form: 1 + k averages for k bounds, and one rationalize
+        # and one shape_distance per row under the names the benchmark traces
         calls = {}
 
         def count(owner, attr):
@@ -211,14 +211,13 @@ class TestRunExperiment:
             (shapes, "theta_average"),
             (density, "rationalize"),
             (density, "shape_distance"),
-            (RealForm, "to_exact"),
         ]:
             count(owner, attr)
         bounds = [10, 100, 1000, 10**4, 10**5, 10**6]
         config = ExperimentConfig(catalog(name), 1, bounds, 8, torus_manifold_mode=True)
         assert all(row.pipeline_ok is True for row in run_experiment(config))
         k = len(bounds)
-        assert calls == {"theta_average": 1 + k, "rationalize": k, "shape_distance": k, "to_exact": 1}
+        assert calls == {"theta_average": 1 + k, "rationalize": k, "shape_distance": k}
 
     @pytest.mark.parametrize("name", ["torus-2", "klein", "sixth-turn"])
     def test_each_form_is_decided_once_per_ladder(self, name, monkeypatch):
@@ -294,7 +293,7 @@ class TestRunExperiment:
         group = catalog("torus-2")
         config = ExperimentConfig(group, 2, [10], 8)
         with pytest.raises(ValueError):
-            run_experiment(config, targets=[RealForm([[1.0, 0.0], [0.0, 1.0]])])
+            run_experiment(config, targets=[SymmetricForm.identity(2)])
 
 
 BOUNDS = [10**k for k in range(1, 7)]
@@ -305,7 +304,7 @@ def row_embeddings(group, count, seed):
     ``run_experiment`` builds them."""
     theta = holonomy(group)
     for target in sample_targets(group, count, seed):
-        reference = theta_average(target.to_exact(), theta)
+        reference = theta_average(target, theta)
         for bound in BOUNDS:
             shape = density._rationalize_with_retry(reference, theta, bound)
             yield integralize(embed_group(group, shape))

@@ -60,6 +60,7 @@ from oracles import (
     ref_decodes,
     ref_verify_embedding,
     translation_log,
+    zeros,
 )
 
 HALF = F(1, 2)
@@ -682,7 +683,7 @@ class TestVerifyEmbedding:
         # then raised on its first product instead of recording a failure
         group = catalog("torus-2")
         embedding = embed_group(group, ShapeDescriptor(group, SymmetricForm.identity(2)))
-        for wrong in (Matrix.identity(3), Matrix.zeros(4, 3), Matrix.identity(5)):
+        for wrong in (Matrix.identity(3), zeros(4, 3), Matrix.identity(5)):
             with pytest.raises(DimensionMismatch, match="images must be 4x4"):
                 LorentzEmbedding(embedding.model, group, [wrong, embedding.images[1]])
         # a group of another dimension made it raise on its first translation

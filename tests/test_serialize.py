@@ -121,7 +121,7 @@ class TestFormsAndShapes:
 
     def test_real_form_accepts_decimals_and_strings(self):
         real = parse_real_form({"matrix": [[1.5, "1/4"], [0.25, 2]]})
-        assert real.entries[0][1] == 0.25
+        assert real == SymmetricForm([[F(3, 2), F(1, 4)], [F(1, 4), 2]])
 
     def test_real_form_symmetry_checked(self):
         with pytest.raises(ValidationError):

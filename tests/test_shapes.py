@@ -15,11 +15,16 @@ from flatcusps.bieberbach import (
     holonomy,
     theta_average,
 )
-from flatcusps.errors import DimensionMismatch, HolonomyBound, NotPositiveDefinite
+from flatcusps.errors import (
+    DimensionMismatch,
+    HolonomyBound,
+    NotPositiveDefinite,
+    ValidationError,
+)
 from flatcusps.exactlin import Matrix, SymmetricForm
 from flatcusps.density import sample_targets
+from flatcusps.serialize import parse_real_form
 from flatcusps.shapes import (
-    RealForm,
     ShapeDescriptor,
     _entries_as_floats,
     _limit_denominator,
@@ -33,6 +38,11 @@ from oracles import brute_best_rational, ref_is_arithmetic_shape
 HALF = F(1, 2)
 
 
+def dyadic(rows):
+    """The exact form of symmetric rows of doubles, one ``Fraction`` per entry."""
+    return SymmetricForm([[F(x) for x in row] for row in rows])
+
+
 def swapped_klein():
     """A Klein-bottle group whose holonomy contains the coordinate swap."""
     swap = Matrix([[0, 1], [1, 0]])
@@ -43,19 +53,45 @@ def swapped_klein():
 
 
 class TestRealForm:
+    """A decimal target as ``parse_real_form`` reads it: checked, then the
+    exact form of its doubles."""
+
     def test_symmetry_enforced(self):
-        with pytest.raises(ValueError):
-            RealForm([[1.0, 0.5], [0.25, 1.0]])
+        message = r"target.matrix: entries \(0,1\) and \(1,0\) are not symmetric"
+        with pytest.raises(ValidationError, match=message):
+            parse_real_form({"matrix": [[1.0, 0.5], [0.25, 1.0]]})
 
     @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
     def test_non_finite_entries_rejected(self, bad):
-        with pytest.raises(ValueError, match="entries must be finite numbers"):
-            RealForm([[bad, 0.0], [0.0, 1.0]])
+        message = "target.matrix: entries must be finite numbers"
+        with pytest.raises(ValidationError, match=message):
+            parse_real_form({"matrix": [[bad, 0.0], [0.0, 1.0]]})
 
     def test_exact_roundtrip_is_dyadic(self):
-        form = RealForm([[0.5, 0.25], [0.25, 0.75]])
-        exact = form.to_exact()
-        assert exact.matrix == Matrix([[HALF, F(1, 4)], [F(1, 4), F(3, 4)]])
+        form = parse_real_form({"matrix": [[0.5, 0.25], [0.25, 0.75]]})
+        assert form == SymmetricForm([[HALF, F(1, 4)], [F(1, 4), F(3, 4)]])
+
+    def test_square_matrix_required(self):
+        message = "target.matrix: a real form needs a square matrix"
+        with pytest.raises(ValidationError, match=message):
+            parse_real_form({"matrix": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]})
+
+    def test_upper_triangle_mirrored(self):
+        # within the relative tolerance 1e-9 the lower triangle is replaced
+        form = parse_real_form({"matrix": [[2.0, 0.5], [0.5 + 1e-12, 1.0]]})
+        assert form == SymmetricForm([[2, HALF], [HALF, 1]])
+        wide = parse_real_form({"matrix": [[1.0, 1e12], [1e12 + 999.0, 1.0]]})
+        assert wide.matrix[1, 0] == wide.matrix[0, 1] == 10**12
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), n=st.integers(min_value=1, max_value=4))
+    def test_every_double_read_exactly(self, data, n):
+        # the integer rows from as_integer_ratio against one Fraction per
+        # entry, on doubles of every magnitude, subnormals and -0.0 included
+        doubles = st.floats(allow_nan=False, allow_infinity=False)
+        upper = [[data.draw(doubles) for _ in range(n)] for _ in range(n)]
+        rows = [[upper[min(i, j)][max(i, j)] for j in range(n)] for i in range(n)]
+        assert parse_real_form({"matrix": rows}) == dyadic(rows)
 
 
 class TestExactDefinitenessGate:
@@ -63,7 +99,7 @@ class TestExactDefinitenessGate:
 
     def test_definite_target_accepted(self):
         theta = holonomy(catalog("torus-2"))
-        target = RealForm([[2.0, 1.0], [1.0, 2.0]])
+        target = dyadic([[2.0, 1.0], [1.0, 2.0]])
         assert rationalize(target, theta, 10).form == SymmetricForm([[2, 1], [1, 2]])
         assert shape_distance(target, target) == 0.0
 
@@ -74,7 +110,7 @@ class TestExactDefinitenessGate:
     )
     def test_non_definite_target_rejected(self, entries):
         theta = holonomy(catalog("torus-2"))
-        target = RealForm(entries)
+        target = dyadic(entries)
         with pytest.raises(NotPositiveDefinite):
             rationalize(target, theta, 1000)
         with pytest.raises(NotPositiveDefinite):
@@ -84,12 +120,12 @@ class TestExactDefinitenessGate:
         theta = holonomy(catalog("torus-2"))
         message = "form dimension 3 does not match group dimension 2"
         with pytest.raises(DimensionMismatch, match=message):
-            rationalize(RealForm([[1.0, 2.0, 0.0], [2.0, 1.0, 0.0], [0.0, 0.0, 1.0]]), theta, 10)
+            rationalize(dyadic([[1.0, 2.0, 0.0], [2.0, 1.0, 0.0], [0.0, 0.0, 1.0]]), theta, 10)
 
     def test_tiny_pivot_decided_exactly(self):
         # the exact form is positive definite, however small its pivot
         theta = holonomy(catalog("torus-2"))
-        target = RealForm([[1e-12, 0.0], [0.0, 1.0]])
+        target = dyadic([[1e-12, 0.0], [0.0, 1.0]])
         with pytest.raises(NotPositiveDefinite):
             rationalize(target, theta, 10)  # rounding sends 1e-12 to 0
         shape = rationalize(target, theta, 10**13)
@@ -211,14 +247,14 @@ class TestRationalizeOnIntegerRows:
 class TestRationalize:
     def test_rational_target_reproduced(self):
         theta = holonomy(catalog("torus-2"))
-        target = RealForm([[1.0, 0.25], [0.25, 1.0]])
+        target = dyadic([[1.0, 0.25], [0.25, 1.0]])
         shape = rationalize(target, theta, 100)
         assert shape.form == SymmetricForm([[1, F(1, 4)], [F(1, 4), 1]])
         assert shape.group == catalog("torus-2")
 
     def test_irrational_entries_approximated(self):
         theta = holonomy(catalog("torus-2"))
-        target = RealForm([[1.0, 1 / math.pi], [1 / math.pi, 2.0]])
+        target = dyadic([[1.0, 1 / math.pi], [1 / math.pi, 2.0]])
         shape = rationalize(target, theta, 1000)
         off = shape.form.matrix[0, 1]
         assert off == F(113, 355)
@@ -230,7 +266,7 @@ class TestRationalize:
     def test_averaging_kills_off_diagonal(self):
         group = catalog("klein")
         theta = holonomy(group)
-        target = RealForm([[2.0, 1.0], [1.0, 3.0]])
+        target = dyadic([[2.0, 1.0], [1.0, 3.0]])
         for bound in (10, 1000):
             shape = rationalize(target, theta, bound)
             assert shape.form == SymmetricForm([[2, 0], [0, 3]])
@@ -245,7 +281,7 @@ class TestRationalize:
                  for j in range(2)]
                 for i in range(2)
             ]
-            target = RealForm(gram)
+            target = dyadic(gram)
             bound = 10 ** rng.randint(1, 4)
             shape = rationalize(target, theta, bound)
             for i in range(2):
@@ -263,8 +299,8 @@ class TestRationalize:
                  for j in range(2)]
                 for i in range(2)
             ]
-            target = RealForm(gram)
-            reference = theta_average(target.to_exact(), theta)
+            target = dyadic(gram)
+            reference = theta_average(target, theta)
             errors = [
                 shape_distance(rationalize(target, theta, b).form, reference)
                 for b in bounds
@@ -279,7 +315,7 @@ class TestRationalize:
             group = catalog(name)
             theta = holonomy(group)
             n = group.dim
-            target = RealForm(
+            target = dyadic(
                 [[2.0 if i == j else 0.3125 for j in range(n)] for i in range(n)]
             )
             once = rationalize(target, theta, 50)
@@ -289,14 +325,14 @@ class TestRationalize:
     def test_rounding_can_destroy_definiteness(self):
         theta = holonomy(catalog("torus-2"))
         # eigenvalues 1 +- 0.999: rounding the off-diagonal up to 1 at bound 1
-        target = RealForm([[1.0, 0.999], [0.999, 1.0]])
+        target = dyadic([[1.0, 0.999], [0.999, 1.0]])
         with pytest.raises(NotPositiveDefinite):
             rationalize(target, theta, 1)
 
     def test_indefinite_target_rejected(self):
         theta = holonomy(catalog("torus-2"))
         with pytest.raises(NotPositiveDefinite):
-            rationalize(RealForm([[1.0, 2.0], [2.0, 1.0]]), theta, 10)
+            rationalize(dyadic([[1.0, 2.0], [2.0, 1.0]]), theta, 10)
 
 
 class TestShapeDistance:
@@ -328,9 +364,12 @@ class TestShapeDistance:
             assert abs(scaled - shape_distance(a, b)) <= 1e-12
 
     def test_mixed_arguments(self):
-        exact = SymmetricForm.identity(2)
-        inexact = RealForm([[1.0, 0.0], [0.0, 1.0]])
-        assert shape_distance(exact, inexact) == 0.0
+        # the decimal 0.1 is read as its double, which is not 1/10; the two
+        # forms differ exactly but have the same doubles
+        exact = SymmetricForm([[1, F(1, 10)], [F(1, 10), 1]])
+        decimal = parse_real_form({"matrix": [[1.0, 0.1], [0.1, 1.0]]})
+        assert decimal != exact
+        assert shape_distance(exact, decimal) == 0.0
 
     def test_requires_definiteness(self):
         with pytest.raises(NotPositiveDefinite):
@@ -344,8 +383,8 @@ class TestShapeDistance:
         # Python 3.12's sum() compensates rounding; on this pair that moves
         # the last digit, which the density CSV would then show. The
         # distance must be the left-to-right one on every Python.
-        a = RealForm([[1.211, 0.676], [0.676, 1.008]])
-        b = RealForm([[0.387, -0.571], [-0.571, 1.288]])
+        a = dyadic([[1.211, 0.676], [0.676, 1.008]])
+        b = dyadic([[0.387, -0.571], [-0.571, 1.288]])
 
         def left_to_right(values):
             total = 0.0
@@ -390,11 +429,12 @@ class TestFloatView:
         group = catalog("torus-2")
         theta = holonomy(group)
         for target in sample_targets(group, 10, 8):
-            exact = target.to_exact()
-            _assert_fraction_bits(exact)
-            assert _bits(_entries_as_floats(target)[1]) == _bits(target.entries)
+            _assert_fraction_bits(target)
+            # a target is the exact value of the sampler's doubles, so the
+            # float view gives those doubles back
+            assert dyadic(_entries_as_floats(target)[1]) == target
             for bound in (10**3, 10**6):
-                _assert_fraction_bits(rationalize(exact, theta, bound).form)
+                _assert_fraction_bits(rationalize(target, theta, bound).form)
 
     @pytest.mark.parametrize(
         "diagonal",
@@ -444,7 +484,7 @@ class TestIsArithmeticShape:
                      for j in range(n)]
                     for i in range(n)
                 ]
-                shape = rationalize(RealForm(gram), theta, 1000)
+                shape = rationalize(dyadic(gram), theta, 1000)
                 assert is_arithmetic_shape(shape)
 
     def test_swap_holonomy_rejects_asymmetric_diagonal(self):
