@@ -68,10 +68,14 @@ def _load_json(path: str):
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise _CliError(f"cannot read {path}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise _CliError(f"{path}: not UTF-8: {exc}") from None
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise _CliError(f"{path}: malformed JSON: {exc}") from None
+    except RecursionError:
+        raise _CliError(f"{path}: malformed JSON: nested too deeply") from None
 
 
 def _write_text(path: str, text: str) -> None:

@@ -1,17 +1,18 @@
 """Seeded density experiments: approximate random metrics, run the pipeline.
 
 For a fixed group, targets are drawn as ``A^T A + eps*I`` with entries of
-``A`` uniform in [-1, 1] and ``eps = 1e-3``, then averaged over the
-holonomy. Each target is approximated by arithmetic shapes at a ladder of
-denominator bounds; optionally every approximant is pushed through the
-whole realization pipeline (embed; integralize, which checks each image
-exactly by decoding it; verify the integral images) and, in torus-manifold
-mode, certified with a congruence prime. The certificate is for the
-ambient group of the integral images and ``-I``, a designated finite-order
-test element, with the image of the translation lattice as its unipotent
-subgroup. Every generator of that input is integral of determinant ±1, so
-the certificate is the same on every row of an ambient degree: it is
-decided once per degree, from ``-I`` alone (see :func:`_pipeline_legs`).
+``A`` uniform in [-1, 1] and ``eps = 1e-3``, read exactly, and averaged
+over the holonomy exactly, once per target. Each average is approximated
+by arithmetic shapes at a ladder of denominator bounds; optionally every
+approximant is pushed through the whole realization pipeline (embed;
+integralize, which checks each image exactly by decoding it; verify the
+integral images) and, in torus-manifold mode, certified with a
+congruence prime. The certificate is for the ambient group of the
+integral images and ``-I``, a designated finite-order test element, with
+the image of the translation lattice as its unipotent subgroup. Every
+generator of that input is integral of determinant ±1, so the
+certificate is the same on every row of an ambient degree: it is decided
+once per degree, from ``-I`` alone (see :func:`_pipeline_legs`).
 
 Reproducibility is the point: randomness comes from a 64-bit linear
 congruential generator with fixed constants (Knuth's MMIX multiplier
@@ -132,14 +133,13 @@ class DensityRow(Frozen):
 
 
 def sample_targets(group: BieberbachGroup, count: int, seed: int) -> list[SymmetricForm]:
-    """Deterministic positive definite target metrics, drawn and averaged
-    over the holonomy in doubles: each is the exact form of its doubles."""
+    """Deterministic positive definite target metrics ``A^T A + 1e-3 I``,
+    each the exact form of its doubles. They are not averaged over the
+    holonomy: :func:`run_experiment` does that, exactly."""
     if count < 1:
         raise ValueError("count must be at least 1")
-    theta = holonomy(group)
     n = group.dim
     rng = Lcg(seed)
-    floats = [[[x / g.den for x in row] for row in g.num] for g in theta.elements]
     targets = []
     for _ in range(count):
         a = [[rng.uniform_symmetric() for _ in range(n)] for _ in range(n)]
@@ -151,20 +151,6 @@ def sample_targets(group: BieberbachGroup, count: int, seed: int) -> list[Symmet
                     value += 1e-3
                 gram[i][j] = value
                 gram[j][i] = value
-        if theta.order > 1:
-            averaged = [[0.0] * n for _ in range(n)]
-            for i in range(n):
-                for j in range(i, n):
-                    total = 0.0
-                    for ge in floats:
-                        total += _float_sum(
-                            ge[k][i] * gram[k][l] * ge[l][j]
-                            for k in range(n)
-                            for l in range(n)
-                        )
-                    averaged[i][j] = total / theta.order
-                    averaged[j][i] = averaged[i][j]
-            gram = averaged
         targets.append(_dyadic_form(gram))
     return targets
 

@@ -17,13 +17,12 @@ primes that collapse a torsion polynomial onto ``(t-1)^n`` by a gcd
 search over every torsion polynomial, translation lattices by
 Schreier's construction one ``Fraction`` at a time, a density row's
 congruence certificate from its whole input, with the lattice
-unipotents, seeded targets with a float holonomy converted from
-``Fraction`` entries and made exact through ``Fraction``, holonomy
-witnesses by a closure over every generator, translations included, and
-arithmetic shapes by checking every holonomy element in ``Fraction``
-products. The API that only tests use lives here too, such as the
-``Fraction`` vector helpers, the lattice basis of rational vectors, the
-zero matrix, a matrix from its columns and the ``ghw-n`` groups.
+unipotents, holonomy witnesses by a closure over every generator,
+translations included, and arithmetic shapes by checking every holonomy
+element in ``Fraction`` products. The API that only tests use lives here
+too, such as the ``Fraction`` vector helpers, the lattice basis of
+rational vectors, the zero matrix, a matrix from its columns and the
+``ghw-n`` groups.
 """
 
 from __future__ import annotations
@@ -35,7 +34,6 @@ import operator
 from fractions import Fraction
 
 from flatcusps import lorentz
-from flatcusps.density import Lcg
 from flatcusps.bieberbach import (
     AffineMap,
     BieberbachGroup,
@@ -73,7 +71,7 @@ from flatcusps.selberg import (
     torsion_polynomials,
 )
 from flatcusps.serialize import parse_group, parse_matrix
-from flatcusps.shapes import ShapeDescriptor, _float_sum
+from flatcusps.shapes import ShapeDescriptor
 
 
 def zeros(rows: int, cols: int) -> Matrix:
@@ -781,43 +779,6 @@ def ref_congruence_certificate(
     return good_prime(
         MatrixGroupInput(size, list(integral.images) + [-Matrix.identity(size)], unipotent)
     )
-
-
-def ref_sample_targets(group: BieberbachGroup, count: int, seed: int) -> list[SymmetricForm]:
-    """Seeded targets with the float holonomy rebuilt from ``Fraction``
-    entries for every target, each the exact form of its doubles built
-    one ``Fraction`` at a time."""
-    theta = holonomy(group)
-    n = group.dim
-    rng = Lcg(seed)
-    targets = []
-    for _ in range(count):
-        a = [[rng.uniform_symmetric() for _ in range(n)] for _ in range(n)]
-        gram = [[0.0] * n for _ in range(n)]
-        for i in range(n):
-            for j in range(i, n):
-                value = _float_sum(a[k][i] * a[k][j] for k in range(n))
-                if i == j:
-                    value += 1e-3
-                gram[i][j] = value
-                gram[j][i] = value
-        if theta.order > 1:
-            floats = [[[float(x) for x in row] for row in g.entries] for g in theta.elements]
-            averaged = [[0.0] * n for _ in range(n)]
-            for i in range(n):
-                for j in range(i, n):
-                    total = 0.0
-                    for ge in floats:
-                        total += _float_sum(
-                            ge[k][i] * gram[k][l] * ge[l][j]
-                            for k in range(n)
-                            for l in range(n)
-                        )
-                    averaged[i][j] = total / theta.order
-                    averaged[j][i] = averaged[i][j]
-            gram = averaged
-        targets.append(SymmetricForm([[Fraction(x) for x in row] for row in gram]))
-    return targets
 
 
 def ref_holonomy_witnesses(group: BieberbachGroup) -> tuple[AffineMap, ...]:

@@ -3,8 +3,9 @@
 The benchmark traces functions by ``(module, attribute)`` and its workloads
 call the package through ``fc.<name>``; a rename or move in ``src/`` would
 otherwise only show when the benchmark runs. Its set-up also relies on
-``run.clear_caches`` emptying every cache in the package. The benchmark's
-files are read, never changed.
+``run.clear_caches`` emptying every cache in the package. The anchor
+digests that CI and the benchmark repeat must be the ones the tests pin.
+The benchmark's and CI's files are read, never changed.
 """
 
 import importlib
@@ -25,7 +26,11 @@ from flatcusps import (
     run_experiment,
 )
 
-PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+from test_acceptance import ACCEPTANCE_SHA256
+from test_density import SIXTH_TURN_SHA256
+
+ROOT = Path(__file__).resolve().parents[1]
+PERFBENCH = ROOT / "perfbench"
 
 
 def load_perfbench(name):
@@ -82,3 +87,13 @@ def test_clear_caches_empties_every_package_cache():
     load_perfbench("run").clear_caches(flatcusps)
     left = {name: c.cache_info().currsize for name, c in caches.items()}
     assert {name: size for name, size in left.items() if size} == {}
+
+
+def test_anchor_digests_match_the_tests():
+    workflow = (ROOT / ".github" / "workflows" / "tier1.yml").read_text(encoding="utf-8")
+    checks = [line for line in workflow.splitlines() if "sha256sum --check" in line]
+    digests = [re.search(r'echo "([0-9a-f]{64})  \S+" \| sha256sum --check', line) for line in checks]
+    assert all(digests), checks
+    assert sorted(d.group(1) for d in digests) == sorted([ACCEPTANCE_SHA256, SIXTH_TURN_SHA256])
+    workloads = (PERFBENCH / "workloads.py").read_text(encoding="utf-8")
+    assert re.findall(r'^DENSITY_SHA256 = "(\w+)"$', workloads, re.M) == [ACCEPTANCE_SHA256]

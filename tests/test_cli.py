@@ -691,6 +691,16 @@ class TestInputErrors:
     def test_bad_arguments(self, tmp_path, capsys, arguments, start):
         self.assert_one_error_line(capsys, main(arguments(tmp_path)), start)
 
+    @pytest.mark.parametrize(
+        "content, message",
+        [(b"[" * 2000 + b"]" * 2000, "malformed JSON: nested too deeply"), (b"\xff\xfe{}", "not UTF-8: ")],
+        ids=["nested-too-deeply", "not-utf-8"],
+    )
+    def test_unparsable_text(self, tmp_path, capsys, content, message):
+        path = tmp_path / "group.json"
+        path.write_bytes(content)
+        self.assert_one_error_line(capsys, main(["verify-group", "-g", str(path)]), f"{path}: {message}")
+
 
 class TestZeroTranslations:
     """With every translation zero there is no coordinate to read a scale

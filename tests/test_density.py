@@ -1,10 +1,13 @@
 import hashlib
+import json
 from fractions import Fraction as F
 
 import pytest
 
 from flatcusps import density, exactlin, lorentz, selberg, shapes
 from flatcusps.bieberbach import (
+    AffineMap,
+    BieberbachGroup,
     catalog,
     catalog_names,
     holonomy,
@@ -21,11 +24,13 @@ from flatcusps.density import (
     run_experiment,
     sample_targets,
 )
-from flatcusps.exactlin import SymmetricForm, is_positive_definite
+from flatcusps.cli import main
+from flatcusps.errors import HolonomyBound
+from flatcusps.exactlin import Matrix, SymmetricForm, is_positive_definite, preserves_form
 from flatcusps.lorentz import embed_group, integralize
-from flatcusps.serialize import certificate_to_dict
+from flatcusps.serialize import certificate_to_dict, group_to_dict
 
-from oracles import bump_conjugate, ref_congruence_certificate, ref_sample_targets
+from oracles import bump_conjugate, ref_congruence_certificate
 
 # First outputs of the fixed-constant generator; any change to the
 # constants or the bit extraction is a reproducibility break.
@@ -36,18 +41,40 @@ GOLDEN_TARGET_SEED0 = [
 ]
 
 
-# A second output anchor beside the seed-8 torus-2 CSV: a group with
-# holonomy of order six, rounded and certified at every bound up to 10^6
-SIXTH_TURN_SHA256 = "61a47b60738c71a289900d45359eafc3d868bec72e001383ad3820bbfb28babe"
+HOLONOMY_GROUPS = [name for name in catalog_names() if holonomy(catalog(name)).order > 1]
+
+# Output anchors beside the seed-8 torus-2 CSV: every catalog group with
+# nontrivial holonomy, 20 targets at seed 8 rounded and certified at every
+# bound up to 10^6. The two amphicosms have the same linear parts, so the
+# same rows. CI checks the sixth-turn one again under python -O.
+ANCHOR_SHA256 = {
+    "klein": "20304c7159b766ad5e3acfe44b1eb0b3b2b064f485300474758d27fbd65ce8ef",
+    "half-turn": "d1bd76fe4b218a5bc0ee66d3edfcdea4ce2dda961c089c22532f27b6b1604e90",
+    "third-turn": "f94a4d276d4ac9e2370341947950fdefb1d714209bf549b910d135cadce39fa5",
+    "quarter-turn": "441363bc9c8dbd3a136e23180392452608e2e2641e44c80a3697011d4aa8c44c",
+    "sixth-turn": "e5416bb4ea17b3558fad23716119c88d2472f8f4c170a48b8ed07c594026b165",
+    "hantzsche-wendt": "3d76ae10221d1e1f08aaaf0f6e23c1d2867c0f4585b0cae3757b895be52b5e67",
+    "first-amphicosm": "4b590990bb13e611586201a7885f149cd0501379a145df6244bb39ecf9ea8912",
+    "second-amphicosm": "4b590990bb13e611586201a7885f149cd0501379a145df6244bb39ecf9ea8912",
+}
+SIXTH_TURN_SHA256 = ANCHOR_SHA256["sixth-turn"]
 
 
-def test_sixth_turn_anchor():
-    bounds = [10**k for k in range(1, 7)]
-    config = ExperimentConfig(catalog("sixth-turn"), 20, bounds, 8, torus_manifold_mode=True)
+def anchor_digest(name):
+    config = ExperimentConfig(catalog(name), 20, BOUNDS, 8, torus_manifold_mode=True)
     rows = run_experiment(config)
     assert len(rows) == 120
     assert all(row.pipeline_ok and row.selberg_prime == 7 for row in rows)
-    assert hashlib.sha256(rows_to_csv(rows).encode()).hexdigest() == SIXTH_TURN_SHA256
+    return hashlib.sha256(rows_to_csv(rows).encode()).hexdigest()
+
+
+def test_sixth_turn_anchor():
+    assert anchor_digest("sixth-turn") == SIXTH_TURN_SHA256
+
+
+@pytest.mark.parametrize("name", [name for name in HOLONOMY_GROUPS if name != "sixth-turn"])
+def test_holonomy_anchor(name):
+    assert anchor_digest(name) == ANCHOR_SHA256[name]
 
 
 class TestLcg:
@@ -62,6 +89,16 @@ class TestLcg:
         assert min(values) < -0.5 and max(values) > 0.5
 
 
+# A linear part of infinite order: the holonomy closure raises HolonomyBound
+SHEAR = BieberbachGroup(
+    [
+        AffineMap(Matrix([[1, 1], [0, 1]]), [0, 0]),
+        AffineMap(Matrix.identity(2), [1, 0]),
+        AffineMap(Matrix.identity(2), [0, 1]),
+    ]
+)
+
+
 class TestSampleTargets:
     def test_deterministic(self):
         group = catalog("torus-2")
@@ -73,27 +110,45 @@ class TestSampleTargets:
         golden = [[F(x) for x in row] for row in GOLDEN_TARGET_SEED0]
         assert [list(row) for row in target.matrix.entries] == golden
 
-    @pytest.mark.parametrize(
-        "name", [name for name in catalog_names() if holonomy(catalog(name)).order > 1]
-    )
-    def test_float_holonomy_matches_fraction_conversion(self, name):
-        # the float holonomy is converted once per call from integer rows;
-        # x / den on ints is correctly rounded, as float(Fraction) is
-        group = catalog(name)
-
-        def entries(targets):
-            return [x for target in targets for row in target.matrix.entries for x in row]
-
-        assert entries(sample_targets(group, 3, 8)) == entries(ref_sample_targets(group, 3, 8))
-
     def test_positive_definite_and_invariant(self):
+        # the targets are raw draws; their exact holonomy average, which
+        # run_experiment takes, is the invariant form
         group = catalog("klein")
         theta = holonomy(group)
         for target in sample_targets(group, 10, 4):
             assert is_positive_definite(target)
-            # numerically averaged: off-diagonal entries collapse to zero
-            # exactly for the sign-flip holonomy
-            assert target.matrix[0, 1] == 0
+            reference = theta_average(target, theta)
+            assert all(preserves_form(g.linear, reference.matrix) for g in group.generators)
+            # the sign flip kills the off-diagonal entry exactly
+            assert reference.matrix[0, 1] == 0
+
+    def test_no_holonomy_needed(self, monkeypatch):
+        def raising(*args, **kwargs):
+            raise AssertionError("sample_targets computed the holonomy")
+
+        monkeypatch.setattr(density, "holonomy", raising)
+        targets = sample_targets(SHEAR, 5, 8)
+        assert len(targets) == 5
+        assert all(is_positive_definite(target) for target in targets)
+
+    def test_infinite_holonomy_fails_before_any_row(self, tmp_path, capsys, monkeypatch):
+        def never(*args):
+            raise AssertionError("a row was computed")
+
+        monkeypatch.setattr(density, "rationalize", never)
+        config = ExperimentConfig(SHEAR, 2, [10], 8, torus_manifold_mode=True)
+        with pytest.raises(HolonomyBound):
+            run_experiment(config)
+        group = tmp_path / "shear.json"
+        group.write_text(json.dumps(group_to_dict(SHEAR)), encoding="utf-8")
+        rows = tmp_path / "rows.csv"
+        code = main(["density", "-g", str(group), "--samples", "2", "--denoms", "10",
+                     "--seed", "8", "--torus-manifold", "-o", str(rows)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err.startswith("error: holonomy closure exceeds max_order")
+        assert captured.err.count("\n") == 1
+        assert not rows.exists()
 
 
 class TestExperimentConfig:
