@@ -127,14 +127,6 @@ class AffineMap(Frozen):
     def __mul__(self, other: AffineMap) -> AffineMap:
         return compose(self, other)
 
-    def __pow__(self, exponent: int) -> AffineMap:
-        if exponent < 0:
-            return self.inverse() ** (-exponent)
-        result = AffineMap.identity(self.dim)
-        for _ in range(exponent):
-            result = compose(result, self)
-        return result
-
     def __repr__(self) -> str:
         t = ", ".join(str(x) for x in self.translation)
         return f"AffineMap({self.linear!r}, [{t}])"

@@ -282,9 +282,6 @@ class Matrix(Frozen):
         den = self.den * w.den
         return tuple(Fraction(sum(map(mul, row, w.num[0])), den) for row in self.num)
 
-    def transpose(self) -> Matrix:
-        return Matrix.from_integer_rows(tuple(zip(*self.num)), self.den)
-
     def det(self) -> Fraction:
         """Forward-only Bareiss elimination on the integer rows.
 

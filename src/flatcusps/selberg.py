@@ -4,23 +4,26 @@ For a finitely generated subgroup of ``GL(n; Q)`` containing a unipotent
 subgroup, reduction modulo a well-chosen prime ``q`` produces a torsion
 free, finite index congruence subgroup containing the unipotent part. The
 prime must avoid three finite bad sets: primes up to ``n`` (small
-characteristic), the primes of :meth:`MatrixGroupInput.denominators`
-(reduction is undefined on a generator or an inverse), and primes modulo
-which some degree-n torsion characteristic polynomial collapses onto
-``(t-1)^n``. Torsion characteristic polynomials are exactly the degree-n
-products of cyclotomic polynomials other than ``(t-1)^n`` itself, a
-finite enumerable set, and the primes modulo which one of them collapses
-are exactly the primes up to ``n + 1``.
+characteristic), the primes dividing an integer of
+:meth:`MatrixGroupInput.denominators` (reduction is undefined on a
+generator or an inverse), and primes modulo which some degree-n torsion
+characteristic polynomial collapses onto ``(t-1)^n``. Torsion
+characteristic polynomials are exactly the degree-n products of
+cyclotomic polynomials other than ``(t-1)^n`` itself, a finite enumerable
+set, and the primes modulo which one of them collapses are exactly the
+primes up to ``n + 1``. The primes 2, 3, 5, ... are tried in order,
+against the denominators by division, so no integer is ever factored.
 
 The certificate produced here records the prime, the polynomial list, the
-bad primes with reasons, and the residue evidence; an independent
-word-enumeration verifier rechecks the conclusion on demand.
+primes passed over with their reasons, and the residue evidence; an
+independent word-enumeration verifier rechecks the conclusion on demand.
 """
 
 from __future__ import annotations
 
 import math
 from functools import lru_cache
+from itertools import compress, count
 from operator import mul
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence, Union
@@ -54,95 +57,36 @@ MAX_DEGREE = 16
 # ---------------------------------------------------------------------------
 
 
-#: Largest trial divisor of :func:`prime_factors`; every integer below its
-#: square is factored completely.
+#: :func:`is_prime` tries divisors up to this bound, so it decides exactly the
+#: integers below its square; the candidates for the congruence prime are small.
 _TRIAL_BOUND = 10**6
-
-#: Miller-Rabin to the first 13 prime bases is exact below this bound
-#: (Sorenson and Webster, "Strong pseudoprimes to twelve prime bases",
-#: Math. Comp. 86 (2017)).
-_MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-_MILLER_RABIN_LIMIT = 3_317_044_064_679_887_385_961_981
 
 
 def is_prime(m: int) -> bool:
-    return m > 1 and prime_factors(m) == [m]
-
-
-def _strong_probable_prime(m: int) -> bool:
-    """Whether odd ``m > 41`` passes Miller-Rabin to every base of
-    ``_MILLER_RABIN_BASES``; below ``_MILLER_RABIN_LIMIT`` that is primality."""
-    d, s = m - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    for a in _MILLER_RABIN_BASES:
-        x = pow(a, d, m)
-        if x == 1 or x == m - 1:
-            continue
-        for _ in range(s - 1):
-            x = x * x % m
-            if x == m - 1:
-                break
-        else:
-            return False
-    return True
-
-
-def _cube_root(m: int) -> int:
-    """``floor(m ** (1/3))`` for ``m >= 1``, by integer Newton steps from above."""
-    x = 1 << -(-m.bit_length() // 3)
-    while True:
-        y = (2 * x + m // (x * x)) // 3
-        if y >= x:
-            return x
-        x = y
-
-
-def prime_factors(m: int) -> list[int]:
-    """Distinct prime factors of a positive integer, ascending.
-
-    Trial division runs up to ``_TRIAL_BOUND``, so the work is bounded
-    whatever the input. A cofactor left above the square of the last
-    divisor tried has no factor up to the bound; deterministic Miller-Rabin
-    decides whether it is prime. Below ``_MILLER_RABIN_LIMIT`` it has at most
-    four prime factors, so a composite prime power is a square or a cube
-    (``p^4 = (p^2)^2``), and its exact root is factored instead. Otherwise
-    ``ValueError`` names the bound: the cofactor is composite, or too large
-    for the test to be exact.
-    """
-    if m < 1:
-        raise ValueError("expected a positive integer")
-    out = []
+    """Whether ``m`` is prime, by trial division; ``ValueError`` for
+    ``m >= _TRIAL_BOUND**2``."""
+    if m >= _TRIAL_BOUND**2:
+        raise ValueError(
+            f"cannot decide whether {m} is prime: trial division runs to "
+            f"{_TRIAL_BOUND}, so only integers below its square are decided"
+        )
     f = 2
-    while f * f <= m and f <= _TRIAL_BOUND:
-        if m % f == 0:
-            out.append(f)
-            while m % f == 0:
-                m //= f
-        f += 1 if f == 2 else 2
-    if f * f <= m:
-        if m >= _MILLER_RABIN_LIMIT:
-            raise ValueError(
-                f"cannot factor {m}: it has no prime factor up to {_TRIAL_BOUND} "
-                f"and is too large to test for primality exactly"
-            )
-        if not _strong_probable_prime(m):
-            for k, root in ((2, math.isqrt(m)), (3, _cube_root(m))):
-                if root**k == m:
-                    return out + prime_factors(root)  # out holds primes below root's
-            raise ValueError(
-                f"cannot factor {m}: it is composite with no prime factor up to {_TRIAL_BOUND}"
-            )
-    if m > 1:
-        out.append(m)
-    return out
+    while f * f <= m and m % f:
+        f += 1
+    return m > 1 and f * f > m
 
 
 def euler_phi(d: int) -> int:
-    result = d
-    for p in prime_factors(d):
-        result = result // p * (p - 1)
+    """Euler's totient of a positive integer, by trial division."""
+    result, f = d, 2
+    while f * f <= d:
+        if d % f == 0:
+            result = result // f * (f - 1)
+            while d % f == 0:
+                d //= f
+        f += 1
+    if d > 1:
+        result = result // d * (d - 1)
     return result
 
 
@@ -309,9 +253,10 @@ class ResidueEvidence(Frozen):
 class SelbergCertificate(Frozen):
     """Choice of congruence prime together with the evidence justifying it.
 
-    ``bad_primes`` maps each excluded prime to its reasons; it is given as a
-    mapping or as its ``(prime, reasons)`` pairs and kept as the tuple of
-    those pairs sorted by prime, so a certificate hashes by value.
+    ``bad_primes`` maps each prime below ``prime`` to the reasons it was
+    passed over (:func:`bad_primes`); it is given as a mapping or as its
+    ``(prime, reasons)`` pairs and kept as the tuple of those pairs sorted
+    by prime, so a certificate hashes by value.
     """
 
     __slots__ = ("n", "prime", "torsion_polys", "bad_primes", "residue_evidence")
@@ -337,13 +282,16 @@ class SelbergCertificate(Frozen):
 
 
 def bad_primes(group_input: MatrixGroupInput) -> dict[int, tuple[str, ...]]:
-    """Primes that must be excluded, each with its reasons.
+    """The primes 2, 3, 5, ... tried in order up to the first good one,
+    each with the reasons it was passed over; the good one is left out.
 
-    Three sources: primes at most ``n`` (small residue characteristic),
-    the primes of :meth:`MatrixGroupInput.denominators`, those of a
-    generator's or a stored inverse's entries (not units, so reduction is
-    undefined there), and the primes at most ``n + 1``, modulo which some
-    degree-n torsion polynomial collapses onto ``(t-1)^n``. Modulo p, ``Phi_{p^k m} = Phi_m^{phi(p^k)}`` for p not
+    A prime is passed over when it is at most ``n`` (small residue
+    characteristic); when it divides an integer of
+    :meth:`MatrixGroupInput.denominators`, tested by division (no integer
+    is factored), so it is not a unit in a generator or a stored inverse
+    and reduction is undefined there; or when it is at most ``n + 1``,
+    modulo which some degree-n torsion polynomial collapses onto
+    ``(t-1)^n``. Modulo p, ``Phi_{p^k m} = Phi_m^{phi(p^k)}`` for p not
     dividing m and ``Phi_m(1) != 0`` for m > 1, so a product of cyclotomic
     polynomials is ``(t-1)^n`` exactly when every factor has p-power order.
     A torsion polynomial has a factor of order > 1, so if it collapses,
@@ -352,22 +300,25 @@ def bad_primes(group_input: MatrixGroupInput) -> dict[int, tuple[str, ...]]:
     collapses for every prime ``p <= n + 1``.
     """
     n = group_input.n
-    reasons = {p: {REASON_COEFFICIENT_DIVISOR} for p in filter(is_prime, range(2, n + 2))}
-    for p in filter(is_prime, range(2, n + 1)):
-        reasons[p].add(REASON_SMALL_CHARACTERISTIC)
-    for den in group_input.denominators():
-        for p in prime_factors(den):
-            reasons.setdefault(p, set()).add(REASON_DENOMINATOR)
-    return {p: tuple(sorted(rs)) for p, rs in sorted(reasons.items())}
+    dens = group_input.denominators()
+    bad = {}
+    for p in filter(is_prime, count(2)):
+        reasons = tuple(compress(
+            (REASON_COEFFICIENT_DIVISOR, REASON_DENOMINATOR, REASON_SMALL_CHARACTERISTIC),
+            (p <= n + 1, any(d % p == 0 for d in dens), p <= n),
+        ))
+        if not reasons:
+            return bad
+        bad[p] = reasons
 
 
 def good_prime(group_input: MatrixGroupInput) -> SelbergCertificate:
     """Smallest prime admissible for the congruence-subgroup construction.
 
     Checks that every unipotent generator really has characteristic
-    polynomial ``(t-1)^n`` (``UnipotentViolation`` otherwise), builds the
-    bad-prime set, picks the smallest prime outside it, and records the
-    residue evidence that each torsion polynomial stays distinct from the
+    polynomial ``(t-1)^n`` (``UnipotentViolation`` otherwise), takes the
+    prime at which :func:`bad_primes` stopped, and records the residue
+    evidence that each torsion polynomial stays distinct from the
     unipotent one modulo that prime. Reduction modulo the certified prime
     therefore separates the unipotent subgroup from all nontrivial
     torsion, so its congruence preimage is torsion free, has finite index,
@@ -381,9 +332,7 @@ def good_prime(group_input: MatrixGroupInput) -> SelbergCertificate:
                 f"expected {unipotent_polynomial(n)}"
             )
     bad = bad_primes(group_input)
-    q = 2
-    while q in bad or not is_prime(q):
-        q += 1
+    q = next(filter(is_prime, count(max(bad, default=1) + 1)))  # where the walk stopped
     evidence = _residue_evidence(n, q)
     if not all(e.distinct for e in evidence):
         raise InvariantViolation(f"a torsion polynomial collapses modulo {q}")

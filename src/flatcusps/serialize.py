@@ -3,8 +3,8 @@ certificates.
 
 Rationals travel as strings like ``"3/4"`` (plain integers also accepted)
 so files stay exact; decimal numbers are accepted only in approximation
-targets, which are read as the exact values of their doubles. Parse errors
-carry the path of the offending field.
+targets, each read as the exact value of its double. Parse errors carry
+the path of the offending field.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from .errors import ValidationError
 from .exactlin import Matrix, SymmetricForm
 from .lorentz import GeneratorChecks, LorentzEmbedding, VerificationReport
 from .selberg import MatrixGroupInput, SelbergCertificate
-from .shapes import ShapeDescriptor, _dyadic_form
+from .shapes import ShapeDescriptor
 
 
 #: Largest decimal exponent a numeral string may carry. ``Fraction("1e9999999")``
@@ -49,36 +49,36 @@ def _parse_fraction(value: str, path: str, kind: str) -> Fraction:
         raise ValidationError(path, f"not a {kind}: {value!r}") from None
 
 
-def parse_rational(value: Any, path: str) -> Fraction:
+def _exact(value: Any, path: str, kind: str) -> Fraction:
+    """An integer or a numeral string as an exact rational of at most
+    ``MAX_EXPONENT`` digits; ``kind`` names what was expected."""
     if isinstance(value, bool):
-        raise ValidationError(path, "expected a rational, got a boolean")
+        raise ValidationError(path, f"expected a {kind}, got a boolean")
     if isinstance(value, int):
         result = Fraction(value)
     elif isinstance(value, str):
-        result = _parse_fraction(value, path, "rational")
-    elif isinstance(value, float):
-        raise ValidationError(
-            path, "decimal input is not accepted here; use a \"p/q\" string"
-        )
+        result = _parse_fraction(value, path, kind)
     else:
-        raise ValidationError(path, f"expected a rational, got {type(value).__name__}")
+        raise ValidationError(path, f"expected a {kind}, got {type(value).__name__}")
     if abs(result.numerator) >= _DIGIT_BOUND or result.denominator >= _DIGIT_BOUND:
         raise ValidationError(path, _TOO_MANY_DIGITS)
     return result
 
 
-def parse_number(value: Any, path: str) -> float:
-    """Inexact entry: float, int, or exact ``p/q`` string."""
-    if isinstance(value, bool):
-        raise ValidationError(path, "expected a number, got a boolean")
-    if isinstance(value, str):
-        value = _parse_fraction(value, path, "number")
-    elif not isinstance(value, (int, float)):
-        raise ValidationError(path, f"expected a number, got {type(value).__name__}")
-    try:
-        return float(value)
-    except OverflowError:
-        raise ValidationError(path, "number is too large for a float") from None
+def parse_rational(value: Any, path: str) -> Fraction:
+    if isinstance(value, float):
+        raise ValidationError(
+            path, "decimal input is not accepted here; use a \"p/q\" string"
+        )
+    return _exact(value, path, "rational")
+
+
+def _target_entry(value: Any, path: str) -> Fraction | float:
+    """A JSON float as the exact value of its double, returned as is when
+    it is not finite; anything else exactly, as by :func:`parse_rational`."""
+    if isinstance(value, float):
+        return Fraction(value) if math.isfinite(value) else value
+    return _exact(value, path, "number")
 
 
 def _expect_list(value: Any, path: str) -> list:
@@ -224,22 +224,24 @@ def parse_form(data: Any, path: str = "form") -> SymmetricForm:
 
 
 def parse_real_form(data: Any, path: str = "target") -> SymmetricForm:
-    """A decimal target, read as the exact form of its doubles."""
-    entries = _matrix_field(data, path, parse_number)
+    """A target, read exactly: a string or integer entry as a rational, a
+    decimal one as the exact value of its double. Entries within a relative
+    1e-9 of their mirror image, decided exactly, are made symmetric from
+    the upper triangle."""
+    entries = _matrix_field(data, path, _target_entry)
     n = len(entries)
     if any(len(row) != n for row in entries):
         raise ValidationError(f"{path}.matrix", "a real form needs a square matrix")
-    if not all(math.isfinite(x) for row in entries for x in row):
+    if not all(isinstance(x, Fraction) for row in entries for x in row):
         raise ValidationError(f"{path}.matrix", "entries must be finite numbers")
     for i in range(n):
         for j in range(i + 1, n):
-            gap = abs(entries[i][j] - entries[j][i])
-            if gap > 1e-9 * max(1.0, abs(entries[i][j])):
+            if 10**9 * abs(entries[i][j] - entries[j][i]) > max(1, abs(entries[i][j])):
                 raise ValidationError(
                     f"{path}.matrix", f"entries ({i},{j}) and ({j},{i}) are not symmetric"
                 )
             entries[j][i] = entries[i][j]
-    return _dyadic_form(entries)
+    return SymmetricForm(entries)
 
 
 def shape_to_dict(shape: ShapeDescriptor) -> dict:

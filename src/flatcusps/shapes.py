@@ -4,8 +4,8 @@ A shape is an exact, holonomy-invariant, positive definite Gram matrix on
 the ambient space of a fixed group; such a form makes the group an
 arithmetic subgroup of a rationally defined orthogonal affine group, which
 is exactly what :func:`is_arithmetic_shape` tests on the generators. A
-target metric is exact too: the form of its doubles, which are dyadic
-rationals. :func:`rationalize` pulls it into this cone: average over the
+target metric is exact too: a decimal entry is the value of its double,
+a dyadic rational. :func:`rationalize` pulls it into this cone: average over the
 holonomy, round each entry to the best rational approximation with
 bounded denominator, then average again to restore exact invariance.
 Only :func:`shape_distance` turns entries into doubles.

@@ -14,15 +14,16 @@ the integer one replaced, and congruence certificates by the word-ball
 verifier that computes every element's characteristic polynomial and
 raises each collapsing one to the lcm of all torsion orders, and the
 primes that collapse a torsion polynomial onto ``(t-1)^n`` by a gcd
-search over every torsion polynomial, translation lattices by
+search over every torsion polynomial, prime factors and the least good
+congruence prime by sympy, translation lattices by
 Schreier's construction one ``Fraction`` at a time, a density row's
 congruence certificate from its whole input, with the lattice
 unipotents, holonomy witnesses by a closure over every generator,
 translations included, and arithmetic shapes by checking every holonomy
 element in ``Fraction`` products. The API that only tests use lives here
 too, such as the ``Fraction`` vector helpers, the lattice basis of
-rational vectors, the zero matrix, a matrix from its columns and the
-``ghw-n`` groups.
+rational vectors, the zero matrix, the transpose, powers of an affine
+map, a matrix from its columns and the ``ghw-n`` groups.
 """
 
 from __future__ import annotations
@@ -67,7 +68,6 @@ from flatcusps.selberg import (
     euler_phi,
     good_prime,
     is_prime,
-    prime_factors,
     torsion_polynomials,
 )
 from flatcusps.serialize import parse_group, parse_matrix
@@ -78,9 +78,23 @@ def zeros(rows: int, cols: int) -> Matrix:
     return Matrix([[0] * cols for _ in range(rows)])
 
 
+def transpose(m: Matrix) -> Matrix:
+    return Matrix.from_integer_rows(tuple(zip(*m.num)), m.den)
+
+
+def affine_power(g: AffineMap, exponent: int) -> AffineMap:
+    """``g`` composed with itself ``exponent`` times; a negative exponent powers the inverse."""
+    if exponent < 0:
+        return affine_power(g.inverse(), -exponent)
+    result = AffineMap.identity(g.dim)
+    for _ in range(exponent):
+        result = compose(result, g)
+    return result
+
+
 def from_columns(columns) -> Matrix:
     """The matrix whose columns are the given vectors."""
-    return Matrix(columns).transpose()
+    return transpose(Matrix(columns))
 
 
 def vec(entries) -> Vector:
@@ -425,7 +439,7 @@ def _ref_checks(g: AffineMap, image: Matrix, scale: Fraction, model: LorentzMode
     # many re-check the others unchanged
     gram = model.model_form.matrix
     ambient = model.ambient_dim
-    form_preserved = image.transpose() * gram * image == gram
+    form_preserved = transpose(image) * gram * image == gram
     fixes_vinf = image.matvec(model.v_inf) == model.v_inf
 
     if g.is_translation():
@@ -681,6 +695,25 @@ def torsion_order_bound(n: int) -> int:
     return math.lcm(*(d for d in range(1, 2 * n * n + 2) if euler_phi(d) <= n))
 
 
+def ref_prime_factors(m: int) -> list[int]:
+    """Distinct prime factors of a positive integer, ascending, by sympy."""
+    import sympy
+
+    return sorted(sympy.primefactors(m))
+
+
+def ref_least_good_prime(group_input: MatrixGroupInput) -> int:
+    """The least prime above ``n + 1`` that is no prime factor, by sympy, of
+    an integer of ``denominators()``."""
+    import sympy
+
+    factors = {p for d in group_input.denominators() for p in ref_prime_factors(d)}
+    q = sympy.nextprime(group_input.n + 1)
+    while q in factors:
+        q = sympy.nextprime(q)
+    return q
+
+
 def ref_coefficient_divisor_primes(n: int) -> tuple[int, ...]:
     """Primes modulo which some degree-n torsion polynomial equals
     ``(t-1)^n``, found by search: the prime factors of the gcd of the
@@ -693,7 +726,7 @@ def ref_coefficient_divisor_primes(n: int) -> tuple[int, ...]:
         assert all(type(c) is int for c in difference) and any(difference), poly
         content = math.gcd(*difference)
         if content > 1:
-            primes.update(prime_factors(content))
+            primes.update(ref_prime_factors(content))
     return tuple(sorted(primes))
 
 

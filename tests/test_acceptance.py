@@ -50,6 +50,7 @@ from oracles import (
     linear_image,
     sympy_finite_order_char_polys,
     translation_log,
+    transpose,
 )
 
 HALF = F(1, 2)
@@ -143,7 +144,7 @@ def test_criterion_1_exact_embedding_suite():
                 n = group.dim
                 assert ldl_signature(model.model_form) == (n + 1, 1, 0)
                 for gen, image in zip(group.generators, embedding.images):
-                    assert image.transpose() * gram * image == gram
+                    assert transpose(image) * gram * image == gram
                     assert image.matvec(model.v_inf) == model.v_inf
                     rotation = linear_image(gen.linear, model)
                     rotation_inv = rotation.inverse()
@@ -190,11 +191,11 @@ def test_criterion_3_theta_average_correctness():
                         for _ in range(n)
                     ]
                 )
-                form = SymmetricForm(raw.transpose() * raw + Matrix.identity(n))
+                form = SymmetricForm(transpose(raw) * raw + Matrix.identity(n))
                 averaged = theta_average(form, theta)
                 gram = averaged.matrix
                 for g in theta.elements:
-                    assert g.transpose() * gram * g == gram
+                    assert transpose(g) * gram * g == gram
                 assert theta_average(averaged, theta) == averaged
                 assert is_positive_definite(averaged)
 

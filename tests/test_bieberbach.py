@@ -36,6 +36,7 @@ from flatcusps.shapes import rationalize
 from flatcusps.serialize import group_to_dict, parse_group
 
 from oracles import (
+    affine_power,
     apply,
     brute_force_box_size,
     brute_force_is_torsion_free,
@@ -47,6 +48,7 @@ from oracles import (
     ref_product,
     ref_theta_average,
     ref_translation_lattice,
+    transpose,
 )
 
 HALF = F(1, 2)
@@ -110,8 +112,8 @@ class TestAffineMap:
     def test_apply_and_pow(self):
         a = AffineMap(Matrix.diagonal([1, -1]), [HALF, 0])
         assert apply(a, [0, 1]) == (HALF, F(-1))
-        assert (a**2).translation == (F(1), F(0))
-        assert (a**-1) == a.inverse()
+        assert affine_power(a, 2).translation == (F(1), F(0))
+        assert affine_power(a, -1) == a.inverse()
 
 
 # linear parts with small denominators; shifts whose denominators reach 10^12
@@ -207,7 +209,7 @@ class TestAffineMapRows:
             a.inverse(), inverse_rows, [-x for x in ref_apply(inverse_rows, [0] * n, a_shift)]
         )
         assert compose(a, a.inverse()).is_identity() and compose(a.inverse(), a).is_identity()
-        assert a * b == ab and a**-2 == compose(a.inverse(), a.inverse())
+        assert a * b == ab and affine_power(a, -2) == compose(a.inverse(), a.inverse())
 
     @settings(max_examples=40, deadline=None)
     @given(data=st.data(), n=dims)
@@ -318,7 +320,7 @@ class TestTranslationLattice:
             theta = holonomy(group)
             to_coordinates = translation_lattice(group, theta).inverse()
             for gen in group.generators:
-                power = gen ** theta.order
+                power = affine_power(gen, theta.order)
                 assert power.is_translation()
                 coordinates = to_coordinates.matvec(power.translation)
                 assert all(x.denominator == 1 for x in coordinates)
@@ -474,11 +476,11 @@ class TestThetaAverage:
                         for _ in range(n)
                     ]
                 )
-                form = SymmetricForm(raw.transpose() * raw + Matrix.identity(n))
+                form = SymmetricForm(transpose(raw) * raw + Matrix.identity(n))
                 averaged = theta_average(form, theta)
                 gram = averaged.matrix
                 for g in theta.elements:
-                    assert g.transpose() * gram * g == gram
+                    assert transpose(g) * gram * g == gram
                 assert theta_average(averaged, theta) == averaged
                 assert is_positive_definite(averaged)
 
@@ -497,7 +499,7 @@ class TestThetaAverage:
             raw = Matrix(
                 [[F(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(n)] for _ in range(n)]
             )
-            form = SymmetricForm(raw.transpose() * raw + Matrix.identity(n))
+            form = SymmetricForm(transpose(raw) * raw + Matrix.identity(n))
             averaged = theta_average(form, theta).matrix
             expected = ref_theta_average([list(row) for row in form.matrix.entries], elements)
             assert [list(row) for row in averaged.entries] == expected
@@ -513,7 +515,7 @@ class TestThetaAverage:
         n = theta.dim
         assert theta.order == 1
         raw = Matrix([[F(i - 2 * j, j + 1) for j in range(n)] for i in range(n)])
-        form = SymmetricForm(raw.transpose() * raw + Matrix.identity(n))
+        form = SymmetricForm(transpose(raw) * raw + Matrix.identity(n))
         assert theta_average(form, theta) is form
         for entries in ([1] * (n - 1) + [0], [1] * (n - 1) + [-1]):
             with pytest.raises(NotPositiveDefinite):

@@ -184,18 +184,9 @@ class TestApproximate:
         payload = json.loads(capsys.readouterr().out)
         assert payload["form"] == [["1", "1/5"], ["1/5", "2"]]
 
-    @pytest.mark.parametrize(
-        "entry",
-        [
-            "Infinity",
-            "NaN",
-            pytest.param('"1e400"', id="1e400-string"),
-            pytest.param("1" + "0" * 400, id="401-digit-integer"),
-        ],
-    )
+    @pytest.mark.parametrize("entry", ["Infinity", "NaN"])
     def test_non_finite_target_exits_one(self, tmp_path, capsys, entry):
-        # json.loads accepts these bare names, so the file parses; the last
-        # two are finite but too large for a float
+        # json.loads accepts these bare names, so the file parses
         target_path = tmp_path / "target.json"
         target_path.write_text(
             f'{{"dim": 2, "matrix": [[{entry}, 0], [0, 1]]}}', encoding="utf-8"
@@ -203,6 +194,29 @@ class TestApproximate:
         code = main(["approximate", "-g", "torus-2", "-t", str(target_path), "-d", "100"])
         assert code == 1
         assert capsys.readouterr().err.startswith("error: target.matrix")
+
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            pytest.param('"1e400"', id="1e400-string"),
+            pytest.param("1" + "0" * 400, id="401-digit-integer"),
+        ],
+    )
+    def test_entry_beyond_a_double_is_exact(self, tmp_path, capsys, entry):
+        # finite, but too large for a float: read exactly, and an integer
+        # is its own best approximation
+        target_path = tmp_path / "target.json"
+        target_path.write_text(
+            f'{{"dim": 2, "matrix": [[{entry}, 0], [0, 1]]}}', encoding="utf-8"
+        )
+        code = main(["approximate", "-g", "torus-2", "-t", str(target_path), "-d", "100"])
+        assert code == 0
+        assert json.loads(capsys.readouterr().out)["form"] == [[str(10**400), "0"], ["0", "1"]]
+
+    def test_exact_entry_is_not_rounded_through_a_double(self, tmp_path, capsys):
+        target_path = write_json(tmp_path / "target.json", {"matrix": [["1/3"]]})
+        assert main(["approximate", "-g", "torus-1", "-t", target_path, "-d", str(10**17)]) == 0
+        assert json.loads(capsys.readouterr().out)["form"] == [["1/3"]]
 
     def test_huge_exponent_exits_one_promptly(self, tmp_path):
         # Fraction("1e999999999") would build 10**999999999 before failing
@@ -224,11 +238,12 @@ class TestApproximate:
 
 # An output anchor for `approximate`, beside the density ones: exit code,
 # stdout and stderr of every run below, hashed in order
-APPROXIMATE_SHA256 = "b0eeb9fc54036456f3bb739f2ba88bddfb17fd0582940b511bca81abf4ca1b98"
+APPROXIMATE_SHA256 = "1eac44a31bd6659101121f99d6e72f487ab497a8d0407a66d64caf5ce61128c6"
 APPROXIMATE_BOUNDS = ("1", "10", "1000", "1000000")
 MALFORMED_TARGETS = {
     "infinity": '{"dim": 2, "matrix": [[Infinity, 0], [0, 1]]}',
     "nan": '{"dim": 2, "matrix": [[1, NaN], [NaN, 1]]}',
+    # too large for a double, but read exactly, so accepted
     "1e400-string": '{"dim": 2, "matrix": [["1e400", 0], [0, 1]]}',
     "asymmetric": '{"dim": 2, "matrix": [[1.0, 0.5], [0.25, 1.0]]}',
     "non-square": '{"matrix": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]}',
@@ -279,7 +294,7 @@ def test_approximate_anchor(tmp_path, capsys):
         codes.append(code)
         digest.update(f"{code}\n{out}\n{err}\n".encode())
     malformed = codes[-len(MALFORMED_TARGETS):]
-    assert malformed == [1, 1, 1, 1, 1, 0, 1, 2]
+    assert malformed == [1, 1, 0, 1, 1, 0, 1, 2]
     assert 2 in codes[: -len(MALFORMED_TARGETS)]  # rounding at bound 1 kills definiteness
     assert digest.hexdigest() == APPROXIMATE_SHA256
 
@@ -428,8 +443,9 @@ class TestSelbergSingularGenerator:
 
 
 class TestSelbergLargeEntries:
-    # an inverse denominator with a large prime factor, and one that
-    # trial division up to the bound cannot factor
+    # inverse denominators with large prime factors, and ones that trial
+    # division up to the bound could not factor: the congruence prime is
+    # found by trying 2, 3, 5, ..., so none of them is factored or listed
     def files(self, tmp_path, entry):
         lam = write_json(
             tmp_path / "lam.json", {"n": 2, "generators": [[[str(entry), "0"], ["0", "1"]]]}
@@ -444,25 +460,32 @@ class TestSelbergLargeEntries:
         assert main(["selberg", "-l", lam, "-u", gam]) == 0
         assert time.perf_counter() - start < 1
         payload = json.loads(capsys.readouterr().out)
-        assert payload["prime"] == 5 and payload["bad_primes"][str(p)] == ["denominator"]
+        assert payload["prime"] == 5 and sorted(payload["bad_primes"]) == ["2", "3"]
 
-    def test_unfactorable_entry_exits_one(self, tmp_path):
-        lam, gam = self.files(tmp_path, 1000003 * 1000033)
-        done = run_cli(["selberg", "-l", lam, "-u", gam])
-        assert done.returncode == 1
-        assert "no prime factor up to 1000000" in done.stderr
-        assert "Traceback" not in done.stderr and not done.stdout
-
+    @pytest.mark.parametrize(
+        "entry",
+        [1000003 * 1000033, 2**89 - 1, 10**30 + 57],
+        ids=["product-of-two-primes-above-the-bound", "mersenne-89", "ten-to-the-30-plus-57"],
+    )
+    def test_unfactorable_entry_is_certified(self, tmp_path, capsys, entry):
+        lam, gam = self.files(tmp_path, entry)
+        start = time.perf_counter()
+        assert main(["selberg", "-l", lam, "-u", gam, "--verify-words", "6"]) == 0
+        assert time.perf_counter() - start < 1
+        captured = capsys.readouterr()
+        payload = json.loads(captured.out)
+        assert payload["prime"] == 5 and sorted(payload["bad_primes"]) == ["2", "3"]
+        assert payload["verified"] is True and not captured.err
 
     def test_prime_power_determinant(self, tmp_path, capsys):
-        # the inverse's denominator 1000003^2 leaves a perfect-square
-        # cofactor above the trial bound
+        # the inverse's denominator is 1000003^2, above the square of the
+        # trial bound, and neither it nor its prime is listed
         p = 1000003
         lam = write_json(tmp_path / "lam.json", {"n": 2, "generators": [[[p * p, 0], [0, 1]]]})
         gam = write_json(tmp_path / "gam.json", {"n": 2, "generators": []})
         assert main(["selberg", "-l", lam, "-u", gam]) == 0
         payload = json.loads(capsys.readouterr().out)
-        assert payload["bad_primes"][str(p)] == ["denominator"]
+        assert payload["prime"] == 5 and sorted(payload["bad_primes"]) == ["2", "3"]
 
 
 class TestSelbergDegreeBound:

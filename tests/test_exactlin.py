@@ -57,6 +57,7 @@ from oracles import (
     ref_sum,
     ref_transpose,
     trace,
+    transpose,
     zeros,
 )
 
@@ -95,7 +96,7 @@ class TestMatrix:
 
     def test_transpose_pow_trace(self):
         m = Matrix([[0, 1], [2, 3]])
-        assert m.transpose() == Matrix([[0, 2], [1, 3]])
+        assert transpose(m) == Matrix([[0, 2], [1, 3]])
         assert m**0 == Matrix.identity(2)
         assert m**2 == m * m
         assert trace(m) == 3
@@ -167,7 +168,7 @@ class TestKernelAgainstFractionOracle:
         assert_matches(Matrix(a) * scalar, ref_scaled(scalar, a))
         assert_matches(scalar * Matrix(a), ref_scaled(scalar, a))
         assert_matches(-Matrix(a), ref_scaled(F(-1), a))
-        assert_matches(Matrix(a).transpose(), ref_transpose(a))
+        assert_matches(transpose(Matrix(a)), ref_transpose(a))
 
     @settings(max_examples=30, deadline=None)
     @given(data=st.data(), shape=st.tuples(kernel_sizes, kernel_sizes, kernel_sizes))
@@ -376,12 +377,12 @@ class TestSignature:
     def test_positive_definite_is_memoized_by_value(self, data, n, kind):
         a = data.draw(square_matrices(n))
         if kind == "indefinite":
-            gram = a + a.transpose()
+            gram = a + transpose(a)
         else:
             # a^T a is semidefinite; a zeroed row makes it singular
             if kind == "semidefinite":
                 a = Matrix([[0] * n] + [list(row) for row in a.entries[1:]])
-            gram = a.transpose() * a
+            gram = transpose(a) * a
             if kind == "definite":
                 gram = gram + Matrix.identity(n)
         form = SymmetricForm(gram.entries)
@@ -405,10 +406,10 @@ class TestSignature:
             st.lists(st.lists(small_fractions, min_size=n, max_size=n), min_size=n, max_size=n)
         )
         m = Matrix(entries)
-        form = SymmetricForm(m + m.transpose())
+        form = SymmetricForm(m + transpose(m))
         seed = data.draw(st.integers(min_value=0, max_value=10**6))
         s = _random_invertible(random.Random(seed), n)
-        congruent = SymmetricForm(s.transpose() * form.matrix * s)
+        congruent = SymmetricForm(transpose(s) * form.matrix * s)
         assert ldl_signature(congruent) == ldl_signature(form)
 
 
@@ -426,7 +427,7 @@ class TestNilpotentExp:
         assert e == Matrix([[1, 1, -1], [-1, F(1, 2), F(1, 2)], [-1, F(-1, 2), F(3, 2)]])
         # the exponential preserves the diag(1,1,-1) form
         b = Matrix.diagonal([1, 1, -1])
-        assert e.transpose() * b * e == b
+        assert transpose(e) * b * e == b
 
     def test_not_nilpotent(self):
         with pytest.raises(NotNilpotent):
@@ -497,7 +498,7 @@ class TestIsUnipotent:
         # (m - I)^4 = 0 but (m - I)^2 != 0 at size 5: a second squaring decides
         shift = Matrix([[int(j == i + 1) for j in range(5)] for i in range(5)])
         assert is_unipotent(Matrix.identity(5) + shift)
-        assert not is_unipotent(Matrix.identity(5) + shift + shift.transpose())
+        assert not is_unipotent(Matrix.identity(5) + shift + transpose(shift))
 
     def test_non_square(self):
         with pytest.raises(DimensionMismatch):
@@ -548,7 +549,7 @@ def _isometry(data, n):
         b = data.draw(st.lists(st.lists(st.integers(-2, 2), min_size=theta.dim,
                                         max_size=theta.dim), min_size=theta.dim,
                                max_size=theta.dim))
-        spd = (Matrix(b).transpose() * Matrix(b) + Matrix.identity(theta.dim)).num
+        spd = (transpose(Matrix(b)) * Matrix(b) + Matrix.identity(theta.dim)).num
         forms.append(theta_average(SymmetricForm(spd), theta).matrix)
     rest = n - sum(block.rows for block in blocks)
     if rest:
@@ -559,7 +560,7 @@ def _isometry(data, n):
         forms.append(Matrix.identity(rest))
     s = _random_invertible(random.Random(data.draw(st.integers(0, 10**6))), n)
     a = s.inverse() * Matrix.block_diag(*blocks) * s
-    return a, s.transpose() * Matrix.block_diag(*forms) * s
+    return a, transpose(s) * Matrix.block_diag(*forms) * s
 
 
 class TestPreservesForm:
@@ -576,7 +577,7 @@ class TestPreservesForm:
                 a = a + Matrix.diagonal([F(1, 2)] * n)
             assert a.den > 1
             b = data.draw(square_matrices(n, wide_fractions))
-            gram = b + b.transpose()
+            gram = b + transpose(b)
         else:
             a, gram = _isometry(data, n)
             if kind == "perturbed":

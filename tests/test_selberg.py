@@ -28,7 +28,6 @@ from flatcusps.selberg import (
     euler_phi,
     good_prime,
     is_prime,
-    prime_factors,
     torsion_polynomials,
     unipotent_polynomial,
     verify_certificate,
@@ -37,6 +36,8 @@ from flatcusps.selberg import (
 from oracles import (
     ref_coefficient_divisor_primes,
     ref_det,
+    ref_least_good_prime,
+    ref_prime_factors,
     ref_verify_certificate,
     sympy_divides,
     sympy_finite_order_char_polys,
@@ -75,80 +76,104 @@ class TestNumberTheory:
 PRIME_15 = 100000000000031
 PRIME_21 = 100000000000000000039
 
+# the bad primes of every 2x2 input with integral generators and inverses
+# that have no factor 2 or 3: the primes at most n + 1 = 3
+BAD_2 = {
+    2: (REASON_COEFFICIENT_DIVISOR, REASON_SMALL_CHARACTERISTIC),
+    3: (REASON_COEFFICIENT_DIVISOR,),
+}
+# and those of one whose denominators are even
+BAD_2_EVEN = {
+    2: (REASON_COEFFICIENT_DIVISOR, REASON_DENOMINATOR, REASON_SMALL_CHARACTERISTIC),
+    3: (REASON_COEFFICIENT_DIVISOR,),
+}
+
+
+def _fast_certificate(diagonal):
+    """The certificate of ``<diag(...)>``, built in under a second."""
+    start = time.perf_counter()
+    certificate = good_prime(MatrixGroupInput(2, [Matrix.diagonal(diagonal)]))
+    assert time.perf_counter() - start < 1
+    return certificate
+
+
+def _refused_at_the_bound(call):
+    """``call`` raises, in under a second, the ``ValueError`` that names
+    ``_TRIAL_BOUND``."""
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=f"trial division runs to {selberg._TRIAL_BOUND},"):
+        call()
+    assert time.perf_counter() - start < 1
+
 
 class TestBoundedFactoring:
+    """``is_prime`` is trial division up to ``_TRIAL_BOUND`` and refuses an
+    integer from its square on; the congruence prime is found without
+    factoring, so denominators of any size are certified."""
+
     def test_matches_sympy(self):
         import sympy
 
         rng = random.Random(5)
-        # below the square of the trial bound every integer factors completely
-        for m in [*range(1, 3000), *(rng.randint(1, 10**12) for _ in range(200))]:
-            assert prime_factors(m) == sorted(sympy.primefactors(m)), m
+        # below the square of the trial bound every integer is decided
+        bound = selberg._TRIAL_BOUND**2
+        for m in [*range(1, 3000), *(rng.randint(1, bound - 1) for _ in range(200))]:
+            assert is_prime(m) == sympy.isprime(m), m
+        for m in range(bound - 60, bound):  # 999999999989, the largest prime below it
+            assert is_prime(m) == sympy.isprime(m), m
+
+    def test_refuses_from_the_square_of_the_bound(self):
+        _refused_at_the_bound(lambda: is_prime(10**12 + 39))
+        _refused_at_the_bound(lambda: is_prime(selberg._TRIAL_BOUND**2))
+
+    def test_verifier_refuses_a_prime_above_the_bound(self):
+        group_input = worked_example()
+        forced = _forced(group_input, 10**12 + 39)
+        _refused_at_the_bound(lambda: verify_certificate(group_input, forced, 1))
 
     @pytest.mark.parametrize("p", [PRIME_15, PRIME_21])
     def test_large_prime_is_fast(self, p):
-        group_input = MatrixGroupInput(2, [Matrix.diagonal([p, 1])])
-        for call, expected in (
-            (lambda: prime_factors(p), [p]),
-            (lambda: prime_factors(12 * p), [2, 3, p]),
-            (lambda: bad_primes(group_input)[p], (REASON_DENOMINATOR,)),
-        ):
-            start = time.perf_counter()
-            assert call() == expected
-            assert time.perf_counter() - start < 1
+        # p divides the inverse's denominator, but it lies above the
+        # certified prime, so it is neither found nor listed
+        certificate = _fast_certificate([p, 1])
+        assert certificate.prime == 5
+        assert dict(certificate.bad_primes) == BAD_2
 
     @pytest.mark.parametrize(
         "m, reason",
         [
             (1000003 * 1000033, "composite"),  # both factors above the bound
-            (318665857834031151167461, "composite"),  # passes bases 2 to 37
-            (2**89 - 1, "too large"),  # a prime beyond the exact Miller-Rabin range
+            (318665857834031151167461, "composite"),  # passes Miller-Rabin to bases 2 to 37
+            (2**89 - 1, "too large"),  # a prime of 27 digits
         ],
     )
     def test_undecided_cofactor_raises_naming_the_bound(self, m, reason):
-        bound = selberg._TRIAL_BOUND
-        with pytest.raises(ValueError, match=f"no prime factor up to {bound}"):
-            prime_factors(m)
-        with pytest.raises(ValueError, match=reason):
-            prime_factors(2 * m)
+        # is_prime cannot tell these apart; a group with them in its
+        # denominators is certified all the same
+        _refused_at_the_bound(lambda: is_prime(m))
+        for entry, bad in ((m, BAD_2), (2 * m, BAD_2_EVEN)):
+            certificate = _fast_certificate([entry, 1])
+            assert certificate.prime == 5
+            assert dict(certificate.bad_primes) == bad
 
     @pytest.mark.parametrize("k", [2, 3, 4])
     def test_prime_power_above_the_bound(self, k):
-        # Miller-Rabin calls p^k composite; its exact square or cube root is factored
-        start = time.perf_counter()
-        assert prime_factors(1000003**k) == [1000003]
-        assert time.perf_counter() - start < 1
+        certificate = _fast_certificate([1000003**k, 1])
+        assert certificate.prime == 5
+        assert dict(certificate.bad_primes) == BAD_2
 
     def test_prime_power_beside_small_primes(self):
-        assert prime_factors(8 * 1000003**2) == [2, 1000003]
+        certificate = _fast_certificate([8 * 1000003**2, 1])
+        assert certificate.prime == 5
+        assert dict(certificate.bad_primes) == BAD_2_EVEN
 
     def test_square_times_prime_still_raises(self):
-        with pytest.raises(ValueError, match="composite with no prime factor up to 1000000"):
-            prime_factors(1000003**2 * 1000033)
+        _refused_at_the_bound(lambda: is_prime(1000003**2 * 1000033))
+        assert _fast_certificate([1000003**2 * 1000033, 1]).prime == 5
 
     def test_scalar_determinant_above_the_bound(self):
         group_input = MatrixGroupInput(2, [Matrix.diagonal([1000003, 1000003])])
-        assert bad_primes(group_input) == {
-            2: (REASON_COEFFICIENT_DIVISOR, REASON_SMALL_CHARACTERISTIC),
-            3: (REASON_COEFFICIENT_DIVISOR,),
-            1000003: (REASON_DENOMINATOR,),
-        }
-
-    def test_cube_root(self):
-        rng = random.Random(3)
-        for r in [1, 2, 3, 10, 1000003, *(rng.randint(1, 10**9) for _ in range(300))]:
-            for m, root in ((r**3 - 1, r - 1), (r**3, r), (r**3 + 1, r)):
-                if m:
-                    assert selberg._cube_root(m) == root, m
-
-    def test_miller_rabin_matches_sympy_above_the_bound(self):
-        import sympy
-
-        for m in range(selberg._TRIAL_BOUND**2 + 1, selberg._TRIAL_BOUND**2 + 4001, 2):
-            assert selberg._strong_probable_prime(m) == sympy.isprime(m), m
-        # the smallest strong pseudoprimes to the first 9 and 12 prime bases
-        for m in (3825123056546413051, 318665857834031151167461):
-            assert not selberg._strong_probable_prime(m)
+        assert bad_primes(group_input) == BAD_2
 
 
 class TestCyclotomic:
@@ -269,12 +294,18 @@ class TestBadPrimes:
         assert closed == ref_coefficient_divisor_primes(n)
 
     def test_monotone_in_generators(self):
+        # another generator can only push the certified prime up, so the
+        # primes passed over grow; diag(1/p, p) puts p in a denominator,
+        # which is listed only below the certified prime
         base = MatrixGroupInput(2, [UNIPOTENT_2], [])
-        enlarged = MatrixGroupInput(2, [UNIPOTENT_2, Matrix([[F(1, 7), 0], [0, 7]])], [])
-        small = set(bad_primes(base))
-        large = set(bad_primes(enlarged))
-        assert small <= large
-        assert 7 in large
+        for p, prime in ((7, 5), (5, 7)):
+            enlarged = MatrixGroupInput(2, [UNIPOTENT_2, Matrix.diagonal([F(1, p), p])], [])
+            small = set(bad_primes(base))
+            large = bad_primes(enlarged)
+            assert small <= set(large)
+            assert good_prime(enlarged).prime == prime
+            assert list(large) == [q for q in range(prime) if is_prime(q)]
+            assert (p in large) is (p < prime)
 
 
 class TestGoodPrime:
@@ -782,7 +813,7 @@ class TestOuterShell:
 
 
 def _primes(integers):
-    return set().union(*(prime_factors(d) for d in integers))
+    return set().union(*(ref_prime_factors(d) for d in integers))
 
 
 class TestCongruenceInput:
@@ -859,6 +890,29 @@ class TestCertifiedPrimeVerifies:
         assert verify_certificate(group_input, good_prime(group_input), length) is True
 
 
+class TestPrimeWalk:
+    """The primes are tried in order; none is found by factoring."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(drawn=st.one_of(_rational_groups(), _rational_groups(_integers)))
+    def test_walk_matches_factoring_oracle(self, drawn):
+        # the walk stops where sympy's factors of the denominators say it
+        # should, and lists every prime below that with its reasons
+        group_input, _ = drawn
+        n = group_input.n
+        certificate = good_prime(group_input)
+        q = certificate.prime
+        assert q == ref_least_good_prime(group_input)
+        factors = {p for d in group_input.denominators() for p in ref_prime_factors(d)}
+        expected = {}
+        for p in (p for p in range(2, q) if is_prime(p)):
+            reasons = {REASON_COEFFICIENT_DIVISOR} if p <= n + 1 else set()
+            reasons |= {REASON_DENOMINATOR} if p in factors else set()
+            reasons |= {REASON_SMALL_CHARACTERISTIC} if p <= n else set()
+            expected[p] = tuple(sorted(reasons))
+        assert bad_primes(group_input) == dict(certificate.bad_primes) == expected
+
+
 def _squarefree_torsion_polynomials(n):
     """Those whose companion matrix has finite order (is diagonalizable)."""
     orders = selberg._torsion_orders(n)
@@ -922,7 +976,7 @@ class TestFiniteOrderTest:
             assert sorted(orders, key=lambda p: p.coeffs) == list(torsion_polynomials(n))
             for poly, lcm in orders.items():
                 assert sympy_divides(poly, lcm, n)
-                for r in prime_factors(lcm):
+                for r in ref_prime_factors(lcm):
                     assert not sympy_divides(poly, lcm // r, n)
 
     def test_order_seven_element_in_dimension_eight_collapses(self, monkeypatch):

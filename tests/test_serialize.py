@@ -14,7 +14,6 @@ from flatcusps.serialize import (
     group_to_dict,
     parse_form,
     parse_group,
-    parse_number,
     parse_rational,
     parse_real_form,
     report_to_dict,
@@ -24,6 +23,14 @@ from flatcusps.selberg import good_prime
 from flatcusps.shapes import ShapeDescriptor
 
 from oracles import parse_shape
+
+
+def parse_number(value, path):
+    """``value`` as the one entry of a target ``{"matrix": [[value]]}``,
+    read by ``parse_real_form``; ``path`` is that entry's path."""
+    root, _, rest = path.partition(".")
+    assert rest == "matrix[0][0]"
+    return parse_real_form({"matrix": [[value]]}, root).matrix[0, 0]
 
 
 class TestRationals:
@@ -55,8 +62,11 @@ class TestRationals:
     def test_exponent_at_the_bound_accepted(self):
         assert parse_rational("0.001e4300", "x") == 10**4297
         assert parse_rational(" 2.5E-4299 ", "x") == F(5, 2 * 10**4299)
-        assert parse_number("1e-4300", "x") == 0.0
-        assert parse_number("1_0e1_0", "x") == 1e11
+        # a target entry is exact too, within the same digit bound
+        assert parse_number("1e-4299", "target.matrix[0][0]") == F(1, 10**4299)
+        assert parse_number("1_0e1_0", "target.matrix[0][0]") == 10**11
+        with pytest.raises(ValidationError, match="more than 4300 digits"):
+            parse_number("1e-4300", "target.matrix[0][0]")
 
     @pytest.mark.parametrize("text", ["1e4300", "-1e4300", "1e-4300", "3E-4300"])
     def test_digits_beyond_the_print_limit_rejected(self, text):

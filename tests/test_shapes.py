@@ -33,7 +33,7 @@ from flatcusps.shapes import (
     shape_distance,
 )
 
-from oracles import brute_best_rational, ref_is_arithmetic_shape
+from oracles import brute_best_rational, ref_is_arithmetic_shape, transpose
 
 HALF = F(1, 2)
 
@@ -53,8 +53,8 @@ def swapped_klein():
 
 
 class TestRealForm:
-    """A decimal target as ``parse_real_form`` reads it: checked, then the
-    exact form of its doubles."""
+    """A target as ``parse_real_form`` reads it: checked, then exact, each
+    decimal entry the value of its double and every other entry a rational."""
 
     def test_symmetry_enforced(self):
         message = r"target.matrix: entries \(0,1\) and \(1,0\) are not symmetric"
@@ -92,6 +92,20 @@ class TestRealForm:
         upper = [[data.draw(doubles) for _ in range(n)] for _ in range(n)]
         rows = [[upper[min(i, j)][max(i, j)] for j in range(n)] for i in range(n)]
         assert parse_real_form({"matrix": rows}) == dyadic(rows)
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), n=st.integers(min_value=1, max_value=3))
+    def test_exact_entries_kept(self, data, n):
+        # "p/q" strings, integers beyond any double and doubles, mixed in
+        # one target: each entry is read as exactly the value it names
+        exact = st.fractions(max_denominator=10**30).map(lambda x: (str(x), x))
+        large = st.integers(min_value=-(10**400), max_value=10**400).map(lambda x: (x, F(x)))
+        double = st.floats(allow_nan=False, allow_infinity=False).map(lambda x: (x, F(x)))
+        entries = st.one_of(exact, large, double)
+        upper = [[data.draw(entries) for _ in range(n)] for _ in range(n)]
+        rows = [[upper[min(i, j)][max(i, j)] for j in range(n)] for i in range(n)]
+        form = parse_real_form({"matrix": [[raw for raw, _ in row] for row in rows]})
+        assert form == SymmetricForm([[value for _, value in row] for row in rows])
 
 
 class TestExactDefinitenessGate:
@@ -234,7 +248,7 @@ class TestRationalizeOnIntegerRows:
         entries = st.fractions(min_value=-2, max_value=2, max_denominator=12)
         rows = st.lists(st.lists(entries, min_size=n, max_size=n), min_size=n, max_size=n)
         a = Matrix(data.draw(rows))
-        form = theta_average(SymmetricForm(a.transpose() * a + Matrix.identity(n)), theta)
+        form = theta_average(SymmetricForm(transpose(a) * a + Matrix.identity(n)), theta)
         try:
             expected = reference_rationalize(form, theta, bound)
         except NotPositiveDefinite:
@@ -354,7 +368,7 @@ class TestShapeDistance:
         rng = random.Random(9)
         for _ in range(25):
             m = Matrix([[F(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(2)] for _ in range(2)])
-            a = SymmetricForm(m.transpose() * m + Matrix.identity(2))
+            a = SymmetricForm(transpose(m) * m + Matrix.identity(2))
             b = SymmetricForm.diagonal([rng.randint(1, 5), rng.randint(1, 5)])
             alpha = F(rng.randint(1, 9), rng.randint(1, 9))
             beta = F(rng.randint(1, 9), rng.randint(1, 9))
