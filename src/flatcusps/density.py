@@ -209,7 +209,7 @@ def _pipeline_legs(group: BieberbachGroup, shape: ShapeDescriptor, certify: bool
 @lru_cache(maxsize=None)
 def _degree_certificate(size: int) -> SelbergCertificate:
     """The certificate of ``-I`` in degree ``size``, with no unipotent
-    generator. A degree above ``MAX_DEGREE`` raises, and is not cached."""
+    generator. A failure raises, and is not cached."""
     return good_prime(MatrixGroupInput(size, [-Matrix.identity(size)]))
 
 

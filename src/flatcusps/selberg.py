@@ -9,23 +9,24 @@ characteristic), the primes dividing an integer of
 generator or an inverse), and primes modulo which some degree-n torsion
 characteristic polynomial collapses onto ``(t-1)^n``. Torsion
 characteristic polynomials are exactly the degree-n products of
-cyclotomic polynomials other than ``(t-1)^n`` itself, a finite enumerable
-set, and the primes modulo which one of them collapses are exactly the
-primes up to ``n + 1``. The primes 2, 3, 5, ... are tried in order,
-against the denominators by division, so no integer is ever factored.
+cyclotomic polynomials other than ``(t-1)^n`` itself. ``F_q[t]`` has
+unique factorization, so such a product collapses exactly when each of
+its factors ``Phi_d`` collapses onto ``(t-1)^{phi(d)}``, and that happens
+for some ``Phi_d`` with ``1 < d`` and ``phi(d) <= n`` exactly when
+``q <= n + 1``. The primes 2, 3, 5, ... are tried in order, against the
+denominators by division, so no integer is ever factored.
 
-The certificate produced here records the prime, the polynomial list, the
-primes passed over with their reasons, and the residue evidence; an
-independent word-enumeration verifier rechecks the conclusion on demand.
+The certificate produced here records the prime, the cyclotomic factors,
+the primes passed over with their reasons, and the residue evidence of
+each factor; an independent word-enumeration verifier rechecks the
+conclusion on demand.
 """
 
 from __future__ import annotations
 
-import math
 from functools import lru_cache
 from itertools import compress, count
 from operator import mul
-from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence, Union
 
 from .errors import DimensionMismatch, InvariantViolation, UnipotentViolation
@@ -46,10 +47,6 @@ REASON_DENOMINATOR = "denominator"
 #: exponentially with the word length (length 3 on the catalog groups'
 #: integral embeddings stays below 200 elements).
 MAX_WORD_BALL = 20_000
-
-#: Largest degree a :class:`MatrixGroupInput` accepts: its torsion polynomials
-#: grow about 2.5-fold every two degrees (7,133 at n = 16, 30,531 at n = 20).
-MAX_DEGREE = 16
 
 
 # ---------------------------------------------------------------------------
@@ -119,48 +116,25 @@ def cyclotomic_polynomial(d: int) -> IntPolynomial:
     return IntPolynomial(coeffs)
 
 
-def _admissible_orders(n: int) -> tuple[int, ...]:
-    """Orders d of roots of unity with degree ``phi(d) <= n``.
+def _admissible_orders(n: int) -> tuple[tuple[int, int], ...]:
+    """Each order d of a root of unity of degree ``phi(d) <= n``, with
+    ``phi(d)``; ``phi(d) >= sqrt(d/2)`` bounds the search range."""
+    pairs = ((d, euler_phi(d)) for d in range(1, 2 * n * n + 2))
+    return tuple((d, phi) for d, phi in pairs if phi <= n)
 
-    ``phi(d) >= sqrt(d/2)`` bounds the search range.
-    """
-    return tuple(d for d in range(1, 2 * n * n + 2) if euler_phi(d) <= n)
 
-
-def _factor_multisets(n: int, orders: Sequence[int], start: int = 0) -> Iterable[tuple[int, ...]]:
+def _factor_multisets(
+    n: int, orders: Sequence[tuple[int, int]], start: int = 0
+) -> Iterable[tuple[int, ...]]:
+    """The multisets of orders, from ``(d, phi(d))`` pairs, whose degrees sum to n."""
     if n == 0:
         yield ()
         return
     for i in range(start, len(orders)):
-        d = orders[i]
-        deg = euler_phi(d)
+        d, deg = orders[i]
         if deg <= n:
             for rest in _factor_multisets(n - deg, orders, i):
                 yield (d,) + rest
-
-
-@lru_cache(maxsize=None)
-def _torsion_orders(n: int) -> Mapping[IntPolynomial, int]:
-    """Each torsion polynomial of degree n with the lcm of its factors' orders.
-
-    A product of cyclotomic polynomials determines its factor multiset
-    (``Q[t]`` has unique factorization), so the lcm of the d with
-    ``Phi_d`` dividing it is well defined. A matrix with that
-    characteristic polynomial has finite order exactly when its power to
-    the lcm is the identity: every eigenvalue is then an lcm-th root of
-    unity, and a finite-order matrix is diagonalizable.
-    """
-    if n < 1:
-        raise ValueError("degree must be at least 1")
-    orders = {}
-    for multiset in _factor_multisets(n, _admissible_orders(n)):
-        if all(d == 1 for d in multiset):
-            continue
-        product = IntPolynomial([1])
-        for d in multiset:
-            product = product * cyclotomic_polynomial(d)
-        orders[product] = math.lcm(*multiset)
-    return MappingProxyType(orders)  # cached, so read-only
 
 
 @lru_cache(maxsize=None)
@@ -171,18 +145,36 @@ def torsion_polynomials(n: int) -> tuple[IntPolynomial, ...]:
     multiset is not ``{Phi_1, ..., Phi_1}``: a rational matrix of finite
     order is semisimple with roots of unity as eigenvalues, so its
     characteristic polynomial is such a product, and each product is
-    realized by a block-diagonal companion matrix. Duplicate-free, sorted
-    by coefficient tuple.
+    realized by a block-diagonal companion matrix. Duplicate-free (``Q[t]``
+    has unique factorization), sorted by coefficient tuple. Their number
+    grows exponentially with n, and no certificate enumerates them.
     """
-    return tuple(sorted(_torsion_orders(n), key=lambda p: p.coeffs))
+    if n < 1:
+        raise ValueError("degree must be at least 1")
+    products = []
+    for multiset in _factor_multisets(n, _admissible_orders(n)):
+        if multiset[-1] > 1:  # ascending, so some factor is not Phi_1
+            product = IntPolynomial([1])
+            for d in multiset:
+                product = product * cyclotomic_polynomial(d)
+            products.append(product)
+    return tuple(sorted(products, key=lambda p: p.coeffs))
+
+
+@lru_cache(maxsize=None)
+def _cyclotomic_factors(n: int) -> tuple[IntPolynomial, ...]:
+    """``Phi_d`` for each order ``1 < d`` with ``phi(d) <= n``, by d: the
+    factors of the degree-n torsion polynomials other than ``Phi_1``."""
+    return tuple(cyclotomic_polynomial(d) for d, _ in _admissible_orders(n) if d > 1)
 
 
 @lru_cache(maxsize=128)
 def _residue_evidence(n: int, q: int) -> tuple[ResidueEvidence, ...]:
-    """Each torsion polynomial of degree n beside ``(t-1)^n``, both modulo q."""
-    unipotent_mod = unipotent_polynomial(n).reduce_mod(q)
+    """Each cyclotomic factor of degree at most n beside ``(t-1)^phi(d)``,
+    both modulo q."""
     return tuple(
-        ResidueEvidence(p, p.reduce_mod(q), unipotent_mod) for p in torsion_polynomials(n)
+        ResidueEvidence(p, p.reduce_mod(q), unipotent_polynomial(p.degree).reduce_mod(q))
+        for p in _cyclotomic_factors(n)
     )
 
 
@@ -214,8 +206,6 @@ class MatrixGroupInput(Frozen):
         gams = tuple(gamma_gens)
         if n < 1:
             raise ValueError("degree must be at least 1")
-        if n > MAX_DEGREE:
-            raise ValueError(f"degree {n} exceeds MAX_DEGREE = {MAX_DEGREE}")
         if not lams:
             raise ValueError("at least one ambient generator is required")
         for m in lams + gams:
@@ -241,7 +231,7 @@ class MatrixGroupInput(Frozen):
 
 
 class ResidueEvidence(Frozen):
-    """One torsion polynomial shown distinct from ``(t-1)^n`` modulo q."""
+    """One cyclotomic factor ``Phi_d`` shown distinct from ``(t-1)^phi(d)`` modulo q."""
 
     __slots__ = ("polynomial", "polynomial_mod_q", "unipotent_mod_q")
 
@@ -318,8 +308,10 @@ def good_prime(group_input: MatrixGroupInput) -> SelbergCertificate:
     Checks that every unipotent generator really has characteristic
     polynomial ``(t-1)^n`` (``UnipotentViolation`` otherwise), takes the
     prime at which :func:`bad_primes` stopped, and records the residue
-    evidence that each torsion polynomial stays distinct from the
-    unipotent one modulo that prime. Reduction modulo the certified prime
+    evidence that each cyclotomic factor ``Phi_d``, ``1 < d``,
+    ``phi(d) <= n``, stays distinct from ``(t-1)^phi(d)`` modulo that
+    prime. Factorization in ``F_q[t]`` is unique, so no torsion polynomial
+    collapses onto ``(t-1)^n`` either. Reduction modulo the certified prime
     therefore separates the unipotent subgroup from all nontrivial
     torsion, so its congruence preimage is torsion free, has finite index,
     and contains the unipotent subgroup.
@@ -335,10 +327,10 @@ def good_prime(group_input: MatrixGroupInput) -> SelbergCertificate:
     q = next(filter(is_prime, count(max(bad, default=1) + 1)))  # where the walk stopped
     evidence = _residue_evidence(n, q)
     if not all(e.distinct for e in evidence):
-        raise InvariantViolation(f"a torsion polynomial collapses modulo {q}")
+        raise InvariantViolation(f"a cyclotomic factor collapses modulo {q}")
     if q <= n or any(d % q == 0 for d in group_input.denominators()):
         raise InvariantViolation(f"prime {q} is small or divides a denominator")
-    return SelbergCertificate(n, q, torsion_polynomials(n), bad, evidence)
+    return SelbergCertificate(n, q, _cyclotomic_factors(n), bad, evidence)
 
 
 def verify_certificate(
@@ -375,11 +367,11 @@ def verify_certificate(
     - *Exact polynomial.* Every other element gets its polynomial, once; a
       residue unlike that of ``(t-1)^n`` passes.
     - *Finite-order test.* A residue that collapses onto the unipotent one
-      is a counterexample when E has finite order. A polynomial outside
-      :func:`torsion_polynomials`, ``(t-1)^n`` among them, means infinite
-      order; otherwise E has finite order exactly when its power to the
-      lcm of the orders of the polynomial's cyclotomic factors is the
-      identity.
+      is a counterexample when E has finite order, and then every
+      eigenvalue has q-power order (:func:`bad_primes`) and E is
+      diagonalizable. So E has finite order exactly when ``E^(q^K) = I``,
+      for ``q^K`` the largest power of q with ``phi(q^K) <= n``. K is 0
+      at every prime above ``n + 1``, so no power is taken there.
 
     Returns False, before enumerating, when q is not a unit for the group
     (it divides an integer of :meth:`MatrixGroupInput.denominators`, so
@@ -402,7 +394,9 @@ def verify_certificate(
         return False  # reduction modulo q is undefined on a generator or an inverse
     n = group_input.n
     unipotent_mod = unipotent_polynomial(n).reduce_mod(q)
-    torsion_orders = _torsion_orders(n)
+    order = 1  # q^K, the largest power of q with phi(q^K) <= n
+    while (q - 1) * order <= n:  # phi(q * order) = (q - 1) order
+        order *= q
     identity = Matrix.identity(n)
 
     # Distinct letters other than -I and the index of each inverse.
@@ -426,9 +420,7 @@ def verify_certificate(
     def judge(element: Matrix) -> bool:  # False on a counterexample
         if cleared(sum(row[i] for i, row in enumerate(element.num)) - n * element.den):
             return True
-        poly = char_poly(element)
-        order = torsion_orders.get(poly)  # None: infinite order
-        return poly.reduce_mod(q) != unipotent_mod or order is None or element ** order != identity
+        return char_poly(element).reduce_mod(q) != unipotent_mod or element ** order != identity
 
     words = {identity}  # products of the letters, the only dedup of the search
     seen = {identity}  # the ball: the words and, with -I, their negations

@@ -130,12 +130,16 @@ def rationalize(
 
 
 def _entries_as_floats(form: SymmetricForm) -> tuple[int, list[list[float]]]:
-    """Entries of a positive definite form as doubles, a dyadic target's bit for bit."""
+    """Entries of a positive definite form as doubles, a dyadic target's bit
+    for bit; ``ValueError`` when an entry exceeds the range of a double."""
     if not is_positive_definite(form):
         raise NotPositiveDefinite("form is not positive definite")
     # int / int is correctly rounded, so x / den is float(Fraction(x, den))
     den = form.matrix.den
-    return form.dim, [[x / den for x in row] for row in form.matrix.num]
+    try:
+        return form.dim, [[x / den for x in row] for row in form.matrix.num]
+    except OverflowError:
+        raise ValueError("a form entry exceeds the range of a double") from None
 
 
 def _float_sum(values: Iterable[float]) -> float:

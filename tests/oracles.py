@@ -32,6 +32,7 @@ import functools
 import itertools
 import math
 import operator
+import types
 from fractions import Fraction
 
 from flatcusps import lorentz
@@ -693,6 +694,29 @@ def torsion_order_bound(n: int) -> int:
     orders d of roots of unity of degree ``phi(d) <= n``, which
     ``phi(d) >= sqrt(d/2)`` confines below ``2 n^2 + 2``."""
     return math.lcm(*(d for d in range(1, 2 * n * n + 2) if euler_phi(d) <= n))
+
+
+@functools.lru_cache(maxsize=None)
+def ref_torsion_orders(n: int) -> types.MappingProxyType:
+    """Each torsion polynomial of degree n with the lcm of the orders d of
+    its cyclotomic factors ``Phi_d``, read off sympy's factorization.
+
+    A matrix with that characteristic polynomial has finite order exactly
+    when its power to the lcm is the identity: every eigenvalue is then an
+    lcm-th root of unity, and a finite-order matrix is diagonalizable.
+    """
+    import sympy
+
+    t = sympy.Symbol("t")
+    order_of = {}  # each admissible Phi_d by its descending coefficients
+    for d in range(1, 2 * n * n + 2):
+        if sympy.totient(d) <= n:
+            order_of[tuple(sympy.Poly(sympy.cyclotomic_poly(d, t), t).all_coeffs())] = d
+    orders = {}
+    for poly in torsion_polynomials(n):
+        _, factors = sympy.Poly(list(reversed(poly.coeffs)), t).factor_list()
+        orders[poly] = math.lcm(*(order_of[tuple(f.all_coeffs())] for f, _ in factors))
+    return types.MappingProxyType(orders)  # cached, so read-only
 
 
 def ref_prime_factors(m: int) -> list[int]:

@@ -67,6 +67,17 @@ def package_caches():
     return caches
 
 
+def test_cache_info_reads_resolve():
+    # the traced run reads cache statistics by dotted name; a cache that
+    # moved or lost its lru_cache would only fail there
+    text = (PERFBENCH / "run.py").read_text(encoding="utf-8")
+    reads = re.findall(r"\bpackage\.(\w+)\.(\w+)\.cache_info\(\)", text)
+    assert reads
+    for module, attr in reads:
+        info = getattr(getattr(flatcusps, module), attr).cache_info()
+        assert {"hits", "misses", "currsize"} <= set(info._fields)
+
+
 def test_clear_caches_empties_every_package_cache():
     # set-up in the benchmark must pay for filling each cache anew
     catalog("hantzsche-wendt")
@@ -79,7 +90,7 @@ def test_clear_caches_empties_every_package_cache():
         "bieberbach._holonomy_witnesses",
         "bieberbach.translation_lattice",
         "bieberbach.is_torsion_free",
-        "selberg.torsion_polynomials",
+        "selberg._cyclotomic_factors",
         "selberg._residue_evidence",
     }
     assert filled <= caches.keys()

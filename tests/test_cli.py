@@ -489,17 +489,21 @@ class TestSelbergLargeEntries:
 
 
 class TestSelbergDegreeBound:
-    def test_degree_above_the_bound_exits_one(self, tmp_path, capsys):
-        n = selberg.MAX_DEGREE + 1
+    def test_degree_above_the_old_bound_exits_zero(self, tmp_path, capsys):
+        # 17 is above the former bound of 16: every prime up to n + 1 = 18
+        # is passed over, one residue is printed per cyclotomic factor
+        n = 17
         identity = [[int(i == j) for j in range(n)] for i in range(n)]
         lam = write_json(tmp_path / "lam.json", {"n": n, "generators": [identity]})
         gam = write_json(tmp_path / "gam.json", {"n": n, "generators": []})
         start = time.perf_counter()
-        assert main(["selberg", "-l", lam, "-u", gam]) == 1
+        assert main(["selberg", "-l", lam, "-u", gam, "--verify-words", "2"]) == 0
         assert time.perf_counter() - start < 1
         captured = capsys.readouterr()
-        assert captured.err == "error: lambda.generators: degree 17 exceeds MAX_DEGREE = 16\n"
-        assert not captured.out
+        payload = json.loads(captured.out)
+        assert payload["prime"] == 19 and payload["verified"] is True
+        assert sorted(map(int, payload["bad_primes"])) == [2, 3, 5, 7, 11, 13, 17]
+        assert not captured.err
 
 
 class TestDensity:

@@ -4,7 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from flatcusps import density, exactlin, lorentz, selberg, shapes
+from flatcusps import density, exactlin, lorentz, shapes
 from flatcusps.bieberbach import (
     AffineMap,
     BieberbachGroup,
@@ -402,14 +402,22 @@ class TestDegreeCertificate:
         assert calls == {"good_prime": 1, "MatrixGroupInput": 1}
 
     def test_degree_above_max_fails_every_row(self, monkeypatch):
-        # the degree bound fails each row as the per-row input did, and a
-        # failure is not cached
-        monkeypatch.setattr(selberg, "MAX_DEGREE", 3)
+        # a refused degree certificate fails each row as the per-row input
+        # did, and a failure is not cached
+        calls = []
+
+        def refused(group_input):
+            calls.append(group_input.n)
+            raise ValueError(f"degree {group_input.n} refused")
+
+        monkeypatch.setattr(density, "good_prime", refused)
         density._degree_certificate.cache_clear()
         config = ExperimentConfig(catalog("torus-2"), 2, [10, 100], 8, torus_manifold_mode=True)
         rows = run_experiment(config)
-        reason = "ValueError: degree 4 exceeds MAX_DEGREE = 3"
+        reason = "ValueError: degree 4 refused"
         assert [(r.pipeline_ok, r.selberg_prime, r.reason) for r in rows] == [(False, None, reason)] * 4
+        assert calls == [4] * 4
+        assert density._degree_certificate.cache_info().currsize == 0
 
 
 class TestCsvAndJson:

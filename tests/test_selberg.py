@@ -38,6 +38,7 @@ from oracles import (
     ref_det,
     ref_least_good_prime,
     ref_prime_factors,
+    ref_torsion_orders,
     ref_verify_certificate,
     sympy_divides,
     sympy_finite_order_char_polys,
@@ -243,14 +244,26 @@ class TestTorsionPolynomials:
 
 
 class TestDegreeBound:
-    def test_largest_degree_constructs(self):
-        n = selberg.MAX_DEGREE
-        assert n == 16 and MatrixGroupInput(n, [-Matrix.identity(n)]).n == n
+    """No degree bound is left: the certificate reads one residue per
+    cyclotomic factor, so it grows polynomially with the degree."""
 
-    def test_degree_above_the_bound_raises(self):
-        n = selberg.MAX_DEGREE + 1
-        with pytest.raises(ValueError, match="degree 17 exceeds MAX_DEGREE = 16"):
-            MatrixGroupInput(n, [Matrix.identity(n)])
+    def test_largest_degree_constructs(self):
+        # degree 20 has 30,531 torsion polynomials but 40 cyclotomic factors
+        n = 20
+        start = time.perf_counter()
+        group_input = MatrixGroupInput(n, [-Matrix.identity(n)])
+        certificate = good_prime(group_input)
+        assert verify_certificate(group_input, certificate, word_length=2) is True
+        assert time.perf_counter() - start < 1
+        assert certificate.prime == 23 and len(certificate.residue_evidence) == 40
+
+    def test_degree_above_the_old_bound_certifies(self):
+        # 17 is above the former bound of 16; every prime up to n + 1 = 18 is
+        # passed over, so the certified prime is 19
+        n = 17
+        certificate = good_prime(MatrixGroupInput(n, [Matrix.identity(n)]))
+        assert certificate.prime == 19
+        assert list(dict(certificate.bad_primes)) == [2, 3, 5, 7, 11, 13, 17]
 
 
 class TestBadPrimes:
@@ -313,11 +326,12 @@ class TestGoodPrime:
         certificate = good_prime(worked_example())
         assert certificate.prime == 5
         assert set(dict(certificate.bad_primes)) == {2, 3}
-        # (t+1)^2 = t^2+2t+1 vs (t-1)^2 = t^2+3t+1 mod 5
-        neg_poly = IntPolynomial([1, 2, 1])
+        # Phi_2 = t + 1 vs t - 1 = t + 4 mod 5, one residue per factor
+        phi_2 = IntPolynomial([1, 1])
         evidence = {e.polynomial: e for e in certificate.residue_evidence}
-        assert evidence[neg_poly].polynomial_mod_q == (1, 2, 1)
-        assert evidence[neg_poly].unipotent_mod_q == (1, 3, 1)
+        assert evidence[phi_2].polynomial_mod_q == (1, 1)
+        assert evidence[phi_2].unipotent_mod_q == (4, 1)
+        assert list(certificate.torsion_polys) == [cyclotomic_polynomial(d) for d in (2, 3, 4, 6)]
         assert all(e.distinct for e in certificate.residue_evidence)
 
     def test_gamma_independent(self):
@@ -352,10 +366,23 @@ class TestGoodPrime:
         assert first == second == third
         assert hash(first) == hash(second) == hash(third)
         built = tuple(
-            selberg.ResidueEvidence(p, p.reduce_mod(5), unipotent_polynomial(2).reduce_mod(5))
-            for p in torsion_polynomials(2)
+            selberg.ResidueEvidence(
+                p, p.reduce_mod(5), unipotent_polynomial(p.degree).reduce_mod(5)
+            )
+            for p in map(cyclotomic_polynomial, (2, 3, 4, 6))
         )
         assert first.residue_evidence == built
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_factor_evidence_matches_product_evidence(self, n):
+        # F_q[t] has unique factorization, so a product collapses onto
+        # (t-1)^n exactly when each of its factors collapses
+        unipotent = unipotent_polynomial(n)
+        for q in filter(is_prime, range(2, 51)):
+            factors = all(e.distinct for e in selberg._residue_evidence(n, q))
+            collapsed = unipotent.reduce_mod(q)
+            products = all(p.reduce_mod(q) != collapsed for p in torsion_polynomials(n))
+            assert factors is products is (q > n + 1)
 
     def test_unipotent_check_runs_on_every_call(self):
         assert good_prime(worked_example()).prime == 5
@@ -408,7 +435,7 @@ class TestVerifyCertificate:
 
     def test_certificate_of_another_degree_rejected(self):
         # prime 5 certifies <-I_2>; in degree 4, 5 is still above n, but the
-        # torsion polynomials it was checked against are those of degree 2
+        # cyclotomic factors it was checked against are those of degree 2
         small = good_prime(MatrixGroupInput(2, [NEG_IDENTITY_2]))
         assert small.prime == 5
         group_input = MatrixGroupInput(4, [-Matrix.identity(4)])
@@ -915,7 +942,7 @@ class TestPrimeWalk:
 
 def _squarefree_torsion_polynomials(n):
     """Those whose companion matrix has finite order (is diagonalizable)."""
-    orders = selberg._torsion_orders(n)
+    orders = ref_torsion_orders(n)
     return [p for p in torsion_polynomials(n) if _companion(p) ** orders[p] == Matrix.identity(n)]
 
 
@@ -972,7 +999,7 @@ class TestFiniteOrderTest:
         # every root of p is an L-th root of unity, and for no proper divisor
         # of L: p divides (t^L - 1)^n and no (t^(L/r) - 1)^n for r prime
         for n in (1, 2, 3, 4):
-            orders = selberg._torsion_orders(n)
+            orders = ref_torsion_orders(n)
             assert sorted(orders, key=lambda p: p.coeffs) == list(torsion_polynomials(n))
             for poly, lcm in orders.items():
                 assert sympy_divides(poly, lcm, n)
@@ -999,16 +1026,39 @@ class TestFiniteOrderTest:
         assert exponents == [7]
 
     def test_infinite_order_collapse_takes_no_power(self, monkeypatch):
-        # t^2 - 7t + 1 = (t - 1)^2 modulo 5, and it is no cyclotomic product
+        # t^2 - 7t + 1 = (t - 1)^2 modulo 5, and it is no cyclotomic product;
+        # phi(5) = 4 > 2, so q^K = 1 and the element is compared with I as is
         group_input = MatrixGroupInput(2, [Matrix([[6, 1], [5, 1]])])
         certificate = _forced(group_input, 5)
         assert ref_verify_certificate(group_input, certificate, 3) is True
+        exponents = []
+        power = Matrix.__pow__
 
-        def refuse(m, k):
-            raise AssertionError("power taken of an element of infinite order")
+        def recorded(m, k):
+            exponents.append(k)
+            return power(m, k)
 
-        monkeypatch.setattr(Matrix, "__pow__", refuse)
+        monkeypatch.setattr(Matrix, "__pow__", recorded)
         assert verify_certificate(group_input, certificate, 3) is True
+        assert exponents and set(exponents) == {1}
+
+    @pytest.mark.parametrize("q", [2, 3, 5, 7])
+    def test_q_power_agrees_with_the_torsion_orders(self, q):
+        # a companion matrix whose polynomial collapses modulo q is a
+        # counterexample exactly when its power to the lcm of its factors'
+        # orders is I; the verifier decides it by the power q^K alone
+        checked = 0
+        for n in range(1, 9):
+            collapsed = unipotent_polynomial(n).reduce_mod(q)
+            for poly, lcm in ref_torsion_orders(n).items():
+                if poly.reduce_mod(q) != collapsed:
+                    continue
+                companion = _companion(poly)
+                finite = companion ** lcm == Matrix.identity(n)
+                group_input = MatrixGroupInput(n, [companion])
+                assert verify_certificate(group_input, _forced(group_input, q), 1) is not finite
+                checked += 1
+        assert checked > 0
 
     def test_non_semisimple_cyclotomic_element_passes(self):
         # (t + 1)^2 = (t - 1)^2 modulo 2 is a torsion polynomial, but the

@@ -174,7 +174,9 @@ class TestEmbeddingAndCertificates:
         payload = certificate_to_dict(good_prime(group_input))
         assert payload["prime"] == 5
         assert payload["bad_primes"]["2"]
-        assert len(payload["torsion_polynomials"]) == 5
+        # one entry per cyclotomic factor: Phi_2, Phi_3, Phi_4 and Phi_6
+        texts = [p["text"] for p in payload["torsion_polynomials"]]
+        assert texts == ["t + 1", "t^2 + t + 1", "t^2 + 1", "t^2 - t + 1"]
         assert all(e["distinct"] for e in payload["residue_evidence"])
 
     def test_matrix_group_degree_mismatch(self):

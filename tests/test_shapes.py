@@ -22,7 +22,7 @@ from flatcusps.errors import (
     ValidationError,
 )
 from flatcusps.exactlin import Matrix, SymmetricForm
-from flatcusps.density import sample_targets
+from flatcusps.density import ExperimentConfig, run_experiment, sample_targets
 from flatcusps.serialize import parse_real_form
 from flatcusps.shapes import (
     ShapeDescriptor,
@@ -392,6 +392,17 @@ class TestShapeDistance:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
             shape_distance(SymmetricForm.identity(2), SymmetricForm.identity(3))
+
+    def test_entry_beyond_a_double_raises_value_error(self):
+        # an exact target may hold an entry no double reaches; the density
+        # run reports it as a typed error rather than an OverflowError
+        huge = SymmetricForm([[10**400, 0], [0, 1]])
+        message = "^a form entry exceeds the range of a double$"
+        with pytest.raises(ValueError, match=message):
+            shape_distance(huge, SymmetricForm.identity(2))
+        config = ExperimentConfig(catalog("torus-2"), 1, [10], 8)
+        with pytest.raises(ValueError, match=message):
+            run_experiment(config, targets=[huge])
 
     def test_sums_left_to_right(self):
         # Python 3.12's sum() compensates rounding; on this pair that moves
