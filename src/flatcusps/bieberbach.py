@@ -18,8 +18,8 @@ carries its name.
 A small catalog of verified low-dimensional flat-manifold groups is
 included. Catalog entries are standard crystallographic presentations but
 are never taken on faith: every entry is checked against the holonomy,
-lattice, and torsion oracles each time it is built, the first time in full
-and afterwards through the memoized results for the same group value.
+lattice, and torsion oracles when it is first built, and the checked group
+is then kept for the life of the process, one per catalog entry.
 """
 
 from __future__ import annotations
@@ -467,16 +467,24 @@ def catalog(name: str) -> BieberbachGroup:
 
     Tori up to dimension six, the Klein bottle group, and eight of the ten
     three-dimensional flat-manifold groups (the 3-torus, the four screw
-    types, the Hantzsche-Wendt group, and both amphicosms). Every call
-    builds the entry and checks it: the holonomy must close, the
-    translations must span, and the torsion test must pass. The checks are
-    memoized by group value, so only the first call for a name runs them in
-    full. ``UnknownName`` is raised for anything else.
+    types, the Hantzsche-Wendt group, and both amphicosms). The first call
+    for a name builds the entry and checks it: the holonomy must close, the
+    translations must span, and the torsion test must pass. The checked
+    group is kept, so later calls return that same immutable value.
+    ``UnknownName`` is raised for anything else.
     """
     if name not in _CATALOG:
         known = ", ".join(catalog_names())
         raise UnknownName(f"unknown catalog group {name!r}; known names: {known}")
     builder, args = _CATALOG[name]
+    return _checked_entry(name, builder, args)
+
+
+@lru_cache(maxsize=None)
+def _checked_entry(name: str, builder, args: tuple) -> BieberbachGroup:
+    """The catalog entry made by ``builder(*args)``, checked in full. It is
+    keyed on the builder and its arguments as well as the name, so a changed
+    entry is built and checked afresh; a failed check raises and is not kept."""
     group = BieberbachGroup(builder(*args), name=name)
     theta = holonomy(group)
     lattice = translation_lattice(group, theta)

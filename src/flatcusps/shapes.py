@@ -152,22 +152,37 @@ def _frobenius(entries: Sequence[Sequence[float]]) -> float:
     return math.sqrt(_float_sum(x * x for row in entries for x in row))
 
 
+def _with_norm(entries: list[list[float]]) -> tuple[list[list[float]], float]:
+    """Entries and their Frobenius norm, finite and nonzero. Only when the
+    squares overflow or underflow are the entries first scaled by ``2**-e``,
+    ``e`` the exponent of the largest; a power of two changes no digit of a
+    scale-free distance, and every other form keeps its plain norm."""
+    norm = _frobenius(entries)
+    if norm == 0 or not math.isfinite(norm):
+        _, e = math.frexp(max(abs(x) for row in entries for x in row))
+        entries = [[math.ldexp(x, -e) for x in row] for row in entries]
+        norm = _frobenius(entries)
+    return entries, norm
+
+
 def shape_distance(a: SymmetricForm, b: SymmetricForm) -> float:
     """Scale-free Frobenius distance between two positive definite forms.
 
     This is where a form's entries become doubles, each the double nearest
     its exact value. Each matrix is scaled to unit Frobenius norm first, so
     the distance is zero exactly when the forms are positive scalar
-    multiples of each other. This compares ambient Gram matrices; it does
-    not quotient by the affine normalizer of any group, so it is an upper
-    bound for any distance between similarity classes.
+    multiples of each other; a norm whose squares leave the range of a
+    double is taken after an exact scaling by a power of two. This compares
+    ambient Gram matrices; it does not quotient by the affine normalizer of
+    any group, so it is an upper bound for any distance between similarity
+    classes.
     """
     dim_a, ea = _entries_as_floats(a)
     dim_b, eb = _entries_as_floats(b)
     if dim_a != dim_b:
         raise DimensionMismatch(f"dimensions {dim_a} and {dim_b} differ")
-    na = _frobenius(ea)
-    nb = _frobenius(eb)
+    ea, na = _with_norm(ea)
+    eb, nb = _with_norm(eb)
     return math.sqrt(
         _float_sum(
             (x / na - y / nb) ** 2

@@ -245,6 +245,23 @@ def ref_is_torsion_free(
     return True
 
 
+def ref_plain_shape_distance(a: SymmetricForm, b: SymmetricForm) -> float:
+    """The scale-free distance with each form divided by its plain Frobenius
+    norm, each entry the double nearest it and every sum left to right. It
+    is infinite or zero, and the distance wrong, when the squares of a
+    form's doubles overflow or underflow."""
+
+    def total(values):
+        out = 0.0
+        for x in values:
+            out += x
+        return out
+
+    ea, eb = ([float(x) for row in f.matrix.entries for x in row] for f in (a, b))
+    na, nb = (math.sqrt(total(x * x for x in e)) for e in (ea, eb))
+    return math.sqrt(total((x / na - y / nb) ** 2 for x, y in zip(ea, eb)))
+
+
 def brute_best_rational(x: Fraction, max_denominator: int) -> tuple[Fraction, Fraction]:
     """Scan all denominators up to the bound; return (best, error)."""
     best = None

@@ -87,6 +87,7 @@ def test_clear_caches_empties_every_package_cache():
     filled = {
         "density._degree_certificate",
         "exactlin.is_positive_definite",
+        "bieberbach._checked_entry",
         "bieberbach._holonomy_witnesses",
         "bieberbach.translation_lattice",
         "bieberbach.is_torsion_free",

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import flatcusps
 from flatcusps import bieberbach
 from flatcusps.bieberbach import (
     AffineMap,
@@ -34,6 +35,8 @@ from flatcusps.exactlin import Matrix, SymmetricForm, is_positive_definite
 from flatcusps.shapes import rationalize
 
 from flatcusps.serialize import group_to_dict, parse_group
+
+from test_benchmark_surface import load_perfbench
 
 from oracles import (
     affine_power,
@@ -893,3 +896,55 @@ class TestMemoization:
                 catalog("klein")
         monkeypatch.undo()
         assert catalog("klein") == klein_group()
+
+    def test_catalog_keeps_one_checked_group_per_name(self):
+        assert len(catalog_names()) == 14
+        for name in catalog_names():
+            group = catalog(name)
+            assert catalog(name) is group
+            assert group.name == name
+
+    @staticmethod
+    def count_builds(monkeypatch, name):
+        """Builder calls and torsion checks made for ``name`` from now on."""
+        builder, args = bieberbach._CATALOG[name]
+        built, checked = [], []
+
+        def counted_builder(*given):
+            built.append(given)
+            return builder(*given)
+
+        def counted_check(group, *rest):
+            checked.append(group.name)
+            return is_torsion_free(group, *rest)
+
+        monkeypatch.setitem(bieberbach._CATALOG, name, (counted_builder, args))
+        monkeypatch.setattr(bieberbach, "is_torsion_free", counted_check)
+        return built, checked
+
+    def test_builder_runs_once_per_process(self, monkeypatch):
+        built, checked = self.count_builds(monkeypatch, "half-turn")
+        first = catalog("half-turn")
+        for _ in range(3):
+            assert catalog("half-turn") is first
+        assert built == [bieberbach._CATALOG["half-turn"][1]]
+        assert checked == ["half-turn"]
+
+    def test_clear_caches_builds_and_checks_again(self, monkeypatch):
+        built, checked = self.count_builds(monkeypatch, "klein")
+        first = catalog("klein")
+        load_perfbench("run").clear_caches(flatcusps)
+        again = catalog("klein")
+        assert again == first and again is not first
+        assert len(built) == 2
+        assert checked == ["klein", "klein"]
+
+    def test_failures_leave_nothing_in_the_cache(self, monkeypatch):
+        size = bieberbach._checked_entry.cache_info().currsize
+        with pytest.raises(UnknownName):
+            catalog("torus-7")
+        torsion = reflection_group()
+        monkeypatch.setitem(bieberbach._CATALOG, "klein", (lambda: torsion.generators, ()))
+        with pytest.raises(InvariantViolation):
+            catalog("klein")
+        assert bieberbach._checked_entry.cache_info().currsize == size

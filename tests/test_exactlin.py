@@ -14,7 +14,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import flatcusps
-from flatcusps.bieberbach import AffineMap, catalog, catalog_names, holonomy, theta_average
+from flatcusps.bieberbach import (
+    AffineMap,
+    BieberbachGroup,
+    _klein_generators,
+    catalog,
+    catalog_names,
+    holonomy,
+    theta_average,
+)
 from flatcusps.density import DensityRow, ExperimentConfig
 from flatcusps.errors import DimensionMismatch, NotNilpotent
 from flatcusps.exactlin import (
@@ -715,7 +723,8 @@ FROZEN_INSTANCES = {
     "SymmetricForm": lambda: SymmetricForm.identity(2),
     "IntPolynomial": lambda: IntPolynomial([1, 1]),
     "AffineMap": lambda: AffineMap.translation_by([1, 0]),
-    "BieberbachGroup": lambda: catalog("klein"),
+    # catalog keeps one checked group per name, so build the value anew
+    "BieberbachGroup": lambda: BieberbachGroup(_klein_generators(), name="klein"),
     "HolonomyGroup": lambda: holonomy(catalog("klein")),
     "ShapeDescriptor": _klein_shape,
     "LorentzModel": lambda: LorentzModel(SymmetricForm.identity(2)),

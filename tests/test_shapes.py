@@ -33,7 +33,12 @@ from flatcusps.shapes import (
     shape_distance,
 )
 
-from oracles import brute_best_rational, ref_is_arithmetic_shape, transpose
+from oracles import (
+    brute_best_rational,
+    ref_is_arithmetic_shape,
+    ref_plain_shape_distance,
+    transpose,
+)
 
 HALF = F(1, 2)
 
@@ -403,6 +408,46 @@ class TestShapeDistance:
         config = ExperimentConfig(catalog("torus-2"), 1, [10], 8)
         with pytest.raises(ValueError, match=message):
             run_experiment(config, targets=[huge])
+
+    def test_entries_whose_squares_overflow(self):
+        a = SymmetricForm([[10**200, 0], [0, 1]])
+        b = SymmetricForm([[1, 0], [0, 10**200]])
+        assert ref_plain_shape_distance(a, b) == 0.0  # both plain norms are infinite
+        assert shape_distance(a, b) == pytest.approx(math.sqrt(2), abs=1e-15)
+
+    def test_entries_whose_squares_underflow(self):
+        tiny = SymmetricForm([[F(1, 10**200), 0], [0, F(1, 10**200)]])
+        b = SymmetricForm.diagonal([1, 2])
+        with pytest.raises(ZeroDivisionError):  # the plain norm is 0
+            ref_plain_shape_distance(tiny, b)
+        expected = shape_distance(SymmetricForm.identity(2), b)
+        assert shape_distance(tiny, b) == pytest.approx(expected, abs=1e-15)
+        assert shape_distance(b, tiny) == pytest.approx(expected, abs=1e-15)
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), n=st.integers(min_value=1, max_value=4))
+    def test_moderate_forms_keep_the_plain_norm(self, data, n):
+        # diagonally dominant forms whose squares stay within the doubles:
+        # the guarded norm must not move a single bit
+        def form():
+            diagonal = [
+                F(data.draw(st.integers(1, 2**64)), data.draw(st.integers(1, 2**64)))
+                * F(2) ** data.draw(st.integers(-200, 200))
+                for _ in range(n)
+            ]
+            off = [
+                [min(diagonal) / (2 * n) * F(data.draw(st.integers(-99, 99)), 100) for _ in range(n)]
+                for _ in range(n)
+            ]
+            return SymmetricForm(
+                [
+                    [diagonal[i] if i == j else off[min(i, j)][max(i, j)] for j in range(n)]
+                    for i in range(n)
+                ]
+            )
+
+        a, b = form(), form()
+        assert shape_distance(a, b).hex() == ref_plain_shape_distance(a, b).hex()
 
     def test_sums_left_to_right(self):
         # Python 3.12's sum() compensates rounding; on this pair that moves
