@@ -4,15 +4,16 @@ For a fixed group, targets are drawn as ``A^T A + eps*I`` with entries of
 ``A`` uniform in [-1, 1] and ``eps = 1e-3``, read exactly, and averaged
 over the holonomy exactly, once per target. Each average is approximated
 by arithmetic shapes at a ladder of denominator bounds; optionally every
-approximant is pushed through the whole realization pipeline (embed;
-integralize, which checks each image exactly by decoding it; verify the
-integral images) and, in torus-manifold mode, certified with a
-congruence prime. The certificate is for the ambient group of the
-integral images and ``-I``, a designated finite-order test element, with
-the image of the translation lattice as its unipotent subgroup. Every
-generator of that input is integral of determinant ±1, so the
-certificate is the same on every row of an ambient degree: it is decided
-once per degree, from ``-I`` alone (see :func:`_pipeline_legs`).
+approximant is pushed through the whole realization pipeline (embed
+straight into integer matrices at the integralization scale, then verify
+the integral images exactly by decoding each one) and, in torus-manifold
+mode, certified with a congruence prime. The certificate is for the
+ambient group of the integral images and ``-I``, a designated
+finite-order test element, with the image of the translation lattice as
+its unipotent subgroup. Every generator of that input is integral of
+determinant ±1, so the certificate is the same on every row of an
+ambient degree: it is decided once per degree, from ``-I`` alone (see
+:func:`_pipeline_legs`).
 
 Reproducibility is the point: randomness comes from a 64-bit linear
 congruential generator with fixed constants (Knuth's MMIX multiplier
@@ -37,7 +38,7 @@ from .bieberbach import (
 )
 from .errors import InvariantViolation, NotPositiveDefinite
 from .exactlin import Frozen, Matrix, SymmetricForm
-from .lorentz import embed_group, integralize, verify_embedding
+from .lorentz import _integral_embedding, verify_embedding
 from .selberg import MatrixGroupInput, SelbergCertificate, good_prime
 from .shapes import ShapeDescriptor, _dyadic_form, _float_sum, rationalize, shape_distance
 
@@ -180,11 +181,15 @@ def _rationalize_with_retry(
 
 
 def _pipeline_legs(group: BieberbachGroup, shape: ShapeDescriptor, certify: bool) -> Optional[int]:
-    """Embed, integralize and verify; when asked to certify, return the prime.
+    """Embed into integer matrices and verify; when asked to certify,
+    return the prime.
 
-    :func:`integralize` checks the rational images: it decodes each one.
-    Decoding the integral images checks its closed-form rescaling; a
-    failure raises ``InvariantViolation``, like every other leg's.
+    :func:`_integral_embedding` is ``integralize(embed_group(...))`` in
+    closed form: it checks the shape, the form and the linear parts as
+    that composition does, and assembles each integral image once, with
+    no rational image built. Decoding the integral images is the
+    independent check of the assembly at the shared scale; a failure
+    raises ``InvariantViolation``, like every other leg's.
 
     The row's congruence input has the integral images and ``-I`` as
     ambient generators and, for each lattice basis vector ``l``, ``T(c l)``
@@ -193,14 +198,14 @@ def _pipeline_legs(group: BieberbachGroup, shape: ShapeDescriptor, certify: bool
     through its degree, the unipotence of its unipotent generators and its
     non-units, certifies it as it does :func:`_degree_certificate`'s input:
 
-    - :func:`integralize` checks that the images are integral;
+    - :func:`_integral_embedding` checks that the images are integral;
     - :func:`verify_embedding` decides ``A^T B_K A = B_K``, so each image
       ``E`` preserves ``B``, which is nondegenerate, and ``det E = ±1``;
     - ``-I`` has determinant ±1;
     - each ``T(c l)`` is unipotent by its closed form, and integral as the
       image of a lattice element.
     """
-    integral, _ = integralize(embed_group(group, shape))
+    integral, _ = _integral_embedding(group, shape)
     if not verify_embedding(integral).overall:
         raise InvariantViolation("re-verification after integralization failed")
     return _degree_certificate(integral.model.ambient_dim).prime if certify else None

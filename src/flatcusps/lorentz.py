@@ -27,6 +27,9 @@ by ``c`` and leaves the linear factors alone. On the entries of
 integer rows of each checked image, and for a suitable smallest ``c`` every
 image lands in integer matrices. :func:`verify_embedding` decodes the
 result against the generators, an independent check of that rescaling.
+A density row never forms the rational images: :func:`_integral_embedding`
+reads ``c`` off each generator's ``t``, ``k^T A`` and ``h`` and assembles
+``T(c t) R(A)`` once, directly in integer matrices.
 """
 
 from __future__ import annotations
@@ -331,6 +334,46 @@ def integralize(embedding: LorentzEmbedding) -> tuple[LorentzEmbedding, int]:
     if not all(m.is_integral() for m in embedding.images):
         raise InvariantViolation("integralized images have fractional entries")
     return embedding, c
+
+
+def _integral_embedding(
+    group: BieberbachGroup, shape: ShapeDescriptor
+) -> tuple[LorentzEmbedding, int]:
+    """``integralize(embed_group(group, shape))`` in closed form, with no
+    rational image built.
+
+    The checks and errors are those of the composition, in its order: the
+    shape's group, the definiteness of its form, every linear part
+    preserving it, then every linear part integral. ``c`` is read off the
+    parts of each generator ``(A, t)`` instead of off its image: the lcm of
+    the denominators of ``t`` and ``k^T A`` (``k = B_K t``), doubled when
+    some ``c^2 h`` is not an integer (see :func:`integralize`). Each image
+    is then assembled once, as ``T(c t) R(A)``.
+    """
+    if shape.group != group:
+        raise DimensionMismatch("shape was built for a different group")
+    model = LorentzModel(shape.form)
+    base = model.base_form.matrix
+    generators = group.generators
+    if not all(preserves_form(g.linear, base) for g in generators):
+        raise NotFormIsometry("linear part does not preserve the base form")
+    if not all(g.linear.is_integral() for g in generators):
+        raise ValueError(
+            "a linear factor has fractional entries; hyperbolic conjugation "
+            "cannot integralize this embedding"
+        )
+    c, corners = 1, []
+    for g in generators:
+        k_num, k_den, h_num, h_den = _translation_parts(g.num, g.den, model)
+        ka_num = [sum(map(mul, k_num, col)) for col in zip(*g.linear.num)]
+        c = math.lcm(c, g.den // math.gcd(g.den, *g.num), k_den // math.gcd(k_den, *ka_num))
+        corners.append((h_num, h_den))
+    if any(c * c * h_num % h_den for h_num, h_den in corners):
+        c *= 2
+    images = [_assemble(g.linear, [c * x for x in g.num], g.den, model) for g in generators]
+    if not all(m.is_integral() for m in images):
+        raise InvariantViolation("integralized images have fractional entries")
+    return LorentzEmbedding(model, group, images), c
 
 
 # ---------------------------------------------------------------------------

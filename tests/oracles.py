@@ -35,7 +35,7 @@ import operator
 import types
 from fractions import Fraction
 
-from flatcusps import lorentz
+from flatcusps import density
 from flatcusps.bieberbach import (
     AffineMap,
     BieberbachGroup,
@@ -903,12 +903,17 @@ def ghw(n: int) -> BieberbachGroup:
 
 
 def bump_conjugate(monkeypatch) -> None:
-    """Make ``lorentz._conjugate`` add 1 to entry (0, 0) of every image it
-    rescales: the images stay integral but no longer decode."""
-    conjugate = lorentz._conjugate
+    """Make the density leg's ``_integral_embedding`` add 1 to entry (0, 0)
+    of every image it returns: the images stay integral but no longer
+    decode."""
+    build = density._integral_embedding
 
-    def bumped(image: Matrix, n: int, c: int) -> Matrix:
-        m = conjugate(image, n, c)
-        return m + Matrix([[int(i == j == 0) for j in range(m.cols)] for i in range(m.rows)])
+    def bumped(group: BieberbachGroup, shape: ShapeDescriptor) -> tuple[LorentzEmbedding, int]:
+        embedding, c = build(group, shape)
+        images = [
+            m + Matrix([[int(i == j == 0) for j in range(m.cols)] for i in range(m.rows)])
+            for m in embedding.images
+        ]
+        return LorentzEmbedding(embedding.model, group, images), c
 
-    monkeypatch.setattr(lorentz, "_conjugate", bumped)
+    monkeypatch.setattr(density, "_integral_embedding", bumped)

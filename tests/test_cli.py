@@ -559,6 +559,21 @@ class TestDensity:
         lines = out_csv.read_text(encoding="utf-8").splitlines()
         assert all(line.endswith(",false,") for line in lines[1:])
 
+    def test_failed_pipeline_rows_record_the_reason(self, tmp_path, capsys):
+        out_csv, out_json = tmp_path / "fractional.csv", tmp_path / "fractional.json"
+        code = main(
+            ["density", "-g", fractional_group_file(tmp_path), "--samples", "2",
+             "--denoms", "10", "--seed", "8", "--pipeline", "--torus-manifold",
+             "-o", str(out_csv), "--json", str(out_json)]
+        )
+        assert code == 2
+        assert capsys.readouterr().err == "2 rows failed pipeline verification\n"
+        payload = json.loads(out_json.read_text(encoding="utf-8"))
+        assert [row["reason"] for row in payload] == [
+            "ValueError: a linear factor has fractional entries; "
+            "hyperbolic conjugation cannot integralize this embedding"
+        ] * 2
+
     def test_translations_that_do_not_span_exit_one(self, tmp_path):
         # --torus-manifold builds the translation lattice before any row, so
         # a group with one translation in dimension 2 fails the whole run

@@ -225,11 +225,11 @@ class TestRunExperiment:
         assert rows[0].selberg_prime == 7
 
     def test_each_image_is_decoded_once_per_row(self, monkeypatch):
-        # per row: _assemble builds the 2 embedded images; integralize
-        # decodes each rational image once and the integral verification
-        # each integral one once, in place, with no _assemble; the
-        # congruence leg builds no unipotent; every _assemble and every
-        # _decodes needs one _translation_parts, and nothing else does
+        # per row: _integral_embedding reads the scale off each generator's
+        # parts (one _translation_parts each) and assembles the 2 integral
+        # images once; the verification decodes each of them once, in
+        # place, with no _assemble; the congruence leg builds no unipotent;
+        # every _assemble and every _decodes needs one _translation_parts
         calls = {"_assemble": 0, "_decodes": 0, "_translation_parts": 0}
         for name in calls:
             original = getattr(lorentz, name)
@@ -242,7 +242,7 @@ class TestRunExperiment:
         config = ExperimentConfig(catalog("torus-2"), 1, [10], 8, torus_manifold_mode=True)
         [row] = run_experiment(config)
         assert row.pipeline_ok is True
-        assert calls == {"_assemble": 2, "_decodes": 4, "_translation_parts": 6}
+        assert calls == {"_assemble": 2, "_decodes": 2, "_translation_parts": 6}
 
     @pytest.mark.parametrize("name", ["torus-2", "klein", "sixth-turn"])
     def test_each_target_is_averaged_once_per_ladder(self, name, monkeypatch):
@@ -333,8 +333,8 @@ class TestRunExperiment:
 
     @pytest.mark.parametrize("torus_manifold", [False, True])
     def test_failed_reverification_is_an_invariant_violation(self, monkeypatch, torus_manifold):
-        # integralize's rescaling shifted by an integer: the images stay
-        # integral, but decoding them no longer gives the generators back
+        # the integral images shifted by an integer: they stay integral,
+        # but decoding them no longer gives the generators back
         bump_conjugate(monkeypatch)
         config = ExperimentConfig(
             catalog("torus-2"), 1, [10], 8, run_pipeline=True, torus_manifold_mode=torus_manifold
@@ -356,13 +356,16 @@ BOUNDS = [10**k for k in range(1, 7)]
 
 def row_embeddings(group, count, seed):
     """Each torus-manifold row's integral embedding and scale, built as
-    ``run_experiment`` builds them."""
+    ``run_experiment`` builds them, each checked equal, images and scale,
+    to the composition of ``embed_group`` and ``integralize``."""
     theta = holonomy(group)
     for target in sample_targets(group, count, seed):
         reference = theta_average(target, theta)
         for bound in BOUNDS:
             shape = density._rationalize_with_retry(reference, theta, bound)
-            yield integralize(embed_group(group, shape))
+            row = lorentz._integral_embedding(group, shape)
+            assert row == integralize(embed_group(group, shape)), (group.name, bound)
+            yield row
 
 
 class TestDegreeCertificate:

@@ -638,6 +638,71 @@ print(json.dumps({
         }
 
 
+# An order-two linear part with entries 1/2 and 2: it preserves diag(4, 1),
+# but no scaling conjugates it into integer matrices.
+FRACTIONAL = BieberbachGroup(
+    [
+        AffineMap(Matrix([[0, HALF], [2, 0]]), [0, 0]),
+        AffineMap.translation_by([1, 0]),
+        AffineMap.translation_by([0, 1]),
+    ]
+)
+
+
+KLEIN = catalog("klein")
+
+
+def raised(build, *args):
+    """The type and message of the error ``build(*args)`` raises."""
+    with pytest.raises(Exception) as info:
+        build(*args)
+    return info.type, str(info.value)
+
+
+class TestIntegralEmbedding:
+    """``_integral_embedding`` is ``integralize(embed_group(group, shape))``
+    in closed form: the same embedding, scale and errors."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), name=st.sampled_from(catalog_names()))
+    def test_equals_the_composition(self, data, name):
+        group, theta = catalog_with_holonomy(name)
+        n = group.dim
+        row = st.lists(st.integers(min_value=-3, max_value=3), min_size=n, max_size=n)
+        m = Matrix(data.draw(st.lists(row, min_size=n, max_size=n)))
+        form = theta_average(SymmetricForm(transpose(m) * m + Matrix.identity(n)), theta)
+        shape = ShapeDescriptor(group, form)
+        assert lorentz._integral_embedding(group, shape) == integralize(embed_group(group, shape))
+
+    @pytest.mark.parametrize(
+        "group, shape",
+        [
+            # the fractional linear part, on the form it preserves
+            (FRACTIONAL, ShapeDescriptor(FRACTIONAL, SymmetricForm.diagonal([4, 1]))),
+            # ... and on one it does not: the isometry check comes first
+            (FRACTIONAL, ShapeDescriptor(FRACTIONAL, SymmetricForm.identity(2))),
+            # a form that the reflection of klein does not preserve
+            (KLEIN, ShapeDescriptor(KLEIN, SymmetricForm([[2, 1], [1, 3]]))),
+            # a shape built for another group, with a form that is not definite
+            (KLEIN, ShapeDescriptor(catalog("torus-2"), SymmetricForm.diagonal([1, -1]))),
+            # a form that is not definite and not invariant
+            (KLEIN, ShapeDescriptor(KLEIN, SymmetricForm([[1, 2], [2, 1]]))),
+        ],
+        ids=["fractional", "fractional-off-the-form", "off-the-form", "other-group", "indefinite"],
+    )
+    def test_raises_as_the_composition(self, group, shape):
+        expected = raised(lambda: integralize(embed_group(group, shape)))
+        assert raised(lorentz._integral_embedding, group, shape) == expected
+
+    def test_fractional_linear_part_message(self):
+        shape = ShapeDescriptor(FRACTIONAL, SymmetricForm.diagonal([4, 1]))
+        assert raised(lorentz._integral_embedding, FRACTIONAL, shape) == (
+            ValueError,
+            "a linear factor has fractional entries; hyperbolic conjugation "
+            "cannot integralize this embedding",
+        )
+
+
 class TestVerifyEmbedding:
     def test_torus_all_pass(self):
         group = catalog("torus-2")
