@@ -40,7 +40,9 @@ from .errors import InvariantViolation, NotPositiveDefinite
 from .exactlin import Frozen, Matrix, SymmetricForm
 from .lorentz import _integral_embedding, verify_embedding
 from .selberg import MatrixGroupInput, SelbergCertificate, good_prime
-from .shapes import ShapeDescriptor, _dyadic_form, _float_sum, rationalize, shape_distance
+from .shapes import (
+    ShapeDescriptor, _dyadic_form, _float_sum, _float_view, _view_distance, rationalize
+)
 
 LCG_MULTIPLIER = 6364136223846793005
 LCG_INCREMENT = 1442695040888963407
@@ -244,9 +246,12 @@ def run_experiment(
     rows = []
     for sample_id, target in enumerate(targets):
         reference = theta_average(target, theta)
+        reference_view = None  # read once, after the first rung's shape, as shape_distance does
         for bound in config.denom_bounds:
             shape = _rationalize_with_retry(reference, theta, bound)
-            error = shape_distance(shape.form, reference)
+            shape_view = _float_view(shape.form)
+            reference_view = reference_view or _float_view(reference)
+            error = _view_distance(shape_view, reference_view)
             pipeline_ok: Optional[bool] = None
             prime: Optional[int] = None
             reason: Optional[str] = None

@@ -111,9 +111,9 @@ def _translation_parts(w_num: Sequence[int], w_den: int, model: LorentzModel) ->
     return k_num, k_den, sum(map(mul, w_num, k_num)), 2 * w_den * k_den
 
 
-def _assemble(a: Matrix, w_num: Sequence[int], w_den: int, model: LorentzModel) -> Matrix:
+def _assemble(a: Matrix, w_num: Sequence[int], w_den: int, parts: tuple) -> Matrix:
     """The entries of ``T(w) R(a)`` for ``w = w_num / w_den``, written out
-    with no matrix product.
+    with no matrix product; ``parts`` are ``w``'s :func:`_translation_parts`.
 
     With ``k = B_K w`` and ``h = B_K(w, w) / 2``: row ``i < n`` is row i of
     ``a`` followed by ``w_i, -w_i``; rows n and n+1 both start with
@@ -121,7 +121,7 @@ def _assemble(a: Matrix, w_num: Sequence[int], w_den: int, model: LorentzModel) 
     Every entry is written over one common denominator, and ``w_num / w_den``
     need not be in lowest terms.
     """
-    k_num, k_den, h_num, h_den = _translation_parts(w_num, w_den, model)
+    k_num, k_den, h_num, h_den = parts
     ka_num = [sum(map(mul, k_num, col)) for col in zip(*a.num)]
     ka_den = k_den * a.den
     den = math.lcm(a.den, w_den, ka_den, h_den)
@@ -146,7 +146,8 @@ def embed_translation(v: Sequence, model: LorentzModel) -> Matrix:
     if len(v) != model.n:
         raise DimensionMismatch(f"expected a vector of length {model.n}, got {len(v)}")
     w = Matrix([v])
-    return _assemble(Matrix.identity(model.n), w.num[0], w.den, model)
+    parts = _translation_parts(w.num[0], w.den, model)
+    return _assemble(Matrix.identity(model.n), w.num[0], w.den, parts)
 
 
 def embed_affine(g: AffineMap, model: LorentzModel) -> Matrix:
@@ -164,7 +165,7 @@ def embed_affine(g: AffineMap, model: LorentzModel) -> Matrix:
     a = g.linear
     if not preserves_form(a, model.base_form.matrix):
         raise NotFormIsometry("linear part does not preserve the base form")
-    return _assemble(a, g.num, g.den, model)
+    return _assemble(a, g.num, g.den, _translation_parts(g.num, g.den, model))
 
 
 class LorentzEmbedding(Frozen):
@@ -362,15 +363,22 @@ def _integral_embedding(
             "a linear factor has fractional entries; hyperbolic conjugation "
             "cannot integralize this embedding"
         )
-    c, corners = 1, []
+    c, parts = 1, []
     for g in generators:
         k_num, k_den, h_num, h_den = _translation_parts(g.num, g.den, model)
         ka_num = [sum(map(mul, k_num, col)) for col in zip(*g.linear.num)]
         c = math.lcm(c, g.den // math.gcd(g.den, *g.num), k_den // math.gcd(k_den, *ka_num))
-        corners.append((h_num, h_den))
-    if any(c * c * h_num % h_den for h_num, h_den in corners):
+        parts.append((k_num, k_den, h_num, h_den))
+    if any(c * c * h_num % h_den for _, _, h_num, h_den in parts):
         c *= 2
-    images = [_assemble(g.linear, [c * x for x in g.num], g.den, model) for g in generators]
+    # at w = c t: k = B_K w is c k over the same denominator, and h is c^2 h
+    images = [
+        _assemble(
+            g.linear, [c * x for x in g.num], g.den,
+            ([c * x for x in k_num], k_den, c * c * h_num, h_den),
+        )
+        for g, (k_num, k_den, h_num, h_den) in zip(generators, parts)
+    ]
     if not all(m.is_integral() for m in images):
         raise InvariantViolation("integralized images have fractional entries")
     return LorentzEmbedding(model, group, images), c

@@ -26,7 +26,8 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import compress, count
-from operator import mul
+from math import comb
+from operator import mul, neg
 from typing import Iterable, Mapping, Sequence, Union
 
 from .errors import DimensionMismatch, InvariantViolation, UnipotentViolation
@@ -358,14 +359,27 @@ def verify_certificate(
       order is diagonalizable with roots of unity as eigenvalues, n of
       them sum to n only when all are 1, so E would be I, which is no
       counterexample. This screens out every unipotent element.
+    - *Second screen.* Its coefficient ``n-2`` is
+      ``e2(E) = (tr(E)^2 - tr(E^2)) / 2`` and that of ``(t-1)^n`` is
+      ``C(n, 2)``. On the integer rows ``N = den E``,
+      ``T^2 - sum N_ik N_ki`` is even, with T the trace of N, so
+      ``e2(N) = den^2 e2(E)`` is an exact integer, and E passes when it
+      differs from ``C(n, 2) den^2`` modulo q (den is a unit).
+    - *Negations.* ``tr(-w) = -tr(w)`` and ``e2(-w) = e2(w)``, so each word
+      w whose negation is in the ball is judged on both signs from its own
+      numbers; ``-w`` is formed only when neither screen clears it.
+      ``len(words) + len(negations)`` bounds the ball from above: only when
+      that passes ``MAX_WORD_BALL`` are the negations formed, once, and the
+      set of words and negations kept up to date from then on, so the cap
+      counts distinct elements.
     - *Outer shell.* For L >= 2 the words of length L stay unformed: each
       word w and letter g are screened on ``D tr(wg) = sum W_ik G_ki``, with
       ``D = den w den g``. ``D (tr - n)`` is a unit times
       ``den(wg) (tr - n)`` modulo q, so the verdict is the reduced one;
       an uncleared pair is formed and judged. This path is taken only when
       the ball so far plus one element per pair fits in ``MAX_WORD_BALL``.
-    - *Exact polynomial.* Every other element gets its polynomial, once; a
-      residue unlike that of ``(t-1)^n`` passes.
+    - *Exact polynomial.* Every element that clears neither screen gets its
+      polynomial, once; a residue unlike that of ``(t-1)^n`` passes.
     - *Finite-order test.* A residue that collapses onto the unipotent one
       is a counterexample when E has finite order, and then every
       eigenvalue has q-power order (:func:`bad_primes`) and E is
@@ -394,6 +408,7 @@ def verify_certificate(
         return False  # reduction modulo q is undefined on a generator or an inverse
     n = group_input.n
     unipotent_mod = unipotent_polynomial(n).reduce_mod(q)
+    pairs = comb(n, 2)  # coefficient n-2 of (t-1)^n
     order = 1  # q^K, the largest power of q with phi(q^K) <= n
     while (q - 1) * order <= n:  # phi(q * order) = (q - 1) order
         order *= q
@@ -403,13 +418,22 @@ def verify_certificate(
     inverse = {}
     for m, m_inverse in zip(group_input.lambda_gens, group_input.inverses):
         inverse[m], inverse[m_inverse] = m_inverse, m
-    negates = inverse.pop(Matrix.diagonal([-1] * n), None) is not None
+    negates = inverse.pop(-identity, None) is not None
     letters = list(inverse)
     cancel = [letters.index(inverse[g]) for g in letters]
 
-    def admit(element: Matrix) -> None:
-        seen.add(element)
-        if len(seen) > MAX_WORD_BALL:
+    def fits(extra: int = 0) -> bool:  # whether the ball and `extra` more elements fit the cap
+        nonlocal ball
+        if ball is None:
+            if len(words) + len(negated) + extra <= MAX_WORD_BALL:
+                return True  # even if no negation equals a word
+            ball = words.union(map(neg, negated))  # formed once, then kept up to date
+        return len(ball) + extra <= MAX_WORD_BALL
+
+    def admit(elements: Iterable[Matrix]) -> None:
+        if ball is not None:
+            ball.update(elements)
+        if not fits():
             raise ValueError(
                 f"words of length {word_length} exceed MAX_WORD_BALL = {MAX_WORD_BALL} elements"
             )
@@ -417,23 +441,35 @@ def verify_certificate(
     def cleared(gap: int):  # the trace screen on gap = den (tr - n)
         return gap % q or not gap  # a residue unlike (t-1)^n, or infinite order
 
-    def judge(element: Matrix) -> bool:  # False on a counterexample
-        if cleared(sum(row[i] for i, row in enumerate(element.num)) - n * element.den):
+    def collapses(element: Matrix) -> bool:  # a counterexample, by polynomial and power
+        return char_poly(element).reduce_mod(q) == unipotent_mod and element ** order == identity
+
+    def passes(w: Matrix, both: bool = False) -> bool:  # w passes, and -w too when both
+        num, den = w.num, w.den
+        trace = sum(row[i] for i, row in enumerate(num))
+        plus = cleared(trace - n * den)
+        minus = not both or cleared(-trace - n * den)
+        if plus and minus:
             return True
-        return char_poly(element).reduce_mod(q) != unipotent_mod or element ** order != identity
+        square = sum(map(mul, sum(num, ()), sum(zip(*num), ())))  # tr(num^2)
+        if ((trace * trace - square) // 2 - pairs * den * den) % q:
+            return True  # the second screen, on e2(num) = e2(-num)
+        return (plus or not collapses(w)) and (minus or not collapses(-w))
 
     words = {identity}  # products of the letters, the only dedup of the search
-    seen = {identity}  # the ball: the words and, with -I, their negations
+    negated = []  # with -I, the words of length below L, whose negations are in the ball
+    ball = None  # the words and those negations as one set, formed only near the cap
+    outer = []  # the words of length L, when formed: none is negated
     frontier = [(identity, -1)]  # (word, index of the letter undoing its last)
     for length in range(word_length):
         if not frontier:
             break  # the ball has stopped growing: the group is finite
         if negates:
-            for w, _ in frontier:
-                admit(-w)
-        bound = len(seen) + len(frontier) * len(letters)  # as if every shell pair were new
-        if 0 < length == word_length - 1 and bound <= MAX_WORD_BALL:
-            break  # the ball fits: its outer shell is judged below, unformed
+            level = [w for w, _ in frontier]
+            negated += level
+            admit(map(neg, level))
+        if 0 < length == word_length - 1 and fits(len(frontier) * len(letters)):
+            break  # the ball fits, as if every shell pair were new: the shell is judged unformed
         fresh = []
         for w, undo in frontier:
             for i, g in enumerate(letters):
@@ -442,12 +478,13 @@ def verify_certificate(
                 element = w * g if length else g  # words of length one are letters
                 if element not in words:
                     words.add(element)
-                    admit(element)
+                    admit((element,))
                     fresh.append((element, cancel[i]))
         frontier = fresh
     else:
-        frontier = []  # every level is formed: no shell is left
-    if not all(map(judge, seen)):
+        outer, frontier = [w for w, _ in frontier], []  # every level is formed: no shell is left
+    plain = outer if negates else words  # the words whose negations are not in the ball
+    if not (all(passes(w, True) for w in negated) and all(map(passes, plain))):
         return False
     columns = [(g, sum(zip(*g.num), ())) for g in letters]  # G flattened column-major
     extend = [columns[:i] + columns[i + 1 :] for i in range(len(letters))]  # all but undo
@@ -455,6 +492,6 @@ def verify_certificate(
         flat = sum(w.num, ())
         for g, column in extend[undo]:
             den = w.den * g.den
-            if not cleared(sum(map(mul, flat, column)) - n * den) and not judge(w * g):
+            if not cleared(sum(map(mul, flat, column)) - n * den) and not passes(w * g):
                 return False  # an uncleared pair, formed and judged in full
     return True

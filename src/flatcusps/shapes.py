@@ -172,17 +172,27 @@ def shape_distance(a: SymmetricForm, b: SymmetricForm) -> float:
     its exact value. Each matrix is scaled to unit Frobenius norm first, so
     the distance is zero exactly when the forms are positive scalar
     multiples of each other; a norm whose squares leave the range of a
-    double is taken after an exact scaling by a power of two. This compares
-    ambient Gram matrices; it does not quotient by the affine normalizer of
-    any group, so it is an upper bound for any distance between similarity
-    classes.
+    double is taken after an exact scaling by a power of two. It is a
+    basis-dependent distance between unit-normalized Gram matrices: it
+    compares the forms in the basis they are written in and quotients by
+    no change of basis, so it is not a distance between similarity classes.
     """
-    dim_a, ea = _entries_as_floats(a)
-    dim_b, eb = _entries_as_floats(b)
+    return _view_distance(_float_view(a), _float_view(b))
+
+
+def _float_view(form: SymmetricForm) -> tuple[int, list[list[float]], float]:
+    """What :func:`shape_distance` reads of a form: its dimension, its
+    entries as doubles and their Frobenius norm, as :func:`_with_norm`
+    gives them."""
+    dim, entries = _entries_as_floats(form)
+    return (dim, *_with_norm(entries))
+
+
+def _view_distance(a: tuple, b: tuple) -> float:
+    """:func:`shape_distance` between the float views of two forms."""
+    (dim_a, ea, na), (dim_b, eb, nb) = a, b
     if dim_a != dim_b:
         raise DimensionMismatch(f"dimensions {dim_a} and {dim_b} differ")
-    ea, na = _with_norm(ea)
-    eb, nb = _with_norm(eb)
     return math.sqrt(
         _float_sum(
             (x / na - y / nb) ** 2

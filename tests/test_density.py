@@ -227,9 +227,9 @@ class TestRunExperiment:
     def test_each_image_is_decoded_once_per_row(self, monkeypatch):
         # per row: _integral_embedding reads the scale off each generator's
         # parts (one _translation_parts each) and assembles the 2 integral
-        # images once; the verification decodes each of them once, in
-        # place, with no _assemble; the congruence leg builds no unipotent;
-        # every _assemble and every _decodes needs one _translation_parts
+        # images once from those parts, rescaled; the verification decodes
+        # each of them once, in place, with no _assemble, and one
+        # _translation_parts each; the congruence leg builds no unipotent
         calls = {"_assemble": 0, "_decodes": 0, "_translation_parts": 0}
         for name in calls:
             original = getattr(lorentz, name)
@@ -242,13 +242,15 @@ class TestRunExperiment:
         config = ExperimentConfig(catalog("torus-2"), 1, [10], 8, torus_manifold_mode=True)
         [row] = run_experiment(config)
         assert row.pipeline_ok is True
-        assert calls == {"_assemble": 2, "_decodes": 2, "_translation_parts": 6}
+        assert calls == {"_assemble": 2, "_decodes": 2, "_translation_parts": 4}
 
     @pytest.mark.parametrize("name", ["torus-2", "klein", "sixth-turn"])
     def test_each_target_is_averaged_once_per_ladder(self, name, monkeypatch):
         # every rung rounds the exact reference average, so it averages only
         # its rounded form: 1 + k averages for k bounds, and one rationalize
-        # and one shape_distance per row under the names the benchmark traces
+        # per row under the name the benchmark traces; the reference's float
+        # view is read once per ladder and each rung's shape once, and each
+        # row takes one distance between two views
         calls = {}
 
         def count(owner, attr):
@@ -265,14 +267,17 @@ class TestRunExperiment:
             (density, "theta_average"),
             (shapes, "theta_average"),
             (density, "rationalize"),
-            (density, "shape_distance"),
+            (density, "_float_view"),
+            (density, "_view_distance"),
         ]:
             count(owner, attr)
         bounds = [10, 100, 1000, 10**4, 10**5, 10**6]
         config = ExperimentConfig(catalog(name), 1, bounds, 8, torus_manifold_mode=True)
         assert all(row.pipeline_ok is True for row in run_experiment(config))
         k = len(bounds)
-        assert calls == {"theta_average": 1 + k, "rationalize": k, "shape_distance": k}
+        assert calls == {
+            "theta_average": 1 + k, "rationalize": k, "_float_view": 1 + k, "_view_distance": k
+        }
 
     @pytest.mark.parametrize("name", ["torus-2", "klein", "sixth-turn"])
     def test_each_form_is_decided_once_per_ladder(self, name, monkeypatch):

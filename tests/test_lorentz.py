@@ -504,7 +504,9 @@ class TestIntegralize:
                 # c c0 t as one integer row over its denominator
                 scaled = [Matrix([[c * c0 * x for x in t]]) for _, t in generators]
                 assert list(result.images) == [
-                    lorentz._assemble(a, w.num[0], w.den, model)
+                    lorentz._assemble(
+                        a, w.num[0], w.den, lorentz._translation_parts(w.num[0], w.den, model)
+                    )
                     for (a, _), w in zip(generators, scaled)
                 ], (name, c0)
                 assert all(m.is_integral() for m in result.images)

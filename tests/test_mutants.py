@@ -1,0 +1,201 @@
+"""Every exact check is load-bearing: a table of mutants and their killers.
+
+Each mutant names a function of the package, an exact substring of its
+source and a replacement for it, and one small in-process killer. The
+test applies the edit to ``inspect.getsource`` of the function, compiles
+the result into the module's namespace (``monkeypatch`` restores the
+original afterwards) and requires that the killer returns True without
+the mutant and False under it. A killer calls a library check and reads
+its result or its typed error, never an ``assert`` inside the library, so
+the table means the same under ``python -O``. A substring that is no
+longer found, or found more than once, fails the test as a stale mutant:
+a refactor must update the table.
+"""
+
+from __future__ import annotations
+
+import __future__
+import importlib
+import inspect
+from fractions import Fraction as F
+from typing import Callable, NamedTuple
+
+import pytest
+
+from flatcusps import bieberbach, exactlin, lorentz, selberg
+from flatcusps.bieberbach import AffineMap, BieberbachGroup, catalog
+from flatcusps.errors import InvariantViolation
+from flatcusps.exactlin import Matrix, SymmetricForm
+from flatcusps.selberg import MatrixGroupInput, SelbergCertificate
+from flatcusps.shapes import ShapeDescriptor
+
+
+class Mutant(NamedTuple):
+    name: str
+    module: str
+    function: str
+    find: str
+    replace: str
+    killer: Callable[[], bool]
+
+
+def _verdict(generators, q, length):
+    """``verify_certificate`` on the group of ``generators`` at a forced q."""
+    group_input = MatrixGroupInput(generators[0].rows, generators)
+    certificate = SelbergCertificate(group_input.n, q, (), {}, ())
+    return selberg.verify_certificate(group_input, certificate, length)
+
+
+# an order-3 rotation conjugated by diag(2, 1): den 2, and 2 = -1 modulo 3
+_ROTATION_OVER_TWO = Matrix([[0, -2], [F(1, 2), -1]])
+
+
+def _integralizes(group, diagonal):
+    """Whether ``_integral_embedding`` of a group at a diagonal form returns,
+    rather than raising ``InvariantViolation``."""
+    try:
+        lorentz._integral_embedding(group, ShapeDescriptor(group, SymmetricForm.diagonal(diagonal)))
+    except InvariantViolation:
+        return False
+    return True
+
+
+def _refuses_fractional_linear_part(group, diagonal):
+    """Whether ``_integral_embedding`` raises its own ``ValueError`` for a
+    fractional linear part, rather than ``InvariantViolation`` later."""
+    try:
+        _integralizes(group, diagonal)
+    except ValueError as exc:
+        return "a linear factor has fractional entries" in str(exc)
+    return False
+
+
+# a quarter turn with fractional entries, an isometry of diag(4, 1, 1)
+_FRACTIONAL_QUARTER_TURN = BieberbachGroup([
+    AffineMap.translation_by([F(1, 2), F(1, 2), 0]),
+    AffineMap.translation_by([0, 1, 0]),
+    AffineMap(Matrix([[0, F(-1, 2), 0], [2, 0, 0], [0, 0, 1]]), [0, 0, F(1, 4)]),
+])
+
+# (-I, (1/2, 0)) squares to the identity: the norm of <-I> is 0
+_HALF_SHIFTED_HALF_TURN = BieberbachGroup([
+    AffineMap(Matrix.diagonal([-1, -1]), [F(1, 2), 0]),
+    AffineMap.translation_by([1, 0]),
+    AffineMap.translation_by([0, 1]),
+])
+
+
+MUTANTS = [
+    Mutant(
+        # modulo 3 the rotation's e2(N) = den^2 = 4 = C(2, 2) den^2, but not
+        # C(2, 2) den = 2: the mutant clears a counterexample of order 3
+        "second-screen-den-not-squared",
+        "selberg", "verify_certificate",
+        "pairs * den * den", "pairs * den",
+        lambda: _verdict([_ROTATION_OVER_TWO], 3, 1) is False,
+    ),
+    Mutant(
+        # -I, the negation of the word I, is a counterexample modulo 2; at
+        # +tr it would read I's trace n, which the screen clears
+        "negation-judged-at-plus-trace",
+        "selberg", "verify_certificate",
+        "cleared(-trace - n * den)", "cleared(trace - n * den)",
+        lambda: _verdict([-Matrix.identity(2)], 2, 1) is False,
+    ),
+    Mutant(
+        # t^2 - 7t + 1 = (t - 1)^2 modulo 5 on an element of infinite order
+        "power-test-dropped",
+        "selberg", "verify_certificate",
+        "and element ** order == identity", "and True",
+        lambda: _verdict([Matrix([[6, 1], [5, 1]])], 5, 1) is True,
+    ),
+    Mutant(
+        # 3 divides the denominator of diag(3, 1)'s inverse; every element
+        # of the ball would pass on its trace
+        "denominator-refusal-dropped",
+        "selberg", "verify_certificate",
+        "return False  # reduction modulo q is undefined", "pass  # ",
+        lambda: _verdict([Matrix.diagonal([3, 1])], 3, 1) is False,
+    ),
+    Mutant(
+        # modulo 4, (t + 1)^2 = (t - 1)^2 and -I has order 2; 4 is no prime
+        "prime-test-dropped",
+        "selberg", "verify_certificate",
+        "if not is_prime(q):", "if False:",
+        lambda: _verdict([-Matrix.identity(2)], 4, 1) is False,
+    ),
+    Mutant(
+        # diag(1, 0) has no negative eigenvalue but is not definite
+        "definiteness-ignores-zeros",
+        "exactlin", "is_positive_definite",
+        "== (form.dim, 0, 0)", "[1] == 0",
+        lambda: exactlin.is_positive_definite(SymmetricForm.diagonal([1, 0])) is False,
+    ),
+    Mutant(
+        # [[0, 1/2], [2, 0]] preserves diag(4, 1), with den 2
+        "isometry-scaled-by-den-once",
+        "exactlin", "preserves_form",
+        "a.den * a.den", "a.den",
+        lambda: exactlin.preserves_form(
+            Matrix([[0, F(1, 2)], [2, 0]]), Matrix.diagonal([4, 1])
+        ) is True,
+    ),
+    Mutant(
+        # torus-1 at the form [[1]]: h = 1/2 at c = 1, so c doubles to 2
+        "integral-embedding-no-doubling",
+        "lorentz", "_integral_embedding",
+        "c *= 2", "c *= 1",
+        lambda: _integralizes(catalog("torus-1"), [1]) is True,
+    ),
+    Mutant(
+        # torus-1 at [[1/3]]: k^T A = 1/3 asks for c = 3 before the doubling
+        "integral-embedding-scale-without-kA",
+        "lorentz", "_integral_embedding",
+        "k_den // math.gcd(k_den, *ka_num)", "1",
+        lambda: _integralizes(catalog("torus-1"), [F(1, 3)]) is True,
+    ),
+    Mutant(
+        "integral-embedding-no-fractional-check",
+        "lorentz", "_integral_embedding",
+        "if not all(g.linear.is_integral() for g in generators):", "if False:",
+        lambda: _refuses_fractional_linear_part(_FRACTIONAL_QUARTER_TURN, [4, 1, 1]),
+    ),
+    Mutant(
+        # N = I + h for h = -I is 0, so N t = 0 lies in N L for every t
+        "torsion-norm-not-summed",
+        "bieberbach", "is_torsion_free",
+        "norm, power = norm + power, power * h", "norm, power = norm, power * h",
+        lambda: bieberbach.is_torsion_free(_HALF_SHIFTED_HALF_TURN) is False,
+    ),
+    Mutant(
+        # (4, 9) = 2 (2, 0) + 3 (0, 3); clearing must subtract the basis rows
+        "integer-solution-adds-the-basis-row",
+        "exactlin", "has_integer_solution",
+        "rest = [x - q * y", "rest = [x + q * y",
+        lambda: exactlin.has_integer_solution([[2, 0], [0, 3]], [4, 9]) is True,
+    ),
+]
+
+
+@pytest.mark.parametrize("mutant", MUTANTS, ids=lambda m: m.name)
+def test_mutant_is_killed(mutant, monkeypatch):
+    assert mutant.killer() is True
+    module = importlib.import_module(f"flatcusps.{mutant.module}")
+    original = getattr(module, mutant.function)
+    source = inspect.getsource(original)
+    if source.count(mutant.find) != 1:
+        pytest.fail(
+            f"stale mutant {mutant.name}: {mutant.find!r} occurs "
+            f"{source.count(mutant.find)} times in {mutant.module}.{mutant.function}"
+        )
+    code = compile(
+        source.replace(mutant.find, mutant.replace),
+        module.__file__,
+        "exec",
+        flags=__future__.annotations.compiler_flag,
+        dont_inherit=True,
+    )
+    monkeypatch.setattr(module, mutant.function, original)  # put back after the test
+    exec(code, vars(module))
+    assert getattr(module, mutant.function) is not original
+    assert mutant.killer() is False

@@ -694,18 +694,21 @@ class TestVerifierAgreesWithReference:
     def test_negative_identity_is_one_letter(self, monkeypatch):
         # -I is central and its own inverse, so the words run over u and
         # u^-1 alone and -I only negates the words shorter than 2: I, u and
-        # u^-1 give the 3 negations -I, -u and -u^-1. The words of length
-        # one are the letters themselves, with no product, and a word never
-        # appends the letter undoing its last. The words of length 2 are
-        # the outer shell, left unformed: u u and u^-1 u^-1 have trace
-        # exactly 2, so the trace pairing clears both, and no product is
-        # formed (four letters with backtracking take 4 + 3 * 4).
+        # u^-1, whose negations -I, -u and -u^-1 have trace -2, not 2
+        # modulo 5, and are judged from the words' own numbers, unformed.
+        # The one negation is -I itself, formed to find the letter. The
+        # words of length one are the letters themselves, with no product,
+        # and a word never appends the letter undoing its last. The words
+        # of length 2 are the outer shell, left unformed: u u and u^-1 u^-1
+        # have trace exactly 2, so the trace pairing clears both, and no
+        # product is formed (four letters with backtracking take 4 + 3 * 4).
         group_input = worked_example()
         certificate = good_prime(group_input)
+        assert certificate.prime == 5
         products, negations = _counted(monkeypatch)
         assert verify_certificate(group_input, certificate, word_length=2)
         assert len(products) == 0
-        assert len(negations) == 3
+        assert negations == [Matrix.identity(2)]
 
     @pytest.mark.parametrize("forced", [None, 3])
     def test_products_are_level_one_and_uncleared_shell_pairs(
@@ -975,23 +978,102 @@ class TestTraceScreen:
         assert (trace == n) is element.is_identity()
 
     def test_certify_words_polynomials_only_off_trace_n(self, certify_words_inputs, monkeypatch):
-        # the 21 inputs at their own certificates and the workload's word
-        # length: every unipotent element passes on its trace
-        certificates = [good_prime(group_input) for group_input in certify_words_inputs]
+        # the 21 inputs at the workload's word length: at their own
+        # certificates every element clears one of the two screens, so no
+        # polynomial is computed. Modulo 3 some do not, and each element
+        # that reaches its polynomial is off trace n with e2 = C(n, 2)
+        # modulo 3, e2 = (tr^2 - tr(E^2)) / 2 taken here in fractions
         judged = []
 
         def recorded(m):
-            judged.append(sum(m[i, i] for i in range(m.rows)) - m.rows)
+            judged.append(m)
             return char_poly(m)
 
         def refuse(m):
             raise AssertionError("is_unipotent called by the verifier")
 
+        certified = [good_prime(group_input) for group_input in certify_words_inputs]
+        forced = [_forced(group_input, 3) for group_input in certify_words_inputs]
         monkeypatch.setattr(selberg, "char_poly", recorded)
         monkeypatch.setattr(selberg, "is_unipotent", refuse)
-        for group_input, certificate in zip(certify_words_inputs, certificates):
+        for group_input, certificate in zip(certify_words_inputs, certified):
             assert verify_certificate(group_input, certificate, 3) is True
-        assert judged and 0 not in judged
+        assert judged == []
+        for group_input, certificate in zip(certify_words_inputs, forced):
+            assert verify_certificate(group_input, certificate, 3) is True
+        assert judged
+        for m in judged:
+            n = m.rows
+            trace = sum(m[i, i] for i in range(n))
+            e2 = (trace**2 - sum((m * m)[i, i] for i in range(n))) / 2 - math.comb(n, 2)
+            assert trace != n and e2.numerator % 3 == 0
+
+
+def _second_screen_clears(m, q):
+    """The screen on coefficient n-2, on the integer rows ``N`` of m:
+    ``e2(N) = (tr(N)^2 - tr(N^2)) / 2`` differs from ``C(n, 2) den^2``
+    modulo q."""
+    n, num, den = m.rows, m.num, m.den
+    trace = sum(num[i][i] for i in range(n))
+    square = sum(num[i][k] * num[k][i] for i in range(n) for k in range(n))
+    assert (trace * trace - square) % 2 == 0
+    return ((trace * trace - square) // 2 - math.comb(n, 2) * den * den) % q != 0
+
+
+@st.composite
+def _screened_elements(draw):
+    """A finite-order element, or a generator, an inverse, a product of two
+    or a negation from a drawn rational group."""
+    if draw(st.booleans()):
+        return [draw(_finite_order_elements())]
+    group_input, _ = draw(_rational_groups())
+    letters = list(group_input.lambda_gens + group_input.inverses)
+    elements = letters + [a * b for a in letters for b in letters]
+    return elements + [-m for m in elements]
+
+
+class TestSecondScreen:
+    @settings(max_examples=200, deadline=None)
+    @given(elements=_screened_elements())
+    def test_cleared_residue_is_not_unipotent(self, elements):
+        # coefficient n-2 of det(tI - E) is e2(E) = e2(N) / den^2, and that
+        # of (t - 1)^n is C(n, 2): where they differ modulo q, so do the
+        # residues, at every q prime to den, q = 2 included
+        for m in elements:
+            n = m.rows
+            for q in (2, 3, 5, 7, 11):
+                if m.den % q and _second_screen_clears(m, q):
+                    residue = char_poly(m).reduce_mod(q)
+                    assert residue != unipotent_polynomial(n).reduce_mod(q)
+
+    def test_cap_counts_a_negation_equal_to_a_word_once(self, monkeypatch):
+        # r has order 6 and r^3 = -I, which is also a letter: at length 3
+        # every negation of a word of length at most 2 is a word (-r = r^-2,
+        # -r^2 = r^-1, ...) but -I, which the shell word r^3 repeats. The
+        # words and negations number 10 before the shell, 6 distinct; the
+        # shell's 2 words and 2 letters add 4 at most
+        r = Matrix([[1, -1], [1, 0]])
+        group_input = MatrixGroupInput(2, [r, NEG_IDENTITY_2])
+        certificate = good_prime(group_input)
+        letters, levels = _word_levels(group_input, 3)
+        inner = set().union(*levels[:3])
+        inner |= {-w for w in inner}
+        distinct = len(inner | levels[3])
+        bound = len(inner) + len(levels[2]) * len(letters)
+        assert (distinct, bound) == (6, 10)
+        assert ref_verify_certificate(group_input, certificate, 3) is True
+        products, _ = _counted(monkeypatch)
+        # at the shell bound the shell runs: its pairs r^2 r and r^-2 r^-1
+        # have trace -2, cleared, and only the 2 level-one products are
+        # formed; below it the last level is formed too
+        for cap, formed in ((bound, 2), (bound - 1, 4), (distinct, 4)):
+            monkeypatch.setattr(selberg, "MAX_WORD_BALL", cap)
+            products.clear()
+            assert verify_certificate(group_input, certificate, 3) is True
+            assert len(products) == formed, cap
+        monkeypatch.setattr(selberg, "MAX_WORD_BALL", distinct - 1)
+        with pytest.raises(ValueError, match=f"MAX_WORD_BALL = {distinct - 1} elements"):
+            verify_certificate(group_input, certificate, 3)
 
 
 class TestFiniteOrderTest:
