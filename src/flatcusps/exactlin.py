@@ -7,7 +7,9 @@ needed for crystallographic computations. A :class:`Matrix` is integer
 rows over one positive denominator in canonical form, so its arithmetic
 is integer arithmetic plus one gcd reduction per result; determinants
 use Bareiss's fraction-free forward elimination, inverses its Gauss-Jordan
-form, and signatures the characteristic polynomial. An isometry identity
+form, and signatures the characteristic polynomial. Definiteness is the
+same forward elimination with no row moves, whose pivots are the leading
+principal minors (Sylvester's criterion). An isometry identity
 ``A^T G A = G`` is decided by :func:`preserves_form` on the integer rows
 with no reduction at all. ``Fraction`` appears only at the boundary. All
 arithmetic is exact; ``==`` always means mathematical equality and no
@@ -45,9 +47,12 @@ Vector = tuple[Fraction, ...]
 class Frozen:
     """Base of the immutable value types.
 
-    A subclass names its attributes in ``__slots__`` and passes their
-    values, in that order, to ``Frozen.__init__`` (``Matrix`` sets its own
-    directly). Afterwards assignment and deletion both raise ``AttributeError``.
+    A subclass names its attributes in its own ``__slots__`` (a class
+    without one is a ``TypeError`` when it is created) and passes their
+    values, in that order, to ``Frozen.__init__``. That stores them through
+    the slots' descriptor setters, collected once per class
+    (``_matrix`` calls ``Matrix``'s directly). Afterwards assignment and
+    deletion both raise ``AttributeError``.
     Equality is by value: two instances are equal when they have the same
     type and equal slot values, and the hash is the hash of those values.
     ``Matrix`` overrides the pair for speed and ``BieberbachGroup`` to
@@ -61,13 +66,13 @@ class Frozen:
     __slots__ = ()
 
     def __init__(self, *values):
-        slots = type(self).__slots__
-        if len(values) != len(slots):
+        setters = self._setters
+        if len(values) != len(setters):
             raise TypeError(
-                f"{type(self).__name__} takes {len(slots)} values, got {len(values)}"
+                f"{type(self).__name__} takes {len(setters)} values, got {len(values)}"
             )
-        for name, value in zip(slots, values):
-            object.__setattr__(self, name, value)
+        for set_slot, value in zip(setters, values):
+            set_slot(self, value)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -76,8 +81,12 @@ class Frozen:
         raise AttributeError(f"{type(self).__name__} is immutable")
 
     def __init_subclass__(cls):
+        if "__slots__" not in cls.__dict__:
+            raise TypeError(f"{cls.__name__} must declare its own __slots__")
         # what == and hash compare: the slot values (one bare value for one slot)
         cls._key = staticmethod(attrgetter(*cls.__slots__))
+        # each slot's descriptor setter, which __setattr__ cannot reach
+        cls._setters = tuple(cls.__dict__[name].__set__ for name in cls.__slots__)
 
     def __eq__(self, other) -> bool:
         if type(other) is not type(self):
@@ -344,7 +353,7 @@ class Matrix(Frozen):
         return Matrix.from_integer_rows(inverse, abs(d))
 
 
-_set_rows, _set_cols, _set_num, _set_den = (Matrix.__dict__[s].__set__ for s in Matrix.__slots__)
+_set_rows, _set_cols, _set_num, _set_den = Matrix._setters
 
 
 def _matrix(num: tuple, den: int) -> Matrix:
@@ -541,16 +550,38 @@ def ldl_signature(form: SymmetricForm) -> tuple[int, int, int]:
 
 @lru_cache(maxsize=256)
 def is_positive_definite(form: SymmetricForm) -> bool:
-    """Whether the inertia of ``form`` is ``(dim, 0, 0)``.
+    """Whether the inertia of ``form`` is ``(dim, 0, 0)``, by Sylvester's
+    criterion: every leading principal minor of ``num``, a positive
+    multiple of the Gram matrix, is positive (:func:`_leading_minors_positive`).
 
     Memoized by value: a ``SymmetricForm`` is immutable and its Gram
     matrix canonical, so equal forms hash alike and a hit is exact. A
     density row tests the same forms again and again (the target's
     average, the rounded form, the shape, the model's base), and each is
-    decided once; :func:`ldl_signature` itself is not memoized, so its
-    calls count real decisions.
+    decided once; :func:`_leading_minors_positive` itself is not memoized,
+    so its calls count real decisions.
     """
-    return ldl_signature(form) == (form.dim, 0, 0)
+    return _leading_minors_positive(form.matrix.num)
+
+
+def _leading_minors_positive(rows: Sequence[Sequence[int]]) -> bool:
+    """Whether every leading principal minor of a square integer matrix is
+    positive, by forward Bareiss elimination with no row moves.
+
+    Step k clears column k below the pivot and drops its row and column,
+    so the pivot of step k is the k-th leading principal minor and each
+    division by the previous pivot is exact (Math. Comp. 22 (1968)). The
+    first pivot that is not positive decides, and the rest is not computed.
+    """
+    prev = 1
+    while rows:
+        top = rows[0]
+        d, tail = top[0], top[1:]
+        if d <= 0:
+            return False
+        rows = [[(d * x - row[0] * y) // prev for x, y in zip(row[1:], tail)] for row in rows[1:]]
+        prev = d
+    return True
 
 
 # ---------------------------------------------------------------------------

@@ -28,8 +28,9 @@ integer rows of each checked image, and for a suitable smallest ``c`` every
 image lands in integer matrices. :func:`verify_embedding` decodes the
 result against the generators, an independent check of that rescaling.
 A density row never forms the rational images: :func:`_integral_embedding`
-reads ``c`` off each generator's ``t``, ``k^T A`` and ``h`` and assembles
-``T(c t) R(A)`` once, directly in integer matrices.
+reads ``c`` off each generator's ``t``, ``k^T A`` and ``h``, divides
+``c t``, ``c k`` and ``c^2 h`` out exactly, and assembles ``T(c t) R(A)``
+once from those integers, over denominator 1.
 """
 
 from __future__ import annotations
@@ -349,7 +350,10 @@ def _integral_embedding(
     parts of each generator ``(A, t)`` instead of off its image: the lcm of
     the denominators of ``t`` and ``k^T A`` (``k = B_K t``), doubled when
     some ``c^2 h`` is not an integer (see :func:`integralize`). Each image
-    is then assembled once, as ``T(c t) R(A)``.
+    is then assembled once, as ``T(c t) R(A)``, from integer parts over
+    denominator 1: ``c t``, ``c k`` and ``c^2 h`` are divided out exactly
+    (``A`` is unimodular, so ``c k`` is integral with ``c k^T A``), and a
+    remainder raises ``InvariantViolation``.
     """
     if shape.group != group:
         raise DimensionMismatch("shape was built for a different group")
@@ -371,17 +375,26 @@ def _integral_embedding(
         parts.append((k_num, k_den, h_num, h_den))
     if any(c * c * h_num % h_den for _, _, h_num, h_den in parts):
         c *= 2
-    # at w = c t: k = B_K w is c k over the same denominator, and h is c^2 h
-    images = [
-        _assemble(
-            g.linear, [c * x for x in g.num], g.den,
-            ([c * x for x in k_num], k_den, c * c * h_num, h_den),
-        )
-        for g, (k_num, k_den, h_num, h_den) in zip(generators, parts)
-    ]
-    if not all(m.is_integral() for m in images):
-        raise InvariantViolation("integralized images have fractional entries")
+    # at w = c t: k = B_K w is c k and h is c^2 h, each an integer here
+    images = []
+    for g, (k_num, k_den, h_num, h_den) in zip(generators, parts):
+        w = _quotients([c * x for x in g.num], g.den)
+        k = _quotients([c * x for x in k_num], k_den)
+        [h] = _quotients([c * c * h_num], h_den)
+        images.append(_assemble(g.linear, w, 1, (k, 1, h, 1)))
     return LorentzEmbedding(model, group, images), c
+
+
+def _quotients(values: Sequence[int], den: int) -> list[int]:
+    """Each of ``values`` divided by ``den``; ``InvariantViolation`` when a
+    division leaves a remainder."""
+    out = []
+    for x in values:
+        q, r = divmod(x, den)
+        if r:
+            raise InvariantViolation("integralized images have fractional entries")
+        out.append(q)
+    return out
 
 
 # ---------------------------------------------------------------------------

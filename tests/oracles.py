@@ -35,7 +35,7 @@ import operator
 import types
 from fractions import Fraction
 
-from flatcusps import density
+from flatcusps import density, lorentz
 from flatcusps.bieberbach import (
     AffineMap,
     BieberbachGroup,
@@ -917,3 +917,19 @@ def bump_conjugate(monkeypatch) -> None:
         return LorentzEmbedding(embedding.model, group, images), c
 
     monkeypatch.setattr(density, "_integral_embedding", bumped)
+
+
+def assembled_denominators(monkeypatch, group: BieberbachGroup, shape: ShapeDescriptor) -> list:
+    """The denominators ``lorentz._integral_embedding(group, shape)`` passes
+    to ``Matrix.from_integer_rows``, one per matrix it builds, in order."""
+    dens = []
+    build = Matrix.from_integer_rows.__func__
+
+    def spy(cls, num, den):
+        dens.append(den)
+        return build(cls, num, den)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(Matrix, "from_integer_rows", classmethod(spy))
+        lorentz._integral_embedding(group, shape)
+    return dens

@@ -30,7 +30,7 @@ from flatcusps.exactlin import Matrix, SymmetricForm, is_positive_definite, pres
 from flatcusps.lorentz import embed_group, integralize
 from flatcusps.serialize import certificate_to_dict, group_to_dict
 
-from oracles import bump_conjugate, ref_congruence_certificate
+from oracles import assembled_denominators, bump_conjugate, ref_congruence_certificate
 
 # First outputs of the fixed-constant generator; any change to the
 # constants or the bit extraction is a reproducibility break.
@@ -286,13 +286,13 @@ class TestRunExperiment:
         # second average moves the rounded form decides the shape too.
         # Over a trivial holonomy the shape is the rounded form: 1 + k.
         calls = []
-        original = exactlin.ldl_signature
+        original = exactlin._leading_minors_positive
 
-        def counted(form):
-            calls.append(form)
-            return original(form)
+        def counted(rows):
+            calls.append(rows)
+            return original(rows)
 
-        monkeypatch.setattr(exactlin, "ldl_signature", counted)
+        monkeypatch.setattr(exactlin, "_leading_minors_positive", counted)
         is_positive_definite.cache_clear()
         bounds = [10, 100, 1000, 10**4, 10**5, 10**6]
         config = ExperimentConfig(catalog(name), 1, bounds, 8, torus_manifold_mode=True)
@@ -371,6 +371,17 @@ def row_embeddings(group, count, seed):
             row = lorentz._integral_embedding(group, shape)
             assert row == integralize(embed_group(group, shape)), (group.name, bound)
             yield row
+
+
+def test_seed_8_rows_assemble_over_denominator_one(monkeypatch):
+    # every row of the acceptance run builds its images over denominator 1
+    group = catalog("torus-2")
+    theta = holonomy(group)
+    for target in sample_targets(group, 100, 8):
+        reference = theta_average(target, theta)
+        for bound in BOUNDS:
+            shape = density._rationalize_with_retry(reference, theta, bound)
+            assert assembled_denominators(monkeypatch, group, shape) == [1, 1], bound
 
 
 class TestDegreeCertificate:

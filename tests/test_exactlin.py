@@ -376,6 +376,50 @@ class TestSignature:
         assert not is_positive_definite(SymmetricForm.diagonal([1, -1]))
         assert not is_positive_definite(SymmetricForm([[1, 1], [1, 1]]))
 
+    @pytest.mark.parametrize(
+        "gram",
+        [
+            [[0, 1], [1, 0]],
+            [[0, 0], [0, 1]],
+            [[1, 0], [0, 0]],
+            [[1, 1], [1, 1]],
+            # leading minors 1, 0, -1: elimination must stop at the 0 pivot
+            [[1, 1, 0], [1, 1, 1], [0, 1, 1]],
+        ],
+        ids=["hyperbolic", "diag-0-1", "diag-1-0", "all-ones", "second-minor-zero"],
+    )
+    def test_zero_or_negative_leading_minor_is_not_definite(self, gram):
+        form = SymmetricForm(gram)
+        assert ref_ldl_signature(form.matrix.entries) != (form.dim, 0, 0)
+        assert is_positive_definite.__wrapped__(form) is False
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        data=st.data(),
+        n=st.integers(min_value=1, max_value=8),
+        kind=st.sampled_from(["definite", "singular", "indefinite", "symmetric"]),
+        elements=st.sampled_from([st.integers(min_value=-3, max_value=3), small_fractions]),
+    )
+    def test_leading_minors_agree_with_the_inertia_oracle(self, data, n, kind, elements):
+        # Sylvester's criterion against symmetric elimination in Fractions
+        a = data.draw(square_matrices(n, elements))
+        if kind == "symmetric":
+            gram = a + transpose(a)
+        else:
+            signs = [1] * n
+            if kind == "singular":
+                # a^T a with a zeroed row of a has rank below n
+                a = Matrix([[0] * n] + [list(row) for row in a.entries[1:]])
+            elif kind == "indefinite":
+                signs[data.draw(st.integers(min_value=0, max_value=n - 1))] = -1
+            gram = transpose(a) * Matrix.diagonal(signs) * a
+            if kind == "definite":
+                gram = gram + Matrix.identity(n)
+        form = SymmetricForm(gram)
+        expected = ref_ldl_signature(gram.entries) == (n, 0, 0)
+        assert is_positive_definite.__wrapped__(form) is expected
+        assert is_positive_definite(form) is expected
+
     @settings(max_examples=60, deadline=None)
     @given(
         data=st.data(),
@@ -804,6 +848,19 @@ class TestFrozen:
                 assert changed == obj, slot
             else:
                 assert changed != obj and not changed == obj, slot
+
+    def test_subclass_must_declare_its_own_slots(self):
+        # an inherited __slots__ would give the subclass a __dict__, and
+        # Frozen.__init__ would set the parent's slots
+        with pytest.raises(TypeError, match="Loose must declare its own __slots__"):
+
+            class Loose(Frozen):
+                pass
+
+        with pytest.raises(TypeError, match="Widened must declare its own __slots__"):
+
+            class Widened(SymmetricForm):
+                pass
 
     def test_other_types_never_compare_equal(self):
         matrix = Matrix.identity(2)

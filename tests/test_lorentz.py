@@ -50,6 +50,7 @@ from flatcusps.lorentz import (
 from flatcusps.serialize import embedding_to_dict, report_to_dict
 from flatcusps.shapes import ShapeDescriptor
 from oracles import (
+    assembled_denominators,
     evaluate,
     hyperbolic_conjugator,
     lift,
@@ -675,6 +676,23 @@ class TestIntegralEmbedding:
         form = theta_average(SymmetricForm(transpose(m) * m + Matrix.identity(n)), theta)
         shape = ShapeDescriptor(group, form)
         assert lorentz._integral_embedding(group, shape) == integralize(embed_group(group, shape))
+
+    @pytest.mark.parametrize("name", catalog_names())
+    def test_assembles_over_denominator_one(self, name, monkeypatch):
+        # c t, c k and c^2 h are divided out before the assembly, so each
+        # image is built over denominator 1 with no gcd to take; a form with
+        # fractional entries and the average of the identity, which leaves
+        # a half in h for every nonzero translation
+        group, theta = catalog_with_holonomy(name)
+        n = group.dim
+        a = Matrix([[F(1 + (i * j) % 3, 2 + i + j) for j in range(n)] for i in range(n)])
+        for form in (
+            theta_average(SymmetricForm.identity(n), theta),
+            theta_average(SymmetricForm(transpose(a) * a + Matrix.identity(n)), theta),
+        ):
+            shape = ShapeDescriptor(group, form)
+            assert assembled_denominators(monkeypatch, group, shape) == [1] * len(group.generators)
+            assert lorentz._integral_embedding(group, shape) == integralize(embed_group(group, shape))
 
     @pytest.mark.parametrize(
         "group, shape",

@@ -24,7 +24,7 @@ import pytest
 
 from flatcusps import bieberbach, exactlin, lorentz, selberg
 from flatcusps.bieberbach import AffineMap, BieberbachGroup, catalog
-from flatcusps.errors import InvariantViolation
+from flatcusps.errors import NotFormIsometry
 from flatcusps.exactlin import Matrix, SymmetricForm
 from flatcusps.selberg import MatrixGroupInput, SelbergCertificate
 from flatcusps.shapes import ShapeDescriptor
@@ -50,24 +50,15 @@ def _verdict(generators, q, length):
 _ROTATION_OVER_TWO = Matrix([[0, -2], [F(1, 2), -1]])
 
 
-def _integralizes(group, diagonal):
-    """Whether ``_integral_embedding`` of a group at a diagonal form returns,
-    rather than raising ``InvariantViolation``."""
+def _integral_embedding_error(group, diagonal):
+    """The type of the error ``_integral_embedding`` raises for a group at a
+    diagonal form, or None when it returns."""
+    shape = ShapeDescriptor(group, SymmetricForm.diagonal(diagonal))
     try:
-        lorentz._integral_embedding(group, ShapeDescriptor(group, SymmetricForm.diagonal(diagonal)))
-    except InvariantViolation:
-        return False
-    return True
-
-
-def _refuses_fractional_linear_part(group, diagonal):
-    """Whether ``_integral_embedding`` raises its own ``ValueError`` for a
-    fractional linear part, rather than ``InvariantViolation`` later."""
-    try:
-        _integralizes(group, diagonal)
-    except ValueError as exc:
-        return "a linear factor has fractional entries" in str(exc)
-    return False
+        lorentz._integral_embedding(group, shape)
+    except ValueError as exc:  # every typed error of the package
+        return type(exc)
+    return None
 
 
 # a quarter turn with fractional entries, an isometry of diag(4, 1, 1)
@@ -76,6 +67,19 @@ _FRACTIONAL_QUARTER_TURN = BieberbachGroup([
     AffineMap.translation_by([0, 1, 0]),
     AffineMap(Matrix([[0, F(-1, 2), 0], [2, 0, 0], [0, 0, 1]]), [0, 0, F(1, 4)]),
 ])
+
+# the two refusals of _integral_embedding, as they stand in its source
+_ISOMETRY_CHECK = """\
+    if not all(preserves_form(g.linear, base) for g in generators):
+        raise NotFormIsometry("linear part does not preserve the base form")
+"""
+_INTEGRALITY_CHECK = """\
+    if not all(g.linear.is_integral() for g in generators):
+        raise ValueError(
+            "a linear factor has fractional entries; hyperbolic conjugation "
+            "cannot integralize this embedding"
+        )
+"""
 
 # (-I, (1/2, 0)) squares to the identity: the norm of <-I> is 0
 _HALF_SHIFTED_HALF_TURN = BieberbachGroup([
@@ -125,11 +129,13 @@ MUTANTS = [
         lambda: _verdict([-Matrix.identity(2)], 4, 1) is False,
     ),
     Mutant(
-        # diag(1, 0) has no negative eigenvalue but is not definite
+        # diag(1, 0) has leading minors 1 and 0: semidefinite, not definite.
+        # __wrapped__ decides afresh: the memo would answer from before the
+        # mutant, and would keep the mutant's verdict after it
         "definiteness-ignores-zeros",
-        "exactlin", "is_positive_definite",
-        "== (form.dim, 0, 0)", "[1] == 0",
-        lambda: exactlin.is_positive_definite(SymmetricForm.diagonal([1, 0])) is False,
+        "exactlin", "_leading_minors_positive",
+        "if d <= 0:", "if d < 0:",
+        lambda: exactlin.is_positive_definite.__wrapped__(SymmetricForm.diagonal([1, 0])) is False,
     ),
     Mutant(
         # [[0, 1/2], [2, 0]] preserves diag(4, 1), with den 2
@@ -145,20 +151,28 @@ MUTANTS = [
         "integral-embedding-no-doubling",
         "lorentz", "_integral_embedding",
         "c *= 2", "c *= 1",
-        lambda: _integralizes(catalog("torus-1"), [1]) is True,
+        lambda: _integral_embedding_error(catalog("torus-1"), [1]) is None,
     ),
     Mutant(
         # torus-1 at [[1/3]]: k^T A = 1/3 asks for c = 3 before the doubling
         "integral-embedding-scale-without-kA",
         "lorentz", "_integral_embedding",
         "k_den // math.gcd(k_den, *ka_num)", "1",
-        lambda: _integralizes(catalog("torus-1"), [F(1, 3)]) is True,
+        lambda: _integral_embedding_error(catalog("torus-1"), [F(1, 3)]) is None,
     ),
     Mutant(
         "integral-embedding-no-fractional-check",
         "lorentz", "_integral_embedding",
         "if not all(g.linear.is_integral() for g in generators):", "if False:",
-        lambda: _refuses_fractional_linear_part(_FRACTIONAL_QUARTER_TURN, [4, 1, 1]),
+        lambda: _integral_embedding_error(_FRACTIONAL_QUARTER_TURN, [4, 1, 1]) is ValueError,
+    ),
+    Mutant(
+        # the quarter turn does not preserve the identity form: the isometry
+        # check comes first, as in integralize(embed_group(...))
+        "integral-embedding-checks-out-of-order",
+        "lorentz", "_integral_embedding",
+        _ISOMETRY_CHECK + _INTEGRALITY_CHECK, _INTEGRALITY_CHECK + _ISOMETRY_CHECK,
+        lambda: _integral_embedding_error(_FRACTIONAL_QUARTER_TURN, [1, 1, 1]) is NotFormIsometry,
     ),
     Mutant(
         # N = I + h for h = -I is 0, so N t = 0 lies in N L for every t
