@@ -29,14 +29,28 @@ image lands in integer matrices. :func:`verify_embedding` decodes the
 result against the generators, an independent check of that rescaling.
 A density row never forms the rational images: :func:`_integral_embedding`
 reads ``c`` off each generator's ``t``, ``k^T A`` and ``h``, divides
-``c t``, ``c k`` and ``c^2 h`` out exactly, and assembles ``T(c t) R(A)``
-once from those integers, over denominator 1.
+``c t``, ``c k^T A`` and ``c^2 h`` out exactly, and assembles
+``T(c t) R(A)`` once from those integers, over denominator 1.
+
+Every leg reads a generator ``(A, t)`` through the same closed-form parts:
+``k = B_K t``, ``h = B_K(t, t) / 2``, ``k^T A`` and the verdict of
+``A^T B_K A = B_K``. :func:`_parts_table` computes them once per base form
+and group, each as integers over a denominator, and the legs scale them in
+closed form (``k^T A`` by ``c``, ``h`` by ``c^2``) instead of recomputing
+them. The table is memoized by value in a ``functools.lru_cache`` of 16
+entries. It serves the legs of one embedding, which run back to back
+(:func:`embed_group`, :func:`verify_embedding`, :func:`integralize`,
+:func:`verify_embedding` again); a pass over the whole catalog has more
+keys than that, so no entry outlives its embedding there. The table is a
+function of the form and the generators alone and never reads an image,
+so a warm table cannot make a wrong image decode.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import lru_cache
 from operator import mul
 from typing import Optional, Sequence
 
@@ -112,7 +126,13 @@ def _translation_parts(w_num: Sequence[int], w_den: int, model: LorentzModel) ->
     return k_num, k_den, sum(map(mul, w_num, k_num)), 2 * w_den * k_den
 
 
-def _assemble(a: Matrix, w_num: Sequence[int], w_den: int, parts: tuple) -> Matrix:
+def _assemble(
+    a: Matrix,
+    w_num: Sequence[int],
+    w_den: int,
+    parts: tuple,
+    ka_num: Optional[Sequence[int]] = None,
+) -> Matrix:
     """The entries of ``T(w) R(a)`` for ``w = w_num / w_den``, written out
     with no matrix product; ``parts`` are ``w``'s :func:`_translation_parts`.
 
@@ -120,10 +140,13 @@ def _assemble(a: Matrix, w_num: Sequence[int], w_den: int, parts: tuple) -> Matr
     ``a`` followed by ``w_i, -w_i``; rows n and n+1 both start with
     ``-(k^T a)``; the corner two-by-two block is ``[[1 - h, h], [-h, 1 + h]]``.
     Every entry is written over one common denominator, and ``w_num / w_den``
-    need not be in lowest terms.
+    need not be in lowest terms. A caller that already has ``k^T a`` passes
+    its numerators over ``k_den * den a`` as ``ka_num``; ``k_num`` is then
+    not read.
     """
     k_num, k_den, h_num, h_den = parts
-    ka_num = [sum(map(mul, k_num, col)) for col in zip(*a.num)]
+    if ka_num is None:
+        ka_num = [sum(map(mul, k_num, col)) for col in zip(*a.num)]
     ka_den = k_den * a.den
     den = math.lcm(a.den, w_den, ka_den, h_den)
     fa, fw, fk = den // a.den, den // w_den, den // ka_den
@@ -169,6 +192,31 @@ def embed_affine(g: AffineMap, model: LorentzModel) -> Matrix:
     return _assemble(a, g.num, g.den, _translation_parts(g.num, g.den, model))
 
 
+def _generator_parts(g: AffineMap, model: LorentzModel) -> tuple:
+    """One entry of :func:`_parts_table`, ``(parts, ka_num, isometry)``, for
+    the generator ``(A, t)``: ``parts`` are ``t``'s :func:`_translation_parts`
+    ``(k_num, k_den, h_num, h_den)``, ``ka_num`` the numerators of ``k^T A``
+    over ``k_den * den A``, and ``isometry`` whether ``A^T B_K A = B_K``."""
+    a = g.linear
+    k_num, k_den, h_num, h_den = _translation_parts(g.num, g.den, model)
+    ka_num = tuple(sum(map(mul, k_num, col)) for col in zip(*a.num))
+    isometry = preserves_form(a, model.base_form.matrix)
+    return (tuple(k_num), k_den, h_num, h_den), ka_num, isometry
+
+
+@lru_cache(maxsize=16)
+def _parts_table(model: LorentzModel, group: BieberbachGroup) -> tuple:
+    """Each generator's :func:`_generator_parts`, in order, at scale 1.
+
+    Memoized by value on the model (that is, on its base form) and the
+    group; both are immutable and compare by value, so a hit is exact.
+    The table reads the form and the generators only, never an image.
+    Its 16 entries serve the legs of one embedding, which run back to
+    back; no option or environment variable changes the bound.
+    """
+    return tuple(_generator_parts(g, model) for g in group.generators)
+
+
 class LorentzEmbedding(Frozen):
     """A group's generators together with their images in ``O(B; Q)``."""
 
@@ -195,12 +243,18 @@ def embed_group(group: BieberbachGroup, shape: ShapeDescriptor) -> LorentzEmbedd
 
     The shape must belong to the group; each generator's linear part must
     preserve the shape's form (``NotFormIsometry`` otherwise, which is
-    exactly a failure of holonomy invariance).
+    exactly a failure of holonomy invariance). Each image is assembled
+    as :func:`embed_affine` assembles it, from the generator's entry of
+    :func:`_parts_table`.
     """
     if shape.group != group:
         raise DimensionMismatch("shape was built for a different group")
     model = LorentzModel(shape.form)
-    images = [embed_affine(g, model) for g in group.generators]
+    images = []
+    for g, (parts, ka_num, isometry) in zip(group.generators, _parts_table(model, group)):
+        if not isometry:
+            raise NotFormIsometry("linear part does not preserve the base form")
+        images.append(_assemble(g.linear, g.num, g.den, parts, ka_num))
     return LorentzEmbedding(model, group, images)
 
 
@@ -218,18 +272,31 @@ def _shared_scale(embedding: LorentzEmbedding) -> tuple[int, int]:
     return 1, 1
 
 
-def _decodes(image: Matrix, g: AffineMap, scale: tuple[int, int], model: LorentzModel) -> bool:
+def _decodes(
+    image: Matrix,
+    g: AffineMap,
+    scale: tuple[int, int],
+    model: LorentzModel,
+    entry: Optional[tuple] = None,
+) -> bool:
     """Whether ``image`` is ``T(w) R(A)`` for the generator ``(A, t)`` and
     ``w = c t`` at ``c = c_num / c_den``: each entry is compared with the
     closed form of :func:`_assemble`, cross-multiplied by the two
     denominators, and no matrix is built. ``w`` is ``c_num`` times the
     numerators of ``t`` over ``c_den`` times their denominator, not reduced.
     A canonical image whose upper-left block is ``A`` has ``den A`` dividing
-    its denominator, so that block is one tuple comparison per row."""
+    its denominator, so that block is one tuple comparison per row.
+
+    ``entry`` is the generator's :func:`_generator_parts`, computed here
+    when not given. Its ``k^T A`` and ``h`` are those of ``t``; at ``c t``
+    they are ``c k^T A`` and ``c^2 h``, scaled here by the unreduced
+    ``(c_num, c_den)``, so a decode forms no product with ``B_K`` or ``A``."""
+    if entry is None:
+        entry = _generator_parts(g, model)
+    (_, k_den, h_num, h_den), ka_num, _ = entry
     n, num, den, a = model.n, image.num, image.den, g.linear
     c_num, c_den = scale
-    w_num, w_den = [c_num * x for x in g.num], c_den * g.den
-    k_num, k_den, h_num, h_den = _translation_parts(w_num, w_den, model)
+    h_num, h_den = c_num * c_num * h_num, c_den * c_den * h_den
     top, bottom = num[n], num[n + 1]
     h = top[n + 1]  # the corner is [[1 - h, h], [-h, 1 + h]]
     if (top[n], bottom[n], bottom[n + 1]) != (den - h, -h, den + h) or h * h_den != h_num * den:
@@ -237,10 +304,11 @@ def _decodes(image: Matrix, g: AffineMap, scale: tuple[int, int], model: Lorentz
     # rows < n end in w, -w; rows n and n+1 start with -(k^T A); the block is A
     if top[:n] != bottom[:n] or den % a.den:
         return False
-    if any(row[n] * w_den != x * den or row[n + 1] != -row[n] for row, x in zip(num, w_num)):
+    w_den, scaled = c_den * g.den, c_num * den
+    if any(row[n] * w_den != scaled * x or row[n + 1] != -row[n] for row, x in zip(num, g.num)):
         return False
-    ka_den = k_den * a.den
-    if any(x * ka_den != -sum(map(mul, k_num, col)) * den for x, col in zip(top, zip(*a.num))):
+    ka_den = c_den * k_den * a.den
+    if any(x * ka_den != -scaled * y for x, y in zip(top, ka_num)):
         return False
     f = den // a.den
     return all(row[:n] == tuple(f * x for x in row_a) for row, row_a in zip(num, a.num))
@@ -305,18 +373,21 @@ def integralize(embedding: LorentzEmbedding) -> tuple[LorentzEmbedding, int]:
     Raises ``NotFormIsometry`` when an ``A`` does not preserve ``B_K``,
     ``InvariantViolation`` when an image does not decode (rescaling would
     then not be a conjugation) and ``ValueError`` when an ``A`` is fractional.
+    The isometry verdicts, and the parts each decode scales, come from
+    :func:`_parts_table` for the embedding's form and group, which the
+    embedding and its verification have usually filled already; the table
+    never reads an image, so every image is still decoded here.
     """
     model = embedding.model
     n = model.n
-    base = model.base_form.matrix
     generators = embedding.group.generators
     images = embedding.images
     scale = _shared_scale(embedding)
     c = 1
-    for g, image in zip(generators, images):
-        if not preserves_form(g.linear, base):
+    for g, image, entry in zip(generators, images, _parts_table(model, embedding.group)):
+        if not entry[2]:  # the verdict of A^T B_K A = B_K
             raise NotFormIsometry("linear part does not preserve the base form")
-        if scale[0] <= 0 or not _decodes(image, g, scale, model):
+        if scale[0] <= 0 or not _decodes(image, g, scale, model, entry):
             raise InvariantViolation(
                 "an image is not the embedding of its generator; "
                 "rescaling translations would not be a conjugation"
@@ -351,37 +422,39 @@ def _integral_embedding(
     the denominators of ``t`` and ``k^T A`` (``k = B_K t``), doubled when
     some ``c^2 h`` is not an integer (see :func:`integralize`). Each image
     is then assembled once, as ``T(c t) R(A)``, from integer parts over
-    denominator 1: ``c t``, ``c k`` and ``c^2 h`` are divided out exactly
-    (``A`` is unimodular, so ``c k`` is integral with ``c k^T A``), and a
-    remainder raises ``InvariantViolation``.
+    denominator 1: ``c t``, ``c k^T A`` and ``c^2 h`` are divided out
+    exactly (``A`` is unimodular, so ``k^T A`` has the denominator of
+    ``k``), and a remainder raises ``InvariantViolation``. The parts and the
+    isometry verdicts are the group's :func:`_parts_table`, which the
+    verification of the result then reads again; ``k^T A`` is formed there
+    once per generator and only scaled here.
     """
     if shape.group != group:
         raise DimensionMismatch("shape was built for a different group")
     model = LorentzModel(shape.form)
-    base = model.base_form.matrix
     generators = group.generators
-    if not all(preserves_form(g.linear, base) for g in generators):
+    table = _parts_table(model, group)
+    if not all(isometry for _, _, isometry in table):
         raise NotFormIsometry("linear part does not preserve the base form")
     if not all(g.linear.is_integral() for g in generators):
         raise ValueError(
             "a linear factor has fractional entries; hyperbolic conjugation "
             "cannot integralize this embedding"
         )
-    c, parts = 1, []
-    for g in generators:
-        k_num, k_den, h_num, h_den = _translation_parts(g.num, g.den, model)
-        ka_num = [sum(map(mul, k_num, col)) for col in zip(*g.linear.num)]
+    # every A is integral, so k^T A is over k_den
+    c = 1
+    for g, ((_, k_den, _, _), ka_num, _) in zip(generators, table):
         c = math.lcm(c, g.den // math.gcd(g.den, *g.num), k_den // math.gcd(k_den, *ka_num))
-        parts.append((k_num, k_den, h_num, h_den))
-    if any(c * c * h_num % h_den for _, _, h_num, h_den in parts):
+    if any(c * c * h_num % h_den for (_, _, h_num, h_den), _, _ in table):
         c *= 2
-    # at w = c t: k = B_K w is c k and h is c^2 h, each an integer here
+    # at w = c t: k^T A is c k^T A and h is c^2 h, each an integer here; k
+    # itself is not read once k^T A is given
     images = []
-    for g, (k_num, k_den, h_num, h_den) in zip(generators, parts):
+    for g, ((_, k_den, h_num, h_den), ka_num, _) in zip(generators, table):
         w = _quotients([c * x for x in g.num], g.den)
-        k = _quotients([c * x for x in k_num], k_den)
+        ka = _quotients([c * x for x in ka_num], k_den)
         [h] = _quotients([c * c * h_num], h_den)
-        images.append(_assemble(g.linear, w, 1, (k, 1, h, 1)))
+        images.append(_assemble(g.linear, w, 1, (None, 1, h, 1), ka))
     return LorentzEmbedding(model, group, images), c
 
 
@@ -460,7 +533,7 @@ def verify_embedding(embedding: LorentzEmbedding) -> VerificationReport:
     - ``T(w)`` preserves ``B`` for every ``w``, and ``R(A)`` does exactly
       when ``A`` preserves ``B_K``, so ``E^T B E = B`` is the n-by-n
       identity ``A^T B_K A = B_K``, decided by
-      :func:`preserves_form` on integer rows;
+      :func:`preserves_form` on integer rows, once per table;
     - ``T(w)`` and ``R(A)`` both fix ``v_inf``;
     - a translation image is ``T(c t)``, unipotent;
     - ``E R(A)^{-1} = T(c t)`` is the exponential ``I + M + M^2/2`` of the
@@ -471,6 +544,13 @@ def verify_embedding(embedding: LorentzEmbedding) -> VerificationReport:
 
     When the decode fails, all five checks run in full on the
     (n+2)-by-(n+2) matrices, so a failure report says which of them fail.
+
+    The verdict of ``A^T B_K A = B_K`` and the parts the decode scales
+    (``k^T A`` and ``h`` at ``t``) come from :func:`_parts_table`, memoized
+    on the embedding's form and group. A report on the output of
+    :func:`embed_group` or :func:`integralize` reads the table that built
+    it. The table never reads an image, so a warm table cannot make an
+    altered image decode: each image is still compared entry by entry.
 
     Decoding is enough. An element of ``O(B)`` fixing ``v_inf`` is
     ``T(w) R(A)`` with ``A`` a ``B_K``-isometry; its upper-left n-by-n block
@@ -484,13 +564,13 @@ def verify_embedding(embedding: LorentzEmbedding) -> VerificationReport:
     allow. Failures are recorded, never raised.
     """
     model = embedding.model
-    base = model.base_form.matrix
+    group = embedding.group
     scale = _shared_scale(embedding)
     results = []
-    for g, image in zip(embedding.group.generators, embedding.images):
-        if scale[0] > 0 and _decodes(image, g, scale, model):
+    for g, image, entry in zip(group.generators, embedding.images, _parts_table(model, group)):
+        if scale[0] > 0 and _decodes(image, g, scale, model, entry):
             checks = GeneratorChecks(
-                preserves_form(g.linear, base),
+                entry[2],  # the verdict of A^T B_K A = B_K
                 True,
                 True if g.is_translation() else None,
                 True,

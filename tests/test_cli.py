@@ -299,6 +299,31 @@ def test_approximate_anchor(tmp_path, capsys):
     assert digest.hexdigest() == APPROXIMATE_SHA256
 
 
+# CI's catalog embed anchor: the public chain at a torus-6 form whose scale
+# is 12, hantzsche-wendt at the identity, and third-turn at an average
+EMBED_ANCHOR_SHA256 = "8779f84f2e12673f9731de6b3a5551965269bda6ead1a552741f4cd2842227c0"
+EMBED_ANCHOR_FORMS = {
+    "t6.json": '{"matrix": [["2", "5/3", 0, 0, 0, 0], ["5/3", "2", 0, 0, 0, 0], '
+    '[0, 0, "3", "11/4", 0, 0], [0, 0, "11/4", "3", 0, 0], [0, 0, 0, 0, 1, 0], [0, 0, 0, 0, 0, 1]]}',
+    "id3.json": '{"matrix": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]}',
+    "raw3.json": '{"matrix": [[2, 1, 0], [1, 3, "1/2"], [0, "1/2", "5/2"]]}',
+}
+
+
+def test_embed_anchor(tmp_path, capsys):
+    # the output of the commands CI runs, concatenated as CI writes it
+    for name, text in EMBED_ANCHOR_FORMS.items():
+        (tmp_path / name).write_text(text + "\n", encoding="utf-8")
+    assert main(["average", "-g", "third-turn", "-f", str(tmp_path / "raw3.json")]) == 0
+    (tmp_path / "avg3.json").write_text(capsys.readouterr().out, encoding="utf-8")
+    out = []
+    for group, form in (("torus-6", "t6.json"), ("hantzsche-wendt", "id3.json"), ("third-turn", "avg3.json")):
+        assert main(["embed", "-g", group, "-f", str(tmp_path / form), "--integralize", "--report"]) == 0
+        out.append(capsys.readouterr().out)
+    assert json.loads(out[0])["embedding"]["scale"] == 12
+    assert hashlib.sha256("".join(out).encode()).hexdigest() == EMBED_ANCHOR_SHA256
+
+
 class TestEmbed:
     def test_report_all_true(self, torus2_file, id2_form_file, capsys):
         assert main(["embed", "-g", torus2_file, "-f", id2_form_file, "--report"]) == 0

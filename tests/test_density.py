@@ -225,11 +225,13 @@ class TestRunExperiment:
         assert rows[0].selberg_prime == 7
 
     def test_each_image_is_decoded_once_per_row(self, monkeypatch):
-        # per row: _integral_embedding reads the scale off each generator's
-        # parts (one _translation_parts each) and assembles the 2 integral
-        # images once from those parts, rescaled; the verification decodes
-        # each of them once, in place, with no _assemble, and one
-        # _translation_parts each; the congruence leg builds no unipotent
+        # per row: _integral_embedding builds the parts table once (one
+        # _translation_parts per generator), reads the scale off it and
+        # assembles the 2 integral images once from its rescaled parts; the
+        # verification reads the same table and decodes each image once, in
+        # place, with no _assemble and no _translation_parts; the congruence
+        # leg builds no unipotent
+        lorentz._parts_table.cache_clear()
         calls = {"_assemble": 0, "_decodes": 0, "_translation_parts": 0}
         for name in calls:
             original = getattr(lorentz, name)
@@ -242,7 +244,9 @@ class TestRunExperiment:
         config = ExperimentConfig(catalog("torus-2"), 1, [10], 8, torus_manifold_mode=True)
         [row] = run_experiment(config)
         assert row.pipeline_ok is True
-        assert calls == {"_assemble": 2, "_decodes": 2, "_translation_parts": 4}
+        assert calls == {"_assemble": 2, "_decodes": 2, "_translation_parts": 2}
+        info = lorentz._parts_table.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
 
     @pytest.mark.parametrize("name", ["torus-2", "klein", "sixth-turn"])
     def test_each_target_is_averaged_once_per_ladder(self, name, monkeypatch):

@@ -990,8 +990,9 @@ class TestDecodeInPlace:
         c0=st.sampled_from([1, F(3, 2), 3]),
     )
     def test_agrees_with_product(self, data, name, c0):
-        # every image against every generator, at the shared scale and at
-        # one more, before and after integralization
+        # every image against every generator, at the shared scale, at one
+        # more, at the shared scale unreduced and at its negative, before
+        # and after integralization; each decode scales the table's entry
         group, theta = catalog_with_holonomy(name)
         model = LorentzModel(random_base(data, theta))
         images = [
@@ -999,14 +1000,16 @@ class TestDecodeInPlace:
             for g in group.generators
         ]
         embedding = LorentzEmbedding(model, group, images)
+        entries = lorentz._parts_table(model, group)
         for e in (embedding, integralize(embedding)[0]):
             c_num, c_den = lorentz._shared_scale(e)
-            for scale in ((c_num, c_den), (c_num + c_den, c_den)):
+            scales = ((c_num, c_den), (c_num + c_den, c_den), (2 * c_num, 2 * c_den), (-c_num, c_den))
+            for scale in scales:
                 for k, g in enumerate(group.generators):
                     for j, image in enumerate(e.images):
-                        decodes = lorentz._decodes(image, g, scale, model)
+                        decodes = lorentz._decodes(image, g, scale, model, entries[k])
                         assert decodes == ref_decodes(image, g, scale, model)
-                        if j == k and scale[0] == c_num:
+                        if j == k and scale[0] * c_den == c_num * scale[1]:
                             assert decodes
 
     @pytest.mark.parametrize("name", catalog_names())
@@ -1068,3 +1071,83 @@ class TestDecodeInPlace:
         assert lorentz._decodes(product_embed_affine(g, model), g, (1, 1), model)
         embedding = LorentzEmbedding(model, BieberbachGroup([g]), [image])
         assert not assert_matches_oracle(embedding).overall
+
+
+def public_chain(group, shape):
+    """``embed_group``, ``verify_embedding``, ``integralize`` and
+    ``verify_embedding`` again, as the command line's ``embed --integralize
+    --report`` runs them: the two embeddings, the two reports and the scale."""
+    embedding = embed_group(group, shape)
+    first = verify_embedding(embedding)
+    integral, c = integralize(embedding)
+    return embedding, first, integral, c, verify_embedding(integral)
+
+
+def chain_shapes(name):
+    """The group and two invariant shapes: the average of the identity and
+    that of a form with fractional entries."""
+    group, theta = catalog_with_holonomy(name)
+    n = group.dim
+    a = Matrix([[F(1 + (i * j) % 3, 2 + i + j) for j in range(n)] for i in range(n)])
+    forms = (SymmetricForm.identity(n), SymmetricForm(transpose(a) * a + Matrix.identity(n)))
+    return group, [ShapeDescriptor(group, theta_average(form, theta)) for form in forms]
+
+
+class TestPartsTable:
+    """The per-(form, group) table of each generator's closed-form parts:
+    built once per embedding, read by every leg, and never a source of a
+    verdict on an image."""
+
+    @pytest.mark.parametrize("name", catalog_names())
+    def test_public_chain_builds_it_once(self, name, monkeypatch):
+        # one miss and three hits, and one isometry test per generator
+        # where each of the four legs used to run its own
+        calls = []
+        original = lorentz.preserves_form
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(lorentz, "preserves_form", counted)
+        group, shapes = chain_shapes(name)
+        for shape in shapes:
+            lorentz._parts_table.cache_clear()
+            calls.clear()
+            *_, second = public_chain(group, shape)
+            assert second.overall
+            info = lorentz._parts_table.cache_info()
+            assert (info.misses, info.hits) == (1, 3)
+            assert len(calls) == len(group.generators)
+
+    @pytest.mark.parametrize("name", catalog_names())
+    def test_warm_table_does_not_pass_a_bumped_image(self, name):
+        # entry (0, 0) of every image moved by one, as oracles.bump_conjugate
+        # moves it, is judged on the image, with the table already warm
+        group, shapes = chain_shapes(name)
+        for shape in shapes:
+            lorentz._parts_table.cache_clear()
+            embedding, _, integral, _, _ = public_chain(group, shape)
+            before = lorentz._parts_table.cache_info()
+            for e in (embedding, integral):
+                bump = Matrix.diagonal([1] + [0] * (e.model.ambient_dim - 1))
+                bumped = with_images(e, [m + bump for m in e.images])
+                report = verify_embedding(bumped)
+                assert not any(checks.equivariance for checks in report.per_generator)
+                assert report == ref_verify_embedding(bumped)
+                with pytest.raises(InvariantViolation):
+                    integralize(bumped)
+            after = lorentz._parts_table.cache_info()
+            assert after.misses == before.misses and after.hits == before.hits + 4
+
+    @pytest.mark.parametrize("name", catalog_names())
+    def test_warm_and_cold_agree(self, name):
+        group, shapes = chain_shapes(name)
+        for shape in shapes:
+            lorentz._parts_table.cache_clear()
+            cold = public_chain(group, shape)
+            warm = public_chain(group, shape)
+            integral = lorentz._integral_embedding(group, shape)
+            lorentz._parts_table.cache_clear()
+            assert cold == warm
+            assert integral == lorentz._integral_embedding(group, shape) == cold[2:4]

@@ -68,9 +68,10 @@ _FRACTIONAL_QUARTER_TURN = BieberbachGroup([
     AffineMap(Matrix([[0, F(-1, 2), 0], [2, 0, 0], [0, 0, 1]]), [0, 0, F(1, 4)]),
 ])
 
-# the two refusals of _integral_embedding, as they stand in its source
+# the two refusals of _integral_embedding, as they stand in its source; the
+# isometry verdicts are read off the parts table
 _ISOMETRY_CHECK = """\
-    if not all(preserves_form(g.linear, base) for g in generators):
+    if not all(isometry for _, _, isometry in table):
         raise NotFormIsometry("linear part does not preserve the base form")
 """
 _INTEGRALITY_CHECK = """\
@@ -80,6 +81,46 @@ _INTEGRALITY_CHECK = """\
             "cannot integralize this embedding"
         )
 """
+
+
+def _from_cleared_table(build):
+    """``build()`` with the parts table cleared before and after, so the
+    memo can answer neither from before a mutant nor with its entries
+    after it."""
+    lorentz._parts_table.cache_clear()
+    try:
+        return build()
+    finally:
+        lorentz._parts_table.cache_clear()
+
+
+def _chain_verdict(group, diagonal, integral):
+    """Whether ``verify_embedding`` passes ``embed_group`` at a diagonal
+    form, integralized first when ``integral``, from a cleared table."""
+
+    def build():
+        shape = ShapeDescriptor(group, SymmetricForm.diagonal(diagonal))
+        embedding = lorentz.embed_group(group, shape)
+        if integral:
+            embedding, _ = lorentz.integralize(embedding)
+        return lorentz.verify_embedding(embedding).overall
+
+    return _from_cleared_table(build)
+
+
+def _embed_error(group, diagonal):
+    """The type of the error ``embed_group`` raises for a group at a
+    diagonal form, or None when it returns, from a cleared table."""
+
+    def build():
+        try:
+            lorentz.embed_group(group, ShapeDescriptor(group, SymmetricForm.diagonal(diagonal)))
+        except ValueError as exc:  # every typed error of the package
+            return type(exc)
+        return None
+
+    return _from_cleared_table(build)
+
 
 # (-I, (1/2, 0)) squares to the identity: the norm of <-I> is 0
 _HALF_SHIFTED_HALF_TURN = BieberbachGroup([
@@ -173,6 +214,30 @@ MUTANTS = [
         "lorentz", "_integral_embedding",
         _ISOMETRY_CHECK + _INTEGRALITY_CHECK, _INTEGRALITY_CHECK + _ISOMETRY_CHECK,
         lambda: _integral_embedding_error(_FRACTIONAL_QUARTER_TURN, [1, 1, 1]) is NotFormIsometry,
+    ),
+    Mutant(
+        # torus-1 at [[1]] integralizes at c = 2, where h = 1/2 becomes
+        # c^2 h = 2; at c h = 1 the corner no longer decodes
+        "decode-h-scaled-by-c",
+        "lorentz", "_decodes",
+        "c_num * c_num * h_num, c_den * c_den * h_den", "c_num * h_num, c_den * h_den",
+        lambda: _chain_verdict(catalog("torus-1"), [1], integral=True) is True,
+    ),
+    Mutant(
+        # torus-1 at [[1/3]]: the image has den 6 and t = 1, so the shared
+        # scale is the unreduced (6, 6); k^T A = 1/3 must be read over 6 * 3
+        "decode-kA-without-c-den",
+        "lorentz", "_decodes",
+        "ka_den = c_den * k_den * a.den", "ka_den = k_den * a.den",
+        lambda: _chain_verdict(catalog("torus-1"), [F(1, 3)], integral=False) is True,
+    ),
+    Mutant(
+        # the quarter turn of axes 0 and 1 does not preserve diag(1, 2, 3);
+        # a table that calls every A an isometry embeds it anyway
+        "parts-table-isometry-verdict",
+        "lorentz", "_generator_parts",
+        "isometry = preserves_form(a, model.base_form.matrix)", "isometry = True",
+        lambda: _embed_error(catalog("quarter-turn"), [1, 2, 3]) is NotFormIsometry,
     ),
     Mutant(
         # N = I + h for h = -I is 0, so N t = 0 lies in N L for every t
