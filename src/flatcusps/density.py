@@ -186,11 +186,11 @@ def _pipeline_legs(group: BieberbachGroup, shape: ShapeDescriptor, certify: bool
     """Embed into integer matrices and verify; when asked to certify,
     return the prime.
 
-    :func:`_integral_embedding` is ``integralize(embed_group(...))`` in
-    closed form: it checks the shape, the form and the linear parts as
-    that composition does, and assembles each integral image once, with
-    no rational image built. Decoding the integral images is the
-    independent check of the assembly at the shared scale; a failure
+    :func:`_integral_embedding` is ``integralize(embed_group(...))``
+    with no rational image built: it checks the shape, the form and the
+    linear parts as that composition does, and its images come from the
+    builder ``integralize`` calls, at the shared scale 1. Decoding the
+    integral images is the independent check of the assembly; a failure
     raises ``InvariantViolation``, like every other leg's.
 
     The row's congruence input has the integral images and ``-I`` as
@@ -200,7 +200,8 @@ def _pipeline_legs(group: BieberbachGroup, shape: ShapeDescriptor, certify: bool
     through its degree, the unipotence of its unipotent generators and its
     non-units, certifies it as it does :func:`_degree_certificate`'s input:
 
-    - :func:`_integral_embedding` checks that the images are integral;
+    - :func:`_integral_embedding` assembles the images over denominator 1,
+      so they are integral;
     - :func:`verify_embedding` decides ``A^T B_K A = B_K``, so each image
       ``E`` preserves ``B``, which is nondegenerate, and ``det E = ±1``;
     - ``-I`` has determinant ±1;

@@ -21,16 +21,16 @@ from closed forms and the n-by-n identity ``A^T B_K A = B_K``; a failed
 decode runs them in full on the (n+2)-by-(n+2) matrices.
 Conjugating by the rational hyperbolic element that scales ``v_inf`` by a
 positive integer ``c`` and fixes the complement scales every translation
-by ``c`` and leaves the linear factors alone. On the entries of
-``T(w) R(A)`` that is a closed form: ``w`` and ``k^T A`` are multiplied by
-``c`` and the corner ``h`` by ``c^2``. So :func:`integralize` rescales the
-integer rows of each checked image, and for a suitable smallest ``c`` every
-image lands in integer matrices. :func:`verify_embedding` decodes the
-result against the generators, an independent check of that rescaling.
-A density row never forms the rational images: :func:`_integral_embedding`
-reads ``c`` off each generator's ``t``, ``k^T A`` and ``h``, divides
-``c t``, ``c k^T A`` and ``c^2 h`` out exactly, and assembles
-``T(c t) R(A)`` once from those integers, over denominator 1.
+by ``c`` and leaves the linear factors alone: ``T(w) R(A)`` becomes
+``T(c w) R(A)``. One builder, :func:`_integral_images`, makes those
+images for both entry points. It reads the smallest ``c`` off each
+generator's ``w``, ``k^T A`` and ``h``, divides ``c w``, ``c k^T A`` and
+``c^2 h`` out exactly, and assembles ``T(c w) R(A)`` once from those
+integers, over denominator 1. :func:`integralize` first decodes the given
+images, which fixes ``w = s t`` at one shared scale ``s``; a density row's
+:func:`_integral_embedding` starts from the generators at ``s = 1`` and
+never forms the rational images. :func:`verify_embedding` decodes the
+result against the generators, an independent check of the assembly.
 
 Every leg reads a generator ``(A, t)`` through the same closed-form parts:
 ``k = B_K t``, ``h = B_K(t, t) / 2``, ``k^T A`` and the verdict of
@@ -127,27 +127,18 @@ def _translation_parts(w_num: Sequence[int], w_den: int, model: LorentzModel) ->
 
 
 def _assemble(
-    a: Matrix,
-    w_num: Sequence[int],
-    w_den: int,
-    parts: tuple,
-    ka_num: Optional[Sequence[int]] = None,
+    a: Matrix, w_num: Sequence[int], w_den: int, ka_num: Sequence[int], ka_den: int,
+    h_num: int, h_den: int,
 ) -> Matrix:
     """The entries of ``T(w) R(a)`` for ``w = w_num / w_den``, written out
-    with no matrix product; ``parts`` are ``w``'s :func:`_translation_parts`.
+    with no matrix product, from ``k^T a = ka_num / ka_den`` and
+    ``h = h_num / h_den``, where ``k = B_K w`` and ``h = B_K(w, w) / 2``.
 
-    With ``k = B_K w`` and ``h = B_K(w, w) / 2``: row ``i < n`` is row i of
-    ``a`` followed by ``w_i, -w_i``; rows n and n+1 both start with
-    ``-(k^T a)``; the corner two-by-two block is ``[[1 - h, h], [-h, 1 + h]]``.
-    Every entry is written over one common denominator, and ``w_num / w_den``
-    need not be in lowest terms. A caller that already has ``k^T a`` passes
-    its numerators over ``k_den * den a`` as ``ka_num``; ``k_num`` is then
-    not read.
+    Row ``i < n`` is row i of ``a`` followed by ``w_i, -w_i``; rows n and
+    n+1 both start with ``-(k^T a)``; the corner two-by-two block is
+    ``[[1 - h, h], [-h, 1 + h]]``. Every entry is written over one common
+    denominator, and no fraction need be in lowest terms.
     """
-    k_num, k_den, h_num, h_den = parts
-    if ka_num is None:
-        ka_num = [sum(map(mul, k_num, col)) for col in zip(*a.num)]
-    ka_den = k_den * a.den
     den = math.lcm(a.den, w_den, ka_den, h_den)
     fa, fw, fk = den // a.den, den // w_den, den // ka_den
     h = h_num * (den // h_den)
@@ -170,8 +161,8 @@ def embed_translation(v: Sequence, model: LorentzModel) -> Matrix:
     if len(v) != model.n:
         raise DimensionMismatch(f"expected a vector of length {model.n}, got {len(v)}")
     w = Matrix([v])
-    parts = _translation_parts(w.num[0], w.den, model)
-    return _assemble(Matrix.identity(model.n), w.num[0], w.den, parts)
+    k_num, k_den, h_num, h_den = _translation_parts(w.num[0], w.den, model)
+    return _assemble(Matrix.identity(model.n), w.num[0], w.den, k_num, k_den, h_num, h_den)
 
 
 def embed_affine(g: AffineMap, model: LorentzModel) -> Matrix:
@@ -179,17 +170,15 @@ def embed_affine(g: AffineMap, model: LorentzModel) -> Matrix:
 
     ``R(A) = blockdiag(A, I_2)`` acts as ``A`` on the complement and
     trivially on the null plane; the entries of the product are written
-    out directly. Raises ``NotFormIsometry`` when ``A`` does not preserve
-    the base form.
+    out directly, from the generator's :func:`_generator_parts`, as
+    :func:`embed_group` writes them. Raises ``NotFormIsometry`` when ``A``
+    does not preserve the base form.
     """
     if g.dim != model.n:
         raise DimensionMismatch(
             f"affine map dimension {g.dim} does not match model dimension {model.n}"
         )
-    a = g.linear
-    if not preserves_form(a, model.base_form.matrix):
-        raise NotFormIsometry("linear part does not preserve the base form")
-    return _assemble(a, g.num, g.den, _translation_parts(g.num, g.den, model))
+    return _image(g, _generator_parts(g, model))
 
 
 def _generator_parts(g: AffineMap, model: LorentzModel) -> tuple:
@@ -215,6 +204,16 @@ def _parts_table(model: LorentzModel, group: BieberbachGroup) -> tuple:
     back; no option or environment variable changes the bound.
     """
     return tuple(_generator_parts(g, model) for g in group.generators)
+
+
+def _image(g: AffineMap, entry: tuple) -> Matrix:
+    """``T(t) R(A)`` for the generator ``(A, t)``, assembled from its
+    :func:`_generator_parts` ``entry``; ``NotFormIsometry`` when ``A`` does
+    not preserve the base form."""
+    (_, k_den, h_num, h_den), ka_num, isometry = entry
+    if not isometry:
+        raise NotFormIsometry("linear part does not preserve the base form")
+    return _assemble(g.linear, g.num, g.den, ka_num, k_den * g.linear.den, h_num, h_den)
 
 
 class LorentzEmbedding(Frozen):
@@ -250,11 +249,7 @@ def embed_group(group: BieberbachGroup, shape: ShapeDescriptor) -> LorentzEmbedd
     if shape.group != group:
         raise DimensionMismatch("shape was built for a different group")
     model = LorentzModel(shape.form)
-    images = []
-    for g, (parts, ka_num, isometry) in zip(group.generators, _parts_table(model, group)):
-        if not isometry:
-            raise NotFormIsometry("linear part does not preserve the base form")
-        images.append(_assemble(g.linear, g.num, g.den, parts, ka_num))
+    images = [_image(g, entry) for g, entry in zip(group.generators, _parts_table(model, group))]
     return LorentzEmbedding(model, group, images)
 
 
@@ -285,7 +280,8 @@ def _decodes(
     denominators, and no matrix is built. ``w`` is ``c_num`` times the
     numerators of ``t`` over ``c_den`` times their denominator, not reduced.
     A canonical image whose upper-left block is ``A`` has ``den A`` dividing
-    its denominator, so that block is one tuple comparison per row.
+    its denominator, so that block is one tuple comparison per row; ``A``'s
+    rows are rescaled only when the two denominators differ.
 
     ``entry`` is the generator's :func:`_generator_parts`, computed here
     when not given. Its ``k^T A`` and ``h`` are those of ``t``; at ``c t``
@@ -311,28 +307,15 @@ def _decodes(
     if any(x * ka_den != -scaled * y for x, y in zip(top, ka_num)):
         return False
     f = den // a.den
-    return all(row[:n] == tuple(f * x for x in row_a) for row, row_a in zip(num, a.num))
+    return all(
+        row[:n] == (row_a if f == 1 else tuple(f * x for x in row_a))
+        for row, row_a in zip(num, a.num)
+    )
 
 
 # ---------------------------------------------------------------------------
 # Integralization by hyperbolic conjugation
 # ---------------------------------------------------------------------------
-
-
-def _conjugate(image: Matrix, n: int, c: int) -> Matrix:
-    """``H_c E H_c^{-1}`` for an image ``E = T(w) R(A)``, on its integer rows.
-
-    The conjugate is ``T(c w) R(A)``: the entries of :func:`_assemble` at
-    ``c w``. ``A`` stays; ``w`` in rows ``< n`` of columns n and n+1 and
-    ``-(k^T A)`` in rows n and n+1 of columns ``< n`` are multiplied by
-    ``c``; the corner ``h = E[n, n+1]`` becomes ``c^2 h``.
-    """
-    num, den = image.num, image.den
-    h = c * c * num[n][n + 1]
-    rows = [row[:n] + (c * row[n], c * row[n + 1]) for row in num[:n]]
-    rows.append(tuple(c * x for x in num[n][:n]) + (den - h, h))
-    rows.append(tuple(c * x for x in num[n + 1][:n]) + (-h, den + h))
-    return Matrix.from_integer_rows(tuple(rows), den)
 
 
 def integralize(embedding: LorentzEmbedding) -> tuple[LorentzEmbedding, int]:
@@ -343,48 +326,34 @@ def integralize(embedding: LorentzEmbedding) -> tuple[LorentzEmbedding, int]:
     entries. ``H_c`` is the B-isometry that scales ``v_inf`` by ``c`` (and
     ``v_0`` by ``1/c``) and fixes the complement, so it commutes with each
     linear factor ``R(A)`` and scales each translation log by ``c``:
-    ``H_c T(t) R(A) H_c^{-1} = T(c t) R(A)``. The conjugation is therefore
-    a closed form on the integer rows of each image (:func:`_conjugate`):
-    ``w`` and ``k^T A`` are multiplied by ``c`` and the corner ``h`` by
-    ``c^2``, with no re-assembly from the generators. Group relations are
+    ``H_c T(t) R(A) H_c^{-1} = T(c t) R(A)``. Group relations are
     untouched (conjugation is an automorphism), the model form is
     preserved exactly, and all verification checks survive; decoding the
-    result with :func:`verify_embedding` checks the rescaling
-    independently. Returns the conjugated embedding and ``c``; an already
-    integral embedding comes back unchanged with scale 1.
+    result with :func:`verify_embedding` checks it independently. Returns
+    the conjugated embedding and ``c``; an already integral embedding comes
+    back unchanged with scale 1.
 
     Images are decoded as :func:`verify_embedding` decodes them, at the
-    shared scale ``c0 = E[j, n] / t_j``: each must be ``T(c0 t) R(A)`` for
-    its generator ``(A, t)``, with one ``c0 > 0`` for all of them, and the
-    result is ``T(c c0 t) R(A)``. Write ``w`` for ``c0 t``. Once
-    ``A`` is checked to be integral (and so unimodular, being a
-    ``B_K``-isometry of determinant ``±1``), ``c`` is read off the image
-    itself. The entries of ``T(c w) R(A)`` outside ``A`` are ``c w_i``
-    (rows ``< n`` of column n), ``-c (k^T A)_j`` (row n, columns ``< n``)
-    and ``c^2 h`` in the corner, which occupy disjoint positions, so no
-    cancellation between them is possible. Since ``A`` and ``A^{-1}`` are
-    integral, ``k^T A`` has the same denominators as ``k``. So ``c`` must
-    be a multiple of ``L``, the lcm of the denominators of every ``w`` and
-    ``k^T A``. Once ``c w`` and ``c k`` are integral, ``c^2 h`` lies in
-    ``Z/2``, being ``(c w)^T (c k) / 2``: the smallest scale is ``L`` when
-    every ``L^2 h`` is an integer, and ``2 L`` otherwise (an odd multiple
-    of ``L`` leaves the half, and ``(2 L)^2 h`` is four times a half).
+    shared scale ``s = E[j, n] / t_j``: each must be ``T(s t) R(A)`` for its
+    generator ``(A, t)``, with one ``s > 0`` for all of them. The result
+    ``T(c s t) R(A)`` is then assembled from the generators' parts by
+    :func:`_integral_images` at ``s``, which chooses ``c``, as it does for
+    a density row at ``s = 1``.
 
     Raises ``NotFormIsometry`` when an ``A`` does not preserve ``B_K``,
     ``InvariantViolation`` when an image does not decode (rescaling would
-    then not be a conjugation) and ``ValueError`` when an ``A`` is fractional.
-    The isometry verdicts, and the parts each decode scales, come from
-    :func:`_parts_table` for the embedding's form and group, which the
-    embedding and its verification have usually filled already; the table
-    never reads an image, so every image is still decoded here.
+    then not be a conjugation) and ``ValueError`` when an ``A`` is
+    fractional; every image is decoded before any ``A`` is tested for
+    integrality. The isometry verdicts, and the parts each decode scales,
+    come from :func:`_parts_table` for the embedding's form and group,
+    which the embedding and its verification have usually filled already;
+    the table never reads an image, so every image is still decoded here.
     """
     model = embedding.model
-    n = model.n
     generators = embedding.group.generators
-    images = embedding.images
+    table = _parts_table(model, embedding.group)
     scale = _shared_scale(embedding)
-    c = 1
-    for g, image, entry in zip(generators, images, _parts_table(model, embedding.group)):
+    for g, image, entry in zip(generators, embedding.images, table):
         if not entry[2]:  # the verdict of A^T B_K A = B_K
             raise NotFormIsometry("linear part does not preserve the base form")
         if scale[0] <= 0 or not _decodes(image, g, scale, model, entry):
@@ -392,70 +361,75 @@ def integralize(embedding: LorentzEmbedding) -> tuple[LorentzEmbedding, int]:
                 "an image is not the embedding of its generator; "
                 "rescaling translations would not be a conjugation"
             )
-        if not g.linear.is_integral():
-            raise ValueError(
-                "a linear factor has fractional entries; hyperbolic conjugation "
-                "cannot integralize this embedding"
-            )
-        num, den = image.num, image.den
-        c = math.lcm(c, *(den // math.gcd(den, num[i][n], num[n][i]) for i in range(n)))
-    if any(c * c * image.num[n][n + 1] % image.den for image in images):
-        c *= 2
+    images, c = _integral_images(generators, table, scale)
     if c > 1:
-        images = [_conjugate(image, n, c) for image in images]
         embedding = LorentzEmbedding(model, embedding.group, images)
-    if not all(m.is_integral() for m in embedding.images):
-        raise InvariantViolation("integralized images have fractional entries")
     return embedding, c
 
 
 def _integral_embedding(
     group: BieberbachGroup, shape: ShapeDescriptor
 ) -> tuple[LorentzEmbedding, int]:
-    """``integralize(embed_group(group, shape))`` in closed form, with no
-    rational image built.
-
-    The checks and errors are those of the composition, in its order: the
-    shape's group, the definiteness of its form, every linear part
-    preserving it, then every linear part integral. ``c`` is read off the
-    parts of each generator ``(A, t)`` instead of off its image: the lcm of
-    the denominators of ``t`` and ``k^T A`` (``k = B_K t``), doubled when
-    some ``c^2 h`` is not an integer (see :func:`integralize`). Each image
-    is then assembled once, as ``T(c t) R(A)``, from integer parts over
-    denominator 1: ``c t``, ``c k^T A`` and ``c^2 h`` are divided out
-    exactly (``A`` is unimodular, so ``k^T A`` has the denominator of
-    ``k``), and a remainder raises ``InvariantViolation``. The parts and the
-    isometry verdicts are the group's :func:`_parts_table`, which the
-    verification of the result then reads again; ``k^T A`` is formed there
-    once per generator and only scaled here.
-    """
+    """``integralize(embed_group(group, shape))``, with no rational image
+    built: the same checks and errors, in the same order (the shape's
+    group, the definiteness of its form, every linear part preserving it,
+    then every linear part integral), and the images of
+    :func:`_integral_images` at the shared scale 1 of :func:`embed_group`
+    output."""
     if shape.group != group:
         raise DimensionMismatch("shape was built for a different group")
     model = LorentzModel(shape.form)
-    generators = group.generators
     table = _parts_table(model, group)
     if not all(isometry for _, _, isometry in table):
         raise NotFormIsometry("linear part does not preserve the base form")
+    images, c = _integral_images(group.generators, table, (1, 1))
+    return LorentzEmbedding(model, group, images), c
+
+
+def _integral_images(
+    generators: Sequence[AffineMap], table: tuple, scale: tuple[int, int]
+) -> tuple[list[Matrix], int]:
+    """``T(c s t) R(A)`` for each generator ``(A, t)``, assembled over
+    denominator 1, and the smallest positive integer ``c`` that makes them
+    integral, at the shared scale ``s = s_num / s_den`` (both positive, not
+    reduced); ``table`` is the generators' :func:`_parts_table`.
+
+    Write ``w = s t``: the table's ``k^T A`` and ``h`` at ``t`` are
+    ``s k^T A`` and ``s^2 h`` at ``w``. A fractional ``A`` raises
+    ``ValueError``; an integral one is unimodular (a ``B_K``-isometry of
+    determinant ``±1``), so ``k^T A`` has the denominators of ``k``. The
+    entries of ``T(c w) R(A)`` outside ``A`` are ``c w``, ``-c k^T A`` and
+    ``c^2 h``, in disjoint positions, so ``c`` is a multiple of ``L``, the
+    lcm of the denominators of every ``w`` and ``k^T A``. Then
+    ``c^2 h = (c w)^T (c k) / 2`` lies in ``Z/2``: the smallest scale is
+    ``L`` when every ``L^2 h`` is an integer, and ``2 L`` otherwise (an odd
+    multiple of ``L`` leaves the half, and ``(2 L)^2 h`` is four times a
+    half). The integers ``c w``, ``c k^T A`` and ``c^2 h`` are divided out
+    exactly, and a remainder raises ``InvariantViolation``.
+    """
     if not all(g.linear.is_integral() for g in generators):
         raise ValueError(
             "a linear factor has fractional entries; hyperbolic conjugation "
             "cannot integralize this embedding"
         )
-    # every A is integral, so k^T A is over k_den
+    s_num, s_den = scale
+    # every A is integral, so k^T A is over k_den; gcd(d, s x_1, ..., s x_n)
+    # is gcd(d, s gcd(x_1, ..., x_n))
     c = 1
     for g, ((_, k_den, _, _), ka_num, _) in zip(generators, table):
-        c = math.lcm(c, g.den // math.gcd(g.den, *g.num), k_den // math.gcd(k_den, *ka_num))
-    if any(c * c * h_num % h_den for (_, _, h_num, h_den), _, _ in table):
+        w_den, ka_den = s_den * g.den, s_den * k_den
+        w_gcd, ka_gcd = s_num * math.gcd(*g.num), s_num * math.gcd(*ka_num)
+        c = math.lcm(c, w_den // math.gcd(w_den, w_gcd), ka_den // math.gcd(ka_den, ka_gcd))
+    if any((c * s_num) ** 2 * h % (s_den * s_den * h_den) for (_, _, h, h_den), _, _ in table):
         c *= 2
-    # at w = c t: k^T A is c k^T A and h is c^2 h, each an integer here; k
-    # itself is not read once k^T A is given
+    cs = c * s_num
     images = []
     for g, ((_, k_den, h_num, h_den), ka_num, _) in zip(generators, table):
-        w = _quotients([c * x for x in g.num], g.den)
-        ka = _quotients([c * x for x in ka_num], k_den)
-        [h] = _quotients([c * c * h_num], h_den)
-        images.append(_assemble(g.linear, w, 1, (None, 1, h, 1), ka))
-    return LorentzEmbedding(model, group, images), c
+        w = _quotients([cs * x for x in g.num], s_den * g.den)
+        ka = _quotients([cs * x for x in ka_num], s_den * k_den)
+        [h] = _quotients([cs * cs * h_num], s_den * s_den * h_den)
+        images.append(_assemble(g.linear, w, 1, ka, 1, h, 1))
+    return images, c
 
 
 def _quotients(values: Sequence[int], den: int) -> list[int]:

@@ -919,17 +919,19 @@ def bump_conjugate(monkeypatch) -> None:
     monkeypatch.setattr(density, "_integral_embedding", bumped)
 
 
-def assembled_denominators(monkeypatch, group: BieberbachGroup, shape: ShapeDescriptor) -> list:
-    """The denominators ``lorentz._integral_embedding(group, shape)`` passes
-    to ``Matrix.from_integer_rows``, one per matrix it builds, in order."""
+def assembled_denominators(monkeypatch, *args, build=None) -> list:
+    """The denominators ``build(*args)`` passes to ``Matrix.from_integer_rows``,
+    one per matrix it builds, in order; by default ``build`` is
+    ``lorentz._integral_embedding`` and ``args`` are a group and a shape."""
+    build = build or lorentz._integral_embedding
     dens = []
-    build = Matrix.from_integer_rows.__func__
+    from_integer_rows = Matrix.from_integer_rows.__func__
 
     def spy(cls, num, den):
         dens.append(den)
-        return build(cls, num, den)
+        return from_integer_rows(cls, num, den)
 
     with monkeypatch.context() as patch:
         patch.setattr(Matrix, "from_integer_rows", classmethod(spy))
-        lorentz._integral_embedding(group, shape)
+        build(*args)
     return dens

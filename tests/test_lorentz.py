@@ -489,8 +489,8 @@ class TestIntegralize:
 
     @pytest.mark.parametrize("index, name", list(enumerate(catalog_names())))
     def test_closed_form_matches_assembly(self, index, name):
-        # the rescaled integer rows are the images assembled at c c0 t, for
-        # the plain embedding (c0 = 1) and uniformly rescaled ones
+        # the integralized images are the products T(c c0 t) R(A), for the
+        # plain embedding (c0 = 1) and uniformly rescaled ones
         group, theta = catalog_with_holonomy(name)
         n = group.dim
         generators = [(g.linear, g.translation) for g in group.generators]
@@ -502,15 +502,25 @@ class TestIntegralize:
                     for a, t in generators
                 ]
                 result, c = integralize(LorentzEmbedding(model, group, images))
-                # c c0 t as one integer row over its denominator
-                scaled = [Matrix([[c * c0 * x for x in t]]) for _, t in generators]
                 assert list(result.images) == [
-                    lorentz._assemble(
-                        a, w.num[0], w.den, lorentz._translation_parts(w.num[0], w.den, model)
-                    )
-                    for (a, _), w in zip(generators, scaled)
+                    product_embed_affine(AffineMap(a, [c * c0 * x for x in t]), model)
+                    for a, t in generators
                 ], (name, c0)
                 assert all(m.is_integral() for m in result.images)
+
+    def test_undecodable_image_outranks_fractional_linear_part(self):
+        # generator 0 has a fractional A and decodes; image 2 is the image of
+        # generator 1, so it does not decode. Every image is decoded before
+        # any A is tested for integrality, so the decode's error is raised
+        model = LorentzModel(SymmetricForm.diagonal([4, 1]))
+        images = [product_embed_affine(g, model) for g in FRACTIONAL.generators]
+        assert raised(integralize, LorentzEmbedding(model, FRACTIONAL, images))[0] is ValueError
+        repeated = LorentzEmbedding(model, FRACTIONAL, [images[0], images[1], images[1]])
+        assert raised(integralize, repeated) == (
+            InvariantViolation,
+            "an image is not the embedding of its generator; "
+            "rescaling translations would not be a conjugation",
+        )
 
     def test_negative_shared_scale_rejected(self):
         # T(-t) R(A) decodes at the shared scale -1, which verify_embedding
@@ -682,17 +692,24 @@ class TestIntegralEmbedding:
         # c t, c k and c^2 h are divided out before the assembly, so each
         # image is built over denominator 1 with no gcd to take; a form with
         # fractional entries and the average of the identity, which leaves
-        # a half in h for every nonzero translation
+        # a half in h for every nonzero translation. integralize builds its
+        # images the same way, at the shared scale 1 of embed_group output
+        # and at 3/2
         group, theta = catalog_with_holonomy(name)
         n = group.dim
+        ones = [1] * len(group.generators)
         a = Matrix([[F(1 + (i * j) % 3, 2 + i + j) for j in range(n)] for i in range(n)])
         for form in (
             theta_average(SymmetricForm.identity(n), theta),
             theta_average(SymmetricForm(transpose(a) * a + Matrix.identity(n)), theta),
         ):
             shape = ShapeDescriptor(group, form)
-            assert assembled_denominators(monkeypatch, group, shape) == [1] * len(group.generators)
-            assert lorentz._integral_embedding(group, shape) == integralize(embed_group(group, shape))
+            assert assembled_denominators(monkeypatch, group, shape) == ones
+            embedding = embed_group(group, shape)
+            assert assembled_denominators(monkeypatch, embedding, build=integralize) == ones
+            assert lorentz._integral_embedding(group, shape) == integralize(embedding)
+        scaled = scaled_embedding(name, [F(3, 2)] * len(group.generators))
+        assert assembled_denominators(monkeypatch, scaled, build=integralize) == ones
 
     @pytest.mark.parametrize(
         "group, shape",

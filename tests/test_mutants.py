@@ -68,19 +68,49 @@ _FRACTIONAL_QUARTER_TURN = BieberbachGroup([
     AffineMap(Matrix([[0, F(-1, 2), 0], [2, 0, 0], [0, 0, 1]]), [0, 0, F(1, 4)]),
 ])
 
-# the two refusals of _integral_embedding, as they stand in its source; the
-# isometry verdicts are read off the parts table
+# the isometry refusal of _integral_embedding and its call of the builder,
+# whose first check refuses a fractional linear part, as they stand in its
+# source; the isometry verdicts are read off the parts table
 _ISOMETRY_CHECK = """\
     if not all(isometry for _, _, isometry in table):
         raise NotFormIsometry("linear part does not preserve the base form")
 """
-_INTEGRALITY_CHECK = """\
-    if not all(g.linear.is_integral() for g in generators):
-        raise ValueError(
-            "a linear factor has fractional entries; hyperbolic conjugation "
-            "cannot integralize this embedding"
-        )
+_BUILD = """\
+    images, c = _integral_images(group.generators, table, (1, 1))
 """
+
+
+def _entry_points_return(group, diagonal):
+    """Whether ``_integral_embedding`` and ``integralize(embed_group(...))``
+    each return, rather than raise a typed error, for a group at a diagonal
+    form."""
+    shape = ShapeDescriptor(group, SymmetricForm.diagonal(diagonal))
+
+    def returns(build):
+        try:
+            build()
+        except ValueError:  # every typed error of the package
+            return False
+        return True
+
+    return (
+        returns(lambda: lorentz._integral_embedding(group, shape)),
+        returns(lambda: lorentz.integralize(lorentz.embed_group(group, shape))),
+    )
+
+
+def _scaled_integralize_error(factor):
+    """The type of the error ``integralize`` raises for the torus-1 image
+    ``T(factor)`` at the form [[1]], or None when it returns: the shared
+    scale is ``factor``, not 1."""
+    group = catalog("torus-1")
+    model = lorentz.LorentzModel(SymmetricForm.identity(1))
+    image = lorentz.embed_affine(AffineMap.translation_by([factor]), model)
+    try:
+        lorentz.integralize(lorentz.LorentzEmbedding(model, group, [image]))
+    except ValueError as exc:  # every typed error of the package
+        return type(exc)
+    return None
 
 
 def _from_cleared_table(build):
@@ -188,22 +218,24 @@ MUTANTS = [
         ) is True,
     ),
     Mutant(
-        # torus-1 at the form [[1]]: h = 1/2 at c = 1, so c doubles to 2
+        # torus-1 at the form [[1]]: h = 1/2 at c = 1, so c doubles to 2.
+        # The mutant is killed only when both entry points fail under it,
+        # which they do because they share one rule
         "integral-embedding-no-doubling",
-        "lorentz", "_integral_embedding",
+        "lorentz", "_integral_images",
         "c *= 2", "c *= 1",
-        lambda: _integral_embedding_error(catalog("torus-1"), [1]) is None,
+        lambda: _entry_points_return(catalog("torus-1"), [1]) != (False, False),
     ),
     Mutant(
         # torus-1 at [[1/3]]: k^T A = 1/3 asks for c = 3 before the doubling
         "integral-embedding-scale-without-kA",
-        "lorentz", "_integral_embedding",
-        "k_den // math.gcd(k_den, *ka_num)", "1",
+        "lorentz", "_integral_images",
+        "ka_den // math.gcd(ka_den, ka_gcd)", "1",
         lambda: _integral_embedding_error(catalog("torus-1"), [F(1, 3)]) is None,
     ),
     Mutant(
         "integral-embedding-no-fractional-check",
-        "lorentz", "_integral_embedding",
+        "lorentz", "_integral_images",
         "if not all(g.linear.is_integral() for g in generators):", "if False:",
         lambda: _integral_embedding_error(_FRACTIONAL_QUARTER_TURN, [4, 1, 1]) is ValueError,
     ),
@@ -212,8 +244,17 @@ MUTANTS = [
         # check comes first, as in integralize(embed_group(...))
         "integral-embedding-checks-out-of-order",
         "lorentz", "_integral_embedding",
-        _ISOMETRY_CHECK + _INTEGRALITY_CHECK, _INTEGRALITY_CHECK + _ISOMETRY_CHECK,
+        _ISOMETRY_CHECK + _BUILD, _BUILD + _ISOMETRY_CHECK,
         lambda: _integral_embedding_error(_FRACTIONAL_QUARTER_TURN, [1, 1, 1]) is NotFormIsometry,
+    ),
+    Mutant(
+        # T(3/2) at [[1]] has the shared scale 3/2 (unreduced, 12/8): c is 4,
+        # but read over the denominators of t and k^T A alone it is 2, where
+        # (2 s)^2 h = 9/2 leaves a remainder
+        "integral-images-scale-without-s-den",
+        "lorentz", "_integral_images",
+        "w_den, ka_den = s_den * g.den, s_den * k_den", "w_den, ka_den = g.den, k_den",
+        lambda: _scaled_integralize_error(F(3, 2)) is None,
     ),
     Mutant(
         # torus-1 at [[1]] integralizes at c = 2, where h = 1/2 becomes
