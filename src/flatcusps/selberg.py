@@ -44,9 +44,11 @@ REASON_SMALL_CHARACTERISTIC = "small-characteristic"
 REASON_COEFFICIENT_DIVISOR = "coefficient-divisor"
 REASON_DENOMINATOR = "denominator"
 
-#: Most elements :func:`verify_certificate` enumerates: the word ball grows
-#: exponentially with the word length (length 3 on the catalog groups'
-#: integral embeddings stays below 200 elements).
+#: Most distinct elements the ball of :func:`verify_certificate` may hold: the
+#: ball grows exponentially with the word length (length 3 on the catalog
+#: groups' integral embeddings stays below 200 elements). It counts the whole
+#: ball, though the verifier judges only the words that start at their least
+#: letter when a bound on the ball fits it, so it refuses the same balls.
 MAX_WORD_BALL = 20_000
 
 
@@ -311,11 +313,17 @@ def good_prime(group_input: MatrixGroupInput) -> SelbergCertificate:
     prime at which :func:`bad_primes` stopped, and records the residue
     evidence that each cyclotomic factor ``Phi_d``, ``1 < d``,
     ``phi(d) <= n``, stays distinct from ``(t-1)^phi(d)`` modulo that
-    prime. Factorization in ``F_q[t]`` is unique, so no torsion polynomial
-    collapses onto ``(t-1)^n`` either. Reduction modulo the certified prime
-    therefore separates the unipotent subgroup from all nontrivial
-    torsion, so its congruence preimage is torsion free, has finite index,
-    and contains the unipotent subgroup.
+    prime. The prime is not checked again here, since no check could
+    fail: the walk passes over every prime at most ``n + 1``, exactly the
+    primes modulo which some factor collapses, and every prime dividing an
+    integer of :meth:`MatrixGroupInput.denominators`, so the prime it stops
+    at is above ``n + 1`` and a unit for the group (the evidence records
+    the distinct residues, and :func:`verify_certificate` re-checks the
+    conclusion on demand). Factorization in ``F_q[t]`` is unique, so no
+    torsion polynomial collapses onto ``(t-1)^n`` either. Reduction modulo
+    the certified prime therefore separates the unipotent subgroup from all
+    nontrivial torsion, so its congruence preimage is torsion free, has
+    finite index, and contains the unipotent subgroup.
     """
     n = group_input.n
     for m in group_input.gamma_gens:
@@ -326,12 +334,7 @@ def good_prime(group_input: MatrixGroupInput) -> SelbergCertificate:
             )
     bad = bad_primes(group_input)
     q = next(filter(is_prime, count(max(bad, default=1) + 1)))  # where the walk stopped
-    evidence = _residue_evidence(n, q)
-    if not all(e.distinct for e in evidence):
-        raise InvariantViolation(f"a cyclotomic factor collapses modulo {q}")
-    if q <= n or any(d % q == 0 for d in group_input.denominators()):
-        raise InvariantViolation(f"prime {q} is small or divides a denominator")
-    return SelbergCertificate(n, q, _cyclotomic_factors(n), bad, evidence)
+    return SelbergCertificate(n, q, _cyclotomic_factors(n), bad, _residue_evidence(n, q))
 
 
 def verify_certificate(
@@ -341,15 +344,36 @@ def verify_certificate(
 ) -> bool:
     """Brute-force falsifier for a certificate.
 
-    Enumerates all products of the ambient generators and their stored
+    Enumerates the products of the ambient generators and their stored
     inverses (none is computed here) up to the given word length L, breadth
-    first over the distinct letters other than ``-I``; a word never appends
-    the letter that cancels its last one, since that product is already in
-    the ball. ``-I`` is central and its own inverse, so it adds only the
-    negations of the words of length below L. q is refused up front unless it is a unit in every
-    generator and inverse, so it is prime to every denominator the verifier
-    meets: that of each ball element, of each shell product ``D`` below and
-    of each characteristic polynomial. Each element E is then judged by its
+    first over the distinct letters other than ``-I``, in a fixed order; a
+    word never appends the letter that cancels its last one, since that
+    product is already in the ball. ``-I`` is central and its own inverse,
+    so it adds only the negations of the words of length below L.
+
+    One word per rotation class is judged. A counterexample is a property
+    of a conjugacy class (conjugates share their characteristic polynomial
+    and their order), and ``a_1 ... a_l`` is conjugate by ``a_1`` to
+    ``a_2 ... a_l a_1``, so each word appends only letters no smaller than
+    its first. That is sound under the dedup by value, which keeps each
+    element's first word in length-then-letter order: in each conjugacy
+    class that meets the ball, take the elements of least length, and among
+    them the one whose first word c is least. c starts at its least letter,
+    or its rotation to that letter would be a word no longer than c of a
+    conjugate, and smaller. Every prefix of c is the first word of its
+    value and starts at its least letter too, so the search keeps each
+    prefix in turn and reaches c. An emptied frontier then means that every
+    longer word is conjugate to one already judged. The cap stays exact:
+    with k letters, at most ``B(L) = 1 + sum_{1<=l<=L} k (k-1)^(l-1)``
+    words have length at most L, and the words are pruned only when
+    ``B(L)``, plus ``B(L-1)`` negations with ``-I``, fits ``MAX_WORD_BALL``,
+    so that nothing is refused; otherwise every letter is appended, and the
+    search forms, counts and judges the whole ball.
+
+    q is refused up front unless it is a unit in every generator and
+    inverse, so it is prime to every denominator the verifier meets: that
+    of each ball element, of each shell product ``D`` below and of each
+    characteristic polynomial. Each element E is then judged by its
     characteristic polynomial ``det(tI - E)`` modulo q:
 
     - *Trace screen.* Its coefficient ``n-1`` is ``-tr E``, and E passes
@@ -420,7 +444,18 @@ def verify_certificate(
         inverse[m], inverse[m_inverse] = m_inverse, m
     negates = inverse.pop(-identity, None) is not None
     letters = list(inverse)
+    k = len(letters)
     cancel = [letters.index(inverse[g]) for g in letters]
+
+    # B(L), plus B(L-1) with -I: while the bound fits the cap, each word
+    # starts at its least letter.
+    bound, size = (2 if negates and word_length else 1), 1
+    for length in range(1, word_length + 1):
+        size *= k if length == 1 else k - 1
+        bound += size * (2 if negates and length < word_length else 1)
+        if not size or bound > MAX_WORD_BALL:
+            break
+    lead = bound <= MAX_WORD_BALL
 
     def fits(extra: int = 0) -> bool:  # whether the ball and `extra` more elements fit the cap
         nonlocal ball
@@ -460,38 +495,41 @@ def verify_certificate(
     negated = []  # with -I, the words of length below L, whose negations are in the ball
     ball = None  # the words and those negations as one set, formed only near the cap
     outer = []  # the words of length L, when formed: none is negated
-    frontier = [(identity, -1)]  # (word, index of the letter undoing its last)
+    # (word, index of the letter undoing its last, of the first letter it may append)
+    frontier = [(identity, -1, 0)]
     for length in range(word_length):
         if not frontier:
-            break  # the ball has stopped growing: the group is finite
+            break  # every longer word is conjugate to one already judged
         if negates:
-            level = [w for w, _ in frontier]
+            level = [w for w, _, _ in frontier]
             negated += level
             admit(map(neg, level))
-        if 0 < length == word_length - 1 and fits(len(frontier) * len(letters)):
+        if 0 < length == word_length - 1 and fits(len(frontier) * k):
             break  # the ball fits, as if every shell pair were new: the shell is judged unformed
         fresh = []
-        for w, undo in frontier:
-            for i, g in enumerate(letters):
+        for w, undo, first in frontier:
+            for i in range(first, k):
                 if i == undo:
                     continue
-                element = w * g if length else g  # words of length one are letters
+                element = w * letters[i] if length else letters[i]  # length one: the letters
                 if element not in words:
                     words.add(element)
                     admit((element,))
-                    fresh.append((element, cancel[i]))
+                    fresh.append((element, cancel[i], first if length else (i if lead else 0)))
         frontier = fresh
     else:
-        outer, frontier = [w for w, _ in frontier], []  # every level is formed: no shell is left
+        outer, frontier = [w for w, _, _ in frontier], []  # every level is formed: no shell is left
     plain = outer if negates else words  # the words whose negations are not in the ball
     if not (all(passes(w, True) for w in negated) and all(map(passes, plain))):
         return False
-    columns = [(g, sum(zip(*g.num), ())) for g in letters]  # G flattened column-major
-    extend = [columns[:i] + columns[i + 1 :] for i in range(len(letters))]  # all but undo
-    for w, undo in frontier:  # the shell: D tr(wg) = sum W_ik G_ki, D = den w den g
+    columns = [sum(zip(*g.num), ()) for g in letters]  # G flattened column-major
+    for w, undo, first in frontier:  # the shell: D tr(wg) = sum W_ik G_ki, D = den w den g
         flat = sum(w.num, ())
-        for g, column in extend[undo]:
+        for i in range(first, k):
+            if i == undo:
+                continue
+            g = letters[i]
             den = w.den * g.den
-            if not cleared(sum(map(mul, flat, column)) - n * den) and not passes(w * g):
+            if not cleared(sum(map(mul, flat, columns[i])) - n * den) and not passes(w * g):
                 return False  # an uncleared pair, formed and judged in full
     return True

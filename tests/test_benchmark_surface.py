@@ -27,7 +27,7 @@ from flatcusps import (
 )
 
 from test_acceptance import ACCEPTANCE_SHA256
-from test_cli import EMBED_ANCHOR_SHA256
+from test_cli import EMBED_ANCHOR_SHA256, SELBERG_ANCHOR_SHA256
 from test_density import SIXTH_TURN_SHA256
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -108,7 +108,7 @@ def test_anchor_digests_match_the_tests():
     digests = [re.search(r'echo "([0-9a-f]{64})  \S+" \| sha256sum --check', line) for line in checks]
     assert all(digests), checks
     assert sorted(d.group(1) for d in digests) == sorted(
-        [ACCEPTANCE_SHA256, SIXTH_TURN_SHA256, EMBED_ANCHOR_SHA256]
+        [ACCEPTANCE_SHA256, SIXTH_TURN_SHA256, EMBED_ANCHOR_SHA256, SELBERG_ANCHOR_SHA256]
     )
     workloads = (PERFBENCH / "workloads.py").read_text(encoding="utf-8")
     assert re.findall(r'^DENSITY_SHA256 = "(\w+)"$', workloads, re.M) == [ACCEPTANCE_SHA256]

@@ -324,6 +324,32 @@ def test_embed_anchor(tmp_path, capsys):
     assert hashlib.sha256("".join(out).encode()).hexdigest() == EMBED_ANCHOR_SHA256
 
 
+# CI's certificate verifier anchor: README's worked example at K = 6, and
+# torus-3's integral embedding at K = 4, where the words start at their least
+# letter, and at K = 6, where the bound on its ball passes the cap and the
+# whole ball is searched
+SELBERG_ANCHOR_SHA256 = "15699ea4698caf2e78def689ba4a1c9f224302386c29e9134bb46b778092f3c8"
+
+
+def test_selberg_anchor(tmp_path, capsys):
+    # the output of the commands CI runs, concatenated as CI writes it
+    form = tmp_path / "id3.json"
+    form.write_text(EMBED_ANCHOR_FORMS["id3.json"] + "\n", encoding="utf-8")
+    assert main(["embed", "-g", "torus-3", "-f", str(form), "--integralize"]) == 0
+    images = json.loads(capsys.readouterr().out)["embedding"]["images"]
+    torus = write_json(tmp_path / "t3lam.json", {"n": len(images[0]), "generators": images})
+    # six letters: B(4) = 937 words fit the cap, B(6) = 23,437 do not
+    bound = [1 + sum(6 * 5 ** (l - 1) for l in range(1, k + 1)) for k in (4, 6)]
+    assert bound == [937, 23437] and bound[0] <= selberg.MAX_WORD_BALL < bound[1]
+    lam, gam = worked_example_files(tmp_path)
+    out = []
+    for args in ((lam, gam, "6"), (torus, torus, "4"), (torus, torus, "6")):
+        assert main(["selberg", "-l", args[0], "-u", args[1], "--verify-words", args[2]]) == 0
+        out.append(capsys.readouterr().out)
+    assert [json.loads(text)["verified"] for text in out] == [True] * 3
+    assert hashlib.sha256("".join(out).encode()).hexdigest() == SELBERG_ANCHOR_SHA256
+
+
 class TestEmbed:
     def test_report_all_true(self, torus2_file, id2_form_file, capsys):
         assert main(["embed", "-g", torus2_file, "-f", id2_form_file, "--report"]) == 0

@@ -49,6 +49,28 @@ def _verdict(generators, q, length):
 # an order-3 rotation conjugated by diag(2, 1): den 2, and 2 = -1 modulo 3
 _ROTATION_OVER_TWO = Matrix([[0, -2], [F(1, 2), -1]])
 
+# r has order 6 and does not collapse modulo 3, but r^2 (Phi_3 = (t - 1)^2
+# modulo 3) does, and only the word r r, which repeats its first letter,
+# reaches it
+_SIXTH_TURN = Matrix([[1, -1], [1, 0]])
+
+# the Sanov pair generates a free group: its 17 words of length at most 2 are
+# distinct, as many as the bound B(2), but only 13 start at their least letter
+_SANOV = [Matrix([[1, 2], [0, 1]]), Matrix([[1, 0], [2, 1]])]
+
+
+def _refused(generators, q, length, cap):
+    """Whether ``verify_certificate`` refuses the ball at ``MAX_WORD_BALL = cap``
+    with its ``ValueError``, rather than returning a verdict."""
+    saved, selberg.MAX_WORD_BALL = selberg.MAX_WORD_BALL, cap
+    try:
+        _verdict(generators, q, length)
+    except ValueError as exc:
+        return f"MAX_WORD_BALL = {cap} elements" in str(exc)
+    finally:
+        selberg.MAX_WORD_BALL = saved
+    return False
+
 
 def _integral_embedding_error(group, diagonal):
     """The type of the error ``_integral_embedding`` raises for a group at a
@@ -198,6 +220,21 @@ MUTANTS = [
         "selberg", "verify_certificate",
         "if not is_prime(q):", "if False:",
         lambda: _verdict([-Matrix.identity(2)], 4, 1) is False,
+    ),
+    Mutant(
+        # a word that starts at its least letter may append that letter again
+        "verifier-skips-repeated-first-letter",
+        "selberg", "verify_certificate",
+        "i if lead else 0", "i + 1 if lead else 0",
+        lambda: _verdict([_SIXTH_TURN], 3, 2) is False,
+    ),
+    Mutant(
+        # above the bound every word is searched, so the cap counts the
+        # whole ball: 17 elements refused at 16, where 13 would pass
+        "verifier-prunes-past-the-cap",
+        "selberg", "verify_certificate",
+        "lead = bound <= MAX_WORD_BALL", "lead = True",
+        lambda: _refused(_SANOV, 5, 2, 16) is True,
     ),
     Mutant(
         # diag(1, 0) has leading minors 1 and 0: semidefinite, not definite.

@@ -33,6 +33,7 @@ from flatcusps.selberg import (
     verify_certificate,
 )
 
+import oracles
 from oracles import (
     ref_coefficient_divisor_primes,
     ref_det,
@@ -582,8 +583,11 @@ def _companion(poly):
     return Matrix([[int(i == j + 1) - c[i] * (j == n - 1) for j in range(n)] for i in range(n)])
 
 
+_KINDS = ("rational", "finite", "cyclotomic", "unipotent", "negative", "negative-root")
+
+
 @st.composite
-def _rational_groups(draw, entries=_entries):
+def _rational_groups(draw, entries=_entries, kinds=_KINDS):
     """A prime q and one or two invertible rational generators of size 1-3.
 
     The generators are arbitrary matrices, and conjugates of signed
@@ -606,7 +610,6 @@ def _rational_groups(draw, entries=_entries):
     polys = torsion_polynomials(n)
     collapsing = [p for p in polys if p.reduce_mod(q) == unipotent_polynomial(n).reduce_mod(q)]
     generators = []
-    kinds = ["rational", "finite", "cyclotomic", "unipotent", "negative", "negative-root"]
     for kind in draw(st.lists(st.sampled_from(kinds), min_size=1, max_size=2)):
         g = draw(invertible)
         if kind == "finite":
@@ -657,6 +660,40 @@ class TestVerifierAgreesWithReference:
         certificate = _forced(group_input, prime)
         expected = ref_verify_certificate(group_input, certificate, length)
         assert verify_certificate(group_input, certificate, length) is expected
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        drawn=_rational_groups(kinds=("finite", "unipotent", "negative")),
+        length=st.integers(min_value=0, max_value=5),
+    )
+    def test_pruned_and_full_searches_agree_at_every_cap(self, drawn, length):
+        # the words start at their least letter only while B(L), plus
+        # B(L - 1) with -I, fits the cap; at that bound and one below it,
+        # and at the distinct ball and one below it, the verdict or the
+        # refusal is the reference's, which enumerates the whole ball
+        group_input, prime = drawn
+        certificate = _forced(group_input, prime)
+        letters, levels = _word_levels(group_input, length)
+        ball = set().union(*levels)
+        negates = -Matrix.identity(group_input.n) in group_input.lambda_gens
+        if negates:
+            ball |= {-w for level in levels[:length] for w in level}
+        k = len(letters)
+
+        def words(bound):  # B(bound), the non-backtracking words of length at most bound
+            return 1 + sum(k * (k - 1) ** (l - 1) for l in range(1, bound + 1))
+
+        pessimistic = words(length) + (words(length - 1) if negates and length else 0)
+        for cap in (len(ball) - 1, len(ball), pessimistic - 1, pessimistic):
+            outcomes = []
+            for module, verifier in ((oracles, ref_verify_certificate), (selberg, verify_certificate)):
+                with pytest.MonkeyPatch.context() as patch:
+                    patch.setattr(module, "MAX_WORD_BALL", cap)
+                    try:
+                        outcomes.append(verifier(group_input, certificate, length))
+                    except ValueError as exc:
+                        outcomes.append(str(exc))
+            assert outcomes[0] == outcomes[1], cap
 
     @settings(max_examples=100, deadline=None)
     @given(drawn=_rational_groups(), data=st.data(), length=st.integers(min_value=0, max_value=2))
@@ -714,13 +751,15 @@ class TestVerifierAgreesWithReference:
     def test_products_are_level_one_and_uncleared_shell_pairs(
         self, certify_words_inputs, forced, monkeypatch
     ):
-        # at length 3 the verifier forms the words of length 2, k (k - 1)
-        # products for k letters, and of the shell only the pairs that the
-        # trace screen does not clear, less the one pair of each shell word
-        # that appends the letter undoing its last and so gives a letter.
-        # Only inputs that pass are counted, since a counterexample stops
-        # the search. At the certified primes the screen clears every shell
-        # pair; modulo 3 it does not on third-turn and sixth-turn.
+        # at length 3 the verifier forms the words of length 2 that start at
+        # their least letter: the pairs (a, b) of letters with b no earlier
+        # than a in its order and b not undoing a. Each new value keeps its
+        # first such pair. Of the shell it forms only the pairs that the
+        # trace screen does not clear, each of a kept word (a, b) and a
+        # letter from a on, less the one undoing b. Only inputs that pass
+        # are counted, since a counterexample stops the search. At the
+        # certified primes the screen clears every shell pair; modulo 3 it
+        # does not on third-turn and sixth-turn.
         cases = []
         for group_input in certify_words_inputs:
             certificate = good_prime(group_input)
@@ -728,31 +767,41 @@ class TestVerifierAgreesWithReference:
                 certificate = _forced(group_input, forced)
             if verify_certificate(group_input, certificate, 3):
                 q = certificate.prime
-                letters, levels = _word_levels(group_input, 2)
-                inverse = {g: g.inverse() for g in letters}
-                uncleared = {w: {g for g in letters if not _cleared(w, g, q)} for w in levels[2]}
-                back = {w: {g for g in letters if w * g in letters} for w in levels[2]}
-                shell = {w: (uncleared[w], back[w]) for w in levels[2]}
-                cases.append((group_input, certificate, inverse, shell))
+                pairs = zip(group_input.lambda_gens, group_input.inverses)
+                order = list(dict.fromkeys(m for pair in pairs for m in pair))
+                order.remove(-Matrix.identity(group_input.n))
+                assert set(order) == _word_levels(group_input, 0)[0]
+                inverse = {g: g.inverse() for g in order}
+                level_one = [
+                    (a, b) for i, a in enumerate(order) for b in order[i:] if b != inverse[a]
+                ]
+                kept = {}
+                for a, b in level_one:
+                    if a * b not in kept and a * b not in inverse and not (a * b).is_identity():
+                        kept[a * b] = (a, b)
+                shell = {
+                    w: {
+                        g for g in order[order.index(a):]
+                        if g != inverse[b] and not _cleared(w, g, q)
+                    }
+                    for w, (a, b) in kept.items()
+                }
+                cases.append((group_input, certificate, inverse, level_one, shell))
         assert len(cases) >= 4
-        uncleared_in_all = sum(len(u) for *_, shell in cases for u, _ in shell.values())
+        uncleared_in_all = sum(len(u) for *_, shell in cases for u in shell.values())
         assert (uncleared_in_all > 0) is (forced is not None)
         products, _ = _counted(monkeypatch)
-        for group_input, certificate, inverse, shell in cases:
+        for group_input, certificate, inverse, level_one, shell in cases:
             products.clear()
             assert verify_certificate(group_input, certificate, 3) is True
-            level_one = [(a, b) for a, b in products if a in inverse]
             k = len(inverse)
-            assert len(set(level_one)) == len(level_one) == k * (k - 1)
-            assert all(b != inverse[a] for a, b in level_one)
+            assert len(level_one) < k * (k - 1)
+            assert [(a, b) for a, b in products if a in inverse] == level_one
             formed = [(a, b) for a, b in products if a in shell]
             assert len(level_one) + len(formed) == len(products)
-            for w, (uncleared, back) in shell.items():
+            for w, uncleared in shell.items():
                 appended = [b for a, b in formed if a == w]
-                skipped = uncleared - set(appended)
-                assert len(set(appended)) == len(appended) and set(appended) <= uncleared
-                assert len(skipped) <= 1 and skipped <= back
-                assert skipped or back - uncleared  # the skipped letter, when cleared
+                assert len(set(appended)) == len(appended) and set(appended) == uncleared
 
 
 class TestOuterShell:
