@@ -272,7 +272,7 @@ def _decodes(
     g: AffineMap,
     scale: tuple[int, int],
     model: LorentzModel,
-    entry: Optional[tuple] = None,
+    entry: tuple,
 ) -> bool:
     """Whether ``image`` is ``T(w) R(A)`` for the generator ``(A, t)`` and
     ``w = c t`` at ``c = c_num / c_den``: each entry is compared with the
@@ -283,12 +283,10 @@ def _decodes(
     its denominator, so that block is one tuple comparison per row; ``A``'s
     rows are rescaled only when the two denominators differ.
 
-    ``entry`` is the generator's :func:`_generator_parts`, computed here
-    when not given. Its ``k^T A`` and ``h`` are those of ``t``; at ``c t``
-    they are ``c k^T A`` and ``c^2 h``, scaled here by the unreduced
-    ``(c_num, c_den)``, so a decode forms no product with ``B_K`` or ``A``."""
-    if entry is None:
-        entry = _generator_parts(g, model)
+    ``entry`` is the generator's :func:`_generator_parts`. Its ``k^T A``
+    and ``h`` are those of ``t``; at ``c t`` they are ``c k^T A`` and
+    ``c^2 h``, scaled here by the unreduced ``(c_num, c_den)``, so a decode
+    forms no product with ``B_K`` or ``A``."""
     (_, k_den, h_num, h_den), ka_num, _ = entry
     n, num, den, a = model.n, image.num, image.den, g.linear
     c_num, c_den = scale

@@ -46,9 +46,10 @@ REASON_DENOMINATOR = "denominator"
 
 #: Most distinct elements the ball of :func:`verify_certificate` may hold: the
 #: ball grows exponentially with the word length (length 3 on the catalog
-#: groups' integral embeddings stays below 200 elements). It counts the whole
-#: ball, though the verifier judges only the words that start at their least
-#: letter when a bound on the ball fits it, so it refuses the same balls.
+#: groups' integral embeddings stays below 200 elements). The verifier compares
+#: a bound on the ball with it once, up front: a ball whose bound fits is never
+#: counted, and its words are pruned by their least letter; any other is formed
+#: whole and counted exactly, so the cap refuses the same balls either way.
 MAX_WORD_BALL = 20_000
 
 
@@ -363,12 +364,16 @@ def verify_certificate(
     conjugate, and smaller. Every prefix of c is the first word of its
     value and starts at its least letter too, so the search keeps each
     prefix in turn and reaches c. An emptied frontier then means that every
-    longer word is conjugate to one already judged. The cap stays exact:
-    with k letters, at most ``B(L) = 1 + sum_{1<=l<=L} k (k-1)^(l-1)``
-    words have length at most L, and the words are pruned only when
-    ``B(L)``, plus ``B(L-1)`` negations with ``-I``, fits ``MAX_WORD_BALL``,
-    so that nothing is refused; otherwise every letter is appended, and the
-    search forms, counts and judges the whole ball.
+    longer word is conjugate to one already judged.
+
+    The search is decided once, before any product. With k letters, at most
+    ``B(L) = 1 + sum_{1<=l<=L} k (k-1)^(l-1)`` words have length at most L.
+    When ``B(L)``, plus ``B(L-1)`` negations with ``-I``, fits
+    ``MAX_WORD_BALL``, nothing can be refused: the words are pruned by their
+    least letter, nothing is counted, and the outer shell stays unformed.
+    Otherwise every letter is appended and every level formed, the shell
+    included, and the words and negations are counted in one set that starts
+    as ``{I}``, so the cap counts distinct elements exactly.
 
     q is refused up front unless it is a unit in every generator and
     inverse, so it is prime to every denominator the verifier meets: that
@@ -391,17 +396,14 @@ def verify_certificate(
       differs from ``C(n, 2) den^2`` modulo q (den is a unit).
     - *Negations.* ``tr(-w) = -tr(w)`` and ``e2(-w) = e2(w)``, so each word
       w whose negation is in the ball is judged on both signs from its own
-      numbers; ``-w`` is formed only when neither screen clears it.
-      ``len(words) + len(negations)`` bounds the ball from above: only when
-      that passes ``MAX_WORD_BALL`` are the negations formed, once, and the
-      set of words and negations kept up to date from then on, so the cap
-      counts distinct elements.
-    - *Outer shell.* For L >= 2 the words of length L stay unformed: each
-      word w and letter g are screened on ``D tr(wg) = sum W_ik G_ki``, with
+      numbers; ``-w`` is formed only when neither screen clears it, or when
+      the ball is counted.
+    - *Outer shell.* When the bound fits the cap and L >= 2, the words of
+      length L stay unformed: at the last level of the search each word w
+      and letter g are screened on ``D tr(wg) = sum W_ik G_ki``, with
       ``D = den w den g``. ``D (tr - n)`` is a unit times
       ``den(wg) (tr - n)`` modulo q, so the verdict is the reduced one;
-      an uncleared pair is formed and judged. This path is taken only when
-      the ball so far plus one element per pair fits in ``MAX_WORD_BALL``.
+      an uncleared pair is formed and judged.
     - *Exact polynomial.* Every element that clears neither screen gets its
       polynomial, once; a residue unlike that of ``(t-1)^n`` passes.
     - *Finite-order test.* A residue that collapses onto the unipotent one
@@ -446,29 +448,22 @@ def verify_certificate(
     letters = list(inverse)
     k = len(letters)
     cancel = [letters.index(inverse[g]) for g in letters]
+    columns = [sum(zip(*g.num), ()) for g in letters]  # G flattened column-major
 
-    # B(L), plus B(L-1) with -I: while the bound fits the cap, each word
-    # starts at its least letter.
+    # B(L), plus B(L-1) with -I, decides the search once: when it fits the cap
+    # nothing can be refused, so nothing is counted (ball is None); otherwise
+    # every level is formed and the ball counted exactly.
     bound, size = (2 if negates and word_length else 1), 1
     for length in range(1, word_length + 1):
         size *= k if length == 1 else k - 1
         bound += size * (2 if negates and length < word_length else 1)
         if not size or bound > MAX_WORD_BALL:
             break
-    lead = bound <= MAX_WORD_BALL
+    ball = None if bound <= MAX_WORD_BALL else {identity}
 
-    def fits(extra: int = 0) -> bool:  # whether the ball and `extra` more elements fit the cap
-        nonlocal ball
-        if ball is None:
-            if len(words) + len(negated) + extra <= MAX_WORD_BALL:
-                return True  # even if no negation equals a word
-            ball = words.union(map(neg, negated))  # formed once, then kept up to date
-        return len(ball) + extra <= MAX_WORD_BALL
-
-    def admit(elements: Iterable[Matrix]) -> None:
-        if ball is not None:
-            ball.update(elements)
-        if not fits():
+    def count(elements: Iterable[Matrix]) -> None:
+        ball.update(elements)
+        if len(ball) > MAX_WORD_BALL:
             raise ValueError(
                 f"words of length {word_length} exceed MAX_WORD_BALL = {MAX_WORD_BALL} elements"
             )
@@ -493,43 +488,36 @@ def verify_certificate(
 
     words = {identity}  # products of the letters, the only dedup of the search
     negated = []  # with -I, the words of length below L, whose negations are in the ball
-    ball = None  # the words and those negations as one set, formed only near the cap
-    outer = []  # the words of length L, when formed: none is negated
     # (word, index of the letter undoing its last, of the first letter it may append)
     frontier = [(identity, -1, 0)]
     for length in range(word_length):
         if not frontier:
-            break  # every longer word is conjugate to one already judged
+            break  # no new word: every longer one repeats or is conjugate to one judged
         if negates:
             level = [w for w, _, _ in frontier]
             negated += level
-            admit(map(neg, level))
-        if 0 < length == word_length - 1 and fits(len(frontier) * k):
-            break  # the ball fits, as if every shell pair were new: the shell is judged unformed
+            if ball is not None:
+                count(map(neg, level))
+        shell = ball is None and 0 < length == word_length - 1  # the outer shell, unformed
         fresh = []
         for w, undo, first in frontier:
+            flat = shell and sum(w.num, ())  # W flattened row-major, for the shell's pairings
             for i in range(first, k):
                 if i == undo:
                     continue
-                element = w * letters[i] if length else letters[i]  # length one: the letters
+                g = letters[i]
+                if shell:  # D tr(wg) = sum W_ik G_ki, D = den w den g
+                    gap = sum(map(mul, flat, columns[i])) - n * w.den * g.den
+                    if not (cleared(gap) or passes(w * g)):
+                        return False  # an uncleared pair, formed and judged in full
+                    continue
+                element = w * g if length else g  # length one: the letters
                 if element not in words:
                     words.add(element)
-                    admit((element,))
-                    fresh.append((element, cancel[i], first if length else (i if lead else 0)))
+                    fresh.append((element, cancel[i], i if ball is None and not length else first))
+                    if ball is not None:
+                        count((element,))
         frontier = fresh
-    else:
-        outer, frontier = [w for w, _, _ in frontier], []  # every level is formed: no shell is left
-    plain = outer if negates else words  # the words whose negations are not in the ball
-    if not (all(passes(w, True) for w in negated) and all(map(passes, plain))):
-        return False
-    columns = [sum(zip(*g.num), ()) for g in letters]  # G flattened column-major
-    for w, undo, first in frontier:  # the shell: D tr(wg) = sum W_ik G_ki, D = den w den g
-        flat = sum(w.num, ())
-        for i in range(first, k):
-            if i == undo:
-                continue
-            g = letters[i]
-            den = w.den * g.den
-            if not cleared(sum(map(mul, flat, columns[i])) - n * den) and not passes(w * g):
-                return False  # an uncleared pair, formed and judged in full
-    return True
+    # the words whose negations are not in the ball
+    plain = [w for w, _, _ in frontier] if negates else words
+    return all(passes(w, True) for w in negated) and all(map(passes, plain))

@@ -1083,9 +1083,10 @@ class TestDecodeInPlace:
         model = LorentzModel(SymmetricForm.identity(len(linear)))
         image = Matrix.from_integer_rows(tuple(map(tuple, rows)), den)
         assert image.den == den
-        assert not lorentz._decodes(image, g, (1, 1), model)
+        entry = lorentz._generator_parts(g, model)
+        assert not lorentz._decodes(image, g, (1, 1), model, entry)
         assert not ref_decodes(image, g, (1, 1), model)
-        assert lorentz._decodes(product_embed_affine(g, model), g, (1, 1), model)
+        assert lorentz._decodes(product_embed_affine(g, model), g, (1, 1), model, entry)
         embedding = LorentzEmbedding(model, BieberbachGroup([g]), [image])
         assert not assert_matches_oracle(embedding).overall
 

@@ -225,7 +225,7 @@ MUTANTS = [
         # a word that starts at its least letter may append that letter again
         "verifier-skips-repeated-first-letter",
         "selberg", "verify_certificate",
-        "i if lead else 0", "i + 1 if lead else 0",
+        "i if ball is None and not length", "i + 1 if ball is None and not length",
         lambda: _verdict([_SIXTH_TURN], 3, 2) is False,
     ),
     Mutant(
@@ -233,7 +233,7 @@ MUTANTS = [
         # whole ball: 17 elements refused at 16, where 13 would pass
         "verifier-prunes-past-the-cap",
         "selberg", "verify_certificate",
-        "lead = bound <= MAX_WORD_BALL", "lead = True",
+        "ball = None if bound <= MAX_WORD_BALL else {identity}", "ball = None",
         lambda: _refused(_SANOV, 5, 2, 16) is True,
     ),
     Mutant(

@@ -872,8 +872,10 @@ class TestOuterShell:
         assert verify_certificate(group_input, certificate, 3) is False
 
     def test_cap_is_exact_across_the_shell_bound(self, certify_words_items, monkeypatch):
-        # torus-2 at length 3: the shell bound counts every pair as new, so
-        # it exceeds the distinct ball, and the cap still counts only that
+        # torus-2 at length 3: its bound B(3) + B(2) = 70 passes both caps,
+        # so the ball is formed whole and counted. It holds 38 distinct
+        # elements, against 58 words and negations when each pair of a word
+        # of length 2 and a letter counts as new; the cap counts only the 38
         group_input = next(g for name, g, _ in certify_words_items if name == "torus-2")
         certificate = good_prime(group_input)
         letters, levels = _word_levels(group_input, 3)
@@ -1098,9 +1100,9 @@ class TestSecondScreen:
     def test_cap_counts_a_negation_equal_to_a_word_once(self, monkeypatch):
         # r has order 6 and r^3 = -I, which is also a letter: at length 3
         # every negation of a word of length at most 2 is a word (-r = r^-2,
-        # -r^2 = r^-1, ...) but -I, which the shell word r^3 repeats. The
-        # words and negations number 10 before the shell, 6 distinct; the
-        # shell's 2 words and 2 letters add 4 at most
+        # -r^2 = r^-1, ...) but -I, which the shell word r^3 repeats, so the
+        # ball holds 6 distinct elements. Its bound is B(3) = 7 words over
+        # the letters r and r^-1, plus B(2) = 5 negations
         r = Matrix([[1, -1], [1, 0]])
         group_input = MatrixGroupInput(2, [r, NEG_IDENTITY_2])
         certificate = good_prime(group_input)
@@ -1108,14 +1110,14 @@ class TestSecondScreen:
         inner = set().union(*levels[:3])
         inner |= {-w for w in inner}
         distinct = len(inner | levels[3])
-        bound = len(inner) + len(levels[2]) * len(letters)
-        assert (distinct, bound) == (6, 10)
+        bound = 1 + 2 + 2 + 2 + (1 + 2 + 2)
+        assert (distinct, len(letters)) == (6, 2)
         assert ref_verify_certificate(group_input, certificate, 3) is True
         products, _ = _counted(monkeypatch)
-        # at the shell bound the shell runs: its pairs r^2 r and r^-2 r^-1
-        # have trace -2, cleared, and only the 2 level-one products are
-        # formed; below it the last level is formed too
-        for cap, formed in ((bound, 2), (bound - 1, 4), (distinct, 4)):
+        # at the bound the words are pruned and the shell stays unformed: its
+        # pairs r^2 r and r^-2 r^-1 have trace -2, cleared, and only the 2
+        # level-one products are formed; below it every level is formed
+        for cap, formed in ((bound, 2), (bound - 1, 4), (bound - 2, 4), (distinct, 4)):
             monkeypatch.setattr(selberg, "MAX_WORD_BALL", cap)
             products.clear()
             assert verify_certificate(group_input, certificate, 3) is True
