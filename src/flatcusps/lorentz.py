@@ -34,23 +34,20 @@ result against the generators, an independent check of the assembly.
 
 Every leg reads a generator ``(A, t)`` through the same closed-form parts:
 ``k = B_K t``, ``h = B_K(t, t) / 2``, ``k^T A`` and the verdict of
-``A^T B_K A = B_K``. :func:`_parts_table` computes them once per base form
-and group, each as integers over a denominator, and the legs scale them in
-closed form (``k^T A`` by ``c``, ``h`` by ``c^2``) instead of recomputing
-them. The table is memoized by value in a ``functools.lru_cache`` of 16
-entries. It serves the legs of one embedding, which run back to back
-(:func:`embed_group`, :func:`verify_embedding`, :func:`integralize`,
-:func:`verify_embedding` again); a pass over the whole catalog has more
-keys than that, so no entry outlives its embedding there. The table is a
-function of the form and the generators alone and never reads an image,
-so a warm table cannot make a wrong image decode.
+``A^T B_K A = B_K``. :func:`_parts_table` computes them once per
+embedding, each as integers over a denominator, and the embedding carries
+the table. :func:`embed_group`, :func:`_integral_embedding` and
+:func:`integralize` hand over the table they assembled the images from;
+:func:`verify_embedding` and :func:`integralize` read it back and scale it
+in closed form (``k^T A`` by ``c``, ``h`` by ``c^2``) instead of
+recomputing it. The table is a function of the form and the generators
+alone, so an embedding built by hand computes it from those.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import lru_cache
 from operator import mul
 from typing import Optional, Sequence
 
@@ -65,6 +62,7 @@ from .exactlin import (
     Frozen,
     Matrix,
     SymmetricForm,
+    _restore,
     is_positive_definite,
     is_unipotent,
     preserves_form,
@@ -193,16 +191,10 @@ def _generator_parts(g: AffineMap, model: LorentzModel) -> tuple:
     return (tuple(k_num), k_den, h_num, h_den), ka_num, isometry
 
 
-@lru_cache(maxsize=16)
 def _parts_table(model: LorentzModel, group: BieberbachGroup) -> tuple:
-    """Each generator's :func:`_generator_parts`, in order, at scale 1.
-
-    Memoized by value on the model (that is, on its base form) and the
-    group; both are immutable and compare by value, so a hit is exact.
-    The table reads the form and the generators only, never an image.
-    Its 16 entries serve the legs of one embedding, which run back to
-    back; no option or environment variable changes the bound.
-    """
+    """Each generator's :func:`_generator_parts`, in order, at scale 1: the
+    table a :class:`LorentzEmbedding` carries. It reads the form and the
+    generators only, never an image."""
     return tuple(_generator_parts(g, model) for g in group.generators)
 
 
@@ -217,9 +209,16 @@ def _image(g: AffineMap, entry: tuple) -> Matrix:
 
 
 class LorentzEmbedding(Frozen):
-    """A group's generators together with their images in ``O(B; Q)``."""
+    """A group's generators together with their images in ``O(B; Q)``.
 
-    __slots__ = ("model", "group", "images")
+    ``_parts`` is the generators' :func:`_parts_table` under the model's
+    base form. The constructor computes it from the model and the group,
+    never from the images; :func:`embed_group`, :func:`_integral_embedding`
+    and :func:`integralize` bypass the constructor and hand over the table
+    they assembled the images from.
+    """
+
+    __slots__ = ("model", "group", "images", "_parts")
 
     def __init__(
         self, model: LorentzModel, group: BieberbachGroup, images: Sequence[Matrix]
@@ -231,7 +230,7 @@ class LorentzEmbedding(Frozen):
         size = model.ambient_dim
         if any(m.rows != size or m.cols != size for m in images):
             raise DimensionMismatch(f"images must be {size}x{size}")
-        super().__init__(model, group, tuple(images))
+        super().__init__(model, group, tuple(images), _parts_table(model, group))
 
     def __repr__(self) -> str:
         return f"<LorentzEmbedding group={self.group.name or 'anonymous'} n={self.model.n}>"
@@ -244,13 +243,14 @@ def embed_group(group: BieberbachGroup, shape: ShapeDescriptor) -> LorentzEmbedd
     preserve the shape's form (``NotFormIsometry`` otherwise, which is
     exactly a failure of holonomy invariance). Each image is assembled
     as :func:`embed_affine` assembles it, from the generator's entry of
-    :func:`_parts_table`.
+    :func:`_parts_table`, and the embedding carries that table.
     """
     if shape.group != group:
         raise DimensionMismatch("shape was built for a different group")
     model = LorentzModel(shape.form)
-    images = [_image(g, entry) for g, entry in zip(group.generators, _parts_table(model, group))]
-    return LorentzEmbedding(model, group, images)
+    table = _parts_table(model, group)
+    images = tuple(_image(g, entry) for g, entry in zip(group.generators, table))
+    return _restore(LorentzEmbedding, (model, group, images, table))
 
 
 def _shared_scale(embedding: LorentzEmbedding) -> tuple[int, int]:
@@ -343,13 +343,12 @@ def integralize(embedding: LorentzEmbedding) -> tuple[LorentzEmbedding, int]:
     then not be a conjugation) and ``ValueError`` when an ``A`` is
     fractional; every image is decoded before any ``A`` is tested for
     integrality. The isometry verdicts, and the parts each decode scales,
-    come from :func:`_parts_table` for the embedding's form and group,
-    which the embedding and its verification have usually filled already;
-    the table never reads an image, so every image is still decoded here.
+    come from the table the embedding carries, and the result carries the
+    same table: conjugation changes the images, not the generators.
     """
     model = embedding.model
     generators = embedding.group.generators
-    table = _parts_table(model, embedding.group)
+    table = embedding._parts
     scale = _shared_scale(embedding)
     for g, image, entry in zip(generators, embedding.images, table):
         if not entry[2]:  # the verdict of A^T B_K A = B_K
@@ -361,7 +360,7 @@ def integralize(embedding: LorentzEmbedding) -> tuple[LorentzEmbedding, int]:
             )
     images, c = _integral_images(generators, table, scale)
     if c > 1:
-        embedding = LorentzEmbedding(model, embedding.group, images)
+        embedding = _restore(LorentzEmbedding, (model, embedding.group, images, table))
     return embedding, c
 
 
@@ -373,7 +372,7 @@ def _integral_embedding(
     group, the definiteness of its form, every linear part preserving it,
     then every linear part integral), and the images of
     :func:`_integral_images` at the shared scale 1 of :func:`embed_group`
-    output."""
+    output. The embedding carries the table they were assembled from."""
     if shape.group != group:
         raise DimensionMismatch("shape was built for a different group")
     model = LorentzModel(shape.form)
@@ -381,12 +380,12 @@ def _integral_embedding(
     if not all(isometry for _, _, isometry in table):
         raise NotFormIsometry("linear part does not preserve the base form")
     images, c = _integral_images(group.generators, table, (1, 1))
-    return LorentzEmbedding(model, group, images), c
+    return _restore(LorentzEmbedding, (model, group, images, table)), c
 
 
 def _integral_images(
     generators: Sequence[AffineMap], table: tuple, scale: tuple[int, int]
-) -> tuple[list[Matrix], int]:
+) -> tuple[tuple[Matrix, ...], int]:
     """``T(c s t) R(A)`` for each generator ``(A, t)``, assembled over
     denominator 1, and the smallest positive integer ``c`` that makes them
     integral, at the shared scale ``s = s_num / s_den`` (both positive, not
@@ -427,7 +426,7 @@ def _integral_images(
         ka = _quotients([cs * x for x in ka_num], s_den * k_den)
         [h] = _quotients([cs * cs * h_num], s_den * s_den * h_den)
         images.append(_assemble(g.linear, w, 1, ka, 1, h, 1))
-    return images, c
+    return tuple(images), c
 
 
 def _quotients(values: Sequence[int], den: int) -> list[int]:
@@ -518,11 +517,9 @@ def verify_embedding(embedding: LorentzEmbedding) -> VerificationReport:
     (n+2)-by-(n+2) matrices, so a failure report says which of them fail.
 
     The verdict of ``A^T B_K A = B_K`` and the parts the decode scales
-    (``k^T A`` and ``h`` at ``t``) come from :func:`_parts_table`, memoized
-    on the embedding's form and group. A report on the output of
-    :func:`embed_group` or :func:`integralize` reads the table that built
-    it. The table never reads an image, so a warm table cannot make an
-    altered image decode: each image is still compared entry by entry.
+    (``k^T A`` and ``h`` at ``t``) come from the table the embedding
+    carries. A report on the output of :func:`embed_group` or
+    :func:`integralize` reads the table that built it.
 
     Decoding is enough. An element of ``O(B)`` fixing ``v_inf`` is
     ``T(w) R(A)`` with ``A`` a ``B_K``-isometry; its upper-left n-by-n block
@@ -539,7 +536,7 @@ def verify_embedding(embedding: LorentzEmbedding) -> VerificationReport:
     group = embedding.group
     scale = _shared_scale(embedding)
     results = []
-    for g, image, entry in zip(group.generators, embedding.images, _parts_table(model, group)):
+    for g, image, entry in zip(group.generators, embedding.images, embedding._parts):
         if scale[0] > 0 and _decodes(image, g, scale, model, entry):
             checks = GeneratorChecks(
                 entry[2],  # the verdict of A^T B_K A = B_K

@@ -58,12 +58,13 @@ def test_workload_names_resolve():
 
 
 def package_caches():
-    """Every functools cache at module level in every flatcusps module."""
+    """Every functools cache at module level in every flatcusps module,
+    under the module that defines it rather than one that imports it."""
     caches = {}
     for info in pkgutil.iter_modules(flatcusps.__path__):
         module = importlib.import_module(f"flatcusps.{info.name}")
         for attr, value in vars(module).items():
-            if callable(getattr(value, "cache_info", None)):
+            if callable(getattr(value, "cache_info", None)) and value.__module__ == module.__name__:
                 caches[f"{info.name}.{attr}"] = value
     return caches
 

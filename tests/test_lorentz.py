@@ -1017,7 +1017,7 @@ class TestDecodeInPlace:
             for g in group.generators
         ]
         embedding = LorentzEmbedding(model, group, images)
-        entries = lorentz._parts_table(model, group)
+        entries = embedding._parts
         for e in (embedding, integralize(embedding)[0]):
             c_num, c_den = lorentz._shared_scale(e)
             scales = ((c_num, c_den), (c_num + c_den, c_den), (2 * c_num, 2 * c_den), (-c_num, c_den))
@@ -1112,60 +1112,82 @@ def chain_shapes(name):
 
 
 class TestPartsTable:
-    """The per-(form, group) table of each generator's closed-form parts:
-    built once per embedding, read by every leg, and never a source of a
-    verdict on an image."""
+    """The table of each generator's closed-form parts that an embedding
+    carries: built once per embedding, handed from leg to leg, and never a
+    source of a verdict on an image."""
+
+    @staticmethod
+    def count_calls(monkeypatch, *names):
+        calls = {name: 0 for name in names}
+        for name in names:
+            original = getattr(lorentz, name)
+
+            def counted(*args, _name=name, _original=original):
+                calls[_name] += 1
+                return _original(*args)
+
+            monkeypatch.setattr(lorentz, name, counted)
+        return calls
 
     @pytest.mark.parametrize("name", catalog_names())
     def test_public_chain_builds_it_once(self, name, monkeypatch):
-        # one miss and three hits, and one isometry test per generator
-        # where each of the four legs used to run its own
-        calls = []
-        original = lorentz.preserves_form
-
-        def counted(*args):
-            calls.append(args)
-            return original(*args)
-
-        monkeypatch.setattr(lorentz, "preserves_form", counted)
+        # one table and one isometry test per generator where each of the
+        # four legs used to run its own; the integral embedding carries the
+        # very table of the rational one
+        calls = self.count_calls(monkeypatch, "_parts_table", "preserves_form")
         group, shapes = chain_shapes(name)
         for shape in shapes:
-            lorentz._parts_table.cache_clear()
-            calls.clear()
-            *_, second = public_chain(group, shape)
+            calls.update(dict.fromkeys(calls, 0))
+            embedding, _, integral, _, second = public_chain(group, shape)
             assert second.overall
-            info = lorentz._parts_table.cache_info()
-            assert (info.misses, info.hits) == (1, 3)
-            assert len(calls) == len(group.generators)
+            assert calls == {"_parts_table": 1, "preserves_form": len(group.generators)}
+            assert integral._parts is embedding._parts
 
     @pytest.mark.parametrize("name", catalog_names())
-    def test_warm_table_does_not_pass_a_bumped_image(self, name):
+    def test_warm_table_does_not_pass_a_bumped_image(self, name, monkeypatch):
         # entry (0, 0) of every image moved by one, as oracles.bump_conjugate
-        # moves it, is judged on the image, with the table already warm
+        # moves it, is judged on the image, though the bumped embedding
+        # carries the table that built the true images; the constructor
+        # builds that table, and neither leg builds one of its own
+        calls = self.count_calls(monkeypatch, "_parts_table")
         group, shapes = chain_shapes(name)
         for shape in shapes:
-            lorentz._parts_table.cache_clear()
             embedding, _, integral, _, _ = public_chain(group, shape)
-            before = lorentz._parts_table.cache_info()
             for e in (embedding, integral):
+                calls["_parts_table"] = 0
                 bump = Matrix.diagonal([1] + [0] * (e.model.ambient_dim - 1))
                 bumped = with_images(e, [m + bump for m in e.images])
                 report = verify_embedding(bumped)
                 assert not any(checks.equivariance for checks in report.per_generator)
-                assert report == ref_verify_embedding(bumped)
                 with pytest.raises(InvariantViolation):
                     integralize(bumped)
-            after = lorentz._parts_table.cache_info()
-            assert after.misses == before.misses and after.hits == before.hits + 4
+                assert calls == {"_parts_table": 1}
+                assert bumped._parts == e._parts
+                assert report == ref_verify_embedding(bumped)
 
     @pytest.mark.parametrize("name", catalog_names())
     def test_warm_and_cold_agree(self, name):
+        # two builds of the chain, and of the density row's shortcut, are
+        # equal, tables included
         group, shapes = chain_shapes(name)
         for shape in shapes:
-            lorentz._parts_table.cache_clear()
-            cold = public_chain(group, shape)
-            warm = public_chain(group, shape)
+            first = public_chain(group, shape)
+            second = public_chain(group, shape)
             integral = lorentz._integral_embedding(group, shape)
-            lorentz._parts_table.cache_clear()
-            assert cold == warm
-            assert integral == lorentz._integral_embedding(group, shape) == cold[2:4]
+            assert first == second
+            assert integral == lorentz._integral_embedding(group, shape) == first[2:4]
+
+    @pytest.mark.parametrize("name", catalog_names())
+    def test_builders_match_the_constructor(self, name):
+        # each builder's output against the constructor's on the same images:
+        # equal, with equal hashes and tables, before and after pickling
+        group, shapes = chain_shapes(name)
+        for shape in shapes:
+            embedding = embed_group(group, shape)
+            integral, _ = integralize(embedding)
+            for e in (embedding, integral, lorentz._integral_embedding(group, shape)[0]):
+                twin = LorentzEmbedding(e.model, e.group, e.images)
+                assert e == twin and hash(e) == hash(twin)
+                assert e._parts == twin._parts
+                for clone in (pickle.loads(pickle.dumps(e)), pickle.loads(pickle.dumps(twin))):
+                    assert clone == e == twin and clone._parts == e._parts

@@ -135,43 +135,24 @@ def _scaled_integralize_error(factor):
     return None
 
 
-def _from_cleared_table(build):
-    """``build()`` with the parts table cleared before and after, so the
-    memo can answer neither from before a mutant nor with its entries
-    after it."""
-    lorentz._parts_table.cache_clear()
-    try:
-        return build()
-    finally:
-        lorentz._parts_table.cache_clear()
-
-
 def _chain_verdict(group, diagonal, integral):
     """Whether ``verify_embedding`` passes ``embed_group`` at a diagonal
-    form, integralized first when ``integral``, from a cleared table."""
-
-    def build():
-        shape = ShapeDescriptor(group, SymmetricForm.diagonal(diagonal))
-        embedding = lorentz.embed_group(group, shape)
-        if integral:
-            embedding, _ = lorentz.integralize(embedding)
-        return lorentz.verify_embedding(embedding).overall
-
-    return _from_cleared_table(build)
+    form, integralized first when ``integral``."""
+    shape = ShapeDescriptor(group, SymmetricForm.diagonal(diagonal))
+    embedding = lorentz.embed_group(group, shape)
+    if integral:
+        embedding, _ = lorentz.integralize(embedding)
+    return lorentz.verify_embedding(embedding).overall
 
 
 def _embed_error(group, diagonal):
     """The type of the error ``embed_group`` raises for a group at a
-    diagonal form, or None when it returns, from a cleared table."""
-
-    def build():
-        try:
-            lorentz.embed_group(group, ShapeDescriptor(group, SymmetricForm.diagonal(diagonal)))
-        except ValueError as exc:  # every typed error of the package
-            return type(exc)
-        return None
-
-    return _from_cleared_table(build)
+    diagonal form, or None when it returns."""
+    try:
+        lorentz.embed_group(group, ShapeDescriptor(group, SymmetricForm.diagonal(diagonal)))
+    except ValueError as exc:  # every typed error of the package
+        return type(exc)
+    return None
 
 
 # (-I, (1/2, 0)) squares to the identity: the norm of <-I> is 0
