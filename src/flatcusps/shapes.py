@@ -8,7 +8,7 @@ target metric is exact too: a decimal entry is the value of its double,
 a dyadic rational. :func:`rationalize` pulls it into this cone: average over the
 holonomy, round each entry to the best rational approximation with
 bounded denominator, then average again to restore exact invariance.
-Only :func:`shape_distance` turns entries into doubles.
+Only :func:`_float_view` turns entries into doubles.
 """
 
 from __future__ import annotations
