@@ -377,9 +377,34 @@ def _scaled(num: tuple, f: int) -> tuple:
 
 
 def _product(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> tuple:
-    """Product of integer matrices given as rows."""
-    columns = tuple(zip(*b))
-    return tuple([tuple([sum(map(mul, row, col)) for col in columns]) for row in a])
+    """Product of integer matrices given as rows, skipping zero entries.
+
+    Row i of ``a b`` is the sum of ``a[i][l]`` times row l of ``b``, over
+    the nonzero ``a[i][l]`` and the nonzero entries of that row alone
+    (:func:`_sparse_product`). The arithmetic is exact, so only the order
+    of the additions differs from the dense sum of products.
+    """
+    return _sparse_product(a, _nonzeros(b), len(b[0]))
+
+
+def _nonzeros(b: Sequence[Sequence[int]]) -> tuple:
+    """Each row of an integer matrix as its ``(column, entry)`` pairs of
+    nonzero entries: the right factor :func:`_sparse_product` reads."""
+    return tuple([(j, x) for j, x in enumerate(row) if x] for row in b)
+
+
+def _sparse_product(a: Sequence[Sequence[int]], b_nonzeros: tuple, width: int) -> tuple:
+    """Integer rows of ``a b``, for ``b_nonzeros = _nonzeros(b)`` and ``width``
+    the number of columns of ``b``."""
+    out = []
+    for row in a:
+        acc = [0] * width
+        for x, nonzeros in zip(row, b_nonzeros):
+            if x:
+                for j, y in nonzeros:
+                    acc[j] += x * y
+        out.append(tuple(acc))
+    return tuple(out)
 
 
 def congruent_rows(a: Matrix, gram: Matrix) -> tuple:

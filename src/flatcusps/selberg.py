@@ -35,6 +35,8 @@ from .exactlin import (
     Frozen,
     IntPolynomial,
     Matrix,
+    _nonzeros,
+    _sparse_product,
     char_poly,
     is_unipotent,
     unipotent_polynomial,
@@ -338,6 +340,12 @@ def good_prime(group_input: MatrixGroupInput) -> SelbergCertificate:
     return SelbergCertificate(n, q, _cyclotomic_factors(n), bad, _residue_evidence(n, q))
 
 
+def _letter_product(w: Matrix, g: Matrix, g_nonzeros: tuple) -> Matrix:
+    """``w g``, for ``g_nonzeros = _nonzeros(g.num)`` prepared once per letter:
+    every product :func:`verify_certificate` forms, in one place a test can count."""
+    return Matrix.from_integer_rows(_sparse_product(w.num, g_nonzeros, g.cols), w.den * g.den)
+
+
 def verify_certificate(
     group_input: MatrixGroupInput,
     certificate: SelbergCertificate,
@@ -350,7 +358,9 @@ def verify_certificate(
     first over the distinct letters other than ``-I``, in a fixed order; a
     word never appends the letter that cancels its last one, since that
     product is already in the ball. ``-I`` is central and its own inverse,
-    so it adds only the negations of the words of length below L.
+    so it adds only the negations of the words of length below L. Each
+    letter's nonzero entries are listed once per call, and every product
+    ``w g`` the search forms runs over them alone (:func:`_letter_product`).
 
     One word per rotation class is judged. A counterexample is a property
     of a conjugacy class (conjugates share their characteristic polynomial
@@ -449,6 +459,7 @@ def verify_certificate(
     k = len(letters)
     cancel = [letters.index(inverse[g]) for g in letters]
     columns = [sum(zip(*g.num), ()) for g in letters]  # G flattened column-major
+    rows = [_nonzeros(g.num) for g in letters]  # G's nonzero entries by row, for w g
 
     # B(L), plus B(L-1) with -I, decides the search once: when it fits the cap
     # nothing can be refused, so nothing is counted (ball is None); otherwise
@@ -508,10 +519,10 @@ def verify_certificate(
                 g = letters[i]
                 if shell:  # D tr(wg) = sum W_ik G_ki, D = den w den g
                     gap = sum(map(mul, flat, columns[i])) - n * w.den * g.den
-                    if not (cleared(gap) or passes(w * g)):
+                    if not (cleared(gap) or passes(_letter_product(w, g, rows[i]))):
                         return False  # an uncleared pair, formed and judged in full
                     continue
-                element = w * g if length else g  # length one: the letters
+                element = _letter_product(w, g, rows[i]) if length else g  # length one: g
                 if element not in words:
                     words.add(element)
                     fresh.append((element, cancel[i], i if ball is None and not length else first))

@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import flatcusps
+from flatcusps import exactlin
 from flatcusps.bieberbach import (
     AffineMap,
     BieberbachGroup,
@@ -124,11 +125,16 @@ class TestMatrix:
         assert b == Matrix([[2, 0, 0], [0, 1, 0], [0, 0, 1]])
 
 
-# entries of both kinds the kernel must handle: integers, and rationals
-# whose denominators reach 10^6, so that the shared denominator is huge
+# entries of the kinds the kernel must handle: integers, rationals whose
+# denominators reach 10^6, so that the shared denominator is huge, and
+# integers of which about three in four are 0, so that the product's zero
+# skip runs on most entries
 KERNEL_ENTRIES = {
     "integers": st.integers(min_value=-30, max_value=30),
     "denominators": wide_fractions,
+    "sparse": st.tuples(st.integers(0, 3), st.integers(-30, 30)).map(
+        lambda pair: pair[1] if pair[0] == 3 else 0
+    ),
 }
 kernel_sizes = st.integers(min_value=1, max_value=8)
 
@@ -224,6 +230,95 @@ class TestKernelAgainstFractionOracle:
             for j in range(n):
                 symmetric[i][j] = symmetric[j][i] = F(0)
         assert ldl_signature(SymmetricForm(symmetric)) == ref_ldl_signature(symmetric)
+
+
+def _signed_permutation(rng, n):
+    perm = rng.sample(range(n), n)
+    return [[F(rng.choice((-1, 1))) if j == perm[i] else F(0) for j in range(n)] for i in range(n)]
+
+
+class TestZeroSkippingProduct:
+    """The product skips zero entries on both sides: the shapes where that
+    matters most, each against the ``Fraction`` oracle."""
+
+    @staticmethod
+    def check(a, b):
+        assert_matches(Matrix(a) * Matrix(b), ref_product(a, b))
+
+    @pytest.mark.parametrize("r, k, c", [(1, 1, 1), (2, 3, 4), (4, 3, 2), (1, 5, 1), (5, 1, 5)])
+    def test_zero_matrix_on_either_side(self, r, k, c):
+        rng = random.Random(r * 100 + k * 10 + c)
+        a = [[F(rng.randint(-9, 9)) for _ in range(k)] for _ in range(r)]
+        b = [[F(rng.randint(-9, 9)) for _ in range(c)] for _ in range(k)]
+        self.check([[F(0)] * k for _ in range(r)], b)
+        self.check(a, [[F(0)] * c for _ in range(k)])
+
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    def test_zero_row_and_zero_column_on_either_side(self, n):
+        rng = random.Random(n)
+        for i in range(n):
+            a = [[F(rng.randint(-9, 9)) for _ in range(n)] for _ in range(n)]
+            b = [[F(rng.randint(-9, 9)) for _ in range(n)] for _ in range(n)]
+            row_zeroed = [[F(0)] * n if r == i else row for r, row in enumerate(a)]
+            column_zeroed = [[F(0) if c == i else x for c, x in enumerate(row)] for row in b]
+            for left, right in (
+                (row_zeroed, b), (a, row_zeroed), (column_zeroed, a), (b, column_zeroed)
+            ):
+                self.check(left, right)
+
+    def test_one_by_one(self):
+        for x, y in itertools.product((0, 1, -1, 7, F(-3, 4)), repeat=2):
+            self.check([[F(x)]], [[F(y)]])
+
+    @pytest.mark.parametrize("r, k, c", [(1, 4, 1), (4, 1, 4), (2, 7, 3), (6, 2, 5), (3, 8, 1)])
+    def test_non_square(self, r, k, c):
+        rng = random.Random(r * 100 + k * 10 + c)
+        draw = lambda: F(rng.choice((0, 0, rng.randint(-20, 20), F(rng.randint(-20, 20), 7))))
+        a = [[draw() for _ in range(k)] for _ in range(r)]
+        b = [[draw() for _ in range(c)] for _ in range(k)]
+        self.check(a, b)
+
+    @pytest.mark.parametrize("n", [8, 9, 10])
+    def test_signed_permutations(self, n):
+        # one nonzero entry per row and column: the holonomy closure's operands
+        rng = random.Random(n)
+        for _ in range(5):
+            p, s = _signed_permutation(rng, n), _signed_permutation(rng, n)
+            dense = [[F(rng.randint(-30, 30)) for _ in range(n)] for _ in range(n)]
+            for a, b in ((p, s), (p, dense), (dense, p)):
+                self.check(a, b)
+            # a signed permutation has order dividing 2 lcm(cycle lengths)
+            m = Matrix(p)
+            order = next(k for k in range(1, 2 * math.factorial(n) + 1) if (m**k).is_identity())
+            assert_matches(m**order, ref_identity(n))
+            assert m ** (order - 1) == m.inverse()
+
+    @pytest.mark.parametrize("n", [1, 3, 6])
+    def test_huge_entries_among_zeros(self, n):
+        rng = random.Random(n)
+        huge = lambda: F(rng.choice((0, 0, 0, -1, 1)) * (10**30 + rng.randint(-10**6, 10**6)))
+        for den in (1, 10**30 - 1):
+            a = [[huge() / den for _ in range(n)] for _ in range(n)]
+            b = [[huge() for _ in range(n)] for _ in range(n)]
+            self.check(a, b)
+            self.check(b, a)
+            power = ref_identity(n)
+            for k in range(3):
+                assert_matches(Matrix(b) ** k, power)
+                power = ref_product(power, b)
+
+    def test_prepared_rows_are_reused(self):
+        # the verifier lists each letter's nonzero entries once and reuses
+        # them for every left factor
+        rng = random.Random(0)
+        g = [[rng.choice((0, 0, rng.randint(-5, 5))) for _ in range(4)] for _ in range(4)]
+        prepared = exactlin._nonzeros(g)
+        assert prepared == tuple([(j, x) for j, x in enumerate(row) if x] for row in g)
+        as_fractions = lambda rows: [[F(x) for x in row] for row in rows]
+        for _ in range(20):
+            w = [[rng.choice((0, rng.randint(-50, 50))) for _ in range(4)] for _ in range(3)]
+            expected = ref_product(as_fractions(w), as_fractions(g))
+            assert as_fractions(exactlin._sparse_product(w, prepared, 4)) == expected
 
 
 class TestForwardDeterminant:

@@ -236,6 +236,14 @@ MUTANTS = [
         ) is True,
     ),
     Mutant(
+        # row 0 of the product is -1 (1, 0) + 2 (3, 1) = (5, 2); skipping the
+        # negative entry leaves 2 (3, 1) = (6, 2)
+        "product-skips-negative-entries",
+        "exactlin", "_sparse_product",
+        "if x:", "if x > 0:",
+        lambda: Matrix([[-1, 2], [0, 1]]) * Matrix([[1, 0], [3, 1]]) == Matrix([[5, 2], [3, 1]]),
+    ),
+    Mutant(
         # torus-1 at the form [[1]]: h = 1/2 at c = 1, so c doubles to 2.
         # The mutant is killed only when both entry points fail under it,
         # which they do because they share one rule

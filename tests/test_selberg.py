@@ -544,19 +544,26 @@ def _cleared(w, g, q):
 
 
 def _counted(monkeypatch):
-    """Record the operands of every matrix product and negation."""
+    """Record the operands of every matrix product and negation: the
+    verifier forms each ``w g`` through ``selberg._letter_product``, and any
+    other product would go through ``Matrix.__mul__``."""
     products, negations = [], []
-    product, negation = Matrix.__mul__, Matrix.__neg__
+    product, letter_product, negation = Matrix.__mul__, selberg._letter_product, Matrix.__neg__
 
     def counted_product(a, b):
         products.append((a, b))
         return product(a, b)
+
+    def counted_letter_product(w, g, g_nonzeros):
+        products.append((w, g))
+        return letter_product(w, g, g_nonzeros)
 
     def counted_negation(a):
         negations.append(a)
         return negation(a)
 
     monkeypatch.setattr(Matrix, "__mul__", counted_product)
+    monkeypatch.setattr(selberg, "_letter_product", counted_letter_product)
     monkeypatch.setattr(Matrix, "__neg__", counted_negation)
     return products, negations
 
