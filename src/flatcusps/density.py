@@ -27,7 +27,7 @@ invariant shape.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .bieberbach import (
     BieberbachGroup,
@@ -41,15 +41,17 @@ from .exactlin import Frozen, Matrix, SymmetricForm
 from .lorentz import _integral_embedding, verify_embedding
 from .selberg import MatrixGroupInput, SelbergCertificate, good_prime
 from .shapes import (
-    ShapeDescriptor, _dyadic_form, _float_sum, _float_view, _view_distance, rationalize
+    ShapeDescriptor, _dyadic_form, _float_sum, _float_view, _rounded_forms, _view_distance
 )
 
 LCG_MULTIPLIER = 6364136223846793005
 LCG_INCREMENT = 1442695040888963407
 LCG_MODULUS = 1 << 64
 
-#: How far the per-row retry ladder is allowed to push the denominator
-#: bound when rounding destroys definiteness (factor applied repeatedly).
+#: The per-row retry ladder: while rounding destroys definiteness, the
+#: bound is multiplied by RETRY_FACTOR, until a try above ``bound *
+#: RETRY_LIMIT`` fails too. The last try is at ``bound * RETRY_LIMIT *
+#: RETRY_FACTOR``: eleven tries, 10 to 10**11 at bound 10.
 RETRY_FACTOR = 10
 RETRY_LIMIT = 10**9
 
@@ -159,12 +161,14 @@ def sample_targets(group: BieberbachGroup, count: int, seed: int) -> list[Symmet
 
 
 def _rationalize_with_retry(
-    target: SymmetricForm, theta: HolonomyGroup, bound: int
-) -> ShapeDescriptor:
-    """Approximate, enlarging the bound tenfold while rounding kills definiteness.
+    reference: SymmetricForm, theta: HolonomyGroup, bounds: Sequence[int]
+) -> Iterator[ShapeDescriptor]:
+    """Each rung's shape, enlarging a rung's bound tenfold while rounding
+    kills definiteness, up to ``bound * RETRY_LIMIT * RETRY_FACTOR``.
 
-    The target is already the exact holonomy average, which
-    :func:`rationalize` takes as its own average and rounds directly.
+    The reference is an exact holonomy average, so :func:`rationalize`
+    would round it as it is; here :func:`_rounded_forms` rounds it at the
+    whole ladder of ``bounds`` at once, and each rung averages its rounding.
     The retry ladder is deterministic, so two rows whose ladders stop at
     the same effective bound get identical shapes. Errors need not fall as
     the nominal bound grows: a larger bound never rounds an entry worse,
@@ -172,14 +176,18 @@ def _rationalize_with_retry(
     holonomy average, and it can rise slightly (torus-2 at seed 1 has 3
     such rises in its first 100 targets).
     """
-    effective = bound
-    while True:
-        try:
-            return rationalize(target, theta, effective)
-        except NotPositiveDefinite:
-            if effective > bound * RETRY_LIMIT:
-                raise
-            effective *= RETRY_FACTOR
+    for bound, rounded in zip(bounds, _rounded_forms(reference, bounds)):
+        effective = bound
+        while True:
+            try:
+                shape = ShapeDescriptor(theta.group, theta_average(rounded, theta))
+                break
+            except NotPositiveDefinite:
+                if effective > bound * RETRY_LIMIT:
+                    raise
+                effective *= RETRY_FACTOR
+                [rounded] = _rounded_forms(reference, (effective,))
+        yield shape
 
 
 def _pipeline_legs(group: BieberbachGroup, shape: ShapeDescriptor, certify: bool) -> Optional[int]:
@@ -248,8 +256,8 @@ def run_experiment(
     for sample_id, target in enumerate(targets):
         reference = theta_average(target, theta)
         reference_view = None  # read once, after the first rung's shape, as shape_distance does
-        for bound in config.denom_bounds:
-            shape = _rationalize_with_retry(reference, theta, bound)
+        ladder = _rationalize_with_retry(reference, theta, config.denom_bounds)
+        for bound, shape in zip(config.denom_bounds, ladder):
             shape_view = _float_view(shape.form)
             reference_view = reference_view or _float_view(reference)
             error = _view_distance(shape_view, reference_view)

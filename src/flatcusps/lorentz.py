@@ -25,8 +25,9 @@ by ``c`` and leaves the linear factors alone: ``T(w) R(A)`` becomes
 ``T(c w) R(A)``. One builder, :func:`_integral_images`, makes those
 images for both entry points. It reads the smallest ``c`` off each
 generator's ``w``, ``k^T A`` and ``h``, divides ``c w``, ``c k^T A`` and
-``c^2 h`` out exactly, and assembles ``T(c w) R(A)`` once from those
-integers, over denominator 1. :func:`integralize` first decodes the given
+``c^2 h`` out exactly, and writes ``T(c w) R(A)`` from those integers
+straight onto integer rows over denominator 1; :func:`_assemble` builds
+the rational images only. :func:`integralize` first decodes the given
 images, which fixes ``w = s t`` at one shared scale ``s``; a density row's
 :func:`_integral_embedding` starts from the generators at ``s = 1`` and
 never forms the rational images. :func:`verify_embedding` decodes the
@@ -402,7 +403,11 @@ def _integral_images(
     ``L`` when every ``L^2 h`` is an integer, and ``2 L`` otherwise (an odd
     multiple of ``L`` leaves the half, and ``(2 L)^2 h`` is four times a
     half). The integers ``c w``, ``c k^T A`` and ``c^2 h`` are divided out
-    exactly, and a remainder raises ``InvariantViolation``.
+    exactly, and a remainder raises ``InvariantViolation``. Each image is
+    then written straight onto integer rows, as :func:`_assemble` writes
+    it: row ``i < n`` is row i of ``A`` followed by ``c w_i, -c w_i``, and
+    the last two are ``-c k^T A`` followed by ``1 - c^2 h, c^2 h`` and by
+    ``-c^2 h, 1 + c^2 h``.
     """
     if not all(g.linear.is_integral() for g in generators):
         raise ValueError(
@@ -425,7 +430,10 @@ def _integral_images(
         w = _quotients([cs * x for x in g.num], s_den * g.den)
         ka = _quotients([cs * x for x in ka_num], s_den * k_den)
         [h] = _quotients([cs * cs * h_num], s_den * s_den * h_den)
-        images.append(_assemble(g.linear, w, 1, ka, 1, h, 1))
+        rows = [row + (x, -x) for row, x in zip(g.linear.num, w)]
+        minus_ka = tuple(-x for x in ka)
+        rows += [minus_ka + (1 - h, h), minus_ka + (-h, 1 + h)]
+        images.append(Matrix.from_integer_rows(tuple(rows), 1))
     return tuple(images), c
 
 

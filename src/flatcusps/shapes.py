@@ -8,7 +8,8 @@ target metric is exact too: a decimal entry is the value of its double,
 a dyadic rational. :func:`rationalize` pulls it into this cone: average over the
 holonomy, round each entry to the best rational approximation with
 bounded denominator, then average again to restore exact invariance.
-Only :func:`_float_view` turns entries into doubles.
+:func:`_rounded_forms` rounds at a whole ladder of bounds with one walk
+per entry. Only :func:`_float_view` turns entries into doubles.
 """
 
 from __future__ import annotations
@@ -55,38 +56,55 @@ class ShapeDescriptor(Frozen):
         return f"ShapeDescriptor({self.group!r}, {self.form!r})"
 
 
-def _limit_denominator(num: int, den: int, bound: int) -> tuple[int, int]:
-    """The pair ``(p, q)`` of ``Fraction(num, den).limit_denominator(bound)``.
+def _limit_denominators(num: int, den: int, bounds: Sequence[int]) -> list[tuple[int, int]]:
+    """The pair ``(p, q)`` of ``Fraction(num, den).limit_denominator(b)``
+    for each of the strictly increasing ``bounds``, from one walk.
 
-    ``den`` is positive and ``bound`` at least 1. The same walk as the
+    ``den`` is positive and every bound at least 1. The same walk as the
     standard library's, on ints only: reduce ``num / den``, follow its
-    continued-fraction convergents while the denominator stays within the
+    continued-fraction convergents while the denominator stays within a
     bound, then choose between the last convergent ``p1 / q1`` and the
     semiconvergent ``(p0 + k p1) / (q0 + k q1)``. They lie on either side
     of ``num / den``, ``1 / (q1 q)`` apart with ``q`` the semiconvergent's
     denominator, and the convergent is ``d / (q1 den)`` from ``num / den``,
     with ``d`` the last remainder; so the convergent is at least as close
-    exactly when ``2 d q <= den``, and it wins ties. Without the gcd an unreduced pair
-    would run the expansion out before the bound and divide by zero.
+    exactly when ``2 d q <= den``, and it wins ties. Each bound resumes the
+    walk where the smaller one stopped; at its end, where ``d`` is 0, the
+    last convergent is ``num / den`` itself.
     """
     g = math.gcd(num, den)
     num, den = num // g, den // g
-    if den <= bound:
-        return num, den
     p0, q0, p1, q1 = 0, 1, 1, 0
     n, d = num, den
-    while True:
-        a = n // d
-        q2 = q0 + a * q1
-        if q2 > bound:
-            break
-        p0, q0, p1, q1 = p1, q1, p0 + a * p1, q2
-        n, d = d, n - a * d
-    k = (bound - q0) // q1
-    q = q0 + k * q1
-    if 2 * d * q <= den:
-        return p1, q1
-    return p0 + k * p1, q
+    out = []
+    for bound in bounds:
+        while d:
+            a = n // d
+            q2 = q0 + a * q1
+            if q2 > bound:
+                break
+            p0, q0, p1, q1 = p1, q1, p0 + a * p1, q2
+            n, d = d, n - a * d
+        k = (bound - q0) // q1
+        q = q0 + k * q1
+        out.append((p1, q1) if 2 * d * q <= den else (p0 + k * p1, q))
+    return out
+
+
+def _rounded_forms(form: SymmetricForm, bounds: Sequence[int]) -> list[SymmetricForm]:
+    """``form`` with each entry rounded by :func:`_limit_denominators`, at
+    each of the strictly increasing ``bounds``: one walk per upper-triangle
+    entry, mirrored, and each rounded form on integer rows over its lcm."""
+    num, den = form.matrix.num, form.matrix.den
+    upper = [[_limit_denominators(x, den, bounds) for x in row[i:]] for i, row in enumerate(num)]
+    walks = [[upper[j][i - j] for j in range(i)] + upper[i] for i in range(form.dim)]
+    forms = []
+    for r in range(len(bounds)):
+        pairs = [[walk[r] for walk in row] for row in walks]
+        lcm = math.lcm(*(q for row in pairs for _, q in row))
+        rows = tuple(tuple(p * (lcm // q) for p, q in row) for row in pairs)
+        forms.append(SymmetricForm(Matrix.from_integer_rows(rows, lcm)))
+    return forms
 
 
 def rationalize(
@@ -96,9 +114,9 @@ def rationalize(
 
     The exact target is averaged over the holonomy, each entry of the
     average is rounded to the best rational with denominator at most
-    ``denom_bound``, and the rounded matrix is averaged again so
-    invariance holds exactly. Before the final average each entry is within
-    ``1/denom_bound`` of the averaged target.
+    ``denom_bound`` (:func:`_rounded_forms`), and the rounded matrix is
+    averaged again so invariance holds exactly. Before the final average
+    each entry is within ``1/denom_bound`` of the averaged target.
     A target that is already an arithmetic shape for the group
     (:func:`is_arithmetic_shape`, decided on the generators), such as the
     output of :func:`theta_average`, is its own average and is rounded as it is.
@@ -115,18 +133,8 @@ def rationalize(
         averaged = target
     else:
         averaged = theta_average(target, theta)
-    # round the upper triangle on the integer rows and mirror it
-    m = averaged.matrix
-    n, num, den = m.rows, m.num, m.den
-    pairs = [[(0, 1)] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i, n):
-            pairs[i][j] = pairs[j][i] = _limit_denominator(num[i][j], den, denom_bound)
-    lcm = math.lcm(*(q for row in pairs for _, q in row))
-    rows = tuple(tuple(p * (lcm // q) for p, q in row) for row in pairs)
-    rounded = SymmetricForm(Matrix.from_integer_rows(rows, lcm))
-    invariant = theta_average(rounded, theta)
-    return ShapeDescriptor(theta.group, invariant)
+    [rounded] = _rounded_forms(averaged, (denom_bound,))
+    return ShapeDescriptor(theta.group, theta_average(rounded, theta))
 
 
 def _entries_as_floats(form: SymmetricForm) -> tuple[int, list[list[float]]]:

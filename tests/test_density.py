@@ -25,7 +25,7 @@ from flatcusps.density import (
     sample_targets,
 )
 from flatcusps.cli import main
-from flatcusps.errors import HolonomyBound
+from flatcusps.errors import HolonomyBound, NotPositiveDefinite
 from flatcusps.exactlin import Matrix, SymmetricForm, is_positive_definite, preserves_form
 from flatcusps.lorentz import embed_group, integralize
 from flatcusps.serialize import certificate_to_dict, group_to_dict
@@ -135,7 +135,7 @@ class TestSampleTargets:
         def never(*args):
             raise AssertionError("a row was computed")
 
-        monkeypatch.setattr(density, "rationalize", never)
+        monkeypatch.setattr(density, "_rationalize_with_retry", never)
         config = ExperimentConfig(SHEAR, 2, [10], 8, torus_manifold_mode=True)
         with pytest.raises(HolonomyBound):
             run_experiment(config)
@@ -226,12 +226,13 @@ class TestRunExperiment:
 
     def test_each_image_is_decoded_once_per_row(self, monkeypatch):
         # per row: _integral_embedding builds the parts table once (one
-        # _translation_parts per generator), reads the scale off it and
-        # assembles the 2 integral images once from its rescaled parts; the
+        # _translation_parts per generator), and one _integral_images reads
+        # the scale off it and writes the 2 integral images straight onto
+        # integer rows from its rescaled parts, with no _assemble; the
         # verification reads the table the embedding carries and decodes
         # each image once, in place, with no _assemble and no
         # _translation_parts; the congruence leg builds no unipotent
-        calls = {"_assemble": 0, "_decodes": 0, "_translation_parts": 0}
+        calls = {"_assemble": 0, "_integral_images": 0, "_decodes": 0, "_translation_parts": 0}
         for name in calls:
             original = getattr(lorentz, name)
 
@@ -243,15 +244,18 @@ class TestRunExperiment:
         config = ExperimentConfig(catalog("torus-2"), 1, [10], 8, torus_manifold_mode=True)
         [row] = run_experiment(config)
         assert row.pipeline_ok is True
-        assert calls == {"_assemble": 2, "_decodes": 2, "_translation_parts": 2}
+        assert calls == {
+            "_assemble": 0, "_integral_images": 1, "_decodes": 2, "_translation_parts": 2
+        }
 
     @pytest.mark.parametrize("name", ["torus-2", "klein", "sixth-turn"])
     def test_each_target_is_averaged_once_per_ladder(self, name, monkeypatch):
         # every rung rounds the exact reference average, so it averages only
-        # its rounded form: 1 + k averages for k bounds, and one rationalize
-        # per row under the name the benchmark traces; the reference's float
-        # view is read once per ladder and each rung's shape once, and each
-        # row takes one distance between two views
+        # its rounded form: 1 + k averages for k bounds. Each upper-triangle
+        # entry of the reference is walked once for the whole ladder, and no
+        # rung calls rationalize; the reference's float view is read once
+        # per ladder and each rung's shape once, and each row takes one
+        # distance between two views
         calls = {}
 
         def count(owner, attr):
@@ -267,17 +271,23 @@ class TestRunExperiment:
         for owner, attr in [
             (density, "theta_average"),
             (shapes, "theta_average"),
-            (density, "rationalize"),
+            (shapes, "rationalize"),
+            (shapes, "_limit_denominators"),
             (density, "_float_view"),
             (density, "_view_distance"),
         ]:
             count(owner, attr)
         bounds = [10, 100, 1000, 10**4, 10**5, 10**6]
-        config = ExperimentConfig(catalog(name), 1, bounds, 8, torus_manifold_mode=True)
+        group = catalog(name)
+        config = ExperimentConfig(group, 1, bounds, 8, torus_manifold_mode=True)
         assert all(row.pipeline_ok is True for row in run_experiment(config))
-        k = len(bounds)
+        k, n = len(bounds), group.dim
         assert calls == {
-            "theta_average": 1 + k, "rationalize": k, "_float_view": 1 + k, "_view_distance": k
+            "theta_average": 1 + k,
+            "rationalize": 0,
+            "_limit_denominators": n * (n + 1) // 2,
+            "_float_view": 1 + k,
+            "_view_distance": k,
         }
 
     @pytest.mark.parametrize("name", ["torus-2", "klein", "sixth-turn"])
@@ -305,8 +315,9 @@ class TestRunExperiment:
 
     @pytest.mark.parametrize("name", ["klein", "sixth-turn"])
     def test_invariance_is_decided_on_the_generators_per_rung(self, name, monkeypatch):
-        # each rung asks whether its target is already an arithmetic shape;
-        # that takes one preserves_form per generator, not one per element
+        # the reference is theta_average output, so no rung asks whether it
+        # is already an arithmetic shape; rationalize asks it of a target
+        # once, with one preserves_form per generator, not one per element
         # of theta (6 on sixth-turn, which has 3 generators)
         calls = []
         original = shapes.preserves_form
@@ -320,8 +331,11 @@ class TestRunExperiment:
         bounds = [10, 100, 1000, 10**4, 10**5, 10**6]
         config = ExperimentConfig(group, 1, bounds, 8, torus_manifold_mode=True)
         assert all(row.pipeline_ok is True for row in run_experiment(config))
-        assert len(calls) == len(bounds) * len(group.generators)
-        assert calls == [g.linear for g in group.generators] * len(bounds)
+        assert calls == []
+        theta = holonomy(group)
+        [target] = sample_targets(group, 1, 8)
+        shapes.rationalize(theta_average(target, theta), theta, bounds[0])
+        assert calls == [g.linear for g in group.generators]
 
     @pytest.mark.parametrize("name", catalog_names())
     def test_congruence_leg_every_catalog_group(self, name):
@@ -367,8 +381,7 @@ def row_embeddings(group, count, seed):
     theta = holonomy(group)
     for target in sample_targets(group, count, seed):
         reference = theta_average(target, theta)
-        for bound in BOUNDS:
-            shape = density._rationalize_with_retry(reference, theta, bound)
+        for bound, shape in zip(BOUNDS, density._rationalize_with_retry(reference, theta, BOUNDS)):
             row = lorentz._integral_embedding(group, shape)
             assert row == integralize(embed_group(group, shape)), (group.name, bound)
             yield row
@@ -380,9 +393,81 @@ def test_seed_8_rows_assemble_over_denominator_one(monkeypatch):
     theta = holonomy(group)
     for target in sample_targets(group, 100, 8):
         reference = theta_average(target, theta)
-        for bound in BOUNDS:
-            shape = density._rationalize_with_retry(reference, theta, bound)
+        for bound, shape in zip(BOUNDS, density._rationalize_with_retry(reference, theta, BOUNDS)):
             assert assembled_denominators(monkeypatch, group, shape) == [1, 1], bound
+
+
+def counted_roundings(monkeypatch):
+    """The bound lists ``run_experiment`` rounds a reference at, in order:
+    the ladder's first, then each retry's single bound."""
+    calls = []
+    original = density._rounded_forms
+
+    def counted(form, bounds):
+        calls.append(tuple(bounds))
+        return original(form, bounds)
+
+    monkeypatch.setattr(density, "_rounded_forms", counted)
+    return calls
+
+
+class TestRetryLadder:
+    """A rung whose rounding is not positive definite rounds again at ten
+    times its bound, up to ``bound * RETRY_LIMIT * RETRY_FACTOR``."""
+
+    TRIED_AT_10 = [(10**k,) for k in range(2, 12)]  # the retries after the ladder's (10,)
+
+    def target(self, e):
+        return SymmetricForm([[1, 1], [1, 1 + F(1, 2**e)]])
+
+    def test_last_try_settles(self, monkeypatch):
+        # 2^-36 is about 1.5e-11: only the eleventh try, at 10^11, keeps it
+        group = catalog("torus-2")
+        calls = counted_roundings(monkeypatch)
+        config = ExperimentConfig(group, 1, [10], 8)
+        [row] = run_experiment(config, targets=[self.target(36)])
+        assert calls == [(10,)] + self.TRIED_AT_10
+        assert 10 * density.RETRY_LIMIT * density.RETRY_FACTOR == 10**11
+        theta = holonomy(group)
+        with pytest.raises(NotPositiveDefinite):
+            shapes.rationalize(self.target(36), theta, 10**10)
+        expected = shapes.rationalize(self.target(36), theta, 10**11)
+        assert row.error == shapes.shape_distance(expected.form, self.target(36))
+
+    def test_gives_up_after_the_last_try(self, monkeypatch):
+        calls = counted_roundings(monkeypatch)
+        config = ExperimentConfig(catalog("torus-2"), 1, [10], 8)
+        with pytest.raises(NotPositiveDefinite):
+            run_experiment(config, targets=[self.target(40)])
+        assert calls == [(10,)] + self.TRIED_AT_10
+
+
+class TestLadderEqualsSingleBounds:
+    """A ladder's rows are the rows of one single-bound run per bound."""
+
+    @pytest.mark.parametrize("name, count", [("torus-2", 100), ("klein", 20), ("sixth-turn", 20)])
+    def test_rows(self, name, count, monkeypatch):
+        group = catalog(name)
+        ladder = ExperimentConfig(group, count, BOUNDS, 8, torus_manifold_mode=True)
+        calls = counted_roundings(monkeypatch)
+        rows = run_experiment(ladder)
+        retries = []  # per sample, the single bounds rounded after its ladder
+        for bounds in calls:
+            if bounds == tuple(BOUNDS):
+                retries.append([])
+            else:
+                retries[-1].append(bounds)
+        singles = [
+            run_experiment(ExperimentConfig(group, count, [bound], 8, torus_manifold_mode=True))
+            for bound in BOUNDS
+        ]
+        assert rows == [single[i] for i in range(count) for single in singles]
+        assert len(retries) == count
+        if name == "torus-2":
+            # among the seed-8 retries: sample 9 once at bound 10, and sample
+            # 68 twice at bound 10 and once at bound 100
+            assert retries[9] == [(100,)]
+            assert retries[68] == [(100,), (1000,), (1000,)]
 
 
 class TestDegreeCertificate:

@@ -22,8 +22,8 @@ from typing import Callable, NamedTuple
 
 import pytest
 
-from flatcusps import bieberbach, exactlin, lorentz, selberg
-from flatcusps.bieberbach import AffineMap, BieberbachGroup, catalog
+from flatcusps import bieberbach, exactlin, lorentz, selberg, shapes
+from flatcusps.bieberbach import AffineMap, BieberbachGroup, catalog, holonomy
 from flatcusps.errors import NotFormIsometry
 from flatcusps.exactlin import Matrix, SymmetricForm
 from flatcusps.selberg import MatrixGroupInput, SelbergCertificate
@@ -312,6 +312,17 @@ MUTANTS = [
         "bieberbach", "is_torsion_free",
         "norm, power = norm + power, power * h", "norm, power = norm, power * h",
         lambda: bieberbach.is_torsion_free(_HALF_SHIFTED_HALF_TURN) is False,
+    ),
+    Mutant(
+        # 3/2 lies halfway between 1 and 2, the convergent and the
+        # semiconvergent at bound 1; the tie goes to the convergent, as in
+        # limit_denominator
+        "ladder-walk-tie-to-semiconvergent",
+        "shapes", "_limit_denominators",
+        "2 * d * q <= den", "2 * d * q < den",
+        lambda: shapes.rationalize(
+            SymmetricForm([[F(3, 2)]]), holonomy(catalog("torus-1")), 1
+        ).form == SymmetricForm([[1]]),
     ),
     Mutant(
         # (4, 9) = 2 (2, 0) + 3 (0, 3); clearing must subtract the basis rows

@@ -27,7 +27,7 @@ from flatcusps.serialize import parse_real_form
 from flatcusps.shapes import (
     ShapeDescriptor,
     _entries_as_floats,
-    _limit_denominator,
+    _limit_denominators,
     is_arithmetic_shape,
     rationalize,
     shape_distance,
@@ -153,8 +153,9 @@ class TestExactDefinitenessGate:
 
 
 def limited(x, bound):
-    """:func:`_limit_denominator` on a fraction, as a fraction."""
-    return F(*_limit_denominator(x.numerator, x.denominator, bound))
+    """:func:`_limit_denominators` on a fraction at one bound, as a fraction."""
+    [pair] = _limit_denominators(x.numerator, x.denominator, [bound])
+    return F(*pair)
 
 
 class TestBestRationalApprox:
@@ -216,6 +217,68 @@ class TestBestRationalApproxIsLimitDenominator:
     def test_denominator_within_bound_is_returned(self):
         for x in (F(-7, 9), F(5, 9), F(0), F(-3)):
             assert limited(x, 9) == x
+
+
+def ladders(draw_bound):
+    """Strictly increasing bound lists of 1 to 8 bounds, each drawn by
+    ``draw_bound``."""
+    return st.lists(draw_bound, min_size=1, max_size=8, unique=True).map(sorted)
+
+
+class TestLadderWalk:
+    """One walk for a whole ladder gives, at every bound, the pair of
+    ``limit_denominator`` at that bound alone."""
+
+    @staticmethod
+    def check(num, den, bounds):
+        pairs = _limit_denominators(num, den, bounds)
+        x = F(num, den)
+        assert [F(*pair) for pair in pairs] == [x.limit_denominator(b) for b in bounds]
+        # each pair is in lowest terms with a positive denominator, as
+        # limit_denominator's is
+        assert all(q > 0 and math.gcd(p, q) == 1 for p, q in pairs)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        num=st.integers(-(10**30), 10**30),
+        den=st.integers(1, 10**30),
+        scale=st.integers(1, 10**6),
+        bounds=ladders(st.one_of(
+            st.integers(1, 30), st.integers(1, 10**12), st.integers(10**18 - 50, 10**18 + 50)
+        )),
+    )
+    def test_matches_limit_denominator_at_every_bound(self, num, den, scale, bounds):
+        # the pair is drawn unreduced by a common factor, and num may be
+        # negative or zero
+        self.check(num * scale, den * scale, bounds)
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), num=st.integers(-(10**9), 10**9), den=st.integers(1, 10**9))
+    def test_bounds_around_the_denominator(self, data, num, den):
+        # rungs below, at and beyond the reduced denominator, which is
+        # returned as it is from the first bound that reaches it
+        reduced = den // math.gcd(num, den)
+        near = st.integers(max(1, reduced - 3), reduced + 3)
+        bounds = data.draw(ladders(st.one_of(near, st.integers(1, 2 * reduced + 1))))
+        self.check(num, den, bounds)
+        if bounds[-1] >= reduced:
+            assert F(*_limit_denominators(num, den, bounds)[-1]) == F(num, den)
+
+    def test_bound_one_and_zero(self):
+        for num, den in [(0, 1), (0, 7), (3, 2), (-3, 2), (1, 2), (-1, 2), (6, 4), (-10, 4)]:
+            self.check(num, den, [1])
+            self.check(num, den, [1, 2, 3, 10**18])
+        assert _limit_denominators(0, 12, [1, 10**18]) == [(0, 1), (0, 1)]
+        assert _limit_denominators(-2, 4, [1]) == [(-1, 1)]  # the tie goes to the convergent
+
+    @pytest.mark.parametrize("bound", range(1, 13))
+    def test_exact_ties_along_a_ladder(self, bound):
+        # a Farey midpoint at bound b is a tie only at b; the ladder walked
+        # through b and on to larger bounds breaks it as one walk at b does
+        bounds = [1, bound, bound + 1, 10 * bound, 10**18] if bound > 1 else [1, 2, 10**18]
+        for x in farey_midpoints(bound):
+            for y in (x, -x):
+                self.check(y.numerator, y.denominator, bounds)
 
 
 def reference_rationalize(form, theta, bound):
