@@ -13,7 +13,8 @@ The three are pure functions of the immutable group value, so each is
 memoized (a bounded ``functools.lru_cache``) and a group that equals an
 earlier one reuses its results. The holonomy cache keeps only the witnesses,
 so every :class:`HolonomyGroup` is built around the caller's own group and
-carries its name.
+carries its name. The holonomy average of forms is one linear map per
+holonomy, kept the same way, keyed on the holonomy's elements.
 
 A small catalog of verified low-dimensional flat-manifold groups is
 included. Catalog entries are standard crystallographic presentations but
@@ -44,7 +45,6 @@ from .exactlin import (
     Scalar,
     SymmetricForm,
     Vector,
-    congruent_rows,
     has_integer_solution,
     integer_row_hermite,
     is_positive_definite,
@@ -371,11 +371,11 @@ def theta_average(form: SymmetricForm, theta: HolonomyGroup) -> SymmetricForm:
 
     The result is symmetric, positive definite, and exactly invariant under
     every element of the holonomy, because right multiplication permutes
-    the summands. The sum is taken on integer rows over ``L^2 den F``,
-    with ``L`` the lcm of the elements' denominators: ``g`` contributes
-    ``(L / den g)^2 g.num^T F.num g.num``, the identity ``L^2 F.num`` with
-    no product, and the total is reduced once. Over a trivial holonomy the
-    average is the form itself, which is returned as it is.
+    the summands. The average is a linear map of ``F``, the Reynolds
+    projection onto the forms theta fixes, held once per theta by
+    :func:`_reynolds_table`: each upper-triangle entry of the result is one
+    integer dot product with ``F.num``, mirrored and reduced once. Over a
+    trivial holonomy the average is the form itself, returned as it is.
     """
     if form.dim != theta.dim:
         raise DimensionMismatch(
@@ -386,16 +386,42 @@ def theta_average(form: SymmetricForm, theta: HolonomyGroup) -> SymmetricForm:
     if theta.order == 1:
         return form
     f = form.matrix
-    lcm = math.lcm(*(g.den for g in theta.elements))
+    num = f.num
+    table, den = _reynolds_table(theta.elements)
     total = [[0] * form.dim for _ in range(form.dim)]
-    for g in theta.elements:
-        rows = f.num if g.is_identity() else congruent_rows(g, f)
+    for i, j, terms in table:
+        total[i][j] = total[j][i] = sum(c * num[k][l] for k, l, c in terms)
+    return SymmetricForm(Matrix.from_integer_rows(tuple(map(tuple, total)), den * f.den))
+
+
+@lru_cache(maxsize=_CACHE_SIZE)
+def _reynolds_table(elements: tuple[Matrix, ...]) -> tuple[tuple, int]:
+    """``(table, den)`` with ``theta_average(F)`` at ``(i, j)`` equal to
+    ``sum c F_kl / den`` over the ``(k, l, c)`` of ``table``'s entry
+    ``(i, j, terms)``, for ``i <= j`` and ``k <= l``. With ``L`` the lcm of
+    the elements' denominators, ``den = |theta| L^2`` and ``c`` is the
+    integer ``sum_g (L / den g)^2 (g_ki g_lj + g_li g_kj)`` on ``g.num``,
+    the second product only when ``k != l``; a ``c`` that cancels to 0 is
+    left out. Each element is read through the nonzero entries of its
+    columns, so a signed permutation costs one product per output entry.
+    """
+    n = elements[0].rows
+    lcm = math.lcm(*(g.den for g in elements))
+    sums: dict[tuple, dict] = {(i, j): {} for i in range(n) for j in range(i, n)}
+    for g in elements:
         weight = (lcm // g.den) ** 2
-        for acc, row in zip(total, rows):
-            for j, x in enumerate(row):
-                acc[j] += weight * x
-    den = theta.order * lcm * lcm * f.den
-    return SymmetricForm(Matrix.from_integer_rows(tuple(map(tuple, total)), den))
+        columns = [[(k, x) for k, x in enumerate(column) if x] for column in zip(*g.num)]
+        for (i, j), acc in sums.items():
+            for k, x in columns[i]:
+                for l, y in columns[j]:
+                    # g_ki F_kl g_lj, and F_kl = F_lk
+                    if k <= l:
+                        acc[k, l] = acc.get((k, l), 0) + weight * x * y
+                    else:
+                        acc[l, k] = acc.get((l, k), 0) + weight * x * y
+    return tuple(
+        (i, j, tuple((k, l, c) for (k, l), c in acc.items() if c)) for (i, j), acc in sums.items()
+    ), len(elements) * lcm * lcm
 
 
 # ---------------------------------------------------------------------------

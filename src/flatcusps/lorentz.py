@@ -63,6 +63,7 @@ from .exactlin import (
     Frozen,
     Matrix,
     SymmetricForm,
+    _matrix,
     _restore,
     is_positive_definite,
     is_unipotent,
@@ -135,9 +136,17 @@ def _assemble(
 
     Row ``i < n`` is row i of ``a`` followed by ``w_i, -w_i``; rows n and
     n+1 both start with ``-(k^T a)``; the corner two-by-two block is
-    ``[[1 - h, h], [-h, 1 + h]]``. Every entry is written over one common
-    denominator, and no fraction need be in lowest terms.
+    ``[[1 - h, h], [-h, 1 + h]]``. The entries are written in lowest terms:
+    ``a`` and ``w`` arrive canonical, ``k^T a`` and ``h`` are reduced over
+    their own denominators, and over the lcm of the four each prime power
+    of the denominator keeps an entry of the part it came from a unit at
+    that prime, so the rows need no gcd.
     """
+    g = math.gcd(ka_den, *ka_num)
+    if g != 1:
+        ka_num, ka_den = [x // g for x in ka_num], ka_den // g
+    g = math.gcd(h_num, h_den)
+    h_num, h_den = h_num // g, h_den // g
     den = math.lcm(a.den, w_den, ka_den, h_den)
     fa, fw, fk = den // a.den, den // w_den, den // ka_den
     h = h_num * (den // h_den)
@@ -145,7 +154,7 @@ def _assemble(
     minus_ka = tuple(-fk * x for x in ka_num)
     rows.append(minus_ka + (den - h, h))
     rows.append(minus_ka + (-h, den + h))
-    return Matrix.from_integer_rows(tuple(rows), den)
+    return _matrix(tuple(rows), den)
 
 
 def embed_translation(v: Sequence, model: LorentzModel) -> Matrix:

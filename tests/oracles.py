@@ -23,7 +23,11 @@ translations included, and arithmetic shapes by checking every holonomy
 element in ``Fraction`` products. The API that only tests use lives here
 too, such as the ``Fraction`` vector helpers, the lattice basis of
 rational vectors, the zero matrix, the transpose, powers of an affine
-map, a matrix from its columns and the ``ghw-n`` groups.
+map, a matrix from its columns and the ``ghw-n`` groups. The holonomy
+average is also summed element by element on integer rows, the sum the
+library's Reynolds table regroups, and Lorentz images are also written on
+the unreduced rows of their closed form, the rows the library reduces part
+by part.
 """
 
 from __future__ import annotations
@@ -50,6 +54,7 @@ from flatcusps.exactlin import (
     SymmetricForm,
     Vector,
     char_poly,
+    congruent_rows,
     integer_row_hermite,
     nilpotent_exp,
     rat,
@@ -426,6 +431,24 @@ def product_embed_affine(g: AffineMap, model: LorentzModel) -> Matrix:
     return embed_translation(g.translation, model) * linear_image(g.linear, model)
 
 
+def unreduced_image_rows(g: AffineMap, model: LorentzModel) -> tuple[tuple, int]:
+    """The closed form of ``T(t) R(A)`` for ``g = (A, t)`` as integer rows
+    over the lcm of its parts' unreduced denominators, ``den A``, ``den t``,
+    ``den B_K den t den A`` for ``k^T A`` and ``2 (den B_K) (den t)^2`` for
+    ``h``, with no gcd taken."""
+    a, base = g.linear, model.base_form.matrix
+    k = [sum(map(operator.mul, row, g.num)) for row in base.num]
+    k_den = base.den * g.den
+    ka = [sum(map(operator.mul, k, column)) for column in zip(*a.num)]
+    h, h_den = sum(map(operator.mul, g.num, k)), 2 * g.den * k_den
+    den = math.lcm(a.den, g.den, k_den * a.den, h_den)
+    fa, fw, fk, fh = den // a.den, den // g.den, den // (k_den * a.den), den // h_den
+    rows = [tuple(fa * x for x in row) + (fw * x, -fw * x) for row, x in zip(a.num, g.num)]
+    minus_ka = tuple(-fk * x for x in ka)
+    rows += [minus_ka + (den - fh * h, fh * h), minus_ka + (-fh * h, den + fh * h)]
+    return tuple(rows), den
+
+
 def ref_decodes(image: Matrix, g: AffineMap, scale, model: LorentzModel) -> bool:
     """Whether ``image`` is the product ``T(c t) R(A)`` for the generator
     ``(A, t)`` at the scale ``c = c_num / c_den``, built as a matrix and
@@ -574,6 +597,22 @@ def ref_theta_average(form, elements):
     for g in elements:
         total = ref_sum(total, ref_product(ref_product(ref_transpose(g), form), g))
     return ref_scaled(Fraction(1, len(elements)), total)
+
+
+def elementwise_theta_average(form: SymmetricForm, theta: HolonomyGroup) -> Matrix:
+    """The holonomy average summed element by element on integer rows: each
+    ``g`` adds ``(L / den g)^2 g.num^T F.num g.num``, with ``L`` the lcm of
+    the elements' denominators, and the total over ``|theta| L^2 den F`` is
+    reduced once."""
+    f = form.matrix
+    lcm = math.lcm(*(g.den for g in theta.elements))
+    total = [[0] * form.dim for _ in range(form.dim)]
+    for g in theta.elements:
+        weight = (lcm // g.den) ** 2
+        for acc, row in zip(total, congruent_rows(g, f)):
+            for j, x in enumerate(row):
+                acc[j] += weight * x
+    return Matrix.from_integer_rows(tuple(map(tuple, total)), theta.order * lcm * lcm * f.den)
 
 
 def ref_det(a) -> Fraction:

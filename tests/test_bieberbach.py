@@ -37,6 +37,7 @@ from flatcusps.shapes import rationalize
 from flatcusps.serialize import group_to_dict, parse_group
 
 from test_benchmark_surface import load_perfbench
+from test_conjugates import CONJUGATORS, NAMES as CONJUGATE_NAMES, conjugate
 
 from oracles import (
     affine_power,
@@ -44,6 +45,7 @@ from oracles import (
     brute_force_box_size,
     brute_force_is_torsion_free,
     element_order,
+    elementwise_theta_average,
     ghw,
     ref_holonomy_witnesses,
     ref_inverse,
@@ -533,6 +535,101 @@ class TestThetaAverage:
         theta = holonomy(klein_group())
         with pytest.raises(DimensionMismatch):
             theta_average(SymmetricForm.identity(3), theta)
+
+
+def _rational_forms(n, count, seed):
+    """``count`` positive definite forms ``A^T A + I`` with rational ``A``."""
+    rng = random.Random(seed)
+    forms = []
+    for _ in range(count):
+        raw = Matrix(
+            [[F(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(n)] for _ in range(n)]
+        )
+        forms.append(SymmetricForm(transpose(raw) * raw + Matrix.identity(n)))
+    return forms
+
+
+def _signed_permutation(rng, n):
+    perm = rng.sample(range(n), n)
+    signs = [rng.choice((-1, 1)) for _ in range(n)]
+    return Matrix([[signs[i] if j == perm[i] else 0 for j in range(n)] for i in range(n)])
+
+
+def _conjugated_closure(generators, q):
+    """The elements ``Q^-1 g Q`` of the group the signed permutations
+    ``generators`` generate, as a holonomy with translation-free witnesses."""
+    q_inverse = q.inverse()
+    seen, frontier = {Matrix.identity(q.rows)}, [Matrix.identity(q.rows)]
+    while frontier:
+        fresh = [h * g for h in frontier for g in generators]
+        frontier = [h for h in dict.fromkeys(fresh) if h not in seen]
+        seen.update(frontier)
+    witnesses = [AffineMap(q_inverse * h * q, [0] * q.rows) for h in seen]
+    return HolonomyGroup(BieberbachGroup(witnesses), witnesses)
+
+
+class TestReynoldsTable:
+    """``theta_average`` through the Reynolds table against the per-element
+    integer sum (the same exact sum, so the same ``(num, den)``) and the
+    ``Fraction`` average."""
+
+    @staticmethod
+    def check(theta, forms):
+        elements = [[list(row) for row in g.entries] for g in theta.elements]
+        for form in forms:
+            averaged = theta_average(form, theta).matrix
+            expected = elementwise_theta_average(form, theta)
+            assert (averaged.num, averaged.den) == (expected.num, expected.den)
+            assert [list(row) for row in averaged.entries] == ref_theta_average(
+                [list(row) for row in form.matrix.entries], elements
+            )
+
+    @pytest.mark.parametrize("name", catalog_names())
+    def test_catalog(self, name):
+        group = catalog(name)
+        self.check(holonomy(group), _rational_forms(group.dim, 4, 3))
+
+    @pytest.mark.parametrize("q", sorted(CONJUGATORS))
+    @pytest.mark.parametrize("name", CONJUGATE_NAMES)
+    def test_conjugate_presentations(self, name, q):
+        # the det-2 and rational conjugates of the turn groups have
+        # holonomy elements with denominators
+        group, _ = conjugate(catalog(name), q, "1/5")
+        self.check(holonomy(group), _rational_forms(group.dim, 2, 5))
+
+    @pytest.mark.parametrize("n", range(3, 8))
+    def test_ghw(self, n):
+        theta = holonomy(ghw(n))
+        assert theta.order == 2 ** (n - 1)
+        self.check(theta, _rational_forms(n, 1, n))
+
+    def test_conjugated_signed_permutation_groups(self):
+        rng = random.Random(17)
+        fractional = 0
+        for _ in range(12):
+            n = rng.randint(2, 4)
+            generators = [_signed_permutation(rng, n) for _ in range(rng.randint(1, 2))]
+            q = Matrix(
+                [[F(rng.randint(-2, 2), rng.randint(1, 3)) for _ in range(n)] for _ in range(n)]
+            )
+            if q.det() == 0:
+                continue
+            theta = _conjugated_closure(generators, q)
+            fractional += max(g.den for g in theta.elements) > 1
+            self.check(theta, _rational_forms(n, 2, rng.random()))
+        assert fractional >= 6
+
+    @pytest.mark.parametrize("name", ["sixth-turn", "hantzsche-wendt", "first-amphicosm"])
+    def test_hand_built_holonomy_with_reordered_witnesses(self, name):
+        # another order of the same elements is another table key, and the
+        # same average
+        group = catalog(name)
+        theta = holonomy(group)
+        reordered = HolonomyGroup(group, theta.witnesses[::-1])
+        assert reordered.elements != theta.elements
+        for form in _rational_forms(group.dim, 3, 9):
+            assert theta_average(form, reordered) == theta_average(form, theta)
+        self.check(reordered, _rational_forms(group.dim, 2, 10))
 
 
 class TestCatalog:

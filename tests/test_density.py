@@ -4,7 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from flatcusps import density, exactlin, lorentz, shapes
+from flatcusps import bieberbach, density, exactlin, lorentz, shapes
 from flatcusps.bieberbach import (
     AffineMap,
     BieberbachGroup,
@@ -280,8 +280,13 @@ class TestRunExperiment:
         bounds = [10, 100, 1000, 10**4, 10**5, 10**6]
         group = catalog(name)
         config = ExperimentConfig(group, 1, bounds, 8, torus_manifold_mode=True)
+        bieberbach._reynolds_table.cache_clear()
         assert all(row.pipeline_ok is True for row in run_experiment(config))
         k, n = len(bounds), group.dim
+        # the 1 + k averages share one Reynolds table, built by the first;
+        # a trivial holonomy needs none
+        table = bieberbach._reynolds_table.cache_info()
+        assert (table.misses, table.hits) == ((0, 0) if name == "torus-2" else (1, k))
         assert calls == {
             "theta_average": 1 + k,
             "rationalize": 0,

@@ -2,6 +2,7 @@ import copy
 import functools
 import itertools
 import json
+import math
 import os
 import pickle
 import random
@@ -62,8 +63,10 @@ from oracles import (
     ref_verify_embedding,
     translation_log,
     transpose,
+    unreduced_image_rows,
     zeros,
 )
+from test_conjugates import CONJUGATORS, NAMES as CONJUGATE_NAMES, conjugate
 
 HALF = F(1, 2)
 
@@ -372,6 +375,53 @@ class TestEmbedGroup:
         shape = ShapeDescriptor(group, SymmetricForm([[2, 1], [1, 3]]))
         with pytest.raises(NotFormIsometry):
             embed_group(group, shape)
+
+
+def _fractional_shape(group, seed):
+    """The holonomy average of ``A^T A + I`` for ``A`` with fractional entries."""
+    rng = random.Random(seed)
+    n = group.dim
+    a = Matrix([[F(rng.randint(-4, 4), rng.randint(1, 6)) for _ in range(n)] for _ in range(n)])
+    form = theta_average(SymmetricForm(transpose(a) * a + Matrix.identity(n)), holonomy(group))
+    return ShapeDescriptor(group, form)
+
+
+class TestCanonicalImages:
+    """Rational images are written in lowest terms with no gcd over their
+    entries: each equals the reduction of its unreduced closed-form rows."""
+
+    @staticmethod
+    def assert_canonical(image, g, model):
+        assert image == Matrix.from_integer_rows(*unreduced_image_rows(g, model))
+        assert math.gcd(image.den, *(x for row in image.num for x in row)) == 1
+
+    def check(self, group, shape):
+        embedding = embed_group(group, shape)
+        rng = random.Random(len(group.generators))
+        for g, image in zip(group.generators, embedding.images):
+            self.assert_canonical(image, g, embedding.model)
+            self.assert_canonical(embed_affine(g, embedding.model), g, embedding.model)
+            # a fractional shift of the same linear part
+            moved = AffineMap(g.linear, random_vector(rng, group.dim))
+            self.assert_canonical(embed_affine(moved, embedding.model), moved, embedding.model)
+        for _ in range(3):
+            v = random_vector(rng, group.dim)
+            image = embed_translation(v, embedding.model)
+            self.assert_canonical(image, AffineMap.translation_by(v), embedding.model)
+
+    @pytest.mark.parametrize("name", catalog_names())
+    def test_catalog(self, name):
+        group = catalog(name)
+        self.check(group, _fractional_shape(group, 1))
+        identity = SymmetricForm.identity(group.dim)
+        self.check(group, ShapeDescriptor(group, theta_average(identity, holonomy(group))))
+
+    @pytest.mark.parametrize("q", sorted(CONJUGATORS))
+    @pytest.mark.parametrize("name", CONJUGATE_NAMES)
+    def test_conjugate_presentations(self, name, q):
+        # fractional linear parts, shifts and form entries
+        group, _ = conjugate(catalog(name), q, "1/5")
+        self.check(group, _fractional_shape(group, 2))
 
 
 class TestIntegralize:

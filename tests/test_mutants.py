@@ -28,6 +28,7 @@ from flatcusps.errors import NotFormIsometry
 from flatcusps.exactlin import Matrix, SymmetricForm
 from flatcusps.selberg import MatrixGroupInput, SelbergCertificate
 from flatcusps.shapes import ShapeDescriptor
+from oracles import ref_theta_average
 
 
 class Mutant(NamedTuple):
@@ -153,6 +154,18 @@ def _embed_error(group, diagonal):
     except ValueError as exc:  # every typed error of the package
         return type(exc)
     return None
+
+
+def _average_matches_fractions(name):
+    """Whether ``theta_average`` of a form with off-diagonal entries over a
+    catalog group's holonomy equals the ``Fraction`` average."""
+    theta = holonomy(catalog(name))
+    form = SymmetricForm([[2, 1, 0], [1, 3, 1], [0, 1, 4]])
+    averaged = bieberbach.theta_average(form, theta).matrix.entries
+    elements = [[list(row) for row in g.entries] for g in theta.elements]
+    return [list(row) for row in averaged] == ref_theta_average(
+        [list(row) for row in form.matrix.entries], elements
+    )
 
 
 # (-I, (1/2, 0)) squares to the identity: the norm of <-I> is 0
@@ -312,6 +325,26 @@ MUTANTS = [
         "bieberbach", "is_torsion_free",
         "norm, power = norm + power, power * h", "norm, power = norm, power * h",
         lambda: bieberbach.is_torsion_free(_HALF_SHIFTED_HALF_TURN) is False,
+    ),
+    Mutant(
+        # the quarter turn sends e_0 to e_1 and e_1 to -e_0, so entry (0, 1)
+        # of R^T F R is -F_10: the term at k > l that folds onto (0, 1).
+        # Without it (0, 1) averages to F_01 / 2, not 0. A diagonal holonomy
+        # such as half-turn's has no such term and cannot kill this mutant
+        "reynolds-off-diagonal-not-folded",
+        "bieberbach", "_reynolds_table",
+        "acc[l, k] = acc.get((l, k), 0) + weight * x * y", "pass",
+        lambda: _average_matches_fractions("quarter-turn") is True,
+    ),
+    Mutant(
+        # T(2) at [[1]] has h = 4/2: unreduced, the corner puts every entry
+        # over 2, and the non-canonical (num, den) differs from the image
+        "assemble-h-not-reduced",
+        "lorentz", "_assemble",
+        "h_num, h_den = h_num // g, h_den // g", "pass",
+        lambda: lorentz.embed_affine(
+            AffineMap.translation_by([2]), lorentz.LorentzModel(SymmetricForm([[1]]))
+        ) == Matrix([[1, 2, -2], [-2, -1, 2], [-2, -2, 3]]),
     ),
     Mutant(
         # 3/2 lies halfway between 1 and 2, the convergent and the
