@@ -30,7 +30,7 @@ from .errors import (
     NotPositiveDefinite,
     UnknownName,
 )
-from .lorentz import embed_group, integralize, verify_embedding
+from .lorentz import _integral_embedding, embed_group, verify_embedding
 from .selberg import good_prime, verify_certificate
 from .serialize import (
     build_matrix_group_input,
@@ -164,10 +164,10 @@ def _cmd_embed(args) -> int:
     group = _load_group(args.group)
     form = parse_form(_load_json(args.form))
     shape = ShapeDescriptor(group, form)
-    embedding = embed_group(group, shape)
-    scale = None
     if args.integralize:
-        embedding, scale = integralize(embedding)
+        embedding, scale = _integral_embedding(group, shape)
+    else:
+        embedding, scale = embed_group(group, shape), None
     payload = {"embedding": embedding_to_dict(embedding, scale)}
     code = EXIT_OK
     if args.report:

@@ -15,19 +15,21 @@ stabilizer of ``v_inf`` onto ``Isom(R^n, B_K)``, so
 :func:`verify_embedding` checks the finished matrices by decoding them.
 A decode compares each entry of an image's integer rows with the closed
 form, cross-multiplied by the two denominators, and builds no matrix.
-A successful decode derives the other four checks (form preservation,
+A successful decode decides the other four checks (form preservation,
 ``v_inf`` fixed, unipotence of translations, a log that cubes to zero)
-from closed forms and the n-by-n identity ``A^T B_K A = B_K``; a failed
-decode runs them in full on the (n+2)-by-(n+2) matrices.
+from closed forms and the n-by-n identity ``A^T B_K A = B_K``, so its
+report is one of eight shared values; a failed decode runs them in full
+on the (n+2)-by-(n+2) matrices.
 Conjugating by the rational hyperbolic element that scales ``v_inf`` by a
 positive integer ``c`` and fixes the complement scales every translation
 by ``c`` and leaves the linear factors alone: ``T(w) R(A)`` becomes
 ``T(c w) R(A)``. One builder, :func:`_integral_images`, makes those
 images for both entry points. It reads the smallest ``c`` off each
-generator's ``w``, ``k^T A`` and ``h``, divides ``c w``, ``c k^T A`` and
-``c^2 h`` out exactly, and writes ``T(c w) R(A)`` from those integers
-straight onto integer rows over denominator 1; :func:`_assemble` builds
-the rational images only. :func:`integralize` first decodes the given
+generator's ``w``, ``k^T A`` and ``h``, forms ``c w``, ``c k^T A`` and
+``c^2 h`` once, tests each for divisibility once and divides it out
+exactly, and writes ``T(c w) R(A)`` from those integers straight onto
+integer rows over denominator 1; :func:`_assemble` builds the rational
+images only. :func:`integralize` first decodes the given
 images, which fixes ``w = s t`` at one shared scale ``s``; a density row's
 :func:`_integral_embedding` starts from the generators at ``s = 1`` and
 never forms the rational images. :func:`verify_embedding` decodes the
@@ -35,9 +37,10 @@ result against the generators, an independent check of the assembly.
 
 Every leg reads a generator ``(A, t)`` through the same closed-form parts:
 ``k = B_K t``, ``h = B_K(t, t) / 2``, ``k^T A`` and the verdict of
-``A^T B_K A = B_K``. :func:`_parts_table` computes them once per
-embedding, each as integers over a denominator, and the embedding carries
-the table. :func:`embed_group`, :func:`_integral_embedding` and
+``A^T B_K A = B_K``; ``R(I) = I``, so a translation's ``k^T A`` is ``k``
+with no product. :func:`_parts_table` computes them once per embedding,
+each as integers over a denominator, and the embedding carries the
+table. :func:`embed_group`, :func:`_integral_embedding` and
 :func:`integralize` hand over the table they assembled the images from;
 :func:`verify_embedding` and :func:`integralize` read it back and scale it
 in closed form (``k^T A`` by ``c``, ``h`` by ``c^2``) instead of
@@ -50,7 +53,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from operator import mul
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .bieberbach import AffineMap, BieberbachGroup
 from .errors import (
@@ -193,12 +196,14 @@ def _generator_parts(g: AffineMap, model: LorentzModel) -> tuple:
     """One entry of :func:`_parts_table`, ``(parts, ka_num, isometry)``, for
     the generator ``(A, t)``: ``parts`` are ``t``'s :func:`_translation_parts`
     ``(k_num, k_den, h_num, h_den)``, ``ka_num`` the numerators of ``k^T A``
-    over ``k_den * den A``, and ``isometry`` whether ``A^T B_K A = B_K``."""
+    over ``k_den * den A`` (``k`` itself when ``A = I``), and ``isometry``
+    whether ``A^T B_K A = B_K``."""
     a = g.linear
     k_num, k_den, h_num, h_den = _translation_parts(g.num, g.den, model)
-    ka_num = tuple(sum(map(mul, k_num, col)) for col in zip(*a.num))
+    k_num = tuple(k_num)
+    ka_num = k_num if a.is_identity() else tuple(sum(map(mul, k_num, col)) for col in zip(*a.num))
     isometry = preserves_form(a, model.base_form.matrix)
-    return (tuple(k_num), k_den, h_num, h_den), ka_num, isometry
+    return (k_num, k_den, h_num, h_den), ka_num, isometry
 
 
 def _parts_table(model: LorentzModel, group: BieberbachGroup) -> tuple:
@@ -411,8 +416,9 @@ def _integral_images(
     ``c^2 h = (c w)^T (c k) / 2`` lies in ``Z/2``: the smallest scale is
     ``L`` when every ``L^2 h`` is an integer, and ``2 L`` otherwise (an odd
     multiple of ``L`` leaves the half, and ``(2 L)^2 h`` is four times a
-    half). The integers ``c w``, ``c k^T A`` and ``c^2 h`` are divided out
-    exactly, and a remainder raises ``InvariantViolation``. Each image is
+    half). The numerators of ``c w``, ``-c k^T A`` and ``c^2 h`` are formed
+    once, and each part is tested once, by the gcd of its numerators: a
+    remainder raises ``InvariantViolation``. Each image is
     then written straight onto integer rows, as :func:`_assemble` writes
     it: row ``i < n`` is row i of ``A`` followed by ``c w_i, -c w_i``, and
     the last two are ``-c k^T A`` followed by ``1 - c^2 h, c^2 h`` and by
@@ -436,26 +442,17 @@ def _integral_images(
     cs = c * s_num
     images = []
     for g, ((_, k_den, h_num, h_den), ka_num, _) in zip(generators, table):
-        w = _quotients([cs * x for x in g.num], s_den * g.den)
-        ka = _quotients([cs * x for x in ka_num], s_den * k_den)
-        [h] = _quotients([cs * cs * h_num], s_den * s_den * h_den)
+        w, minus_ka = [cs * x for x in g.num], [-cs * x for x in ka_num]
+        w_den, ka_den, h_den = s_den * g.den, s_den * k_den, s_den * s_den * h_den
+        h, h_rem = divmod(cs * cs * h_num, h_den)
+        if h_rem or math.gcd(*w) % w_den or math.gcd(*minus_ka) % ka_den:
+            raise InvariantViolation("integralized images have fractional entries")
+        w = [x // w_den for x in w] if w_den != 1 else w
+        minus_ka = tuple([x // ka_den for x in minus_ka] if ka_den != 1 else minus_ka)
         rows = [row + (x, -x) for row, x in zip(g.linear.num, w)]
-        minus_ka = tuple(-x for x in ka)
         rows += [minus_ka + (1 - h, h), minus_ka + (-h, 1 + h)]
         images.append(Matrix.from_integer_rows(tuple(rows), 1))
     return tuple(images), c
-
-
-def _quotients(values: Sequence[int], den: int) -> list[int]:
-    """Each of ``values`` divided by ``den``; ``InvariantViolation`` when a
-    division leaves a remainder."""
-    out = []
-    for x in values:
-        q, r = divmod(x, den)
-        if r:
-            raise InvariantViolation("integralized images have fractional entries")
-        out.append(q)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -499,6 +496,14 @@ class VerificationReport(Frozen):
         return f"<VerificationReport {status} generators={len(self.per_generator)}>"
 
 
+# The checks of an image that decodes, decided by the decode alone: one
+# shared value per (A^T B_K A = B_K, A = I, t != 0)
+_DECODED = {
+    (iso, tr, mv): GeneratorChecks(iso, True, True if tr else None, True, True, 3 if mv else 1)
+    for iso in (False, True) for tr in (False, True) for mv in (False, True)
+}
+
+
 def verify_embedding(embedding: LorentzEmbedding) -> VerificationReport:
     """Recheck the finished matrices against the generators they encode.
 
@@ -530,6 +535,8 @@ def verify_embedding(embedding: LorentzEmbedding) -> VerificationReport:
       rank-one map, so the nilpotency degree is 3 when ``t != 0`` and 1
       when ``t = 0``.
 
+    They read three bits alone, the isometry verdict, ``A = I`` and
+    ``t != 0``, so a decoded image's checks are one of eight shared values.
     When the decode fails, all five checks run in full on the
     (n+2)-by-(n+2) matrices, so a failure report says which of them fail.
 
@@ -555,17 +562,10 @@ def verify_embedding(embedding: LorentzEmbedding) -> VerificationReport:
     results = []
     for g, image, entry in zip(group.generators, embedding.images, embedding._parts):
         if scale[0] > 0 and _decodes(image, g, scale, model, entry):
-            checks = GeneratorChecks(
-                entry[2],  # the verdict of A^T B_K A = B_K
-                True,
-                True if g.is_translation() else None,
-                True,
-                True,
-                3 if any(g.num) else 1,
-            )
+            # entry[2] is the verdict of A^T B_K A = B_K
+            results.append(_DECODED[entry[2], g.is_translation(), any(g.num)])
         else:
-            checks = _full_checks(g, image, model)
-        results.append(checks)
+            results.append(_full_checks(g, image, model))
     return VerificationReport(results)
 
 
@@ -576,10 +576,7 @@ def _full_checks(g: AffineMap, image: Matrix, model: LorentzModel) -> GeneratorC
     ambient = model.ambient_dim
     form_preserved = preserves_form(image, gram)
     fixes_vinf = image.matvec(model.v_inf) == model.v_inf
-    if g.is_translation():
-        unipotent_translation: Optional[bool] = is_unipotent(image)
-    else:
-        unipotent_translation = None
+    unipotent_translation = is_unipotent(image) if g.is_translation() else None
 
     rotation_inv = Matrix.block_diag(g.linear.inverse(), Matrix.identity(2))
     shifted = image * rotation_inv - Matrix.identity(ambient)
@@ -592,10 +589,6 @@ def _full_checks(g: AffineMap, image: Matrix, model: LorentzModel) -> GeneratorC
             degree = k
             break
     return GeneratorChecks(
-        form_preserved,
-        fixes_vinf,
-        unipotent_translation,
-        False,
-        degree is not None and degree <= 3,
-        degree,
+        form_preserved, fixes_vinf, unipotent_translation,
+        False, degree is not None and degree <= 3, degree,
     )

@@ -16,12 +16,12 @@ from __future__ import annotations
 
 import math
 from functools import reduce
-from operator import add
+from operator import add, mul
 from typing import Iterable, Sequence
 
 from .bieberbach import BieberbachGroup, HolonomyGroup, theta_average
 from .errors import DimensionMismatch, NotPositiveDefinite
-from .exactlin import Frozen, Matrix, SymmetricForm, is_positive_definite, preserves_form
+from .exactlin import Frozen, Matrix, SymmetricForm, _matrix, is_positive_definite, preserves_form
 
 
 def _dyadic_form(rows: Sequence[Sequence[float]]) -> SymmetricForm:
@@ -94,7 +94,10 @@ def _limit_denominators(num: int, den: int, bounds: Sequence[int]) -> list[tuple
 def _rounded_forms(form: SymmetricForm, bounds: Sequence[int]) -> list[SymmetricForm]:
     """``form`` with each entry rounded by :func:`_limit_denominators`, at
     each of the strictly increasing ``bounds``: one walk per upper-triangle
-    entry, mirrored, and each rounded form on integer rows over its lcm."""
+    entry, mirrored, and each rounded form on integer rows over its lcm. A
+    pair is in lowest terms, as ``p_k q_{k-1} - p_{k-1} q_k = ±1`` for
+    convergents and semiconvergents alike, so at each prime the entry whose
+    ``q`` carries the lcm's full power is a unit: the rows need no gcd."""
     num, den = form.matrix.num, form.matrix.den
     upper = [[_limit_denominators(x, den, bounds) for x in row[i:]] for i, row in enumerate(num)]
     walks = [[upper[j][i - j] for j in range(i)] + upper[i] for i in range(form.dim)]
@@ -103,7 +106,7 @@ def _rounded_forms(form: SymmetricForm, bounds: Sequence[int]) -> list[Symmetric
         pairs = [[walk[r] for walk in row] for row in walks]
         lcm = math.lcm(*(q for row in pairs for _, q in row))
         rows = tuple(tuple(p * (lcm // q) for p, q in row) for row in pairs)
-        forms.append(SymmetricForm(Matrix.from_integer_rows(rows, lcm)))
+        forms.append(SymmetricForm(_matrix(rows, lcm)))
     return forms
 
 
@@ -157,7 +160,8 @@ def _float_sum(values: Iterable[float]) -> float:
 
 
 def _frobenius(entries: Sequence[Sequence[float]]) -> float:
-    return math.sqrt(_float_sum(x * x for row in entries for x in row))
+    flat = [x for row in entries for x in row]
+    return math.sqrt(_float_sum(map(mul, flat, flat)))
 
 
 def _with_norm(entries: list[list[float]]) -> tuple[list[list[float]], float]:

@@ -1241,3 +1241,114 @@ class TestPartsTable:
                 assert e._parts == twin._parts
                 for clone in (pickle.loads(pickle.dumps(e)), pickle.loads(pickle.dumps(twin))):
                     assert clone == e == twin and clone._parts == e._parts
+
+
+def conjugate_suite_shapes():
+    """Every presentation of the conjugate suite with its fractional shape."""
+    for name in CONJUGATE_NAMES:
+        for q in sorted(CONJUGATORS):
+            for shift in ("0", "1/5"):
+                group, _ = conjugate(catalog(name), q, shift)
+                yield group, _fractional_shape(group, 2)
+
+
+class TestClosedFormParts:
+    """Each generator's parts against the generic products: ``k^T A`` as a
+    product with every ``A``, translations included, and the isometry
+    verdict as ``A^T B_K A == B_K`` on rational matrices."""
+
+    @staticmethod
+    def check(group, shape):
+        model = LorentzModel(shape.form)
+        base = model.base_form.matrix
+        for g in group.generators:
+            (k_num, k_den, h_num, h_den), ka_num, isometry = lorentz._generator_parts(g, model)
+            a = g.linear
+            assert ka_num == tuple(sum(x * y for x, y in zip(k_num, col)) for col in zip(*a.num))
+            k = Matrix([[F(x, k_den) for x in k_num]])
+            assert k == Matrix([g.translation]) * base
+            assert [F(x, k_den * a.den) for x in ka_num] == list((k * a).entries[0])
+            assert F(h_num, h_den) == (k * transpose(Matrix([g.translation])))[0, 0] / 2
+            assert isometry == (transpose(a) * base * a == base)
+
+    @pytest.mark.parametrize("name", catalog_names())
+    def test_catalog(self, name):
+        group, shapes = chain_shapes(name)
+        for shape in shapes + [_fractional_shape(group, 1)]:
+            self.check(group, shape)
+
+    def test_conjugate_suite(self):
+        for group, shape in conjugate_suite_shapes():
+            self.check(group, shape)
+
+    def test_linear_part_off_the_form(self):
+        # the quarter turn of axes 0 and 1 does not preserve diag(1, 2, 3)
+        group = catalog("quarter-turn")
+        self.check(group, ShapeDescriptor(group, SymmetricForm.diagonal([1, 2, 3])))
+
+
+class TestDecodedVerdicts:
+    """An image that decodes gets one of the shared checks values, keyed by
+    the isometry verdict, ``A = I`` and ``t != 0``; one that does not gets
+    its own full report. Both equal the full-check oracle."""
+
+    DECODED = tuple(lorentz._DECODED.values())
+
+    def shared(self, checks):
+        return any(checks is c for c in self.DECODED)
+
+    def test_eight_distinct_values(self):
+        assert len(set(self.DECODED)) == 8
+        for (isometry, translation, moving), checks in lorentz._DECODED.items():
+            assert checks.form_preserved is isometry
+            assert checks.unipotent_translation is (True if translation else None)
+            assert checks.nilpotency_degree == (3 if moving else 1)
+            assert checks.fixes_vinf and checks.equivariance and checks.log_cubes_to_zero
+
+    @pytest.mark.parametrize("name", catalog_names())
+    def test_decoded_images_share_them(self, name):
+        group, shapes = chain_shapes(name)
+        for shape in shapes:
+            embedding, first, integral, _, second = public_chain(group, shape)
+            for e, report in ((embedding, first), (integral, second)):
+                assert all(self.shared(checks) for checks in report.per_generator)
+                assert report == ref_verify_embedding(e)
+                # a bumped image still gets its own full report
+                bump = Matrix.diagonal([1] + [0] * (e.model.ambient_dim - 1))
+                bumped = with_images(e, [m + bump for m in e.images])
+                bumped_report = verify_embedding(bumped)
+                assert not any(self.shared(checks) for checks in bumped_report.per_generator)
+                assert bumped_report == ref_verify_embedding(bumped)
+
+    def test_conjugate_suite(self):
+        for group, shape in conjugate_suite_shapes():
+            embedding = embed_group(group, shape)
+            report = verify_embedding(embedding)
+            assert all(self.shared(checks) for checks in report.per_generator)
+            assert report == ref_verify_embedding(embedding)
+
+    def test_zero_translation_and_identity(self):
+        # t = 0 decodes with nilpotency degree 1, and the identity is a
+        # translation
+        model = LorentzModel(SymmetricForm.diagonal([2, 3]))
+        group = BieberbachGroup([AffineMap.translation_by([0, 0]), AffineMap.translation_by([1, 0])])
+        embedding = LorentzEmbedding(model, group, [embed_affine(g, model) for g in group.generators])
+        report = verify_embedding(embedding)
+        assert report.per_generator[0] is lorentz._DECODED[True, True, False]
+        assert report.per_generator[1] is lorentz._DECODED[True, True, True]
+        assert report == ref_verify_embedding(embedding)
+
+    def test_off_form_image_decodes_unpreserved(self):
+        # the quarter turn's image is the product for a linear part that
+        # does not preserve diag(1, 2, 3): it decodes, and the form is not
+        # preserved
+        group = catalog("quarter-turn")
+        model = LorentzModel(SymmetricForm.diagonal([1, 2, 3]))
+        images = [product_embed_affine(g, model) for g in group.generators]
+        embedding = LorentzEmbedding(model, group, images)
+        report = verify_embedding(embedding)
+        assert all(self.shared(checks) for checks in report.per_generator)
+        assert [c.form_preserved for c in report.per_generator] == [
+            g.linear.is_identity() for g in group.generators
+        ]
+        assert report == ref_verify_embedding(embedding)

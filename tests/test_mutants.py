@@ -28,7 +28,7 @@ from flatcusps.errors import NotFormIsometry
 from flatcusps.exactlin import Matrix, SymmetricForm
 from flatcusps.selberg import MatrixGroupInput, SelbergCertificate
 from flatcusps.shapes import ShapeDescriptor
-from oracles import ref_theta_average
+from oracles import product_embed_affine, ref_theta_average
 
 
 class Mutant(NamedTuple):
@@ -144,6 +144,16 @@ def _chain_verdict(group, diagonal, integral):
     if integral:
         embedding, _ = lorentz.integralize(embedding)
     return lorentz.verify_embedding(embedding).overall
+
+
+def _decoded_form_verdicts(group, diagonal):
+    """``form_preserved`` of each generator's checks from ``verify_embedding``
+    on the products ``T(t) R(A)`` at a diagonal form, for every linear part,
+    whether or not it preserves the form: each image decodes."""
+    model = lorentz.LorentzModel(SymmetricForm.diagonal(diagonal))
+    images = [product_embed_affine(g, model) for g in group.generators]
+    report = lorentz.verify_embedding(lorentz.LorentzEmbedding(model, group, images))
+    return [checks.form_preserved for checks in report.per_generator]
 
 
 def _embed_error(group, diagonal):
@@ -310,6 +320,17 @@ MUTANTS = [
         "lorentz", "_decodes",
         "ka_den = c_den * k_den * a.den", "ka_den = k_den * a.den",
         lambda: _chain_verdict(catalog("torus-1"), [F(1, 3)], integral=False) is True,
+    ),
+    Mutant(
+        # the quarter turn's image is written for a linear part that does
+        # not preserve diag(1, 2, 3), so it decodes; its shared checks value
+        # must still be keyed by the table's isometry verdict
+        "decoded-verdict-ignores-isometry",
+        "lorentz", "verify_embedding",
+        "_DECODED[entry[2],", "_DECODED[True,",
+        lambda: _decoded_form_verdicts(catalog("quarter-turn"), [1, 2, 3]) == [
+            g.linear.is_identity() for g in catalog("quarter-turn").generators
+        ],
     ),
     Mutant(
         # the quarter turn of axes 0 and 1 does not preserve diag(1, 2, 3);

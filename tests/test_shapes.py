@@ -1,4 +1,6 @@
+import functools
 import math
+import operator
 import random
 import time
 from fractions import Fraction as F
@@ -27,7 +29,10 @@ from flatcusps.serialize import parse_real_form
 from flatcusps.shapes import (
     ShapeDescriptor,
     _entries_as_floats,
+    _frobenius,
     _limit_denominators,
+    _rounded_forms,
+    _with_norm,
     is_arithmetic_shape,
     rationalize,
     shape_distance,
@@ -35,6 +40,7 @@ from flatcusps.shapes import (
 
 from oracles import (
     brute_best_rational,
+    ghw,
     ref_is_arithmetic_shape,
     ref_plain_shape_distance,
     transpose,
@@ -279,6 +285,89 @@ class TestLadderWalk:
         for x in farey_midpoints(bound):
             for y in (x, -x):
                 self.check(y.numerator, y.denominator, bounds)
+
+
+class TestCanonicalRoundedRows:
+    """Best rational approximations are in lowest terms, convergents and
+    semiconvergents alike, so each rounded form's rows over the lcm of its
+    denominators are already canonical."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        data=st.data(),
+        num=st.one_of(st.just(0), st.integers(-(10**30), -1), st.integers(1, 10**30)),
+        den=st.integers(1, 10**30),
+        scale=st.integers(1, 10**6),
+    )
+    def test_pairs_are_coprime(self, data, num, den, scale):
+        # the ladder may run past the reduced denominator, where the walk
+        # ends (d == 0) at num / den itself
+        reduced = den // math.gcd(num, den)
+        exact_end = st.integers(reduced, 2 * reduced)
+        bounds = data.draw(ladders(st.one_of(st.integers(1, 10**12), exact_end)))
+        pairs = _limit_denominators(num * scale, den * scale, bounds)
+        for (p, q), bound in zip(pairs, bounds):
+            assert q > 0 and math.gcd(p, q) == 1
+            assert F(p, q) == F(num, den).limit_denominator(bound)
+            if bound >= reduced:
+                assert (p, q) == (num // math.gcd(num, den), reduced)
+
+    @pytest.mark.parametrize("name", ["torus-2", "klein", "sixth-turn", "torus-6", "ghw-5"])
+    def test_seeded_targets(self, name):
+        # the acceptance ladder and the retry rungs above it, as one ladder
+        # and one bound at a time
+        group = ghw(5) if name == "ghw-5" else catalog(name)
+        theta = holonomy(group)
+        bounds = [10**k for k in range(1, 17)]
+        for target in sample_targets(group, 3, 8):
+            reference = theta_average(target, theta)
+            ladder = _rounded_forms(reference, bounds)
+            singles = [_rounded_forms(reference, (bound,))[0] for bound in bounds]
+            num, den, entries = reference.matrix.num, reference.matrix.den, reference.matrix.entries
+            for bound, rounded, single in zip(bounds, ladder, singles):
+                pairs = [[_limit_denominators(x, den, (bound,))[0] for x in row] for row in num]
+                lcm = math.lcm(*(q for row in pairs for _, q in row))
+                rows = tuple(tuple(p * (lcm // q) for p, q in row) for row in pairs)
+                m = rounded.matrix
+                assert m == Matrix.from_integer_rows(rows, lcm) == single.matrix
+                assert m == Matrix([[x.limit_denominator(bound) for x in row] for row in entries])
+                assert m.den > 0 and math.gcd(m.den, *(x for row in m.num for x in row)) == 1
+
+
+class TestFrobeniusSum:
+    """The squares are summed left to right, as a generator of ``x * x``
+    summed them, bit for bit."""
+
+    @staticmethod
+    def generator_sum(entries):
+        squares = (x * x for row in entries for x in row)
+        return math.sqrt(functools.reduce(operator.add, squares, 0.0))
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        entries=st.integers(1, 4).flatmap(
+            lambda n: st.lists(
+                st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=n, max_size=n),
+                min_size=n,
+                max_size=n,
+            )
+        )
+    )
+    def test_bit_for_bit(self, entries):
+        norm = _frobenius(entries)
+        assert norm.hex() == self.generator_sum(entries).hex()
+        scaled, scaled_norm = _with_norm(entries) if norm else (entries, norm)
+        assert scaled_norm.hex() == self.generator_sum(scaled).hex()
+
+    @pytest.mark.parametrize("x", [1e200, 1e-200, 5e-324, 1.7e308], ids=str)
+    def test_scaled_path(self, x):
+        # the squares overflow or underflow, so the entries are scaled by
+        # 2**-e first, and the norm is that of the scaled entries
+        entries = [[x, x / 3], [x / 3, x / 7]]
+        scaled, norm = _with_norm(entries)
+        assert scaled != entries and 0 < norm < math.inf
+        assert norm.hex() == self.generator_sum(scaled).hex()
+        assert _frobenius(entries).hex() == self.generator_sum(entries).hex()
 
 
 def reference_rationalize(form, theta, bound):
