@@ -86,7 +86,8 @@ class AffineMap(Frozen):
             raise DimensionMismatch(
                 f"translation length {len(t)} does not match dimension {m.rows}"
             )
-        if m.det() == 0:
+        # the identity, a translation's linear part, needs no determinant
+        if not m.is_identity() and m.det() == 0:
             raise ValueError("linear part is singular")
         # each entry is in lowest terms, so the numerators over the lcm of
         # the denominators are already canonical

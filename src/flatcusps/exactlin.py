@@ -453,9 +453,6 @@ class SymmetricForm(Frozen):
     def direct_sum(self, other: SymmetricForm) -> SymmetricForm:
         return SymmetricForm(Matrix.block_diag(self.matrix, other.matrix))
 
-    def is_integral(self) -> bool:
-        return self.matrix.is_integral()
-
     def __repr__(self) -> str:
         return f"SymmetricForm({self.matrix!r})"
 

