@@ -373,7 +373,7 @@ def _identity_rows(n: int) -> tuple:
 
 def _scaled(num: tuple, f: int) -> tuple:
     """Integer rows times an integer."""
-    return num if f == 1 else tuple(tuple(f * x for x in row) for row in num)
+    return num if f == 1 else tuple([tuple([f * x for x in row]) for row in num])
 
 
 def _product(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> tuple:
@@ -570,20 +570,26 @@ def ldl_signature(form: SymmetricForm) -> tuple[int, int, int]:
     return positives, form.dim - positives - zeros, zeros
 
 
-@lru_cache(maxsize=256)
 def is_positive_definite(form: SymmetricForm) -> bool:
     """Whether the inertia of ``form`` is ``(dim, 0, 0)``, by Sylvester's
     criterion: every leading principal minor of ``num``, a positive
     multiple of the Gram matrix, is positive (:func:`_leading_minors_positive`).
 
-    Memoized by value: a ``SymmetricForm`` is immutable and its Gram
-    matrix canonical, so equal forms hash alike and a hit is exact. A
-    density row tests the same forms again and again (the target's
-    average, the rounded form, the shape, the model's base), and each is
-    decided once; :func:`_leading_minors_positive` itself is not memoized,
-    so its calls count real decisions.
+    Memoized on the integer rows ``num`` (:func:`_definite_rows`): they
+    decide the answer, since ``den > 0``, and a tuple of int tuples hashes
+    in C where a ``SymmetricForm`` hashes through Python. A density row
+    tests the same forms again and again (the target's average, the
+    rounded form, the shape, the model's base), and each is decided once;
+    :func:`_leading_minors_positive` itself is not memoized, so its calls
+    count real decisions.
     """
-    return _leading_minors_positive(form.matrix.num)
+    return _definite_rows(form.matrix.num)
+
+
+@lru_cache(maxsize=256)
+def _definite_rows(rows: tuple) -> bool:
+    """The memo of :func:`is_positive_definite`, keyed on integer rows."""
+    return _leading_minors_positive(rows)
 
 
 def _leading_minors_positive(rows: Sequence[Sequence[int]]) -> bool:

@@ -27,14 +27,14 @@ A group and a shape enter the legs through one check,
 :func:`_integral_embedding` share: the shape's group, the definiteness of
 its form, then every isometry verdict.
 
-Two writers turn records into images. :func:`_assemble` writes a rational
-image in lowest terms, from parts it first reduces over their own
-denominators; :func:`_integral_images` writes integralized images straight
-onto integer rows over denominator 1. Both are kept for speed. Timed on
-whole passes of the perfbench items (2-vCPU Xeon VM, Python 3.11.7),
-routing the integral images through :func:`_assemble` made density-t2
-about 8% slower, and dropping the part reductions, so that the rows need
-a gcd over their entries, made catalog-embed about 9% slower.
+Two writers turn records into images and one reader checks them, all on
+whole integer rows. :func:`_assemble` writes a rational image in lowest
+terms from parts it first reduces, so the rows need no gcd;
+:func:`_integral_images` writes integralized images over denominator 1.
+:func:`_decodes` compares the corner as scalars, the upper-left block as
+one tuple of rows against ``A``'s, and the translation column and the
+``-k^T A`` row in loops that stop at the first mismatch. ``A``'s rows are
+rescaled only when the image's denominator is not ``den A``.
 """
 
 from __future__ import annotations
@@ -57,6 +57,7 @@ from .exactlin import (
     SymmetricForm,
     _matrix,
     _restore,
+    _scaled,
     is_positive_definite,
     is_unipotent,
     preserves_form,
@@ -133,8 +134,8 @@ def _assemble(
     den = math.lcm(a.den, w_den, ka_den, h_den)
     fa, fw, fk = den // a.den, den // w_den, den // ka_den
     h = h_num * (den // h_den)
-    rows = [tuple(fa * x for x in row) + (fw * x, -fw * x) for row, x in zip(a.num, w_num)]
-    minus_ka = tuple(-fk * x for x in ka_num)
+    rows = [row + (fw * x, -fw * x) for row, x in zip(_scaled(a.num, fa), w_num)]
+    minus_ka = tuple([-fk * x for x in ka_num])
     rows.append(minus_ka + (den - h, h))
     rows.append(minus_ka + (-h, den + h))
     return _matrix(tuple(rows), den)
@@ -182,9 +183,9 @@ def _generator_parts(g: AffineMap, model: LorentzModel) -> tuple:
     ``den B_K * den t``, times ``den A`` for ``k^T A`` and ``2 den t`` for
     ``h``, and not reduced."""
     a, base = g.linear, model.base_form.matrix
-    k_num = tuple(sum(map(mul, row, g.num)) for row in base.num)
+    k_num = tuple([sum(map(mul, row, g.num)) for row in base.num])
     k_den = base.den * g.den
-    ka_num = k_num if a.is_identity() else tuple(sum(map(mul, k_num, col)) for col in zip(*a.num))
+    ka_num = k_num if a.is_identity() else tuple([sum(map(mul, k_num, col)) for col in zip(*a.num)])
     isometry = preserves_form(a, base)
     return ka_num, k_den * a.den, sum(map(mul, g.num, k_num)), 2 * g.den * k_den, isometry
 
@@ -285,8 +286,8 @@ def _decodes(
     denominators, and no matrix is built. ``w`` is ``c_num`` times the
     numerators of ``t`` over ``c_den`` times their denominator, not reduced.
     A canonical image whose upper-left block is ``A`` has ``den A`` dividing
-    its denominator, so that block is one tuple comparison per row; ``A``'s
-    rows are rescaled only when the two denominators differ.
+    its denominator, so that block is one comparison of a tuple of rows;
+    ``A``'s rows are rescaled only when the two denominators differ.
 
     ``entry`` is the generator's :func:`_generator_parts`. Its ``k^T A``
     and ``h`` are those of ``t``; at ``c t`` they are ``c k^T A`` and
@@ -298,22 +299,22 @@ def _decodes(
     h_num, h_den = c_num * c_num * h_num, c_den * c_den * h_den
     top, bottom = num[n], num[n + 1]
     h = top[n + 1]  # the corner is [[1 - h, h], [-h, 1 + h]]
-    if (top[n], bottom[n], bottom[n + 1]) != (den - h, -h, den + h) or h * h_den != h_num * den:
+    if top[n] != den - h or bottom[n] != -h or bottom[n + 1] != den + h or h * h_den != h_num * den:
         return False
     # rows < n end in w, -w; rows n and n+1 start with -(k^T A); the block is A
     if top[:n] != bottom[:n] or den % a.den:
         return False
+    if tuple([row[:n] for row in num[:n]]) != _scaled(a.num, den // a.den):
+        return False
     w_den, scaled = c_den * g.den, c_num * den
-    if any(row[n] * w_den != scaled * x or row[n + 1] != -row[n] for row, x in zip(num, g.num)):
-        return False
+    for row, x in zip(num, g.num):
+        if row[n] * w_den != scaled * x or row[n + 1] != -row[n]:
+            return False
     ka_den = c_den * ka_den
-    if any(x * ka_den != -scaled * y for x, y in zip(top, ka_num)):
-        return False
-    f = den // a.den
-    return all(
-        row[:n] == (row_a if f == 1 else tuple(f * x for x in row_a))
-        for row, row_a in zip(num, a.num)
-    )
+    for x, y in zip(top, ka_num):
+        if x * ka_den != -scaled * y:
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -402,11 +403,12 @@ def _integral_images(
     ``c^2 h = (c w)^T (c k) / 2`` lies in ``Z/2``: the smallest scale is
     ``L`` when every ``L^2 h`` is an integer, and ``2 L`` otherwise (an odd
     multiple of ``L`` leaves the half, and ``(2 L)^2 h`` is four times a
-    half). The numerators of ``c w``, ``-c k^T A`` and ``c^2 h`` are formed
-    once, and each part is tested once, by the gcd of its numerators: a
-    remainder raises ``InvariantViolation``. Each image is
-    then written straight onto integer rows, as :func:`_assemble` writes
-    it: row ``i < n`` is row i of ``A`` followed by ``c w_i, -c w_i``, and
+    half). Each part is tested once, ``c^2 h`` by its ``divmod`` and
+    ``c w`` and ``-c k^T A`` by the gcd of their numerators, ``c s_num``
+    times that of ``t`` or ``k^T A``: a remainder raises
+    ``InvariantViolation``. Each image is then written straight onto
+    integer rows, one list comprehension per part, as :func:`_assemble`
+    writes it: row ``i < n`` is row i of ``A`` followed by ``c w_i, -c w_i``, and
     the last two are ``-c k^T A`` followed by ``1 - c^2 h, c^2 h`` and by
     ``-c^2 h, 1 + c^2 h``.
     """
@@ -427,15 +429,14 @@ def _integral_images(
     cs = c * s_num
     images = []
     for g, (ka_num, ka_den, h_num, h_den, _) in zip(generators, table):
-        w, minus_ka = [cs * x for x in g.num], [-cs * x for x in ka_num]
         w_den, ka_den, h_den = s_den * g.den, s_den * ka_den, s_den * s_den * h_den
         h, h_rem = divmod(cs * cs * h_num, h_den)
-        if h_rem or math.gcd(*w) % w_den or math.gcd(*minus_ka) % ka_den:
+        if h_rem or cs * math.gcd(*g.num) % w_den or cs * math.gcd(*ka_num) % ka_den:
             raise InvariantViolation("integralized images have fractional entries")
-        w = [x // w_den for x in w] if w_den != 1 else w
-        minus_ka = tuple([x // ka_den for x in minus_ka] if ka_den != 1 else minus_ka)
-        rows = [row + (x, -x) for row, x in zip(g.linear.num, w)]
-        rows += [minus_ka + (1 - h, h), minus_ka + (-h, 1 + h)]
+        rows = [row + (x, -x) for row, x in zip(g.linear.num, [cs * x // w_den for x in g.num])]
+        minus_ka = tuple([-cs * x // ka_den for x in ka_num])
+        rows.append(minus_ka + (1 - h, h))
+        rows.append(minus_ka + (-h, 1 + h))
         images.append(Matrix.from_integer_rows(tuple(rows), 1))
     return tuple(images), c
 
@@ -521,7 +522,9 @@ def verify_embedding(embedding: LorentzEmbedding) -> VerificationReport:
       when ``t = 0``.
 
     They read three bits alone, the isometry verdict, ``A = I`` and
-    ``t != 0``, so a decoded image's checks are one of eight shared values.
+    ``t != 0``, so a decoded image's checks are one of eight shared values,
+    and it passes exactly when its isometry verdict holds: ``overall`` is
+    formed in the loop, with no ``passed()`` call for a decoded image.
     When the decode fails, all five checks run in full on the
     (n+2)-by-(n+2) matrices, so a failure report says which of them fail.
 
@@ -542,16 +545,18 @@ def verify_embedding(embedding: LorentzEmbedding) -> VerificationReport:
     allow. Failures are recorded, never raised.
     """
     model = embedding.model
-    group = embedding.group
     scale = _shared_scale(embedding)
-    results = []
-    for g, image, entry in zip(group.generators, embedding.images, embedding._parts):
+    results, overall = [], True
+    for g, image, entry in zip(embedding.group.generators, embedding.images, embedding._parts):
         if scale[0] > 0 and _decodes(image, g, scale, model, entry):
             _, _, _, _, isometry = entry
-            results.append(_DECODED[isometry, g.is_translation(), any(g.num)])
+            checks = _DECODED[isometry, g.is_translation(), any(g.num)]
+            overall = overall and isometry
         else:
-            results.append(_full_checks(g, image, model))
-    return VerificationReport(results)
+            checks = _full_checks(g, image, model)
+            overall = overall and checks.passed()
+        results.append(checks)
+    return _restore(VerificationReport, (tuple(results), overall))
 
 
 def _full_checks(g: AffineMap, image: Matrix, model: LorentzModel) -> GeneratorChecks:

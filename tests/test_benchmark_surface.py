@@ -88,7 +88,7 @@ def test_clear_caches_empties_every_package_cache():
     caches = package_caches()
     filled = {
         "density._degree_certificate",
-        "exactlin.is_positive_definite",
+        "exactlin._definite_rows",
         "bieberbach._checked_entry",
         "bieberbach._holonomy_witnesses",
         "bieberbach.translation_lattice",

@@ -309,7 +309,7 @@ class TestRunExperiment:
             return original(rows)
 
         monkeypatch.setattr(exactlin, "_leading_minors_positive", counted)
-        is_positive_definite.cache_clear()
+        exactlin._definite_rows.cache_clear()
         bounds = [10, 100, 1000, 10**4, 10**5, 10**6]
         config = ExperimentConfig(catalog(name), 1, bounds, 8, torus_manifold_mode=True)
         assert all(row.pipeline_ok is True for row in run_experiment(config))

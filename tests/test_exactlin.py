@@ -486,7 +486,7 @@ class TestSignature:
     def test_zero_or_negative_leading_minor_is_not_definite(self, gram):
         form = SymmetricForm(gram)
         assert ref_ldl_signature(form.matrix.entries) != (form.dim, 0, 0)
-        assert is_positive_definite.__wrapped__(form) is False
+        assert exactlin._definite_rows.__wrapped__(form.matrix.num) is False
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -512,7 +512,7 @@ class TestSignature:
                 gram = gram + Matrix.identity(n)
         form = SymmetricForm(gram)
         expected = ref_ldl_signature(gram.entries) == (n, 0, 0)
-        assert is_positive_definite.__wrapped__(form) is expected
+        assert exactlin._definite_rows.__wrapped__(form.matrix.num) is expected
         assert is_positive_definite(form) is expected
 
     @settings(max_examples=60, deadline=None)
@@ -541,10 +541,10 @@ class TestSignature:
         rows = tuple(tuple(f * x for x in row) for row in form.matrix.num)
         rebuilt = SymmetricForm(Matrix.from_integer_rows(rows, f * form.matrix.den))
         assert rebuilt == form and rebuilt.matrix.num is not form.matrix.num
-        hits = is_positive_definite.cache_info().hits
+        hits = exactlin._definite_rows.cache_info().hits
         assert is_positive_definite(form) is expected
         assert is_positive_definite(rebuilt) is expected
-        assert is_positive_definite.cache_info().hits == hits + 2
+        assert exactlin._definite_rows.cache_info().hits == hits + 2
 
     @settings(max_examples=40, deadline=None)
     @given(data=st.data(), n=st.integers(min_value=1, max_value=4))

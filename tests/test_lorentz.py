@@ -1337,6 +1337,24 @@ class TestDecodedVerdicts:
                 assert not any(self.shared(checks) for checks in bumped_report.per_generator)
                 assert bumped_report == ref_verify_embedding(bumped)
 
+    @pytest.mark.parametrize("name", catalog_names())
+    def test_overall_is_the_conjunction(self, name):
+        # verify_embedding forms overall in its own loop, not through the
+        # report's constructor: it must be the conjunction of passed() on
+        # images that decode, on bumped images, which do not, and on a mix
+        group, shapes = chain_shapes(name)
+        for shape in shapes:
+            embedding, _, integral, _, _ = public_chain(group, shape)
+            for e in (embedding, integral):
+                bump = Matrix.diagonal([1] + [0] * (e.model.ambient_dim - 1))
+                bumped = [m + bump for m in e.images]
+                verdicts = []
+                for images in (e.images, bumped, bumped[:1] + list(e.images[1:])):
+                    report = verify_embedding(with_images(e, images))
+                    assert report.overall is all(c.passed() for c in report.per_generator)
+                    verdicts.append(report.overall)
+                assert verdicts == [True, False, False]
+
     def test_conjugate_suite(self):
         for group, shape in conjugate_suite_shapes():
             embedding = embed_group(group, shape)
@@ -1368,4 +1386,6 @@ class TestDecodedVerdicts:
         assert [c.form_preserved for c in report.per_generator] == [
             g.linear.is_identity() for g in group.generators
         ]
+        # decoded, but not every image passes: overall reads the verdicts
+        assert report.overall is all(c.passed() for c in report.per_generator) is False
         assert report == ref_verify_embedding(embedding)

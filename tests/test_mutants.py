@@ -144,6 +144,20 @@ def _decoded_form_verdicts(group, diagonal):
     return [checks.form_preserved for checks in report.per_generator]
 
 
+def _shifted_image_decodes(group, diagonal, i, j):
+    """Whether the first image of ``embed_group`` at a diagonal form still
+    decodes to its generator, at the shared scale 1, after entry ``(i, j)``
+    of its numerators moves by one."""
+    embedding = lorentz.embed_group(group, ShapeDescriptor(group, SymmetricForm.diagonal(diagonal)))
+    image = embedding.images[0]
+    rows = [list(row) for row in image.num]
+    rows[i][j] += 1
+    shifted = Matrix.from_integer_rows(tuple(map(tuple, rows)), image.den)
+    return lorentz._decodes(
+        shifted, group.generators[0], (1, 1), embedding.model, embedding._parts[0]
+    )
+
+
 def _embed_error(group, diagonal):
     """The type of the error ``embed_group`` raises for a group at a
     diagonal form, or None when it returns."""
@@ -235,7 +249,7 @@ MUTANTS = [
         "definiteness-ignores-zeros",
         "exactlin", "_leading_minors_positive",
         "if d <= 0:", "if d < 0:",
-        lambda: exactlin.is_positive_definite.__wrapped__(SymmetricForm.diagonal([1, 0])) is False,
+        lambda: exactlin._definite_rows.__wrapped__(SymmetricForm.diagonal([1, 0]).matrix.num) is False,
     ),
     Mutant(
         # [[0, 1/2], [2, 0]] preserves diag(4, 1), with den 2
@@ -315,6 +329,22 @@ MUTANTS = [
         "lorentz", "_decodes",
         "ka_den = c_den * ka_den", "ka_den = ka_den",
         lambda: _chain_verdict(catalog("torus-1"), [F(1, 3)], integral=False) is True,
+    ),
+    Mutant(
+        # entry (1, 0) of torus-2's first image lies in the last row of the
+        # block, which nothing but the block comparison reads
+        "decode-block-skips-last-row",
+        "lorentz", "_decodes",
+        "num[:n]]) != _scaled(a.num, den // a.den)",
+        "num[:n - 1]]) != _scaled(a.num, den // a.den)[:n - 1]",
+        lambda: _shifted_image_decodes(catalog("torus-2"), [1, 1], 1, 0) is False,
+    ),
+    Mutant(
+        # entry (0, n + 1) of a row < n is -w_0, read only against entry (0, n)
+        "decode-drops-minus-w",
+        "lorentz", "_decodes",
+        " or row[n + 1] != -row[n]", "",
+        lambda: _shifted_image_decodes(catalog("torus-2"), [1, 1], 0, 3) is False,
     ),
     Mutant(
         # the quarter turn's image is written for a linear part that does
